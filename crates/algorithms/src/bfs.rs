@@ -84,6 +84,18 @@ impl VertexProgram for BfsProgram {
     fn derives_from(&self, value: u32, src_value: u32, _weight: f32) -> bool {
         value == src_value.saturating_add(1)
     }
+
+    fn from_scratch(
+        &self,
+        graph: &dyn GraphTopology,
+        values: &AtomicU32Array,
+        pool: &ThreadPool,
+    ) -> usize {
+        // The direction-optimizing kernel produces identical depths and
+        // dominates on dense-frontier batches (see the `extensions` bench);
+        // the classic push kernel stays exported for comparison.
+        bfs_direction_optimizing(self, graph, values, pool)
+    }
 }
 
 /// Conventional frontier BFS from scratch. `values` must already be reset.

@@ -35,10 +35,9 @@ pub mod sssp;
 pub mod sswp;
 
 use inc::DeletionOutcome;
-use saga_utils::sync::Mutex;
 use program::{EdgeScope, ValueStore, VertexProgram};
-use saga_graph::properties::{AtomicF32Array, AtomicF64Array, AtomicU32Array};
 use saga_graph::{Edge, GraphTopology, Node};
+use saga_utils::sync::Mutex;
 use saga_utils::bitvec::{AtomicBitVec, GenerationMarks};
 use saga_utils::parallel::{adaptive_grain, ThreadPool};
 use saga_utils::sync::atomic::{AtomicUsize, Ordering};
@@ -82,6 +81,32 @@ impl AlgorithmKind {
             AlgorithmKind::Sswp => "SSWP",
         }
     }
+
+    /// The canonical lowercase spelling (config files, the wire format):
+    /// the first of the spellings [`FromStr`](std::str::FromStr) accepts.
+    pub fn key(&self) -> &'static str {
+        self.spellings()[0]
+    }
+
+    fn spellings(&self) -> &'static [&'static str] {
+        match self {
+            AlgorithmKind::Bfs => &["bfs"],
+            AlgorithmKind::Cc => &["cc"],
+            AlgorithmKind::Mc => &["mc"],
+            AlgorithmKind::PageRank => &["pr", "pagerank"],
+            AlgorithmKind::Sssp => &["sssp"],
+            AlgorithmKind::Sswp => &["sswp"],
+        }
+    }
+}
+
+impl std::str::FromStr for AlgorithmKind {
+    type Err = String;
+
+    /// Case-insensitive; the error names the canonical keys.
+    fn from_str(s: &str) -> Result<Self, String> {
+        saga_utils::parse_kind("algorithm", &Self::ALL, Self::spellings, s)
+    }
 }
 
 impl std::fmt::Display for AlgorithmKind {
@@ -110,6 +135,28 @@ impl ComputeModelKind {
             ComputeModelKind::FromScratch => "FS",
             ComputeModelKind::Incremental => "INC",
         }
+    }
+
+    /// The canonical lowercase spelling: the first of the spellings
+    /// [`FromStr`](std::str::FromStr) accepts.
+    pub fn key(&self) -> &'static str {
+        self.spellings()[0]
+    }
+
+    fn spellings(&self) -> &'static [&'static str] {
+        match self {
+            ComputeModelKind::FromScratch => &["fs", "from-scratch", "fromscratch"],
+            ComputeModelKind::Incremental => &["inc", "incremental"],
+        }
+    }
+}
+
+impl std::str::FromStr for ComputeModelKind {
+    type Err = String;
+
+    /// Case-insensitive; the error names the canonical keys.
+    fn from_str(s: &str) -> Result<Self, String> {
+        saga_utils::parse_kind("model", &Self::ALL, Self::spellings, s)
     }
 }
 
@@ -243,13 +290,159 @@ impl VertexValues {
     }
 }
 
-enum StateInner {
-    Bfs(bfs::BfsProgram, AtomicU32Array),
-    Cc(cc::CcProgram, AtomicU32Array),
-    Mc(mc::McProgram, AtomicU32Array),
-    Pr(pr::PrProgram, AtomicF64Array),
-    Sssp(sssp::SsspProgram, AtomicF32Array),
-    Sswp(sswp::SswpProgram, AtomicF32Array),
+/// The one [`AlgorithmKind`] → concrete program table. Evaluates `$body`
+/// with `$program` bound to the kind's [`VertexProgram`], built from the
+/// [`AlgorithmParams`] tunables over a `$capacity`-vertex universe. Every
+/// arm must produce the same type, so callers erase the program type inside
+/// `$body` (a `Box<dyn …>` around the engine they instantiate with it).
+///
+/// Both engines — [`AlgorithmState`] here and `saga_bsp::ShardedState` —
+/// construct their programs through this macro and nowhere else, so a
+/// tunable cannot reach one engine and miss the other, and a new algorithm
+/// is one new arm.
+#[macro_export]
+macro_rules! with_program {
+    ($kind:expr, $params:expr, $capacity:expr, $program:ident => $body:expr) => {{
+        let params: &$crate::AlgorithmParams = &$params;
+        let capacity: usize = $capacity;
+        match $kind {
+            $crate::AlgorithmKind::Bfs => {
+                let $program = $crate::bfs::BfsProgram::new(params.root);
+                $body
+            }
+            $crate::AlgorithmKind::Cc => {
+                let $program = $crate::cc::CcProgram::new();
+                $body
+            }
+            $crate::AlgorithmKind::Mc => {
+                let $program = $crate::mc::McProgram::new();
+                $body
+            }
+            $crate::AlgorithmKind::PageRank => {
+                let $program = $crate::pr::PrProgram::new(capacity)
+                    .with_epsilon(params.pr_epsilon)
+                    .with_fs_tolerance(params.pr_fs_tolerance);
+                $body
+            }
+            $crate::AlgorithmKind::Sssp => {
+                let $program =
+                    $crate::sssp::SsspProgram::new(params.root).with_delta(params.sssp_delta);
+                $body
+            }
+            $crate::AlgorithmKind::Sswp => {
+                let $program = $crate::sswp::SswpProgram::new(params.root);
+                $body
+            }
+        }
+    }};
+}
+
+/// The compute phase of a step as the driver sees it: what the tracker must
+/// seed, one `compute` per batch, and the property values. Implemented by
+/// the serial [`AlgorithmState`] and the sharded `saga_bsp::ShardedState`,
+/// so a driver session holds either behind one `Box<dyn ComputeEngine>`.
+pub trait ComputeEngine: Send + Sync {
+    /// Whether batch sources' existing out-neighbors must be seeded as
+    /// affected ([`VertexProgram::affects_source_neighborhood`]).
+    fn affects_source_neighborhood(&self) -> bool;
+
+    /// Whether deletion endpoints' neighborhoods must be seeded as affected
+    /// (the program's scope is [`EdgeScope::Symmetric`]).
+    fn symmetric_scope(&self) -> bool;
+
+    /// Runs the compute phase for one batch already applied to `graph`:
+    /// `impact` is what [`AffectedTracker`] derived from it (empty under
+    /// the FS model), `deleted` the edges it removed.
+    fn compute(
+        &mut self,
+        graph: &dyn GraphTopology,
+        impact: &BatchImpact,
+        deleted: &[Edge],
+        pool: &ThreadPool,
+    ) -> ComputeOutcome;
+
+    /// Snapshots the property array.
+    fn values(&self) -> VertexValues;
+}
+
+/// A program bound to its property array with the program type erased:
+/// one dynamic call per batch, the kernels behind it monomorphised.
+trait BoundProgram: Send + Sync {
+    /// One compute phase under `model`; see
+    /// [`AlgorithmState::perform_alg_with_deletions`].
+    fn perform(
+        &self,
+        model: ComputeModelKind,
+        graph: &dyn GraphTopology,
+        affected: &[Node],
+        new_vertices: &[Node],
+        deleted: &[Edge],
+        pool: &ThreadPool,
+    ) -> ComputeOutcome;
+
+    fn values(&self) -> VertexValues;
+}
+
+struct Bound<P: VertexProgram> {
+    program: P,
+    values: P::Store,
+    /// Deletion-repair cascade threshold, in vertices.
+    repair_limit: usize,
+}
+
+impl<P: VertexProgram> Bound<P> {
+    fn new(program: P, capacity: usize, params: &AlgorithmParams) -> Self {
+        let values = P::Store::create(capacity, program.initial(0, capacity));
+        for v in 1..capacity {
+            values.store(v, program.initial(v as Node, capacity));
+        }
+        let repair_limit = ((capacity as f64 * params.repair_cascade_fraction) as usize).max(1);
+        Self { program, values, repair_limit }
+    }
+}
+
+impl<P: VertexProgram> BoundProgram for Bound<P>
+where
+    VertexValues: From<Vec<P::Value>>,
+{
+    fn perform(
+        &self,
+        model: ComputeModelKind,
+        graph: &dyn GraphTopology,
+        affected: &[Node],
+        new_vertices: &[Node],
+        deleted: &[Edge],
+        pool: &ThreadPool,
+    ) -> ComputeOutcome {
+        let (program, values) = (&self.program, &self.values);
+        let incremental = model == ComputeModelKind::Incremental;
+        if incremental {
+            let repaired = inc::incremental_compute_with_deletions(
+                program, graph, values, affected, new_vertices, deleted, self.repair_limit, pool,
+            );
+            if let DeletionOutcome::Done(o) = repaired {
+                return ComputeOutcome {
+                    iterations: o.iterations,
+                    recomputed: o.recomputed,
+                    triggered: o.triggered,
+                    repaired: o.repaired,
+                    fs_fallback: false,
+                };
+            }
+        }
+        // The FS model, and INC's fallback when the repair cascade overflowed.
+        fs::reset_values(program, values, values.len(), pool);
+        ComputeOutcome {
+            iterations: program.from_scratch(graph, values, pool),
+            fs_fallback: incremental,
+            ..ComputeOutcome::default()
+        }
+    }
+
+    fn values(&self) -> VertexValues {
+        let values: Vec<P::Value> = (0..self.values.len()).map(|v| self.values.load(v)).collect();
+        values.into()
+    }
 }
 
 /// An algorithm instance bound to a compute model and a property array —
@@ -284,8 +477,9 @@ pub struct AlgorithmState {
     kind: AlgorithmKind,
     model: ComputeModelKind,
     capacity: usize,
-    repair_limit: usize,
-    inner: StateInner,
+    affects_source_neighborhood: bool,
+    symmetric_scope: bool,
+    bound: Box<dyn BoundProgram>,
 }
 
 impl std::fmt::Debug for AlgorithmState {
@@ -298,12 +492,6 @@ impl std::fmt::Debug for AlgorithmState {
     }
 }
 
-fn reset_store<P: VertexProgram>(program: &P, store: &P::Store, capacity: usize) {
-    for v in 0..capacity {
-        store.store(v, program.initial(v as Node, capacity));
-    }
-}
-
 impl AlgorithmState {
     /// Creates an algorithm state over a fixed `capacity`-vertex universe.
     /// All property values start at the program's initial values.
@@ -313,53 +501,14 @@ impl AlgorithmState {
         capacity: usize,
         params: AlgorithmParams,
     ) -> Self {
-        let inner = match kind {
-            AlgorithmKind::Bfs => {
-                let p = bfs::BfsProgram::new(params.root);
-                let s = AtomicU32Array::filled(capacity, 0);
-                reset_store(&p, &s, capacity);
-                StateInner::Bfs(p, s)
-            }
-            AlgorithmKind::Cc => {
-                let p = cc::CcProgram::new();
-                let s = AtomicU32Array::filled(capacity, 0);
-                reset_store(&p, &s, capacity);
-                StateInner::Cc(p, s)
-            }
-            AlgorithmKind::Mc => {
-                let p = mc::McProgram::new();
-                let s = AtomicU32Array::filled(capacity, 0);
-                reset_store(&p, &s, capacity);
-                StateInner::Mc(p, s)
-            }
-            AlgorithmKind::PageRank => {
-                let p = pr::PrProgram::new(capacity)
-                    .with_epsilon(params.pr_epsilon)
-                    .with_fs_tolerance(params.pr_fs_tolerance);
-                let s = AtomicF64Array::filled(capacity, 0.0);
-                reset_store(&p, &s, capacity);
-                StateInner::Pr(p, s)
-            }
-            AlgorithmKind::Sssp => {
-                let p = sssp::SsspProgram::new(params.root).with_delta(params.sssp_delta);
-                let s = AtomicF32Array::filled(capacity, f32::INFINITY);
-                reset_store(&p, &s, capacity);
-                StateInner::Sssp(p, s)
-            }
-            AlgorithmKind::Sswp => {
-                let p = sswp::SswpProgram::new(params.root);
-                let s = AtomicF32Array::filled(capacity, 0.0);
-                reset_store(&p, &s, capacity);
-                StateInner::Sswp(p, s)
-            }
-        };
-        Self {
+        with_program!(kind, params, capacity, program => Self {
             kind,
             model,
             capacity,
-            repair_limit: ((capacity as f64 * params.repair_cascade_fraction) as usize).max(1),
-            inner,
-        }
+            affects_source_neighborhood: program.affects_source_neighborhood(),
+            symmetric_scope: program.scope() == EdgeScope::Symmetric,
+            bound: Box::new(Bound::new(program, capacity, &params)),
+        })
     }
 
     /// Which algorithm this state runs.
@@ -381,30 +530,14 @@ impl AlgorithmState {
     /// affected (PageRank's out-degree effect; see
     /// [`VertexProgram::affects_source_neighborhood`]).
     pub fn affects_source_neighborhood(&self) -> bool {
-        match &self.inner {
-            StateInner::Pr(p, _) => p.affects_source_neighborhood(),
-            _ => false,
-        }
+        self.affects_source_neighborhood
     }
 
     /// Whether the program's vertex function reduces over both edge
     /// directions ([`EdgeScope::Symmetric`], i.e. CC). Deletion batches
     /// then seed both endpoints' neighborhoods as affected.
     pub fn symmetric_scope(&self) -> bool {
-        match &self.inner {
-            StateInner::Bfs(p, _) => p.scope() == EdgeScope::Symmetric,
-            StateInner::Cc(p, _) => p.scope() == EdgeScope::Symmetric,
-            StateInner::Mc(p, _) => p.scope() == EdgeScope::Symmetric,
-            StateInner::Pr(p, _) => p.scope() == EdgeScope::Symmetric,
-            StateInner::Sssp(p, _) => p.scope() == EdgeScope::Symmetric,
-            StateInner::Sswp(p, _) => p.scope() == EdgeScope::Symmetric,
-        }
-    }
-
-    /// The deletion-repair cascade threshold, in vertices (derived from
-    /// [`AlgorithmParams::repair_cascade_fraction`]).
-    pub fn repair_limit(&self) -> usize {
-        self.repair_limit
+        self.symmetric_scope
     }
 
     /// Runs the compute phase — the paper's `performAlg()`.
@@ -427,8 +560,8 @@ impl AlgorithmState {
     /// ignores it (recomputation is deletion-proof by construction); the
     /// INC model runs the KickStarter-style repair pass first and falls
     /// back to from-scratch recomputation when the repair cascade exceeds
-    /// [`AlgorithmState::repair_limit`] (reported via
-    /// [`ComputeOutcome::fs_fallback`]).
+    /// [`AlgorithmParams::repair_cascade_fraction`] of the vertex universe
+    /// (reported via [`ComputeOutcome::fs_fallback`]).
     pub fn perform_alg_with_deletions(
         &mut self,
         graph: &dyn GraphTopology,
@@ -437,109 +570,37 @@ impl AlgorithmState {
         deleted: &[Edge],
         pool: &ThreadPool,
     ) -> ComputeOutcome {
-        match self.model {
-            ComputeModelKind::FromScratch => self.run_from_scratch(graph, pool),
-            ComputeModelKind::Incremental => {
-                self.run_incremental(graph, affected, new_vertices, deleted, pool)
-            }
-        }
-    }
-
-    fn run_from_scratch(&mut self, graph: &dyn GraphTopology, pool: &ThreadPool) -> ComputeOutcome {
-        let n = self.capacity;
-        let iterations = match &self.inner {
-            StateInner::Bfs(p, s) => {
-                fs::reset_values(p, s, n, pool);
-                // The direction-optimizing kernel produces identical depths
-                // and dominates on dense-frontier batches (see the
-                // `extensions` bench); the classic push kernel stays
-                // exported for comparison.
-                bfs::bfs_direction_optimizing(p, graph, s, pool)
-            }
-            StateInner::Cc(p, s) => {
-                fs::reset_values(p, s, n, pool);
-                fs::fixpoint_compute(p, graph, s, pool)
-            }
-            StateInner::Mc(p, s) => {
-                fs::reset_values(p, s, n, pool);
-                fs::fixpoint_compute(p, graph, s, pool)
-            }
-            StateInner::Pr(p, s) => {
-                fs::reset_values(p, s, n, pool);
-                pr::pagerank_from_scratch(p, graph, s, pool)
-            }
-            StateInner::Sssp(p, s) => {
-                fs::reset_values(p, s, n, pool);
-                sssp::sssp_delta_stepping(p, graph, s, pool)
-            }
-            StateInner::Sswp(p, s) => {
-                fs::reset_values(p, s, n, pool);
-                sswp::sswp_from_scratch(p, graph, s, pool)
-            }
-        };
-        ComputeOutcome {
-            iterations,
-            recomputed: 0,
-            triggered: 0,
-            repaired: 0,
-            fs_fallback: false,
-        }
-    }
-
-    fn run_incremental(
-        &mut self,
-        graph: &dyn GraphTopology,
-        affected: &[Node],
-        new_vertices: &[Node],
-        deleted: &[Edge],
-        pool: &ThreadPool,
-    ) -> ComputeOutcome {
-        let limit = self.repair_limit;
-        let out = match &self.inner {
-            StateInner::Bfs(p, s) => inc::incremental_compute_with_deletions(
-                p, graph, s, affected, new_vertices, deleted, limit, pool,
-            ),
-            StateInner::Cc(p, s) => inc::incremental_compute_with_deletions(
-                p, graph, s, affected, new_vertices, deleted, limit, pool,
-            ),
-            StateInner::Mc(p, s) => inc::incremental_compute_with_deletions(
-                p, graph, s, affected, new_vertices, deleted, limit, pool,
-            ),
-            StateInner::Pr(p, s) => inc::incremental_compute_with_deletions(
-                p, graph, s, affected, new_vertices, deleted, limit, pool,
-            ),
-            StateInner::Sssp(p, s) => inc::incremental_compute_with_deletions(
-                p, graph, s, affected, new_vertices, deleted, limit, pool,
-            ),
-            StateInner::Sswp(p, s) => inc::incremental_compute_with_deletions(
-                p, graph, s, affected, new_vertices, deleted, limit, pool,
-            ),
-        };
-        match out {
-            DeletionOutcome::Done(o) => ComputeOutcome {
-                iterations: o.iterations,
-                recomputed: o.recomputed,
-                triggered: o.triggered,
-                repaired: o.repaired,
-                fs_fallback: false,
-            },
-            DeletionOutcome::CascadeOverflow { .. } => {
-                let mut fs = self.run_from_scratch(graph, pool);
-                fs.fs_fallback = true;
-                fs
-            }
-        }
+        self.bound.perform(self.model, graph, affected, new_vertices, deleted, pool)
     }
 
     /// Snapshots the property array.
     pub fn values(&self) -> VertexValues {
-        match &self.inner {
-            StateInner::Bfs(_, s) | StateInner::Cc(_, s) | StateInner::Mc(_, s) => {
-                VertexValues::U32(s.to_vec())
-            }
-            StateInner::Pr(_, s) => VertexValues::F64(s.to_vec()),
-            StateInner::Sssp(_, s) | StateInner::Sswp(_, s) => VertexValues::F32(s.to_vec()),
-        }
+        self.bound.values()
+    }
+}
+
+impl ComputeEngine for AlgorithmState {
+    fn affects_source_neighborhood(&self) -> bool {
+        self.affects_source_neighborhood
+    }
+
+    fn symmetric_scope(&self) -> bool {
+        self.symmetric_scope
+    }
+
+    fn compute(
+        &mut self,
+        graph: &dyn GraphTopology,
+        impact: &BatchImpact,
+        deleted: &[Edge],
+        pool: &ThreadPool,
+    ) -> ComputeOutcome {
+        let BatchImpact { affected, new_vertices } = impact;
+        self.perform_alg_with_deletions(graph, affected, new_vertices, deleted, pool)
+    }
+
+    fn values(&self) -> VertexValues {
+        self.bound.values()
     }
 }
 
@@ -575,6 +636,19 @@ struct WorkerOut {
     new_vertices: Vec<Node>,
     sources: Vec<Node>,
     delete_seeds: Vec<Node>,
+}
+
+impl WorkerOut {
+    /// Reports `v` as affected — and as new, on its first appearance in the
+    /// stream — unless another worker already claimed it this batch.
+    fn touch(&mut self, v: Node, flagged: &GenerationMarks, seen: &AtomicBitVec) {
+        if flagged.try_mark(v as usize) {
+            self.affected.push(v);
+            if seen.try_set(v as usize) {
+                self.new_vertices.push(v);
+            }
+        }
+    }
 }
 
 /// Affected and first-seen vertices of one batch.
@@ -648,149 +722,87 @@ impl AffectedTracker {
         let seen = &self.seen;
         let worker_out = &self.worker_out;
 
-        // Phase 1a: mark the insert endpoints. Each worker scans a
-        // contiguous range; `try_mark` gives every vertex exactly one
-        // winner, which appends it to that worker's buffer.
-        pool.parallel_ranges(0..inserts.len(), |w, range| {
-            let mut out = worker_out[w].lock();
-            let out = &mut *out;
-            for e in &inserts[range] {
-                if include_source_neighborhoods && src_marks.try_mark(e.src as usize) {
-                    out.sources.push(e.src);
-                }
-                if flagged.try_mark(e.src as usize) {
-                    out.affected.push(e.src);
-                    if seen.try_set(e.src as usize) {
-                        out.new_vertices.push(e.src);
+        // Phase 1: mark the endpoints, inserts then deletes under the same
+        // generation, so a vertex touched by both classes is reported once.
+        // Each worker scans a contiguous range; `try_mark` gives every
+        // vertex exactly one winner, which appends it to that worker's
+        // buffer. Delete sources join the source set too (their out-degree
+        // shrank, which changes PageRank denominators just like an insert
+        // does), and both delete endpoints join the neighborhood-seed set
+        // when requested.
+        let mark_endpoints = |edges: &[Edge], seed_neighborhoods: bool| {
+            pool.parallel_ranges(0..edges.len(), |w, range| {
+                let mut out = worker_out[w].lock();
+                let out = &mut *out;
+                for e in &edges[range] {
+                    if include_source_neighborhoods && src_marks.try_mark(e.src as usize) {
+                        out.sources.push(e.src);
                     }
-                }
-                if flagged.try_mark(e.dst as usize) {
-                    out.affected.push(e.dst);
-                    if seen.try_set(e.dst as usize) {
-                        out.new_vertices.push(e.dst);
+                    for v in [e.src, e.dst] {
+                        if seed_neighborhoods && del_marks.try_mark(v as usize) {
+                            out.delete_seeds.push(v);
+                        }
                     }
+                    out.touch(e.src, flagged, seen);
+                    out.touch(e.dst, flagged, seen);
                 }
-            }
-        });
+            });
+        };
+        mark_endpoints(inserts, false);
+        mark_endpoints(deletes, include_delete_neighborhoods);
 
-        // Phase 1b: mark the delete endpoints under the same generation, so
-        // a vertex touched by both classes is reported once. Delete sources
-        // join the source set (their out-degree shrank, which changes
-        // PageRank denominators just like an insert does), and both
-        // endpoints join the neighborhood-seed set when requested.
-        pool.parallel_ranges(0..deletes.len(), |w, range| {
-            let mut out = worker_out[w].lock();
-            let out = &mut *out;
-            for e in &deletes[range] {
-                if include_source_neighborhoods && src_marks.try_mark(e.src as usize) {
-                    out.sources.push(e.src);
-                }
-                if include_delete_neighborhoods {
-                    if del_marks.try_mark(e.src as usize) {
-                        out.delete_seeds.push(e.src);
-                    }
-                    if del_marks.try_mark(e.dst as usize) {
-                        out.delete_seeds.push(e.dst);
-                    }
-                }
-                if flagged.try_mark(e.src as usize) {
-                    out.affected.push(e.src);
-                    if seen.try_set(e.src as usize) {
-                        out.new_vertices.push(e.src);
-                    }
-                }
-                if flagged.try_mark(e.dst as usize) {
-                    out.affected.push(e.dst);
-                    if seen.try_set(e.dst as usize) {
-                        out.new_vertices.push(e.dst);
-                    }
-                }
+        // Phase 2: seed the existing neighborhoods of `seeds`, distributed
+        // by a dynamic cursor so one hub's big neighborhood does not
+        // serialize the rest.
+        let seed_neighborhoods = |seeds: &[Node], both_directions: bool| {
+            if seeds.is_empty() {
+                return;
             }
-        });
-
-        // Phase 2: seed the sources' existing out-neighborhoods. Sources
-        // are stitched in worker order first (phase 1's barrier makes that
-        // safe), then distributed by a dynamic cursor so one hub's big
-        // neighborhood does not serialize the rest.
+            let grain = adaptive_grain(seeds.len(), threads);
+            let cursor = AtomicUsize::new(0);
+            pool.run_on_all(|w| {
+                let mut out = worker_out[w].lock();
+                let out = &mut *out;
+                let mut neighbors: Vec<Node> = Vec::new();
+                loop {
+                    let start = cursor.fetch_add(grain, Ordering::Relaxed);
+                    if start >= seeds.len() {
+                        break;
+                    }
+                    let end = (start + grain).min(seeds.len());
+                    for &v in &seeds[start..end] {
+                        neighbors.clear();
+                        graph.for_each_out_neighbor(v, &mut |nb, _| neighbors.push(nb));
+                        if both_directions {
+                            graph.for_each_in_neighbor(v, &mut |nb, _| neighbors.push(nb));
+                        }
+                        for &nb in &neighbors {
+                            out.touch(nb, flagged, seen);
+                        }
+                    }
+                }
+            });
+        };
+        // The sources' out-neighbors (their contribution denominators
+        // changed). Sources are stitched in worker order first (phase 1's
+        // barrier makes that safe).
         if include_source_neighborhoods {
             self.sources.clear();
             for slot in worker_out.iter().take(threads) {
                 self.sources.append(&mut slot.lock().sources);
             }
-            if !self.sources.is_empty() {
-                let sources = &self.sources;
-                let grain = adaptive_grain(sources.len(), threads);
-                let cursor = AtomicUsize::new(0);
-                pool.run_on_all(|w| {
-                    let mut out = worker_out[w].lock();
-                    let out = &mut *out;
-                    let mut neighbors: Vec<Node> = Vec::new();
-                    loop {
-                        let start = cursor.fetch_add(grain, Ordering::Relaxed);
-                        if start >= sources.len() {
-                            break;
-                        }
-                        let end = (start + grain).min(sources.len());
-                        for &src in &sources[start..end] {
-                            neighbors.clear();
-                            graph.for_each_out_neighbor(src, &mut |nb, _| neighbors.push(nb));
-                            for &nb in &neighbors {
-                                if flagged.try_mark(nb as usize) {
-                                    out.affected.push(nb);
-                                    if seen.try_set(nb as usize) {
-                                        out.new_vertices.push(nb);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                });
-            }
+            seed_neighborhoods(&self.sources, false);
         }
-
-        // Phase 2b: seed the surviving neighborhoods of the deletion
-        // endpoints, same dynamic-cursor shape as phase 2. Out-neighbors
-        // cover the downstream direction; on a directed graph the upstream
-        // in-neighbors are walked too, because a symmetric-scope program
-        // pulls across both orientations.
+        // The surviving neighborhoods of the deletion endpoints.
+        // Out-neighbors cover the downstream direction; on a directed graph
+        // the upstream in-neighbors are walked too, because a
+        // symmetric-scope program pulls across both orientations.
         if include_delete_neighborhoods {
             self.delete_seeds.clear();
             for slot in worker_out.iter().take(threads) {
                 self.delete_seeds.append(&mut slot.lock().delete_seeds);
             }
-            if !self.delete_seeds.is_empty() {
-                let seeds = &self.delete_seeds;
-                let directed = graph.is_directed();
-                let grain = adaptive_grain(seeds.len(), threads);
-                let cursor = AtomicUsize::new(0);
-                pool.run_on_all(|w| {
-                    let mut out = worker_out[w].lock();
-                    let out = &mut *out;
-                    let mut neighbors: Vec<Node> = Vec::new();
-                    loop {
-                        let start = cursor.fetch_add(grain, Ordering::Relaxed);
-                        if start >= seeds.len() {
-                            break;
-                        }
-                        let end = (start + grain).min(seeds.len());
-                        for &v in &seeds[start..end] {
-                            neighbors.clear();
-                            graph.for_each_out_neighbor(v, &mut |nb, _| neighbors.push(nb));
-                            if directed {
-                                graph.for_each_in_neighbor(v, &mut |nb, _| neighbors.push(nb));
-                            }
-                            for &nb in &neighbors {
-                                if flagged.try_mark(nb as usize) {
-                                    out.affected.push(nb);
-                                    if seen.try_set(nb as usize) {
-                                        out.new_vertices.push(nb);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                });
-            }
+            seed_neighborhoods(&self.delete_seeds, graph.is_directed());
         }
 
         // Stitch per-worker buffers in worker order: deterministic for any
@@ -812,6 +824,28 @@ impl AffectedTracker {
 mod tests {
     use super::*;
     use saga_graph::{build_graph, DataStructureKind};
+
+    #[test]
+    fn kind_keys_round_trip_and_aliases_parse() {
+        for kind in AlgorithmKind::ALL {
+            assert_eq!(kind.key().parse(), Ok(kind));
+            assert_eq!(kind.abbrev().parse(), Ok(kind), "the paper's abbreviation parses");
+        }
+        for model in ComputeModelKind::ALL {
+            assert_eq!(model.key().parse(), Ok(model));
+            assert_eq!(model.abbrev().parse(), Ok(model));
+        }
+        assert_eq!("PageRank".parse(), Ok(AlgorithmKind::PageRank));
+        assert_eq!("from-scratch".parse(), Ok(ComputeModelKind::FromScratch));
+        assert_eq!(
+            "dfs".parse::<AlgorithmKind>().unwrap_err(),
+            "unknown algorithm \"dfs\" (bfs|cc|mc|pr|sssp|sswp)"
+        );
+        assert_eq!(
+            "lazy".parse::<ComputeModelKind>().unwrap_err(),
+            "unknown model \"lazy\" (fs|inc)"
+        );
+    }
 
     #[test]
     fn kinds_and_models_display_like_the_paper() {

@@ -167,6 +167,15 @@ impl VertexProgram for PrProgram {
         // the correct values — no stale-dependency cascade exists.
         false
     }
+
+    fn from_scratch(
+        &self,
+        graph: &dyn GraphTopology,
+        values: &AtomicF64Array,
+        pool: &ThreadPool,
+    ) -> usize {
+        pagerank_from_scratch(self, graph, values, pool)
+    }
 }
 
 /// Conventional PageRank from scratch: Jacobi-style in-place iteration

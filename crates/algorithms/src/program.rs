@@ -8,8 +8,10 @@
 //! line 11); both compute engines are generic over it, which is what lets a
 //! new algorithm join the benchmark by implementing one trait (§III-D).
 
+use crate::VertexValues;
 use saga_graph::properties::{AtomicF32Array, AtomicF64Array, AtomicU32Array};
 use saga_graph::{GraphTopology, Node};
+use saga_utils::parallel::ThreadPool;
 
 /// Which neighbors a vertex function reduces over and propagates to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,59 +50,40 @@ pub trait ValueStore<V: Copy>: Send + Sync {
     }
 }
 
-impl ValueStore<u32> for AtomicU32Array {
-    fn create(len: usize, init: u32) -> Self {
-        AtomicU32Array::filled(len, init)
-    }
-    fn load(&self, i: usize) -> u32 {
-        self.get(i)
-    }
-    fn store(&self, i: usize, value: u32) {
-        self.set(i, value)
-    }
-    fn len(&self) -> usize {
-        AtomicU32Array::len(self)
-    }
-    fn prefetch_hint(&self, i: usize) {
-        self.prefetch(i);
-    }
+/// Wires one property type to its atomic-array store and to its
+/// [`VertexValues`] variant — the one `Vec<P::Value>` → `VertexValues`
+/// conversion both engines snapshot through.
+macro_rules! property_type {
+    ($value:ty, $store:ident, $variant:ident) => {
+        impl ValueStore<$value> for $store {
+            fn create(len: usize, init: $value) -> Self {
+                $store::filled(len, init)
+            }
+            fn load(&self, i: usize) -> $value {
+                self.get(i)
+            }
+            fn store(&self, i: usize, value: $value) {
+                self.set(i, value)
+            }
+            fn len(&self) -> usize {
+                $store::len(self)
+            }
+            fn prefetch_hint(&self, i: usize) {
+                self.prefetch(i);
+            }
+        }
+
+        impl From<Vec<$value>> for VertexValues {
+            fn from(values: Vec<$value>) -> Self {
+                VertexValues::$variant(values)
+            }
+        }
+    };
 }
 
-impl ValueStore<f32> for AtomicF32Array {
-    fn create(len: usize, init: f32) -> Self {
-        AtomicF32Array::filled(len, init)
-    }
-    fn load(&self, i: usize) -> f32 {
-        self.get(i)
-    }
-    fn store(&self, i: usize, value: f32) {
-        self.set(i, value)
-    }
-    fn len(&self) -> usize {
-        AtomicF32Array::len(self)
-    }
-    fn prefetch_hint(&self, i: usize) {
-        self.prefetch(i);
-    }
-}
-
-impl ValueStore<f64> for AtomicF64Array {
-    fn create(len: usize, init: f64) -> Self {
-        AtomicF64Array::filled(len, init)
-    }
-    fn load(&self, i: usize) -> f64 {
-        self.get(i)
-    }
-    fn store(&self, i: usize, value: f64) {
-        self.set(i, value)
-    }
-    fn len(&self) -> usize {
-        AtomicF64Array::len(self)
-    }
-    fn prefetch_hint(&self, i: usize) {
-        self.prefetch(i);
-    }
-}
+property_type!(u32, AtomicU32Array, U32);
+property_type!(f32, AtomicF32Array, F32);
+property_type!(f64, AtomicF64Array, F64);
 
 /// A vertex-centric algorithm: one row of Table I.
 ///
@@ -172,6 +155,24 @@ pub trait VertexProgram: Send + Sync {
     /// re-pull of the affected vertices is already a full repair.
     fn needs_deletion_repair(&self) -> bool {
         true
+    }
+
+    /// The FS model's kernel: recomputes every property on `graph` from
+    /// `values` already reset to [`initial`](Self::initial), returning the
+    /// rounds it took. Defaults to the generic Jacobi fixpoint (CC, MC);
+    /// programs with a conventional static-graph kernel (frontier BFS,
+    /// delta-stepping SSSP, tolerance-stopped PR) override it.
+    #[allow(clippy::wrong_self_convention)] // "from scratch" is the paper's name for the model
+    fn from_scratch(
+        &self,
+        graph: &dyn GraphTopology,
+        values: &Self::Store,
+        pool: &ThreadPool,
+    ) -> usize
+    where
+        Self: Sized,
+    {
+        crate::fs::fixpoint_compute(self, graph, values, pool)
     }
 }
 

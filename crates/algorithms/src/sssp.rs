@@ -98,6 +98,15 @@ impl VertexProgram for SsspProgram {
     fn derives_from(&self, value: f32, src_value: f32, weight: f32) -> bool {
         value == src_value + weight
     }
+
+    fn from_scratch(
+        &self,
+        graph: &dyn GraphTopology,
+        values: &AtomicF32Array,
+        pool: &ThreadPool,
+    ) -> usize {
+        sssp_delta_stepping(self, graph, values, pool)
+    }
 }
 
 /// Delta-stepping SSSP from scratch. `values` must already be reset.

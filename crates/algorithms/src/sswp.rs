@@ -79,6 +79,15 @@ impl VertexProgram for SswpProgram {
     fn derives_from(&self, value: f32, src_value: f32, weight: f32) -> bool {
         value == src_value.min(weight)
     }
+
+    fn from_scratch(
+        &self,
+        graph: &dyn GraphTopology,
+        values: &AtomicF32Array,
+        pool: &ThreadPool,
+    ) -> usize {
+        sswp_from_scratch(self, graph, values, pool)
+    }
 }
 
 /// Frontier-based widest-path relaxation from scratch. `values` must

@@ -37,36 +37,80 @@ pub use engine::{BspOutcome, KillPhase, KillSpec, Killed};
 use crate::checkpoint::ValueCodec;
 use crate::engine::BspEngine;
 use crate::layout::ShardLayout;
-use saga_algorithms::message::MessageProgram;
+use saga_algorithms::message::{GatherMode, MessageProgram};
+use saga_algorithms::program::{EdgeScope, VertexProgram};
 use saga_algorithms::{
-    bfs::BfsProgram, cc::CcProgram, mc::McProgram, pr::PrProgram, sssp::SsspProgram,
-    sswp::SswpProgram,
+    with_program, AlgorithmKind, AlgorithmParams, BatchImpact, ComputeEngine, ComputeModelKind,
+    ComputeOutcome, VertexValues,
 };
-use saga_algorithms::{AlgorithmKind, AlgorithmParams, ComputeModelKind, ComputeOutcome, VertexValues};
-use saga_graph::{GraphTopology, Node};
+use saga_graph::{Edge, GraphTopology, Node};
 use saga_utils::parallel::ThreadPool;
 use saga_utils::partition::Partitioner;
 
-enum Inner {
-    Bfs(BspEngine<BfsProgram>),
-    Cc(BspEngine<CcProgram>),
-    Mc(BspEngine<McProgram>),
-    Pr(BspEngine<PrProgram>),
-    Sssp(BspEngine<SsspProgram>),
-    Sswp(BspEngine<SswpProgram>),
+/// A [`BspEngine`] with the program type erased: one dynamic call per
+/// batch, the superstep loop behind it monomorphised per program.
+trait Engine: Send + Sync {
+    fn checkpoints_published(&self) -> usize;
+
+    fn arm_kill(&mut self, spec: KillSpec);
+
+    /// Seeds (all vertices when `seeds` is `None`, else each shard's
+    /// `partitioner` bucket of the seed list), runs, and — if a kill fires
+    /// — recovers the engine to completion, counting the recovery.
+    fn run_batch(
+        &mut self,
+        graph: &dyn GraphTopology,
+        pool: &ThreadPool,
+        seeds: Option<(&[Node], &Partitioner)>,
+        recoveries: &mut usize,
+    ) -> BspOutcome;
+
+    fn values(&self) -> VertexValues;
 }
 
-macro_rules! with_engine {
-    ($inner:expr, $e:ident => $body:expr) => {
-        match $inner {
-            Inner::Bfs($e) => $body,
-            Inner::Cc($e) => $body,
-            Inner::Mc($e) => $body,
-            Inner::Pr($e) => $body,
-            Inner::Sssp($e) => $body,
-            Inner::Sswp($e) => $body,
+impl<P: MessageProgram> Engine for BspEngine<P>
+where
+    P::Value: ValueCodec,
+    VertexValues: From<Vec<P::Value>>,
+{
+    fn checkpoints_published(&self) -> usize {
+        BspEngine::checkpoints_published(self)
+    }
+
+    fn arm_kill(&mut self, spec: KillSpec) {
+        BspEngine::arm_kill(self, spec);
+    }
+
+    fn run_batch(
+        &mut self,
+        graph: &dyn GraphTopology,
+        pool: &ThreadPool,
+        seeds: Option<(&[Node], &Partitioner)>,
+        recoveries: &mut usize,
+    ) -> BspOutcome {
+        match seeds {
+            None => self.reset_all_active(),
+            Some((seeds, partitioner)) => {
+                for s in 0..self.layout().shards() {
+                    self.set_active(s, partitioner.bucket(s).iter().map(|&i| seeds[i as usize]));
+                }
+            }
         }
-    };
+        self.begin();
+        match self.run(graph, pool) {
+            Ok(outcome) => outcome,
+            Err(_killed) => {
+                *recoveries += 1;
+                self.recover();
+                self.run(graph, pool)
+                    .expect("kill specs are one-shot: the recovered run cannot be killed again")
+            }
+        }
+    }
+
+    fn values(&self) -> VertexValues {
+        self.values_vec().into()
+    }
 }
 
 /// Sharded counterpart of [`saga_algorithms::AlgorithmState`]: the same
@@ -80,7 +124,11 @@ pub struct ShardedState {
     /// its internal index buffers amortize like the ingest partitioner's).
     partitioner: Partitioner,
     recoveries: usize,
-    inner: Inner,
+    /// Sum-mode programs (PageRank) re-evaluate every vertex each batch.
+    sum_mode: bool,
+    affects_source_neighborhood: bool,
+    symmetric_scope: bool,
+    engine: Box<dyn Engine>,
 }
 
 impl std::fmt::Debug for ShardedState {
@@ -106,75 +154,18 @@ impl ShardedState {
         params: AlgorithmParams,
         checkpoints: CheckpointConfig,
     ) -> Self {
-        let inner = match kind {
-            AlgorithmKind::Bfs => Inner::Bfs(BspEngine::new(
-                BfsProgram::new(params.root),
-                capacity,
-                shards,
-                checkpoints,
-            )),
-            AlgorithmKind::Cc => Inner::Cc(BspEngine::new(
-                CcProgram::new(),
-                capacity,
-                shards,
-                checkpoints,
-            )),
-            AlgorithmKind::Mc => Inner::Mc(BspEngine::new(
-                McProgram::new(),
-                capacity,
-                shards,
-                checkpoints,
-            )),
-            AlgorithmKind::PageRank => Inner::Pr(BspEngine::new(
-                PrProgram::new(capacity)
-                    .with_epsilon(params.pr_epsilon)
-                    .with_fs_tolerance(params.pr_fs_tolerance),
-                capacity,
-                shards,
-                checkpoints,
-            )),
-            AlgorithmKind::Sssp => Inner::Sssp(BspEngine::new(
-                SsspProgram::new(params.root).with_delta(params.sssp_delta),
-                capacity,
-                shards,
-                checkpoints,
-            )),
-            AlgorithmKind::Sswp => Inner::Sswp(BspEngine::new(
-                SswpProgram::new(params.root),
-                capacity,
-                shards,
-                checkpoints,
-            )),
-        };
-        Self {
+        with_program!(kind, params, capacity, program => Self {
             kind,
             model,
             capacity,
             shards,
             partitioner: Partitioner::new(),
             recoveries: 0,
-            inner,
-        }
-    }
-
-    /// Which algorithm this state runs.
-    pub fn kind(&self) -> AlgorithmKind {
-        self.kind
-    }
-
-    /// Which compute model this state uses.
-    pub fn model(&self) -> ComputeModelKind {
-        self.model
-    }
-
-    /// Number of vertices in the universe.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
+            sum_mode: program.gather_mode() == GatherMode::Sum,
+            affects_source_neighborhood: program.affects_source_neighborhood(),
+            symmetric_scope: program.scope() == EdgeScope::Symmetric,
+            engine: Box::new(BspEngine::new(program, capacity, shards, checkpoints)),
+        })
     }
 
     /// How many kill-and-recover cycles have happened so far.
@@ -186,25 +177,23 @@ impl ShardedState {
     /// affected (mirrors [`saga_algorithms::AlgorithmState`]'s tracker
     /// wiring; the answer comes from the same program trait).
     pub fn affects_source_neighborhood(&self) -> bool {
-        use saga_algorithms::program::VertexProgram;
-        with_engine!(&self.inner, e => e.program().affects_source_neighborhood())
+        self.affects_source_neighborhood
     }
 
     /// Whether the program reduces over both edge directions
-    /// ([`saga_algorithms::program::EdgeScope::Symmetric`], i.e. CC).
+    /// ([`EdgeScope::Symmetric`], i.e. CC).
     pub fn symmetric_scope(&self) -> bool {
-        use saga_algorithms::program::{EdgeScope, VertexProgram};
-        with_engine!(&self.inner, e => e.program().scope() == EdgeScope::Symmetric)
+        self.symmetric_scope
     }
 
     /// Checkpoints published across all batches so far.
     pub fn checkpoints_published(&self) -> usize {
-        with_engine!(&self.inner, e => e.checkpoints_published())
+        self.engine.checkpoints_published()
     }
 
     /// Arms a one-shot simulated worker kill for the next batch's run.
     pub fn inject_kill(&mut self, spec: KillSpec) {
-        with_engine!(&mut self.inner, e => e.arm_kill(spec));
+        self.engine.arm_kill(spec);
     }
 
     /// Runs the compute phase for one update batch — the sharded
@@ -228,9 +217,7 @@ impl ShardedState {
         had_deletes: bool,
         pool: &ThreadPool,
     ) -> ComputeOutcome {
-        let full = self.model == ComputeModelKind::FromScratch
-            || self.kind == AlgorithmKind::PageRank
-            || had_deletes;
+        let full = self.model == ComputeModelKind::FromScratch || self.sum_mode || had_deletes;
         if !full {
             let layout = ShardLayout::new(self.capacity, self.shards);
             self.partitioner
@@ -238,12 +225,8 @@ impl ShardedState {
                     layout.shard_of(affected[i] as usize)
                 });
         }
-        let partitioner = &self.partitioner;
-        let recoveries = &mut self.recoveries;
-        let outcome = with_engine!(
-            &mut self.inner,
-            e => run_engine(e, graph, pool, full, affected, partitioner, recoveries)
-        );
+        let seeds = (!full).then_some((affected, &self.partitioner));
+        let outcome = self.engine.run_batch(graph, pool, seeds, &mut self.recoveries);
         ComputeOutcome {
             iterations: outcome.supersteps,
             recomputed: outcome.messages as usize,
@@ -251,53 +234,36 @@ impl ShardedState {
             repaired: 0,
             fs_fallback: had_deletes
                 && self.model == ComputeModelKind::Incremental
-                && self.kind != AlgorithmKind::PageRank,
+                && !self.sum_mode,
         }
     }
 
     /// Current vertex values in global-id order.
     pub fn values(&self) -> VertexValues {
-        match &self.inner {
-            Inner::Bfs(e) => VertexValues::U32(e.values_vec()),
-            Inner::Cc(e) => VertexValues::U32(e.values_vec()),
-            Inner::Mc(e) => VertexValues::U32(e.values_vec()),
-            Inner::Pr(e) => VertexValues::F64(e.values_vec()),
-            Inner::Sssp(e) => VertexValues::F32(e.values_vec()),
-            Inner::Sswp(e) => VertexValues::F32(e.values_vec()),
-        }
+        self.engine.values()
     }
 }
 
-/// Seeds, runs, and (if a kill fires) recovers one engine to completion.
-fn run_engine<P: MessageProgram>(
-    engine: &mut BspEngine<P>,
-    graph: &dyn GraphTopology,
-    pool: &ThreadPool,
-    full: bool,
-    seeds: &[Node],
-    partitioner: &Partitioner,
-    recoveries: &mut usize,
-) -> BspOutcome
-where
-    P::Value: ValueCodec,
-{
-    if full {
-        engine.reset_all_active();
-    } else {
-        let shards = engine.layout().shards();
-        for s in 0..shards {
-            engine.set_active(s, partitioner.bucket(s).iter().map(|&i| seeds[i as usize]));
-        }
+impl ComputeEngine for ShardedState {
+    fn affects_source_neighborhood(&self) -> bool {
+        self.affects_source_neighborhood
     }
-    engine.begin();
-    match engine.run(graph, pool) {
-        Ok(outcome) => outcome,
-        Err(_killed) => {
-            *recoveries += 1;
-            engine.recover();
-            engine
-                .run(graph, pool)
-                .expect("kill specs are one-shot: the recovered run cannot be killed again")
-        }
+
+    fn symmetric_scope(&self) -> bool {
+        self.symmetric_scope
+    }
+
+    fn compute(
+        &mut self,
+        graph: &dyn GraphTopology,
+        impact: &BatchImpact,
+        deleted: &[Edge],
+        pool: &ThreadPool,
+    ) -> ComputeOutcome {
+        self.perform_batch(graph, &impact.affected, !deleted.is_empty(), pool)
+    }
+
+    fn values(&self) -> VertexValues {
+        self.engine.values()
     }
 }

@@ -41,10 +41,14 @@ fn build_loaded(n: usize, edges: &[Edge], pool: &ThreadPool) -> Box<dyn DynamicG
 
 fn params() -> AlgorithmParams {
     // Tight PR tolerances: the serial in-place sweep and the BSP Jacobi
-    // iteration only agree at convergence, not per-iteration.
+    // iteration only agree at convergence, not per-iteration. Root and
+    // delta are off their defaults too, so an engine whose program
+    // construction dropped a tunable diverges from the other.
     AlgorithmParams {
+        root: 7,
         pr_fs_tolerance: 1e-10,
         pr_epsilon: 1e-12,
+        sssp_delta: 0.25,
         ..AlgorithmParams::default()
     }
 }
@@ -94,6 +98,13 @@ fn sharded_fs_matches_serial_oracle_on_all_algorithms() {
         );
         sharded.perform_batch(graph.as_ref(), &[], false, &pool);
         assert_values_close(kind, &sharded.values(), &serial.values());
+        // Both engines read the tracker's seeding rules off the same program.
+        assert_eq!(
+            sharded.affects_source_neighborhood(),
+            serial.affects_source_neighborhood(),
+            "{kind:?}"
+        );
+        assert_eq!(sharded.symmetric_scope(), serial.symmetric_scope(), "{kind:?}");
     }
 }
 

@@ -10,13 +10,14 @@
 
 use crate::program::OpProgram;
 use saga_algorithms::{
-    AlgorithmKind, AlgorithmParams, AlgorithmState, ComputeModelKind, VertexValues,
+    AlgorithmKind, AlgorithmState, ComputeModelKind, VertexValues,
 };
 use saga_core::driver::StreamDriver;
 use saga_core::pipelined::run_pipelined_full;
 use saga_graph::csr::Csr;
 use saga_graph::oracle::GraphOracle;
 use saga_graph::{DataStructureKind, DeleteStats, Edge, UpdateStats};
+use saga_server::tenant::tenant_params;
 use saga_stream::{EdgeOp, EdgeStream};
 use saga_utils::parallel::ThreadPool;
 use std::cell::RefCell;
@@ -163,18 +164,6 @@ struct BatchModel {
     fs_values: VertexValues,
 }
 
-/// Algorithm tunables shared by every run and the reference: tight PR
-/// tolerances so FS and INC converge to comparable fixpoints (the same
-/// settings the churn differential suite uses).
-pub(crate) fn params(root: saga_graph::Node) -> AlgorithmParams {
-    AlgorithmParams {
-        root,
-        pr_epsilon: 1e-11,
-        pr_fs_tolerance: 1e-11,
-        ..AlgorithmParams::default()
-    }
-}
-
 /// Compares two value vectors with per-type tolerances (u32 exact, f32
 /// 1e-4, f64 1e-6 — matching the churn differential suite).
 pub fn values_diff(reference: &VertexValues, got: &VertexValues) -> Option<String> {
@@ -223,7 +212,7 @@ fn build_model(
             algorithm,
             ComputeModelKind::FromScratch,
             program.capacity,
-            params(root),
+            tenant_params(root),
         );
         fs.perform_alg(&snapshot, &[], &[], pool);
         model.push(BatchModel {
@@ -348,7 +337,7 @@ fn check_interleaved(
         .compute_model(model_kind)
         .threads(config.threads)
         .root(root)
-        .params(params(root))
+        .params(tenant_params(root))
         .partitioned_ingest(driver == DriverKind::Partitioned);
     if driver == DriverKind::Sharded {
         builder = builder.sharded(DriverKind::DIFF_SHARDS);
@@ -420,7 +409,7 @@ fn check_pipelined(
         stream.edges.len().max(1),
         config.threads,
         config.threads,
-        params(root),
+        tenant_params(root),
     );
     let divergence = |batch: Option<usize>, detail: String| Divergence {
         structure: ds,

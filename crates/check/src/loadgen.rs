@@ -90,9 +90,9 @@ impl TenantSpec {
             "name={}\nstructure={}\nalgorithm={}\nmodel={}\ncapacity={}\n\
              directed={}\nqueue_bound={}\nthreads=2\n",
             self.name,
-            structure_key(self.structure),
-            self.algorithm.abbrev().to_ascii_lowercase(),
-            self.model.abbrev().to_ascii_lowercase(),
+            self.structure.key(),
+            self.algorithm.key(),
+            self.model.key(),
             self.capacity,
             self.directed,
             self.queue_bound,
@@ -108,16 +108,6 @@ impl TenantSpec {
             .wrapping_add((stream as u64).wrapping_mul(0x517C_C1B7_2722_0A95))
             .wrapping_add(round.wrapping_mul(0x2545_F491_4F6C_DD1D));
         OpProgram::generate_with(seed, self.profile, self.capacity, self.directed)
-    }
-}
-
-fn structure_key(s: DataStructureKind) -> &'static str {
-    match s {
-        DataStructureKind::AdjacencyShared => "as",
-        DataStructureKind::AdjacencyChunked => "ac",
-        DataStructureKind::Stinger => "stinger",
-        DataStructureKind::Dah => "dah",
-        DataStructureKind::DeltaCsr => "delta-csr",
     }
 }
 

@@ -17,13 +17,14 @@
 //! must actually have fired; a harness whose fault never triggers proves
 //! nothing.
 
-use crate::diff::{params, values_diff};
+use crate::diff::values_diff;
 use crate::program::OpProgram;
 use saga_algorithms::{
     AffectedTracker, AlgorithmKind, AlgorithmState, ComputeModelKind,
 };
 use saga_bsp::{CheckpointConfig, KillSpec, ShardedState};
 use saga_graph::{build_deletable_graph, DataStructureKind, Edge};
+use saga_server::tenant::tenant_params;
 use saga_stream::EdgeOp;
 use saga_utils::parallel::ThreadPool;
 
@@ -59,7 +60,7 @@ pub fn check_recovery(program: &OpProgram, config: &RecoveryConfig) -> Option<St
         program.directed,
         pool.threads(),
     );
-    let params = params(root);
+    let params = tenant_params(root);
     let mut serial = AlgorithmState::new(config.algorithm, config.model, program.capacity, params);
     let make_sharded = || {
         ShardedState::new(

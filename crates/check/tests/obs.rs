@@ -11,7 +11,8 @@
 //! for the sharded tenant, across the thread-pool hop. The same trees
 //! must survive the export → `decode_events` round trip on the
 //! `/debug/flight` body, which is also written to
-//! `target/obs-flight.trace.json` and validated like CI's artifact.
+//! `$CARGO_TARGET_TMPDIR/obs-flight.trace.json` and validated like CI's
+//! artifact.
 
 use saga_check::tracecheck;
 use saga_server::{Client, Server, ServerConfig};
@@ -34,6 +35,12 @@ fn contains_span(tree: &TraceTree, name: &str) -> bool {
 
 #[test]
 fn batch_requests_export_single_stitched_trace_trees() {
+    // Everything this test writes — the artifact below and any flight
+    // auto-dump (a slow batch on a loaded host, a failing assert) — goes
+    // under the build's target directory, wherever that is, never into the
+    // source tree. This binary holds one test, so the env write cannot race.
+    let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    std::env::set_var("SAGA_FLIGHT_DIR", tmp.join("flight"));
     let server = Server::start(ServerConfig {
         workers: 2,
         ..ServerConfig::default()
@@ -102,8 +109,7 @@ fn batch_requests_export_single_stitched_trace_trees() {
     let flight = client.get("/debug/flight").expect("flight body").text();
     let stats = tracecheck::validate(&flight).expect("flight dump is a valid Chrome trace");
     assert!(stats.spans > 0, "{stats}");
-    let artifact = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/obs-flight.trace.json");
-    std::fs::write(artifact, &flight).unwrap();
+    std::fs::write(tmp.join("obs-flight.trace.json"), &flight).unwrap();
     let decoded = tracecheck::decode_events(&flight).expect("flight dump decodes");
     let exported = trace_trees(&decoded);
     let serial_exported = tree_for(&exported, &serial_trace);

@@ -14,16 +14,20 @@
 //! reports behind Figs. 9(b–c) and 10.
 
 use saga_algorithms::{
-    AffectedTracker, AlgorithmKind, AlgorithmParams, AlgorithmState, ComputeModelKind,
-    ComputeOutcome, VertexValues,
+    AffectedTracker, AlgorithmKind, AlgorithmParams, AlgorithmState, BatchImpact, ComputeEngine,
+    ComputeModelKind, ComputeOutcome, VertexValues,
 };
 use saga_bsp::{CheckpointConfig, ShardedState};
-use saga_graph::{build_deletable_graph_with, DataStructureKind, Edge, Node};
+use saga_graph::{
+    build_deletable_graph_with, DataStructureKind, DeletableGraph, DeleteStats, DynamicGraph, Edge,
+    GraphTopology, Node, UpdateStats,
+};
 use saga_perf::bandwidth::{estimate, BandwidthEstimate, TimeModel};
 use saga_perf::cache::{CacheReport, HierarchyConfig, MemoryHierarchy};
 use saga_perf::trace_phase;
 use saga_stream::EdgeStream;
 use saga_utils::parallel::ThreadPool;
+use saga_utils::probe::Trace;
 use saga_utils::timer::Stopwatch;
 
 /// Architecture-simulation settings for a driver run.
@@ -115,50 +119,6 @@ impl StreamOutcome {
     /// Sum of batch processing latencies.
     pub fn total_seconds(&self) -> f64 {
         self.batches.iter().map(BatchRecord::batch_seconds).sum()
-    }
-}
-
-/// The compute state behind a run: the serial pull-based path or the
-/// sharded BSP engine. Observers receive a borrow of whichever is live.
-#[derive(Debug)]
-enum ComputeState {
-    Serial(AlgorithmState),
-    Sharded(Box<ShardedState>),
-}
-
-/// Borrow of the driver's live compute state, handed to
-/// [`StreamDriver::run_observed`] observers after every batch.
-#[derive(Debug, Clone, Copy)]
-pub enum ComputeStateRef<'a> {
-    /// The serial pull-based path ([`AlgorithmState`]).
-    Serial(&'a AlgorithmState),
-    /// The sharded BSP path ([`ShardedState`]).
-    Sharded(&'a ShardedState),
-}
-
-impl ComputeStateRef<'_> {
-    /// Current vertex property values.
-    pub fn values(&self) -> VertexValues {
-        match self {
-            ComputeStateRef::Serial(s) => s.values(),
-            ComputeStateRef::Sharded(s) => s.values(),
-        }
-    }
-
-    /// The serial state, when this run uses the serial path.
-    pub fn as_serial(&self) -> Option<&AlgorithmState> {
-        match self {
-            ComputeStateRef::Serial(s) => Some(s),
-            ComputeStateRef::Sharded(_) => None,
-        }
-    }
-
-    /// The sharded state, when this run uses the BSP path.
-    pub fn as_sharded(&self) -> Option<&ShardedState> {
-        match self {
-            ComputeStateRef::Serial(_) => None,
-            ComputeStateRef::Sharded(s) => Some(s),
-        }
     }
 }
 
@@ -311,14 +271,14 @@ impl StreamDriver {
     }
 
     /// Like [`StreamDriver::run`], but invokes `observer` after every batch
-    /// with the batch's record, the live graph, and the compute state
+    /// with the batch's record, the live graph, and the compute engine
     /// (serial or sharded, depending on the builder).
     /// The differential checker in `saga-check` uses this to compare
     /// intermediate topology and property values against its model after
     /// each batch instead of only at the end of the stream.
     pub fn run_observed<F>(&mut self, stream: &EdgeStream, mut observer: F) -> StreamOutcome
     where
-        F: FnMut(&BatchRecord, &dyn saga_graph::DynamicGraph, ComputeStateRef<'_>),
+        F: FnMut(&BatchRecord, &dyn DynamicGraph, &dyn ComputeEngine),
     {
         let root = self
             .builder
@@ -333,11 +293,8 @@ impl StreamDriver {
         for batch in stream.op_batches(batch_size) {
             let (inserts, deletes) = batch.split();
             batches.push(session.step(&inserts, &deletes));
-            observer(
-                batches.last().unwrap(),
-                session.graph(),
-                session.state_ref(),
-            );
+            let record = batches.last().expect("just pushed");
+            observer(record, session.graph(), session.compute.engine.as_ref());
         }
         StreamOutcome {
             final_values: session.values(),
@@ -357,61 +314,68 @@ impl StreamDriver {
     /// chosen by the caller because a session never sees the whole stream
     /// (the driver uses the first edge's source, matching the oracle).
     pub fn session(&self, num_nodes: usize, directed: bool, root: Node) -> DriverSession<'_> {
+        self.session_on(&self.pool, num_nodes, directed, root)
+    }
+
+    /// [`session`](Self::session) whose apply half writes the live graph
+    /// from `ingest_pool` instead of the driver's own pool — the pipelined
+    /// arrangement's second set of cores.
+    pub(crate) fn session_on<'d>(
+        &'d self,
+        ingest_pool: &'d ThreadPool,
+        num_nodes: usize,
+        directed: bool,
+        root: Node,
+    ) -> DriverSession<'d> {
         let cfg = &self.builder;
         let capacity = cfg.capacity.max(num_nodes);
         let graph = build_deletable_graph_with(
             cfg.data_structure,
             capacity,
             directed,
-            self.pool.threads(),
+            ingest_pool.threads(),
             cfg.partitioned_ingest,
         );
-        let mut params = cfg.params;
-        params.root = root;
-        let state = match cfg.sharded {
-            Some(shards) => ComputeState::Sharded(Box::new(ShardedState::new(
-                cfg.algorithm,
-                cfg.compute_model,
+        let params = AlgorithmParams { root, ..cfg.params };
+        let (algorithm, model) = (cfg.algorithm, cfg.compute_model);
+        let engine: Box<dyn ComputeEngine> = match cfg.sharded {
+            Some(shards) => Box::new(ShardedState::new(
+                algorithm,
+                model,
                 capacity,
                 shards,
                 params,
                 CheckpointConfig::default(),
-            ))),
-            None => ComputeState::Serial(AlgorithmState::new(
-                cfg.algorithm,
-                cfg.compute_model,
-                capacity,
-                params,
             )),
+            None => Box::new(AlgorithmState::new(algorithm, model, capacity, params)),
         };
-        let hierarchy = cfg.arch_sim.map(|a| {
+        let arch = cfg.arch_sim.map(|a| {
             let config = if a.cache_scale <= 1 {
                 HierarchyConfig::paper()
             } else {
                 HierarchyConfig::paper_scaled(a.cache_scale)
             };
-            MemoryHierarchy::new(config, self.pool.threads())
+            (a, MemoryHierarchy::new(config, self.pool.threads()))
         });
-        let (needs_seed_neighborhood, seed_delete_neighborhoods) = match &state {
-            ComputeState::Serial(s) => (s.affects_source_neighborhood(), s.symmetric_scope()),
-            ComputeState::Sharded(s) => (s.affects_source_neighborhood(), s.symmetric_scope()),
-        };
         DriverSession {
-            arch_sim: cfg.arch_sim,
-            incremental: cfg.compute_model == ComputeModelKind::Incremental,
-            needs_seed_neighborhood,
-            seed_delete_neighborhoods,
-            tracker: AffectedTracker::new(capacity),
-            // The bandwidth model always prices against the paper's
-            // machine, regardless of any cache_scale override of the
-            // hierarchy itself.
-            topo: HierarchyConfig::paper().topology,
-            metrics: DriverMetrics::resolve(),
-            pool: &self.pool,
-            next_index: 0,
-            graph,
-            state,
-            hierarchy,
+            apply: ApplyHalf {
+                graph,
+                pool: ingest_pool,
+                probed: arch.is_some(),
+            },
+            compute: ComputeHalf {
+                pool: &self.pool,
+                engine,
+                tracker: AffectedTracker::new(capacity),
+                incremental: model == ComputeModelKind::Incremental,
+                arch,
+                // The bandwidth model always prices against the paper's
+                // machine, regardless of any cache_scale override of the
+                // hierarchy itself.
+                topo: HierarchyConfig::paper().topology,
+                metrics: DriverMetrics::resolve(),
+                next_index: 0,
+            },
         }
     }
 }
@@ -451,124 +415,127 @@ impl DriverMetrics {
     }
 }
 
-/// A long-lived per-batch execution session over one graph + compute
-/// state, created by [`StreamDriver::session`].
-///
-/// Each [`step`](DriverSession::step) runs one update phase (ingest +
-/// delete + affected derivation) followed by one compute phase — exactly
-/// the body of the [`StreamDriver::run`] batch loop — and returns the
-/// batch's [`BatchRecord`]. Unlike `run`, the session does not need the
-/// whole stream up front, which is what lets `saga-server` host tenants
-/// whose streams arrive over the network and never end.
-pub struct DriverSession<'d> {
-    pool: &'d ThreadPool,
-    graph: Box<dyn saga_graph::DeletableGraph>,
-    state: ComputeState,
-    tracker: AffectedTracker,
-    hierarchy: Option<MemoryHierarchy>,
-    arch_sim: Option<ArchSimConfig>,
-    topo: saga_perf::numa::Topology,
-    metrics: DriverMetrics,
-    incremental: bool,
-    needs_seed_neighborhood: bool,
-    seed_delete_neighborhoods: bool,
-    next_index: usize,
+/// Runs `phase`, under the memory probe when `probed` (arch-sim sessions).
+fn run_phase<T>(probed: bool, pool: &ThreadPool, phase: impl FnOnce() -> T) -> (T, Option<Trace>) {
+    if !probed {
+        return (phase(), None);
+    }
+    let mut out = None;
+    let trace = trace_phase(pool, || out = Some(phase()));
+    (out.expect("trace_phase runs the phase"), Some(trace))
 }
 
-impl std::fmt::Debug for DriverSession<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DriverSession")
-            .field("structure", &self.graph.kind())
-            .field("batches_stepped", &self.next_index)
-            .field("num_edges", &self.graph.num_edges())
-            .finish()
+/// First half of a step: the live graph and the pool that writes it.
+pub(crate) struct ApplyHalf<'d> {
+    graph: Box<dyn DeletableGraph>,
+    pool: &'d ThreadPool,
+    probed: bool,
+}
+
+/// What applying one batch to the live graph produced.
+pub(crate) struct Applied {
+    batch_len: usize,
+    stats: UpdateStats,
+    del_stats: DeleteStats,
+    trace: Option<Trace>,
+}
+
+impl ApplyHalf<'_> {
+    /// Ingests `inserts`, then removes `deletes` (the window semantics every
+    /// churn transform assumes).
+    pub(crate) fn apply(&self, inserts: &[Edge], deletes: &[Edge]) -> Applied {
+        let ((stats, del_stats), trace) = run_phase(self.probed, self.pool, || {
+            let stats = {
+                let _s = saga_trace::span!("ingest", edges = inserts.len() as u64);
+                self.graph.update_batch(inserts, self.pool)
+            };
+            let del_stats = if deletes.is_empty() {
+                DeleteStats::default()
+            } else {
+                let _s = saga_trace::span!("delete", edges = deletes.len() as u64);
+                self.graph.delete_batch(deletes, self.pool)
+            };
+            (stats, del_stats)
+        });
+        Applied {
+            batch_len: inserts.len() + deletes.len(),
+            stats,
+            del_stats,
+            trace,
+        }
+    }
+
+    /// The live graph.
+    pub(crate) fn graph(&self) -> &dyn DeletableGraph {
+        self.graph.as_ref()
     }
 }
 
-impl DriverSession<'_> {
-    /// Processes one batch (insertions then deletions, the window
-    /// semantics every churn transform assumes) and returns its record.
-    /// Batch indices count up from 0 in step order.
-    pub fn step(&mut self, inserts: &[Edge], deletes: &[Edge]) -> BatchRecord {
-        let index = self.next_index;
-        self.next_index += 1;
-        let batch_len = inserts.len() + deletes.len();
-        let _batch_span = saga_trace::span!("batch", index = index as u64);
+/// Second half of a step: everything that only *reads* a topology — the
+/// affected tracker and the compute engine — plus the batch bookkeeping.
+/// The topology is a parameter, so the same half serves the live graph
+/// ([`DriverSession::step`]) and a snapshot of it (the pipelined run).
+pub(crate) struct ComputeHalf<'d> {
+    pool: &'d ThreadPool,
+    engine: Box<dyn ComputeEngine>,
+    tracker: AffectedTracker,
+    incremental: bool,
+    /// Arch-sim settings and the one persistent hierarchy both phases of
+    /// every batch replay on.
+    arch: Option<(ArchSimConfig, MemoryHierarchy)>,
+    topo: saga_perf::numa::Topology,
+    metrics: DriverMetrics,
+    next_index: usize,
+}
 
-        // --- Update phase ---
-        let update_span = saga_trace::span!("update", edges = batch_len as u64);
-        let mut update_trace = None;
-        let sw = Stopwatch::start();
-        let graph = &self.graph;
-        let pool = self.pool;
-        let apply = || {
-            let stats = {
-                let _s = saga_trace::span!("ingest", edges = inserts.len() as u64);
-                graph.update_batch(inserts, pool)
-            };
-            let del_stats = if deletes.is_empty() {
-                Default::default()
-            } else {
-                let _s = saga_trace::span!("delete", edges = deletes.len() as u64);
-                graph.delete_batch(deletes, pool)
-            };
-            (stats, del_stats)
-        };
-        let (stats, del_stats) = if self.hierarchy.is_some() {
-            let mut out = None;
-            let trace = trace_phase(pool, || out = Some(apply()));
-            update_trace = Some(trace);
-            out.unwrap()
-        } else {
-            apply()
-        };
-        // Deriving the affected array is part of the update phase's
-        // bookkeeping (Algorithm 1 receives it from the update).
-        let impact = if self.incremental {
-            self.tracker.process_mixed_batch(
-                self.graph.as_ref(),
-                inserts,
-                deletes,
-                self.needs_seed_neighborhood,
-                self.seed_delete_neighborhoods,
-                pool,
-            )
-        } else {
-            Default::default()
-        };
-        let update_seconds = sw.elapsed_secs();
-        drop(update_span);
+impl ComputeHalf<'_> {
+    /// Derives the affected set of a batch already applied to `topology`
+    /// (Algorithm 1 receives it from the update; FS needs none).
+    pub(crate) fn track(
+        &mut self,
+        topology: &dyn GraphTopology,
+        inserts: &[Edge],
+        deletes: &[Edge],
+    ) -> BatchImpact {
+        if !self.incremental {
+            return BatchImpact::default();
+        }
+        self.tracker.process_mixed_batch(
+            topology,
+            inserts,
+            deletes,
+            self.engine.affects_source_neighborhood(),
+            self.engine.symmetric_scope(),
+            self.pool,
+        )
+    }
+
+    /// Runs the compute phase on `topology` and closes the batch: metrics,
+    /// arch-sim replay, and the [`BatchRecord`]. `update_seconds` is what
+    /// the caller's arrangement charges to the update phase.
+    pub(crate) fn compute(
+        &mut self,
+        topology: &dyn GraphTopology,
+        impact: &BatchImpact,
+        deletes: &[Edge],
+        applied: Applied,
+        update_seconds: f64,
+    ) -> BatchRecord {
+        let Applied {
+            batch_len,
+            stats,
+            del_stats,
+            trace: update_trace,
+        } = applied;
         saga_trace::instant!("removed", count = del_stats.removed as u64);
         saga_trace::instant!("missing", count = del_stats.missing as u64);
 
-        // --- Compute phase ---
         let compute_span = saga_trace::span!("compute", affected = impact.affected.len() as u64);
-        let mut compute_trace = None;
         let sw = Stopwatch::start();
-        let graph = &self.graph;
-        let run_compute = |state: &mut ComputeState| match state {
-            ComputeState::Serial(s) => s.perform_alg_with_deletions(
-                graph.as_ref(),
-                &impact.affected,
-                &impact.new_vertices,
-                deletes,
-                pool,
-            ),
-            ComputeState::Sharded(s) => {
-                s.perform_batch(graph.as_ref(), &impact.affected, !deletes.is_empty(), pool)
-            }
-        };
-        let compute = if self.hierarchy.is_some() {
-            let mut out = None;
-            let state = &mut self.state;
-            let trace = trace_phase(pool, || {
-                out = Some(run_compute(state));
-            });
-            compute_trace = Some(trace);
-            out.unwrap()
-        } else {
-            run_compute(&mut self.state)
-        };
+        let engine = &mut self.engine;
+        let (compute, compute_trace) = run_phase(self.arch.is_some(), self.pool, || {
+            engine.compute(topology, impact, deletes, self.pool)
+        });
         let compute_seconds = sw.elapsed_secs();
         drop(compute_span);
 
@@ -584,10 +551,11 @@ impl DriverSession<'_> {
             self.metrics.mem_high.set(saga_trace::alloc::high_water_bytes() as f64);
         }
 
-        let arch = self.hierarchy.as_mut().map(|h| {
-            let a = self.arch_sim.as_ref().unwrap();
-            let update = h.replay(update_trace.as_ref().unwrap());
-            let compute = h.replay(compute_trace.as_ref().unwrap());
+        let arch = self.arch.as_mut().map(|(a, h)| {
+            let traces = update_trace.as_ref().zip(compute_trace.as_ref());
+            let (update_trace, compute_trace) = traces.expect("arch-sim probes both phases");
+            let update = h.replay(update_trace);
+            let compute = h.replay(compute_trace);
             let update_bw = estimate(&update, &a.time_model, &self.topo);
             let compute_bw = estimate(&compute, &a.time_model, &self.topo);
             saga_trace::metrics::gauge("perf.update.dram_gbps").set(update_bw.dram_gbps);
@@ -602,6 +570,8 @@ impl DriverSession<'_> {
             }
         });
 
+        let index = self.next_index;
+        self.next_index += 1;
         BatchRecord {
             index,
             batch_len,
@@ -615,31 +585,73 @@ impl DriverSession<'_> {
             arch,
         }
     }
+}
 
-    /// The live graph.
-    pub fn graph(&self) -> &dyn saga_graph::DynamicGraph {
-        self.graph.as_ref()
+/// A long-lived per-batch execution session over one graph + compute
+/// engine, created by [`StreamDriver::session`] — the only batch loop in
+/// the workspace.
+///
+/// Each [`step`](DriverSession::step) is apply → track → compute: the
+/// batch is applied to the live graph, the affected set is derived (both
+/// the update phase), and the compute engine runs — returning the batch's
+/// [`BatchRecord`]. The execution paths are arrangements of those pieces:
+/// partitioned ingest and sharded compute are builder settings of the same
+/// `step`, and [`run_pipelined`](crate::pipelined::run_pipelined) overlaps
+/// the apply half of batch *i+1* with the track + compute half of batch
+/// *i* on a snapshot. A session does not need the whole stream up front,
+/// which is what lets `saga-server` host tenants whose streams arrive over
+/// the network and never end.
+pub struct DriverSession<'d> {
+    pub(crate) apply: ApplyHalf<'d>,
+    pub(crate) compute: ComputeHalf<'d>,
+}
+
+impl std::fmt::Debug for DriverSession<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DriverSession")
+            .field("structure", &self.apply.graph.kind())
+            .field("batches_stepped", &self.compute.next_index)
+            .field("num_edges", &self.apply.graph.num_edges())
+            .finish()
+    }
+}
+
+impl DriverSession<'_> {
+    /// Processes one batch (insertions then deletions) and returns its
+    /// record. Batch indices count up from 0 in step order.
+    pub fn step(&mut self, inserts: &[Edge], deletes: &[Edge]) -> BatchRecord {
+        let _batch_span = saga_trace::span!("batch", index = self.compute.next_index as u64);
+        // Deriving the affected array is part of the update phase's
+        // bookkeeping, so the span and the clock cover apply + track.
+        let batch_len = inserts.len() + deletes.len();
+        let update_span = saga_trace::span!("update", edges = batch_len as u64);
+        let sw = Stopwatch::start();
+        let applied = self.apply.apply(inserts, deletes);
+        let graph = self.apply.graph();
+        let impact = self.compute.track(graph, inserts, deletes);
+        let update_seconds = sw.elapsed_secs();
+        drop(update_span);
+        self.compute.compute(graph, &impact, deletes, applied, update_seconds)
     }
 
-    /// Borrow of the live compute state (serial or sharded).
-    pub fn state_ref(&self) -> ComputeStateRef<'_> {
-        match &self.state {
-            ComputeState::Serial(s) => ComputeStateRef::Serial(s),
-            ComputeState::Sharded(s) => ComputeStateRef::Sharded(s),
-        }
+    /// The live graph.
+    pub fn graph(&self) -> &dyn DynamicGraph {
+        self.apply.graph()
     }
 
     /// Current vertex property values.
     pub fn values(&self) -> VertexValues {
-        match &self.state {
-            ComputeState::Serial(s) => s.values(),
-            ComputeState::Sharded(s) => s.values(),
-        }
+        self.compute.engine.values()
     }
 
     /// Number of batches stepped so far.
     pub fn batches_stepped(&self) -> usize {
-        self.next_index
+        self.compute.next_index
+    }
+
+    /// Ends the session, keeping its live graph.
+    pub(crate) fn into_graph(self) -> Box<dyn DeletableGraph> {
+        self.apply.graph
     }
 }
 
@@ -744,7 +756,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_driver_observer_sees_sharded_state() {
+    fn sharded_driver_observer_sees_the_live_engine() {
         let stream = tiny_stream();
         let mut driver = StreamDriver::builder(DataStructureKind::Dah, 300)
             .algorithm(AlgorithmKind::Cc)
@@ -753,13 +765,14 @@ mod tests {
             .sharded(4)
             .build();
         let mut observed = 0;
-        driver.run_observed(&stream, |_, _, state| {
-            let sharded = state.as_sharded().expect("sharded builder → sharded state");
-            assert_eq!(sharded.shards(), 4);
-            assert!(state.as_serial().is_none());
+        let outcome = driver.run_observed(&stream, |record, graph, engine| {
+            assert_eq!(record.index, observed);
+            assert!(engine.symmetric_scope(), "CC seeds both deletion endpoints");
+            assert_eq!(engine.values().len(), graph.capacity());
             observed += 1;
         });
         assert_eq!(observed, 3);
+        assert_eq!(outcome.batches.len(), 3);
     }
 
     #[test]

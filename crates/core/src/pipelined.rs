@@ -15,21 +15,24 @@
 //! execution is honest about the price of this model; systems like Aspen
 //! make snapshots O(1) with functional trees.
 //!
+//! There is no second batch loop here: the run is a
+//! [`DriverSession`](crate::driver::DriverSession) whose two halves — apply
+//! to the live graph, track + compute against a topology — are overlapped
+//! instead of sequenced, so root policy, tracker seeding, spans and
+//! `driver.*` metrics are the session's.
+//!
 //! [`Csr`]: saga_graph::csr::Csr
 //! [`GraphTopology`]: saga_graph::GraphTopology
 //! [`DynamicGraph`]: saga_graph::DynamicGraph
 
-use saga_algorithms::{
-    AffectedTracker, AlgorithmKind, AlgorithmParams, AlgorithmState, ComputeModelKind,
-};
+use crate::driver::{Applied, ApplyHalf, DriverSession, StreamDriver};
+use saga_algorithms::{AlgorithmKind, AlgorithmParams, ComputeModelKind};
 use saga_graph::csr::Csr;
-use saga_graph::{
-    build_deletable_graph, DataStructureKind, DeletableGraph, DeleteStats, Edge, UpdateStats,
-};
-use std::borrow::Cow;
+use saga_graph::{DataStructureKind, DeletableGraph, Edge};
 use saga_stream::EdgeStream;
 use saga_utils::parallel::ThreadPool;
 use saga_utils::timer::Stopwatch;
+use std::borrow::Cow;
 
 /// Per-batch measurements of a pipelined run.
 #[derive(Debug, Clone, Copy)]
@@ -139,7 +142,6 @@ pub fn run_pipelined(
 /// differential harness) can compare its topology against a model after
 /// the run. `params.root` is overridden by the stream's first edge source,
 /// matching [`run_pipelined`]'s root policy.
-#[allow(clippy::too_many_arguments)]
 pub fn run_pipelined_full(
     stream: &EdgeStream,
     ds: DataStructureKind,
@@ -150,177 +152,162 @@ pub fn run_pipelined_full(
     params: AlgorithmParams,
 ) -> (PipelineOutcome, Box<dyn DeletableGraph>) {
     let update_pool = ThreadPool::new(update_threads);
-    let compute_pool = ThreadPool::new(compute_threads);
-    let capacity = stream.num_nodes;
-    let graph = build_deletable_graph(ds, capacity, stream.directed, update_pool.threads());
+    let driver = StreamDriver::builder(ds, stream.num_nodes)
+        .algorithm(algorithm)
+        .compute_model(ComputeModelKind::Incremental)
+        .threads(compute_threads)
+        .params(params)
+        .build();
     let root = stream.edges.first().map(|e| e.src).unwrap_or(0);
-    let mut state = AlgorithmState::new(
-        algorithm,
-        ComputeModelKind::Incremental,
-        capacity,
-        AlgorithmParams { root, ..params },
-    );
-    let mut tracker = AffectedTracker::new(capacity);
+    let mut session = driver.session_on(&update_pool, stream.num_nodes, stream.directed, root);
     // Pre-split every batch into its insert/delete classes (borrows for
     // insert-only batches; allocates only when a batch mixes ops).
-    type SplitBatch<'a> = (Cow<'a, [Edge]>, Cow<'a, [Edge]>);
     let batches: Vec<SplitBatch<'_>> =
         stream.op_batches(batch_size).map(|b| b.split()).collect();
-    let mut records = Vec::with_capacity(batches.len());
-    let seed_delete_neighborhoods = state.symmetric_scope();
-
-    // Prologue: apply batch 0 and snapshot it (not overlapped with
-    // anything; recorded as batch 0's update cost).
-    let apply = |i: usize| -> (UpdateStats, DeleteStats) {
-        let (inserts, deletes) = &batches[i];
-        let ins = graph.update_batch(inserts, &update_pool);
-        let del = if deletes.is_empty() {
-            DeleteStats::default()
-        } else {
-            graph.delete_batch(deletes, &update_pool)
-        };
-        (ins, del)
-    };
-    // The per-batch updater below runs on a fresh scope thread each batch;
-    // its work is reported from this thread as a Complete event on one
-    // virtual track (a scope thread emitting directly would allocate — and
-    // leak — a pool-lifetime ring per batch, see `saga_trace::mute_thread`).
-    static UPDATE_STAGE: saga_trace::Site = saga_trace::Site::new("update+snapshot", "batch");
-    const UPDATE_TRACK: &str = "update-stage";
     let m_update = saga_trace::metrics::histogram("pipeline.update_ns");
     let m_compute = saga_trace::metrics::histogram("pipeline.compute_ns");
     let m_wall = saga_trace::metrics::histogram("pipeline.wall_ns");
 
-    let t0 = saga_trace::now_ns();
-    let sw = Stopwatch::start();
-    let mut pending_stats = apply(0);
-    let mut snapshot = Csr::from_graph(graph.as_ref());
-    let mut pending_update_seconds = sw.elapsed_secs();
-    saga_trace::emit_complete(
-        &UPDATE_STAGE,
-        UPDATE_TRACK,
-        t0,
-        (pending_update_seconds * 1e9) as u64,
-        Some(0),
-    );
-    m_update.record_secs(pending_update_seconds);
-
-    for i in 0..batches.len() {
-        let _batch_span = saga_trace::span!("batch", index = i as u64);
-        // The affected set for batch i, resolved against its snapshot
-        // (taken after the batch was applied, so deletions are reflected).
-        let (inserts, deletes) = &batches[i];
-        let impact = tracker.process_mixed_batch(
-            &snapshot,
-            inserts,
-            deletes,
-            state.affects_source_neighborhood(),
-            seed_delete_neighborhoods,
-            &compute_pool,
-        );
+    let mut records = Vec::with_capacity(batches.len());
+    let DriverSession { apply, compute } = &mut session;
+    let apply = &*apply;
+    // Prologue: batch 0's update stage overlaps with nothing; its cost is
+    // charged to batch 0's wall time below.
+    let mut staged = batches.first().map(|first| {
+        std::thread::scope(|scope| Staged::join(scope.spawn(|| Staged::run(apply, first)), 0))
+    });
+    for (i, (inserts, deletes)) in batches.iter().enumerate() {
+        let Staged {
+            snapshot,
+            applied,
+            seconds: update_seconds,
+            ..
+        } = staged.take().expect("batch i was staged while batch i-1 computed");
         let wall = Stopwatch::start();
-        let mut compute_seconds = 0.0;
-        let mut next: Option<(Csr, f64, (UpdateStats, DeleteStats))> = None;
-        let mut update_span_ns = 0u64;
-        std::thread::scope(|scope| {
+        let record = std::thread::scope(|scope| {
             // Stage A (worker thread): apply batch i+1 and snapshot.
-            let updater = (i + 1 < batches.len()).then(|| {
-                let graph = &graph;
-                let apply = &apply;
-                scope.spawn(move || {
-                    saga_trace::mute_thread();
-                    let t0 = saga_trace::now_ns();
-                    let sw = Stopwatch::start();
-                    let stats = apply(i + 1);
-                    let csr = Csr::from_graph(graph.as_ref());
-                    (csr, sw.elapsed_secs(), stats, t0)
-                })
-            });
-            // Stage B (this thread): compute batch i on its snapshot.
-            let compute_span =
-                saga_trace::span!("compute", affected = impact.affected.len() as u64);
-            let sw = Stopwatch::start();
-            state.perform_alg_with_deletions(
-                &snapshot,
-                &impact.affected,
-                &impact.new_vertices,
-                deletes,
-                &compute_pool,
-            );
-            compute_seconds = sw.elapsed_secs();
-            drop(compute_span);
-            next = updater.map(|h| {
-                let (csr, secs, stats, t0) = h.join().expect("updater thread panicked");
-                update_span_ns = (secs * 1e9) as u64;
-                saga_trace::emit_complete(
-                    &UPDATE_STAGE,
-                    UPDATE_TRACK,
-                    t0,
-                    update_span_ns,
-                    Some(i as u64 + 1),
-                );
-                (csr, secs, stats)
-            });
+            let updater = batches
+                .get(i + 1)
+                .map(|next| scope.spawn(|| Staged::run(apply, next)));
+            // Stage B (this thread): track + compute batch i on its
+            // snapshot (taken after the batch was applied, so deletions
+            // are reflected).
+            let _batch_span = saga_trace::span!("batch", index = i as u64);
+            let impact = compute.track(&snapshot, inserts, deletes);
+            let record = compute.compute(&snapshot, &impact, deletes, applied, update_seconds);
+            staged = updater.map(|handle| Staged::join(handle, i + 1));
+            record
         });
-        let wall_seconds = wall.elapsed();
-        if update_span_ns > 0 {
-            m_update.record(update_span_ns);
-        }
-        m_compute.record_secs(compute_seconds);
-        m_wall.record_secs(wall_seconds.as_secs_f64());
+        let wall_seconds = wall.elapsed_secs();
+        m_update.record_secs(update_seconds);
+        m_compute.record_secs(record.compute_seconds);
+        m_wall.record_secs(wall_seconds);
         records.push(PipelinedBatchRecord {
-            index: i,
-            update_seconds: pending_update_seconds,
-            compute_seconds,
-            wall_seconds: wall_seconds.as_secs_f64()
-                + if i == 0 { pending_update_seconds } else { 0.0 },
-            inserted: pending_stats.0.inserted,
-            duplicates: pending_stats.0.duplicates,
-            removed: pending_stats.1.removed,
-            missing: pending_stats.1.missing,
+            index: record.index,
+            update_seconds,
+            compute_seconds: record.compute_seconds,
+            wall_seconds: wall_seconds + if i == 0 { update_seconds } else { 0.0 },
+            inserted: record.inserted,
+            duplicates: record.duplicates,
+            removed: record.removed,
+            missing: record.missing,
         });
-        if let Some((csr, update_secs, stats)) = next {
-            snapshot = csr;
-            pending_update_seconds = update_secs;
-            pending_stats = stats;
+    }
+
+    let outcome = PipelineOutcome {
+        batches: records,
+        final_values: session.values(),
+    };
+    (outcome, session.into_graph())
+}
+
+/// A batch's insert and delete classes.
+type SplitBatch<'a> = (Cow<'a, [Edge]>, Cow<'a, [Edge]>);
+
+/// One batch applied to the live graph and snapshotted by the update
+/// stage, waiting for its compute.
+struct Staged {
+    snapshot: Csr,
+    applied: Applied,
+    seconds: f64,
+    started_ns: u64,
+}
+
+impl Staged {
+    /// The update stage, on a per-batch scope thread. The thread is muted:
+    /// emitting from it would allocate — and leak — a pool-lifetime ring
+    /// per batch (see [`saga_trace::mute_thread`]); [`Staged::join`] reports
+    /// its work from the spawning thread instead.
+    fn run(apply: &ApplyHalf<'_>, (inserts, deletes): &SplitBatch<'_>) -> Staged {
+        saga_trace::mute_thread();
+        let started_ns = saga_trace::now_ns();
+        let sw = Stopwatch::start();
+        let applied = apply.apply(inserts, deletes);
+        let snapshot = Csr::from_graph(apply.graph());
+        Staged {
+            snapshot,
+            applied,
+            seconds: sw.elapsed_secs(),
+            started_ns,
         }
     }
 
-    (
-        PipelineOutcome {
-            batches: records,
-            final_values: state.values(),
-        },
-        graph,
-    )
+    /// Joins batch `index`'s update stage and reports it as a Complete
+    /// event on one virtual track.
+    fn join(handle: std::thread::ScopedJoinHandle<'_, Staged>, index: usize) -> Staged {
+        static UPDATE_STAGE: saga_trace::Site = saga_trace::Site::new("update+snapshot", "batch");
+        let staged = handle.join().expect("updater thread panicked");
+        let ns = (staged.seconds * 1e9) as u64;
+        let batch = Some(index as u64);
+        saga_trace::emit_complete(&UPDATE_STAGE, "update-stage", staged.started_ns, ns, batch);
+        staged
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::StreamDriver;
+    use saga_algorithms::VertexValues;
     use saga_stream::profiles::DatasetProfile;
 
     #[test]
     fn pipelined_matches_interleaved_results() {
-        let stream = DatasetProfile::wiki().scaled(400, 4_000).generate(9);
-        let pipelined = run_pipelined(
-            &stream,
-            DataStructureKind::Stinger,
-            AlgorithmKind::Bfs,
-            1_000,
-            2,
-            2,
-        );
-        let mut interleaved = StreamDriver::builder(DataStructureKind::Stinger, stream.num_nodes)
-            .algorithm(AlgorithmKind::Bfs)
-            .compute_model(ComputeModelKind::Incremental)
-            .batch_size(1_000)
-            .threads(4)
-            .build();
-        let expected = interleaved.run(&stream);
-        assert_eq!(pipelined.final_values, expected.final_values);
-        assert_eq!(pipelined.batches.len(), 4);
+        // A churn stream exercises every seeding rule the pipelined run
+        // inherits from the session: PR's source-neighbourhood seeding and
+        // CC's symmetric delete seeding.
+        let stream = DatasetProfile::wiki()
+            .scaled(400, 4_000)
+            .with_churn(0.1)
+            .generate(9);
+        for algorithm in AlgorithmKind::ALL {
+            let params = AlgorithmParams {
+                pr_epsilon: 1e-11,
+                pr_fs_tolerance: 1e-11,
+                ..AlgorithmParams::default()
+            };
+            let ds = DataStructureKind::Stinger;
+            let (pipelined, _graph) =
+                run_pipelined_full(&stream, ds, algorithm, 1_000, 2, 2, params);
+            let mut interleaved = StreamDriver::builder(ds, stream.num_nodes)
+                .algorithm(algorithm)
+                .compute_model(ComputeModelKind::Incremental)
+                .batch_size(1_000)
+                .threads(4)
+                .params(params)
+                .build();
+            let expected = interleaved.run(&stream);
+            assert_eq!(pipelined.batches.len(), expected.batches.len(), "{algorithm}");
+            match (&pipelined.final_values, &expected.final_values) {
+                // PageRank sums floats in neighbor order, which differs
+                // between the live structure and the sorted snapshot.
+                (VertexValues::F64(a), VertexValues::F64(b)) => {
+                    for (v, (x, y)) in a.iter().zip(b).enumerate() {
+                        assert!((x - y).abs() < 1e-6, "{algorithm} vertex {v}: {x} vs {y}");
+                    }
+                }
+                (a, b) => assert_eq!(a, b, "{algorithm}"),
+            }
+        }
     }
 
     #[test]

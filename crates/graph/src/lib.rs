@@ -152,6 +152,31 @@ impl DataStructureKind {
             DataStructureKind::DeltaCsr => "DeltaCSR",
         }
     }
+
+    /// The canonical lowercase spelling (config files, the wire format):
+    /// the first of the spellings [`FromStr`](std::str::FromStr) accepts.
+    pub fn key(&self) -> &'static str {
+        self.spellings()[0]
+    }
+
+    fn spellings(&self) -> &'static [&'static str] {
+        match self {
+            DataStructureKind::AdjacencyShared => &["as", "adjacency-shared", "adjacencyshared"],
+            DataStructureKind::AdjacencyChunked => &["ac", "adjacency-chunked", "adjacencychunked"],
+            DataStructureKind::Stinger => &["stinger"],
+            DataStructureKind::Dah => &["dah"],
+            DataStructureKind::DeltaCsr => &["delta-csr", "delta", "deltacsr"],
+        }
+    }
+}
+
+impl std::str::FromStr for DataStructureKind {
+    type Err = String;
+
+    /// Case-insensitive; the error names the canonical keys.
+    fn from_str(s: &str) -> Result<Self, String> {
+        saga_utils::parse_kind("structure", &Self::ALL_WITH_DELTA, Self::spellings, s)
+    }
 }
 
 impl std::fmt::Display for DataStructureKind {
@@ -363,6 +388,19 @@ pub fn build_deletable_graph_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn kind_keys_round_trip_and_aliases_parse() {
+        for kind in DataStructureKind::ALL_WITH_DELTA {
+            assert_eq!(kind.key().parse(), Ok(kind));
+            assert_eq!(kind.abbrev().parse(), Ok(kind), "the paper's abbreviation parses");
+        }
+        assert_eq!("Delta".parse(), Ok(DataStructureKind::DeltaCsr));
+        assert_eq!(
+            "btree".parse::<DataStructureKind>().unwrap_err(),
+            "unknown structure \"btree\" (as|ac|stinger|dah|delta-csr)"
+        );
+    }
 
     #[test]
     fn kind_abbreviations_match_the_paper() {

@@ -85,9 +85,9 @@ impl TenantConfig {
             let (key, value) = (key.trim(), value.trim());
             match key {
                 "name" => cfg.name = value.to_string(),
-                "structure" => cfg.structure = parse_structure(value)?,
-                "algorithm" => cfg.algorithm = parse_algorithm(value)?,
-                "model" => cfg.model = parse_model(value)?,
+                "structure" => cfg.structure = value.parse()?,
+                "algorithm" => cfg.algorithm = value.parse()?,
+                "model" => cfg.model = value.parse()?,
                 "capacity" => cfg.capacity = parse_num(key, value)?,
                 "queue_bound" => cfg.queue_bound = parse_num(key, value)?,
                 "threads" => cfg.threads = parse_num::<usize>(key, value)?.clamp(1, 64),
@@ -123,43 +123,11 @@ fn parse_num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> 
     value.parse().map_err(|_| format!("{key}: not a number: {value:?}"))
 }
 
-fn parse_structure(s: &str) -> Result<DataStructureKind, String> {
-    Ok(match s.to_ascii_lowercase().as_str() {
-        "as" | "adjacency-shared" | "adjacencyshared" => DataStructureKind::AdjacencyShared,
-        "ac" | "adjacency-chunked" | "adjacencychunked" => DataStructureKind::AdjacencyChunked,
-        "stinger" => DataStructureKind::Stinger,
-        "dah" => DataStructureKind::Dah,
-        "delta" | "delta-csr" | "deltacsr" => DataStructureKind::DeltaCsr,
-        other => return Err(format!("unknown structure {other:?} (as|ac|stinger|dah|delta-csr)")),
-    })
-}
-
-fn parse_algorithm(s: &str) -> Result<AlgorithmKind, String> {
-    Ok(match s.to_ascii_lowercase().as_str() {
-        "bfs" => AlgorithmKind::Bfs,
-        "cc" => AlgorithmKind::Cc,
-        "mc" => AlgorithmKind::Mc,
-        "pr" | "pagerank" => AlgorithmKind::PageRank,
-        "sssp" => AlgorithmKind::Sssp,
-        "sswp" => AlgorithmKind::Sswp,
-        other => return Err(format!("unknown algorithm {other:?} (bfs|cc|mc|pr|sssp|sswp)")),
-    })
-}
-
-fn parse_model(s: &str) -> Result<ComputeModelKind, String> {
-    Ok(match s.to_ascii_lowercase().as_str() {
-        "fs" | "from-scratch" | "fromscratch" => ComputeModelKind::FromScratch,
-        "inc" | "incremental" => ComputeModelKind::Incremental,
-        other => return Err(format!("unknown model {other:?} (fs|inc)")),
-    })
-}
-
 /// The algorithm tunables every tenant runs with: tight PageRank
 /// tolerances so an offline from-scratch replay of the journal converges
-/// to the same fixpoint the server did. These values mirror the
-/// differential checker's (`saga-check` is downstream of this crate, so
-/// they are duplicated here by design — the journal-replay test in
-/// `saga-check` pins the agreement).
+/// to the same fixpoint the server did. The differential checker
+/// (`saga-check`, downstream of this crate) runs with the same values by
+/// calling this function.
 pub fn tenant_params(root: Node) -> AlgorithmParams {
     AlgorithmParams {
         root,

@@ -51,6 +51,24 @@ pub mod stats;
 pub mod sync;
 pub mod timer;
 
+/// Parses `s`, case-insensitively, as one of the kinds in `all` — the
+/// shared body of the kind enums' `FromStr` impls. `spellings` lists what
+/// each kind accepts, its canonical lowercase key first; the error names
+/// `what` was asked for and the canonical keys.
+pub fn parse_kind<K: Copy>(
+    what: &str,
+    all: &[K],
+    spellings: fn(&K) -> &'static [&'static str],
+    s: &str,
+) -> Result<K, String> {
+    let s = s.to_ascii_lowercase();
+    let found = all.iter().find(|k| spellings(k).contains(&s.as_str()));
+    found.copied().ok_or_else(|| {
+        let keys: Vec<&str> = all.iter().map(|k| spellings(k)[0]).collect();
+        format!("unknown {what} {s:?} ({})", keys.join("|"))
+    })
+}
+
 pub use bitvec::AtomicBitVec;
 pub use parallel::ThreadPool;
 pub use stats::Summary;

@@ -28,7 +28,11 @@
 //!    `std::arch` path) live only in `crates/utils/src/prefetch.rs` — hot
 //!    paths call `saga_utils::prefetch` / the property arrays' `prefetch`
 //!    helpers, so the per-target gating (and its SAFETY argument) stays in
-//!    one audited file.
+//!    one audited file;
+//! 8. every `[dependencies]` entry of every manifest (the root package's
+//!    and each `crates/*`) is named somewhere under that package's `src/`
+//!    — a dependency nobody imports still costs a registry fetch and a
+//!    build, and once dropped it must not creep back.
 //!
 //! The old informational `Ordering::Relaxed` listing moved to
 //! `cargo xtask analyze`, whose atomics-protocol audit groups sites by
@@ -252,6 +256,34 @@ fn lint() -> ExitCode {
         violations.extend(report.violations);
     }
 
+    let mut packages = vec![root.clone()];
+    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
+        packages.extend(entries.flatten().map(|e| e.path()));
+    }
+    packages.sort();
+    for package in packages {
+        let Ok(manifest) = std::fs::read_to_string(package.join("Cargo.toml")) else {
+            continue;
+        };
+        let src = package.join("src");
+        let sources: Vec<String> = files
+            .iter()
+            .filter(|path| path.starts_with(&src))
+            .filter_map(|path| std::fs::read_to_string(path).ok())
+            .collect();
+        let rel = package.strip_prefix(&root).unwrap_or(&package).join("Cargo.toml");
+        let rel = rel.to_string_lossy().replace('\\', "/");
+        for dep in unused_dependencies(&manifest, &sources) {
+            if TEST_ONLY_DEPENDENCIES.contains(&(rel.as_str(), dep.as_str())) {
+                continue;
+            }
+            violations.push(format!(
+                "{rel}: dependency `{dep}` is imported nowhere under src/ — drop it, \
+                 or move it to [dev-dependencies] if only tests use it"
+            ));
+        }
+    }
+
     println!("xtask lint: scanned {} files", files.len());
     if violations.is_empty() {
         println!("\nxtask lint: OK (no SAFETY-invariant violations)");
@@ -282,6 +314,40 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
             out.push(path);
         }
     }
+}
+
+/// `(manifest, dependency)` pairs rule 8 lets stand although only the
+/// package's tests import them. The registry-free gate (`cargo test
+/// --offline --manifest-path rig/Cargo.toml -p saga-check`) can test a
+/// package outside the rig's workspace only while it declares no
+/// `[dev-dependencies]`, so saga-check's test-only dependency stays here.
+const TEST_ONLY_DEPENDENCIES: &[(&str, &str)] = &[("crates/check/Cargo.toml", "saga-bench")];
+
+/// Rule 8: the `[dependencies]` entries of `manifest` that none of the
+/// package's `sources` names (as an identifier, outside comments and
+/// strings). Pure function so the unit tests can seed both sides.
+fn unused_dependencies(manifest: &str, sources: &[String]) -> Vec<String> {
+    let code: Vec<Line> = sources.iter().flat_map(|source| strip(source)).collect();
+    let mut in_dependencies = false;
+    let mut unused = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_dependencies = line == "[dependencies]";
+            continue;
+        }
+        let name: String = line
+            .chars()
+            .take_while(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_'))
+            .collect();
+        if !in_dependencies || name.is_empty() {
+            continue;
+        }
+        let ident = name.replace('-', "_");
+        if !code.iter().any(|l| contains_token_path(&l.code, &ident)) {
+            unused.push(name);
+        }
+    }
+    unused
 }
 
 /// Result of scanning one file.
@@ -779,6 +845,23 @@ mod tests {
     fn println_inside_string_or_comment_is_ignored() {
         let src = "fn f() {\n    let s = \"println!(1)\";\n    // eprintln! in prose\n    let _ = s;\n}\n";
         assert!(scan_file("crates/demo/src/lib.rs", src).violations.is_empty());
+    }
+
+    #[test]
+    fn dependency_nobody_imports_is_reported() {
+        let manifest = "[package]\nname = \"demo\"\n\n[dependencies]\n\
+                        saga-utils.workspace = true\n# a comment\ncrossbeam = \"0.8\"\n\
+                        rand.workspace = true\n\n[dev-dependencies]\nproptest.workspace = true\n";
+        let sources = [
+            "use saga_utils::parallel::ThreadPool;\n// rand::random in prose\n".to_string(),
+            "fn f() {\n    let operand = \"crossbeam::queue\";\n}\n".to_string(),
+        ];
+        assert_eq!(unused_dependencies(manifest, &sources), ["crossbeam", "rand"]);
+        let sources = [format!(
+            "{}use crossbeam::queue::SegQueue;\nfn g() -> u8 {{ rand::random() }}\n",
+            sources[0]
+        )];
+        assert!(unused_dependencies(manifest, &sources).is_empty());
     }
 
     #[test]

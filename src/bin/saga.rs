@@ -40,24 +40,6 @@ run options:
     std::process::exit(2)
 }
 
-fn parse_structure(s: &str) -> Option<DataStructureKind> {
-    DataStructureKind::ALL_WITH_DELTA
-        .into_iter()
-        .find(|k| k.abbrev().eq_ignore_ascii_case(s))
-}
-
-fn parse_algorithm(s: &str) -> Option<AlgorithmKind> {
-    AlgorithmKind::ALL
-        .into_iter()
-        .find(|k| k.abbrev().eq_ignore_ascii_case(s))
-}
-
-fn parse_model(s: &str) -> Option<ComputeModelKind> {
-    ComputeModelKind::ALL
-        .into_iter()
-        .find(|k| k.abbrev().eq_ignore_ascii_case(s))
-}
-
 fn parse_dataset(s: &str) -> Option<DatasetProfile> {
     DatasetProfile::all()
         .into_iter()
@@ -130,21 +112,21 @@ fn parse_run_args(args: &[String]) -> RunArgs {
             "--undirected" => out.undirected = true,
             "--structure" => {
                 let v = value();
-                out.structure = parse_structure(v).unwrap_or_else(|| {
+                out.structure = v.parse().unwrap_or_else(|_| {
                     eprintln!("unknown structure: {v}");
                     usage()
                 });
             }
             "--algorithm" => {
                 let v = value();
-                out.algorithm = parse_algorithm(v).unwrap_or_else(|| {
+                out.algorithm = v.parse().unwrap_or_else(|_| {
                     eprintln!("unknown algorithm: {v}");
                     usage()
                 });
             }
             "--model" => {
                 let v = value();
-                out.model = parse_model(v).unwrap_or_else(|| {
+                out.model = v.parse().unwrap_or_else(|_| {
                     eprintln!("unknown compute model: {v}");
                     usage()
                 });
