@@ -9,10 +9,10 @@
 //! relaxation over out-edges converges to the exact fixpoint.
 
 use crate::program::{ValueStore, VertexProgram};
-use crossbeam::queue::SegQueue;
 use saga_graph::properties::AtomicF32Array;
 use saga_graph::{GraphTopology, Node};
 use saga_utils::bitvec::AtomicBitVec;
+use saga_utils::frontier::FlatFrontier;
 use saga_utils::parallel::{Schedule, ThreadPool};
 
 /// SSWP as a vertex program.
@@ -100,7 +100,7 @@ pub fn sswp_from_scratch(
 ) -> usize {
     let n = graph.capacity();
     let mut visited = AtomicBitVec::new(n);
-    let next: SegQueue<Node> = SegQueue::new();
+    let mut next = FlatFrontier::new(n);
     let mut frontier = vec![program.root];
     let mut rounds = 0;
     while !frontier.is_empty() {
@@ -116,10 +116,7 @@ pub fn sswp_from_scratch(
                 }
             });
         });
-        frontier.clear();
-        while let Some(v) = next.pop() {
-            frontier.push(v);
-        }
+        next.take_into(&mut frontier);
         visited.clear_all();
     }
     rounds

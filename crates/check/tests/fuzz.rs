@@ -10,6 +10,7 @@
 //!   deliberately injected bug (a structure that silently drops delete
 //!   ops) and shrinks the trigger to a handful of ops.
 
+use saga_check::program::ProgramOp;
 use saga_check::{
     check_program, fuzz_campaign, shrink, CheckConfig, Fault, FaultPlan, OpProgram,
     ProgramProfile,
@@ -165,6 +166,34 @@ fn delta_csr_replays_clean_through_compaction() {
 
     let got = check_program(&program, &CheckConfig::quick());
     assert!(got.is_none(), "{}", got.unwrap());
+}
+
+/// The corner cases of the graph shell's pass protocol (out / in copy,
+/// undirected mirror, self-loop, which pass counts), as fixed programs over
+/// every structure × every driver path, directed and undirected. Vertices 1
+/// and 6 land in different chunks and buckets at every thread count the
+/// checker uses. Program weights are a function of the endpoints, so the
+/// two-weights variant of the in-batch duplicate lives in saga-graph's
+/// `conflicting_weights_in_one_batch_stay_symmetric`.
+#[test]
+fn shell_protocol_corner_cases_replay_clean() {
+    use EdgeOp::{Delete as D, Insert as I};
+    let check = |name: &str, batches: &[&[ProgramOp]]| {
+        for directed in [true, false] {
+            let program = OpProgram::from_ops(8, directed, batches);
+            let got = check_program(&program, &CheckConfig::quick());
+            assert!(got.is_none(), "{name}, directed = {directed}: {}", got.unwrap());
+        }
+    };
+    check("self-loop", &[&[(I, 2, 2), (I, 2, 2)], &[(D, 2, 2)], &[(I, 2, 2), (I, 1, 2)]]);
+    check("reversed duplicate", &[&[(I, 1, 6), (I, 6, 1)], &[(D, 6, 1)]]);
+    check("in-batch duplicate across chunks", &[&[(I, 1, 6), (I, 1, 6), (I, 6, 1), (I, 1, 6)]]);
+    check("delete missing", &[&[(I, 0, 1)], &[(D, 2, 3), (D, 1, 0), (D, 4, 4)]]);
+    check("double delete in one batch", &[&[(I, 0, 1), (I, 1, 6)], &[(D, 0, 1), (D, 0, 1)]]);
+    check(
+        "reinsert after delete",
+        &[&[(I, 0, 1)], &[(D, 0, 1)], &[(I, 0, 1)], &[(I, 0, 1), (D, 0, 1)]],
+    );
 }
 
 /// Every adversarial profile generates structurally valid programs whose

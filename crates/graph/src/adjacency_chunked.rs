@@ -14,7 +14,8 @@
 //! of the chunks it owns (`c % threads == w`) in batch order. The naive
 //! alternative — every chunk owner rescanning the whole batch and skipping
 //! foreign edges — costs `O(batch × chunks)` key evaluations and is kept as
-//! [`AdjacencyChunked::update_batch_rescan`] for benchmarking.
+//! [`AdjacencyChunked::update_batch_rescan`] for benchmarking (the routing
+//! itself lives in [`crate::shell`]).
 //!
 //! Multithreading comes only from having multiple chunks. This trades the
 //! lock contention of AS for workload imbalance: a heavy-tailed batch fills
@@ -24,85 +25,30 @@
 //! *find* their chunk, not which chunk does the work, so that imbalance is
 //! deliberately preserved.
 
-use crate::{DataStructureKind, DynamicGraph, Edge, GraphTopology, Node, UpdateStats, Weight};
-use saga_utils::sync::Mutex;
-use saga_utils::parallel::ThreadPool;
-use saga_utils::partition::Partitioner;
+use crate::adjacency_shared::apply_to_list;
+use crate::shell::{Chunk, Chunks, Op, TwoSided};
+use crate::{DataStructureKind, Node, Weight};
 use saga_utils::probe;
-use saga_utils::sync::atomic::{AtomicUsize, Ordering};
 
-/// Neighbor vectors for the vertices owned by one chunk, indexed by
-/// `v / chunks` (the local index of vertex `v` in chunk `v % chunks`).
-pub(crate) struct Chunk {
+/// Neighbor vectors for the vertices owned by one AC chunk, indexed by
+/// their local index.
+pub struct ListChunk {
     lists: Vec<Vec<(Node, Weight)>>,
 }
 
-impl Chunk {
-    fn insert(&mut self, local: usize, dst: Node, weight: Weight) -> bool {
-        let list = &mut self.lists[local];
-        probe::slice_read(list);
-        if list.iter().any(|&(n, _)| n == dst) {
-            return false;
-        }
-        list.push((dst, weight));
-        probe::write(list.last().unwrap() as *const (Node, Weight), 1);
-        true
+impl Chunk for ListChunk {
+    const KIND: DataStructureKind = DataStructureKind::AdjacencyChunked;
+
+    fn apply(&mut self, op: Op, local: usize, _key: Node, nbr: Node, weight: Weight) -> bool {
+        apply_to_list(&mut self.lists[local], op, nbr, weight)
     }
 
-    fn remove(&mut self, local: usize, dst: Node) -> bool {
-        let list = &mut self.lists[local];
-        probe::slice_read(list);
-        if let Some(pos) = list.iter().position(|&(n, _)| n == dst) {
-            list.swap_remove(pos);
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// One direction of chunked adjacency. Chunks are behind uncontended
-/// mutexes locked once per (worker, batch) — the chunk-ownership discipline
-/// makes per-edge locking unnecessary, which is the "lockless" property the
-/// paper ascribes to chunked multithreading.
-pub(crate) struct ChunkedLists {
-    chunks: Vec<Mutex<Chunk>>,
-}
-
-impl ChunkedLists {
-    pub(crate) fn new(capacity: usize, chunks: usize) -> Self {
-        let chunks = chunks.max(1);
-        let chunk_store = (0..chunks)
-            .map(|c| {
-                // Vertices c, c + chunks, c + 2*chunks, ...
-                let local_count = capacity.saturating_sub(c).div_ceil(chunks);
-                Mutex::new(Chunk {
-                    lists: vec![Vec::new(); local_count],
-                })
-            })
-            .collect();
-        Self {
-            chunks: chunk_store,
-        }
+    fn degree(&self, local: usize) -> usize {
+        self.lists[local].len()
     }
 
-    pub(crate) fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    #[inline]
-    pub(crate) fn chunk_of(&self, v: Node) -> usize {
-        v as usize % self.chunks.len()
-    }
-
-    pub(crate) fn degree(&self, v: Node) -> usize {
-        let chunk = self.chunks[self.chunk_of(v)].lock();
-        chunk.lists[v as usize / self.chunks.len()].len()
-    }
-
-    pub(crate) fn for_each(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
-        let chunk = self.chunks[self.chunk_of(v)].lock();
-        let list = &chunk.lists[v as usize / self.chunks.len()];
+    fn for_each(&self, local: usize, _key: Node, f: &mut dyn FnMut(Node, Weight)) {
+        let list = &self.lists[local];
         probe::slice_read(list);
         for &(n, w) in list.iter() {
             f(n, w);
@@ -125,412 +71,28 @@ impl ChunkedLists {
 /// assert_eq!(g.out_degree(0), 1);
 /// assert_eq!(g.in_degree(0), 1);
 /// ```
-pub struct AdjacencyChunked {
-    out: ChunkedLists,
-    inn: Option<ChunkedLists>,
-    capacity: usize,
-    directed: bool,
-    edges: AtomicUsize,
-    scratch: Mutex<IngestScratch>,
-}
-
-impl std::fmt::Debug for AdjacencyChunked {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdjacencyChunked")
-            .field("capacity", &self.capacity)
-            .field("directed", &self.directed)
-            .field("chunks", &self.out.chunk_count())
-            .field("edges", &self.num_edges())
-            .finish()
-    }
-}
+pub type AdjacencyChunked = TwoSided<Chunks<ListChunk>>;
 
 impl AdjacencyChunked {
     /// Creates an empty AC graph with the given number of single-threaded
     /// chunks (typically the update thread count).
     pub fn new(capacity: usize, directed: bool, chunks: usize) -> Self {
-        Self {
-            out: ChunkedLists::new(capacity, chunks),
-            inn: directed.then(|| ChunkedLists::new(capacity, chunks)),
-            capacity,
-            directed,
-            edges: AtomicUsize::new(0),
-            scratch: Mutex::new(IngestScratch::new()),
-        }
-    }
-
-    /// The chunk that must ingest `edge` in the given direction. For
-    /// undirected graphs both the canonical and mirror directions live in
-    /// the out-structure, keyed by their own source.
-    fn key_chunk(&self, edge: &Edge, into_in: bool) -> usize {
-        if self.directed {
-            if into_in {
-                self.inn.as_ref().unwrap().chunk_of(edge.dst)
-            } else {
-                self.out.chunk_of(edge.src)
-            }
-        } else if into_in {
-            self.out.chunk_of(edge.dst)
-        } else {
-            self.out.chunk_of(edge.src)
-        }
-    }
-
-    fn ingest_insert(&self, chunk: usize, edge: &Edge, into_in: bool) -> bool {
-        let chunk_count = self.out.chunk_count();
-        let lists = if self.directed && into_in {
-            self.inn.as_ref().unwrap()
-        } else {
-            &self.out
-        };
-        let (src, dst) = if into_in {
-            (edge.dst, edge.src)
-        } else {
-            (edge.src, edge.dst)
-        };
-        if !self.directed && into_in && src == dst {
-            return false; // self-loop mirror is the same entry
-        }
-        let mut guard = lists.chunks[chunk].lock();
-        let newly = guard.insert(src as usize / chunk_count, dst, edge.weight);
-        // Count a logical edge exactly once: directed edges count on the
-        // out-insert; undirected edges count on whichever pass stored the
-        // canonical (small → large) direction.
-        if self.directed {
-            newly && !into_in
-        } else {
-            newly && src <= dst
-        }
-    }
-
-    fn ingest_remove(&self, chunk: usize, edge: &Edge, into_in: bool) -> bool {
-        let chunk_count = self.out.chunk_count();
-        let lists = if self.directed && into_in {
-            self.inn.as_ref().unwrap()
-        } else {
-            &self.out
-        };
-        let (src, dst) = if into_in {
-            (edge.dst, edge.src)
-        } else {
-            (edge.src, edge.dst)
-        };
-        if !self.directed && into_in && src == dst {
-            return false;
-        }
-        let mut guard = lists.chunks[chunk].lock();
-        let removed = guard.remove(src as usize / chunk_count, dst);
-        if self.directed {
-            removed && !into_in
-        } else {
-            removed && src <= dst
-        }
-    }
-
-    /// The pre-partitioning update path: every chunk owner rescans the full
-    /// batch and skips foreign edges, costing `O(batch × chunks)` key
-    /// evaluations. Kept (not wired into [`DynamicGraph::update_batch`]) as
-    /// the baseline for the `update_ingest` microbenchmark and the key-count
-    /// regression test.
-    pub fn update_batch_rescan(&self, batch: &[Edge], pool: &ThreadPool) -> UpdateStats {
-        let inserted = chunked_update_rescan(
-            batch,
-            pool,
-            self.out.chunk_count(),
-            |edge, into_in| self.key_chunk(edge, into_in),
-            |chunk, edge, into_in| self.ingest_insert(chunk, edge, into_in),
-        );
-        self.edges.fetch_add(inserted, Ordering::AcqRel);
-        UpdateStats {
-            inserted,
-            duplicates: batch.len() - inserted,
-        }
-    }
-}
-
-/// Reusable partitioning scratch for the chunked update phase: one
-/// [`Partitioner`] per direction (out-keys and in-keys of the same batch).
-/// Each chunked structure holds one behind a mutex so `update_batch(&self)`
-/// reaches steady state with zero per-batch allocation.
-pub(crate) struct IngestScratch {
-    pub(crate) out: Partitioner,
-    pub(crate) inn: Partitioner,
-}
-
-impl IngestScratch {
-    pub(crate) fn new() -> Self {
-        Self {
-            out: Partitioner::new(),
-            inn: Partitioner::new(),
-        }
-    }
-}
-
-/// Runs a chunk-partitioned update pass shared by AC and DAH, whose
-/// multithreading style is identical.
-///
-/// The batch is first partitioned into per-chunk buckets of edge indices —
-/// once per direction, evaluating `key_chunk` exactly twice per edge — then
-/// worker `w` drains the buckets of every chunk `c` with
-/// `c % threads == w`, ingesting that chunk's out-keyed edges and then its
-/// in-keyed edges in batch order. Total work is `O(batch)` key evaluations
-/// instead of the rescan loop's `O(batch × chunks)`; chunk ownership (and
-/// therefore the paper's imbalance behaviour) is unchanged.
-///
-/// `ingest` returns whether the call accounts for a new logical edge
-/// (directed: the out-insert; undirected: the pass that stored the
-/// canonical direction).
-pub(crate) fn chunked_update<FKey, FIns>(
-    batch: &[Edge],
-    pool: &ThreadPool,
-    chunk_count: usize,
-    scratch: &Mutex<IngestScratch>,
-    key_chunk: FKey,
-    ingest: FIns,
-) -> usize
-where
-    FKey: Fn(&Edge, /*into_in:*/ bool) -> usize + Sync,
-    FIns: Fn(usize, &Edge, /*into_in:*/ bool) -> bool + Sync,
-{
-    let mut scratch = scratch.lock();
-    let IngestScratch { out, inn } = &mut *scratch;
-    out.partition(pool, batch.len(), chunk_count, |i| {
-        key_chunk(&batch[i], false)
-    });
-    inn.partition(pool, batch.len(), chunk_count, |i| {
-        key_chunk(&batch[i], true)
-    });
-    let inserted = AtomicUsize::new(0);
-    let threads = pool.threads();
-    pool.run_on_all(|w| {
-        let mut local_inserted = 0;
-        let mut chunk = w;
-        while chunk < chunk_count {
-            // Merge the chunk's two buckets back into global batch order
-            // (each bucket is stable, so a two-pointer merge on the edge
-            // index suffices; ties apply the out pass first, like the
-            // rescan). Order matters: when a batch carries duplicate edges
-            // whose mirrors land in different chunks, every chunk must pick
-            // the same first-in-batch winner or an undirected graph ends up
-            // with asymmetric mirror weights.
-            let (ob, ib) = (out.bucket(chunk), inn.bucket(chunk));
-            let (mut oi, mut ii) = (0, 0);
-            while oi < ob.len() || ii < ib.len() {
-                let into_in = match (ob.get(oi), ib.get(ii)) {
-                    (Some(o), Some(i)) => o > i,
-                    (Some(_), None) => false,
-                    _ => true,
-                };
-                let i = if into_in {
-                    ii += 1;
-                    ib[ii - 1]
-                } else {
-                    oi += 1;
-                    ob[oi - 1]
-                };
-                if ingest(chunk, &batch[i as usize], into_in) {
-                    local_inserted += 1;
-                }
-            }
-            chunk += threads;
-        }
-        inserted.fetch_add(local_inserted, Ordering::Relaxed);
-    });
-    inserted.load(Ordering::Relaxed)
-}
-
-/// The legacy rescan update pass: worker `w` handles every chunk `c` with
-/// `c % threads == w`, scanning the whole batch per chunk and ingesting the
-/// edges whose key vertex it owns. `O(batch × chunks)` key evaluations —
-/// kept only as the microbenchmark baseline for [`chunked_update`].
-pub(crate) fn chunked_update_rescan<FKey, FIns>(
-    batch: &[Edge],
-    pool: &ThreadPool,
-    chunk_count: usize,
-    key_chunk: FKey,
-    ingest: FIns,
-) -> usize
-where
-    FKey: Fn(&Edge, /*into_in:*/ bool) -> usize + Sync,
-    FIns: Fn(usize, &Edge, /*into_in:*/ bool) -> bool + Sync,
-{
-    let inserted = AtomicUsize::new(0);
-    let threads = pool.threads();
-    pool.run_on_all(|w| {
-        let mut local_inserted = 0;
-        let mut chunk = w;
-        while chunk < chunk_count {
-            for edge in batch {
-                if key_chunk(edge, false) == chunk && ingest(chunk, edge, false) {
-                    local_inserted += 1;
-                }
-                if key_chunk(edge, true) == chunk && ingest(chunk, edge, true) {
-                    local_inserted += 1;
-                }
-            }
-            chunk += threads;
-        }
-        inserted.fetch_add(local_inserted, Ordering::Relaxed);
-    });
-    inserted.load(Ordering::Relaxed)
-}
-
-impl GraphTopology for AdjacencyChunked {
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn num_edges(&self) -> usize {
-        self.edges.load(Ordering::Acquire)
-    }
-
-    fn is_directed(&self) -> bool {
-        self.directed
-    }
-
-
-
-    fn out_degree(&self, v: Node) -> usize {
-        self.out.degree(v)
-    }
-
-    fn in_degree(&self, v: Node) -> usize {
-        match &self.inn {
-            Some(inn) => inn.degree(v),
-            None => self.out.degree(v),
-        }
-    }
-
-    fn for_each_out_neighbor(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
-        self.out.for_each(v, f);
-    }
-
-    fn for_each_in_neighbor(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
-        match &self.inn {
-            Some(inn) => inn.for_each(v, f),
-            None => self.out.for_each(v, f),
-        }
-    }
-
-
-}
-
-impl DynamicGraph for AdjacencyChunked {
-    fn update_batch(&self, batch: &[Edge], pool: &ThreadPool) -> UpdateStats {
-        let inserted = chunked_update(
-            batch,
-            pool,
-            self.out.chunk_count(),
-            &self.scratch,
-            |edge, into_in| self.key_chunk(edge, into_in),
-            |chunk, edge, into_in| self.ingest_insert(chunk, edge, into_in),
-        );
-        self.edges.fetch_add(inserted, Ordering::AcqRel);
-        UpdateStats {
-            inserted,
-            duplicates: batch.len() - inserted,
-        }
-    }
-
-    fn kind(&self) -> DataStructureKind {
-        DataStructureKind::AdjacencyChunked
-    }
-}
-
-impl crate::DeletableGraph for AdjacencyChunked {
-    fn delete_batch(&self, batch: &[Edge], pool: &ThreadPool) -> crate::DeleteStats {
-        // Deletion is chunk-partitioned exactly like insertion: one owner
-        // thread per chunk, no per-edge locks.
-        let removed = chunked_update(
-            batch,
-            pool,
-            self.out.chunk_count(),
-            &self.scratch,
-            |edge, into_in| self.key_chunk(edge, into_in),
-            |chunk, edge, into_in| self.ingest_remove(chunk, edge, into_in),
-        );
-        self.edges.fetch_sub(removed, Ordering::AcqRel);
-        crate::DeleteStats {
-            removed,
-            missing: batch.len() - removed,
-        }
+        Self::with_sides(capacity, directed, |_| {
+            Chunks::new(capacity, chunks, |local_count| ListChunk {
+                lists: vec![Vec::new(); local_count],
+            })
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DeletableGraph;
+    use crate::{DynamicGraph, Edge, GraphTopology};
+    use saga_utils::parallel::ThreadPool;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
-    }
-
-    #[test]
-    fn chunked_delete_roundtrip() {
-        let g = AdjacencyChunked::new(10, true, 4);
-        let p = pool();
-        g.update_batch(&[Edge::new(1, 3, 2.0), Edge::new(1, 5, 1.0), Edge::new(5, 1, 1.0)], &p);
-        let stats = g.delete_batch(&[Edge::new(1, 3, 0.0), Edge::new(1, 7, 0.0)], &p);
-        assert_eq!(stats.removed, 1);
-        assert_eq!(stats.missing, 1);
-        assert_eq!(g.out_neighbors(1), vec![(5, 1.0)]);
-        assert!(g.in_neighbors(3).is_empty());
-        assert_eq!(g.num_edges(), 2);
-    }
-
-    #[test]
-    fn chunked_undirected_delete_mirrors() {
-        let g = AdjacencyChunked::new(10, false, 3);
-        let p = pool();
-        g.update_batch(&[Edge::new(7, 2, 1.0), Edge::new(3, 3, 1.0)], &p);
-        let stats = g.delete_batch(&[Edge::new(2, 7, 0.0), Edge::new(3, 3, 0.0)], &p);
-        assert_eq!(stats.removed, 2);
-        assert!(g.out_neighbors(2).is_empty());
-        assert!(g.out_neighbors(7).is_empty());
-        assert!(g.out_neighbors(3).is_empty());
-        assert_eq!(g.num_edges(), 0);
-    }
-
-    #[test]
-    fn directed_chunked_insert() {
-        let g = AdjacencyChunked::new(10, true, 4);
-        let stats = g.update_batch(&[Edge::new(1, 3, 2.0), Edge::new(1, 5, 1.0)], &pool());
-        assert_eq!(stats.inserted, 2);
-        let mut out = g.out_neighbors(1);
-        out.sort_by_key(|&(n, _)| n);
-        assert_eq!(out, vec![(3, 2.0), (5, 1.0)]);
-        assert_eq!(g.in_neighbors(3), vec![(1, 2.0)]);
-    }
-
-    #[test]
-    fn duplicate_edges_within_batch() {
-        let g = AdjacencyChunked::new(10, true, 3);
-        let stats = g.update_batch(&[Edge::new(2, 4, 1.0); 5], &pool());
-        assert_eq!(stats.inserted, 1);
-        assert_eq!(stats.duplicates, 4);
-    }
-
-    #[test]
-    fn undirected_counts_logical_edges() {
-        let g = AdjacencyChunked::new(10, false, 4);
-        let stats = g.update_batch(
-            &[Edge::new(2, 7, 1.0), Edge::new(7, 2, 1.0), Edge::new(3, 3, 1.0)],
-            &pool(),
-        );
-        assert_eq!(stats.inserted, 2);
-        assert_eq!(g.out_neighbors(2), vec![(7, 1.0)]);
-        assert_eq!(g.out_neighbors(7), vec![(2, 1.0)]);
-        assert_eq!(g.out_neighbors(3), vec![(3, 1.0)]);
-        assert_eq!(g.num_edges(), 2);
-    }
-
-    #[test]
-    fn chunk_ownership_partitions_vertices() {
-        let lists = ChunkedLists::new(103, 4);
-        for v in 0..103u32 {
-            assert_eq!(lists.chunk_of(v), v as usize % 4);
-        }
     }
 
     #[test]
@@ -548,79 +110,5 @@ mod tests {
         let stats = g.update_batch(&batch, &pool());
         assert_eq!(stats.inserted, 100);
         assert_eq!(g.out_degree(0), 100);
-    }
-
-    #[test]
-    fn rescan_path_matches_partitioned_path() {
-        let p = pool();
-        let batch: Vec<Edge> = (0..500)
-            .map(|i| Edge::new(i % 37, (i * 13) % 41, 1.0 + (i % 5) as f32))
-            .collect();
-        for directed in [true, false] {
-            let fast = AdjacencyChunked::new(64, directed, 4);
-            let slow = AdjacencyChunked::new(64, directed, 4);
-            let s1 = fast.update_batch(&batch, &p);
-            let s2 = slow.update_batch_rescan(&batch, &p);
-            assert_eq!(s1.inserted, s2.inserted, "directed = {directed}");
-            assert_eq!(fast.num_edges(), slow.num_edges());
-            for v in 0..64u32 {
-                let mut a = fast.out_neighbors(v);
-                let mut b = slow.out_neighbors(v);
-                a.sort_by_key(|&(n, _)| n);
-                b.sort_by_key(|&(n, _)| n);
-                assert_eq!(
-                    a.iter().map(|&(n, _)| n).collect::<Vec<_>>(),
-                    b.iter().map(|&(n, _)| n).collect::<Vec<_>>(),
-                    "out({v}), directed = {directed}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn partitioned_update_evaluates_each_key_once() {
-        // The O(batch) acceptance check: the partitioned path evaluates the
-        // chunk key exactly twice per edge (once per direction) no matter
-        // how many chunks exist, while the rescan path pays 2 × batch ×
-        // chunks evaluations.
-        let p = pool();
-        let batch: Vec<Edge> = (0..200).map(|i| Edge::new(i % 13, i % 7, 1.0)).collect();
-        for chunk_count in [1usize, 4, 16] {
-            let scratch = Mutex::new(IngestScratch::new());
-            let evals = AtomicUsize::new(0);
-            chunked_update(
-                &batch,
-                &p,
-                chunk_count,
-                &scratch,
-                |edge, into_in| {
-                    evals.fetch_add(1, Ordering::Relaxed);
-                    (if into_in { edge.dst } else { edge.src }) as usize % chunk_count
-                },
-                |_, _, _| false,
-            );
-            assert_eq!(
-                evals.load(Ordering::Relaxed),
-                2 * batch.len(),
-                "partitioned, chunks = {chunk_count}"
-            );
-
-            let evals = AtomicUsize::new(0);
-            chunked_update_rescan(
-                &batch,
-                &p,
-                chunk_count,
-                |edge, into_in| {
-                    evals.fetch_add(1, Ordering::Relaxed);
-                    (if into_in { edge.dst } else { edge.src }) as usize % chunk_count
-                },
-                |_, _, _| false,
-            );
-            assert_eq!(
-                evals.load(Ordering::Relaxed),
-                2 * batch.len() * chunk_count,
-                "rescan, chunks = {chunk_count}"
-            );
-        }
     }
 }

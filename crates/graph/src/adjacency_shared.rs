@@ -22,104 +22,98 @@
 //! uncontended, which removes the hub serialization above — it is *not* the
 //! paper's AS and is therefore off by default.
 
-use crate::adjacency_chunked::IngestScratch;
-use crate::{DataStructureKind, DynamicGraph, Edge, GraphTopology, Node, UpdateStats, Weight};
-use saga_utils::sync::{Mutex, MutexGuard};
-use saga_utils::parallel::{Schedule, ThreadPool};
+use crate::shell::{Op, SharedSide, Side, TwoSided};
+use crate::{DataStructureKind, Edge, Node, Weight};
+use saga_utils::parallel::ThreadPool;
 use saga_utils::probe;
-use saga_utils::sync::atomic::{AtomicUsize, Ordering};
+use saga_utils::sync::{Mutex, MutexGuard};
 
-/// Buckets per pool worker in partitioned-ingest mode: more buckets than
-/// workers lets the dynamic bucket cursor balance skewed batches.
-pub(crate) const BUCKETS_PER_WORKER: usize = 8;
-
-/// One direction of adjacency: a lock-protected neighbor vector per vertex.
-pub(crate) struct SharedLists {
+/// One direction of AS adjacency: a lock-protected neighbor vector per
+/// vertex.
+pub struct SharedLists {
     lists: Vec<Mutex<Vec<(Node, Weight)>>>,
     /// Distinguishes out- from in-list locks in the serialization probe.
     lock_tag: u64,
 }
 
 impl SharedLists {
-    pub(crate) fn new(capacity: usize, lock_tag: u64) -> Self {
+    fn new(capacity: usize, lock_tag: u64) -> Self {
         Self {
             lists: (0..capacity).map(|_| Mutex::new(Vec::new())).collect(),
             lock_tag,
         }
     }
+}
 
-    /// Search-then-insert under the source vertex's lock. Returns `true`
-    /// when the edge was absent and has been inserted.
-    pub(crate) fn insert(&self, src: Node, dst: Node, weight: Weight) -> bool {
-        // The entire vector is locked for the scan+insert (step 2 of
-        // §III-A1): concurrent updates of the same source serialize (no
-        // intra-node parallelism).
-        let mut list = self.lists[src as usize].lock();
-        self.insert_locked(src, &mut list, dst, weight)
-    }
+impl Side for SharedLists {
+    const KIND: DataStructureKind = DataStructureKind::AdjacencyShared;
 
-    /// Search-then-remove under the source vertex's lock. Returns `true`
-    /// when the edge was present and has been removed.
-    pub(crate) fn remove(&self, src: Node, dst: Node) -> bool {
-        let mut list = self.lists[src as usize].lock();
-        self.remove_locked(src, &mut list, dst)
-    }
-
-    /// Takes vertex `v`'s list lock once; partitioned ingest holds it
-    /// across a whole run of same-source edges instead of re-locking per
-    /// edge.
-    pub(crate) fn lock_list(&self, v: Node) -> MutexGuard<'_, Vec<(Node, Weight)>> {
-        self.lists[v as usize].lock()
-    }
-
-    /// The search-then-insert body of [`insert`](Self::insert) against an
-    /// already-held list guard (same probe records, including the critical
-    /// section, so the simulator sees identical per-edge work).
-    pub(crate) fn insert_locked(
-        &self,
-        src: Node,
-        list: &mut Vec<(Node, Weight)>,
-        dst: Node,
-        weight: Weight,
-    ) -> bool {
-        probe::slice_read(list);
-        probe::critical(self.lock_tag | src as u64, list.len() as u64 + 1);
-        if list.iter().any(|&(n, _)| n == dst) {
-            return false;
-        }
-        list.push((dst, weight));
-        probe::write(list.last().unwrap() as *const (Node, Weight), 1);
-        true
-    }
-
-    /// The search-then-remove body of [`remove`](Self::remove) against an
-    /// already-held list guard.
-    pub(crate) fn remove_locked(
-        &self,
-        src: Node,
-        list: &mut Vec<(Node, Weight)>,
-        dst: Node,
-    ) -> bool {
-        probe::slice_read(list);
-        probe::critical(self.lock_tag | src as u64, list.len() as u64 + 1);
-        if let Some(pos) = list.iter().position(|&(n, _)| n == dst) {
-            list.swap_remove(pos);
-            true
-        } else {
-            false
-        }
-    }
-
-    pub(crate) fn degree(&self, v: Node) -> usize {
+    fn degree(&self, v: Node) -> usize {
         self.lists[v as usize].lock().len()
     }
 
-    pub(crate) fn for_each(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
+    fn for_each(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
         let list = self.lists[v as usize].lock();
         probe::slice_read(&list);
         for &(n, w) in list.iter() {
             f(n, w);
         }
+    }
+
+    fn run_batch(shell: &TwoSided<Self>, batch: &[Edge], pool: &ThreadPool, op: Op) -> usize {
+        shell.shared_batch(batch, pool, op)
+    }
+}
+
+impl SharedSide for SharedLists {
+    type Held<'a> = MutexGuard<'a, Vec<(Node, Weight)>>;
+
+    /// The *entire* vector is locked for the scan + insert (step 1 of
+    /// §III-A1): concurrent updates of the same source serialize (no
+    /// intra-node parallelism). Partitioned ingest holds the guard across a
+    /// whole run of same-source edges instead of re-locking per edge.
+    fn hold(&self, key: Node) -> Self::Held<'_> {
+        self.lists[key as usize].lock()
+    }
+
+    /// Steps 2–3 of §III-A1 against the held list. The probe records are the
+    /// same however long the guard is held (including the critical section),
+    /// so the simulator sees identical per-edge work on both ingest paths.
+    fn apply_held(
+        &self,
+        list: &mut Self::Held<'_>,
+        op: Op,
+        key: Node,
+        nbr: Node,
+        weight: Weight,
+    ) -> bool {
+        probe::critical(self.lock_tag | key as u64, list.len() as u64 + 1);
+        apply_to_list(list, op, nbr, weight)
+    }
+}
+
+/// Search then insert / remove in one contiguous neighbor vector (Fig. 3) —
+/// the per-vertex operation AS runs under the vertex's lock and AC runs
+/// lock-free inside a chunk. Returns whether the vector changed.
+pub(crate) fn apply_to_list(
+    list: &mut Vec<(Node, Weight)>,
+    op: Op,
+    nbr: Node,
+    weight: Weight,
+) -> bool {
+    probe::slice_read(list);
+    let found = list.iter().position(|&(n, _)| n == nbr);
+    match (op, found) {
+        (Op::Insert, None) => {
+            list.push((nbr, weight));
+            probe::write(list.last().unwrap() as *const (Node, Weight), 1);
+            true
+        }
+        (Op::Remove, Some(pos)) => {
+            list.swap_remove(pos);
+            true
+        }
+        _ => false,
     }
 }
 
@@ -137,469 +131,24 @@ impl SharedLists {
 /// g.update_batch(&[Edge::new(0, 1, 1.0), Edge::new(2, 1, 1.0)], &pool);
 /// assert_eq!(g.in_degree(1), 2);
 /// ```
-pub struct AdjacencyShared {
-    out: SharedLists,
-    /// In-neighbor copy for directed graphs (footnote 3 of the paper).
-    inn: Option<SharedLists>,
-    capacity: usize,
-    directed: bool,
-    edges: AtomicUsize,
-    /// Route batches through the counting-sort partitioner instead of the
-    /// paper's per-edge `parallel for` (off by default).
-    partitioned: bool,
-    scratch: Mutex<IngestScratch>,
-}
-
-impl std::fmt::Debug for AdjacencyShared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdjacencyShared")
-            .field("capacity", &self.capacity)
-            .field("directed", &self.directed)
-            .field("edges", &self.num_edges())
-            .finish()
-    }
-}
+pub type AdjacencyShared = TwoSided<SharedLists>;
 
 impl AdjacencyShared {
     /// Creates an empty AS graph over vertex ids `0..capacity`.
     pub fn new(capacity: usize, directed: bool) -> Self {
-        Self {
-            out: SharedLists::new(capacity, 0),
-            inn: directed.then(|| SharedLists::new(capacity, 1 << 40)),
-            capacity,
-            directed,
-            edges: AtomicUsize::new(0),
-            partitioned: false,
-            scratch: Mutex::new(IngestScratch::new()),
-        }
-    }
-
-    /// Enables or disables partitioned ingest (see the module docs): edges
-    /// are grouped by key vertex first so each vertex's lock is taken once
-    /// per run by a single owner worker, trading the paper's lock
-    /// contention for a partitioning pass.
-    pub fn with_partitioned_ingest(mut self, enabled: bool) -> Self {
-        self.partitioned = enabled;
-        self
-    }
-
-    fn lists_for(&self, into_in: bool) -> &SharedLists {
-        if self.directed && into_in {
-            self.inn.as_ref().expect("directed graph has in-lists")
-        } else {
-            &self.out
-        }
-    }
-
-    /// Partitioned batch insert: partition both direction passes by key
-    /// vertex, then drain buckets via a dynamic cursor. Bucket exclusivity
-    /// means no two workers ever touch the same vertex's list, so every
-    /// lock acquisition is uncontended.
-    fn update_batch_partitioned(&self, batch: &[Edge], pool: &ThreadPool) -> UpdateStats {
-        let inserted = self.run_partitioned(batch, pool, |lists, run_src, list, edge, into_in| {
-            let (s, d, w, counts) = pass_op(edge, self.directed, into_in)?;
-            debug_assert_eq!(s, run_src);
-            (lists.insert_locked(s, list, d, w) && counts).then_some(())
-        });
-        self.edges.fetch_add(inserted, Ordering::AcqRel);
-        UpdateStats {
-            inserted,
-            duplicates: batch.len() - inserted,
-        }
-    }
-
-    fn delete_batch_partitioned(&self, batch: &[Edge], pool: &ThreadPool) -> crate::DeleteStats {
-        let removed = self.run_partitioned(batch, pool, |lists, run_src, list, edge, into_in| {
-            let (s, d, _w, counts) = pass_op(edge, self.directed, into_in)?;
-            debug_assert_eq!(s, run_src);
-            (lists.remove_locked(s, list, d) && counts).then_some(())
-        });
-        self.edges.fetch_sub(removed, Ordering::AcqRel);
-        crate::DeleteStats {
-            removed,
-            missing: batch.len() - removed,
-        }
-    }
-
-    /// The shared partitioned drive loop: `apply` performs one
-    /// direction-pass of one edge against the held list guard and returns
-    /// `Some(())` when the edge counts as a new/removed logical edge.
-    fn run_partitioned<F>(&self, batch: &[Edge], pool: &ThreadPool, apply: F) -> usize
-    where
-        F: Fn(&SharedLists, Node, &mut Vec<(Node, Weight)>, Edge, bool) -> Option<()> + Sync,
-    {
-        let n_buckets = (pool.threads() * BUCKETS_PER_WORKER).max(1);
-        let directed = self.directed;
-        let mut scratch = self.scratch.lock();
-        let IngestScratch { out, inn } = &mut *scratch;
-        out.partition(pool, batch.len(), n_buckets, |i| {
-            pass_key(batch[i], directed, false) as usize % n_buckets
-        });
-        inn.partition(pool, batch.len(), n_buckets, |i| {
-            pass_key(batch[i], directed, true) as usize % n_buckets
-        });
-        let (out, inn) = (&*out, &*inn);
-        let counted = AtomicUsize::new(0);
-        let cursor = AtomicUsize::new(0);
-        pool.run_on_all(|_| {
-            let mut local = 0;
-            loop {
-                // Dynamic bucket grabbing: skewed buckets (a hub's vertex)
-                // keep one worker busy while the others drain the rest.
-                let b = cursor.fetch_add(1, Ordering::Relaxed);
-                if b >= n_buckets {
-                    break;
-                }
-                for (part, into_in) in [(out, false), (inn, true)] {
-                    let lists = self.lists_for(into_in);
-                    let idxs = part.bucket(b);
-                    let mut i = 0;
-                    while i < idxs.len() {
-                        // Lock once per run of consecutive same-key edges
-                        // (buckets preserve batch order, so a hub's edges
-                        // form one long run).
-                        let run_src = pass_key(batch[idxs[i] as usize], directed, into_in);
-                        let mut list = lists.lock_list(run_src);
-                        while i < idxs.len() {
-                            let edge = batch[idxs[i] as usize];
-                            if pass_key(edge, directed, into_in) != run_src {
-                                break;
-                            }
-                            if apply(lists, run_src, &mut list, edge, into_in).is_some() {
-                                local += 1;
-                            }
-                            i += 1;
-                        }
-                    }
-                }
-            }
-            counted.fetch_add(local, Ordering::Relaxed);
-        });
-        counted.load(Ordering::Relaxed)
-    }
-}
-
-/// The vertex whose adjacency a direction-pass writes (and therefore the
-/// partitioning key): source for the out/canonical pass, destination for
-/// the in/mirror pass.
-pub(crate) fn pass_key(edge: Edge, directed: bool, into_in: bool) -> Node {
-    if directed {
-        if into_in {
-            edge.dst
-        } else {
-            edge.src
-        }
-    } else if into_in {
-        edge.src.max(edge.dst)
-    } else {
-        edge.src.min(edge.dst)
-    }
-}
-
-/// One direction-pass of a decoupled partitioned ingest as
-/// `(src, dst, weight, counts)` — `counts` marks the pass that tallies the
-/// logical edge (directed: out; undirected: canonical). Returns `None` for
-/// the undirected self-loop mirror, which is the same entry as its
-/// canonical pass.
-///
-/// Unlike [`ingest_edge`], the in/mirror pass here does not depend on the
-/// out-pass's result: because every insert/remove is search-first and the
-/// two passes are always *attempted* in pairs, unconditional application
-/// reaches the same state (a redundant pass finds its entry already
-/// present/absent), while allowing the passes to run on different workers.
-pub(crate) fn pass_op(
-    edge: Edge,
-    directed: bool,
-    into_in: bool,
-) -> Option<(Node, Node, Weight, bool)> {
-    let Edge { src, dst, weight } = edge;
-    if directed {
-        if into_in {
-            Some((dst, src, weight, false))
-        } else {
-            Some((src, dst, weight, true))
-        }
-    } else {
-        let (a, b) = if src <= dst { (src, dst) } else { (dst, src) };
-        if into_in {
-            (a != b).then_some((b, a, weight, false))
-        } else {
-            Some((a, b, weight, true))
-        }
-    }
-}
-
-/// Ingests one logical edge into an out-structure (+ in-structure or mirror)
-/// and reports whether it was new. Shared by AS and Stinger, whose per-edge
-/// parallelism is identical.
-pub(crate) fn ingest_edge<F>(edge: Edge, directed: bool, mut insert: F) -> bool
-where
-    F: FnMut(/*into_in:*/ bool, Node, Node, Weight) -> bool,
-{
-    let Edge { src, dst, weight } = edge;
-    if directed {
-        let newly = insert(false, src, dst, weight);
-        if newly {
-            insert(true, dst, src, weight);
-        }
-        newly
-    } else {
-        // Undirected: store both directions in the out-structure; count the
-        // canonical direction so racing mirror inserts tally once.
-        let (a, b) = if src <= dst { (src, dst) } else { (dst, src) };
-        let newly = insert(false, a, b, weight);
-        if newly && a != b {
-            insert(false, b, a, weight);
-        }
-        newly
-    }
-}
-
-/// Mirror of [`ingest_edge`] for deletions: removes one logical edge from
-/// an out-structure (+ in-structure or mirror) and reports whether it was
-/// present.
-pub(crate) fn remove_edge<F>(edge: Edge, directed: bool, mut remove: F) -> bool
-where
-    F: FnMut(/*from_in:*/ bool, Node, Node) -> bool,
-{
-    let Edge { src, dst, .. } = edge;
-    if directed {
-        let removed = remove(false, src, dst);
-        if removed {
-            remove(true, dst, src);
-        }
-        removed
-    } else {
-        let (a, b) = if src <= dst { (src, dst) } else { (dst, src) };
-        let removed = remove(false, a, b);
-        if removed && a != b {
-            remove(false, b, a);
-        }
-        removed
-    }
-}
-
-impl GraphTopology for AdjacencyShared {
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn num_edges(&self) -> usize {
-        self.edges.load(Ordering::Acquire)
-    }
-
-    fn is_directed(&self) -> bool {
-        self.directed
-    }
-
-
-
-    fn out_degree(&self, v: Node) -> usize {
-        self.out.degree(v)
-    }
-
-    fn in_degree(&self, v: Node) -> usize {
-        match &self.inn {
-            Some(inn) => inn.degree(v),
-            None => self.out.degree(v),
-        }
-    }
-
-    fn for_each_out_neighbor(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
-        self.out.for_each(v, f);
-    }
-
-    fn for_each_in_neighbor(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
-        match &self.inn {
-            Some(inn) => inn.for_each(v, f),
-            None => self.out.for_each(v, f),
-        }
-    }
-
-
-}
-
-impl DynamicGraph for AdjacencyShared {
-    fn update_batch(&self, batch: &[Edge], pool: &ThreadPool) -> UpdateStats {
-        if self.partitioned {
-            return self.update_batch_partitioned(batch, pool);
-        }
-        let inserted = AtomicUsize::new(0);
-        pool.parallel_for(0..batch.len(), Schedule::Static, |i| {
-            let newly = ingest_edge(batch[i], self.directed, |into_in, s, d, w| {
-                if into_in {
-                    self.inn.as_ref().expect("directed graph has in-lists").insert(s, d, w)
-                } else {
-                    self.out.insert(s, d, w)
-                }
-            });
-            if newly {
-                inserted.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        let inserted = inserted.load(Ordering::Relaxed);
-        self.edges.fetch_add(inserted, Ordering::AcqRel);
-        UpdateStats {
-            inserted,
-            duplicates: batch.len() - inserted,
-        }
-    }
-
-    fn kind(&self) -> DataStructureKind {
-        DataStructureKind::AdjacencyShared
-    }
-}
-
-impl crate::DeletableGraph for AdjacencyShared {
-    fn delete_batch(&self, batch: &[Edge], pool: &ThreadPool) -> crate::DeleteStats {
-        if self.partitioned {
-            return self.delete_batch_partitioned(batch, pool);
-        }
-        let removed = AtomicUsize::new(0);
-        pool.parallel_for(0..batch.len(), Schedule::Static, |i| {
-            let was_present = remove_edge(batch[i], self.directed, |from_in, s, d| {
-                if from_in {
-                    self.inn.as_ref().expect("directed graph has in-lists").remove(s, d)
-                } else {
-                    self.out.remove(s, d)
-                }
-            });
-            if was_present {
-                removed.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        let removed = removed.load(Ordering::Relaxed);
-        self.edges.fetch_sub(removed, Ordering::AcqRel);
-        crate::DeleteStats {
-            removed,
-            missing: batch.len() - removed,
-        }
+        Self::with_sides(capacity, directed, |is_in| {
+            SharedLists::new(capacity, if is_in { 1 << 40 } else { 0 })
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DeletableGraph;
+    use crate::{DynamicGraph, GraphTopology};
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
-    }
-
-    #[test]
-    fn delete_removes_both_directions() {
-        let g = AdjacencyShared::new(4, true);
-        let p = pool();
-        g.update_batch(&[Edge::new(0, 1, 1.0), Edge::new(0, 2, 1.0)], &p);
-        let stats = g.delete_batch(&[Edge::new(0, 1, 9.0), Edge::new(3, 3, 1.0)], &p);
-        assert_eq!(stats.removed, 1);
-        assert_eq!(stats.missing, 1);
-        assert_eq!(g.out_neighbors(0), vec![(2, 1.0)]);
-        assert!(g.in_neighbors(1).is_empty());
-        assert_eq!(g.num_edges(), 1);
-    }
-
-    #[test]
-    fn delete_undirected_mirrors() {
-        let g = AdjacencyShared::new(4, false);
-        let p = pool();
-        g.update_batch(&[Edge::new(2, 1, 1.0)], &p);
-        let stats = g.delete_batch(&[Edge::new(1, 2, 0.0)], &p);
-        assert_eq!(stats.removed, 1);
-        assert!(g.out_neighbors(1).is_empty());
-        assert!(g.out_neighbors(2).is_empty());
-        assert_eq!(g.num_edges(), 0);
-    }
-
-    #[test]
-    fn reinsert_after_delete() {
-        let g = AdjacencyShared::new(3, true);
-        let p = pool();
-        g.update_batch(&[Edge::new(0, 1, 1.0)], &p);
-        g.delete_batch(&[Edge::new(0, 1, 1.0)], &p);
-        let stats = g.update_batch(&[Edge::new(0, 1, 2.0)], &p);
-        assert_eq!(stats.inserted, 1);
-        assert_eq!(g.out_neighbors(0), vec![(1, 2.0)]);
-    }
-
-    #[test]
-    fn directed_insert_maintains_both_directions() {
-        let g = AdjacencyShared::new(5, true);
-        let stats = g.update_batch(&[Edge::new(1, 3, 2.0)], &pool());
-        assert_eq!(stats.inserted, 1);
-        assert_eq!(g.out_neighbors(1), vec![(3, 2.0)]);
-        assert_eq!(g.in_neighbors(3), vec![(1, 2.0)]);
-        assert_eq!(g.out_degree(3), 0);
-        assert_eq!(g.in_degree(1), 0);
-    }
-
-    #[test]
-    fn duplicates_are_ingested_once() {
-        let g = AdjacencyShared::new(5, true);
-        let batch = vec![Edge::new(0, 1, 1.0); 10];
-        let stats = g.update_batch(&batch, &pool());
-        assert_eq!(stats.inserted, 1);
-        assert_eq!(stats.duplicates, 9);
-        assert_eq!(g.out_degree(0), 1);
-        assert_eq!(g.num_edges(), 1);
-    }
-
-    #[test]
-    fn duplicates_across_batches_are_ingested_once() {
-        let g = AdjacencyShared::new(5, true);
-        let p = pool();
-        g.update_batch(&[Edge::new(0, 1, 1.0)], &p);
-        let stats = g.update_batch(&[Edge::new(0, 1, 1.0), Edge::new(0, 2, 1.0)], &p);
-        assert_eq!(stats.inserted, 1);
-        assert_eq!(stats.duplicates, 1);
-        assert_eq!(g.num_edges(), 2);
-    }
-
-    #[test]
-    fn undirected_mirrors_and_counts_once() {
-        let g = AdjacencyShared::new(5, false);
-        let stats = g.update_batch(&[Edge::new(2, 4, 1.5), Edge::new(4, 2, 1.5)], &pool());
-        assert_eq!(stats.inserted, 1);
-        assert_eq!(g.out_neighbors(2), vec![(4, 1.5)]);
-        assert_eq!(g.out_neighbors(4), vec![(2, 1.5)]);
-        assert_eq!(g.in_neighbors(4), vec![(2, 1.5)]);
-        assert_eq!(g.num_edges(), 1);
-    }
-
-    #[test]
-    fn undirected_self_loop_is_single() {
-        let g = AdjacencyShared::new(3, false);
-        let stats = g.update_batch(&[Edge::new(1, 1, 1.0)], &pool());
-        assert_eq!(stats.inserted, 1);
-        assert_eq!(g.out_neighbors(1), vec![(1, 1.0)]);
-    }
-
-    #[test]
-    fn partitioned_ingest_matches_default_path() {
-        let p = pool();
-        let batch: Vec<Edge> = (0..600)
-            .map(|i| Edge::new(i % 23, (i * 17) % 29, 1.0))
-            .collect();
-        let deletions: Vec<Edge> = (0..200).map(|i| Edge::new(i % 23, (i * 5) % 29, 0.0)).collect();
-        for directed in [true, false] {
-            let plain = AdjacencyShared::new(32, directed);
-            let part = AdjacencyShared::new(32, directed).with_partitioned_ingest(true);
-            let s1 = plain.update_batch(&batch, &p);
-            let s2 = part.update_batch(&batch, &p);
-            assert_eq!(s1.inserted, s2.inserted, "insert, directed = {directed}");
-            let d1 = plain.delete_batch(&deletions, &p);
-            let d2 = part.delete_batch(&deletions, &p);
-            assert_eq!(d1.removed, d2.removed, "delete, directed = {directed}");
-            assert_eq!(plain.num_edges(), part.num_edges());
-            for v in 0..32u32 {
-                let sorted = |mut ns: Vec<(Node, f32)>| {
-                    ns.sort_by_key(|&(n, _)| n);
-                    ns.into_iter().map(|(n, _)| n).collect::<Vec<_>>()
-                };
-                assert_eq!(sorted(plain.out_neighbors(v)), sorted(part.out_neighbors(v)));
-                assert_eq!(sorted(plain.in_neighbors(v)), sorted(part.in_neighbors(v)));
-            }
-        }
     }
 
     #[test]
@@ -619,18 +168,6 @@ mod tests {
         for i in 1..=2000u32 {
             assert_eq!(g.in_neighbors(i), vec![(0, 1.0)]);
         }
-    }
-
-    #[test]
-    fn partitioned_undirected_self_loop_is_single() {
-        let g = AdjacencyShared::new(3, false).with_partitioned_ingest(true);
-        let p = pool();
-        let stats = g.update_batch(&[Edge::new(1, 1, 1.0), Edge::new(2, 1, 1.0)], &p);
-        assert_eq!(stats.inserted, 2);
-        assert_eq!(g.out_neighbors(1).len(), 2);
-        let stats = g.delete_batch(&[Edge::new(1, 1, 0.0)], &p);
-        assert_eq!(stats.removed, 1);
-        assert_eq!(g.out_neighbors(1), vec![(2, 1.0)]);
     }
 
     #[test]

@@ -21,13 +21,10 @@
 //! (update 2.3–3.2× slower, §V-B) while its lockless hash-based update wins
 //! by 5.6–12.8× on heavy-tailed ones.
 
-use crate::adjacency_chunked::{chunked_update, chunked_update_rescan, IngestScratch};
 use crate::hash_tables::{OpenEdgeTable, RobinHoodEdgeTable};
-use crate::{DataStructureKind, DynamicGraph, Edge, GraphTopology, Node, UpdateStats, Weight};
-use saga_utils::sync::Mutex;
-use saga_utils::parallel::ThreadPool;
+use crate::shell::{Chunk, Chunks, Op, TwoSided};
+use crate::{DataStructureKind, Node, Weight};
 use saga_utils::probe;
-use saga_utils::sync::atomic::{AtomicUsize, Ordering};
 
 /// Low-table degree beyond which a vertex's edges are flushed to the
 /// high-degree table.
@@ -36,25 +33,28 @@ pub const DEFAULT_FLUSH_THRESHOLD: u32 = 16;
 /// One single-threaded DAH chunk: shared low-degree Robin Hood table plus
 /// per-vertex high-degree tables, with per-vertex degree counters serving
 /// the degree-query meta-operation.
-struct DahChunk {
+pub struct DahChunk {
     low: RobinHoodEdgeTable,
     high: Vec<Option<OpenEdgeTable>>,
     low_degree: Vec<u32>,
     high_degree: Vec<u32>,
+    /// Low-table degree beyond which a vertex is flushed to a high table.
+    threshold: u32,
 }
 
 impl DahChunk {
-    fn new(local_count: usize) -> Self {
+    fn new(local_count: usize, threshold: u32) -> Self {
         Self {
             low: RobinHoodEdgeTable::new(),
             high: (0..local_count).map(|_| None).collect(),
             low_degree: vec![0; local_count],
             high_degree: vec![0; local_count],
+            threshold,
         }
     }
 
     /// Search-then-insert with degree-aware placement.
-    fn insert(&mut self, local: usize, src: Node, dst: Node, weight: Weight, threshold: u32) -> bool {
+    fn insert(&mut self, local: usize, src: Node, dst: Node, weight: Weight) -> bool {
         // Meta-operation 1: query the degree of each table to decide
         // placement.
         probe::value_read(&self.low_degree[local]);
@@ -76,7 +76,7 @@ impl DahChunk {
         }
         self.low_degree[local] += 1;
         probe::value_write(&self.low_degree[local]);
-        if self.low_degree[local] > threshold {
+        if self.low_degree[local] > self.threshold {
             // Meta-operation 2: flush the vertex's cluster to a fresh
             // high-degree table.
             let edges = self.low.remove_vertex(src);
@@ -114,6 +114,18 @@ impl DahChunk {
         false
     }
 
+}
+
+impl Chunk for DahChunk {
+    const KIND: DataStructureKind = DataStructureKind::Dah;
+
+    fn apply(&mut self, op: Op, local: usize, key: Node, nbr: Node, weight: Weight) -> bool {
+        match op {
+            Op::Insert => self.insert(local, key, nbr, weight),
+            Op::Remove => self.remove(local, key, nbr),
+        }
+    }
+
     fn degree(&self, local: usize) -> usize {
         probe::value_read(&self.low_degree[local]);
         probe::value_read(&self.high_degree[local]);
@@ -138,46 +150,6 @@ impl DahChunk {
     }
 }
 
-/// One direction of DAH adjacency: lockless chunks, one owner thread each.
-pub(crate) struct DahLists {
-    chunks: Vec<Mutex<DahChunk>>,
-    threshold: u32,
-}
-
-impl DahLists {
-    fn new(capacity: usize, chunks: usize, threshold: u32) -> Self {
-        let chunks = chunks.max(1);
-        Self {
-            chunks: (0..chunks)
-                .map(|c| {
-                    let local_count = capacity.saturating_sub(c).div_ceil(chunks);
-                    Mutex::new(DahChunk::new(local_count))
-                })
-                .collect(),
-            threshold,
-        }
-    }
-
-    fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    #[inline]
-    fn chunk_of(&self, v: Node) -> usize {
-        v as usize % self.chunks.len()
-    }
-
-    fn degree(&self, v: Node) -> usize {
-        let chunk = self.chunks[self.chunk_of(v)].lock();
-        chunk.degree(v as usize / self.chunks.len())
-    }
-
-    fn for_each(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
-        let chunk = self.chunks[self.chunk_of(v)].lock();
-        chunk.for_each(v as usize / self.chunks.len(), v, f);
-    }
-}
-
 /// Degree-aware hashing (DAH).
 ///
 /// # Examples
@@ -193,26 +165,7 @@ impl DahLists {
 /// g.update_batch(&batch, &pool);
 /// assert_eq!(g.out_degree(0), 49); // flushed into the high-degree table
 /// ```
-pub struct Dah {
-    out: DahLists,
-    inn: Option<DahLists>,
-    capacity: usize,
-    directed: bool,
-    edges: AtomicUsize,
-    scratch: Mutex<IngestScratch>,
-}
-
-impl std::fmt::Debug for Dah {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Dah")
-            .field("capacity", &self.capacity)
-            .field("directed", &self.directed)
-            .field("chunks", &self.out.chunk_count())
-            .field("flush_threshold", &self.out.threshold)
-            .field("edges", &self.num_edges())
-            .finish()
-    }
-}
+pub type Dah = TwoSided<Chunks<DahChunk>>;
 
 impl Dah {
     /// Creates an empty DAH graph with the default flush threshold.
@@ -223,190 +176,17 @@ impl Dah {
     /// Creates an empty DAH graph with a custom low→high flush threshold
     /// (used by the threshold ablation bench).
     pub fn with_threshold(capacity: usize, directed: bool, chunks: usize, threshold: u32) -> Self {
-        Self {
-            out: DahLists::new(capacity, chunks, threshold),
-            inn: directed.then(|| DahLists::new(capacity, chunks, threshold)),
-            capacity,
-            directed,
-            edges: AtomicUsize::new(0),
-            scratch: Mutex::new(IngestScratch::new()),
-        }
-    }
-
-    /// The chunk that must ingest `edge` in the given direction (same
-    /// routing rule as AC).
-    fn key_chunk(&self, edge: &Edge, into_in: bool) -> usize {
-        if self.directed {
-            if into_in {
-                self.inn.as_ref().unwrap().chunk_of(edge.dst)
-            } else {
-                self.out.chunk_of(edge.src)
-            }
-        } else if into_in {
-            self.out.chunk_of(edge.dst)
-        } else {
-            self.out.chunk_of(edge.src)
-        }
-    }
-
-    fn ingest_insert(&self, chunk: usize, edge: &Edge, into_in: bool) -> bool {
-        let chunk_count = self.out.chunk_count();
-        let threshold = self.out.threshold;
-        let lists = if self.directed && into_in {
-            self.inn.as_ref().unwrap()
-        } else {
-            &self.out
-        };
-        let (src, dst) = if into_in {
-            (edge.dst, edge.src)
-        } else {
-            (edge.src, edge.dst)
-        };
-        if !self.directed && into_in && src == dst {
-            return false;
-        }
-        let mut guard = lists.chunks[chunk].lock();
-        let newly = guard.insert(
-            src as usize / chunk_count,
-            src,
-            dst,
-            edge.weight,
-            threshold,
-        );
-        if self.directed {
-            newly && !into_in
-        } else {
-            newly && src <= dst
-        }
-    }
-
-    fn ingest_remove(&self, chunk: usize, edge: &Edge, into_in: bool) -> bool {
-        let chunk_count = self.out.chunk_count();
-        let lists = if self.directed && into_in {
-            self.inn.as_ref().unwrap()
-        } else {
-            &self.out
-        };
-        let (src, dst) = if into_in {
-            (edge.dst, edge.src)
-        } else {
-            (edge.src, edge.dst)
-        };
-        if !self.directed && into_in && src == dst {
-            return false;
-        }
-        let mut guard = lists.chunks[chunk].lock();
-        let removed = guard.remove(src as usize / chunk_count, src, dst);
-        if self.directed {
-            removed && !into_in
-        } else {
-            removed && src <= dst
-        }
-    }
-
-    /// The pre-partitioning `O(batch × chunks)` update path, kept as the
-    /// baseline for the `update_ingest` microbenchmark (see
-    /// [`crate::adjacency_chunked::AdjacencyChunked::update_batch_rescan`]).
-    pub fn update_batch_rescan(&self, batch: &[Edge], pool: &ThreadPool) -> UpdateStats {
-        let inserted = chunked_update_rescan(
-            batch,
-            pool,
-            self.out.chunk_count(),
-            |edge, into_in| self.key_chunk(edge, into_in),
-            |chunk, edge, into_in| self.ingest_insert(chunk, edge, into_in),
-        );
-        self.edges.fetch_add(inserted, Ordering::AcqRel);
-        UpdateStats {
-            inserted,
-            duplicates: batch.len() - inserted,
-        }
-    }
-}
-
-impl GraphTopology for Dah {
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn num_edges(&self) -> usize {
-        self.edges.load(Ordering::Acquire)
-    }
-
-    fn is_directed(&self) -> bool {
-        self.directed
-    }
-
-
-
-    fn out_degree(&self, v: Node) -> usize {
-        self.out.degree(v)
-    }
-
-    fn in_degree(&self, v: Node) -> usize {
-        match &self.inn {
-            Some(inn) => inn.degree(v),
-            None => self.out.degree(v),
-        }
-    }
-
-    fn for_each_out_neighbor(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
-        self.out.for_each(v, f);
-    }
-
-    fn for_each_in_neighbor(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
-        match &self.inn {
-            Some(inn) => inn.for_each(v, f),
-            None => self.out.for_each(v, f),
-        }
-    }
-
-
-}
-
-impl DynamicGraph for Dah {
-    fn update_batch(&self, batch: &[Edge], pool: &ThreadPool) -> UpdateStats {
-        let inserted = chunked_update(
-            batch,
-            pool,
-            self.out.chunk_count(),
-            &self.scratch,
-            |edge, into_in| self.key_chunk(edge, into_in),
-            |chunk, edge, into_in| self.ingest_insert(chunk, edge, into_in),
-        );
-        self.edges.fetch_add(inserted, Ordering::AcqRel);
-        UpdateStats {
-            inserted,
-            duplicates: batch.len() - inserted,
-        }
-    }
-
-    fn kind(&self) -> DataStructureKind {
-        DataStructureKind::Dah
-    }
-}
-
-impl crate::DeletableGraph for Dah {
-    fn delete_batch(&self, batch: &[Edge], pool: &ThreadPool) -> crate::DeleteStats {
-        let removed = chunked_update(
-            batch,
-            pool,
-            self.out.chunk_count(),
-            &self.scratch,
-            |edge, into_in| self.key_chunk(edge, into_in),
-            |chunk, edge, into_in| self.ingest_remove(chunk, edge, into_in),
-        );
-        self.edges.fetch_sub(removed, Ordering::AcqRel);
-        crate::DeleteStats {
-            removed,
-            missing: batch.len() - removed,
-        }
+        Self::with_sides(capacity, directed, |_| {
+            Chunks::new(capacity, chunks, |local_count| DahChunk::new(local_count, threshold))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DeletableGraph;
+    use crate::{DeletableGraph, DynamicGraph, Edge, GraphTopology};
+    use saga_utils::parallel::ThreadPool;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
@@ -456,18 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn undirected_dah_delete_mirrors() {
-        let g = Dah::new(10, false, 3);
-        let p = pool();
-        g.update_batch(&[Edge::new(7, 2, 1.5)], &p);
-        let stats = g.delete_batch(&[Edge::new(2, 7, 0.0)], &p);
-        assert_eq!(stats.removed, 1);
-        assert!(g.out_neighbors(2).is_empty());
-        assert!(g.out_neighbors(7).is_empty());
-        assert_eq!(g.num_edges(), 0);
-    }
-
-    #[test]
     fn low_degree_vertices_stay_in_low_table() {
         let g = Dah::new(20, true, 4);
         g.update_batch(&[Edge::new(1, 2, 1.0), Edge::new(1, 3, 2.0)], &pool());
@@ -476,8 +244,8 @@ mod tests {
         ns.sort_by_key(|&(n, _)| n);
         assert_eq!(ns, vec![(2, 1.0), (3, 2.0)]);
         // Still below threshold: no high table.
-        let chunk = g.out.chunks[g.out.chunk_of(1)].lock();
-        assert!(chunk.high[1 / g.out.chunk_count()].is_none());
+        let chunk = g.sides.out.lock(g.sides.out.chunk_of(1));
+        assert!(chunk.high[g.sides.out.local(1)].is_none());
     }
 
     #[test]
@@ -486,7 +254,7 @@ mod tests {
         let batch: Vec<Edge> = (1..=20).map(|i| Edge::new(0, i, i as Weight)).collect();
         g.update_batch(&batch, &pool());
         assert_eq!(g.out_degree(0), 20);
-        let chunk = g.out.chunks[0].lock();
+        let chunk = g.sides.out.lock(0);
         assert!(chunk.high[0].is_some(), "vertex 0 should have been flushed");
         assert_eq!(chunk.low_degree[0], 0);
         assert_eq!(chunk.high_degree[0], 20);
@@ -516,16 +284,6 @@ mod tests {
         assert_eq!(stats.inserted, 0);
         assert_eq!(stats.duplicates, 1);
         assert_eq!(g.out_degree(1), 8);
-    }
-
-    #[test]
-    fn undirected_dah_mirrors() {
-        let g = Dah::new(10, false, 3);
-        let stats = g.update_batch(&[Edge::new(7, 2, 1.5)], &pool());
-        assert_eq!(stats.inserted, 1);
-        assert_eq!(g.out_neighbors(7), vec![(2, 1.5)]);
-        assert_eq!(g.out_neighbors(2), vec![(7, 1.5)]);
-        assert_eq!(g.in_neighbors(7), vec![(2, 1.5)]);
     }
 
     #[test]

@@ -30,16 +30,16 @@
 //! lock first, then drains chunks), so the two-level scheme cannot
 //! deadlock.
 
-use crate::adjacency_chunked::{chunked_update, IngestScratch};
+use crate::shell::{Chunks, Op, Sides, TwoSided};
 use crate::{
     DataStructureKind, DeletableGraph, DeleteStats, DynamicGraph, Edge, GraphTopology, Node,
     UpdateStats, Weight,
 };
-use saga_utils::sync::{Mutex, RwLock};
 use saga_utils::parallel::ThreadPool;
 use saga_utils::prefetch::{prefetch_index, PREFETCH_DISTANCE};
 use saga_utils::probe;
 use saga_utils::sync::atomic::{AtomicUsize, Ordering};
+use saga_utils::sync::RwLock;
 
 /// Compaction fires when the overlay holds at least this many entries,
 /// regardless of snapshot size (keeps tiny graphs compacting at all).
@@ -52,7 +52,6 @@ const THRESHOLD_SNAPSHOT_DIVISOR: usize = 4;
 /// One direction of the immutable CSR image. Neighbor lists are id-sorted,
 /// so snapshot membership tests are binary searches and merged scans stay
 /// sorted.
-#[derive(Default)]
 struct SnapshotDir {
     offsets: Vec<usize>,
     edges: Vec<(Node, Weight)>,
@@ -79,16 +78,8 @@ impl SnapshotDir {
     }
 }
 
-/// Both directions of the snapshot. Undirected graphs store each logical
-/// edge twice in `out` (mirror entries) and serve `in_*` from it, exactly
-/// like the dynamic structures; directed graphs keep a second image.
-struct Snapshot {
-    out: SnapshotDir,
-    inn: Option<SnapshotDir>,
-}
-
-/// Overlay state for the vertices owned by one chunk, indexed by
-/// `v / chunks`. `adds` are edges not live in the snapshot; `dels` are
+/// Overlay state for the vertices owned by one chunk, indexed by their
+/// local index. `adds` are edges not live in the snapshot; `dels` are
 /// tombstones over snapshot entries. The two are disjoint views: an edge
 /// re-inserted after deletion keeps its tombstone and gains an add.
 struct DeltaChunk {
@@ -96,29 +87,45 @@ struct DeltaChunk {
     dels: Vec<Vec<Node>>,
 }
 
-/// One direction of the chunked delta overlay.
-struct DeltaDir {
-    chunks: Vec<Mutex<DeltaChunk>>,
-}
-
-impl DeltaDir {
-    fn new(capacity: usize, chunks: usize) -> Self {
-        let chunks = chunks.max(1);
-        let store = (0..chunks)
-            .map(|c| {
-                let local_count = capacity.saturating_sub(c).div_ceil(chunks);
-                Mutex::new(DeltaChunk {
-                    adds: vec![Vec::new(); local_count],
-                    dels: vec![Vec::new(); local_count],
-                })
-            })
-            .collect();
-        Self { chunks: store }
-    }
-
-    #[inline]
-    fn chunk_of(&self, v: Node) -> usize {
-        v as usize % self.chunks.len()
+impl DeltaChunk {
+    /// Search-then-insert or search-then-remove of `key → nbr` against the
+    /// overlay and the snapshot direction `dir` it sits on; returns whether
+    /// the overlay changed (every change is one delta op).
+    fn apply(
+        &mut self,
+        dir: &SnapshotDir,
+        op: Op,
+        local: usize,
+        key: Node,
+        nbr: Node,
+        weight: Weight,
+    ) -> bool {
+        let (adds, dels) = (&mut self.adds[local], &mut self.dels[local]);
+        probe::slice_read(adds);
+        let added = adds.iter().position(|&(n, _)| n == nbr);
+        let live_in_snapshot = || dir.contains(key, nbr) && !dels.contains(&nbr);
+        match (op, added) {
+            (Op::Insert, Some(_)) => false,
+            (Op::Insert, None) if live_in_snapshot() => {
+                probe::slice_read(dir.neighbors(key));
+                false
+            }
+            (Op::Insert, None) => {
+                adds.push((nbr, weight));
+                probe::write(adds.last().unwrap() as *const (Node, Weight), 1);
+                true
+            }
+            (Op::Remove, Some(pos)) => {
+                adds.swap_remove(pos);
+                true
+            }
+            (Op::Remove, None) if live_in_snapshot() => {
+                dels.push(nbr);
+                probe::write(dels.last().unwrap() as *const Node, 1);
+                true
+            }
+            (Op::Remove, None) => false,
+        }
     }
 }
 
@@ -140,12 +147,13 @@ impl DeltaDir {
 /// assert_eq!(g.out_neighbors(0), vec![(5, 2.0)]);
 /// ```
 pub struct DeltaCsr {
-    snapshot: RwLock<Snapshot>,
-    out: DeltaDir,
-    inn: Option<DeltaDir>,
-    capacity: usize,
-    directed: bool,
-    edges: AtomicUsize,
+    /// Both directions of the CSR image, paired exactly like the overlay's
+    /// sides: undirected graphs store each logical edge twice in `out`
+    /// (mirror entries) and serve `in_*` from it.
+    snapshot: RwLock<Sides<SnapshotDir>>,
+    /// The chunked overlay, and with it the shell's routing, pass protocol
+    /// and edge counter.
+    overlay: TwoSided<Chunks<DeltaChunk>>,
     /// Overlay mutations since the last compaction (adds pushed, adds
     /// retracted, tombstones pushed) — the compaction trigger.
     delta_ops: AtomicUsize,
@@ -156,14 +164,13 @@ pub struct DeltaCsr {
     /// observability).
     compactions: AtomicUsize,
     threshold_floor: usize,
-    scratch: Mutex<IngestScratch>,
 }
 
 impl std::fmt::Debug for DeltaCsr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DeltaCsr")
-            .field("capacity", &self.capacity)
-            .field("directed", &self.directed)
+            .field("capacity", &self.capacity())
+            .field("directed", &self.is_directed())
             .field("edges", &self.num_edges())
             .field("delta_ops", &self.delta_ops.load(Ordering::Relaxed))
             .finish()
@@ -175,20 +182,17 @@ impl DeltaCsr {
     /// single-threaded overlay chunks (typically the update thread count).
     pub fn new(capacity: usize, directed: bool, chunks: usize) -> Self {
         Self {
-            snapshot: RwLock::new(Snapshot {
-                out: SnapshotDir::empty(capacity),
-                inn: directed.then(|| SnapshotDir::empty(capacity)),
+            snapshot: RwLock::new(Sides::new(directed, |_| SnapshotDir::empty(capacity))),
+            overlay: TwoSided::with_sides(capacity, directed, |_| {
+                Chunks::new(capacity, chunks, |local_count| DeltaChunk {
+                    adds: vec![Vec::new(); local_count],
+                    dels: vec![Vec::new(); local_count],
+                })
             }),
-            out: DeltaDir::new(capacity, chunks),
-            inn: directed.then(|| DeltaDir::new(capacity, chunks)),
-            capacity,
-            directed,
-            edges: AtomicUsize::new(0),
             delta_ops: AtomicUsize::new(0),
             snap_entries: AtomicUsize::new(0),
             compactions: AtomicUsize::new(0),
             threshold_floor: DEFAULT_THRESHOLD_FLOOR,
-            scratch: Mutex::new(IngestScratch::new()),
         }
     }
 
@@ -212,119 +216,45 @@ impl DeltaCsr {
         self.compactions.load(Ordering::Acquire)
     }
 
-    /// The chunk that must ingest `edge` in the given direction (same
-    /// routing convention as AC/DAH).
-    fn key_chunk(&self, edge: &Edge, into_in: bool) -> usize {
-        if self.directed {
-            if into_in {
-                self.inn.as_ref().unwrap().chunk_of(edge.dst)
-            } else {
-                self.out.chunk_of(edge.src)
-            }
-        } else if into_in {
-            self.out.chunk_of(edge.dst)
-        } else {
-            self.out.chunk_of(edge.src)
-        }
+    /// One chunked-style batch with the snapshot read-locked throughout,
+    /// then the compaction check; returns how many logical edges changed.
+    fn run_batch(&self, batch: &[Edge], pool: &ThreadPool, op: Op) -> usize {
+        let changed = {
+            let snap = self.snapshot.read();
+            self.overlay.chunked_batch(batch, pool, |chunk, edge, into_in| {
+                self.overlay.apply_pass(edge, into_in, |delta, key, nbr| {
+                    let changed = delta.lock(chunk).apply(
+                        snap.side(into_in),
+                        op,
+                        delta.local(key),
+                        key,
+                        nbr,
+                        edge.weight,
+                    );
+                    if changed {
+                        self.delta_ops.fetch_add(1, Ordering::Relaxed);
+                    }
+                    changed
+                })
+            })
+        };
+        self.maybe_compact();
+        changed
     }
 
-    /// Resolves `(delta direction, snapshot direction, src, dst)` for one
-    /// ingest pass, or `None` for the undirected self-loop mirror (which
-    /// is the same stored entry as its primary pass).
-    fn resolve<'a>(
-        &'a self,
-        snap: &'a Snapshot,
-        edge: &Edge,
-        into_in: bool,
-    ) -> Option<(&'a DeltaDir, &'a SnapshotDir, Node, Node)> {
-        let (delta, dir) = if self.directed && into_in {
-            (self.inn.as_ref().unwrap(), snap.inn.as_ref().unwrap())
-        } else {
-            (&self.out, &snap.out)
-        };
-        let (src, dst) = if into_in {
-            (edge.dst, edge.src)
-        } else {
-            (edge.src, edge.dst)
-        };
-        if !self.directed && into_in && src == dst {
-            return None; // self-loop mirror is the same entry
-        }
-        Some((delta, dir, src, dst))
+    fn degree_of(&self, v: Node, is_in: bool) -> usize {
+        let snap = self.snapshot.read();
+        let delta = self.overlay.sides.side(is_in);
+        let (chunk, local) = (delta.lock(delta.chunk_of(v)), delta.local(v));
+        snap.side(is_in).neighbors(v).len() + chunk.adds[local].len() - chunk.dels[local].len()
     }
 
-    fn ingest_insert(&self, snap: &Snapshot, chunk: usize, edge: &Edge, into_in: bool) -> bool {
-        let Some((delta, dir, src, dst)) = self.resolve(snap, edge, into_in) else {
-            return false;
-        };
-        let local = src as usize / delta.chunks.len();
-        let mut guard = delta.chunks[chunk].lock();
-        let DeltaChunk { adds, dels } = &mut *guard;
-        let adds = &mut adds[local];
-        probe::slice_read(adds);
-        let newly = if adds.iter().any(|&(n, _)| n == dst) {
-            false
-        } else if dir.contains(src, dst) && !dels[local].contains(&dst) {
-            probe::slice_read(dir.neighbors(src));
-            false
-        } else {
-            adds.push((dst, edge.weight));
-            probe::write(adds.last().unwrap() as *const (Node, Weight), 1);
-            self.delta_ops.fetch_add(1, Ordering::Relaxed);
-            true
-        };
-        if self.directed {
-            newly && !into_in
-        } else {
-            newly && src <= dst
-        }
-    }
-
-    fn ingest_remove(&self, snap: &Snapshot, chunk: usize, edge: &Edge, into_in: bool) -> bool {
-        let Some((delta, dir, src, dst)) = self.resolve(snap, edge, into_in) else {
-            return false;
-        };
-        let local = src as usize / delta.chunks.len();
-        let mut guard = delta.chunks[chunk].lock();
-        let DeltaChunk { adds, dels } = &mut *guard;
-        let adds = &mut adds[local];
-        probe::slice_read(adds);
-        let removed = if let Some(pos) = adds.iter().position(|&(n, _)| n == dst) {
-            adds.swap_remove(pos);
-            self.delta_ops.fetch_add(1, Ordering::Relaxed);
-            true
-        } else if dir.contains(src, dst) && !dels[local].contains(&dst) {
-            dels[local].push(dst);
-            probe::write(dels[local].last().unwrap() as *const Node, 1);
-            self.delta_ops.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        };
-        if self.directed {
-            removed && !into_in
-        } else {
-            removed && src <= dst
-        }
-    }
-
-    fn degree_of(&self, delta: &DeltaDir, dir: &SnapshotDir, v: Node) -> usize {
-        let chunk = delta.chunks[delta.chunk_of(v)].lock();
-        let local = v as usize / delta.chunks.len();
-        dir.neighbors(v).len() + chunk.adds[local].len() - chunk.dels[local].len()
-    }
-
-    fn for_each_dir(
-        &self,
-        delta: &DeltaDir,
-        dir: &SnapshotDir,
-        v: Node,
-        f: &mut dyn FnMut(Node, Weight),
-    ) {
-        let chunk = delta.chunks[delta.chunk_of(v)].lock();
-        let local = v as usize / delta.chunks.len();
+    fn for_each_of(&self, v: Node, is_in: bool, f: &mut dyn FnMut(Node, Weight)) {
+        let snap = self.snapshot.read();
+        let delta = self.overlay.sides.side(is_in);
+        let (chunk, local) = (delta.lock(delta.chunk_of(v)), delta.local(v));
         let dels = &chunk.dels[local];
-        let slice = dir.neighbors(v);
+        let slice = snap.side(is_in).neighbors(v);
         probe::slice_read(slice);
         if dels.is_empty() {
             // Hot path: one sequential sweep over the contiguous snapshot
@@ -368,12 +298,11 @@ impl DeltaCsr {
         let _span = saga_trace::span!("compaction", ops = self.delta_ops.load(Ordering::Relaxed) as u64);
         let mut snap = self.snapshot.write();
         let mut entries = 0usize;
-        let out = Self::merge_dir(self.capacity, &snap.out, &self.out, &mut entries);
-        let inn = self
-            .inn
-            .as_ref()
-            .map(|delta| Self::merge_dir(self.capacity, snap.inn.as_ref().unwrap(), delta, &mut entries));
-        *snap = Snapshot { out, inn };
+        let merged = Sides::new(self.is_directed(), |is_in| {
+            let (dir, delta) = (snap.side(is_in), self.overlay.sides.side(is_in));
+            Self::merge_dir(self.capacity(), dir, delta, &mut entries)
+        });
+        *snap = merged;
         self.snap_entries.store(entries, Ordering::Release);
         self.delta_ops.store(0, Ordering::Release);
         self.compactions.fetch_add(1, Ordering::AcqRel);
@@ -385,22 +314,19 @@ impl DeltaCsr {
     fn merge_dir(
         capacity: usize,
         dir: &SnapshotDir,
-        delta: &DeltaDir,
+        delta: &Chunks<DeltaChunk>,
         entries: &mut usize,
     ) -> SnapshotDir {
-        let mut guards: Vec<_> = delta.chunks.iter().map(|c| c.lock()).collect();
-        let chunk_count = delta.chunks.len();
+        let mut guards = delta.lock_all();
         let mut offsets = Vec::with_capacity(capacity + 1);
         let mut edges = Vec::with_capacity(dir.edges.len());
         offsets.push(0);
         let mut merged: Vec<(Node, Weight)> = Vec::new();
-        for v in 0..capacity {
-            let chunk = &mut *guards[v % chunk_count];
-            let local = v / chunk_count;
-            let DeltaChunk { adds, dels } = chunk;
-            let adds = &mut adds[local];
-            let dels = &mut dels[local];
-            let live = dir.neighbors(v as Node);
+        for v in 0..capacity as Node {
+            let local = delta.local(v);
+            let DeltaChunk { adds, dels } = &mut *guards[delta.chunk_of(v)];
+            let (adds, dels) = (&mut adds[local], &mut dels[local]);
+            let live = dir.neighbors(v);
             if adds.is_empty() && dels.is_empty() {
                 edges.extend_from_slice(live);
             } else {
@@ -429,63 +355,38 @@ impl DeltaCsr {
 
 impl GraphTopology for DeltaCsr {
     fn capacity(&self) -> usize {
-        self.capacity
+        self.overlay.capacity
     }
 
     fn num_edges(&self) -> usize {
-        self.edges.load(Ordering::Acquire)
+        self.overlay.edge_count()
     }
 
     fn is_directed(&self) -> bool {
-        self.directed
+        self.overlay.directed()
     }
 
     fn out_degree(&self, v: Node) -> usize {
-        let snap = self.snapshot.read();
-        self.degree_of(&self.out, &snap.out, v)
+        self.degree_of(v, false)
     }
 
     fn in_degree(&self, v: Node) -> usize {
-        let snap = self.snapshot.read();
-        match (&self.inn, &snap.inn) {
-            (Some(delta), Some(dir)) => self.degree_of(delta, dir, v),
-            _ => self.degree_of(&self.out, &snap.out, v),
-        }
+        self.degree_of(v, true)
     }
 
     fn for_each_out_neighbor(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
-        let snap = self.snapshot.read();
-        self.for_each_dir(&self.out, &snap.out, v, f);
+        self.for_each_of(v, false, f);
     }
 
     fn for_each_in_neighbor(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
-        let snap = self.snapshot.read();
-        match (&self.inn, &snap.inn) {
-            (Some(delta), Some(dir)) => self.for_each_dir(delta, dir, v, f),
-            _ => self.for_each_dir(&self.out, &snap.out, v, f),
-        }
+        self.for_each_of(v, true, f);
     }
 }
 
 impl DynamicGraph for DeltaCsr {
     fn update_batch(&self, batch: &[Edge], pool: &ThreadPool) -> UpdateStats {
-        let inserted = {
-            let snap = self.snapshot.read();
-            chunked_update(
-                batch,
-                pool,
-                self.out.chunks.len(),
-                &self.scratch,
-                |edge, into_in| self.key_chunk(edge, into_in),
-                |chunk, edge, into_in| self.ingest_insert(&snap, chunk, edge, into_in),
-            )
-        };
-        self.edges.fetch_add(inserted, Ordering::AcqRel);
-        self.maybe_compact();
-        UpdateStats {
-            inserted,
-            duplicates: batch.len() - inserted,
-        }
+        let inserted = self.run_batch(batch, pool, Op::Insert);
+        self.overlay.tally_inserted(batch.len(), inserted)
     }
 
     fn kind(&self) -> DataStructureKind {
@@ -495,23 +396,8 @@ impl DynamicGraph for DeltaCsr {
 
 impl DeletableGraph for DeltaCsr {
     fn delete_batch(&self, batch: &[Edge], pool: &ThreadPool) -> DeleteStats {
-        let removed = {
-            let snap = self.snapshot.read();
-            chunked_update(
-                batch,
-                pool,
-                self.out.chunks.len(),
-                &self.scratch,
-                |edge, into_in| self.key_chunk(edge, into_in),
-                |chunk, edge, into_in| self.ingest_remove(&snap, chunk, edge, into_in),
-            )
-        };
-        self.edges.fetch_sub(removed, Ordering::AcqRel);
-        self.maybe_compact();
-        DeleteStats {
-            removed,
-            missing: batch.len() - removed,
-        }
+        let removed = self.run_batch(batch, pool, Op::Remove);
+        self.overlay.tally_removed(batch.len(), removed)
     }
 }
 
@@ -521,36 +407,6 @@ mod tests {
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
-    }
-
-    #[test]
-    fn directed_insert_and_dedup() {
-        let g = DeltaCsr::new(10, true, 4);
-        let stats = g.update_batch(
-            &[Edge::new(1, 3, 2.0), Edge::new(1, 5, 1.0), Edge::new(1, 3, 9.0)],
-            &pool(),
-        );
-        assert_eq!(stats.inserted, 2);
-        assert_eq!(stats.duplicates, 1);
-        let mut out = g.out_neighbors(1);
-        out.sort_by_key(|&(n, _)| n);
-        assert_eq!(out, vec![(3, 2.0), (5, 1.0)]);
-        assert_eq!(g.in_neighbors(3), vec![(1, 2.0)]);
-        assert_eq!(g.num_edges(), 2);
-    }
-
-    #[test]
-    fn undirected_counts_logical_edges() {
-        let g = DeltaCsr::new(10, false, 4);
-        let stats = g.update_batch(
-            &[Edge::new(2, 7, 1.0), Edge::new(7, 2, 1.0), Edge::new(3, 3, 1.0)],
-            &pool(),
-        );
-        assert_eq!(stats.inserted, 2);
-        assert_eq!(g.out_neighbors(2), vec![(7, 1.0)]);
-        assert_eq!(g.out_neighbors(7), vec![(2, 1.0)]);
-        assert_eq!(g.out_neighbors(3), vec![(3, 1.0)]);
-        assert_eq!(g.num_edges(), 2);
     }
 
     #[test]

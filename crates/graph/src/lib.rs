@@ -19,10 +19,19 @@
 //! part of [`DataStructureKind::ALL`] (the paper's four); iterate
 //! [`DataStructureKind::ALL_WITH_DELTA`] to include it.
 //!
+//! The table's two independent axes are also the code's: each structure
+//! module holds only its *store* (one direction of adjacency), and the
+//! [`shell`] module holds everything else once — the `out` + `in` pair of
+//! footnote 3, the undirected mirror, which stored pass counts a logical
+//! edge, the edge counter, the three trait impls, and the two
+//! multithreading styles (shared: [`shell::SharedSide`]; chunked:
+//! [`shell::Chunk`] in [`shell::Chunks`]). The five public types are
+//! [`shell::TwoSided`] over their store (DeltaCSR wraps one around its
+//! snapshot).
+//!
 //! Every insert is preceded by a search so that edges are ingested uniquely
-//! (§III-A), and directed graphs maintain a second copy of the structure for
-//! in-neighbors (footnote 3). Vertex property values live outside the
-//! topology in [`properties`] arrays (footnote 4).
+//! (§III-A). Vertex property values live outside the topology in
+//! [`properties`] arrays (footnote 4).
 //!
 //! [`AdjacencyShared`]: adjacency_shared::AdjacencyShared
 //! [`AdjacencyChunked`]: adjacency_chunked::AdjacencyChunked
@@ -55,6 +64,7 @@ pub mod delta_csr;
 pub mod hash_tables;
 pub mod oracle;
 pub mod properties;
+pub mod shell;
 pub mod snapshots;
 pub mod stinger;
 
@@ -329,22 +339,7 @@ pub fn build_graph_with(
     chunks: usize,
     partitioned_ingest: bool,
 ) -> Box<dyn DynamicGraph> {
-    match kind {
-        DataStructureKind::AdjacencyShared => Box::new(
-            adjacency_shared::AdjacencyShared::new(capacity, directed)
-                .with_partitioned_ingest(partitioned_ingest),
-        ),
-        DataStructureKind::AdjacencyChunked => Box::new(
-            adjacency_chunked::AdjacencyChunked::new(capacity, directed, chunks),
-        ),
-        DataStructureKind::Stinger => Box::new(
-            stinger::Stinger::new(capacity, directed).with_partitioned_ingest(partitioned_ingest),
-        ),
-        DataStructureKind::Dah => Box::new(dah::Dah::new(capacity, directed, chunks)),
-        DataStructureKind::DeltaCsr => {
-            Box::new(delta_csr::DeltaCsr::new(capacity, directed, chunks))
-        }
-    }
+    build_deletable_graph_with(kind, capacity, directed, chunks, partitioned_ingest)
 }
 
 /// Builds a graph of the requested kind behind the deletion-capable

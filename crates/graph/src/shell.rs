@@ -1,0 +1,751 @@
+//! The two-sided graph shell: everything about a streaming structure that
+//! is not its store.
+//!
+//! The paper classifies its structures on two independent axes (§III-A):
+//! how one direction of adjacency is *stored*, and how a batch is
+//! *multithreaded* over that store. This module owns the second axis and
+//! everything the axes share; the structure modules own only the first.
+//!
+//! | style \ store | neighbor vectors | 16-edge block chains | degree-aware hash tables | CSR snapshot + overlay |
+//! |---|---|---|---|---|
+//! | **shared** — per-edge `parallel for`, fine-grained locks ([`SharedSide`]) | AS | Stinger | | |
+//! | **chunked** — one owner worker per chunk, lock-free inside ([`Chunk`] in [`Chunks`]) | AC | | DAH | DeltaCSR |
+//!
+//! [`TwoSided`] holds the `out` store and, for directed graphs, the `in`
+//! copy of footnote 3; implements [`GraphTopology`], [`DynamicGraph`] and
+//! [`DeletableGraph`] once; and keeps the *pass protocol* — how one logical
+//! edge maps to stored entries, and which of them is counted — in
+//! `TwoSided::pass` and `TwoSided::apply_pass`, which both styles (and
+//! DeltaCSR's wrapper) call.
+
+use crate::{
+    DataStructureKind, DeletableGraph, DeleteStats, DynamicGraph, Edge, GraphTopology, Node,
+    UpdateStats, Weight,
+};
+use saga_utils::parallel::ThreadPool;
+use saga_utils::partition::Partitioner;
+use saga_utils::sync::atomic::{AtomicUsize, Ordering};
+use saga_utils::sync::{Mutex, MutexGuard};
+
+/// Buckets per pool worker in partitioned shared-style ingest: more buckets
+/// than workers lets the dynamic bucket cursor balance skewed batches.
+const BUCKETS_PER_WORKER: usize = 8;
+
+/// What a batch does with each of its edges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    /// Search, then insert if absent (`update_batch`).
+    Insert,
+    /// Search, then remove if present (`delete_batch`).
+    Remove,
+}
+
+/// The `out` half of a two-sided value and, for directed graphs, its `in`
+/// copy (footnote 3 of the paper).
+pub(crate) struct Sides<T> {
+    pub(crate) out: T,
+    pub(crate) inn: Option<T>,
+}
+
+impl<T> Sides<T> {
+    /// Builds `out` as `make(false)` and, when `directed`, `inn` as
+    /// `make(true)`.
+    pub(crate) fn new(directed: bool, mut make: impl FnMut(/*is_in:*/ bool) -> T) -> Self {
+        Self {
+            out: make(false),
+            inn: directed.then(|| make(true)),
+        }
+    }
+
+    /// The half an `into_in` pass reads or writes: the in-copy when there
+    /// is one, else `out` — which also holds an undirected graph's mirrors.
+    pub(crate) fn side(&self, into_in: bool) -> &T {
+        match &self.inn {
+            Some(inn) if into_in => inn,
+            _ => &self.out,
+        }
+    }
+}
+
+/// One direction of adjacency: the read half every store provides, plus the
+/// choice of multithreading style for its batches.
+pub trait Side: Send + Sync + Sized {
+    /// The structure a [`TwoSided`] over this store is.
+    const KIND: DataStructureKind;
+
+    /// Current number of neighbors stored for `v`.
+    fn degree(&self, v: Node) -> usize;
+
+    /// Visits every neighbor stored for `v`.
+    fn for_each(&self, v: Node, f: &mut dyn FnMut(Node, Weight));
+
+    /// Applies `op` to every edge of `batch` in this store's multithreading
+    /// style and returns how many logical edges changed.
+    fn run_batch(shell: &TwoSided<Self>, batch: &[Edge], pool: &ThreadPool, op: Op) -> usize;
+}
+
+/// Reusable partitioning scratch of the update phase: one [`Partitioner`]
+/// per pass (out-keys and in-keys of the same batch), so `update_batch(&self)`
+/// reaches steady state with zero per-batch allocation.
+#[derive(Default)]
+pub(crate) struct IngestScratch {
+    out: Partitioner,
+    inn: Partitioner,
+}
+
+/// A streaming graph structure over store `S`: the `out` / `in` pair, the
+/// edge counter, and the protocol that maps logical edges to stored passes.
+/// The five public structures are this type (or, for DeltaCSR, wrap it).
+pub struct TwoSided<S> {
+    pub(crate) sides: Sides<S>,
+    pub(crate) capacity: usize,
+    edges: AtomicUsize,
+    /// Shared-style only: route batches through the counting-sort
+    /// partitioner instead of the paper's per-edge `parallel for`.
+    partitioned: bool,
+    scratch: Mutex<IngestScratch>,
+}
+
+impl<S: Side> std::fmt::Debug for TwoSided<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct(S::KIND.abbrev())
+            .field("capacity", &self.capacity)
+            .field("directed", &self.directed())
+            .field("edges", &self.edge_count())
+            .finish()
+    }
+}
+
+impl<S> TwoSided<S> {
+    /// An empty graph over vertex ids `0..capacity` whose stores come from
+    /// `make(is_in)`.
+    pub(crate) fn with_sides(
+        capacity: usize,
+        directed: bool,
+        make: impl FnMut(/*is_in:*/ bool) -> S,
+    ) -> Self {
+        Self {
+            sides: Sides::new(directed, make),
+            capacity,
+            edges: AtomicUsize::new(0),
+            partitioned: false,
+            scratch: Mutex::new(IngestScratch::default()),
+        }
+    }
+
+    pub(crate) fn directed(&self) -> bool {
+        self.sides.inn.is_some()
+    }
+
+    pub(crate) fn edge_count(&self) -> usize {
+        self.edges.load(Ordering::Acquire)
+    }
+
+    /// `(key, nbr)` of one of the two stored passes of `edge`: `key`'s
+    /// adjacency gains or loses `nbr`, so `key` is also what the pass is
+    /// routed by. The out pass stores `src → dst`; the in pass stores
+    /// `dst → src` into the in-copy (directed) or as the mirror entry in
+    /// `out` (undirected). An undirected edge is canonicalised small → large
+    /// first, so `(a, b)` and `(b, a)` are the same two passes.
+    pub(crate) fn pass(&self, edge: &Edge, into_in: bool) -> (Node, Node) {
+        let (src, dst) = if self.directed() || edge.src <= edge.dst {
+            (edge.src, edge.dst)
+        } else {
+            (edge.dst, edge.src)
+        };
+        if into_in {
+            (dst, src)
+        } else {
+            (src, dst)
+        }
+    }
+
+    /// Runs one pass of `edge` through `apply(store, key, nbr)` — a
+    /// search-first insert or remove reporting whether it changed the store
+    /// — and returns whether the pass accounts for a logical edge.
+    ///
+    /// Because every `apply` searches first and the two passes of an edge
+    /// are always attempted as a pair, they may run coupled (the in pass
+    /// only after the out pass changed something) or decoupled on different
+    /// workers: a redundant pass finds its entry already present or absent.
+    pub(crate) fn apply_pass(
+        &self,
+        edge: &Edge,
+        into_in: bool,
+        apply: impl FnOnce(&S, Node, Node) -> bool,
+    ) -> bool {
+        let (key, nbr) = self.pass(edge, into_in);
+        if !self.directed() && into_in && key == nbr {
+            // The undirected self-loop mirror is the entry its canonical
+            // pass already handled: skip the redundant search.
+            return false;
+        }
+        // A logical edge is counted exactly once, by its out (directed) or
+        // canonical (undirected) pass.
+        apply(self.sides.side(into_in), key, nbr) && !into_in
+    }
+
+    pub(crate) fn tally_inserted(&self, batch_len: usize, inserted: usize) -> UpdateStats {
+        self.edges.fetch_add(inserted, Ordering::AcqRel);
+        UpdateStats {
+            inserted,
+            duplicates: batch_len - inserted,
+        }
+    }
+
+    pub(crate) fn tally_removed(&self, batch_len: usize, removed: usize) -> DeleteStats {
+        self.edges.fetch_sub(removed, Ordering::AcqRel);
+        DeleteStats {
+            removed,
+            missing: batch_len - removed,
+        }
+    }
+}
+
+impl<S: Side> GraphTopology for TwoSided<S> {
+    fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    fn num_edges(&self) -> usize {
+        self.edge_count()
+    }
+
+    fn is_directed(&self) -> bool {
+        self.directed()
+    }
+
+    fn out_degree(&self, v: Node) -> usize {
+        self.sides.out.degree(v)
+    }
+
+    fn in_degree(&self, v: Node) -> usize {
+        self.sides.side(true).degree(v)
+    }
+
+    fn for_each_out_neighbor(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
+        self.sides.out.for_each(v, f);
+    }
+
+    fn for_each_in_neighbor(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
+        self.sides.side(true).for_each(v, f);
+    }
+}
+
+impl<S: Side> DynamicGraph for TwoSided<S> {
+    fn update_batch(&self, batch: &[Edge], pool: &ThreadPool) -> UpdateStats {
+        self.tally_inserted(batch.len(), S::run_batch(self, batch, pool, Op::Insert))
+    }
+
+    fn kind(&self) -> DataStructureKind {
+        S::KIND
+    }
+}
+
+impl<S: Side> DeletableGraph for TwoSided<S> {
+    fn delete_batch(&self, batch: &[Edge], pool: &ThreadPool) -> DeleteStats {
+        self.tally_removed(batch.len(), S::run_batch(self, batch, pool, Op::Remove))
+    }
+}
+
+/// A store multithreaded *shared-style* (§III-A1, §III-A3): any worker may
+/// update any vertex, under the store's own fine-grained locks.
+pub trait SharedSide: Side {
+    /// Whatever the store can keep locked across a run of passes on one
+    /// vertex (AS: the vertex's list guard; Stinger: nothing — its locks are
+    /// per block).
+    type Held<'a>
+    where
+        Self: 'a;
+
+    /// Takes `key`'s lock, if the store has one per vertex.
+    fn hold(&self, key: Node) -> Self::Held<'_>;
+
+    /// Search-then-insert or search-then-remove of `key → nbr` under
+    /// `held`; returns whether the store changed.
+    fn apply_held(
+        &self,
+        held: &mut Self::Held<'_>,
+        op: Op,
+        key: Node,
+        nbr: Node,
+        weight: Weight,
+    ) -> bool;
+}
+
+impl<S: SharedSide> TwoSided<S> {
+    /// Enables or disables partitioned ingest: the batch is first grouped
+    /// by key vertex with the counting-sort partitioner, then each bucket of
+    /// vertices is drained by exactly one worker, so no two workers ever
+    /// contend on one vertex and a per-vertex lock is taken once per run of
+    /// same-key edges. It removes the hub serialization the paper measures
+    /// for shared-style structures and is therefore off by default.
+    pub fn with_partitioned_ingest(mut self, enabled: bool) -> Self {
+        self.partitioned = enabled;
+        self
+    }
+
+    /// The paper's shared-style batch: a static `parallel for` over the
+    /// edges (one contiguous range per worker), each worker running both
+    /// passes of its edges.
+    pub(crate) fn shared_batch(&self, batch: &[Edge], pool: &ThreadPool, op: Op) -> usize {
+        if self.partitioned {
+            return self.partitioned_batch(batch, pool, op);
+        }
+        let changed = AtomicUsize::new(0);
+        pool.parallel_ranges(0..batch.len(), |_, range| {
+            let mut local = 0;
+            for edge in &batch[range] {
+                let apply = |side: &S, key, nbr| {
+                    side.apply_held(&mut side.hold(key), op, key, nbr, edge.weight)
+                };
+                // Coupled passes: the out pass decides (under the key's
+                // lock) which of two racing copies of an edge wins, and only
+                // the winner touches the in side.
+                if self.apply_pass(edge, false, apply) {
+                    self.apply_pass(edge, true, apply);
+                    local += 1;
+                }
+            }
+            changed.fetch_add(local, Ordering::Relaxed);
+        });
+        changed.load(Ordering::Relaxed)
+    }
+
+    /// Partitions both passes by key vertex, then drains buckets through a
+    /// dynamic cursor. Bucket exclusivity means no two workers ever touch
+    /// the same vertex, so every lock acquisition is uncontended.
+    fn partitioned_batch(&self, batch: &[Edge], pool: &ThreadPool, op: Op) -> usize {
+        let n_buckets = (pool.threads() * BUCKETS_PER_WORKER).max(1);
+        let mut scratch = self.scratch.lock();
+        let IngestScratch { out, inn } = &mut *scratch;
+        out.partition(pool, batch.len(), n_buckets, |i| {
+            self.pass(&batch[i], false).0 as usize % n_buckets
+        });
+        inn.partition(pool, batch.len(), n_buckets, |i| {
+            self.pass(&batch[i], true).0 as usize % n_buckets
+        });
+        let (out, inn) = (&*out, &*inn);
+        let changed = AtomicUsize::new(0);
+        let cursor = AtomicUsize::new(0);
+        pool.run_on_all(|_| {
+            let mut local = 0;
+            loop {
+                // Dynamic bucket grabbing: skewed buckets (a hub's vertex)
+                // keep one worker busy while the others drain the rest.
+                let b = cursor.fetch_add(1, Ordering::Relaxed);
+                if b >= n_buckets {
+                    break;
+                }
+                for (part, into_in) in [(out, false), (inn, true)] {
+                    let side = self.sides.side(into_in);
+                    let idxs = part.bucket(b);
+                    let mut i = 0;
+                    while i < idxs.len() {
+                        // Hold once per run of consecutive same-key edges
+                        // (buckets preserve batch order, so a hub's edges
+                        // form one long run).
+                        let run_key = self.pass(&batch[idxs[i] as usize], into_in).0;
+                        let mut held = side.hold(run_key);
+                        while i < idxs.len() {
+                            let edge = &batch[idxs[i] as usize];
+                            if self.pass(edge, into_in).0 != run_key {
+                                break;
+                            }
+                            if self.apply_pass(edge, into_in, |side, key, nbr| {
+                                side.apply_held(&mut held, op, key, nbr, edge.weight)
+                            }) {
+                                local += 1;
+                            }
+                            i += 1;
+                        }
+                    }
+                }
+            }
+            changed.fetch_add(local, Ordering::Relaxed);
+        });
+        changed.load(Ordering::Relaxed)
+    }
+}
+
+/// The per-chunk store of a structure multithreaded *chunked-style*
+/// (§III-A2, §III-A4): a single-threaded structure over the vertices one
+/// chunk owns, indexed by their local index.
+pub trait Chunk: Send {
+    /// The structure a [`TwoSided`] over [`Chunks`] of this chunk is.
+    const KIND: DataStructureKind;
+
+    /// Search-then-insert or search-then-remove of `key → nbr`, where `key`
+    /// is this chunk's vertex number `local`; returns whether the chunk
+    /// changed.
+    fn apply(&mut self, op: Op, local: usize, key: Node, nbr: Node, weight: Weight) -> bool;
+
+    /// Current number of neighbors of the chunk's vertex number `local`.
+    fn degree(&self, local: usize) -> usize;
+
+    /// Visits every neighbor of `key`, the chunk's vertex number `local`.
+    fn for_each(&self, local: usize, key: Node, f: &mut dyn FnMut(Node, Weight));
+}
+
+/// One direction of chunked adjacency: vertex `v` belongs to chunk
+/// `v % chunks` at local index `v / chunks`. Chunks sit behind uncontended
+/// mutexes — the ownership discipline (exactly one worker per chunk during a
+/// batch) makes per-edge contention impossible, which is the "lockless"
+/// property the paper ascribes to chunked multithreading.
+pub struct Chunks<C> {
+    chunks: Vec<Mutex<C>>,
+}
+
+impl<C> Chunks<C> {
+    /// `chunks` (at least one) chunks over `0..capacity`, each built by
+    /// `make(local_count)` for the vertices `c, c + chunks, c + 2·chunks, …`
+    /// it owns.
+    pub(crate) fn new(capacity: usize, chunks: usize, make: impl Fn(usize) -> C) -> Self {
+        let chunks = chunks.max(1);
+        Self {
+            chunks: (0..chunks)
+                .map(|c| Mutex::new(make(capacity.saturating_sub(c).div_ceil(chunks))))
+                .collect(),
+        }
+    }
+
+    pub(crate) fn count(&self) -> usize {
+        self.chunks.len()
+    }
+
+    #[inline]
+    pub(crate) fn chunk_of(&self, v: Node) -> usize {
+        v as usize % self.chunks.len()
+    }
+
+    /// `v`'s index inside its chunk.
+    #[inline]
+    pub(crate) fn local(&self, v: Node) -> usize {
+        v as usize / self.chunks.len()
+    }
+
+    pub(crate) fn lock(&self, chunk: usize) -> MutexGuard<'_, C> {
+        self.chunks[chunk].lock()
+    }
+
+    /// Every chunk's guard, taken in index order.
+    pub(crate) fn lock_all(&self) -> Vec<MutexGuard<'_, C>> {
+        self.chunks.iter().map(|c| c.lock()).collect()
+    }
+}
+
+impl<C: Chunk> Side for Chunks<C> {
+    const KIND: DataStructureKind = C::KIND;
+
+    fn degree(&self, v: Node) -> usize {
+        self.lock(self.chunk_of(v)).degree(self.local(v))
+    }
+
+    fn for_each(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
+        self.lock(self.chunk_of(v)).for_each(self.local(v), v, f);
+    }
+
+    fn run_batch(shell: &TwoSided<Self>, batch: &[Edge], pool: &ThreadPool, op: Op) -> usize {
+        shell.chunked_batch(batch, pool, |chunk, edge, into_in| {
+            shell.ingest(chunk, edge, into_in, op)
+        })
+    }
+}
+
+impl<C: Send> TwoSided<Chunks<C>> {
+    /// The chunk that must apply the `into_in` pass of `edge`: the owner of
+    /// the pass's key vertex.
+    fn key_chunk(&self, edge: &Edge, into_in: bool) -> usize {
+        self.sides.out.chunk_of(self.pass(edge, into_in).0)
+    }
+
+    /// The chunked-style batch: routes every pass to the chunk owning its
+    /// key and has the chunk's owner worker run `ingest(chunk, edge,
+    /// into_in)`, which reports whether the pass accounts for a logical edge
+    /// (see [`apply_pass`](Self::apply_pass)).
+    pub(crate) fn chunked_batch(
+        &self,
+        batch: &[Edge],
+        pool: &ThreadPool,
+        ingest: impl Fn(usize, &Edge, bool) -> bool + Sync,
+    ) -> usize {
+        chunked_update(
+            batch,
+            pool,
+            self.sides.out.count(),
+            &self.scratch,
+            |edge, into_in| self.key_chunk(edge, into_in),
+            ingest,
+        )
+    }
+}
+
+impl<C: Chunk> TwoSided<Chunks<C>> {
+    fn ingest(&self, chunk: usize, edge: &Edge, into_in: bool, op: Op) -> bool {
+        self.apply_pass(edge, into_in, |side, key, nbr| {
+            side.lock(chunk).apply(op, side.local(key), key, nbr, edge.weight)
+        })
+    }
+
+    /// The pre-partitioning update path: every chunk owner rescans the full
+    /// batch and skips foreign edges, costing `O(batch × chunks)` key
+    /// evaluations. Kept (not wired into [`DynamicGraph::update_batch`]) as
+    /// the baseline for the `update_ingest` microbenchmark and the key-count
+    /// regression test.
+    pub fn update_batch_rescan(&self, batch: &[Edge], pool: &ThreadPool) -> UpdateStats {
+        let inserted = chunked_update_rescan(
+            batch,
+            pool,
+            self.sides.out.count(),
+            |edge, into_in| self.key_chunk(edge, into_in),
+            |chunk, edge, into_in| self.ingest(chunk, edge, into_in, Op::Insert),
+        );
+        self.tally_inserted(batch.len(), inserted)
+    }
+}
+
+/// Runs a chunk-partitioned pass over a batch.
+///
+/// The batch is first partitioned into per-chunk buckets of edge indices —
+/// once per pass, evaluating `key_chunk` exactly twice per edge — then
+/// worker `w` drains the buckets of every chunk `c` with
+/// `c % threads == w`, ingesting that chunk's out-keyed edges and then its
+/// in-keyed edges in batch order. Total work is `O(batch)` key evaluations
+/// instead of the rescan loop's `O(batch × chunks)`; chunk ownership (and
+/// therefore the paper's imbalance behaviour, Fig. 9) is unchanged.
+///
+/// `ingest` returns whether the call accounts for a logical edge.
+fn chunked_update<FKey, FIns>(
+    batch: &[Edge],
+    pool: &ThreadPool,
+    chunk_count: usize,
+    scratch: &Mutex<IngestScratch>,
+    key_chunk: FKey,
+    ingest: FIns,
+) -> usize
+where
+    FKey: Fn(&Edge, /*into_in:*/ bool) -> usize + Sync,
+    FIns: Fn(usize, &Edge, /*into_in:*/ bool) -> bool + Sync,
+{
+    let mut scratch = scratch.lock();
+    let IngestScratch { out, inn } = &mut *scratch;
+    out.partition(pool, batch.len(), chunk_count, |i| {
+        key_chunk(&batch[i], false)
+    });
+    inn.partition(pool, batch.len(), chunk_count, |i| {
+        key_chunk(&batch[i], true)
+    });
+    let (out, inn) = (&*out, &*inn);
+    let changed = AtomicUsize::new(0);
+    let threads = pool.threads();
+    pool.run_on_all(|w| {
+        let mut local_changed = 0;
+        let mut chunk = w;
+        while chunk < chunk_count {
+            // Each bucket is in batch order, so the first copy of a
+            // duplicated edge wins in every chunk it reaches. The two
+            // buckets need no interleaving: they write different stores
+            // (directed) or disjoint entries of one list (undirected: the
+            // canonical pass stores `v → x` with `x >= v`, the mirror pass
+            // `x < v`).
+            for (part, into_in) in [(out, false), (inn, true)] {
+                for &i in part.bucket(chunk) {
+                    if ingest(chunk, &batch[i as usize], into_in) {
+                        local_changed += 1;
+                    }
+                }
+            }
+            chunk += threads;
+        }
+        changed.fetch_add(local_changed, Ordering::Relaxed);
+    });
+    changed.load(Ordering::Relaxed)
+}
+
+/// The legacy rescan pass: worker `w` handles every chunk `c` with
+/// `c % threads == w`, scanning the whole batch per chunk and ingesting the
+/// edges whose key vertex it owns. `O(batch × chunks)` key evaluations —
+/// kept only as the microbenchmark baseline for [`chunked_update`].
+fn chunked_update_rescan<FKey, FIns>(
+    batch: &[Edge],
+    pool: &ThreadPool,
+    chunk_count: usize,
+    key_chunk: FKey,
+    ingest: FIns,
+) -> usize
+where
+    FKey: Fn(&Edge, /*into_in:*/ bool) -> usize + Sync,
+    FIns: Fn(usize, &Edge, /*into_in:*/ bool) -> bool + Sync,
+{
+    let changed = AtomicUsize::new(0);
+    let threads = pool.threads();
+    pool.run_on_all(|w| {
+        let mut local_changed = 0;
+        let mut chunk = w;
+        while chunk < chunk_count {
+            for edge in batch {
+                if key_chunk(edge, false) == chunk && ingest(chunk, edge, false) {
+                    local_changed += 1;
+                }
+                if key_chunk(edge, true) == chunk && ingest(chunk, edge, true) {
+                    local_changed += 1;
+                }
+            }
+            chunk += threads;
+        }
+        changed.fetch_add(local_changed, Ordering::Relaxed);
+    });
+    changed.load(Ordering::Relaxed)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::adjacency_chunked::AdjacencyChunked;
+    use crate::dah::Dah;
+    use crate::oracle::GraphOracle;
+    use crate::{build_deletable_graph_with, DataStructureKind};
+
+    /// Every structure × directedness × partitioned-ingest choice.
+    fn every_config(mut check: impl FnMut(DataStructureKind, bool, bool)) {
+        for kind in DataStructureKind::ALL_WITH_DELTA {
+            for directed in [true, false] {
+                for partitioned in [false, true] {
+                    check(kind, directed, partitioned);
+                }
+            }
+        }
+    }
+
+    /// The shell's contract, once for all five structures: after every batch
+    /// of a script that walks the protocol's corner cases, the batch tallies
+    /// and the whole topology (both directions, degrees, weights) equal the
+    /// sequential oracle's.
+    #[test]
+    fn every_structure_follows_the_pass_protocol() {
+        let e = |s, d, w: f32| Edge::new(s, d, w);
+        let bulk: Vec<Edge> = (0..600).map(|i| e(i % 23, (i * 17) % 29, 1.0)).collect();
+        let bulk_deletes: Vec<Edge> = (0..200).map(|i| e(i % 23, (i * 5) % 29, 0.0)).collect();
+        let script: Vec<(Op, Vec<Edge>)> = vec![
+            // Both directions of a directed edge; a reversed duplicate and a
+            // self-loop, which an undirected graph stores once.
+            (Op::Insert, vec![e(1, 3, 2.0), e(2, 4, 1.5), e(4, 2, 1.5), e(3, 3, 4.0)]),
+            // Duplicates inside one batch and across batches.
+            (Op::Insert, [vec![e(0, 1, 1.0); 10], vec![e(1, 3, 2.0), e(0, 2, 1.0)]].concat()),
+            // Delete: present, never present, twice in one batch, reversed
+            // orientation (the same edge only when undirected); weights are
+            // ignored when matching.
+            (Op::Remove, vec![e(0, 1, 9.0), e(5, 6, 0.0), e(0, 2, 0.0), e(0, 2, 0.0), e(3, 1, 0.0)]),
+            (Op::Remove, vec![e(3, 3, 0.0), e(3, 3, 0.0)]),
+            // Reinsert after delete takes the new weight.
+            (Op::Insert, vec![e(0, 1, 7.0), e(3, 3, 8.0)]),
+            // Enough edges to span chunks, buckets, Stinger blocks, DAH's
+            // flush threshold and DeltaCSR's compaction floor.
+            (Op::Insert, bulk),
+            (Op::Remove, bulk_deletes),
+        ];
+        let pool = ThreadPool::new(4);
+        every_config(|kind, directed, partitioned| {
+            let g = build_deletable_graph_with(kind, 32, directed, pool.threads(), partitioned);
+            let mut oracle = GraphOracle::new(32, directed);
+            for (step, (op, batch)) in script.iter().enumerate() {
+                let at = format!("{kind:?}, directed = {directed}, partitioned = {partitioned}, step {step}");
+                match op {
+                    Op::Insert => {
+                        assert_eq!(g.update_batch(batch, &pool), oracle.insert_batch_stats(batch), "{at}");
+                    }
+                    Op::Remove => {
+                        assert_eq!(g.delete_batch(batch, &pool), oracle.delete_batch(batch), "{at}");
+                    }
+                }
+                if let Some(diff) = oracle.diff(g.as_ref(), true) {
+                    panic!("{at}: {diff}");
+                }
+            }
+        });
+    }
+
+    /// One batch carries the same edge with different weights, and its two
+    /// passes land in different chunks / buckets (`1 % 4 != 6 % 4`). Both
+    /// stored copies must carry the same weight; where one worker owns each
+    /// vertex (chunked style, partitioned ingest) the first copy in the batch
+    /// wins, as in the oracle. The per-edge shared loop races the copies, so
+    /// there only the agreement of the two copies is checked.
+    #[test]
+    fn conflicting_weights_in_one_batch_stay_symmetric() {
+        let pool = ThreadPool::new(4);
+        let batch = [Edge::new(1, 6, 1.0), Edge::new(6, 1, 2.0), Edge::new(1, 6, 3.0)];
+        every_config(|kind, directed, partitioned| {
+            let g = build_deletable_graph_with(kind, 8, directed, pool.threads(), partitioned);
+            let mut oracle = GraphOracle::new(8, directed);
+            assert_eq!(g.update_batch(&batch, &pool), oracle.insert_batch_stats(&batch));
+            let shared_style =
+                matches!(kind, DataStructureKind::AdjacencyShared | DataStructureKind::Stinger);
+            oracle.assert_matches(g.as_ref(), partitioned || !shared_style);
+            let weights = |ns: Vec<(Node, Weight)>| ns.into_iter().map(|(_, w)| w).collect::<Vec<_>>();
+            let at = format!("{kind:?}, directed = {directed}, partitioned = {partitioned}");
+            assert_eq!(weights(g.out_neighbors(1)), weights(g.in_neighbors(6)), "{at}");
+            assert_eq!(weights(g.out_neighbors(6)), weights(g.in_neighbors(1)), "{at}");
+        });
+    }
+
+    #[test]
+    fn chunk_ownership_partitions_vertices() {
+        let chunks = Chunks::new(103, 4, |local_count| local_count);
+        for v in 0..103u32 {
+            assert_eq!(chunks.chunk_of(v), v as usize % 4);
+            assert_eq!(chunks.local(v), v as usize / 4);
+        }
+        // 103 = 4 × 25 + 3: chunks 0..3 own 26 vertices, chunk 3 owns 25.
+        let owned: Vec<usize> = chunks.lock_all().iter().map(|c| **c).collect();
+        assert_eq!(owned, [26, 26, 26, 25]);
+    }
+
+    #[test]
+    fn rescan_path_matches_partitioned_path() {
+        let pool = ThreadPool::new(4);
+        let batch: Vec<Edge> = (0..500)
+            .map(|i| Edge::new(i % 37, (i * 13) % 41, 1.0 + (i % 5) as f32))
+            .collect();
+        for directed in [true, false] {
+            let mut oracle = GraphOracle::new(64, directed);
+            let expected = oracle.insert_batch_stats(&batch);
+            let ac = AdjacencyChunked::new(64, directed, 4);
+            assert_eq!(ac.update_batch_rescan(&batch, &pool), expected, "AC, directed = {directed}");
+            oracle.assert_matches(&ac, false);
+            let dah = Dah::new(64, directed, 4);
+            assert_eq!(dah.update_batch_rescan(&batch, &pool), expected, "DAH, directed = {directed}");
+            oracle.assert_matches(&dah, false);
+        }
+    }
+
+    #[test]
+    fn partitioned_update_evaluates_each_key_once() {
+        // The O(batch) acceptance check: the partitioned path evaluates the
+        // chunk key exactly twice per edge (once per pass) no matter how
+        // many chunks exist, while the rescan path pays 2 × batch × chunks
+        // evaluations.
+        let pool = ThreadPool::new(4);
+        let batch: Vec<Edge> = (0..200).map(|i| Edge::new(i % 13, i % 7, 1.0)).collect();
+        for chunk_count in [1usize, 4, 16] {
+            let evals = AtomicUsize::new(0);
+            let key_chunk = |edge: &Edge, into_in: bool| {
+                evals.fetch_add(1, Ordering::Relaxed);
+                (if into_in { edge.dst } else { edge.src }) as usize % chunk_count
+            };
+            let scratch = Mutex::new(IngestScratch::default());
+            chunked_update(&batch, &pool, chunk_count, &scratch, key_chunk, |_, _, _| false);
+            assert_eq!(
+                evals.swap(0, Ordering::Relaxed),
+                2 * batch.len(),
+                "partitioned, chunks = {chunk_count}"
+            );
+            chunked_update_rescan(&batch, &pool, chunk_count, key_chunk, |_, _, _| false);
+            assert_eq!(
+                evals.load(Ordering::Relaxed),
+                2 * batch.len() * chunk_count,
+                "rescan, chunks = {chunk_count}"
+            );
+        }
+    }
+}

@@ -26,14 +26,13 @@
 //! paper blames for Stinger's compute latency — and the access probe
 //! records each hop for the cache simulator.
 
-use crate::adjacency_chunked::IngestScratch;
-use crate::adjacency_shared::{ingest_edge, pass_key, pass_op, BUCKETS_PER_WORKER};
-use crate::{DataStructureKind, DynamicGraph, Edge, GraphTopology, Node, UpdateStats, Weight};
-use saga_utils::sync::{Mutex, RwLock};
-use saga_utils::parallel::{Schedule, ThreadPool};
+use crate::shell::{Op, SharedSide, Side, TwoSided};
+use crate::{DataStructureKind, Edge, Node, Weight};
+use saga_utils::parallel::ThreadPool;
 use saga_utils::probe;
 use saga_utils::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use saga_utils::sync::Arc;
+use saga_utils::sync::{Mutex, RwLock};
 
 /// Edges per block, matching the paper's Stinger configuration.
 pub const DEFAULT_BLOCK_SIZE: usize = 16;
@@ -180,14 +179,14 @@ impl VertexEntry {
 }
 
 /// One direction of Stinger adjacency.
-pub(crate) struct StingerLists {
+pub struct StingerLists {
     vertices: Vec<VertexEntry>,
     arena: BlockArena,
     block_size: usize,
 }
 
 impl StingerLists {
-    pub(crate) fn new(capacity: usize, block_size: usize) -> Self {
+    fn new(capacity: usize, block_size: usize) -> Self {
         Self {
             vertices: (0..capacity).map(|_| VertexEntry::new()).collect(),
             arena: BlockArena::new(block_size),
@@ -202,7 +201,7 @@ impl StingerLists {
     }
 
     /// Search-then-insert with the paper's two scans.
-    pub(crate) fn insert(&self, src: Node, dst: Node, weight: Weight) -> bool {
+    fn insert(&self, src: Node, dst: Node, weight: Weight) -> bool {
         let entry = &self.vertices[src as usize];
         let _shared = entry.op_lock.read();
         probe::value_read(&entry.degree);
@@ -285,7 +284,7 @@ impl StingerLists {
     /// block except the tail stays full (the invariant concurrent inserts
     /// rely on). Emptied tail blocks go back to the arena free list.
     /// Returns `true` when removed.
-    pub(crate) fn remove(&self, src: Node, dst: Node) -> bool {
+    fn remove(&self, src: Node, dst: Node) -> bool {
         let entry = &self.vertices[src as usize];
         // Exclusive per-vertex access: no insert or traversal can
         // interleave, and nobody else can hold ids we recycle.
@@ -343,12 +342,16 @@ impl StingerLists {
         }
         true
     }
+}
 
-    pub(crate) fn degree(&self, v: Node) -> usize {
+impl Side for StingerLists {
+    const KIND: DataStructureKind = DataStructureKind::Stinger;
+
+    fn degree(&self, v: Node) -> usize {
         self.vertices[v as usize].degree.load(Ordering::Acquire) as usize
     }
 
-    pub(crate) fn for_each(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
+    fn for_each(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
         // Shared op-lock: a concurrent deleter of this vertex could
         // otherwise recycle a snapshotted block id under the scan.
         let _shared = self.vertices[v as usize].op_lock.read();
@@ -361,6 +364,25 @@ impl StingerLists {
                     f(n, w);
                 }
             });
+        }
+    }
+
+    fn run_batch(shell: &TwoSided<Self>, batch: &[Edge], pool: &ThreadPool, op: Op) -> usize {
+        shell.shared_batch(batch, pool, op)
+    }
+}
+
+impl SharedSide for StingerLists {
+    /// Nothing is held per vertex: Stinger's locks are per block and are
+    /// re-taken per edge (never contended under partitioned ingest).
+    type Held<'a> = ();
+
+    fn hold(&self, _key: Node) {}
+
+    fn apply_held(&self, _held: &mut (), op: Op, key: Node, nbr: Node, weight: Weight) -> bool {
+        match op {
+            Op::Insert => self.insert(key, nbr, weight),
+            Op::Remove => self.remove(key, nbr),
         }
     }
 }
@@ -379,28 +401,7 @@ impl StingerLists {
 /// g.update_batch(&[Edge::new(0, 1, 1.0), Edge::new(0, 2, 1.0)], &pool);
 /// assert_eq!(g.out_degree(0), 2);
 /// ```
-pub struct Stinger {
-    out: StingerLists,
-    inn: Option<StingerLists>,
-    capacity: usize,
-    directed: bool,
-    edges: AtomicUsize,
-    /// Route batches through the counting-sort partitioner instead of the
-    /// paper's per-edge `parallel for` (off by default).
-    partitioned: bool,
-    scratch: Mutex<IngestScratch>,
-}
-
-impl std::fmt::Debug for Stinger {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Stinger")
-            .field("capacity", &self.capacity)
-            .field("directed", &self.directed)
-            .field("block_size", &self.out.block_size)
-            .field("edges", &self.num_edges())
-            .finish()
-    }
-}
+pub type Stinger = TwoSided<StingerLists>;
 
 impl Stinger {
     /// Creates an empty Stinger graph with the paper's 16-edge blocks.
@@ -416,205 +417,14 @@ impl Stinger {
     /// Panics if `block_size` is zero.
     pub fn with_block_size(capacity: usize, directed: bool, block_size: usize) -> Self {
         assert!(block_size > 0, "block size must be positive");
-        Self {
-            out: StingerLists::new(capacity, block_size),
-            inn: directed.then(|| StingerLists::new(capacity, block_size)),
-            capacity,
-            directed,
-            edges: AtomicUsize::new(0),
-            partitioned: false,
-            scratch: Mutex::new(IngestScratch::new()),
-        }
-    }
-
-    /// Enables or disables partitioned ingest: the batch is grouped by key
-    /// vertex first, and each bucket of vertices is drained by exactly one
-    /// worker, so no two workers ever contend on the same vertex's block
-    /// chain. Not the paper's Stinger (which leans on its fine-grained
-    /// block locks under contention) and therefore off by default.
-    pub fn with_partitioned_ingest(mut self, enabled: bool) -> Self {
-        self.partitioned = enabled;
-        self
-    }
-
-    fn lists_for(&self, into_in: bool) -> &StingerLists {
-        if self.directed && into_in {
-            self.inn.as_ref().expect("directed graph has in-lists")
-        } else {
-            &self.out
-        }
-    }
-
-    /// The shared partitioned drive loop (same bucket-exclusive scheme as
-    /// AS partitioned ingest, minus run-grouping: Stinger's per-block locks
-    /// are re-taken per edge, but never contended here).
-    fn run_partitioned<F>(&self, batch: &[Edge], pool: &ThreadPool, apply: F) -> usize
-    where
-        F: Fn(&StingerLists, Edge, bool) -> Option<()> + Sync,
-    {
-        let n_buckets = (pool.threads() * BUCKETS_PER_WORKER).max(1);
-        let directed = self.directed;
-        let mut scratch = self.scratch.lock();
-        let IngestScratch { out, inn } = &mut *scratch;
-        out.partition(pool, batch.len(), n_buckets, |i| {
-            pass_key(batch[i], directed, false) as usize % n_buckets
-        });
-        inn.partition(pool, batch.len(), n_buckets, |i| {
-            pass_key(batch[i], directed, true) as usize % n_buckets
-        });
-        let (out, inn) = (&*out, &*inn);
-        let counted = AtomicUsize::new(0);
-        let cursor = AtomicUsize::new(0);
-        pool.run_on_all(|_| {
-            let mut local = 0;
-            loop {
-                let b = cursor.fetch_add(1, Ordering::Relaxed);
-                if b >= n_buckets {
-                    break;
-                }
-                for (part, into_in) in [(out, false), (inn, true)] {
-                    let lists = self.lists_for(into_in);
-                    for &i in part.bucket(b) {
-                        if apply(lists, batch[i as usize], into_in).is_some() {
-                            local += 1;
-                        }
-                    }
-                }
-            }
-            counted.fetch_add(local, Ordering::Relaxed);
-        });
-        counted.load(Ordering::Relaxed)
-    }
-
-    fn update_batch_partitioned(&self, batch: &[Edge], pool: &ThreadPool) -> UpdateStats {
-        let inserted = self.run_partitioned(batch, pool, |lists, edge, into_in| {
-            let (s, d, w, counts) = pass_op(edge, self.directed, into_in)?;
-            (lists.insert(s, d, w) && counts).then_some(())
-        });
-        self.edges.fetch_add(inserted, Ordering::AcqRel);
-        UpdateStats {
-            inserted,
-            duplicates: batch.len() - inserted,
-        }
-    }
-
-    fn delete_batch_partitioned(&self, batch: &[Edge], pool: &ThreadPool) -> crate::DeleteStats {
-        let removed = self.run_partitioned(batch, pool, |lists, edge, into_in| {
-            let (s, d, _w, counts) = pass_op(edge, self.directed, into_in)?;
-            (lists.remove(s, d) && counts).then_some(())
-        });
-        self.edges.fetch_sub(removed, Ordering::AcqRel);
-        crate::DeleteStats {
-            removed,
-            missing: batch.len() - removed,
-        }
+        Self::with_sides(capacity, directed, |_| StingerLists::new(capacity, block_size))
     }
 }
-
-impl GraphTopology for Stinger {
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn num_edges(&self) -> usize {
-        self.edges.load(Ordering::Acquire)
-    }
-
-    fn is_directed(&self) -> bool {
-        self.directed
-    }
-
-
-
-    fn out_degree(&self, v: Node) -> usize {
-        self.out.degree(v)
-    }
-
-    fn in_degree(&self, v: Node) -> usize {
-        match &self.inn {
-            Some(inn) => inn.degree(v),
-            None => self.out.degree(v),
-        }
-    }
-
-    fn for_each_out_neighbor(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
-        self.out.for_each(v, f);
-    }
-
-    fn for_each_in_neighbor(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
-        match &self.inn {
-            Some(inn) => inn.for_each(v, f),
-            None => self.out.for_each(v, f),
-        }
-    }
-
-
-}
-
-impl DynamicGraph for Stinger {
-    fn update_batch(&self, batch: &[Edge], pool: &ThreadPool) -> UpdateStats {
-        if self.partitioned {
-            return self.update_batch_partitioned(batch, pool);
-        }
-        let inserted = AtomicUsize::new(0);
-        pool.parallel_for(0..batch.len(), Schedule::Static, |i| {
-            let newly = ingest_edge(batch[i], self.directed, |into_in, s, d, w| {
-                if into_in {
-                    self.inn.as_ref().expect("directed graph has in-lists").insert(s, d, w)
-                } else {
-                    self.out.insert(s, d, w)
-                }
-            });
-            if newly {
-                inserted.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        let inserted = inserted.load(Ordering::Relaxed);
-        self.edges.fetch_add(inserted, Ordering::AcqRel);
-        UpdateStats {
-            inserted,
-            duplicates: batch.len() - inserted,
-        }
-    }
-
-    fn kind(&self) -> DataStructureKind {
-        DataStructureKind::Stinger
-    }
-}
-
-impl crate::DeletableGraph for Stinger {
-    fn delete_batch(&self, batch: &[Edge], pool: &ThreadPool) -> crate::DeleteStats {
-        if self.partitioned {
-            return self.delete_batch_partitioned(batch, pool);
-        }
-        let removed = AtomicUsize::new(0);
-        pool.parallel_for(0..batch.len(), Schedule::Static, |i| {
-            let was_present = ingest_edge_removal(batch[i], self.directed, |from_in, s, d| {
-                if from_in {
-                    self.inn.as_ref().expect("directed graph has in-lists").remove(s, d)
-                } else {
-                    self.out.remove(s, d)
-                }
-            });
-            if was_present {
-                removed.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        let removed = removed.load(Ordering::Relaxed);
-        self.edges.fetch_sub(removed, Ordering::AcqRel);
-        crate::DeleteStats {
-            removed,
-            missing: batch.len() - removed,
-        }
-    }
-}
-
-use crate::adjacency_shared::remove_edge as ingest_edge_removal;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DeletableGraph;
+    use crate::{DeletableGraph, DynamicGraph, GraphTopology};
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
@@ -630,15 +440,15 @@ mod tests {
         let stats = g.delete_batch(&[Edge::new(0, 1, 0.0)], &p);
         assert_eq!(stats.removed, 1);
         assert_eq!(g.out_degree(0), 8);
-        let chain_len = g.out.vertices[0].chain.lock().len();
+        let chain_len = g.sides.out.vertices[0].chain.lock().len();
         assert_eq!(chain_len, 2, "empty tail block dropped after compaction");
         let mut ns: Vec<Node> = g.out_neighbors(0).into_iter().map(|(n, _)| n).collect();
         ns.sort_unstable();
         assert_eq!(ns, (2..=9).collect::<Vec<_>>());
         // Blocks 0..n-1 must be full (the concurrent-insert invariant).
-        let chain = g.out.vertices[0].chain.lock().clone();
+        let chain = g.sides.out.vertices[0].chain.lock().clone();
         for &id in &chain[..chain.len() - 1] {
-            g.out.arena.with_block(id, |block| {
+            g.sides.out.arena.with_block(id, |block| {
                 assert_eq!(block.lock().edges.len(), 4);
             });
         }
@@ -650,7 +460,7 @@ mod tests {
         let p = pool();
         let batch: Vec<Edge> = (0..30).map(|i| Edge::new(0, 1 + (i % 3), 1.0)).collect();
         g.update_batch(&batch, &p); // 3 edges -> 2 blocks
-        let high_water = g.out.arena.next.load(Ordering::Relaxed);
+        let high_water = g.sides.out.arena.next.load(Ordering::Relaxed);
         // Delete and reinsert the same edges repeatedly: freed tail blocks
         // must be reused, never newly bumped.
         for _ in 0..5 {
@@ -660,25 +470,13 @@ mod tests {
             assert_eq!(g.out_degree(0), 3);
         }
         assert_eq!(
-            g.out.arena.next.load(Ordering::Relaxed),
+            g.sides.out.arena.next.load(Ordering::Relaxed),
             high_water,
             "churn must be served from the free list"
         );
         let mut ns: Vec<Node> = g.out_neighbors(0).into_iter().map(|(n, _)| n).collect();
         ns.sort_unstable();
         assert_eq!(ns, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn delete_missing_and_double_delete() {
-        let g = Stinger::new(5, true);
-        let p = pool();
-        g.update_batch(&[Edge::new(1, 2, 1.0)], &p);
-        let stats = g.delete_batch(&[Edge::new(1, 2, 0.0), Edge::new(1, 2, 0.0)], &p);
-        assert_eq!(stats.removed, 1);
-        assert_eq!(stats.missing, 1);
-        assert_eq!(g.num_edges(), 0);
-        assert!(g.out_neighbors(1).is_empty());
     }
 
     #[test]
@@ -710,7 +508,7 @@ mod tests {
         assert_eq!(stats.inserted, 40);
         assert_eq!(g.out_degree(0), 40);
         // 40 edges at block size 16 -> 3 blocks.
-        let chain_len = g.out.vertices[0].chain.lock().len();
+        let chain_len = g.sides.out.vertices[0].chain.lock().len();
         assert_eq!(chain_len, 3);
         let mut ns = g.out_neighbors(0);
         ns.sort_by_key(|&(n, _)| n);
@@ -719,18 +517,6 @@ mod tests {
             assert_eq!(n, i as Node + 1);
             assert_eq!(w, (i + 1) as Weight);
         }
-    }
-
-    #[test]
-    fn duplicates_within_and_across_batches() {
-        let g = Stinger::new(10, true);
-        let p = pool();
-        let stats = g.update_batch(&[Edge::new(1, 2, 1.0); 8], &p);
-        assert_eq!(stats.inserted, 1);
-        let stats = g.update_batch(&[Edge::new(1, 2, 1.0)], &p);
-        assert_eq!(stats.inserted, 0);
-        assert_eq!(stats.duplicates, 1);
-        assert_eq!(g.out_degree(1), 1);
     }
 
     #[test]
@@ -752,34 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_ingest_matches_default_path() {
-        let p = pool();
-        let batch: Vec<Edge> = (0..600)
-            .map(|i| Edge::new(i % 19, (i * 11) % 31, 1.0))
-            .collect();
-        let deletions: Vec<Edge> = (0..150).map(|i| Edge::new(i % 19, (i * 3) % 31, 0.0)).collect();
-        for directed in [true, false] {
-            let plain = Stinger::new(32, directed);
-            let part = Stinger::new(32, directed).with_partitioned_ingest(true);
-            let s1 = plain.update_batch(&batch, &p);
-            let s2 = part.update_batch(&batch, &p);
-            assert_eq!(s1.inserted, s2.inserted, "insert, directed = {directed}");
-            let d1 = plain.delete_batch(&deletions, &p);
-            let d2 = part.delete_batch(&deletions, &p);
-            assert_eq!(d1.removed, d2.removed, "delete, directed = {directed}");
-            assert_eq!(plain.num_edges(), part.num_edges());
-            for v in 0..32u32 {
-                let sorted = |mut ns: Vec<(Node, Weight)>| {
-                    ns.sort_by_key(|&(n, _)| n);
-                    ns.into_iter().map(|(n, _)| n).collect::<Vec<_>>()
-                };
-                assert_eq!(sorted(plain.out_neighbors(v)), sorted(part.out_neighbors(v)));
-                assert_eq!(sorted(plain.in_neighbors(v)), sorted(part.in_neighbors(v)));
-            }
-        }
-    }
-
-    #[test]
     fn partitioned_hub_batch_is_exact() {
         let g = Stinger::new(1001, true).with_partitioned_ingest(true);
         let batch: Vec<Edge> = (1..=1000)
@@ -797,21 +555,11 @@ mod tests {
     }
 
     #[test]
-    fn undirected_mirrors() {
-        let g = Stinger::new(6, false);
-        let stats = g.update_batch(&[Edge::new(5, 2, 3.0)], &pool());
-        assert_eq!(stats.inserted, 1);
-        assert_eq!(g.out_neighbors(5), vec![(2, 3.0)]);
-        assert_eq!(g.in_neighbors(5), vec![(2, 3.0)]);
-        assert_eq!(g.out_neighbors(2), vec![(5, 3.0)]);
-    }
-
-    #[test]
     fn custom_block_size() {
         let g = Stinger::with_block_size(5, true, 2);
         let batch: Vec<Edge> = (1..=4).map(|i| Edge::new(0, i, 1.0)).collect();
         g.update_batch(&batch, &pool());
-        assert_eq!(g.out.vertices[0].chain.lock().len(), 2);
+        assert_eq!(g.sides.out.vertices[0].chain.lock().len(), 2);
         assert_eq!(g.out_degree(0), 4);
     }
 

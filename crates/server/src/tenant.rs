@@ -34,8 +34,8 @@ pub struct TenantConfig {
     pub algorithm: AlgorithmKind,
     /// From-scratch or incremental compute.
     pub model: ComputeModelKind,
-    /// Vertex-id universe (the session grows it to fit if a batch names a
-    /// larger id — same rule as the driver).
+    /// Vertex-id universe, fixed at creation: `api::parse_batch_body`
+    /// rejects a batch naming an id at or beyond it with 400.
     pub capacity: usize,
     /// Graph directedness.
     pub directed: bool,
