@@ -415,6 +415,7 @@ where
         pool: &ThreadPool,
     ) -> ComputeOutcome {
         let (program, values) = (&self.program, &self.values);
+        values.begin_phase();
         let incremental = model == ComputeModelKind::Incremental;
         if incremental {
             let repaired = inc::incremental_compute_with_deletions(

@@ -16,8 +16,11 @@
 //! ([`GatherMode::Fold`]). PageRank is the one non-fold program — its
 //! reduction is a sum re-evaluated from zero each iteration — so it
 //! gathers under [`GatherMode::Sum`] with an explicit zero/add/finish
-//! triple, mirroring [`crate::pr::pagerank_from_scratch`]'s Jacobi sweep
-//! (same damping, same L1-delta stop, same iteration cap).
+//! triple. That is a true Jacobi sweep (every value advances from the
+//! previous superstep's), where [`crate::pr::pagerank_from_scratch`]
+//! updates in place (Gauss–Seidel-like); damping, L1-delta stop and
+//! iteration cap are the same and both reach the same fixed point
+//! (DESIGN §12, "Known approximations").
 
 use crate::bfs::{BfsProgram, UNREACHED};
 use crate::cc::CcProgram;

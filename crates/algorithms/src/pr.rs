@@ -9,17 +9,40 @@
 //! initialization), and INC results are approximate by design.
 //!
 //! The FS kernel is the conventional iterate-until-tolerance PageRank of
-//! GAP (L1-norm stop).
+//! GAP (L1-norm stop), updating ranks in place (Gauss–Seidel-like: a pull
+//! sees the ranks already rewritten this sweep).
 //!
-//! Note that on a degree-aware hashing graph every `out_degree` call in the
-//! pull is a degree-query meta-operation — the reason the paper finds DAH
-//! "performs particularly poorly in PR" (§V-B).
+//! # The phase-stamped degree cache
+//!
+//! Both kernels divide by `src.out_degree` once per in-edge, and on every
+//! dynamic structure that query takes a lock (AS: the vertex's vector;
+//! AC/DAH: the chunk; DeltaCSR: the snapshot lock and the chunk). GAP reads
+//! degrees `n` times per iteration, not `m` times, and so do we:
+//! [`PrValues`] keeps one packed `(phase, out_degree)` word per vertex
+//! beside the ranks. The topology is frozen during a compute phase, so a
+//! slot stamped with the current phase is the current degree; every
+//! `perform_alg*` call ticks the phase ([`ValueStore::begin_phase`]), which
+//! invalidates all slots at once — whatever the batch did, and whichever
+//! graph object the next phase runs on. The FS kernel fills every slot up
+//! front (`n` queries per phase); INC's pull fills on a miss, **after** its
+//! in-edge traversal has returned (the reentrancy rule on
+//! [`GraphTopology`]). Inside the traversal a hit is one relaxed load.
+//!
+//! On a degree-aware hashing graph the degree query is a meta-operation
+//! (§V-B). It is now paid once per vertex per phase instead of once per
+//! in-edge per iteration, so what is left of "DAH performs particularly
+//! poorly in PR" is the traversal itself — the hash-table scans of
+//! `for_each_in_neighbor`. DAH stays the slowest of the paper's four
+//! structures at FS PageRank in the rig's `lib.fs-sweep`
+//! (`results/BENCH_fs_pagerank.json`: DAH 0.29 s per pass, was 0.48 s,
+//! against Stinger 0.24 s, AC 0.20 s and AS 0.08 s).
 
 use crate::program::{ValueStore, VertexProgram};
 use saga_graph::properties::AtomicF64Array;
 use saga_graph::{GraphTopology, Node};
-use saga_utils::parallel::{Schedule, ThreadPool};
-use saga_utils::sync::atomic::{AtomicU64, Ordering};
+use saga_utils::parallel::{adaptive_grain, Schedule, ThreadPool};
+use saga_utils::probe;
+use saga_utils::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 /// Default damping factor (the paper's 0.85).
 pub const DAMPING: f64 = 0.85;
@@ -29,6 +52,92 @@ pub const DEFAULT_EPSILON: f64 = 1e-7;
 pub const DEFAULT_FS_TOLERANCE: f64 = 1e-4;
 /// Default FS iteration cap.
 pub const DEFAULT_MAX_ITERS: usize = 100;
+
+/// PageRank's property store: the ranks, and beside them the phase-stamped
+/// out-degree cache (module docs). Only the ranks are values — snapshots,
+/// checkpoints and journals never see the cache.
+///
+/// Every cache access is `Relaxed`: a slot carries its stamp and its degree
+/// in one word, so it publishes nothing but itself (two workers missing on
+/// the same vertex store the same word), and the phase changes only between
+/// compute phases, reaching the workers through the pool's dispatch lock.
+#[derive(Debug)]
+pub struct PrValues {
+    ranks: AtomicF64Array,
+    /// `(phase << 32) | out_degree` per vertex; valid while the stamp equals
+    /// `phase`. Stamp 0 is "never filled".
+    degrees: Vec<AtomicU64>,
+    phase: AtomicU32,
+}
+
+impl PrValues {
+    /// The out-degree of `v` if it was cached during the current phase.
+    #[cfg(test)]
+    fn cached_degree(&self, v: Node) -> Option<usize> {
+        self.degree_at(v, self.phase.load(Ordering::Relaxed))
+    }
+
+    /// Caches `degree` as `v`'s out-degree for the rest of the current phase.
+    #[inline]
+    fn cache_degree(&self, v: Node, degree: usize) {
+        debug_assert!(degree <= u32::MAX as usize, "degrees are bounded by the u32 id space");
+        let slot = &self.degrees[v as usize];
+        probe::value_write(slot);
+        let phase = u64::from(self.phase.load(Ordering::Relaxed));
+        slot.store(phase << 32 | degree as u64, Ordering::Relaxed);
+    }
+
+    /// The out-degree of `v` if its slot carries `phase` — the current phase,
+    /// which the caller loads once per pull, not once per in-edge.
+    #[inline]
+    fn degree_at(&self, v: Node, phase: u32) -> Option<usize> {
+        let slot = &self.degrees[v as usize];
+        probe::value_read(slot);
+        let word = slot.load(Ordering::Relaxed);
+        ((word >> 32) as u32 == phase).then_some(word as u32 as usize)
+    }
+}
+
+impl ValueStore<f64> for PrValues {
+    fn create(len: usize, init: f64) -> Self {
+        Self {
+            ranks: AtomicF64Array::filled(len, init),
+            degrees: (0..len).map(|_| AtomicU64::new(0)).collect(),
+            phase: AtomicU32::new(1),
+        }
+    }
+
+    #[inline]
+    fn load(&self, i: usize) -> f64 {
+        self.ranks.get(i)
+    }
+
+    #[inline]
+    fn store(&self, i: usize, value: f64) {
+        self.ranks.set(i, value);
+    }
+
+    fn len(&self) -> usize {
+        self.ranks.len()
+    }
+
+    fn prefetch_hint(&self, i: usize) {
+        self.ranks.prefetch(i);
+    }
+
+    fn begin_phase(&self) {
+        let mut next = self.phase.load(Ordering::Relaxed).wrapping_add(1);
+        if next == 0 {
+            // The 32-bit stamp wrapped: wipe the slots, or a phase number
+            // reused 2^32 phases later would revalidate them.
+            for slot in &self.degrees {
+                slot.store(0, Ordering::Relaxed);
+            }
+            next = 1;
+        }
+        self.phase.store(next, Ordering::Relaxed);
+    }
+}
 
 /// PageRank as a vertex program.
 ///
@@ -107,7 +216,7 @@ impl PrProgram {
 
 impl VertexProgram for PrProgram {
     type Value = f64;
-    type Store = AtomicF64Array;
+    type Store = PrValues;
 
     fn name(&self) -> &'static str {
         "PR"
@@ -124,22 +233,39 @@ impl VertexProgram for PrProgram {
         (1.0 - self.damping) / num_nodes as f64
     }
 
-    fn pull(&self, graph: &dyn GraphTopology, v: Node, values: &Self::Store) -> f64 {
+    fn pull(&self, graph: &dyn GraphTopology, v: Node, values: &PrValues) -> f64 {
         let base = (1.0 - self.damping) / self.num_nodes as f64;
-        // Two-phase: collect the in-neighbors first, then query degrees.
-        // `for_each_in_neighbor` may hold an internal lock while invoking
-        // the callback, and `out_degree(src)` can need that same lock when
-        // `src` shares it with `v` (a self-loop on AS, a shared chunk on
-        // AC/DAH) — see the reentrancy note on `GraphTopology`.
-        let mut in_neighbors: Vec<Node> = Vec::with_capacity(graph.in_degree(v));
-        graph.for_each_in_neighbor(v, &mut |src, _| in_neighbors.push(src));
+        let phase = values.phase.load(Ordering::Relaxed);
+        let term = |src: Node, degree: usize| {
+            debug_assert!(degree > 0, "in-neighbor must have an out-edge");
+            values.load(src as usize) / degree as f64
+        };
         let mut sum = 0.0;
-        for src in in_neighbors {
-            // The out-degree query is a second DAH meta-operation per
-            // incoming neighbor (§V-B).
-            let deg = graph.out_degree(src);
-            debug_assert!(deg > 0, "in-neighbor must have an out-edge");
-            sum += values.load(src as usize) / deg as f64;
+        // A degree missing from the cache cannot be queried from inside the
+        // callback: `for_each_in_neighbor` may hold an internal lock, and
+        // `out_degree(src)` can need that same lock when `src` shares it
+        // with `v` (a self-loop on AS, a shared chunk on AC/DAH) — see the
+        // reentrancy note on `GraphTopology`. From the first miss on, the
+        // rest of the in-edges wait in `deferred` and are summed after the
+        // traversal returns, in traversal order, so the sum is the same
+        // floating-point expression with or without misses.
+        let mut deferred: Vec<Node> = Vec::new();
+        graph.for_each_in_neighbor(v, &mut |src, _| {
+            if deferred.is_empty() {
+                if let Some(degree) = values.degree_at(src, phase) {
+                    sum += term(src, degree);
+                    return;
+                }
+            }
+            deferred.push(src);
+        });
+        for src in deferred {
+            let degree = values.degree_at(src, phase).unwrap_or_else(|| {
+                let degree = graph.out_degree(src);
+                values.cache_degree(src, degree);
+                degree
+            });
+            sum += term(src, degree);
         }
         base + self.damping * sum
     }
@@ -171,35 +297,53 @@ impl VertexProgram for PrProgram {
     fn from_scratch(
         &self,
         graph: &dyn GraphTopology,
-        values: &AtomicF64Array,
+        values: &PrValues,
         pool: &ThreadPool,
     ) -> usize {
         pagerank_from_scratch(self, graph, values, pool)
     }
 }
 
-/// Conventional PageRank from scratch: Jacobi-style in-place iteration
-/// until the L1 rank change drops below the tolerance (or the iteration
-/// cap). `values` must already be reset. Returns iterations executed.
+/// Conventional PageRank from scratch: in-place (Gauss–Seidel-like)
+/// iteration until the L1 rank change drops below the tolerance (or the
+/// iteration cap). `values` must already be reset. Returns iterations
+/// executed.
+///
+/// Out-degrees are read GAP's way — once per vertex, up front, into the
+/// degree cache — so the sweeps themselves never query the graph for one.
 pub fn pagerank_from_scratch(
     program: &PrProgram,
     graph: &dyn GraphTopology,
-    values: &AtomicF64Array,
+    values: &PrValues,
     pool: &ThreadPool,
 ) -> usize {
     let n = graph.capacity();
+    pool.parallel_for(0..n, Schedule::Static, |v| {
+        values.cache_degree(v as Node, graph.out_degree(v as Node));
+    });
+    let grain = adaptive_grain(n, pool.threads()).max(16);
     for iter in 1..=program.max_iters {
-        // Accumulate the L1 delta in fixed-point nanounits to stay atomic.
+        // Accumulate the L1 delta in fixed-point nanounits to stay atomic:
+        // each worker sums its own share and adds it in once.
         let delta_bits = AtomicU64::new(0);
-        let grain = saga_utils::parallel::adaptive_grain(n, pool.threads()).max(16);
-        pool.parallel_for(0..n, Schedule::Dynamic(grain), |v| {
-            let old = values.load(v);
-            let new = program.pull(graph, v as Node, values);
-            if new != old {
-                values.set(v, new);
-                let scaled = ((new - old).abs() * 1e12) as u64;
-                delta_bits.fetch_add(scaled, Ordering::Relaxed);
+        let next = AtomicUsize::new(0);
+        pool.run_on_all(|_| {
+            let mut local = 0u64;
+            loop {
+                let start = next.fetch_add(grain, Ordering::Relaxed);
+                if start >= n {
+                    break;
+                }
+                for v in start..(start + grain).min(n) {
+                    let old = values.load(v);
+                    let new = program.pull(graph, v as Node, values);
+                    if new != old {
+                        values.store(v, new);
+                        local += ((new - old).abs() * 1e12) as u64;
+                    }
+                }
             }
+            delta_bits.fetch_add(local, Ordering::Relaxed);
         });
         let delta = delta_bits.load(Ordering::Relaxed) as f64 / 1e12;
         if delta < program.fs_tolerance {
@@ -213,7 +357,69 @@ pub fn pagerank_from_scratch(
 mod tests {
     use super::*;
     use crate::fs::reset_values;
-    use saga_graph::{build_graph, DataStructureKind, Edge};
+    use crate::inc::incremental_compute;
+    use crate::{
+        AffectedTracker, AlgorithmKind, AlgorithmParams, AlgorithmState, ComputeModelKind,
+        VertexValues,
+    };
+    use saga_graph::csr::Csr;
+    use saga_graph::delta_csr::DeltaCsr;
+    use saga_graph::{build_deletable_graph, build_graph, DataStructureKind, DeletableGraph, Edge};
+    use saga_utils::hash::mix64;
+
+    fn fs_ranks(
+        program: &PrProgram,
+        graph: &dyn GraphTopology,
+        pool: &ThreadPool,
+    ) -> (Vec<f64>, usize) {
+        let n = graph.capacity();
+        let values = PrValues::create(n, 0.0);
+        reset_values(program, &values, n, pool);
+        let iters = pagerank_from_scratch(program, graph, &values, pool);
+        (values.ranks.to_vec(), iters)
+    }
+
+    /// The sweep as it was before the degree cache — collect the in-edges,
+    /// then one `graph.out_degree` per in-edge per iteration — on one thread.
+    fn reference_sweep(program: &PrProgram, graph: &dyn GraphTopology) -> (Vec<f64>, usize) {
+        let n = graph.capacity();
+        let base = (1.0 - program.damping) / n as f64;
+        let mut ranks = vec![base; n];
+        for iter in 1..=program.max_iters {
+            let mut delta = 0u64;
+            for v in 0..n {
+                let mut in_neighbors = Vec::new();
+                graph.for_each_in_neighbor(v as Node, &mut |src, _| in_neighbors.push(src));
+                let mut sum = 0.0;
+                for src in in_neighbors {
+                    sum += ranks[src as usize] / graph.out_degree(src) as f64;
+                }
+                let new = base + program.damping * sum;
+                if new != ranks[v] {
+                    delta += ((new - ranks[v]).abs() * 1e12) as u64;
+                    ranks[v] = new;
+                }
+            }
+            if (delta as f64 / 1e12) < program.fs_tolerance {
+                return (ranks, iter);
+            }
+        }
+        (ranks, program.max_iters)
+    }
+
+    /// `edges` pseudo-random edges over vertices `0..n - 2`, plus a
+    /// self-loop on 5 and in-edges only for `n - 2` (dangling when
+    /// directed); `n - 1` never appears.
+    fn test_edges(n: u32, edges: u32) -> Vec<Edge> {
+        let pick = |r: u64| (r % u64::from(n - 2)) as Node;
+        let mut out: Vec<Edge> = (1..=u64::from(edges))
+            .map(mix64)
+            .map(|r| Edge::new(pick(r >> 8), pick(r >> 36), 1.0))
+            .collect();
+        out.push(Edge::new(5, 5, 1.0));
+        out.extend((0..4).map(|i| Edge::new(i * 3, n - 2, 1.0)));
+        out
+    }
 
     #[test]
     fn ranks_sum_to_about_one_on_a_cycle() {
@@ -229,10 +435,7 @@ mod tests {
             &pool,
         );
         let program = PrProgram::new(4).with_fs_tolerance(1e-12);
-        let values = AtomicF64Array::filled(4, 0.0);
-        reset_values(&program, &values, 4, &pool);
-        pagerank_from_scratch(&program, g.as_ref(), &values, &pool);
-        let ranks = values.to_vec();
+        let (ranks, _) = fs_ranks(&program, g.as_ref(), &pool);
         let sum: f64 = ranks.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6, "sum {sum}");
         // Perfect symmetry: every vertex has the same rank.
@@ -243,12 +446,14 @@ mod tests {
 
     #[test]
     fn self_loops_do_not_deadlock_shared_locks() {
-        // Regression: PR's pull queries out_degree(src) for every incoming
+        // Regression: PR's pull needs out_degree(src) for every incoming
         // neighbor. With a self-loop on an undirected AS graph (or a
         // same-chunk neighbor on AC/DAH), a query issued from inside the
         // traversal callback would re-lock the lock the traversal holds.
-        use saga_graph::{build_graph, DataStructureKind};
-        for ds in DataStructureKind::ALL {
+        // The FS kernel fills the cache before it sweeps; the INC pass
+        // below starts from an empty cache, so every pull takes the miss
+        // path.
+        for ds in DataStructureKind::ALL_WITH_DELTA {
             for directed in [true, false] {
                 let pool = ThreadPool::new(2);
                 let g = build_graph(ds, 4, directed, pool.threads());
@@ -257,11 +462,15 @@ mod tests {
                     &pool,
                 );
                 let program = PrProgram::new(4);
-                let values = AtomicF64Array::filled(4, 0.0);
+                let values = PrValues::create(4, 0.0);
                 reset_values(&program, &values, 4, &pool);
                 let iters = pagerank_from_scratch(&program, g.as_ref(), &values, &pool);
                 assert!(iters > 0, "{ds:?} directed={directed}");
-                assert!(values.to_vec().iter().all(|r| r.is_finite()));
+                values.begin_phase();
+                let out =
+                    incremental_compute(&program, g.as_ref(), &values, &[0, 1, 2, 3], &[], &pool);
+                assert!(out.recomputed >= 4, "{ds:?} directed={directed}");
+                assert!(values.ranks.to_vec().iter().all(|r| r.is_finite()));
             }
         }
     }
@@ -281,13 +490,159 @@ mod tests {
             ],
             &pool,
         );
-        let program = PrProgram::new(5);
-        let values = AtomicF64Array::filled(5, 0.0);
-        reset_values(&program, &values, 5, &pool);
-        pagerank_from_scratch(&program, g.as_ref(), &values, &pool);
-        let ranks = values.to_vec();
+        let (ranks, _) = fs_ranks(&PrProgram::new(5), g.as_ref(), &pool);
         assert!(ranks[4] > ranks[0]);
         assert!(ranks[0] > ranks[1]);
         assert!((ranks[1] - ranks[3]).abs() < 1e-9);
+    }
+
+    #[test]
+    fn one_thread_fs_is_bit_identical_to_the_uncached_sweep() {
+        let pool = ThreadPool::new(1);
+        let n = 64;
+        let program = PrProgram::new(n);
+        for ds in DataStructureKind::ALL_WITH_DELTA {
+            for directed in [true, false] {
+                let g = build_graph(ds, n, directed, 2);
+                g.update_batch(&test_edges(n as u32, 300), &pool);
+                let (want, want_iters) = reference_sweep(&program, g.as_ref());
+                let (got, iters) = fs_ranks(&program, g.as_ref(), &pool);
+                assert_eq!(iters, want_iters, "{ds:?} directed={directed}");
+                assert!(iters > 2 && iters < program.max_iters, "a real run: {iters} sweeps");
+                let bits = |ranks: &[f64]| ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{ds:?} directed={directed}");
+                assert_eq!(got[n - 1], program.initial(0, n), "the absent vertex keeps the base");
+            }
+        }
+    }
+
+    #[test]
+    fn two_thread_fs_stays_within_the_value_tolerance_of_one_thread() {
+        let n = 2_000;
+        let program = PrProgram::new(n).with_fs_tolerance(1e-9);
+        for ds in DataStructureKind::ALL_WITH_DELTA {
+            let g = build_graph(ds, n, true, 2);
+            g.update_batch(&test_edges(n as u32, 12_000), &ThreadPool::new(1));
+            let (one, _) = fs_ranks(&program, g.as_ref(), &ThreadPool::new(1));
+            let (two, _) = fs_ranks(&program, g.as_ref(), &ThreadPool::new(2));
+            for (v, (a, b)) in one.iter().zip(&two).enumerate() {
+                assert!((a - b).abs() < 1e-6, "{ds:?} vertex {v}: {a} vs {b}");
+            }
+        }
+    }
+
+    /// Insert → delete → re-insert under INC, checking after every phase
+    /// that no slot of the current phase holds anything but the live degree.
+    fn churn_keeps_the_cache_fresh(graph: &dyn DeletableGraph, between: &dyn Fn(), label: &str) {
+        let pool = ThreadPool::new(2);
+        let n = graph.capacity();
+        let program = PrProgram::new(n).with_epsilon(1e-11);
+        let values = PrValues::create(n, program.initial(0, n));
+        let mut tracker = AffectedTracker::new(n);
+        let e = |s, d| Edge::new(s, d, 1.0);
+        let base = [e(0, 1), e(0, 2), e(0, 3), e(1, 2), e(2, 0), e(3, 3), e(4, 0), e(6, 1)];
+        let phases: [(&[Edge], &[Edge], usize); 4] = [
+            (&base, &[], 3),
+            (&[], &[e(0, 3), e(6, 1)], 2),
+            (&[e(0, 3), e(5, 0)], &[], 3),
+            (&[e(0, 5), e(0, 6)], &[e(0, 1)], 4),
+        ];
+        for (i, (inserts, deletes, degree_of_0)) in phases.into_iter().enumerate() {
+            graph.update_batch(inserts, &pool);
+            graph.delete_batch(deletes, &pool);
+            between();
+            let seed_deletes = !graph.is_directed();
+            let impact =
+                tracker.process_mixed_batch(graph, inserts, deletes, true, seed_deletes, &pool);
+            values.begin_phase();
+            incremental_compute(
+                &program, graph, &values, &impact.affected, &impact.new_vertices, &pool,
+            );
+            if graph.is_directed() {
+                assert_eq!(graph.out_degree(0), degree_of_0, "{label} phase {i}: the script");
+            }
+            assert!(values.cached_degree(0).is_some(), "{label} phase {i}: vertex 0 was pulled from");
+            for v in 0..n as Node {
+                if let Some(cached) = values.cached_degree(v) {
+                    assert_eq!(cached, graph.out_degree(v), "{label} phase {i}: vertex {v}");
+                }
+            }
+            let (want, _) = fs_ranks(&program.with_fs_tolerance(1e-11), graph, &pool);
+            for (v, (a, b)) in want.iter().zip(values.ranks.to_vec()).enumerate() {
+                assert!((a - b).abs() < 1e-6, "{label} phase {i} vertex {v}: FS {a} INC {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn inc_churn_never_reads_a_stale_degree() {
+        for directed in [true, false] {
+            for ds in DataStructureKind::ALL_WITH_DELTA {
+                let g = build_deletable_graph(ds, 8, directed, 2);
+                churn_keeps_the_cache_fresh(g.as_ref(), &|| (), &format!("{ds:?}/{directed}"));
+            }
+            // DeltaCSR again, every batch merged into the snapshot before
+            // the compute phase reads it.
+            let g = DeltaCsr::new(8, directed, 2);
+            churn_keeps_the_cache_fresh(&g, &|| g.compact(), &format!("compacted/{directed}"));
+            assert!(g.compactions() >= 4);
+        }
+    }
+
+    #[test]
+    fn a_state_survives_graph_objects_it_never_saw_a_batch_for() {
+        // The rig's oracle: FS on a prebuilt CSR, no batch ever tracked.
+        let pool = ThreadPool::new(2);
+        let n = 32u32;
+        let ring = |skip: u32| -> Vec<(Node, Node, f32)> {
+            (0..n).flat_map(|v| [(v, (v + 1) % n, 1.0), (v, (v + skip) % n, 1.0)]).collect()
+        };
+        let ranks = |state: &AlgorithmState| match state.values() {
+            VertexValues::F64(ranks) => ranks,
+            other => panic!("PageRank values are f64, got {other:?}"),
+        };
+        let tight = AlgorithmParams {
+            pr_epsilon: 1e-11,
+            pr_fs_tolerance: 1e-11,
+            ..AlgorithmParams::default()
+        };
+        let state = |model, params| AlgorithmState::new(AlgorithmKind::PageRank, model, n as usize, params);
+        let first = Csr::from_edges(n as usize, true, &ring(5));
+        let mut fs = state(ComputeModelKind::FromScratch, AlgorithmParams::default());
+        fs.perform_alg(&first, &[], &[], &pool);
+        assert!(ranks(&fs).iter().all(|r| r.is_finite() && *r > 0.0));
+        let mut fs = state(ComputeModelKind::FromScratch, tight);
+        fs.perform_alg(&first, &[], &[], &pool);
+        let sum: f64 = ranks(&fs).iter().sum();
+        assert!((sum - 1.0).abs() < 1e-6, "sum {sum}");
+
+        // The pipelined shape: one state, a different graph object every
+        // phase. Vertex 0 goes from two out-edges to six; a degree kept
+        // from `first` would triple what its out-neighbors pull.
+        let mut edges = ring(5);
+        let added: Vec<Edge> = (10..14).map(|d| Edge::new(0, d, 1.0)).collect();
+        edges.extend(added.iter().map(|e| (e.src, e.dst, e.weight)));
+        let second = Csr::from_edges(n as usize, true, &edges);
+        let mut inc = state(ComputeModelKind::Incremental, tight);
+        let everyone: Vec<Node> = (0..n).collect();
+        inc.perform_alg(&first, &everyone, &everyone, &pool);
+        let impact = AffectedTracker::new(n as usize).process_batch(&second, &added, true, &pool);
+        inc.perform_alg(&second, &impact.affected, &[], &pool);
+        fs.perform_alg(&second, &[], &[], &pool);
+        for (v, (a, b)) in ranks(&fs).iter().zip(ranks(&inc)).enumerate() {
+            assert!((a - b).abs() < 1e-6, "vertex {v}: FS {a} INC {b}");
+        }
+    }
+
+    #[test]
+    fn a_wrapped_phase_stamp_does_not_revalidate_old_slots() {
+        let values = PrValues::create(2, 0.0);
+        values.cache_degree(0, 7); // stamped with phase 1
+        values.phase.store(u32::MAX, Ordering::Relaxed);
+        values.cache_degree(1, 9);
+        values.begin_phase(); // wraps past 0 to 1
+        assert_eq!(values.phase.load(Ordering::Relaxed), 1);
+        assert_eq!(values.cached_degree(0), None);
+        assert_eq!(values.cached_degree(1), None);
     }
 }

@@ -48,6 +48,11 @@ pub trait ValueStore<V: Copy>: Send + Sync {
     fn prefetch_hint(&self, i: usize) {
         let _ = i;
     }
+    /// Marks the start of a compute phase, before which the topology may
+    /// have changed in any way. Called once per `perform_alg*`; a no-op
+    /// except for [`PrValues`](crate::pr::PrValues), which invalidates its
+    /// out-degree cache here.
+    fn begin_phase(&self) {}
 }
 
 /// Wires one property type to its atomic-array store and to its

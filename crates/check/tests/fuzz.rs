@@ -10,6 +10,7 @@
 //!   deliberately injected bug (a structure that silently drops delete
 //!   ops) and shrinks the trigger to a handful of ops.
 
+use saga_algorithms::AlgorithmKind;
 use saga_check::program::ProgramOp;
 use saga_check::{
     check_program, fuzz_campaign, shrink, CheckConfig, Fault, FaultPlan, OpProgram,
@@ -194,6 +195,29 @@ fn shell_protocol_corner_cases_replay_clean() {
         "reinsert after delete",
         &[&[(I, 0, 1)], &[(D, 0, 1)], &[(I, 0, 1)], &[(I, 0, 1), (D, 0, 1)]],
     );
+}
+
+/// PageRank's out-degree cache is valid for one compute phase. A hub whose
+/// out-degree goes 4 → 2 → 4 → 5 over insert / delete / re-insert batches,
+/// beside a self-loop and a vertex that never appears, makes any degree
+/// carried across a phase (or across the per-batch CSR objects of the
+/// pipelined path) a rank error far above the 1e-6 the checker allows —
+/// on every structure × driver path × FS/INC.
+#[test]
+fn pagerank_degrees_stay_fresh_across_insert_delete_reinsert() {
+    use EdgeOp::{Delete as D, Insert as I};
+    let batches: [&[ProgramOp]; 4] = [
+        &[(I, 0, 1), (I, 0, 2), (I, 0, 3), (I, 0, 4), (I, 1, 2), (I, 2, 0), (I, 3, 3), (I, 5, 0)],
+        &[(D, 0, 3), (D, 0, 4)],
+        &[(I, 0, 3), (I, 0, 4), (I, 6, 1)],
+        &[(I, 0, 6), (D, 6, 1), (I, 4, 5)],
+    ];
+    let config = CheckConfig { algorithm: AlgorithmKind::PageRank, ..CheckConfig::quick() };
+    for directed in [true, false] {
+        let program = OpProgram::from_ops(8, directed, &batches);
+        let got = check_program(&program, &config);
+        assert!(got.is_none(), "directed = {directed}: {}", got.unwrap());
+    }
 }
 
 /// Every adversarial profile generates structurally valid programs whose

@@ -102,31 +102,29 @@ fn table4_tail_classification_shape() {
 fn inc_compute_beats_fs_compute_on_a_growing_graph() {
     // Fig. 7's shape at test scale: by the final stage, incremental
     // PageRank compute should be substantially cheaper than from-scratch.
+    // On AC, the structure `results/fig7.txt` selects for PR/RMAT, with
+    // 1 200-edge batches (1–1.5 % of the graph at P3, the paper's ratio).
+    // Measured FS/INC here is 2.5–2.7 (CHANGES.md, PR 18, has all five
+    // structures); on AS at 2 400-edge batches, where this test used to
+    // sit, the FS kernel no longer pays a lock per in-edge and the honest
+    // ratio is ~1.
     let stream = DatasetProfile::rmat().scaled(20_000, 120_000).generate(21);
-    let fs = run(
-        &stream,
-        DataStructureKind::AdjacencyShared,
-        AlgorithmKind::PageRank,
-        ComputeModelKind::FromScratch,
-    );
-    let inc = run(
-        &stream,
-        DataStructureKind::AdjacencyShared,
-        AlgorithmKind::PageRank,
-        ComputeModelKind::Incremental,
-    );
-    let last_third = |o: &saga_bench_suite::core::StreamOutcome| -> f64 {
-        let n = o.batches.len();
-        o.batches[2 * n / 3..]
-            .iter()
-            .map(|b| b.compute_seconds)
-            .sum()
+    let last_third_compute = |cm: ComputeModelKind| -> f64 {
+        let mut driver = StreamDriver::builder(DataStructureKind::AdjacencyChunked, stream.num_nodes)
+            .algorithm(AlgorithmKind::PageRank)
+            .compute_model(cm)
+            .batch_size(1_200)
+            .threads(4)
+            .build();
+        let outcome = driver.run(&stream);
+        let n = outcome.batches.len();
+        outcome.batches[2 * n / 3..].iter().map(|b| b.compute_seconds).sum()
     };
-    let fs_compute = last_third(&fs);
-    let inc_compute = last_third(&inc);
+    let fs_compute = last_third_compute(ComputeModelKind::FromScratch);
+    let inc_compute = last_third_compute(ComputeModelKind::Incremental);
     assert!(
-        inc_compute < fs_compute,
-        "INC compute ({inc_compute:.4}s) should beat FS ({fs_compute:.4}s) at P3"
+        inc_compute * 1.5 < fs_compute,
+        "INC compute ({inc_compute:.4}s) should beat FS ({fs_compute:.4}s) by 1.5x at P3"
     );
 }
 
