@@ -5,7 +5,7 @@
 //! [`TokenKind::Unknown`]. "Span-tiling" means the token spans partition
 //! the input exactly: non-overlapping, in-bounds, on `char` boundaries,
 //! and concatenating the spanned slices reproduces the source byte for
-//! byte (property-tested in `tests/proptest_lexer.rs`). Trivia
+//! byte (property-tested in `tests/seeded_lexer.rs`). Trivia
 //! (whitespace and comments) is kept as tokens so the tiling holds; the
 //! parser filters it out.
 //!

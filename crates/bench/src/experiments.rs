@@ -18,7 +18,6 @@ use saga_stream::{weight_for, Edge, Node};
 use saga_trace::metrics::{Histogram, HistogramSummary};
 use saga_utils::parallel::ThreadPool;
 use saga_utils::timer::Stopwatch;
-use rand_xoshiro::rand_core::SeedableRng;
 
 /// Fig. 7 row: FS compute latency normalized to INC at the dataset's best
 /// data structure, per stage.
@@ -142,7 +141,7 @@ pub fn structure_norms(
 pub fn tail_sweep_stream(nodes: usize, edges: usize, mass: f64, seed: u64) -> Vec<Edge> {
     let out_dist = EndpointDist::zipf(nodes, 0.5, 0.0, seed ^ 0xA5A5);
     let in_dist = EndpointDist::zipf(nodes, 0.5, mass, seed ^ 0x5A5A);
-    let mut rng = rand_xoshiro::Xoshiro256PlusPlus::seed_from_u64(seed);
+    let mut rng = saga_utils::rng::Xoshiro256PlusPlus::seed_from_u64(seed);
     (0..edges)
         .map(|_| {
             let src: Node = out_dist.sample(&mut rng);

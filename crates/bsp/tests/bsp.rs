@@ -10,25 +10,17 @@ use saga_algorithms::{
 };
 use saga_graph::{build_graph, DataStructureKind, DynamicGraph, Edge};
 use saga_utils::parallel::ThreadPool;
+use saga_utils::rng::Xoshiro256PlusPlus;
 use std::path::PathBuf;
 
 /// A deterministic pseudo-random directed edge list with weights in
 /// (0, 1]; dense enough that BFS/CC reach most vertices from the root.
 fn sample_edges(n: usize, edges: usize, seed: u64) -> Vec<Edge> {
-    let mut state = seed | 1;
-    let mut next = move || {
-        // xorshift64* — good enough for test-graph shapes.
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    };
+    let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
     (0..edges)
         .map(|_| {
-            let src = (next() % n as u64) as u32;
-            let dst = (next() % n as u64) as u32;
-            let weight = ((next() % 1000) + 1) as f32 / 1000.0;
-            Edge::new(src, dst, weight)
+            let (src, dst) = (rng.range(0, n - 1) as u32, rng.range(0, n - 1) as u32);
+            Edge::new(src, dst, rng.range(1, 1000) as f32 / 1000.0)
         })
         .collect()
 }

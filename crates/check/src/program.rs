@@ -7,33 +7,9 @@
 //! and replayed differentially across every structure × driver × compute
 //! model combination by [`crate::check_program`].
 
-use rand::Rng;
-use rand_xoshiro::rand_core::{RngCore, SeedableRng};
-use rand_xoshiro::Xoshiro256PlusPlus;
-
-/// Uniform draw from the inclusive range `[lo, hi]`.
-///
-/// Implemented directly over the raw generator (unbiased rejection of the
-/// wrap-around remainder zone) so program generation depends only on the
-/// xoshiro stream, not on any particular `rand` sampling algorithm.
-fn range(rng: &mut Xoshiro256PlusPlus, lo: usize, hi: usize) -> usize {
-    debug_assert!(lo <= hi, "inclusive range needs lo <= hi");
-    let span = (hi - lo) as u64 + 1;
-    let zone = u64::MAX - u64::MAX % span;
-    loop {
-        let x = rng.next_u64();
-        if x < zone {
-            return (lo as u64 + x % span) as usize;
-        }
-    }
-}
-
-/// Bernoulli draw with probability `p`.
-fn chance(rng: &mut Xoshiro256PlusPlus, p: f64) -> bool {
-    rng.gen::<f64>() < p
-}
 use saga_graph::Node;
 use saga_stream::{edge_weight, Edge, EdgeOp, EdgeStream};
+use saga_utils::rng::Xoshiro256PlusPlus;
 use std::fmt::Write as _;
 
 /// One operation of a program: the op kind plus the edge endpoints.
@@ -95,11 +71,11 @@ impl OpProgram {
     pub fn generate(seed: u64, profile: ProgramProfile) -> OpProgram {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
         let capacity = match profile {
-            ProgramProfile::DuplicateDense => range(&mut rng, 4, 10),
-            _ => range(&mut rng, 8, 48),
+            ProgramProfile::DuplicateDense => rng.range(4, 10),
+            _ => rng.range(8, 48),
         };
-        let directed = chance(&mut rng, 0.5);
-        let num_batches = range(&mut rng, 1, 5);
+        let directed = rng.chance(0.5);
+        let num_batches = rng.range(1, 5);
         let batches = match profile {
             ProgramProfile::WindowEviction => {
                 gen_window_eviction(&mut rng, capacity, num_batches)
@@ -129,7 +105,7 @@ impl OpProgram {
     ) -> OpProgram {
         assert!(capacity >= 4, "programs need at least 4 vertices");
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
-        let num_batches = range(&mut rng, 1, 5);
+        let num_batches = rng.range(1, 5);
         let batches = match profile {
             ProgramProfile::WindowEviction => {
                 gen_window_eviction(&mut rng, capacity, num_batches)
@@ -236,10 +212,10 @@ impl OpProgram {
 /// Draws an endpoint pair (never a self-loop).
 fn pair(rng: &mut Xoshiro256PlusPlus, capacity: usize, hubs: &[Node]) -> (Node, Node) {
     let draw = |rng: &mut Xoshiro256PlusPlus| -> Node {
-        if !hubs.is_empty() && chance(rng, 0.5) {
-            hubs[range(rng, 0, hubs.len() - 1)]
+        if !hubs.is_empty() && rng.chance(0.5) {
+            hubs[rng.range(0, hubs.len() - 1)]
         } else {
-            range(rng, 0, capacity - 1) as Node
+            rng.range(0, capacity - 1) as Node
         }
     };
     loop {
@@ -260,8 +236,8 @@ fn gen_mixed(
     let hubs: Vec<Node> = match profile {
         ProgramProfile::HubConcentrated => {
             vec![
-                range(rng, 0, capacity - 1) as Node,
-                range(rng, 0, capacity - 1) as Node,
+                rng.range(0, capacity - 1) as Node,
+                rng.range(0, capacity - 1) as Node,
             ]
         }
         _ => Vec::new(),
@@ -277,14 +253,14 @@ fn gen_mixed(
     let mut deleted: Vec<(Node, Node)> = Vec::new();
     let mut batches = Vec::with_capacity(num_batches);
     for _ in 0..num_batches {
-        let ops_in_batch = range(rng, 1, 40);
+        let ops_in_batch = rng.range(1, 40);
         let mut batch = Vec::with_capacity(ops_in_batch);
         for _ in 0..ops_in_batch {
-            if chance(rng, delete_prob) && !inserted.is_empty() {
+            if rng.chance(delete_prob) && !inserted.is_empty() {
                 // Delete: usually a previously inserted edge, sometimes a
                 // random (likely absent) one to exercise `missing`.
-                let (s, d) = if chance(rng, 0.8) {
-                    inserted[range(rng, 0, inserted.len() - 1)]
+                let (s, d) = if rng.chance(0.8) {
+                    inserted[rng.range(0, inserted.len() - 1)]
                 } else {
                     pair(rng, capacity, &hubs)
                 };
@@ -293,9 +269,9 @@ fn gen_mixed(
             } else {
                 let reuse_deleted = profile == ProgramProfile::ReinsertAfterDelete
                     && !deleted.is_empty()
-                    && chance(rng, 0.6);
+                    && rng.chance(0.6);
                 let (s, d) = if reuse_deleted {
-                    deleted[range(rng, 0, deleted.len() - 1)]
+                    deleted[rng.range(0, deleted.len() - 1)]
                 } else {
                     pair(rng, capacity, &hubs)
                 };
@@ -315,10 +291,10 @@ fn gen_window_eviction(
     capacity: usize,
     num_batches: usize,
 ) -> Vec<Vec<ProgramOp>> {
-    let window = range(rng, 1, 2.min(num_batches));
+    let window = rng.range(1, 2.min(num_batches));
     let mut fresh: Vec<Vec<(Node, Node)>> = Vec::with_capacity(num_batches);
     for _ in 0..num_batches {
-        let n = range(rng, 1, 20);
+        let n = rng.range(1, 20);
         fresh.push((0..n).map(|_| pair(rng, capacity, &[])).collect());
     }
     let mut batches = Vec::with_capacity(num_batches);
@@ -351,6 +327,34 @@ mod tests {
             assert_eq!(a, b, "{profile:?}");
             assert!(a.total_ops() > 0);
             assert!(a.batches.iter().all(|b| !b.is_empty()));
+        }
+    }
+
+    /// Failing seeds quoted in CHANGES.md / DESIGN.md must stay replayable:
+    /// a (seed, profile) pair names the program it named on the `rand` 0.8 /
+    /// `rand_xoshiro` 0.6 build, which printed these constants.
+    #[test]
+    fn seeds_name_the_programs_they_always_named() {
+        use saga_utils::hash::mix64;
+        let known: [u64; 6] = [
+            0x2b57_33db_39a7_15d0,
+            0x4d9f_53b0_073d_02e7,
+            0xc2fd_1eab_52ea_0d98,
+            0x3706_ee94_f21f_9f08,
+            0x9a1f_75ea_e016_4df3,
+            0x0413_ce4c_add2_cee3,
+        ];
+        for (profile, known) in ProgramProfile::ALL.into_iter().zip(known) {
+            let p = OpProgram::generate(0xC0FFEE, profile);
+            let mut h = mix64(p.capacity as u64 ^ ((p.directed as u64) << 32));
+            for batch in &p.batches {
+                h = mix64(h ^ batch.len() as u64);
+                for &(op, s, d) in batch {
+                    let delete = ((op == EdgeOp::Delete) as u64) << 63;
+                    h = mix64(h ^ delete ^ (s as u64) << 32 ^ d as u64);
+                }
+            }
+            assert_eq!(h, known, "{profile:?}");
         }
     }
 

@@ -1,20 +1,19 @@
 //! Deterministic fixed-seed differential stress test for partitioned batch
-//! ingestion — the Miri-runnable complement to the proptest suite.
+//! ingestion — the Miri-runnable complement to `seeded_partitioned_ingest`.
 //!
-//! Proptest's fork/persistence machinery and case counts make it a poor fit
-//! for `cargo miri test`, so this test drives the same oracle comparison
-//! from a fixed-seed `Xoshiro256++` stream: identical edges, batches, and
-//! structure state on every run, on every machine. Under Miri the model is
+//! That suite's case counts are not Miri-sized, so this test drives the
+//! same oracle comparison from one fixed-seed `Xoshiro256++` stream per
+//! structure: identical edges, batches, and structure state on every run,
+//! on every machine. Under Miri the model is
 //! scaled down (fewer vertices, rounds, and edges) so the interpreter
 //! finishes in seconds while still exercising the partitioner's parallel
 //! histogram/scatter passes and the pool's fork-join on 2 workers.
 
-use rand_xoshiro::rand_core::{RngCore, SeedableRng};
-use rand_xoshiro::Xoshiro256PlusPlus;
 use saga_graph::oracle::GraphOracle;
 use saga_graph::{build_deletable_graph_with, DataStructureKind, Edge, Node};
 use saga_utils::hash::hash_edge;
 use saga_utils::parallel::ThreadPool;
+use saga_utils::rng::Xoshiro256PlusPlus;
 
 #[cfg(miri)]
 const MAX_NODES: usize = 12;

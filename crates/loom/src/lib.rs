@@ -4,9 +4,9 @@
 //! The real loom crate is not available in this repository's offline build
 //! environment, so this crate provides the subset of its surface that the
 //! `saga_utils::sync` facade needs: [`model`], [`sync::atomic`] integer
-//! atomics, a [`parking_lot`]-shaped [`sync::Mutex`]/[`sync::Condvar`] pair,
+//! atomics, a poison-free [`sync::Mutex`]/[`sync::Condvar`] pair,
 //! and [`thread::spawn`]/[`thread::JoinHandle`]. Code written against the
-//! facade compiles against `std`/`parking_lot` normally and against this
+//! facade compiles against `std::sync` normally and against this
 //! crate under `--cfg loom`.
 //!
 //! # What it checks

@@ -87,6 +87,10 @@ static RT: Rt = Rt {
     cv: StdCondvar::new(),
 };
 
+/// Held for a whole [`explore`] run: `RT` is one model's state, so models
+/// started from parallel `#[test]`s take turns instead of colliding.
+static MODEL_RUN: StdMutex<()> = StdMutex::new(());
+
 std::thread_local! {
     static TID: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
 }
@@ -383,6 +387,8 @@ pub(crate) fn explore(f: Arc<dyn Fn() + Send + Sync>, bound: usize, max_iters: u
         !is_managed(),
         "saga_loom::model may not be nested inside a model"
     );
+    // Poison is expected: a failing model panics out of here by design.
+    let _run = MODEL_RUN.lock().unwrap_or_else(|e| e.into_inner());
     let mut path: Vec<Decision> = Vec::new();
     let mut iterations = 0usize;
     loop {
@@ -392,8 +398,7 @@ pub(crate) fn explore(f: Arc<dyn Fn() + Send + Sync>, bound: usize, max_iters: u
             "saga-loom: exceeded {max_iters} schedules without exhausting the model; \
              shrink the model or raise SAGA_LOOM_MAX_ITERS"
         );
-        let outcome = run_iteration(&f, std::mem::take(&mut path));
-        path = match outcome {
+        path = match run_iteration(&f, std::mem::take(&mut path)) {
             Ok(p) => p,
             Err((msg, p)) => {
                 panic!(
@@ -424,7 +429,6 @@ fn run_iteration(
 ) -> Result<Vec<Decision>, (String, Vec<Decision>)> {
     {
         let mut guard = RT.state.lock().unwrap_or_else(|e| e.into_inner());
-        assert!(guard.is_none(), "concurrent saga_loom::model runs");
         *guard = Some(ModelState {
             threads: vec![Status::Parked(Pending::Op)],
             active: None,

@@ -1,4 +1,4 @@
-//! Modeled synchronization primitives: `parking_lot`-shaped [`Mutex`] and
+//! Modeled synchronization primitives: poison-free [`Mutex`] and
 //! [`Condvar`], plus [`atomic`] integer types.
 //!
 //! All of these are plain data guarded by the scheduler baton: at most one
@@ -267,7 +267,7 @@ pub mod atomic {
     }
 }
 
-/// A modeled mutex with the `parking_lot` API shape (no lock poisoning,
+/// A modeled mutex with the facade's API shape (no lock poisoning,
 /// guard-based [`Condvar::wait`]).
 ///
 /// Identity in the model is the object's address, so a `Mutex` created
@@ -348,7 +348,7 @@ impl<T> Drop for MutexGuard<'_, T> {
     }
 }
 
-/// A modeled condition variable with the `parking_lot` API shape
+/// A modeled condition variable with the facade's API shape
 /// ([`wait`](Self::wait) takes the guard by `&mut`).
 ///
 /// Spurious wakeups are not modeled; lost-wakeup bugs still surface as
@@ -389,7 +389,7 @@ impl Condvar {
     }
 }
 
-/// A modeled reader-writer lock with the `parking_lot` API shape.
+/// A modeled reader-writer lock with the facade's API shape.
 ///
 /// The model is deliberately conservative: readers serialize with each
 /// other exactly like writers (both map onto the model's exclusive lock).

@@ -151,10 +151,10 @@ mod tests {
     use super::*;
 
     /// Trigger state is process-global; serialize the tests that move it.
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    static LOCK: saga_utils::sync::Mutex<()> = saga_utils::sync::Mutex::new(());
 
-    fn flight_test() -> std::sync::MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn flight_test() -> saga_utils::sync::MutexGuard<'static, ()> {
+        LOCK.lock()
     }
 
     #[test]

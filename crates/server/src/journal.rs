@@ -69,7 +69,7 @@ pub fn append_batch(out: &mut String, seq: usize, ops: &[(EdgeOp, Edge)]) {
 
 /// Serializes batches to canonical journal text.
 /// [`parse_journal`] ∘ `serialize_journal` is the identity on non-empty
-/// batches (pinned by the round-trip proptest in
+/// batches (pinned by the seeded round-trip tests in
 /// `tests/journal_roundtrip.rs`).
 pub fn serialize_journal(batches: &[JournalBatch]) -> String {
     let mut out = String::new();

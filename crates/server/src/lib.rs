@@ -27,7 +27,7 @@
 //! Module map:
 //!
 //! - [`http`] — total HTTP/1.1 parsing (arbitrary byte soup never panics
-//!   and never hangs a connection; proptest-pinned).
+//!   and never hangs a connection; pinned by `tests/seeded_http.rs`).
 //! - [`flight`] — flight-recorder dump triggers and artifacts.
 //! - [`journal`] — the batch journal format and its parse/serialize
 //!   round-trip.

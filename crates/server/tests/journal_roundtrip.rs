@@ -4,48 +4,44 @@
 //! batches, and `parse` accepts every op spelling the loader does —
 //! normalizing all of them to the same canonical text.
 
-use proptest::prelude::*;
 use saga_server::journal::{journal_root, parse_journal, serialize_journal, JournalBatch};
 use saga_stream::{edge_weight, Edge, EdgeOp};
+use saga_utils::rng::{for_each_seed, Xoshiro256PlusPlus};
 
-const CAPACITY: u32 = 48;
+/// Cases per property; replay a failure by chaining its seed on.
+const SEEDS: std::ops::Range<u64> = 0..256;
 
-/// One op with a canonical edge (explicit quantized weight, directedness
-/// passed separately so undirected weights canonicalize).
-fn op(directed: bool) -> impl Strategy<Value = (EdgeOp, Edge)> {
-    (any::<bool>(), 0..CAPACITY, 0..CAPACITY).prop_map(move |(ins, s, d)| {
-        let op = if ins { EdgeOp::Insert } else { EdgeOp::Delete };
-        (op, Edge::new(s, d, edge_weight(s, d, directed)))
-    })
+const CAPACITY: usize = 48;
+
+/// Batches as the tenant worker journals them: up to 7, consecutive seqs,
+/// 1..=11 ops each, every edge carrying its canonical quantized weight
+/// for `directed` (undirected weights canonicalize).
+fn batches(rng: &mut Xoshiro256PlusPlus, directed: bool) -> Vec<JournalBatch> {
+    (0..rng.range(0, 7))
+        .map(|seq| JournalBatch {
+            seq,
+            ops: rng.vec(1, 11, |rng| {
+                let op = if rng.chance(0.5) { EdgeOp::Insert } else { EdgeOp::Delete };
+                let (s, d) = (rng.range(0, CAPACITY - 1) as u32, rng.range(0, CAPACITY - 1) as u32);
+                (op, Edge::new(s, d, edge_weight(s, d, directed)))
+            }),
+        })
+        .collect()
 }
 
-/// Batches as the tenant worker journals them: consecutive seqs, 1..=12
-/// ops each.
-fn batches(directed: bool) -> impl Strategy<Value = Vec<JournalBatch>> {
-    proptest::collection::vec(proptest::collection::vec(op(directed), 1..12), 0..8).prop_map(
-        |groups| {
-            groups
-                .into_iter()
-                .enumerate()
-                .map(|(seq, ops)| JournalBatch { seq, ops })
-                .collect()
-        },
-    )
-}
-
-/// Renders one op in a randomly chosen *foreign* spelling: any of the
+/// Renders one op in a chosen *foreign* spelling: any of the
 /// insert/delete op columns the loader accepts, fused `-src`, with or
 /// without the explicit weight.
-fn foreign_line(op: EdgeOp, e: &Edge, spelling: u8, with_weight: bool) -> String {
+fn foreign_line(op: EdgeOp, e: &Edge, spelling: usize, with_weight: bool) -> String {
     let w = if with_weight { format!(" {}", e.weight) } else { String::new() };
     match op {
-        EdgeOp::Insert => match spelling % 4 {
+        EdgeOp::Insert => match spelling {
             0 => format!("{} {}{w}", e.src, e.dst),
             1 => format!("+ {} {}{w}", e.src, e.dst),
             2 => format!("a {} {}{w}", e.src, e.dst),
             _ => format!("I {} {}{w}", e.src, e.dst),
         },
-        EdgeOp::Delete => match spelling % 4 {
+        EdgeOp::Delete => match spelling {
             0 => format!("- {} {}{w}", e.src, e.dst),
             1 => format!("d {} {}{w}", e.src, e.dst),
             2 => format!("D {} {}{w}", e.src, e.dst),
@@ -54,83 +50,60 @@ fn foreign_line(op: EdgeOp, e: &Edge, spelling: u8, with_weight: bool) -> String
     }
 }
 
-proptest! {
-    /// serialize ∘ parse is the identity on structured batches, for both
-    /// directednesses.
-    #[test]
-    fn serialize_parse_identity(directed in any::<bool>(), batches in batches(true)) {
-        // Re-derive weights for the chosen directedness so the canonical
-        // weight rule holds (the generator above fixed directed=true).
-        let batches: Vec<JournalBatch> = batches
-            .into_iter()
-            .map(|b| JournalBatch {
-                seq: b.seq,
-                ops: b
-                    .ops
-                    .into_iter()
-                    .map(|(op, e)| (op, Edge::new(e.src, e.dst, edge_weight(e.src, e.dst, directed))))
-                    .collect(),
-            })
-            .collect();
+/// serialize ∘ parse is the identity on structured batches, for both
+/// directednesses.
+#[test]
+fn serialize_parse_identity() {
+    for_each_seed(SEEDS, |rng| {
+        let directed = rng.chance(0.5);
+        let batches = batches(rng, directed);
         let text = serialize_journal(&batches);
         let back = parse_journal(&text, directed).unwrap();
-        prop_assert_eq!(&back, &batches);
+        assert_eq!(&back, &batches);
         // And serialization is deterministic: a second round trip yields
         // byte-identical text.
-        prop_assert_eq!(serialize_journal(&back), text);
-    }
+        assert_eq!(serialize_journal(&back), text);
+    });
+}
 
-    /// Every foreign spelling of the same ops parses to the same batches
-    /// as the canonical text — spelling never leaks into the journal's
-    /// meaning.
-    #[test]
-    fn foreign_spellings_normalize(
-        directed in any::<bool>(),
-        batches in batches(true),
-        spellings in proptest::collection::vec((any::<u8>(), any::<bool>()), 0..96),
-    ) {
-        let batches: Vec<JournalBatch> = batches
-            .into_iter()
-            .map(|b| JournalBatch {
-                seq: b.seq,
-                ops: b
-                    .ops
-                    .into_iter()
-                    .map(|(op, e)| (op, Edge::new(e.src, e.dst, edge_weight(e.src, e.dst, directed))))
-                    .collect(),
-            })
-            .collect();
+/// Every foreign spelling of the same ops parses to the same batches as
+/// the canonical text — spelling never leaks into the journal's meaning.
+#[test]
+fn foreign_spellings_normalize() {
+    for_each_seed(SEEDS, |rng| {
+        let directed = rng.chance(0.5);
+        let batches = batches(rng, directed);
         let mut text = String::new();
-        let mut spelling_iter = spellings.into_iter().chain(std::iter::repeat((0, true)));
         for b in &batches {
             for &(op, ref e) in &b.ops {
-                let (spelling, with_weight) = spelling_iter.next().unwrap();
                 // Fused `-src` only renders for nonzero src (the loader
                 // reads a bare `-0` as op column + missing dst).
-                let spelling = if op == EdgeOp::Delete && spelling % 4 == 3 && e.src == 0 {
-                    0
-                } else {
-                    spelling
+                let spelling = match rng.range(0, 3) {
+                    3 if op == EdgeOp::Delete && e.src == 0 => 0,
+                    spelling => spelling,
                 };
-                text.push_str(&foreign_line(op, e, spelling, with_weight));
+                text.push_str(&foreign_line(op, e, spelling, rng.chance(0.5)));
                 text.push('\n');
             }
             text.push_str(&format!("#batch {}\n", b.seq));
         }
         let parsed = parse_journal(&text, directed).unwrap();
-        prop_assert_eq!(&parsed, &batches);
+        assert_eq!(&parsed, &batches);
         // Normalization: re-serializing the foreign text gives canonical
         // text that round-trips to the same batches.
         let canonical = serialize_journal(&parsed);
-        prop_assert_eq!(parse_journal(&canonical, directed).unwrap(), batches);
-    }
+        assert_eq!(parse_journal(&canonical, directed).unwrap(), batches);
+    });
+}
 
-    /// The replay root is a pure function of the journal text — the
-    /// convention offline replay and the tenant worker must share.
-    #[test]
-    fn root_survives_the_round_trip(batches in batches(true)) {
+/// The replay root is a pure function of the journal text — the
+/// convention offline replay and the tenant worker must share.
+#[test]
+fn root_survives_the_round_trip() {
+    for_each_seed(SEEDS, |rng| {
+        let batches = batches(rng, true);
         let text = serialize_journal(&batches);
         let back = parse_journal(&text, true).unwrap();
-        prop_assert_eq!(journal_root(&back), journal_root(&batches));
-    }
+        assert_eq!(journal_root(&back), journal_root(&batches));
+    });
 }

@@ -7,8 +7,7 @@
 
 use std::borrow::Cow;
 
-use rand_xoshiro::rand_core::{RngCore, SeedableRng};
-use rand_xoshiro::Xoshiro256PlusPlus;
+use saga_utils::rng::Xoshiro256PlusPlus;
 
 use crate::{Edge, EdgeOp};
 

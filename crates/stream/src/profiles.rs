@@ -27,8 +27,7 @@ use crate::batching::shuffle_edges;
 use crate::rmat::Rmat;
 use crate::zipf::EndpointDist;
 use crate::{edge_weight, Edge, EdgeOp, EdgeStream};
-use rand_xoshiro::rand_core::{RngCore, SeedableRng};
-use rand_xoshiro::Xoshiro256PlusPlus;
+use saga_utils::rng::Xoshiro256PlusPlus;
 
 /// Statistics of the *paper's* dataset (Table II), kept for reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

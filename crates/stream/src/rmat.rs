@@ -5,9 +5,7 @@
 //! the generator itself, so the RMAT rows of every table and figure are
 //! produced by exactly the paper's workload.
 
-use rand::Rng;
-use rand_xoshiro::rand_core::SeedableRng;
-use rand_xoshiro::Xoshiro256PlusPlus;
+use saga_utils::rng::Xoshiro256PlusPlus;
 
 use crate::{weight_for, Edge, Node};
 
@@ -71,7 +69,7 @@ impl Rmat {
             for _ in 0..self.levels {
                 src <<= 1;
                 dst <<= 1;
-                let r: f64 = rng.gen();
+                let r = rng.next_f64();
                 if r < self.a {
                     // top-left
                 } else if r < self.a + self.b {

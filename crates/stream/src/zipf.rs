@@ -10,9 +10,7 @@
 //! vertex, which is what makes wiki-topcats (in-degree) and wiki-Talk
 //! (out-degree) heavy-tailed in every batch (Table IV).
 
-use rand::Rng;
-use rand_xoshiro::rand_core::RngCore;
-use rand_xoshiro::Xoshiro256PlusPlus;
+use saga_utils::rng::Xoshiro256PlusPlus;
 
 use crate::Node;
 
@@ -23,10 +21,10 @@ use crate::Node;
 ///
 /// ```
 /// use saga_stream::zipf::AliasTable;
-/// use rand_xoshiro::rand_core::SeedableRng;
+/// use saga_utils::rng::Xoshiro256PlusPlus;
 ///
 /// let table = AliasTable::new(&[1.0, 1.0, 2.0]);
-/// let mut rng = rand_xoshiro::Xoshiro256PlusPlus::seed_from_u64(1);
+/// let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
 /// let x = table.sample(&mut rng);
 /// assert!(x < 3);
 /// ```
@@ -87,7 +85,7 @@ impl AliasTable {
     /// Draws one outcome.
     pub fn sample(&self, rng: &mut Xoshiro256PlusPlus) -> usize {
         let i = (rng.next_u64() % self.prob.len() as u64) as usize;
-        let coin: f64 = rng.gen::<f64>();
+        let coin = rng.next_f64();
         if coin < self.prob[i] {
             i
         } else {
@@ -154,7 +152,7 @@ impl EndpointDist {
 
     /// Draws one endpoint.
     pub fn sample(&self, rng: &mut Xoshiro256PlusPlus) -> Node {
-        if self.hub_mass > 0.0 && rng.gen::<f64>() < self.hub_mass {
+        if self.hub_mass > 0.0 && rng.next_f64() < self.hub_mass {
             return self.hub;
         }
         self.permutation[self.table.sample(rng)]
@@ -163,7 +161,6 @@ impl EndpointDist {
 
 /// Seeded Fisher–Yates permutation of `0..n`.
 pub fn permutation(n: usize, seed: u64) -> Vec<Node> {
-    use rand_xoshiro::rand_core::SeedableRng;
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
     let mut perm: Vec<Node> = (0..n as Node).collect();
     for i in (1..n).rev() {
@@ -176,7 +173,6 @@ pub fn permutation(n: usize, seed: u64) -> Vec<Node> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand_xoshiro::rand_core::SeedableRng;
 
     fn rng(seed: u64) -> Xoshiro256PlusPlus {
         Xoshiro256PlusPlus::seed_from_u64(seed)

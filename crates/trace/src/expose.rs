@@ -17,7 +17,7 @@
 //! and a family whose sanitized name is already taken by a different
 //! *kind* gets a kind suffix. Both rules are deterministic, so
 //! [`parse_prometheus`] round-trips the rendered model exactly — the
-//! property the `proptest_expose` suite drives with hostile names.
+//! property the `seeded_expose` suite drives with hostile names.
 //!
 //! The parser doubles as the validator used by the server smoke tests
 //! and `cargo xtask check-metrics`: it enforces the name/label grammar,

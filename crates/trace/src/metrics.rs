@@ -12,7 +12,7 @@
 //! 1/16 ≈ 6.3% — the standard HdrHistogram-style trade: O(1) concurrent
 //! recording, ~1k fixed buckets, and p50/p90/p99/p999 that are faithful to
 //! within one bucket of the exact sorted-sample quantile (property-tested
-//! in `tests/proptest_hist.rs`).
+//! in `tests/seeded_hist.rs`).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -2,8 +2,7 @@
 //!
 //! The BSP engine (`saga-bsp`) separates each superstep into a scatter
 //! phase, a message exchange, and a gather phase. Phase transitions need
-//! two things from a barrier that [`std::sync::Barrier`] bundles awkwardly
-//! and `parking_lot` does not provide at all:
+//! two things from a barrier that [`std::sync::Barrier`] bundles awkwardly:
 //!
 //! 1. **Reusability** — the same barrier object is crossed hundreds of
 //!    times per run (twice per superstep), so it must reset itself after

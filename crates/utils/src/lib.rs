@@ -30,10 +30,12 @@
 //! - [`barrier`] — a reusable leader-electing superstep barrier for the
 //!   BSP execution layer's phase transitions (scatter → exchange → gather),
 //!   model-checked under `--cfg loom`.
-//! - [`sync`] — the synchronization facade: `std`/`parking_lot` primitives
-//!   normally, the `saga-loom` model checker's instrumented versions under
-//!   `--cfg loom`. All other modules (and crates) take their atomics,
-//!   locks, and thread spawns from here.
+//! - [`sync`] — the synchronization facade: `std::sync` primitives behind
+//!   poison-free wrappers normally, the `saga-loom` model checker's
+//!   instrumented versions under `--cfg loom`. All other modules (and
+//!   crates) take their atomics, locks, and thread spawns from here.
+//! - [`rng`] — the one seeded generator (xoshiro256++) under every input
+//!   stream, fuzz program and seeded property test.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -47,6 +49,7 @@ pub mod partition;
 pub mod prefetch;
 pub mod probe;
 pub mod queue;
+pub mod rng;
 pub mod stats;
 pub mod sync;
 pub mod timer;

@@ -1,10 +1,14 @@
-//! The suite's synchronization facade: `std`/`parking_lot` primitives
-//! normally, [`saga_loom`]'s model-checked versions under `--cfg loom`.
+//! The suite's synchronization facade: `std::sync` primitives (the locks
+//! behind poison-free wrappers) normally, [`saga_loom`]'s model-checked
+//! versions under `--cfg loom`.
 //!
 //! Every crate in the workspace imports its atomics, locks, condvars, and
 //! thread-spawning through this module instead of `std::sync` directly
-//! (enforced by `cargo xtask lint`). In a normal build the re-exports are
-//! zero-cost aliases of the real primitives. Under `RUSTFLAGS="--cfg
+//! (enforced by `cargo xtask lint`). In a normal build the atomics are
+//! the standard library's and the locks are thin wrappers over its
+//! `Mutex` / `RwLock` / `Condvar` with one API shape on both sides of the
+//! facade: no poisoning (a panicking holder leaves the data as it was)
+//! and `Condvar::wait(&mut guard)`. Under `RUSTFLAGS="--cfg
 //! loom"` they swap to the [`saga_loom`] model checker's instrumented
 //! types, so the concurrency protocols built on top of them — the
 //! [`crate::parallel::ThreadPool`] dispatch/shutdown protocol, the
@@ -24,9 +28,7 @@ pub use std::sync::atomic;
 pub use saga_loom::sync::atomic;
 
 #[cfg(not(loom))]
-pub use parking_lot::{
-    Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+pub use locks::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 #[cfg(loom)]
 pub use saga_loom::sync::{
@@ -34,6 +36,10 @@ pub use saga_loom::sync::{
 };
 
 pub use std::sync::Arc;
+
+/// The poison-free lock wrappers of a normal build.
+#[cfg(not(loom))]
+mod locks;
 
 /// Thread creation and introspection behind the facade.
 ///

@@ -16,10 +16,11 @@
 //!    checker, and the trace layer (which sits *below* the facade) — all
 //!    other code must use `saga_utils::sync::atomic` so that `--cfg loom`
 //!    swaps in the model-checked types everywhere;
-//! 5. `parking_lot` is imported only by the sync facade (the analyzer's
-//!    seeded fixtures, which are not compiled, keep the raw idiom so the
-//!    fixture shapes match real pre-facade code) — all other code takes
-//!    locks from `saga_utils::sync` for the same `--cfg loom` swap;
+//! 5. `std::sync::{Mutex, RwLock, Condvar}` are named in library source
+//!    only by the sync facade (which wraps them), the model checker, and
+//!    the trace layer — all other library code takes locks from
+//!    `saga_utils::sync` for the same `--cfg loom` swap (tests may
+//!    serialize themselves on a plain std lock);
 //! 6. `println!` / `eprintln!` are banned in library code (any `src/`
 //!    file outside `src/bin/`) — library output must route through the
 //!    `saga_trace::progress!` facade or `saga_core::report`, so that
@@ -29,10 +30,12 @@
 //!    paths call `saga_utils::prefetch` / the property arrays' `prefetch`
 //!    helpers, so the per-target gating (and its SAFETY argument) stays in
 //!    one audited file;
-//! 8. every `[dependencies]` entry of every manifest (the root package's
-//!    and each `crates/*`) is named somewhere under that package's `src/`
-//!    — a dependency nobody imports still costs a registry fetch and a
-//!    build, and once dropped it must not creep back.
+//! 8. every dependency entry of every manifest (the root's and each
+//!    `crates/*`, dev- and workspace tables included) is a path or
+//!    workspace-path one — the tree builds offline from a fresh clone, with
+//!    a lockfile that never changes — and every `[dependencies]` entry is
+//!    named somewhere under that package's `src/`: a dependency nobody
+//!    imports still costs a build, and once dropped it must not creep back.
 //!
 //! The old informational `Ordering::Relaxed` listing moved to
 //! `cargo xtask analyze`, whose atomics-protocol audit groups sites by
@@ -116,7 +119,7 @@ fn analyze_trace(path: Option<String>) -> ExitCode {
 }
 
 /// Validates a Prometheus text-exposition file with the same in-tree
-/// parser the proptest round-trip pins against the renderer.
+/// parser the seeded round-trip tests pin against the renderer.
 fn check_metrics(path: Option<String>) -> ExitCode {
     let Some(path) = path else {
         eprintln!("usage: cargo xtask check-metrics <file.prom>");
@@ -273,15 +276,8 @@ fn lint() -> ExitCode {
             .collect();
         let rel = package.strip_prefix(&root).unwrap_or(&package).join("Cargo.toml");
         let rel = rel.to_string_lossy().replace('\\', "/");
-        for dep in unused_dependencies(&manifest, &sources) {
-            if TEST_ONLY_DEPENDENCIES.contains(&(rel.as_str(), dep.as_str())) {
-                continue;
-            }
-            violations.push(format!(
-                "{rel}: dependency `{dep}` is imported nowhere under src/ — drop it, \
-                 or move it to [dev-dependencies] if only tests use it"
-            ));
-        }
+        let problems = dependency_violations(&manifest, &sources);
+        violations.extend(problems.iter().map(|problem| format!("{rel}: {problem}")));
     }
 
     println!("xtask lint: scanned {} files", files.len());
@@ -316,38 +312,40 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// `(manifest, dependency)` pairs rule 8 lets stand although only the
-/// package's tests import them. The registry-free gate (`cargo test
-/// --offline --manifest-path rig/Cargo.toml -p saga-check`) can test a
-/// package outside the rig's workspace only while it declares no
-/// `[dev-dependencies]`, so saga-check's test-only dependency stays here.
-const TEST_ONLY_DEPENDENCIES: &[(&str, &str)] = &[("crates/check/Cargo.toml", "saga-bench")];
-
-/// Rule 8: the `[dependencies]` entries of `manifest` that none of the
-/// package's `sources` names (as an identifier, outside comments and
-/// strings). Pure function so the unit tests can seed both sides.
-fn unused_dependencies(manifest: &str, sources: &[String]) -> Vec<String> {
+/// Rule 8 over one `manifest`: every entry of every `*dependencies` table
+/// that is not a path / workspace-path one, and every `[dependencies]` entry
+/// none of the package's `sources` names (as an identifier, outside
+/// comments and strings). Pure function so the unit tests can seed both.
+fn dependency_violations(manifest: &str, sources: &[String]) -> Vec<String> {
     let code: Vec<Line> = sources.iter().flat_map(|source| strip(source)).collect();
-    let mut in_dependencies = false;
-    let mut unused = Vec::new();
+    let mut table = "";
+    let mut problems = Vec::new();
     for line in manifest.lines().map(str::trim) {
         if line.starts_with('[') {
-            in_dependencies = line == "[dependencies]";
+            table = line;
             continue;
         }
         let name: String = line
             .chars()
             .take_while(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_'))
             .collect();
-        if !in_dependencies || name.is_empty() {
+        if !table.ends_with("dependencies]") || name.is_empty() {
             continue;
         }
+        if !line.contains("path =") && !line.contains("workspace = true") {
+            problems.push(format!("{table} `{name}` is not a path dependency"));
+        }
         let ident = name.replace('-', "_");
-        if !code.iter().any(|l| contains_token_path(&l.code, &ident)) {
-            unused.push(name);
+        if table == "[dependencies]"
+            && !code.iter().any(|l| contains_token_path(&l.code, &ident))
+        {
+            problems.push(format!(
+                "dependency `{name}` is imported nowhere under src/ — drop it, \
+                 or move it to [dev-dependencies] if only tests use it"
+            ));
         }
     }
-    unused
+    problems
 }
 
 /// Result of scanning one file.
@@ -360,13 +358,10 @@ struct Report {
 /// Files allowed to spawn OS threads directly.
 const THREAD_ALLOWLIST: &[&str] = &["crates/utils/src/parallel.rs", "crates/utils/src/sync.rs"];
 
-/// Files allowed to name `std::sync::atomic` directly.
-const ATOMIC_ALLOWLIST: &[&str] = &["crates/utils/src/sync.rs"];
-
-/// The one compiled file allowed to import `parking_lot` directly: the
-/// sync facade, which re-exports its primitives (or the loom-modeled
-/// versions) to the rest of the workspace.
-const PARKING_LOT_ALLOWLIST: &[&str] = &["crates/utils/src/sync.rs"];
+/// The files allowed to name `std::sync::atomic` and the `std::sync` locks
+/// directly: the sync facade and its lock wrappers, which hand them (or
+/// the loom-modeled versions) to the rest of the workspace.
+const FACADE: &[&str] = &["crates/utils/src/sync.rs", "crates/utils/src/sync/locks.rs"];
 
 /// The one file allowed to name hardware prefetch intrinsics (or any
 /// `core::arch` / `std::arch` path): the per-target facade everything else
@@ -431,17 +426,15 @@ fn scan_file(rel_path: &str, source: &str) -> Report {
                      saga_utils::parallel (use the pool or the sync facade)"
                 ));
             }
-            if code.contains("std::sync::atomic") && !ATOMIC_ALLOWLIST.contains(&rel_path) {
+            if code.contains("std::sync::atomic") && !FACADE.contains(&rel_path) {
                 report.violations.push(format!(
                     "{rel_path}:{lineno}: direct `std::sync::atomic` use outside the sync \
                      facade (use `saga_utils::sync::atomic` so `--cfg loom` applies)"
                 ));
             }
-            if contains_token_path(code, "parking_lot")
-                && !PARKING_LOT_ALLOWLIST.contains(&rel_path)
-            {
+            if is_library_source(rel_path) && !FACADE.contains(&rel_path) && names_std_lock(code) {
                 report.violations.push(format!(
-                    "{rel_path}:{lineno}: direct `parking_lot` use outside the sync \
+                    "{rel_path}:{lineno}: direct `std::sync` lock outside the sync \
                      facade (take locks from `saga_utils::sync` so `--cfg loom` applies)"
                 ));
             }
@@ -476,7 +469,7 @@ fn scan_file(rel_path: &str, source: &str) -> Report {
         for site in unsafe_sites(code) {
             match site {
                 UnsafeSite::Fn => {
-                    if !doc_block_above(&lines, idx).contains("# Safety") {
+                    if !comment_block_above(&lines, idx).contains("# Safety") {
                         report.violations.push(format!(
                             "{rel_path}:{lineno}: `unsafe fn` without a `# Safety` doc section"
                         ));
@@ -496,6 +489,16 @@ fn scan_file(rel_path: &str, source: &str) -> Report {
         }
     }
     report
+}
+
+/// True when `code` names `std::sync::{Mutex, RwLock, Condvar}`, by full
+/// path or in a `use std::sync::{…}` list (generic arguments don't count:
+/// `std::sync::Arc<Mutex<T>>` holds whichever `Mutex` is in scope).
+fn names_std_lock(code: &str) -> bool {
+    code.split("std::sync::").skip(1).any(|rest| {
+        let path = rest.split(['}', ';', '<', '(']).next().unwrap_or(rest);
+        ["Mutex", "RwLock", "Condvar"].iter().any(|lock| contains_token_path(path, lock))
+    })
 }
 
 /// Kind of `unsafe` occurrence found on a line.
@@ -587,7 +590,8 @@ fn contains_token_path(code: &str, needle: &str) -> bool {
 }
 
 /// Concatenated comment text of the contiguous pure-comment lines directly
-/// above `idx` (attribute lines like `#[inline]` are skipped).
+/// above `idx` (attribute lines like `#[inline]` are skipped). `///` docs
+/// land in `comment` too, which is where `# Safety` sections are matched.
 fn comment_block_above(lines: &[Line], idx: usize) -> String {
     let mut text = String::new();
     for line in lines[..idx].iter().rev() {
@@ -602,12 +606,6 @@ fn comment_block_above(lines: &[Line], idx: usize) -> String {
         }
     }
     text
-}
-
-/// Doc-comment text above `idx`: same walk as [`comment_block_above`], but
-/// callers match `# Safety` inside `///` docs (which land in `comment`).
-fn doc_block_above(lines: &[Line], idx: usize) -> String {
-    comment_block_above(lines, idx)
 }
 
 /// Splits source into [`Line`]s with comments and string contents removed.
@@ -792,16 +790,27 @@ mod tests {
     }
 
     #[test]
-    fn parking_lot_outside_facade_fails_and_facade_passes() {
-        let src = "use parking_lot::{Mutex, RwLock};\n";
-        let report = scan_file("crates/graph/src/lib.rs", src);
-        assert_eq!(report.violations.len(), 1);
-        assert!(report.violations[0].contains("`parking_lot`"), "{report:?}");
-        assert!(scan_file("crates/utils/src/sync.rs", src).violations.is_empty());
-        assert!(scan_file("crates/loom/src/sync.rs", src).violations.is_empty());
-        assert!(scan_file("crates/analyze/fixtures/clean.rs", src)
-            .violations
-            .is_empty());
+    fn std_lock_in_library_source_fails_and_facade_and_tests_pass() {
+        for src in [
+            "use std::sync::{Arc, Mutex};\n",
+            "static L: std::sync::RwLock<()> = std::sync::RwLock::new(());\n",
+            "fn f(c: &std::sync::Condvar) {}\n",
+        ] {
+            let report = scan_file("crates/graph/src/lib.rs", src);
+            assert_eq!(report.violations.len(), 1, "{src}");
+            assert!(report.violations[0].contains("`std::sync` lock"), "{report:?}");
+            for rel in [
+                "crates/utils/src/sync/locks.rs", // the facade wraps them
+                "crates/loom/src/sync.rs",       // the other side of the facade
+                "crates/trace/src/metrics.rs",   // below the facade
+                "crates/check/tests/recovery.rs", // tests serialize on std locks
+                "tests/arch_sim.rs",
+            ] {
+                assert!(scan_file(rel, src).violations.is_empty(), "{rel}: {src}");
+            }
+        }
+        let src = "use std::sync::{Arc, OnceLock};\nfn f(m: std::sync::Arc<Mutex<u8>>) {}\n";
+        assert!(scan_file("crates/graph/src/lib.rs", src).violations.is_empty());
     }
 
     #[test]
@@ -850,18 +859,37 @@ mod tests {
     #[test]
     fn dependency_nobody_imports_is_reported() {
         let manifest = "[package]\nname = \"demo\"\n\n[dependencies]\n\
-                        saga-utils.workspace = true\n# a comment\ncrossbeam = \"0.8\"\n\
-                        rand.workspace = true\n\n[dev-dependencies]\nproptest.workspace = true\n";
+                        saga-utils.workspace = true\n# a comment\nsaga-perf = { path = \"../perf\" }\n\
+                        saga-bsp.workspace = true\n\n[dev-dependencies]\nsaga-check.workspace = true\n";
         let sources = [
-            "use saga_utils::parallel::ThreadPool;\n// rand::random in prose\n".to_string(),
-            "fn f() {\n    let operand = \"crossbeam::queue\";\n}\n".to_string(),
+            "use saga_utils::parallel::ThreadPool;\n// saga_bsp::engine in prose\n".to_string(),
+            "fn f() {\n    let operand = \"saga_perf::cache\";\n}\n".to_string(),
         ];
-        assert_eq!(unused_dependencies(manifest, &sources), ["crossbeam", "rand"]);
+        let problems = dependency_violations(manifest, &sources);
+        assert_eq!(problems.len(), 2, "{problems:?}");
+        assert!(problems[0].contains("`saga-perf` is imported nowhere"), "{problems:?}");
+        assert!(problems[1].contains("`saga-bsp` is imported nowhere"), "{problems:?}");
         let sources = [format!(
-            "{}use crossbeam::queue::SegQueue;\nfn g() -> u8 {{ rand::random() }}\n",
+            "{}use saga_perf::cache::CacheConfig;\nfn g() {{ saga_bsp::run() }}\n",
             sources[0]
         )];
-        assert!(unused_dependencies(manifest, &sources).is_empty());
+        assert!(dependency_violations(manifest, &sources).is_empty());
+    }
+
+    #[test]
+    fn registry_dependency_in_any_table_is_reported() {
+        let manifest = "[workspace.dependencies]\nsaga-utils = { path = \"crates/utils\" }\n\
+                        serde = \"1\"\n\n[dependencies]\nsaga-utils.workspace = true\n\n\
+                        [dev-dependencies]\nproptest = { version = \"1\" }\n\n\
+                        [profile.release]\ndebug = true\n";
+        let sources = ["use saga_utils::rng::for_each_seed;\n".to_string()];
+        assert_eq!(
+            dependency_violations(manifest, &sources),
+            [
+                "[workspace.dependencies] `serde` is not a path dependency",
+                "[dev-dependencies] `proptest` is not a path dependency",
+            ]
+        );
     }
 
     #[test]
