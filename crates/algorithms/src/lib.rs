@@ -417,27 +417,33 @@ where
         let (program, values) = (&self.program, &self.values);
         values.begin_phase();
         let incremental = model == ComputeModelKind::Incremental;
-        if incremental {
-            let repaired = inc::incremental_compute_with_deletions(
-                program, graph, values, affected, new_vertices, deleted, self.repair_limit, pool,
-            );
-            if let DeletionOutcome::Done(o) = repaired {
-                return ComputeOutcome {
-                    iterations: o.iterations,
-                    recomputed: o.recomputed,
-                    triggered: o.triggered,
-                    repaired: o.repaired,
-                    fs_fallback: false,
-                };
+        // One read phase: the kernels below never pay a structure's
+        // per-visit locks (`GraphTopology::frozen`).
+        saga_graph::read_phase(graph, |graph| {
+            if incremental {
+                let repaired = inc::incremental_compute_with_deletions(
+                    program, graph, values, affected, new_vertices, deleted, self.repair_limit,
+                    pool,
+                );
+                if let DeletionOutcome::Done(o) = repaired {
+                    return ComputeOutcome {
+                        iterations: o.iterations,
+                        recomputed: o.recomputed,
+                        triggered: o.triggered,
+                        repaired: o.repaired,
+                        fs_fallback: false,
+                    };
+                }
             }
-        }
-        // The FS model, and INC's fallback when the repair cascade overflowed.
-        fs::reset_values(program, values, values.len(), pool);
-        ComputeOutcome {
-            iterations: program.from_scratch(graph, values, pool),
-            fs_fallback: incremental,
-            ..ComputeOutcome::default()
-        }
+            // The FS model, and INC's fallback when the repair cascade
+            // overflowed.
+            fs::reset_values(program, values, values.len(), pool);
+            ComputeOutcome {
+                iterations: program.from_scratch(graph, values, pool),
+                fs_fallback: incremental,
+                ..ComputeOutcome::default()
+            }
+        })
     }
 
     fn values(&self) -> VertexValues {
@@ -761,7 +767,7 @@ impl AffectedTracker {
             }
             let grain = adaptive_grain(seeds.len(), threads);
             let cursor = AtomicUsize::new(0);
-            pool.run_on_all(|w| {
+            saga_graph::read_phase(graph, |graph| pool.run_on_all(|w| {
                 let mut out = worker_out[w].lock();
                 let out = &mut *out;
                 let mut neighbors: Vec<Node> = Vec::new();
@@ -782,7 +788,7 @@ impl AffectedTracker {
                         }
                     }
                 }
-            });
+            }));
         };
         // The sources' out-neighbors (their contribution denominators
         // changed). Sources are stitched in worker order first (phase 1's

@@ -72,27 +72,57 @@ fn cycles(lo: &mut LockOrder) {
     }
 }
 
+/// Where a read phase starts: `GraphTopology::frozen` and its
+/// value-returning form `saga_graph::read_phase`. Both hold every chunk
+/// guard (and DeltaCSR's snapshot guard) across the closure by design and
+/// hand it, as its one parameter, a view whose reads take none of them.
+const VIEW_ENTRIES: &[&str] = &["frozen", "read_phase"];
+
 /// Flags closures that may acquire a lock class their receiver holds
 /// while invoking them: `g.for_each(v, |x| … g.degree(x) …)` where
 /// `for_each` holds the chunk lock across the callback.
+///
+/// A closure passed to one of [`VIEW_ENTRIES`] is a whole read phase, so
+/// it is judged differently in three ways. Its providers are every
+/// `frozen` in the workspace (a trait method; `read_phase` only wraps it).
+/// The calls it makes *on its view parameter* — as the bare receiver or a
+/// bare argument — are exempt: that is the lock-free read the view exists
+/// for. And only calls that resolve into a provider's own file count:
+/// kernels run on the pool, whose context-insensitive summary may acquire
+/// everything. What is left is the misuse worth catching — a per-visit read
+/// of the live graph, or a batch on it, written inside a read phase.
 fn callbacks(model: &Model, lo: &mut LockOrder) {
     for (i, f) in model.fns.iter().enumerate() {
         for closure in &f.closures {
             let Some(callee) = &closure.passed_to else {
                 continue;
             };
+            let view_entry = VIEW_ENTRIES.contains(&callee.as_str());
+            let view = closure.params.first().filter(|_| view_entry);
+            let mut providers = model.resolve(i, callee);
+            if view_entry {
+                providers = model.by_name.get("frozen").cloned().unwrap_or_default();
+                providers.retain(|&j| !model.fns[j].provider.is_empty());
+            }
             // What the closure itself may acquire, transitively.
             let mut may: BTreeSet<String> = closure.acquires.clone();
             for &ci in &closure.calls {
                 let call = &f.calls[ci];
+                if view.is_some_and(|view| call.operands.contains(view)) {
+                    continue;
+                }
                 for j in model.resolve(i, &call.name) {
+                    let file = &model.fns[j].file;
+                    if view_entry && !providers.iter().any(|&p| model.fns[p].file == *file) {
+                        continue;
+                    }
                     may.extend(model.fns[j].may_acquire.iter().cloned());
                 }
             }
             if may.is_empty() {
                 continue;
             }
-            for j in model.resolve(i, callee) {
+            for j in providers {
                 let prov = &model.fns[j].provider;
                 for class in may.intersection(&prov.keys().cloned().collect()) {
                     let prov_line = prov.get(class).copied().unwrap_or(0);

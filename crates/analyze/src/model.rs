@@ -49,6 +49,8 @@ pub struct CallSite {
     pub name: String,
     /// Callback parameters of the caller forwarded as bare arguments.
     pub forwards: Vec<String>,
+    /// Bare locals the call is made on (receiver and bare arguments).
+    pub operands: Vec<String>,
     /// Lock classes held at the call.
     pub held: Vec<String>,
     /// 1-based line.
@@ -63,6 +65,8 @@ pub struct CallSite {
 pub struct ClosureSite {
     /// The call this closure is an argument of, if any.
     pub passed_to: Option<String>,
+    /// The closure's parameter names (empty for tuple/ref patterns).
+    pub params: Vec<String>,
     /// 1-based line.
     pub line: usize,
     /// Lock classes acquired directly inside the closure.
@@ -179,6 +183,29 @@ impl Model {
                     .extend(classes);
             }
             parsed.push((fi, fns));
+        }
+        // A helper that returns guards it got from another helper
+        // (`read_chunks` collecting `read_chunk`s) acquires that one's classes.
+        loop {
+            let mut grown = false;
+            let helpers = parsed.iter().flat_map(|(_, fns)| fns);
+            for func in helpers.filter(|x| !x.in_test_module && x.returns_guard) {
+                let inner: BTreeSet<String> = func
+                    .events
+                    .iter()
+                    .filter_map(|e| match e {
+                        Event::Call { name, .. } if *name != func.name => guard_helpers.get(name),
+                        _ => None,
+                    })
+                    .flatten()
+                    .cloned()
+                    .collect();
+                let own = guard_helpers.entry(func.name.clone()).or_default();
+                grown |= inner.iter().any(|class| own.insert(class.clone()));
+            }
+            if !grown {
+                break;
+            }
         }
         // Pass 1: per-function fact extraction with guard helpers known.
         for (fi, fns) in parsed {
@@ -400,6 +427,7 @@ fn extract(
                 let idx = out.closures.len();
                 out.closures.push(ClosureSite {
                     passed_to: passed_to.clone(),
+                    params: params.clone(),
                     line: *line,
                     acquires: BTreeSet::new(),
                     calls: Vec::new(),
@@ -437,6 +465,7 @@ fn extract(
                 name,
                 binding,
                 forwards,
+                operands,
                 line,
             } => {
                 let held = held_classes(&frames, &temps);
@@ -459,6 +488,7 @@ fn extract(
                 out.calls.push(CallSite {
                     name: name.clone(),
                     forwards: forwards.clone(),
+                    operands: operands.clone(),
                     held,
                     line: *line,
                     closures: closure_stack.iter().map(|&(i, _)| i).collect(),

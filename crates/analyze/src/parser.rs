@@ -90,6 +90,11 @@ pub enum Event {
         /// Callback parameters of the *current* function passed through
         /// as bare arguments (callback forwarding).
         forwards: Vec<String>,
+        /// The bare locals the call is made *on*: its receiver when that
+        /// is a plain name (`view.f()`, not `self.view.f()`) and its bare
+        /// top-level arguments (`f(view)`, `f(&view)`) — how the model
+        /// tells a read through a frozen view from one of the live graph.
+        operands: Vec<String>,
         /// 1-based source line.
         line: usize,
     },
@@ -880,6 +885,7 @@ impl Parser<'_> {
                 name: name.to_string(),
                 binding,
                 forwards: self.forwarded_params(i + 2, args_close, callback_params),
+                operands: self.operands(Some(i - 1), i + 2, args_close),
                 line,
             });
             call_stack.push((name.to_string(), paren_depth, self.chain_root_field(i - 1)));
@@ -909,6 +915,7 @@ impl Parser<'_> {
             name: name.to_string(),
             binding,
             forwards: self.forwarded_params(i + 2, args_close, callback_params),
+            operands: self.operands(None, i + 2, args_close),
             line,
         });
         call_stack.push((name.to_string(), paren_depth, None));
@@ -1088,23 +1095,45 @@ impl Parser<'_> {
     /// Callback parameters of the current function passed as bare
     /// top-level arguments in the range (callback forwarding `g(f)`).
     fn forwarded_params(&self, start: usize, end: usize, callback_params: &[String]) -> Vec<String> {
+        self.bare_idents(start, end)
+            .into_iter()
+            .map(|j| self.peek_at(j).to_string())
+            .filter(|s| callback_params.contains(s))
+            .collect()
+    }
+
+    /// The bare locals a call is made on (`Event::Call`'s `operands`):
+    /// `dot` is the index of the receiver's `.` for a method call.
+    fn operands(&self, dot: Option<usize>, start: usize, end: usize) -> Vec<String> {
+        // `view.f()` counts, `self.view.f()` and `make().f()` do not.
+        let receiver = dot
+            .and_then(|d| d.checked_sub(1))
+            .filter(|&r| self.tokens[r].kind == TokenKind::Ident && (r == 0 || self.peek_at(r - 1) != "."));
+        let args = self
+            .bare_idents(start, end)
+            .into_iter()
+            .filter(|&j| self.peek_at(j + 1) != ".");
+        receiver.into_iter().chain(args).map(|j| self.peek_at(j).to_string()).collect()
+    }
+
+    /// Indices of the identifiers that stand alone at the top level of an
+    /// argument list: not a field (`.x`) and not a callee (`x(`).
+    fn bare_idents(&self, start: usize, end: usize) -> Vec<usize> {
         let mut out = Vec::new();
         let mut depth = 0usize;
-        let mut j = start;
-        while j < end {
+        for j in start..end {
             match self.peek_at(j) {
                 "(" | "[" | "{" | "<" => depth += 1,
                 ")" | "]" | "}" | ">" => depth = depth.saturating_sub(1),
-                s if depth == 0
-                    && callback_params.iter().any(|p| p == s)
+                _ if depth == 0
+                    && self.tokens[j].kind == TokenKind::Ident
                     && self.peek_at(j + 1) != "("
                     && self.peek_at(j.saturating_sub(1)) != "." =>
                 {
-                    out.push(s.to_string());
+                    out.push(j);
                 }
                 _ => {}
             }
-            j += 1;
         }
         out
     }
@@ -1190,6 +1219,28 @@ mod tests {
             e,
             Event::Call { name, forwards, .. } if name == "for_each" && forwards == &["g".to_string()]
         )));
+    }
+
+    #[test]
+    fn call_operands_are_bare_receiver_and_bare_arguments() {
+        let fns = parse(
+            concat!(
+                "fn f(&self) {\n    view.degree(v);\n    self.graph.degree(w);\n",
+                "    kernel(&view, x.len(), self.n, y.z);\n}\n",
+            ),
+        );
+        let operands: Vec<(String, Vec<String>)> = find(&fns, "f")
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                Event::Call { name, operands, .. } => Some((name.clone(), operands.clone())),
+                _ => None,
+            })
+            .collect();
+        let strs = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(operands[0], ("degree".to_string(), strs(&["view", "v"])));
+        assert_eq!(operands[1], ("degree".to_string(), strs(&["w"])));
+        assert_eq!(operands[2], ("kernel".to_string(), strs(&["view"])));
     }
 
     #[test]

@@ -243,7 +243,9 @@ where
         // own, so each re-installs the request's context for the scope of
         // this run and the per-shard spans join the request's trace tree.
         let trace_ctx = saga_trace::ctx::current();
-        pool.run_on_all(|w| {
+        // One read phase for the whole run: scatter never pays a structure's
+        // per-visit locks (`GraphTopology::frozen`).
+        saga_graph::read_phase(graph, |graph| pool.run_on_all(|w| {
             let _trace_scope = saga_trace::ctx::scope(trace_ctx);
             let mut bufs: Vec<Vec<(Node, P::Value)>> = (0..nshards).map(|_| Vec::new()).collect();
             let mut neighbors: Vec<(Node, Weight)> = Vec::new();
@@ -295,7 +297,7 @@ where
                     break;
                 }
             }
-        });
+        }));
         if ctl.killed.load(Ordering::SeqCst) {
             return Err(Killed {
                 superstep: ctl.killed_step.load(Ordering::SeqCst),

@@ -1,6 +1,6 @@
 //! A minimal JSON reader for checked baselines.
 //!
-//! The suite's benchmark results (`results/BENCH_update.json`) are plain
+//! The suite's benchmark results (`results/BENCH_compute.json`) are plain
 //! JSON; the container has no `serde_json`, so this module hand-rolls the
 //! small recursive-descent parser the baseline tests need. It supports the
 //! full JSON value grammar (objects, arrays, strings with escapes, numbers

@@ -5,17 +5,17 @@
 //! `v % chunks`). A chunk is a *single-threaded* data structure: during a
 //! batch update, exactly one worker touches each chunk, so no per-edge lock
 //! is taken (the rest of the intra-chunk operation — search then insert in a
-//! contiguous vector — is the same as AS, Fig. 3).
+//! contiguous vector — is the same as AS, Fig. 3). The compute phase reads
+//! the same vectors through [`GraphTopology::frozen`](crate::GraphTopology::frozen),
+//! again with no lock per visit, which is why AC computes like AS (Fig. 6c).
 //!
 //! Routing a batch to its chunks uses a two-pass counting sort
 //! ([`saga_utils::partition::Partitioner`]): the batch is partitioned once
 //! into per-chunk buckets of edge indices (`O(batch)` key evaluations,
 //! exactly one per edge per direction), then worker `w` drains the buckets
-//! of the chunks it owns (`c % threads == w`) in batch order. The naive
-//! alternative — every chunk owner rescanning the whole batch and skipping
-//! foreign edges — costs `O(batch × chunks)` key evaluations and is kept as
-//! [`AdjacencyChunked::update_batch_rescan`] for benchmarking (the routing
-//! itself lives in [`crate::shell`]).
+//! of the chunks it owns (`c % threads == w`) in batch order, instead of
+//! every chunk owner rescanning the whole batch for its edges
+//! (`O(batch × chunks)`). The routing itself lives in [`crate::shell`].
 //!
 //! Multithreading comes only from having multiple chunks. This trades the
 //! lock contention of AS for workload imbalance: a heavy-tailed batch fills
@@ -43,11 +43,11 @@ impl Chunk for ListChunk {
         apply_to_list(&mut self.lists[local], op, nbr, weight)
     }
 
-    fn degree(&self, local: usize) -> usize {
+    fn degree_at(&self, local: usize) -> usize {
         self.lists[local].len()
     }
 
-    fn for_each(&self, local: usize, _key: Node, f: &mut dyn FnMut(Node, Weight)) {
+    fn for_each_at(&self, local: usize, _key: Node, f: &mut dyn FnMut(Node, Weight)) {
         let list = &self.lists[local];
         probe::slice_read(list);
         for &(n, w) in list.iter() {

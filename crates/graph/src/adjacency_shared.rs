@@ -22,7 +22,7 @@
 //! uncontended, which removes the hub serialization above — it is *not* the
 //! paper's AS and is therefore off by default.
 
-use crate::shell::{Op, SharedSide, Side, TwoSided};
+use crate::shell::{Op, ReadSide, SharedSide, Side, TwoSided};
 use crate::{DataStructureKind, Edge, Node, Weight};
 use saga_utils::parallel::ThreadPool;
 use saga_utils::probe;
@@ -45,9 +45,7 @@ impl SharedLists {
     }
 }
 
-impl Side for SharedLists {
-    const KIND: DataStructureKind = DataStructureKind::AdjacencyShared;
-
+impl ReadSide for SharedLists {
     fn degree(&self, v: Node) -> usize {
         self.lists[v as usize].lock().len()
     }
@@ -59,6 +57,10 @@ impl Side for SharedLists {
             f(n, w);
         }
     }
+}
+
+impl Side for SharedLists {
+    const KIND: DataStructureKind = DataStructureKind::AdjacencyShared;
 
     fn run_batch(shell: &TwoSided<Self>, batch: &[Edge], pool: &ThreadPool, op: Op) -> usize {
         shell.shared_batch(batch, pool, op)

@@ -40,32 +40,35 @@ impl Csr {
     /// Snapshots a dynamic graph. Neighbor lists are sorted by id, making
     /// snapshots of different data structures directly comparable.
     pub fn from_graph(graph: &dyn GraphTopology) -> Self {
-        let n = graph.capacity();
-        let mut out_offsets = Vec::with_capacity(n + 1);
-        let mut out_edges = Vec::with_capacity(graph.num_edges());
-        let mut in_offsets = Vec::with_capacity(n + 1);
-        let mut in_edges = Vec::with_capacity(graph.num_edges());
-        out_offsets.push(0);
-        in_offsets.push(0);
-        for v in 0..n as Node {
-            let mut outs = graph.out_neighbors(v);
-            outs.sort_by_key(|&(u, _)| u);
-            out_edges.extend_from_slice(&outs);
-            out_offsets.push(out_edges.len());
-            let mut ins = graph.in_neighbors(v);
-            ins.sort_by_key(|&(u, _)| u);
-            in_edges.extend_from_slice(&ins);
-            in_offsets.push(in_edges.len());
-        }
-        Self {
-            num_nodes: n,
-            num_edges: graph.num_edges(),
-            directed: graph.is_directed(),
-            out_offsets,
-            out_edges,
-            in_offsets,
-            in_edges,
-        }
+        // One read phase: no per-visit lock on the chunked structures.
+        crate::read_phase(graph, |graph| {
+            let n = graph.capacity();
+            let mut out_offsets = Vec::with_capacity(n + 1);
+            let mut out_edges = Vec::with_capacity(graph.num_edges());
+            let mut in_offsets = Vec::with_capacity(n + 1);
+            let mut in_edges = Vec::with_capacity(graph.num_edges());
+            out_offsets.push(0);
+            in_offsets.push(0);
+            for v in 0..n as Node {
+                let mut outs = graph.out_neighbors(v);
+                outs.sort_by_key(|&(u, _)| u);
+                out_edges.extend_from_slice(&outs);
+                out_offsets.push(out_edges.len());
+                let mut ins = graph.in_neighbors(v);
+                ins.sort_by_key(|&(u, _)| u);
+                in_edges.extend_from_slice(&ins);
+                in_offsets.push(in_edges.len());
+            }
+            Self {
+                num_nodes: n,
+                num_edges: graph.num_edges(),
+                directed: graph.is_directed(),
+                out_offsets,
+                out_edges,
+                in_offsets,
+                in_edges,
+            }
+        })
     }
 
     /// Builds a CSR directly from an edge list (unique, directed edges).

@@ -126,13 +126,13 @@ impl Chunk for DahChunk {
         }
     }
 
-    fn degree(&self, local: usize) -> usize {
+    fn degree_at(&self, local: usize) -> usize {
         probe::value_read(&self.low_degree[local]);
         probe::value_read(&self.high_degree[local]);
         (self.low_degree[local] + self.high_degree[local]) as usize
     }
 
-    fn for_each(&self, local: usize, src: Node, f: &mut dyn FnMut(Node, Weight)) {
+    fn for_each_at(&self, local: usize, src: Node, f: &mut dyn FnMut(Node, Weight)) {
         // Traversal pays the degree-query meta-operation to locate the
         // right table (§V-B: "expensive neighbor traversal due to
         // degree-query meta-operations").
@@ -244,7 +244,7 @@ mod tests {
         ns.sort_by_key(|&(n, _)| n);
         assert_eq!(ns, vec![(2, 1.0), (3, 2.0)]);
         // Still below threshold: no high table.
-        let chunk = g.sides.out.lock(g.sides.out.chunk_of(1));
+        let chunk = g.sides.out.read_chunk(g.sides.out.chunk_of(1));
         assert!(chunk.high[g.sides.out.local(1)].is_none());
     }
 
@@ -254,7 +254,7 @@ mod tests {
         let batch: Vec<Edge> = (1..=20).map(|i| Edge::new(0, i, i as Weight)).collect();
         g.update_batch(&batch, &pool());
         assert_eq!(g.out_degree(0), 20);
-        let chunk = g.sides.out.lock(0);
+        let chunk = g.sides.out.read_chunk(0);
         assert!(chunk.high[0].is_some(), "vertex 0 should have been flushed");
         assert_eq!(chunk.low_degree[0], 0);
         assert_eq!(chunk.high_degree[0], 20);

@@ -25,12 +25,14 @@
 //!   edge, and counts missing otherwise.
 //!
 //! Concurrency: the snapshot sits behind an [`RwLock`] read-locked for the
-//! duration of a batch or scan; overlay chunks are independently mutexed.
-//! Lock order is always snapshot-then-chunk (compaction takes the write
-//! lock first, then drains chunks), so the two-level scheme cannot
-//! deadlock.
+//! duration of a batch, a read phase ([`GraphTopology::frozen`]) or one
+//! stray visit; overlay chunks sit behind the shell's per-chunk
+//! reader-writer locks. Lock order is always snapshot, then `out`'s chunks
+//! in index order, then the in-copy's (a frozen view holds them all shared,
+//! compaction takes them exclusively in the same order), so the two-level
+//! scheme cannot deadlock.
 
-use crate::shell::{Chunks, Op, Sides, TwoSided};
+use crate::shell::{Chunks, FrozenChunks, Op, ReadSide, Sides, TwoSided};
 use crate::{
     DataStructureKind, DeletableGraph, DeleteStats, DynamicGraph, Edge, GraphTopology, Node,
     UpdateStats, Weight,
@@ -126,6 +128,56 @@ impl DeltaChunk {
             }
             (Op::Remove, None) => false,
         }
+    }
+
+    /// Live neighbors of `v`, this chunk's vertex number `local`, over `dir`.
+    fn degree(&self, dir: &SnapshotDir, local: usize, v: Node) -> usize {
+        dir.neighbors(v).len() + self.adds[local].len() - self.dels[local].len()
+    }
+
+    /// Visits them: the snapshot slice minus tombstones, then the adds.
+    fn for_each(&self, dir: &SnapshotDir, local: usize, v: Node, f: &mut dyn FnMut(Node, Weight)) {
+        let dels = &self.dels[local];
+        let slice = dir.neighbors(v);
+        probe::slice_read(slice);
+        if dels.is_empty() {
+            // Hot path: one sequential sweep over the contiguous snapshot
+            // slice, hinting the line PREFETCH_DISTANCE entries ahead.
+            for i in 0..slice.len() {
+                prefetch_index(slice, i + PREFETCH_DISTANCE);
+                let (n, w) = slice[i];
+                f(n, w);
+            }
+        } else {
+            for i in 0..slice.len() {
+                prefetch_index(slice, i + PREFETCH_DISTANCE);
+                let (n, w) = slice[i];
+                if !dels.contains(&n) {
+                    f(n, w);
+                }
+            }
+        }
+        let adds = &self.adds[local];
+        probe::slice_read(adds);
+        for &(n, w) in adds.iter() {
+            f(n, w);
+        }
+    }
+}
+
+/// One direction of a [`DeltaCsr`] for the length of a read phase: the
+/// snapshot image and the overlay chunks out of guards the caller holds.
+struct FrozenDelta<'a>(&'a SnapshotDir, FrozenChunks<'a, DeltaChunk>);
+
+impl ReadSide for FrozenDelta<'_> {
+    fn degree(&self, v: Node) -> usize {
+        let (chunk, local) = self.1.at(v);
+        chunk.degree(self.0, local, v)
+    }
+
+    fn for_each(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
+        let (chunk, local) = self.1.at(v);
+        chunk.for_each(self.0, local, v, f);
     }
 }
 
@@ -223,14 +275,8 @@ impl DeltaCsr {
             let snap = self.snapshot.read();
             self.overlay.chunked_batch(batch, pool, |chunk, edge, into_in| {
                 self.overlay.apply_pass(edge, into_in, |delta, key, nbr| {
-                    let changed = delta.lock(chunk).apply(
-                        snap.side(into_in),
-                        op,
-                        delta.local(key),
-                        key,
-                        nbr,
-                        edge.weight,
-                    );
+                    let dir = snap.side(into_in);
+                    let changed = chunk.apply(dir, op, delta.local(key), key, nbr, edge.weight);
                     if changed {
                         self.delta_ops.fetch_add(1, Ordering::Relaxed);
                     }
@@ -242,42 +288,17 @@ impl DeltaCsr {
         changed
     }
 
-    fn degree_of(&self, v: Node, is_in: bool) -> usize {
+    /// One stray visit of the live graph: `read(chunk, dir, local)` on `v`'s
+    /// overlay chunk and snapshot direction, under guards of its own.
+    fn visit<R>(
+        &self,
+        v: Node,
+        is_in: bool,
+        read: impl FnOnce(&DeltaChunk, &SnapshotDir, usize) -> R,
+    ) -> R {
         let snap = self.snapshot.read();
         let delta = self.overlay.sides.side(is_in);
-        let (chunk, local) = (delta.lock(delta.chunk_of(v)), delta.local(v));
-        snap.side(is_in).neighbors(v).len() + chunk.adds[local].len() - chunk.dels[local].len()
-    }
-
-    fn for_each_of(&self, v: Node, is_in: bool, f: &mut dyn FnMut(Node, Weight)) {
-        let snap = self.snapshot.read();
-        let delta = self.overlay.sides.side(is_in);
-        let (chunk, local) = (delta.lock(delta.chunk_of(v)), delta.local(v));
-        let dels = &chunk.dels[local];
-        let slice = snap.side(is_in).neighbors(v);
-        probe::slice_read(slice);
-        if dels.is_empty() {
-            // Hot path: one sequential sweep over the contiguous snapshot
-            // slice, hinting the line PREFETCH_DISTANCE entries ahead.
-            for i in 0..slice.len() {
-                prefetch_index(slice, i + PREFETCH_DISTANCE);
-                let (n, w) = slice[i];
-                f(n, w);
-            }
-        } else {
-            for i in 0..slice.len() {
-                prefetch_index(slice, i + PREFETCH_DISTANCE);
-                let (n, w) = slice[i];
-                if !dels.contains(&n) {
-                    f(n, w);
-                }
-            }
-        }
-        let adds = &chunk.adds[local];
-        probe::slice_read(adds);
-        for &(n, w) in adds.iter() {
-            f(n, w);
-        }
+        read(&delta.read_chunk(delta.chunk_of(v)), snap.side(is_in), delta.local(v))
     }
 
     /// Merges snapshot and overlay into a fresh CSR image if the overlay
@@ -308,16 +329,16 @@ impl DeltaCsr {
         self.compactions.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Rebuilds one direction. Holds every chunk lock of the direction for
-    /// the duration (the snapshot write lock already excludes readers and
-    /// ingest batches; chunk locks are taken in index order).
+    /// Rebuilds one direction. Holds every chunk's write guard of the
+    /// direction for the duration (the snapshot write lock already excludes
+    /// readers and ingest batches; chunk guards are taken in index order).
     fn merge_dir(
         capacity: usize,
         dir: &SnapshotDir,
         delta: &Chunks<DeltaChunk>,
         entries: &mut usize,
     ) -> SnapshotDir {
-        let mut guards = delta.lock_all();
+        let mut guards: Vec<_> = (0..delta.count()).map(|c| delta.write_chunk(c)).collect();
         let mut offsets = Vec::with_capacity(capacity + 1);
         let mut edges = Vec::with_capacity(dir.edges.len());
         offsets.push(0);
@@ -367,19 +388,27 @@ impl GraphTopology for DeltaCsr {
     }
 
     fn out_degree(&self, v: Node) -> usize {
-        self.degree_of(v, false)
+        self.visit(v, false, |chunk, dir, local| chunk.degree(dir, local, v))
     }
 
     fn in_degree(&self, v: Node) -> usize {
-        self.degree_of(v, true)
+        self.visit(v, true, |chunk, dir, local| chunk.degree(dir, local, v))
     }
 
     fn for_each_out_neighbor(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
-        self.for_each_of(v, false, f);
+        self.visit(v, false, |chunk, dir, local| chunk.for_each(dir, local, v, f));
     }
 
     fn for_each_in_neighbor(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
-        self.for_each_of(v, true, f);
+        self.visit(v, true, |chunk, dir, local| chunk.for_each(dir, local, v, f));
+    }
+
+    fn frozen(&self, f: &mut dyn FnMut(&dyn GraphTopology)) {
+        let snap = self.snapshot.read();
+        let guards = self.overlay.read_chunks();
+        f(&self.overlay.view_over(|is_in| {
+            FrozenDelta(snap.side(is_in), FrozenChunks::new(guards.side(is_in)))
+        }));
     }
 }
 

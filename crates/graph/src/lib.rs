@@ -206,13 +206,31 @@ impl std::fmt::Display for DataStructureKind {
 ///
 /// # Reentrancy
 ///
-/// Implementations may hold an internal fine-grained lock (a vertex's
-/// vector, a chunk, an edge block) while invoking a `for_each_*` callback.
-/// Callbacks must therefore not call back into the same graph — collect
-/// what you need first, then query (see `PrProgram::pull` for the
-/// pattern). Reading separate property arrays from a callback is always
-/// fine.
-pub trait GraphTopology: Send + Sync {
+/// The per-visit methods of a *live* structure may hold a fine-grained
+/// internal lock while invoking a `for_each_*` callback: AS a vertex's
+/// vector mutex, Stinger a vertex's shared op-lock and one edge block's
+/// mutex, AC / DAH / DeltaCSR one chunk's read guard (DeltaCSR also its
+/// snapshot's). A callback must therefore not call back into the same live
+/// graph — with AS and Stinger that self-deadlocks, and a second shared
+/// guard can park behind a waiting batch forever. Collect what you need
+/// first, then query (`saga_bsp`'s `scatter_shard` is the pattern); reading
+/// separate property arrays from a callback is always fine.
+///
+/// Code that reads for a whole phase should not pay those locks per visit
+/// at all: [`frozen`](Self::frozen) hands it a view for the length of a
+/// closure. A view of a chunked structure holds every chunk's read guard
+/// (and DeltaCSR's snapshot guard) once and reads through plain references,
+/// so its visits take no lock, are reentrant, and see one topology — a batch
+/// started once the view exists blocks until the view drops and no part of
+/// it is ever visible. That is all the guarantee covers: the guards are taken
+/// chunk by chunk and there is no batch-wide lock, so a view opened while a
+/// batch is *already running* may see some chunks before and some after it
+/// (and an edge count from before its tally). No caller overlaps the two
+/// phases; one that wants to must order them itself. `Csr`, snapshots, AS
+/// and Stinger are their own view: AS and Stinger keep the per-visit locks
+/// above (per vertex and per block, never shared between two vertices'
+/// readers) and stay non-reentrant.
+pub trait GraphTopology: Send + Sync + AsTopology {
     /// Maximum number of vertices (fixed at construction; the stream's
     /// vertex-id universe is known per dataset, Table II).
     fn capacity(&self) -> usize;
@@ -250,15 +268,52 @@ pub trait GraphTopology: Send + Sync {
         self.for_each_in_neighbor(v, &mut |n, w| out.push((n, w)));
         out
     }
+
+    /// Calls `f` once with a view of this topology that is cheapest to read
+    /// for a whole phase (see *Reentrancy* above); the view is only valid
+    /// inside `f`. A structure whose reads need no per-phase setup is its
+    /// own view, which is the default — so a view's `frozen` nests for free.
+    /// [`read_phase`] is the form that returns a value.
+    fn frozen(&self, f: &mut dyn FnMut(&dyn GraphTopology)) {
+        f(self.as_topology());
+    }
+}
+
+/// `&T → &dyn GraphTopology` for the default [`GraphTopology::frozen`],
+/// which must also work when `Self` is already a trait object.
+pub trait AsTopology {
+    /// `self` as a topology trait object.
+    fn as_topology(&self) -> &dyn GraphTopology;
+}
+
+impl<T: GraphTopology> AsTopology for T {
+    fn as_topology(&self) -> &dyn GraphTopology {
+        self
+    }
+}
+
+/// Runs the read phase `f` on `graph`'s [frozen](GraphTopology::frozen) view
+/// and returns its result. Every compute path starts here, so kernels never
+/// pay a structure's per-visit synchronisation.
+pub fn read_phase<R>(graph: &dyn GraphTopology, f: impl FnOnce(&dyn GraphTopology) -> R) -> R {
+    let mut f = Some(f);
+    let mut out = None;
+    graph.frozen(&mut |view| out = f.take().map(|f| f(view)));
+    out.expect("frozen calls its closure")
 }
 
 /// Common interface of the streaming graph data structures — the paper's
 /// `update()` API on top of [`GraphTopology`] (§III-D).
 ///
 /// Implementations ingest batches concurrently through interior mutability
-/// (`update_batch` takes `&self`); in the interleaved execution model
+/// (`update_batch` takes `&self`). In the interleaved execution model
 /// (Fig. 2b) the update and compute phases never overlap, so traversal
-/// during compute sees a stable topology.
+/// during compute sees a stable topology. For the chunked structures one
+/// direction of that is enforced rather than assumed — `update_batch` /
+/// `delete_batch` called while a [frozen](GraphTopology::frozen) view is
+/// alive block until it drops (called from inside the view's closure on the
+/// same thread they deadlock); a view opened in the middle of a running
+/// batch is not held back (see *Reentrancy* on [`GraphTopology`]).
 pub trait DynamicGraph: GraphTopology {
     /// Ingests a batch of edges using the given pool — the *update phase*.
     /// Duplicate edges (already present or repeated within the batch) are

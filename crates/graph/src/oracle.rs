@@ -7,7 +7,9 @@
 //! batches into an oracle and a [`DynamicGraph`] and require identical
 //! topology.
 
-use crate::{DeleteStats, DynamicGraph, Edge, Node, UpdateStats, Weight};
+use crate::{
+    DataStructureKind, DeleteStats, DynamicGraph, Edge, GraphTopology, Node, UpdateStats, Weight,
+};
 use std::collections::BTreeMap;
 
 /// A sequential reference adjacency structure.
@@ -210,7 +212,17 @@ impl GraphOracle {
     /// topologies agree. The differential fuzzer uses this so a divergence
     /// becomes a shrinkable test failure rather than an immediate panic.
     pub fn diff(&self, graph: &dyn DynamicGraph, check_weights: bool) -> Option<String> {
-        let kind = graph.kind();
+        self.diff_topology(graph.kind(), graph, check_weights)
+    }
+
+    /// [`diff`](Self::diff) for any topology — a frozen view, a snapshot —
+    /// reported under `kind`'s name.
+    pub fn diff_topology(
+        &self,
+        kind: DataStructureKind,
+        graph: &dyn GraphTopology,
+        check_weights: bool,
+    ) -> Option<String> {
         if graph.capacity() != self.capacity {
             return Some(format!(
                 "capacity mismatch on {kind:?}: graph {} vs oracle {}",
@@ -258,7 +270,7 @@ impl GraphOracle {
 }
 
 fn compare_lists(
-    kind: crate::DataStructureKind,
+    kind: DataStructureKind,
     v: Node,
     dir: &str,
     got: &[(Node, Weight)],
@@ -287,7 +299,7 @@ fn compare_lists(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_graph, DataStructureKind};
+    use crate::build_graph;
     use saga_utils::parallel::ThreadPool;
 
     #[test]

@@ -11,6 +11,12 @@
 //! | **shared** — per-edge `parallel for`, fine-grained locks ([`SharedSide`]) | AS | Stinger | | |
 //! | **chunked** — one owner worker per chunk, lock-free inside ([`Chunk`] in [`Chunks`]) | AC | | DAH | DeltaCSR |
 //!
+//! "Lock-free inside" holds for both phases: a batch's owner worker takes
+//! its chunk's write guard once per pass, and a read phase takes every
+//! chunk's read guard once ([`GraphTopology::frozen`]) and then reads
+//! through plain references ([`FrozenChunks`]). Only a stray per-visit read
+//! of the live graph pays a (shared, one-chunk) lock.
+//!
 //! [`TwoSided`] holds the `out` store and, for directed graphs, the `in`
 //! copy of footnote 3; implements [`GraphTopology`], [`DynamicGraph`] and
 //! [`DeletableGraph`] once; and keeps the *pass protocol* — how one logical
@@ -25,7 +31,7 @@ use crate::{
 use saga_utils::parallel::ThreadPool;
 use saga_utils::partition::Partitioner;
 use saga_utils::sync::atomic::{AtomicUsize, Ordering};
-use saga_utils::sync::{Mutex, MutexGuard};
+use saga_utils::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Buckets per pool worker in partitioned shared-style ingest: more buckets
 /// than workers lets the dynamic bucket cursor balance skewed batches.
@@ -67,17 +73,28 @@ impl<T> Sides<T> {
     }
 }
 
-/// One direction of adjacency: the read half every store provides, plus the
-/// choice of multithreading style for its batches.
-pub trait Side: Send + Sync + Sized {
-    /// The structure a [`TwoSided`] over this store is.
-    const KIND: DataStructureKind;
-
+/// The read half of one direction of adjacency — all [`TwoSided`] needs to
+/// be a [`GraphTopology`], and all a frozen view's store provides.
+pub trait ReadSide: Send + Sync + Sized {
     /// Current number of neighbors stored for `v`.
     fn degree(&self, v: Node) -> usize;
 
     /// Visits every neighbor stored for `v`.
     fn for_each(&self, v: Node, f: &mut dyn FnMut(Node, Weight));
+
+    /// [`GraphTopology::frozen`] of a shell over this store: the shell
+    /// itself, unless the store can trade its per-visit lock for one taken
+    /// per phase.
+    fn frozen(shell: &TwoSided<Self>, f: &mut dyn FnMut(&dyn GraphTopology)) {
+        f(shell);
+    }
+}
+
+/// One direction of a live structure's adjacency: a [`ReadSide`] plus the
+/// choice of multithreading style for its batches.
+pub trait Side: ReadSide {
+    /// The structure a [`TwoSided`] over this store is.
+    const KIND: DataStructureKind;
 
     /// Applies `op` to every edge of `batch` in this store's multithreading
     /// style and returns how many logical edges changed.
@@ -141,6 +158,14 @@ impl<S> TwoSided<S> {
         self.edges.load(Ordering::Acquire)
     }
 
+    /// A shell of this one's shape and edge count over the stores
+    /// `make(is_in)` — how a store presents borrowed guards as a frozen view.
+    pub(crate) fn view_over<R>(&self, make: impl FnMut(/*is_in:*/ bool) -> R) -> TwoSided<R> {
+        let mut view = TwoSided::with_sides(self.capacity, self.directed(), make);
+        view.edges = AtomicUsize::new(self.edge_count());
+        view
+    }
+
     /// `(key, nbr)` of one of the two stored passes of `edge`: `key`'s
     /// adjacency gains or loses `nbr`, so `key` is also what the pass is
     /// routed by. The out pass stores `src → dst`; the in pass stores
@@ -202,7 +227,7 @@ impl<S> TwoSided<S> {
     }
 }
 
-impl<S: Side> GraphTopology for TwoSided<S> {
+impl<S: ReadSide> GraphTopology for TwoSided<S> {
     fn capacity(&self) -> usize {
         self.capacity
     }
@@ -229,6 +254,10 @@ impl<S: Side> GraphTopology for TwoSided<S> {
 
     fn for_each_in_neighbor(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
         self.sides.side(true).for_each(v, f);
+    }
+
+    fn frozen(&self, f: &mut dyn FnMut(&dyn GraphTopology)) {
+        S::frozen(self, f);
     }
 }
 
@@ -370,8 +399,9 @@ impl<S: SharedSide> TwoSided<S> {
 
 /// The per-chunk store of a structure multithreaded *chunked-style*
 /// (§III-A2, §III-A4): a single-threaded structure over the vertices one
-/// chunk owns, indexed by their local index.
-pub trait Chunk: Send {
+/// chunk owns, indexed by their local index. `Sync` because a read phase
+/// shares every chunk between the compute workers.
+pub trait Chunk: Send + Sync {
     /// The structure a [`TwoSided`] over [`Chunks`] of this chunk is.
     const KIND: DataStructureKind;
 
@@ -381,19 +411,24 @@ pub trait Chunk: Send {
     fn apply(&mut self, op: Op, local: usize, key: Node, nbr: Node, weight: Weight) -> bool;
 
     /// Current number of neighbors of the chunk's vertex number `local`.
-    fn degree(&self, local: usize) -> usize;
+    fn degree_at(&self, local: usize) -> usize;
 
     /// Visits every neighbor of `key`, the chunk's vertex number `local`.
-    fn for_each(&self, local: usize, key: Node, f: &mut dyn FnMut(Node, Weight));
+    fn for_each_at(&self, local: usize, key: Node, f: &mut dyn FnMut(Node, Weight));
 }
 
 /// One direction of chunked adjacency: vertex `v` belongs to chunk
-/// `v % chunks` at local index `v / chunks`. Chunks sit behind uncontended
-/// mutexes — the ownership discipline (exactly one worker per chunk during a
-/// batch) makes per-edge contention impossible, which is the "lockless"
-/// property the paper ascribes to chunked multithreading.
+/// `v % chunks` at local index `v / chunks`. Each chunk sits behind a
+/// reader-writer lock that is taken per *phase*, not per edge: the update
+/// phase's ownership discipline (exactly one worker per chunk) lets the
+/// owner hold the write guard for a whole pass, and a read phase holds all
+/// read guards at once ([`FrozenChunks`]) — the "lockless" property the
+/// paper ascribes to chunked multithreading. The locks only order the two
+/// kinds of phase, and only one way round: a batch waits for a live view to
+/// drop. Guards are per chunk, so a view opened *during* a batch is not made
+/// to wait for the whole batch — the phases are the caller's to keep apart.
 pub struct Chunks<C> {
-    chunks: Vec<Mutex<C>>,
+    chunks: Vec<RwLock<C>>,
 }
 
 impl<C> Chunks<C> {
@@ -404,7 +439,7 @@ impl<C> Chunks<C> {
         let chunks = chunks.max(1);
         Self {
             chunks: (0..chunks)
-                .map(|c| Mutex::new(make(capacity.saturating_sub(c).div_ceil(chunks))))
+                .map(|c| RwLock::new(make(capacity.saturating_sub(c).div_ceil(chunks))))
                 .collect(),
         }
     }
@@ -413,186 +448,150 @@ impl<C> Chunks<C> {
         self.chunks.len()
     }
 
-    #[inline]
     pub(crate) fn chunk_of(&self, v: Node) -> usize {
         v as usize % self.chunks.len()
     }
 
     /// `v`'s index inside its chunk.
-    #[inline]
     pub(crate) fn local(&self, v: Node) -> usize {
         v as usize / self.chunks.len()
     }
 
-    pub(crate) fn lock(&self, chunk: usize) -> MutexGuard<'_, C> {
-        self.chunks[chunk].lock()
+    pub(crate) fn read_chunk(&self, chunk: usize) -> RwLockReadGuard<'_, C> {
+        self.chunks[chunk].read()
     }
 
-    /// Every chunk's guard, taken in index order.
-    pub(crate) fn lock_all(&self) -> Vec<MutexGuard<'_, C>> {
-        self.chunks.iter().map(|c| c.lock()).collect()
+    pub(crate) fn write_chunk(&self, chunk: usize) -> RwLockWriteGuard<'_, C> {
+        self.chunks[chunk].write()
+    }
+}
+
+/// [`Chunks`] for the length of a read phase: the same vertex → chunk map
+/// over plain references into read guards the caller holds, so a visit is
+/// an index, not a lock.
+pub struct FrozenChunks<'a, C>(Vec<&'a C>);
+
+impl<'a, C> FrozenChunks<'a, C> {
+    pub(crate) fn new(guards: &'a [RwLockReadGuard<'_, C>]) -> Self {
+        Self(guards.iter().map(|guard| &**guard).collect())
+    }
+
+    /// `v`'s chunk and its index inside it.
+    pub(crate) fn at(&self, v: Node) -> (&'a C, usize) {
+        (self.0[v as usize % self.0.len()], v as usize / self.0.len())
+    }
+}
+
+impl<C: Chunk> ReadSide for FrozenChunks<'_, C> {
+    fn degree(&self, v: Node) -> usize {
+        let (chunk, local) = self.at(v);
+        chunk.degree_at(local)
+    }
+
+    fn for_each(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
+        let (chunk, local) = self.at(v);
+        chunk.for_each_at(local, v, f);
+    }
+}
+
+impl<C: Chunk> ReadSide for Chunks<C> {
+    fn degree(&self, v: Node) -> usize {
+        self.read_chunk(self.chunk_of(v)).degree_at(self.local(v))
+    }
+
+    fn for_each(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
+        self.read_chunk(self.chunk_of(v)).for_each_at(self.local(v), v, f);
+    }
+
+    fn frozen(shell: &TwoSided<Self>, f: &mut dyn FnMut(&dyn GraphTopology)) {
+        let guards = shell.read_chunks();
+        f(&shell.view_over(|is_in| FrozenChunks::new(guards.side(is_in))));
     }
 }
 
 impl<C: Chunk> Side for Chunks<C> {
     const KIND: DataStructureKind = C::KIND;
 
-    fn degree(&self, v: Node) -> usize {
-        self.lock(self.chunk_of(v)).degree(self.local(v))
-    }
-
-    fn for_each(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
-        self.lock(self.chunk_of(v)).for_each(self.local(v), v, f);
-    }
-
     fn run_batch(shell: &TwoSided<Self>, batch: &[Edge], pool: &ThreadPool, op: Op) -> usize {
         shell.chunked_batch(batch, pool, |chunk, edge, into_in| {
-            shell.ingest(chunk, edge, into_in, op)
+            shell.apply_pass(edge, into_in, |side, key, nbr| {
+                chunk.apply(op, side.local(key), key, nbr, edge.weight)
+            })
         })
     }
 }
 
-impl<C: Send> TwoSided<Chunks<C>> {
-    /// The chunk that must apply the `into_in` pass of `edge`: the owner of
-    /// the pass's key vertex.
-    fn key_chunk(&self, edge: &Edge, into_in: bool) -> usize {
-        self.sides.out.chunk_of(self.pass(edge, into_in).0)
+impl<C: Send + Sync> TwoSided<Chunks<C>> {
+    /// Every chunk's read guard: `out`'s in index order, then the in-copy's.
+    pub(crate) fn read_chunks(&self) -> Sides<Vec<RwLockReadGuard<'_, C>>> {
+        Sides::new(self.directed(), |is_in| {
+            let side = self.sides.side(is_in);
+            (0..side.count()).map(|chunk| side.read_chunk(chunk)).collect()
+        })
     }
 
     /// The chunked-style batch: routes every pass to the chunk owning its
-    /// key and has the chunk's owner worker run `ingest(chunk, edge,
-    /// into_in)`, which reports whether the pass accounts for a logical edge
-    /// (see [`apply_pass`](Self::apply_pass)).
+    /// key vertex; the chunk's owner worker then takes the chunk's write
+    /// guard once per pass and runs `ingest(chunk, edge, into_in)` over the
+    /// pass's edges. `ingest` reports whether the pass accounts for a
+    /// logical edge (see [`apply_pass`](Self::apply_pass)).
     pub(crate) fn chunked_batch(
         &self,
         batch: &[Edge],
         pool: &ThreadPool,
-        ingest: impl Fn(usize, &Edge, bool) -> bool + Sync,
+        ingest: impl Fn(&mut C, &Edge, bool) -> bool + Sync,
     ) -> usize {
+        let out = &self.sides.out;
         chunked_update(
             batch,
             pool,
-            self.sides.out.count(),
+            out.count(),
             &self.scratch,
-            |edge, into_in| self.key_chunk(edge, into_in),
-            ingest,
+            |edge, into_in| out.chunk_of(self.pass(edge, into_in).0),
+            |chunk, into_in, bucket| {
+                let mut guard = self.sides.side(into_in).write_chunk(chunk);
+                bucket.iter().filter(|&&i| ingest(&mut guard, &batch[i as usize], into_in)).count()
+            },
         )
-    }
-}
-
-impl<C: Chunk> TwoSided<Chunks<C>> {
-    fn ingest(&self, chunk: usize, edge: &Edge, into_in: bool, op: Op) -> bool {
-        self.apply_pass(edge, into_in, |side, key, nbr| {
-            side.lock(chunk).apply(op, side.local(key), key, nbr, edge.weight)
-        })
-    }
-
-    /// The pre-partitioning update path: every chunk owner rescans the full
-    /// batch and skips foreign edges, costing `O(batch × chunks)` key
-    /// evaluations. Kept (not wired into [`DynamicGraph::update_batch`]) as
-    /// the baseline for the `update_ingest` microbenchmark and the key-count
-    /// regression test.
-    pub fn update_batch_rescan(&self, batch: &[Edge], pool: &ThreadPool) -> UpdateStats {
-        let inserted = chunked_update_rescan(
-            batch,
-            pool,
-            self.sides.out.count(),
-            |edge, into_in| self.key_chunk(edge, into_in),
-            |chunk, edge, into_in| self.ingest(chunk, edge, into_in, Op::Insert),
-        );
-        self.tally_inserted(batch.len(), inserted)
     }
 }
 
 /// Runs a chunk-partitioned pass over a batch.
 ///
 /// The batch is first partitioned into per-chunk buckets of edge indices —
-/// once per pass, evaluating `key_chunk` exactly twice per edge — then
-/// worker `w` drains the buckets of every chunk `c` with
-/// `c % threads == w`, ingesting that chunk's out-keyed edges and then its
-/// in-keyed edges in batch order. Total work is `O(batch)` key evaluations
-/// instead of the rescan loop's `O(batch × chunks)`; chunk ownership (and
-/// therefore the paper's imbalance behaviour, Fig. 9) is unchanged.
+/// once per pass, evaluating `key_chunk` exactly twice per edge whatever the
+/// chunk count — then worker `w` hands the buckets of every chunk `c` with
+/// `c % threads == w` to `drain(c, into_in, bucket)`: that chunk's out-keyed
+/// edges, then its in-keyed edges, each in batch order. Chunk ownership (and
+/// therefore the paper's imbalance behaviour, Fig. 9) is the paper's.
 ///
-/// `ingest` returns whether the call accounts for a logical edge.
-fn chunked_update<FKey, FIns>(
+/// `drain` returns how many logical edges its bucket accounts for.
+fn chunked_update<FKey, FDrain>(
     batch: &[Edge],
     pool: &ThreadPool,
     chunk_count: usize,
     scratch: &Mutex<IngestScratch>,
     key_chunk: FKey,
-    ingest: FIns,
+    drain: FDrain,
 ) -> usize
 where
     FKey: Fn(&Edge, /*into_in:*/ bool) -> usize + Sync,
-    FIns: Fn(usize, &Edge, /*into_in:*/ bool) -> bool + Sync,
+    FDrain: Fn(usize, /*into_in:*/ bool, &[u32]) -> usize + Sync,
 {
     let mut scratch = scratch.lock();
     let IngestScratch { out, inn } = &mut *scratch;
-    out.partition(pool, batch.len(), chunk_count, |i| {
-        key_chunk(&batch[i], false)
-    });
-    inn.partition(pool, batch.len(), chunk_count, |i| {
-        key_chunk(&batch[i], true)
-    });
+    out.partition(pool, batch.len(), chunk_count, |i| key_chunk(&batch[i], false));
+    inn.partition(pool, batch.len(), chunk_count, |i| key_chunk(&batch[i], true));
     let (out, inn) = (&*out, &*inn);
     let changed = AtomicUsize::new(0);
-    let threads = pool.threads();
     pool.run_on_all(|w| {
-        let mut local_changed = 0;
-        let mut chunk = w;
-        while chunk < chunk_count {
-            // Each bucket is in batch order, so the first copy of a
-            // duplicated edge wins in every chunk it reaches. The two
-            // buckets need no interleaving: they write different stores
-            // (directed) or disjoint entries of one list (undirected: the
-            // canonical pass stores `v → x` with `x >= v`, the mirror pass
-            // `x < v`).
-            for (part, into_in) in [(out, false), (inn, true)] {
-                for &i in part.bucket(chunk) {
-                    if ingest(chunk, &batch[i as usize], into_in) {
-                        local_changed += 1;
-                    }
-                }
-            }
-            chunk += threads;
-        }
-        changed.fetch_add(local_changed, Ordering::Relaxed);
-    });
-    changed.load(Ordering::Relaxed)
-}
-
-/// The legacy rescan pass: worker `w` handles every chunk `c` with
-/// `c % threads == w`, scanning the whole batch per chunk and ingesting the
-/// edges whose key vertex it owns. `O(batch × chunks)` key evaluations —
-/// kept only as the microbenchmark baseline for [`chunked_update`].
-fn chunked_update_rescan<FKey, FIns>(
-    batch: &[Edge],
-    pool: &ThreadPool,
-    chunk_count: usize,
-    key_chunk: FKey,
-    ingest: FIns,
-) -> usize
-where
-    FKey: Fn(&Edge, /*into_in:*/ bool) -> usize + Sync,
-    FIns: Fn(usize, &Edge, /*into_in:*/ bool) -> bool + Sync,
-{
-    let changed = AtomicUsize::new(0);
-    let threads = pool.threads();
-    pool.run_on_all(|w| {
-        let mut local_changed = 0;
-        let mut chunk = w;
-        while chunk < chunk_count {
-            for edge in batch {
-                if key_chunk(edge, false) == chunk && ingest(chunk, edge, false) {
-                    local_changed += 1;
-                }
-                if key_chunk(edge, true) == chunk && ingest(chunk, edge, true) {
-                    local_changed += 1;
-                }
-            }
-            chunk += threads;
-        }
+        // Each bucket is in batch order, so the first copy of a duplicated
+        // edge wins in every chunk it reaches. The two buckets need no
+        // interleaving: they write different stores (directed) or disjoint
+        // entries of one list (undirected: the canonical pass stores
+        // `v → x` with `x >= v`, the mirror pass `x < v`).
+        let drain_chunk = |c| drain(c, false, out.bucket(c)) + drain(c, true, inn.bucket(c));
+        let local_changed: usize = (w..chunk_count).step_by(pool.threads()).map(drain_chunk).sum();
         changed.fetch_add(local_changed, Ordering::Relaxed);
     });
     changed.load(Ordering::Relaxed)
@@ -601,8 +600,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adjacency_chunked::AdjacencyChunked;
-    use crate::dah::Dah;
     use crate::oracle::GraphOracle;
     use crate::{build_deletable_graph_with, DataStructureKind};
 
@@ -619,7 +616,8 @@ mod tests {
 
     /// The shell's contract, once for all five structures: after every batch
     /// of a script that walks the protocol's corner cases, the batch tallies
-    /// and the whole topology (both directions, degrees, weights) equal the
+    /// and the whole topology (both directions, degrees, weights) — read per
+    /// visit from the live graph and through its frozen view — equal the
     /// sequential oracle's.
     #[test]
     fn every_structure_follows_the_pass_protocol() {
@@ -661,6 +659,11 @@ mod tests {
                 if let Some(diff) = oracle.diff(g.as_ref(), true) {
                     panic!("{at}: {diff}");
                 }
+                g.frozen(&mut |view| {
+                    if let Some(diff) = oracle.diff_topology(kind, view, true) {
+                        panic!("{at}, frozen view: {diff}");
+                    }
+                });
             }
         });
     }
@@ -697,34 +700,15 @@ mod tests {
             assert_eq!(chunks.local(v), v as usize / 4);
         }
         // 103 = 4 × 25 + 3: chunks 0..3 own 26 vertices, chunk 3 owns 25.
-        let owned: Vec<usize> = chunks.lock_all().iter().map(|c| **c).collect();
+        let owned: Vec<usize> = (0..4).map(|c| *chunks.read_chunk(c)).collect();
         assert_eq!(owned, [26, 26, 26, 25]);
     }
 
     #[test]
-    fn rescan_path_matches_partitioned_path() {
-        let pool = ThreadPool::new(4);
-        let batch: Vec<Edge> = (0..500)
-            .map(|i| Edge::new(i % 37, (i * 13) % 41, 1.0 + (i % 5) as f32))
-            .collect();
-        for directed in [true, false] {
-            let mut oracle = GraphOracle::new(64, directed);
-            let expected = oracle.insert_batch_stats(&batch);
-            let ac = AdjacencyChunked::new(64, directed, 4);
-            assert_eq!(ac.update_batch_rescan(&batch, &pool), expected, "AC, directed = {directed}");
-            oracle.assert_matches(&ac, false);
-            let dah = Dah::new(64, directed, 4);
-            assert_eq!(dah.update_batch_rescan(&batch, &pool), expected, "DAH, directed = {directed}");
-            oracle.assert_matches(&dah, false);
-        }
-    }
-
-    #[test]
     fn partitioned_update_evaluates_each_key_once() {
-        // The O(batch) acceptance check: the partitioned path evaluates the
-        // chunk key exactly twice per edge (once per pass) no matter how
-        // many chunks exist, while the rescan path pays 2 × batch × chunks
-        // evaluations.
+        // The O(batch) acceptance check: routing evaluates the chunk key
+        // exactly twice per edge (once per pass) no matter how many chunks
+        // exist, and hands every edge to exactly one chunk per pass.
         let pool = ThreadPool::new(4);
         let batch: Vec<Edge> = (0..200).map(|i| Edge::new(i % 13, i % 7, 1.0)).collect();
         for chunk_count in [1usize, 4, 16] {
@@ -734,18 +718,10 @@ mod tests {
                 (if into_in { edge.dst } else { edge.src }) as usize % chunk_count
             };
             let scratch = Mutex::new(IngestScratch::default());
-            chunked_update(&batch, &pool, chunk_count, &scratch, key_chunk, |_, _, _| false);
-            assert_eq!(
-                evals.swap(0, Ordering::Relaxed),
-                2 * batch.len(),
-                "partitioned, chunks = {chunk_count}"
-            );
-            chunked_update_rescan(&batch, &pool, chunk_count, key_chunk, |_, _, _| false);
-            assert_eq!(
-                evals.load(Ordering::Relaxed),
-                2 * batch.len() * chunk_count,
-                "rescan, chunks = {chunk_count}"
-            );
+            let drained =
+                chunked_update(&batch, &pool, chunk_count, &scratch, key_chunk, |_, _, b| b.len());
+            assert_eq!(evals.load(Ordering::Relaxed), 2 * batch.len(), "chunks = {chunk_count}");
+            assert_eq!(drained, 2 * batch.len(), "chunks = {chunk_count}");
         }
     }
 }

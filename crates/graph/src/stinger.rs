@@ -26,7 +26,7 @@
 //! paper blames for Stinger's compute latency — and the access probe
 //! records each hop for the cache simulator.
 
-use crate::shell::{Op, SharedSide, Side, TwoSided};
+use crate::shell::{Op, ReadSide, SharedSide, Side, TwoSided};
 use crate::{DataStructureKind, Edge, Node, Weight};
 use saga_utils::parallel::ThreadPool;
 use saga_utils::probe;
@@ -344,9 +344,7 @@ impl StingerLists {
     }
 }
 
-impl Side for StingerLists {
-    const KIND: DataStructureKind = DataStructureKind::Stinger;
-
+impl ReadSide for StingerLists {
     fn degree(&self, v: Node) -> usize {
         self.vertices[v as usize].degree.load(Ordering::Acquire) as usize
     }
@@ -366,6 +364,10 @@ impl Side for StingerLists {
             });
         }
     }
+}
+
+impl Side for StingerLists {
+    const KIND: DataStructureKind = DataStructureKind::Stinger;
 
     fn run_batch(shell: &TwoSided<Self>, batch: &[Edge], pool: &ThreadPool, op: Op) -> usize {
         shell.shared_batch(batch, pool, op)

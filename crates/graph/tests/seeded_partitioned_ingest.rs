@@ -94,28 +94,3 @@ fn stinger_partitioned_matches_oracle() {
 fn dah_partitioned_matches_oracle() {
     partitioned_matches_oracle(DataStructureKind::Dah);
 }
-
-#[test]
-#[cfg_attr(miri, ignore)] // case counts are not Miri-sized
-fn rescan_and_partitioned_chunked_paths_agree() {
-    use saga_graph::adjacency_chunked::AdjacencyChunked;
-    use saga_graph::{DynamicGraph, GraphTopology};
-    for_each_seed(SEEDS, |rng| {
-        let (edges, directed) = (arb_edges(rng, 119), rng.chance(0.5));
-        // The explicit O(batch × chunks) baseline kept for benchmarking
-        // must stay interchangeable with the partitioned fast path.
-        let pool = ThreadPool::new(4);
-        let partitioned = AdjacencyChunked::new(MAX_NODES, directed, 4);
-        let rescan = AdjacencyChunked::new(MAX_NODES, directed, 4);
-        partitioned.update_batch(&edges, &pool);
-        rescan.update_batch_rescan(&edges, &pool);
-        assert_eq!(partitioned.num_edges(), rescan.num_edges());
-        for v in 0..MAX_NODES as Node {
-            let mut a = partitioned.out_neighbors(v);
-            let mut b = rescan.out_neighbors(v);
-            a.sort_by_key(|&(n, _)| n);
-            b.sort_by_key(|&(n, _)| n);
-            assert_eq!(a, b, "out lists differ at {v}");
-        }
-    });
-}

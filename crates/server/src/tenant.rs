@@ -565,13 +565,15 @@ pub fn parse_values(text: &str) -> Result<saga_algorithms::VertexValues, String>
 pub fn render_edge_list(graph: &dyn DynamicGraph) -> String {
     let directed = graph.is_directed();
     let mut rows: Vec<(Node, Node, Weight)> = Vec::with_capacity(graph.num_edges());
-    for v in 0..graph.capacity() as Node {
-        graph.for_each_out_neighbor(v, &mut |n, w| {
-            if directed || v <= n {
-                rows.push((v, n, w));
-            }
-        });
-    }
+    saga_graph::read_phase(graph, |graph| {
+        for v in 0..graph.capacity() as Node {
+            graph.for_each_out_neighbor(v, &mut |n, w| {
+                if directed || v <= n {
+                    rows.push((v, n, w));
+                }
+            });
+        }
+    });
     rows.sort_by_key(|&(s, d, _)| (s, d));
     let mut out = String::new();
     use std::fmt::Write as _;

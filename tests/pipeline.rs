@@ -104,10 +104,11 @@ fn inc_compute_beats_fs_compute_on_a_growing_graph() {
     // PageRank compute should be substantially cheaper than from-scratch.
     // On AC, the structure `results/fig7.txt` selects for PR/RMAT, with
     // 1 200-edge batches (1–1.5 % of the graph at P3, the paper's ratio).
-    // Measured FS/INC here is 2.5–2.7 (CHANGES.md, PR 18, has all five
-    // structures); on AS at 2 400-edge batches, where this test used to
-    // sit, the FS kernel no longer pays a lock per in-edge and the honest
-    // ratio is ~1.
+    // Measured FS/INC here is 1.8–2.1 since the compute phase reads AC
+    // through its frozen view (PR 20: FS 2.4x faster, INC 1.6x; it was
+    // 2.3–3.0 before — CHANGES.md); on AS at 2 400-edge batches, where this
+    // test used to sit, the FS kernel no longer pays a lock per in-edge and
+    // the honest ratio is ~1.
     let stream = DatasetProfile::rmat().scaled(20_000, 120_000).generate(21);
     let last_third_compute = |cm: ComputeModelKind| -> f64 {
         let mut driver = StreamDriver::builder(DataStructureKind::AdjacencyChunked, stream.num_nodes)
