@@ -180,6 +180,19 @@ fn fig10c_compute_mpki_falls_from_l2_to_llc() {
 // Fig. 7 — FS vs INC compute latency (timing-based, env-skippable).
 // ---------------------------------------------------------------------------
 
+/// Fig. 7's FS/INC compute ratio per stage, as the median of five
+/// measurements: one alone is noise on a 2-core host running the rest of
+/// this binary beside it (SSSP/LJ at P1 landed at 1.61 in 3 of 17 suite
+/// runs; CC/Talk once measured P2 12.4 > P3 12.2).
+fn median_fs_over_inc(profile: &DatasetProfile, alg: AlgorithmKind) -> [f64; 3] {
+    let mut runs: Vec<[f64; 3]> =
+        (0..5).map(|_| fs_over_inc(profile, alg, &shape_cfg()).fs_over_inc).collect();
+    std::array::from_fn(|stage| {
+        runs.sort_by(|a, b| a[stage].total_cmp(&b[stage]));
+        runs[runs.len() / 2][stage]
+    })
+}
+
 /// Fig. 7: CC on Talk benefits enormously from the incremental model, and
 /// the benefit grows as the graph fills up (paper: 5.1× at P1 → 15.1× at
 /// P3).
@@ -188,16 +201,12 @@ fn fig7_cc_talk_inc_speedup_grows_with_stage() {
     if timing_skipped() {
         return;
     }
-    let r = fs_over_inc(&DatasetProfile::talk(), AlgorithmKind::Cc, &shape_cfg());
+    let ratios = median_fs_over_inc(&DatasetProfile::talk(), AlgorithmKind::Cc);
     assert_ordering!(
         "Fig. 7: CC/Talk FS/INC over stages",
-        [
-            ("P1", r.fs_over_inc[0]),
-            ("P2", r.fs_over_inc[1]),
-            ("P3", r.fs_over_inc[2]),
-        ]
+        [("P1", ratios[0]), ("P2", ratios[1]), ("P3", ratios[2])]
     );
-    assert_ratio_within!("Fig. 7: CC/Talk FS/INC at P3", r.fs_over_inc[2], 2.0, 200.0);
+    assert_ratio_within!("Fig. 7: CC/Talk FS/INC at P3", ratios[2], 2.0, 200.0);
 }
 
 /// Fig. 7: SSSP gains nothing from the incremental model — FS/INC stays
@@ -207,8 +216,8 @@ fn fig7_sssp_lj_inc_gives_no_speedup() {
     if timing_skipped() {
         return;
     }
-    let r = fs_over_inc(&DatasetProfile::livejournal(), AlgorithmKind::Sssp, &shape_cfg());
-    for (stage, ratio) in r.fs_over_inc.into_iter().enumerate() {
+    let ratios = median_fs_over_inc(&DatasetProfile::livejournal(), AlgorithmKind::Sssp);
+    for (stage, ratio) in ratios.into_iter().enumerate() {
         assert_ratio_within!(
             &format!("Fig. 7: SSSP/LJ FS/INC at P{}", stage + 1),
             ratio,

@@ -5,7 +5,8 @@
 //! environment, so this crate provides the subset of its surface that the
 //! `saga_utils::sync` facade needs: [`model`], [`sync::atomic`] integer
 //! atomics, a poison-free [`sync::Mutex`]/[`sync::Condvar`] pair,
-//! and [`thread::spawn`]/[`thread::JoinHandle`]. Code written against the
+//! [`sync::RwLock`], [`sync::OnceLock`], and
+//! [`thread::spawn`]/[`thread::JoinHandle`]. Code written against the
 //! facade compiles against `std::sync` normally and against this
 //! crate under `--cfg loom`.
 //!
@@ -27,15 +28,23 @@
 //! - assertion failures / panics on any modeled thread,
 //! - deadlocks (no thread can make progress, including lost condvar
 //!   wakeups),
-//! - non-deterministic models (the replayed prefix diverges).
+//! - non-deterministic models (the replayed prefix diverges),
+//! - an access of a [`cell::CausalCell`] that its last write does not
+//!   happen-before — the way a missing Release / Acquire pairing shows up
+//!   (see below).
 //!
 //! # What it does not check
 //!
 //! Unlike the real loom, this checker explores interleavings under
-//! **sequential consistency**: `Ordering` arguments are accepted and
-//! ignored, so bugs that require a weaker memory model to surface (e.g. a
-//! missing `Acquire` pairing observable only on relaxed hardware) are out of
-//! scope — those are covered by the ThreadSanitizer CI job instead.
+//! **sequential consistency**: a load always returns the latest store, so
+//! it never *shows* the stale value a weaker memory model could. Orderings
+//! are not ignored, though: every thread carries a vector clock that spawn,
+//! join, mutex hand-over and Release → Acquire atomic pairs propagate, and a
+//! model that keeps its published payload in [`cell::CausalCell`]s fails
+//! when a reader gets to the payload without being ordered after its write
+//! (a Relaxed store where a Release was needed). Ordering bugs on plain
+//! atomics with no such cell behind them are out of scope — those are
+//! covered by the ThreadSanitizer CI job instead.
 //! Spurious condvar wakeups and the spurious failure mode of
 //! `compare_exchange_weak` are not modeled either.
 //!
@@ -67,6 +76,7 @@
 //! });
 //! ```
 
+pub mod cell;
 mod rt;
 pub mod sync;
 pub mod thread;

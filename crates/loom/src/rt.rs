@@ -11,10 +11,56 @@
 //! managed threads, but a global baton guarantees at most one of them runs
 //! user code at any instant, so modeled "atomics" can be plain
 //! `UnsafeCell`s.
+//!
+//! Beside the schedule, the runtime tracks *happens-before* with one vector
+//! clock per thread ([`VClock`]): a thread ticks its own entry at every
+//! scheduling point, and spawn, join, a mutex release → acquire, and a
+//! Release-side atomic store → Acquire-side load carry the clock across
+//! threads. Values are still sequentially consistent; the clocks only
+//! answer "is that write ordered before this read?" for
+//! [`crate::cell::CausalCell`].
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex};
+
+/// A vector clock: entry `t` is the last scheduling step of thread `t`
+/// that happens-before the clock's owner.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct VClock(Vec<u64>);
+
+impl VClock {
+    /// The clock that knows of no step.
+    pub(crate) const fn new() -> Self {
+        Self(Vec::new())
+    }
+
+    /// Entry `t`.
+    pub(crate) fn get(&self, t: usize) -> u64 {
+        self.0.get(t).copied().unwrap_or(0)
+    }
+
+    /// Raises entry `t` to at least `at`.
+    pub(crate) fn raise(&mut self, t: usize, at: u64) {
+        if self.0.len() <= t {
+            self.0.resize(t + 1, 0);
+        }
+        self.0[t] = self.0[t].max(at);
+    }
+
+    /// Pointwise maximum with `other`: everything `other` knows of.
+    pub(crate) fn join(&mut self, other: &VClock) {
+        for (t, &at) in other.0.iter().enumerate() {
+            self.raise(t, at);
+        }
+    }
+}
+
+/// The running thread as a shared op sees it: its id and its clock.
+pub(crate) struct Now<'a> {
+    pub(crate) tid: usize,
+    pub(crate) clock: &'a mut VClock,
+}
 
 /// The operation a parked thread is about to perform; determines whether
 /// the scheduler may grant it the baton.
@@ -58,6 +104,10 @@ struct Decision {
 
 struct ModelState {
     threads: Vec<Status>,
+    /// Happens-before clock per thread (same index as `threads`).
+    clocks: Vec<VClock>,
+    /// Per mutex address: the clock its last holder released it with.
+    lock_clocks: HashMap<usize, VClock>,
     /// Baton holder; `None` while the scheduler is deciding.
     active: Option<usize>,
     prev_active: Option<usize>,
@@ -156,10 +206,20 @@ fn yield_point(pending: Pending) {
         }
         if st.active == Some(me) {
             st.threads[me] = Status::Running;
-            if let Pending::Lock(m) = pending {
-                let owner = st.mutexes.entry(m).or_insert(None);
-                debug_assert!(owner.is_none(), "granted a held mutex");
-                *owner = Some(me);
+            let step = st.clocks[me].get(me) + 1;
+            st.clocks[me].raise(me, step);
+            match pending {
+                Pending::Op => {}
+                Pending::Lock(m) => {
+                    let owner = st.mutexes.entry(m).or_insert(None);
+                    debug_assert!(owner.is_none(), "granted a held mutex");
+                    *owner = Some(me);
+                    acquire_lock_clock(st, me, m);
+                }
+                Pending::Join(t) => {
+                    let finished = st.clocks[t].clone();
+                    st.clocks[me].join(&finished);
+                }
             }
             return;
         }
@@ -167,17 +227,33 @@ fn yield_point(pending: Pending) {
     }
 }
 
+/// Joins the clock mutex `m` was last released with into thread `me`'s.
+fn acquire_lock_clock(st: &mut ModelState, me: usize, m: usize) {
+    if let Some(released) = st.lock_clocks.get(&m) {
+        let released = released.clone();
+        st.clocks[me].join(&released);
+    }
+}
+
 /// Runs `op` as one atomic scheduling step. The baton serializes managed
 /// threads, so `op` may touch the `UnsafeCell` state of modeled atomics.
-pub(crate) fn shared_op<T>(op: impl FnOnce() -> T) -> T {
+/// `op` gets the running thread's clock, or `None` during teardown, when
+/// nothing is checked any more.
+pub(crate) fn shared_op<T>(op: impl FnOnce(Option<Now<'_>>) -> T) -> T {
     if abort_bypass() {
         // Serialize teardown-time accesses on the runtime lock instead of
         // the (no longer running) scheduler.
         let _guard = RT.state.lock().unwrap_or_else(|e| e.into_inner());
-        return op();
+        return op(None);
     }
     yield_point(Pending::Op);
-    op()
+    let tid = expect_managed();
+    let mut guard = RT.state.lock().unwrap_or_else(|e| e.into_inner());
+    let st = guard.as_mut().expect("model state missing");
+    op(Some(Now {
+        tid,
+        clock: &mut st.clocks[tid],
+    }))
 }
 
 /// Acquires the modeled mutex keyed by `addr` (blocking schedule-wise until
@@ -203,6 +279,7 @@ pub(crate) fn mutex_unlock(addr: usize) {
     if let Some(owner) = st.mutexes.get_mut(&addr) {
         if *owner == Some(me) {
             *owner = None;
+            st.lock_clocks.insert(addr, st.clocks[me].clone());
         }
     }
 }
@@ -224,6 +301,7 @@ pub(crate) fn cond_wait(cv: usize, mutex: usize) {
         let owner = st.mutexes.entry(mutex).or_insert(None);
         debug_assert_eq!(*owner, Some(me), "cond_wait without holding the mutex");
         *owner = None;
+        st.lock_clocks.insert(mutex, st.clocks[me].clone());
         st.cond_waiters.entry(cv).or_default().push((me, mutex));
         st.threads[me] = Status::CondWait;
         st.active = None;
@@ -242,6 +320,7 @@ pub(crate) fn cond_wait(cv: usize, mutex: usize) {
             let owner = st.mutexes.entry(mutex).or_insert(None);
             debug_assert!(owner.is_none(), "granted a held mutex on cond wake");
             *owner = Some(me);
+            acquire_lock_clock(st, me, mutex);
             return;
         }
         guard = RT.cv.wait(guard).unwrap_or_else(|e| e.into_inner());
@@ -291,11 +370,15 @@ pub(crate) fn spawn(f: Box<dyn FnOnce() + Send>) -> usize {
         return usize::MAX;
     }
     yield_point(Pending::Op);
+    let parent = expect_managed();
     let tid = {
         let mut guard = RT.state.lock().unwrap_or_else(|e| e.into_inner());
         let st = guard.as_mut().expect("model state missing");
         let tid = st.threads.len();
         st.threads.push(Status::Parked(Pending::Op));
+        // Everything the parent did so far happens-before the child.
+        let inherited = st.clocks[parent].clone();
+        st.clocks.push(inherited);
         tid
     };
     let handle = std::thread::Builder::new()
@@ -334,7 +417,9 @@ fn run_managed(tid: usize, f: Box<dyn FnOnce() + Send>) {
         if let Err(payload) = result {
             if !payload.is::<AbortToken>() && !st.abort {
                 st.abort = true;
-                st.panic_msg = Some(payload_to_string(&payload));
+                // `&*`: the message is inside the box (`&payload` would
+                // make the box itself the `Any`, which no downcast matches).
+                st.panic_msg = Some(payload_to_string(&*payload));
             }
         }
     }
@@ -431,6 +516,8 @@ fn run_iteration(
         let mut guard = RT.state.lock().unwrap_or_else(|e| e.into_inner());
         *guard = Some(ModelState {
             threads: vec![Status::Parked(Pending::Op)],
+            clocks: vec![VClock::new()],
+            lock_clocks: HashMap::new(),
             active: None,
             prev_active: None,
             mutexes: HashMap::new(),

@@ -1,5 +1,5 @@
 //! Modeled synchronization primitives: poison-free [`Mutex`] and
-//! [`Condvar`], plus [`atomic`] integer types.
+//! [`Condvar`], [`RwLock`], [`OnceLock`], plus [`atomic`] integer types.
 //!
 //! All of these are plain data guarded by the scheduler baton: at most one
 //! managed thread executes between scheduling points, so the interior
@@ -14,62 +14,142 @@ pub use std::sync::Arc;
 
 /// Modeled atomics with the `std::sync::atomic` surface the suite uses.
 ///
-/// `Ordering` arguments are accepted for API compatibility and ignored:
-/// exploration is sequentially consistent (see the crate docs for why that
-/// is an intentional trade-off).
+/// Values are sequentially consistent: a load returns the latest store in
+/// the schedule, whatever its `Ordering` (see the crate docs for why that is
+/// an intentional trade-off). Orderings still decide *happens-before*: a
+/// Release-side store (or RMW) publishes the storing thread's clock with the
+/// value, an Acquire-side load (or RMW) that reads it joins that clock, and
+/// a Relaxed store publishes nothing — which is what a
+/// [`CausalCell`](crate::cell::CausalCell) read behind the atomic checks.
 pub mod atomic {
-    use super::rt;
+    use super::rt::{self, Now, VClock};
     use std::cell::UnsafeCell;
 
     pub use std::sync::atomic::Ordering;
+
+    fn acquires(order: Ordering) -> bool {
+        matches!(order, Ordering::Acquire | Ordering::AcqRel | Ordering::SeqCst)
+    }
+
+    fn releases(order: Ordering) -> bool {
+        matches!(order, Ordering::Release | Ordering::AcqRel | Ordering::SeqCst)
+    }
+
+    /// One modeled atomic location: its value and the clock its last
+    /// Release-side store (extended by the RMWs after it) published.
+    #[derive(Debug, Default)]
+    struct Location<T> {
+        value: UnsafeCell<T>,
+        published: UnsafeCell<VClock>,
+    }
+
+    // SAFETY: the model scheduler guarantees at most one managed thread
+    // runs between scheduling points, and every access to the cells happens
+    // inside `rt::shared_op`, i.e. while holding the baton — so there is
+    // never a concurrent access.
+    unsafe impl<T: Send> Sync for Location<T> {}
+
+    impl<T: Copy> Location<T> {
+        const fn new(value: T) -> Self {
+            Self {
+                value: UnsafeCell::new(value),
+                published: UnsafeCell::new(VClock::new()),
+            }
+        }
+
+        fn with<R>(&self, f: impl FnOnce(&mut T, &mut VClock, Option<Now<'_>>) -> R) -> R {
+            rt::shared_op(|now| {
+                // SAFETY: executed under the scheduler baton (`shared_op`),
+                // so these are the only live accesses to either cell.
+                let (value, published) = unsafe { (&mut *self.value.get(), &mut *self.published.get()) };
+                f(value, published, now)
+            })
+        }
+
+        fn load(&self, order: Ordering) -> T {
+            self.with(|value, published, now| {
+                if let Some(now) = now.filter(|_| acquires(order)) {
+                    now.clock.join(published);
+                }
+                *value
+            })
+        }
+
+        fn store(&self, new: T, order: Ordering) {
+            self.with(|value, published, now| {
+                *value = new;
+                *published = match now {
+                    Some(now) if releases(order) => now.clock.clone(),
+                    _ => VClock::new(),
+                };
+            })
+        }
+
+        /// A read-modify-write: `f` maps the old value to the new one (or
+        /// to `None`, a failed compare-exchange that only loads, with
+        /// `failure` ordering) and the result is the old value.
+        fn rmw(
+            &self,
+            order: Ordering,
+            failure: Ordering,
+            f: impl FnOnce(T) -> Option<T>,
+        ) -> Result<T, T> {
+            self.with(|value, published, now| {
+                let old = *value;
+                let new = f(old);
+                let order = if new.is_some() { order } else { failure };
+                if let Some(now) = now {
+                    if acquires(order) {
+                        now.clock.join(published);
+                    }
+                    // An RMW continues the release sequence it read from.
+                    if new.is_some() && releases(order) {
+                        published.join(now.clock);
+                    }
+                }
+                match new {
+                    Some(new) => {
+                        *value = new;
+                        Ok(old)
+                    }
+                    None => Err(old),
+                }
+            })
+        }
+
+        fn update(&self, order: Ordering, f: impl FnOnce(T) -> T) -> T {
+            match self.rmw(order, order, |old| Some(f(old))) {
+                Ok(old) | Err(old) => old,
+            }
+        }
+    }
 
     macro_rules! int_atomic {
         ($name:ident, $ty:ty) => {
             /// Modeled counterpart of the std atomic of the same name;
             /// every operation is one scheduling point.
             #[derive(Debug, Default)]
-            pub struct $name {
-                value: UnsafeCell<$ty>,
-            }
-
-            // SAFETY: the model scheduler guarantees at most one managed
-            // thread runs between scheduling points, and every access to
-            // `value` happens inside `rt::shared_op`, i.e. while holding
-            // the baton — so there is never a concurrent access.
-            unsafe impl Sync for $name {}
-            // SAFETY: `$ty` is a plain integer; moving the cell between
-            // threads is trivially sound.
-            unsafe impl Send for $name {}
+            pub struct $name(Location<$ty>);
 
             impl $name {
                 /// Creates a new modeled atomic with the given value.
                 pub const fn new(value: $ty) -> Self {
-                    Self {
-                        value: UnsafeCell::new(value),
-                    }
-                }
-
-                fn with<R>(&self, f: impl FnOnce(&mut $ty) -> R) -> R {
-                    rt::shared_op(|| {
-                        // SAFETY: executed under the scheduler baton
-                        // (`shared_op`), so this is the only live access.
-                        f(unsafe { &mut *self.value.get() })
-                    })
+                    Self(Location::new(value))
                 }
 
                 /// Loads the value (one scheduling point).
-                pub fn load(&self, _order: Ordering) -> $ty {
-                    self.with(|v| *v)
+                pub fn load(&self, order: Ordering) -> $ty {
+                    self.0.load(order)
                 }
 
                 /// Stores `value` (one scheduling point).
-                pub fn store(&self, value: $ty, _order: Ordering) {
-                    self.with(|v| *v = value);
+                pub fn store(&self, value: $ty, order: Ordering) {
+                    self.0.store(value, order)
                 }
 
                 /// Swaps in `value`, returning the previous value.
-                pub fn swap(&self, value: $ty, _order: Ordering) -> $ty {
-                    self.with(|v| std::mem::replace(v, value))
+                pub fn swap(&self, value: $ty, order: Ordering) -> $ty {
+                    self.0.update(order, |_| value)
                 }
 
                 /// Compare-and-exchange; the whole CAS is one scheduling
@@ -78,17 +158,10 @@ pub mod atomic {
                     &self,
                     current: $ty,
                     new: $ty,
-                    _success: Ordering,
-                    _failure: Ordering,
+                    success: Ordering,
+                    failure: Ordering,
                 ) -> Result<$ty, $ty> {
-                    self.with(|v| {
-                        if *v == current {
-                            *v = new;
-                            Ok(current)
-                        } else {
-                            Err(*v)
-                        }
-                    })
+                    self.0.rmw(success, failure, |old| (old == current).then_some(new))
                 }
 
                 /// Like [`compare_exchange`](Self::compare_exchange);
@@ -104,77 +177,49 @@ pub mod atomic {
                 }
 
                 /// Atomic add, returning the previous value.
-                pub fn fetch_add(&self, rhs: $ty, _order: Ordering) -> $ty {
-                    self.with(|v| {
-                        let prev = *v;
-                        *v = prev.wrapping_add(rhs);
-                        prev
-                    })
+                pub fn fetch_add(&self, rhs: $ty, order: Ordering) -> $ty {
+                    self.0.update(order, |v| v.wrapping_add(rhs))
                 }
 
                 /// Atomic subtract, returning the previous value.
-                pub fn fetch_sub(&self, rhs: $ty, _order: Ordering) -> $ty {
-                    self.with(|v| {
-                        let prev = *v;
-                        *v = prev.wrapping_sub(rhs);
-                        prev
-                    })
+                pub fn fetch_sub(&self, rhs: $ty, order: Ordering) -> $ty {
+                    self.0.update(order, |v| v.wrapping_sub(rhs))
                 }
 
                 /// Atomic bitwise OR, returning the previous value.
-                pub fn fetch_or(&self, rhs: $ty, _order: Ordering) -> $ty {
-                    self.with(|v| {
-                        let prev = *v;
-                        *v = prev | rhs;
-                        prev
-                    })
+                pub fn fetch_or(&self, rhs: $ty, order: Ordering) -> $ty {
+                    self.0.update(order, |v| v | rhs)
                 }
 
                 /// Atomic bitwise AND, returning the previous value.
-                pub fn fetch_and(&self, rhs: $ty, _order: Ordering) -> $ty {
-                    self.with(|v| {
-                        let prev = *v;
-                        *v = prev & rhs;
-                        prev
-                    })
+                pub fn fetch_and(&self, rhs: $ty, order: Ordering) -> $ty {
+                    self.0.update(order, |v| v & rhs)
                 }
 
                 /// Atomic bitwise XOR, returning the previous value.
-                pub fn fetch_xor(&self, rhs: $ty, _order: Ordering) -> $ty {
-                    self.with(|v| {
-                        let prev = *v;
-                        *v = prev ^ rhs;
-                        prev
-                    })
+                pub fn fetch_xor(&self, rhs: $ty, order: Ordering) -> $ty {
+                    self.0.update(order, |v| v ^ rhs)
                 }
 
                 /// Atomic maximum, returning the previous value.
-                pub fn fetch_max(&self, rhs: $ty, _order: Ordering) -> $ty {
-                    self.with(|v| {
-                        let prev = *v;
-                        *v = prev.max(rhs);
-                        prev
-                    })
+                pub fn fetch_max(&self, rhs: $ty, order: Ordering) -> $ty {
+                    self.0.update(order, |v| v.max(rhs))
                 }
 
                 /// Atomic minimum, returning the previous value.
-                pub fn fetch_min(&self, rhs: $ty, _order: Ordering) -> $ty {
-                    self.with(|v| {
-                        let prev = *v;
-                        *v = prev.min(rhs);
-                        prev
-                    })
+                pub fn fetch_min(&self, rhs: $ty, order: Ordering) -> $ty {
+                    self.0.update(order, |v| v.min(rhs))
                 }
 
                 /// Non-atomic read through exclusive access (no scheduling
                 /// point; `&mut self` proves no sharing).
                 pub fn get_mut(&mut self) -> &mut $ty {
-                    self.value.get_mut()
+                    self.0.value.get_mut()
                 }
 
                 /// Consumes the atomic, returning the value.
                 pub fn into_inner(self) -> $ty {
-                    self.value.into_inner()
+                    self.0.value.into_inner()
                 }
             }
         };
@@ -188,45 +233,27 @@ pub mod atomic {
 
     /// Modeled `AtomicBool`; every operation is one scheduling point.
     #[derive(Debug, Default)]
-    pub struct AtomicBool {
-        value: UnsafeCell<bool>,
-    }
-
-    // SAFETY: same argument as the integer atomics — all accesses happen
-    // under the scheduler baton inside `rt::shared_op`.
-    unsafe impl Sync for AtomicBool {}
-    // SAFETY: `bool` is plain data; sending the cell is sound.
-    unsafe impl Send for AtomicBool {}
+    pub struct AtomicBool(Location<bool>);
 
     impl AtomicBool {
         /// Creates a new modeled atomic bool.
         pub const fn new(value: bool) -> Self {
-            Self {
-                value: UnsafeCell::new(value),
-            }
-        }
-
-        fn with<R>(&self, f: impl FnOnce(&mut bool) -> R) -> R {
-            rt::shared_op(|| {
-                // SAFETY: executed under the scheduler baton, so this is
-                // the only live access.
-                f(unsafe { &mut *self.value.get() })
-            })
+            Self(Location::new(value))
         }
 
         /// Loads the value (one scheduling point).
-        pub fn load(&self, _order: Ordering) -> bool {
-            self.with(|v| *v)
+        pub fn load(&self, order: Ordering) -> bool {
+            self.0.load(order)
         }
 
         /// Stores `value` (one scheduling point).
-        pub fn store(&self, value: bool, _order: Ordering) {
-            self.with(|v| *v = value);
+        pub fn store(&self, value: bool, order: Ordering) {
+            self.0.store(value, order)
         }
 
         /// Swaps in `value`, returning the previous value.
-        pub fn swap(&self, value: bool, _order: Ordering) -> bool {
-            self.with(|v| std::mem::replace(v, value))
+        pub fn swap(&self, value: bool, order: Ordering) -> bool {
+            self.0.update(order, |_| value)
         }
 
         /// Compare-and-exchange as one scheduling point.
@@ -234,36 +261,70 @@ pub mod atomic {
             &self,
             current: bool,
             new: bool,
-            _success: Ordering,
-            _failure: Ordering,
+            success: Ordering,
+            failure: Ordering,
         ) -> Result<bool, bool> {
-            self.with(|v| {
-                if *v == current {
-                    *v = new;
-                    Ok(current)
-                } else {
-                    Err(*v)
-                }
-            })
+            self.0.rmw(success, failure, |old| (old == current).then_some(new))
         }
 
         /// Atomic OR, returning the previous value.
-        pub fn fetch_or(&self, rhs: bool, _order: Ordering) -> bool {
-            self.with(|v| {
-                let prev = *v;
-                *v = prev | rhs;
-                prev
-            })
+        pub fn fetch_or(&self, rhs: bool, order: Ordering) -> bool {
+            self.0.update(order, |v| v | rhs)
         }
 
         /// Atomic AND, returning the previous value.
-        pub fn fetch_and(&self, rhs: bool, _order: Ordering) -> bool {
-            self.with(|v| {
-                let prev = *v;
-                *v = prev & rhs;
-                prev
-            })
+        pub fn fetch_and(&self, rhs: bool, order: Ordering) -> bool {
+            self.0.update(order, |v| v & rhs)
         }
+    }
+}
+
+/// A modeled `std::sync::OnceLock`: the standard cell behind a modeled
+/// initialisation lock and a modeled ready flag.
+///
+/// Sound without `unsafe`: the value lives in a real `std` `OnceLock`, which
+/// is memory-safe on its own. The model adds two things. Initialisers
+/// serialize on a modeled [`Mutex`] *before* they reach the `std` cell, so
+/// a racing `get_or_init` parks at a scheduling point instead of blocking
+/// its OS thread inside `std` while it holds the baton (which would hang
+/// the model). And `get` answers from a modeled flag stored with Release
+/// after the value is in place, so a reader that sees the value is ordered
+/// after its initialiser, and every first read is a scheduling point.
+#[derive(Debug, Default)]
+pub struct OnceLock<T> {
+    cell: std::sync::OnceLock<T>,
+    init: Mutex<()>,
+    ready: atomic::AtomicBool,
+}
+
+impl<T> OnceLock<T> {
+    /// An uninitialised cell.
+    pub const fn new() -> Self {
+        Self {
+            cell: std::sync::OnceLock::new(),
+            init: Mutex::new(()),
+            ready: atomic::AtomicBool::new(false),
+        }
+    }
+
+    /// The value, if some `get_or_init` has finished.
+    pub fn get(&self) -> Option<&T> {
+        if self.ready.load(atomic::Ordering::Acquire) {
+            self.cell.get()
+        } else {
+            None
+        }
+    }
+
+    /// The value, initialised by `f` if no one has yet.
+    pub fn get_or_init(&self, f: impl FnOnce() -> T) -> &T {
+        if let Some(value) = self.get() {
+            return value;
+        }
+        let _init = self.init.lock();
+        let value = self.cell.get_or_init(f);
+        self.ready.store(true, atomic::Ordering::Release);
+        value
     }
 }
 

@@ -58,5 +58,5 @@ where
 /// A scheduling point with no shared-memory effect; lets the explorer
 /// switch threads at a program point of the model's choosing.
 pub fn yield_now() {
-    rt::shared_op(|| ());
+    rt::shared_op(|_| ());
 }

@@ -1,8 +1,9 @@
 //! Self-tests for the saga-loom model checker: known-correct protocols must
 //! pass every explored schedule, and seeded concurrency bugs must be found.
 
+use saga_loom::cell::CausalCell;
 use saga_loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use saga_loom::sync::{Arc, Condvar, Mutex};
+use saga_loom::sync::{Arc, Condvar, Mutex, OnceLock};
 use saga_loom::thread;
 
 #[test]
@@ -248,6 +249,102 @@ fn shutdown_flag_protocol_terminates() {
             ctl.cv.notify_all();
         }
         assert_eq!(worker.join().unwrap(), 0);
+    });
+}
+
+/// A payload published behind a flag: the reader that sees the flag set
+/// reads the payload, which must be ordered after its write.
+fn publish_behind_flag(store: Ordering, load: Ordering) {
+    saga_loom::model(move || {
+        let payload = Arc::new(CausalCell::new(0u32));
+        let flag = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let (payload, flag) = (Arc::clone(&payload), Arc::clone(&flag));
+            thread::spawn(move || {
+                if flag.load(load) {
+                    assert_eq!(payload.get(), 7);
+                }
+            })
+        };
+        payload.set(7);
+        flag.store(true, store);
+        reader.join().unwrap();
+    });
+}
+
+#[test]
+fn release_acquire_flag_publishes_a_cell_write() {
+    publish_behind_flag(Ordering::Release, Ordering::Acquire);
+}
+
+#[test]
+#[should_panic(expected = "unpublished value")]
+fn relaxed_flag_store_does_not_publish_a_cell_write() {
+    publish_behind_flag(Ordering::Relaxed, Ordering::Acquire);
+}
+
+#[test]
+#[should_panic(expected = "unpublished value")]
+fn relaxed_flag_load_does_not_acquire_a_cell_write() {
+    publish_behind_flag(Ordering::Release, Ordering::Relaxed);
+}
+
+#[test]
+fn mutex_hand_over_and_join_publish_cell_writes() {
+    saga_loom::model(|| {
+        let slot = Arc::new((Mutex::new(false), CausalCell::new(0u32)));
+        let writer = {
+            let slot = Arc::clone(&slot);
+            thread::spawn(move || {
+                let mut written = slot.0.lock();
+                slot.1.set(1);
+                *written = true;
+            })
+        };
+        if *slot.0.lock() {
+            assert_eq!(slot.1.get(), 1);
+        }
+        writer.join().unwrap();
+        slot.1.set(2);
+        assert_eq!(slot.1.get(), 2);
+    });
+}
+
+#[test]
+#[should_panic(expected = "wrote over an unpublished value")]
+fn unordered_writes_to_one_cell_are_caught() {
+    saga_loom::model(|| {
+        let slot = Arc::new(CausalCell::new(0u32));
+        let writer = {
+            let slot = Arc::clone(&slot);
+            thread::spawn(move || slot.set(1))
+        };
+        slot.set(2);
+        writer.join().unwrap();
+    });
+}
+
+#[test]
+fn once_lock_initialises_once_and_publishes_the_value() {
+    saga_loom::model(|| {
+        let cell = Arc::new(OnceLock::new());
+        let inits = Arc::new(AtomicUsize::new(0));
+        let init = |cell: &OnceLock<CausalCell<u32>>, inits: &AtomicUsize| {
+            let value = cell.get_or_init(|| {
+                inits.fetch_add(1, Ordering::SeqCst);
+                let value = CausalCell::new(0);
+                value.set(5);
+                value
+            });
+            assert_eq!(value.get(), 5);
+        };
+        let racer = {
+            let (cell, inits) = (Arc::clone(&cell), Arc::clone(&inits));
+            thread::spawn(move || init(&cell, &inits))
+        };
+        init(&cell, &inits);
+        racer.join().unwrap();
+        assert_eq!(inits.load(Ordering::SeqCst), 1);
     });
 }
 

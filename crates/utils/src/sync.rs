@@ -35,6 +35,17 @@ pub use saga_loom::sync::{
     Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
 
+/// A cell initialised at most once (Stinger's arena segments): `std`'s
+/// normally; under `--cfg loom` the same `std` cell behind a modeled
+/// initialisation lock and ready flag, so racing initialisers are explored
+/// and a reader is ordered after the initialiser (sound without `unsafe`;
+/// the argument is on `saga_loom::sync::OnceLock`).
+#[cfg(not(loom))]
+pub use std::sync::OnceLock;
+
+#[cfg(loom)]
+pub use saga_loom::sync::OnceLock;
+
 pub use std::sync::Arc;
 
 /// The poison-free lock wrappers of a normal build.

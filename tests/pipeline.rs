@@ -108,7 +108,10 @@ fn inc_compute_beats_fs_compute_on_a_growing_graph() {
     // through its frozen view (PR 20: FS 2.4x faster, INC 1.6x; it was
     // 2.3–3.0 before — CHANGES.md); on AS at 2 400-edge batches, where this
     // test used to sit, the FS kernel no longer pays a lock per in-edge and
-    // the honest ratio is ~1.
+    // the honest ratio is ~1. The margin depends on the build profile: the
+    // 1.8–2.1 is the debug build tier-1 runs (`cargo test`); under
+    // `cargo test --release` FS/INC measured 0.98–1.23 on a 2-core host and
+    // this test failed 4 of 4 runs (ROADMAP item 4, INC PageRank).
     let stream = DatasetProfile::rmat().scaled(20_000, 120_000).generate(21);
     let last_third_compute = |cm: ComputeModelKind| -> f64 {
         let mut driver = StreamDriver::builder(DataStructureKind::AdjacencyChunked, stream.num_nodes)
