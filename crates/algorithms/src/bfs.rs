@@ -92,8 +92,9 @@ impl VertexProgram for BfsProgram {
         pool: &ThreadPool,
     ) -> usize {
         // The direction-optimizing kernel produces identical depths and
-        // dominates on dense-frontier batches (see the `extensions` bench);
-        // the classic push kernel stays exported for comparison.
+        // dominates on dense-frontier batches (saga-check's shape suite
+        // holds it ≥ 1.5× over the classic push kernel, which stays
+        // exported for that comparison).
         bfs_direction_optimizing(self, graph, values, pool)
     }
 }
@@ -165,7 +166,8 @@ const BETA: usize = 18;
 ///
 /// Produces exactly the same depths as [`bfs_from_scratch`]; exposed
 /// separately so the classic and direction-optimizing kernels can be
-/// compared (see the `extensions` bench). Returns levels expanded.
+/// compared (`dirop_bfs_beats_top_down_on_a_dense_graph` in saga-check's
+/// shape suite). Returns levels expanded.
 pub fn bfs_direction_optimizing(
     program: &BfsProgram,
     graph: &dyn GraphTopology,
@@ -176,7 +178,7 @@ pub fn bfs_direction_optimizing(
 }
 
 /// [`bfs_direction_optimizing`], returning the per-direction level counts
-/// (used by the heuristic shape tests and the compute benchmarks).
+/// (used by the heuristic shape tests).
 pub fn bfs_direction_optimizing_stats(
     program: &BfsProgram,
     graph: &dyn GraphTopology,

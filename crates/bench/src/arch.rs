@@ -4,8 +4,8 @@
 //! RMAT on their best structure, AS) and *HTail* (heavy-tailed Wiki, Talk
 //! on DAH), always under the incremental compute model, averaged across
 //! the algorithms. This module runs those configurations once with the
-//! `saga-perf` simulator attached and aggregates per-phase, per-stage
-//! statistics that `fig9` and `fig10` both report.
+//! `saga-perf` simulator attached and aggregates the per-phase, per-stage
+//! statistics `arch_suite` reports as Fig. 9(b–c) and Fig. 10.
 
 use saga_algorithms::{AlgorithmKind, ComputeModelKind};
 use saga_core::driver::{ArchSimConfig, StreamDriver};

@@ -1,17 +1,18 @@
 //! Runs the architecture-level characterization (§VI) once and emits
-//! **Fig. 9(b)**, **Fig. 9(c)**, and **Fig. 10(a–c)** together — identical
-//! output to the dedicated binaries at half the cost (the trace + replay
-//! pass dominates).
+//! **Fig. 9(b)**, **Fig. 9(c)**, the Fig. 9 imbalance supplement, and
+//! **Fig. 10(a–c)** together from one trace + replay pass. Fig. 9(a), the
+//! modeled thread sweep, is `fig9`.
 //!
 //! ```text
 //! cargo run -p saga-bench --release --bin arch_suite
 //! ```
 
 use saga_bench::arch::{run_arch_characterization, PhaseStageStats};
-use saga_bench::{algorithms_from_env, config_from_env, emit_table, env_or};
+use saga_bench::{algorithms_from_env, config_from_env, emit_table, env_or, finish_trace};
 use saga_core::report::TextTable;
 
 fn main() {
+    saga_trace::init_from_env();
     let cfg = config_from_env();
     let algorithms = algorithms_from_env();
     let cache_scale = env_or("SAGA_CACHE_SCALE", 16usize);
@@ -109,4 +110,5 @@ fn main() {
         "fig10c.txt",
         &fig10c,
     );
+    finish_trace("arch_suite");
 }

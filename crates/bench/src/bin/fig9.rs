@@ -1,23 +1,19 @@
-//! Regenerates **Fig. 9**:
-//!
-//! - (a) update/compute performance scalability vs core count for STail
-//!   (LJ/Orkut/RMAT on AS) and HTail (Wiki/Talk on DAH). By default the
-//!   curve is *modeled*: each thread count is run, traced, and its phase
-//!   time estimated as `max(slowest thread, most-contended lock)` on the
-//!   paper's machine model — faithful to the paper's insight that update
-//!   scaling is limited by thread contention (AS) and workload imbalance
-//!   (DAH). Set `SAGA_WALLCLOCK=1` on a many-core host to use real wall
-//!   clocks instead.
-//! - (b) memory bandwidth utilization per phase and stage (simulated);
-//! - (c) QPI inter-socket utilization per phase and stage (simulated).
+//! Regenerates **Fig. 9(a)**: update/compute performance scalability vs
+//! core count for STail (LJ/Orkut/RMAT on AS) and HTail (Wiki/Talk on
+//! DAH). By default the curve is *modeled*: each thread count is run,
+//! traced, and its phase time estimated as `max(slowest thread,
+//! most-contended lock)` on the paper's machine model — faithful to the
+//! paper's insight that update scaling is limited by thread contention
+//! (AS) and workload imbalance (DAH). Set `SAGA_WALLCLOCK=1` on a
+//! many-core host to use real wall clocks instead. Panels (b) and (c) come
+//! from `arch_suite`.
 //!
 //! ```text
 //! cargo run -p saga-bench --release --bin fig9
-//! # single panel: SAGA_PANEL=a cargo run -p saga-bench --release --bin fig9
 //! ```
 
 use saga_algorithms::ComputeModelKind;
-use saga_bench::arch::{groups, run_arch_characterization};
+use saga_bench::arch::groups;
 use saga_bench::{algorithms_from_env, config_from_env, emit, env_or, finish_trace};
 use saga_core::driver::{ArchSimConfig, StreamDriver};
 use saga_core::report::TextTable;
@@ -35,7 +31,8 @@ fn sweep_threads() -> Vec<usize> {
     }
 }
 
-fn panel_a() {
+fn main() {
+    saga_trace::init_from_env();
     let cfg = config_from_env();
     let algorithms = algorithms_from_env();
     let wallclock = env_or("SAGA_WALLCLOCK", 0usize) == 1;
@@ -109,71 +106,5 @@ fn panel_a() {
         "fig9a.txt",
         &table.render(),
     );
-}
-
-fn panels_bc() {
-    let cfg = config_from_env();
-    let algorithms = algorithms_from_env();
-    let cache_scale = env_or("SAGA_CACHE_SCALE", 16usize);
-    let results = run_arch_characterization(&cfg, &algorithms, cache_scale);
-
-    let mut table_b = TextTable::new(["Group", "Phase", "P1 GB/s", "P2 GB/s", "P3 GB/s"]);
-    let mut table_c = TextTable::new(["Group", "Phase", "P1 QPI%", "P2 QPI%", "P3 QPI%"]);
-    for g in &results {
-        for (phase, stats) in [("update", &g.update), ("compute", &g.compute)] {
-            table_b.add_row([
-                g.name.to_string(),
-                phase.to_string(),
-                format!("{:.1}", stats[0].dram_gbps.mean),
-                format!("{:.1}", stats[1].dram_gbps.mean),
-                format!("{:.1}", stats[2].dram_gbps.mean),
-            ]);
-            table_c.add_row([
-                g.name.to_string(),
-                phase.to_string(),
-                format!("{:.1}%", stats[0].qpi_util.mean * 100.0),
-                format!("{:.1}%", stats[1].qpi_util.mean * 100.0),
-                format!("{:.1}%", stats[2].qpi_util.mean * 100.0),
-            ]);
-        }
-    }
-    // Imbalance digest supports the §VI-B insight.
-    let mut imbalance = TextTable::new(["Group", "Phase", "P3 imbalance (max/mean thread cycles)"]);
-    for g in &results {
-        for (phase, stats) in [("update", &g.update), ("compute", &g.compute)] {
-            imbalance.add_row([
-                g.name.to_string(),
-                phase.to_string(),
-                format!("{:.2}", stats[2].imbalance.mean),
-            ]);
-        }
-    }
-    emit(
-        "Fig. 9(b): memory bandwidth utilization (simulated, GB/s)",
-        "fig9b.txt",
-        &table_b.render(),
-    );
-    emit(
-        "Fig. 9(c): QPI utilization (simulated, % of peak)",
-        "fig9c.txt",
-        &table_c.render(),
-    );
-    emit(
-        "Fig. 9 supplement: thread imbalance behind the update phase's low TLP",
-        "fig9_imbalance.txt",
-        &imbalance.render(),
-    );
-}
-
-fn main() {
-    saga_trace::init_from_env();
-    match std::env::var("SAGA_PANEL").as_deref() {
-        Ok("a") => panel_a(),
-        Ok("b") | Ok("c") => panels_bc(),
-        _ => {
-            panel_a();
-            panels_bc();
-        }
-    }
     finish_trace("fig9");
 }

@@ -1,21 +1,23 @@
 //! Runs the complete software-level characterization (§V) in one pass:
 //! each (algorithm × dataset) sweep of all 8 combinations is executed once
 //! and re-used to emit **Table III**, **Fig. 6(a–c)**, **Fig. 7**, and
-//! **Fig. 8** together — identical output to running the four dedicated
-//! binaries, at a quarter of the cost.
+//! **Fig. 8** together. The figure rows come from the derivations in
+//! `saga_bench::experiments`, the same functions the shape-regression
+//! suite asserts through.
 //!
 //! ```text
 //! cargo run -p saga-bench --release --bin software_suite
 //! ```
 
-use saga_algorithms::ComputeModelKind;
-use saga_bench::{algorithms_from_env, config_from_env, datasets_from_env, emit};
-use saga_core::experiment::{best_at, normalized_to, sweep_combinations, Metric};
+use saga_bench::experiments::{fs_over_inc, structure_norms, update_share, StructureNorms};
+use saga_bench::{algorithms_from_env, config_from_env, datasets_from_env, emit, finish_trace};
+use saga_core::experiment::{best_at, sweep_combinations, Metric};
 use saga_core::report::{fmt_pct, fmt_ratio, fmt_secs, TextTable};
 use saga_core::stages::Stage;
 use saga_graph::DataStructureKind;
 
 fn main() {
+    saga_trace::init_from_env();
     let cfg = config_from_env();
     let mut table3 = TextTable::new([
         "Alg", "Dataset", "P1 best", "P1 s", "P2 best", "P2 s", "P3 best", "P3 s",
@@ -37,9 +39,9 @@ fn main() {
         for profile in datasets_from_env() {
             eprintln!("[software_suite] sweeping {alg} x {} ...", profile.name());
             let results = sweep_combinations(&profile, alg, &cfg);
+            let key = [alg.to_string(), profile.name().to_string()];
 
-            // ---- Table III ----
-            let mut row = vec![alg.to_string(), profile.name().to_string()];
+            let mut row = key.to_vec();
             for stage in Stage::ALL {
                 let best = best_at(&results, stage, Metric::Batch);
                 row.push(best.notation());
@@ -47,70 +49,38 @@ fn main() {
             }
             table3.add_row(row);
 
-            // ---- Fig. 6 ----
-            let p3_best = best_at(&results, Stage::P3, Metric::Batch).best;
-            let best_cm = p3_best.1;
-            for (t, metric) in fig6
+            let norms = structure_norms(&results);
+            for (t, panel) in fig6
                 .iter_mut()
-                .zip([Metric::Batch, Metric::Update, Metric::Compute])
+                .zip([&norms.batch, &norms.update, &norms.compute])
             {
-                let norm = normalized_to(
-                    &results,
-                    DataStructureKind::AdjacencyShared,
-                    best_cm,
-                    Stage::P3,
-                    metric,
-                );
-                let of = |ds: DataStructureKind| {
-                    norm.iter()
-                        .find(|(d, _)| *d == ds)
-                        .map(|&(_, r)| fmt_ratio(r))
-                        .unwrap_or_else(|| "-".into())
-                };
-                t.add_row([
-                    alg.to_string(),
-                    profile.name().to_string(),
-                    best_cm.to_string(),
-                    of(DataStructureKind::AdjacencyChunked),
-                    of(DataStructureKind::Dah),
-                    of(DataStructureKind::Stinger),
-                ]);
+                let mut row = key.to_vec();
+                row.push(norms.cm.to_string());
+                for ds in [
+                    DataStructureKind::AdjacencyChunked,
+                    DataStructureKind::Dah,
+                    DataStructureKind::Stinger,
+                ] {
+                    let r = StructureNorms::ratio(panel, ds);
+                    row.push(if r.is_finite() {
+                        fmt_ratio(r)
+                    } else {
+                        "-".into()
+                    });
+                }
+                t.add_row(row);
             }
 
-            // ---- Fig. 7 ----
-            let best_ds = p3_best.0;
-            let compute_of = |cm: ComputeModelKind, stage: Stage| {
-                results
-                    .iter()
-                    .find(|r| r.ds == best_ds && r.cm == cm)
-                    .map(|r| r.summary(stage, Metric::Compute).mean)
-                    .unwrap_or(f64::NAN)
-            };
-            let mut row = vec![
-                alg.to_string(),
-                profile.name().to_string(),
-                best_ds.to_string(),
-            ];
-            for stage in Stage::ALL {
-                let fs = compute_of(ComputeModelKind::FromScratch, stage);
-                let inc = compute_of(ComputeModelKind::Incremental, stage);
-                row.push(fmt_ratio(fs / inc));
-            }
+            let ratios = fs_over_inc(&results);
+            let mut row = key.to_vec();
+            row.push(ratios.best_ds.to_string());
+            row.extend(ratios.fs_over_inc.map(fmt_ratio));
             fig7.add_row(row);
 
-            // ---- Fig. 8 ----
-            let combo = results
-                .iter()
-                .find(|r| (r.ds, r.cm) == p3_best)
-                .expect("best combination exists");
-            let mut row = vec![
-                alg.to_string(),
-                profile.name().to_string(),
-                format!("{}+{}", p3_best.1, p3_best.0),
-            ];
-            for stage in Stage::ALL {
-                row.push(fmt_pct(combo.stages[stage.index()].update_fraction()));
-            }
+            let share = update_share(&results);
+            let mut row = key.to_vec();
+            row.push(format!("{}+{}", share.best.1, share.best.0));
+            row.extend(share.share.map(fmt_pct));
             fig8.add_row(row);
         }
     }
@@ -145,4 +115,5 @@ fn main() {
         "fig8.txt",
         &fig8.render(),
     );
+    finish_trace("software_suite");
 }

@@ -1,18 +1,16 @@
 //! Reusable experiment entry points.
 //!
-//! The figure binaries in `src/bin/` used to own their measurement loops;
-//! the loops now live here so the same code paths serve three callers:
-//! the binaries (full-scale regeneration of `results/`), the `saga-check`
-//! shape-regression suite (scaled-down re-runs asserting the
-//! EXPERIMENTS.md scorecard), and ad-hoc exploration.
+//! The Fig. 6/7/8 quantities are derived here, once, from a finished
+//! [`sweep_combinations`](saga_core::experiment::sweep_combinations) run:
+//! `software_suite` writes `results/` from these derivations and the
+//! `saga-check` shape-regression suite asserts the EXPERIMENTS.md scorecard
+//! through the same functions on scaled-down sweeps. The tail sweep behind
+//! Fig. 6(b)'s flip lives here for the same two callers.
 
-use saga_algorithms::{AlgorithmKind, ComputeModelKind};
-use saga_core::experiment::{
-    best_at, normalized_to, sweep_combinations, ExperimentConfig, Metric,
-};
+use saga_algorithms::ComputeModelKind;
+use saga_core::experiment::{best_at, normalized_to, ComboResult, Metric};
 use saga_core::stages::Stage;
 use saga_graph::{build_graph, DataStructureKind};
-use saga_stream::profiles::DatasetProfile;
 use saga_stream::zipf::EndpointDist;
 use saga_stream::{weight_for, Edge, Node};
 use saga_trace::metrics::{Histogram, HistogramSummary};
@@ -30,14 +28,9 @@ pub struct ModelRatios {
     pub fs_over_inc: [f64; 3],
 }
 
-/// Measures the Fig. 7 FS/INC compute ratio for one algorithm × dataset.
-pub fn fs_over_inc(
-    profile: &DatasetProfile,
-    alg: AlgorithmKind,
-    cfg: &ExperimentConfig,
-) -> ModelRatios {
-    let results = sweep_combinations(profile, alg, cfg);
-    let best_ds = best_at(&results, Stage::P3, Metric::Batch).best.0;
+/// The Fig. 7 FS/INC compute ratio of one algorithm × dataset sweep.
+pub fn fs_over_inc(results: &[ComboResult]) -> ModelRatios {
+    let best_ds = best_at(results, Stage::P3, Metric::Batch).best.0;
     let compute_of = |cm: ComputeModelKind, stage: Stage| {
         results
             .iter()
@@ -66,14 +59,9 @@ pub struct UpdateShare {
     pub share: [f64; 3],
 }
 
-/// Measures the Fig. 8 update share for one algorithm × dataset.
-pub fn update_share(
-    profile: &DatasetProfile,
-    alg: AlgorithmKind,
-    cfg: &ExperimentConfig,
-) -> UpdateShare {
-    let results = sweep_combinations(profile, alg, cfg);
-    let best = best_at(&results, Stage::P3, Metric::Batch).best;
+/// The Fig. 8 update share of one algorithm × dataset sweep.
+pub fn update_share(results: &[ComboResult]) -> UpdateShare {
+    let best = best_at(results, Stage::P3, Metric::Batch).best;
     let combo = results
         .iter()
         .find(|r| (r.ds, r.cm) == best)
@@ -110,18 +98,13 @@ impl StructureNorms {
     }
 }
 
-/// Measures the Fig. 6 normalized structure latencies for one algorithm ×
-/// dataset.
-pub fn structure_norms(
-    profile: &DatasetProfile,
-    alg: AlgorithmKind,
-    cfg: &ExperimentConfig,
-) -> StructureNorms {
-    let results = sweep_combinations(profile, alg, cfg);
-    let cm = best_at(&results, Stage::P3, Metric::Batch).best.1;
+/// The Fig. 6 normalized structure latencies of one algorithm × dataset
+/// sweep.
+pub fn structure_norms(results: &[ComboResult]) -> StructureNorms {
+    let cm = best_at(results, Stage::P3, Metric::Batch).best.1;
     let norm = |metric| {
         normalized_to(
-            &results,
+            results,
             DataStructureKind::AdjacencyShared,
             cm,
             Stage::P3,
@@ -240,32 +223,41 @@ pub fn tail_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use saga_algorithms::AlgorithmKind;
+    use saga_core::experiment::{sweep_combinations, ExperimentConfig};
+    use saga_stream::profiles::DatasetProfile;
+    use std::sync::OnceLock;
 
-    fn tiny_cfg() -> ExperimentConfig {
-        ExperimentConfig {
-            seed: 11,
-            repeats: 1,
-            threads: 2,
-            batch_size: None,
-            scale: 0.04,
-        }
+    /// One tiny BFS/Talk sweep, shared by every derivation below.
+    fn tiny_sweep() -> &'static [ComboResult] {
+        static SWEEP: OnceLock<Vec<ComboResult>> = OnceLock::new();
+        SWEEP.get_or_init(|| {
+            let cfg = ExperimentConfig {
+                seed: 11,
+                repeats: 1,
+                threads: 2,
+                batch_size: None,
+                scale: 0.04,
+            };
+            sweep_combinations(&DatasetProfile::talk(), AlgorithmKind::Bfs, &cfg)
+        })
     }
 
     #[test]
     fn fs_over_inc_produces_finite_ratios() {
-        let r = fs_over_inc(&DatasetProfile::talk(), AlgorithmKind::Cc, &tiny_cfg());
+        let r = fs_over_inc(tiny_sweep());
         assert!(r.fs_over_inc.iter().all(|x| x.is_finite() && *x > 0.0));
     }
 
     #[test]
     fn update_share_is_a_fraction() {
-        let r = update_share(&DatasetProfile::talk(), AlgorithmKind::Bfs, &tiny_cfg());
+        let r = update_share(tiny_sweep());
         assert!(r.share.iter().all(|s| (0.0..=1.0).contains(s)));
     }
 
     #[test]
     fn structure_norms_include_all_four_structures() {
-        let r = structure_norms(&DatasetProfile::talk(), AlgorithmKind::Bfs, &tiny_cfg());
+        let r = structure_norms(tiny_sweep());
         for panel in [&r.batch, &r.update, &r.compute] {
             assert_eq!(panel.len(), 4);
             let as_ratio = StructureNorms::ratio(panel, DataStructureKind::AdjacencyShared);

@@ -1,8 +1,10 @@
 //! Shared harness utilities for the table/figure regeneration binaries.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md's experiment index) and honors the same environment
-//! knobs:
+//! Each paper artifact has one producer in `src/bin/` (DESIGN.md's
+//! experiment index): `table2`, `table4`, `fig9` (panel a),
+//! `software_suite` (Table III, Figs. 6–8) and `arch_suite` (Figs. 9b/9c,
+//! 10), beside `tail_sweep`, `pipelined` and the `ablation_*` runs. All of
+//! them honor the same environment knobs:
 //!
 //! | Variable | Meaning | Default |
 //! |----------|---------|---------|
@@ -77,7 +79,7 @@ pub fn algorithms_from_env() -> Vec<AlgorithmKind> {
     }
 }
 
-/// Standard observability epilogue for a figure binary: when tracing is
+/// Standard observability epilogue for a binary: when tracing is
 /// enabled (`SAGA_TRACE=1`, see [`saga_trace::init_from_env`]), writes the
 /// captured span timeline to `results/<stem>.trace.json` (Chrome
 /// trace-event format — open in Perfetto or `chrome://tracing`); whenever

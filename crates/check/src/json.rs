@@ -1,8 +1,9 @@
-//! A minimal JSON reader for checked baselines.
+//! A minimal JSON reader for exported traces.
 //!
-//! The suite's benchmark results (`results/BENCH_compute.json`) are plain
-//! JSON; the container has no `serde_json`, so this module hand-rolls the
-//! small recursive-descent parser the baseline tests need. It supports the
+//! `saga-trace` exports Chrome trace-event JSON, and [`crate::tracecheck`]
+//! (`cargo xtask check-trace`, `tests/trace_export.rs`) validates it from
+//! outside; the build has no `serde_json`, so this module hand-rolls the
+//! small recursive-descent parser those checks need. It supports the
 //! full JSON value grammar (objects, arrays, strings with escapes, numbers
 //! with sign/fraction/exponent, booleans, null) and nothing more — no
 //! serialization, no zero-copy, no streaming.

@@ -16,12 +16,12 @@
 //! 3. **Shape assertions** ([`shape`]) — `assert_ordering!`,
 //!    `assert_ratio_within!`, `assert_crossover!` turn the EXPERIMENTS.md
 //!    scorecard into failing tests, backed by scaled-down re-runs of the
-//!    experiment suite and by checked baselines parsed with the in-tree
-//!    JSON reader ([`json`]).
+//!    experiment suite measured on the current build.
 //!
 //! A fourth, smaller layer ([`tracecheck`]) validates `saga-trace`'s
 //! exported Chrome trace-event JSON (shape + strict per-track span
-//! nesting) for `cargo xtask check-trace` and CI's trace-smoke step.
+//! nesting, parsed with the in-tree reader in [`json`]) for `cargo xtask
+//! check-trace` and CI's trace-smoke step.
 //!
 //! A fifth layer ([`recovery`]) targets the sharded BSP engine
 //! (`saga-bsp`): it arms a mid-superstep worker kill, lets the engine

@@ -44,7 +44,7 @@ SAGA_SCALE=1.0 SAGA_REPEATS=2 run tail_sweep cargo run -q -p saga-bench --releas
 # Architecture-level: Figs. 9b/9c/10 in one traced pass; Fig. 9a sweep.
 SAGA_SCALE=$ARCH_SCALE SAGA_ALGS=bfs,cc,pr \
     run arch_suite cargo run -q -p saga-bench --release --bin arch_suite
-SAGA_SCALE=$ARCH_SCALE SAGA_ALGS=bfs,pr SAGA_PANEL=a \
+SAGA_SCALE=$ARCH_SCALE SAGA_ALGS=bfs,pr \
     run fig9a cargo run -q -p saga-bench --release --bin fig9
 
 # Ablations.
