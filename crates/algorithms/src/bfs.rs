@@ -64,13 +64,8 @@ impl VertexProgram for BfsProgram {
         }
     }
 
-    fn pull(&self, graph: &dyn GraphTopology, v: Node, values: &Self::Store) -> u32 {
-        let mut best = UNREACHED;
-        graph.for_each_in_neighbor(v, &mut |src, _| {
-            let d = values.load(src as usize).saturating_add(1);
-            best = best.min(d);
-        });
-        best
+    fn term(&self, src_value: u32, _weight: f32, _src_out_degree: usize) -> Option<u32> {
+        (src_value != UNREACHED).then(|| src_value.saturating_add(1))
     }
 
     fn combine(&self, old: u32, pulled: u32) -> u32 {
@@ -79,10 +74,6 @@ impl VertexProgram for BfsProgram {
 
     fn significant_change(&self, old: u32, new: u32) -> bool {
         new < old
-    }
-
-    fn derives_from(&self, value: u32, src_value: u32, _weight: f32) -> bool {
-        value == src_value.saturating_add(1)
     }
 
     fn from_scratch(

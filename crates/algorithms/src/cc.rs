@@ -10,9 +10,9 @@
 //!
 //! [`fixpoint_compute`]: crate::fs::fixpoint_compute
 
-use crate::program::{EdgeScope, ValueStore, VertexProgram};
+use crate::program::{EdgeScope, VertexProgram};
 use saga_graph::properties::AtomicU32Array;
-use saga_graph::{GraphTopology, Node};
+use saga_graph::Node;
 
 /// Connected components as a vertex program.
 ///
@@ -52,17 +52,11 @@ impl VertexProgram for CcProgram {
         v
     }
 
-    fn pull(&self, graph: &dyn GraphTopology, v: Node, values: &Self::Store) -> u32 {
-        let mut best = values.load(v as usize);
-        graph.for_each_out_neighbor(v, &mut |nb, _| {
-            best = best.min(values.load(nb as usize));
-        });
-        if graph.is_directed() {
-            graph.for_each_in_neighbor(v, &mut |nb, _| {
-                best = best.min(values.load(nb as usize));
-            });
-        }
-        best
+    fn term(&self, src_value: u32, _weight: f32, _src_out_degree: usize) -> Option<u32> {
+        // Labels propagate unchanged, so a vertex's label may derive from
+        // any equal-labeled neighbor. The label's *owner* is never tagged by
+        // the repair pass: its value equals its initial, and those are skipped.
+        Some(src_value)
     }
 
     fn combine(&self, old: u32, pulled: u32) -> u32 {
@@ -71,13 +65,6 @@ impl VertexProgram for CcProgram {
 
     fn significant_change(&self, old: u32, new: u32) -> bool {
         new < old
-    }
-
-    fn derives_from(&self, value: u32, src_value: u32, _weight: f32) -> bool {
-        // Labels propagate unchanged, so a vertex's label may come from any
-        // equal-labeled neighbor. The label's *owner* is never tagged: its
-        // value equals its initial and the repair pass skips those.
-        value == src_value
     }
 }
 

@@ -293,6 +293,8 @@ pub fn incremental_compute_with_deletions<P: VertexProgram>(
 mod tests {
     use super::*;
     use crate::bfs::BfsProgram;
+    use crate::sssp::SsspProgram;
+    use crate::sswp::SswpProgram;
     use saga_graph::{build_graph, DataStructureKind, Edge};
 
     #[test]
@@ -432,6 +434,56 @@ mod tests {
         for v in 0..n {
             assert_eq!(store.load(v), v as u32, "store must be unmodified");
         }
+    }
+
+    /// Converges `program` on `0 → 1 → 2 → 3` plus the shortcut `0 → 3`
+    /// beside the unreached region `4 → 5 → 6 → 1`, then deletes `1 → 2`,
+    /// the bordering `6 → 1` and the unreached `5 → 6`. The plan must tag
+    /// exactly `want`, and INC must then agree with FS.
+    fn repair_beside_an_unreached_region<P: VertexProgram>(program: P, want: &[Node]) {
+        let pool = ThreadPool::new(2);
+        let n = 7;
+        let e = Edge::new;
+        let g = saga_graph::build_deletable_graph(DataStructureKind::AdjacencyShared, n, true, 2);
+        let reached = [e(0, 1, 1.5), e(1, 2, 2.0), e(2, 3, 1.0), e(0, 3, 9.0)];
+        g.update_batch(&reached, &pool);
+        g.update_batch(&[e(4, 5, 1.0), e(5, 6, 1.0), e(6, 1, 1.0)], &pool);
+        let converged = |store: &P::Store| {
+            crate::fs::reset_values(&program, store, n, &pool);
+            program.from_scratch(g.as_ref(), store, &pool);
+        };
+        let store = P::Store::create(n, program.initial(0, n));
+        converged(&store);
+        let cut = [e(1, 2, 2.0), e(6, 1, 1.0), e(5, 6, 1.0)];
+        g.delete_batch(&cut, &pool);
+        let mut tagged = plan_deletion_repair(&program, g.as_ref(), &store, &cut, n).unwrap();
+        tagged.sort_unstable();
+        assert_eq!(tagged, want, "{}", program.name());
+        let out = incremental_compute_with_deletions(
+            &program, g.as_ref(), &store, &[1, 2, 6], &[], &cut, n, &pool,
+        );
+        assert!(matches!(out, DeletionOutcome::Done(o) if o.repaired == want.len()));
+        let fs = P::Store::create(n, program.initial(0, n));
+        converged(&fs);
+        let values = |s: &P::Store| (0..n).map(|v| s.load(v)).collect::<Vec<_>>();
+        assert_eq!(values(&store), values(&fs), "{}: INC vs FS", program.name());
+    }
+
+    #[test]
+    fn repair_beside_an_unreached_region_tags_only_what_derives() {
+        // A source that contributes nothing derives nothing, although
+        // `UNREACHED == UNREACHED + 1` (saturating), `∞ == ∞ + w` and
+        // `0 == min(0, w)` hold. The plan skips initial-valued vertices
+        // before it asks, so that edge never changes which vertices it tags.
+        let unreached = crate::bfs::UNREACHED;
+        assert!(!BfsProgram::new(0).derives_from(unreached, unreached, 1.0));
+        assert!(!SsspProgram::new(0).derives_from(f32::INFINITY, f32::INFINITY, 1.0));
+        assert!(!SswpProgram::new(0).derives_from(0.0, 0.0, 1.0));
+        // Vertex 1 is the bordering edge's endpoint (tagged unconditionally);
+        // only SSSP's distance of 3 derives from 2 (1.5 + 2 + 1 < 9).
+        repair_beside_an_unreached_region(BfsProgram::new(0), &[1, 2]);
+        repair_beside_an_unreached_region(SsspProgram::new(0), &[1, 2, 3]);
+        repair_beside_an_unreached_region(SswpProgram::new(0), &[1, 2]);
     }
 
     #[test]

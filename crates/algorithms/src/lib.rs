@@ -28,7 +28,6 @@ pub mod cc;
 pub mod fs;
 pub mod inc;
 pub mod mc;
-pub mod message;
 pub mod pr;
 pub mod program;
 pub mod sssp;

@@ -10,9 +10,9 @@
 //! The FS kernel is whole-graph fixpoint iteration
 //! ([`fixpoint_compute`](crate::fs::fixpoint_compute)).
 
-use crate::program::{ValueStore, VertexProgram};
+use crate::program::VertexProgram;
 use saga_graph::properties::AtomicU32Array;
-use saga_graph::{GraphTopology, Node};
+use saga_graph::Node;
 
 /// Max computation as a vertex program.
 ///
@@ -49,12 +49,8 @@ impl VertexProgram for McProgram {
         v
     }
 
-    fn pull(&self, graph: &dyn GraphTopology, v: Node, values: &Self::Store) -> u32 {
-        let mut best = values.load(v as usize);
-        graph.for_each_in_neighbor(v, &mut |src, _| {
-            best = best.max(values.load(src as usize));
-        });
-        best
+    fn term(&self, src_value: u32, _weight: f32, _src_out_degree: usize) -> Option<u32> {
+        Some(src_value)
     }
 
     fn combine(&self, old: u32, pulled: u32) -> u32 {
@@ -63,11 +59,6 @@ impl VertexProgram for McProgram {
 
     fn significant_change(&self, old: u32, new: u32) -> bool {
         new > old
-    }
-
-    fn derives_from(&self, value: u32, src_value: u32, _weight: f32) -> bool {
-        // Like CC: the max label arrives unchanged from an in-neighbor.
-        value == src_value
     }
 }
 

@@ -9,12 +9,13 @@
 //! initialization), and INC results are approximate by design.
 //!
 //! The FS kernel is the conventional iterate-until-tolerance PageRank of
-//! GAP (L1-norm stop), updating ranks in place (Gauss–Seidel-like: a pull
-//! sees the ranks already rewritten this sweep).
+//! GAP (L1-norm stop) as a block Gauss–Seidel sweep: a vertex sees the
+//! ranks of earlier vertex blocks already rewritten this sweep, and the
+//! result does not depend on the thread count ([`pagerank_from_scratch`]).
 //!
 //! # The phase-stamped degree cache
 //!
-//! Both kernels divide by `src.out_degree` once per in-edge, and on every
+//! INC's pull divides by `src.out_degree` once per in-edge, and on every
 //! dynamic structure that query takes a lock (AS: the vertex's vector;
 //! AC/DAH: the chunk; DeltaCSR: the snapshot lock and the chunk). GAP reads
 //! degrees `n` times per iteration, not `m` times, and so do we:
@@ -37,7 +38,7 @@
 //! (`results/BENCH_fs_pagerank.json`: DAH 0.29 s per pass, was 0.48 s,
 //! against Stinger 0.24 s, AC 0.20 s and AS 0.08 s).
 
-use crate::program::{ValueStore, VertexProgram};
+use crate::program::{GatherMode, ValueStore, VertexProgram};
 use saga_graph::properties::AtomicF64Array;
 use saga_graph::{GraphTopology, Node};
 use saga_utils::parallel::{adaptive_grain, Schedule, ThreadPool};
@@ -233,12 +234,17 @@ impl VertexProgram for PrProgram {
         (1.0 - self.damping) / num_nodes as f64
     }
 
+    fn term(&self, src_value: f64, _weight: f32, src_out_degree: usize) -> Option<f64> {
+        debug_assert!(src_out_degree > 0, "a contributing source has an out-edge");
+        Some(src_value / src_out_degree as f64)
+    }
+
+    /// The provided fold with the out-degrees read through the phase cache
+    /// (module docs), ending in [`finish`](VertexProgram::finish).
     fn pull(&self, graph: &dyn GraphTopology, v: Node, values: &PrValues) -> f64 {
-        let base = (1.0 - self.damping) / self.num_nodes as f64;
         let phase = values.phase.load(Ordering::Relaxed);
         let term = |src: Node, degree: usize| {
-            debug_assert!(degree > 0, "in-neighbor must have an out-edge");
-            values.load(src as usize) / degree as f64
+            self.term(values.load(src as usize), 0.0, degree).unwrap_or_default()
         };
         let mut sum = 0.0;
         // A degree missing from the cache cannot be queried from inside the
@@ -267,7 +273,7 @@ impl VertexProgram for PrProgram {
             });
             sum += term(src, degree);
         }
-        base + self.damping * sum
+        self.finish(sum)
     }
 
     fn combine(&self, _old: f64, pulled: f64) -> f64 {
@@ -282,16 +288,28 @@ impl VertexProgram for PrProgram {
         true
     }
 
-    fn derives_from(&self, _value: f64, _src_value: f64, _weight: f32) -> bool {
-        // Never used: `needs_deletion_repair` is false (see below).
-        false
-    }
-
     fn needs_deletion_repair(&self) -> bool {
         // `combine` replaces the old rank with the freshly pulled one, so
         // re-pulling the affected vertices after a deletion already yields
         // the correct values — no stale-dependency cascade exists.
         false
+    }
+
+    fn gather_mode(&self) -> GatherMode {
+        GatherMode::Sum
+    }
+
+    fn finish(&self, sum: f64) -> f64 {
+        (1.0 - self.damping) / self.num_nodes as f64 + self.damping * sum
+    }
+
+    /// The one L1 rule of both kernels (FS sweep and BSP superstep).
+    fn l1_units(&self, old: f64, new: f64) -> u64 {
+        ((new - old).abs() * 1e12) as u64
+    }
+
+    fn sum_converged(&self, sweeps: usize, l1_units: u64) -> bool {
+        (l1_units as f64 / 1e12) < self.fs_tolerance || sweeps >= self.max_iters
     }
 
     fn from_scratch(
@@ -304,13 +322,27 @@ impl VertexProgram for PrProgram {
     }
 }
 
-/// Conventional PageRank from scratch: in-place (Gauss–Seidel-like)
-/// iteration until the L1 rank change drops below the tolerance (or the
-/// iteration cap). `values` must already be reset. Returns iterations
-/// executed.
+/// Vertex blocks of a [`pagerank_from_scratch`] sweep: fixed, so the ranks
+/// never depend on the thread count. More blocks converge in fewer sweeps
+/// but pay one pool dispatch each; on a 16K-vertex, 98K-edge R-MAT graph
+/// (`lib.fs-sweep`'s shape) it takes 37 sweeps with one block, 27 with 8
+/// and 24 with 64.
+const SWEEP_BLOCKS: usize = 8;
+
+/// Conventional PageRank from scratch: a block Gauss–Seidel iteration until
+/// [`sum_converged`](VertexProgram::sum_converged). `values` must already be
+/// reset. Returns sweeps executed.
 ///
-/// Out-degrees are read GAP's way — once per vertex, up front, into the
-/// degree cache — so the sweeps themselves never query the graph for one.
+/// Every vertex keeps its out-edges' [`term`](VertexProgram::term)
+/// (`rank / out_degree`) in one of two contribution arrays. A sweep
+/// visits [`SWEEP_BLOCKS`] contiguous vertex blocks in order, all workers
+/// on one block at a time; a vertex sums the contributions its earlier
+/// blocks wrote this sweep and, for its own and later blocks, those of the
+/// previous sweep. So a sweep reads nothing another worker may be writing
+/// and the ranks are the same bits under any thread count or interleaving,
+/// which the FS-on-CSR oracles rely on. With one block it would be the Jacobi
+/// sweep the BSP engine runs under [`GatherMode::Sum`]. Out-degrees are read
+/// once per vertex, up front, into the degree cache.
 pub fn pagerank_from_scratch(
     program: &PrProgram,
     graph: &dyn GraphTopology,
@@ -321,36 +353,60 @@ pub fn pagerank_from_scratch(
     pool.parallel_for(0..n, Schedule::Static, |v| {
         values.cache_degree(v as Node, graph.out_degree(v as Node));
     });
-    let grain = adaptive_grain(n, pool.threads()).max(16);
-    for iter in 1..=program.max_iters {
-        // Accumulate the L1 delta in fixed-point nanounits to stay atomic:
-        // each worker sums its own share and adds it in once.
-        let delta_bits = AtomicU64::new(0);
-        let next = AtomicUsize::new(0);
-        pool.run_on_all(|_| {
-            let mut local = 0u64;
-            loop {
-                let start = next.fetch_add(grain, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                for v in start..(start + grain).min(n) {
-                    let old = values.load(v);
-                    let new = program.pull(graph, v as Node, values);
-                    if new != old {
-                        values.store(v, new);
-                        local += ((new - old).abs() * 1e12) as u64;
+    let phase = values.phase.load(Ordering::Relaxed);
+    // A vertex without out-edges is nobody's in-neighbor.
+    let contribution = |v: usize| match values.degree_at(v as Node, phase) {
+        Some(degree) if degree > 0 => {
+            program.term(values.load(v), 0.0, degree).unwrap_or_default()
+        }
+        _ => 0.0,
+    };
+    let mut previous = AtomicF64Array::filled(n, 0.0);
+    let mut current = AtomicF64Array::filled(n, 0.0);
+    pool.parallel_for(0..n, Schedule::Static, |v| previous.set(v, contribution(v)));
+    let mut sweeps = 0;
+    loop {
+        sweeps += 1;
+        // Accumulate the L1 delta in fixed-point units to stay atomic: each
+        // worker sums its own share and adds it in once.
+        let delta_units = AtomicU64::new(0);
+        for b in 0..SWEEP_BLOCKS {
+            let block = b * n / SWEEP_BLOCKS..(b + 1) * n / SWEEP_BLOCKS;
+            let sides = [&previous, &current];
+            let grain = adaptive_grain(block.len(), pool.threads()).max(16);
+            let next = AtomicUsize::new(block.start);
+            pool.run_on_all(|_| {
+                let mut local = 0u64;
+                loop {
+                    let start = next.fetch_add(grain, Ordering::Relaxed);
+                    if start >= block.end {
+                        break;
+                    }
+                    for v in start..(start + grain).min(block.end) {
+                        let mut sum = 0.0;
+                        graph.for_each_in_neighbor(v as Node, &mut |src, _| {
+                            // Branch-free: the side flips at a random place
+                            // in every in-edge list.
+                            let side = sides[usize::from((src as usize) < block.start)];
+                            sum += side.get(src as usize);
+                        });
+                        let old = values.load(v);
+                        let new = program.finish(sum);
+                        if new != old {
+                            values.store(v, new);
+                            local += program.l1_units(old, new);
+                        }
+                        current.set(v, contribution(v));
                     }
                 }
-            }
-            delta_bits.fetch_add(local, Ordering::Relaxed);
-        });
-        let delta = delta_bits.load(Ordering::Relaxed) as f64 / 1e12;
-        if delta < program.fs_tolerance {
-            return iter;
+                delta_units.fetch_add(local, Ordering::Relaxed);
+            });
+        }
+        std::mem::swap(&mut previous, &mut current);
+        if program.sum_converged(sweeps, delta_units.load(Ordering::Relaxed)) {
+            return sweeps;
         }
     }
-    program.max_iters
 }
 
 #[cfg(test)]
@@ -379,20 +435,26 @@ mod tests {
         (values.ranks.to_vec(), iters)
     }
 
-    /// The sweep as it was before the degree cache — collect the in-edges,
-    /// then one `graph.out_degree` per in-edge per iteration — on one thread.
+    /// The block sweep without the degree cache or the contribution arrays —
+    /// collect the in-edges, then one `graph.out_degree` per in-edge per
+    /// sweep, reading this sweep's rank below the vertex's block and the
+    /// previous sweep's from there on — on one thread.
     fn reference_sweep(program: &PrProgram, graph: &dyn GraphTopology) -> (Vec<f64>, usize) {
         let n = graph.capacity();
         let base = (1.0 - program.damping) / n as f64;
+        let starts: Vec<usize> = (0..SWEEP_BLOCKS).map(|b| b * n / SWEEP_BLOCKS).collect();
         let mut ranks = vec![base; n];
-        for iter in 1..=program.max_iters {
+        for sweep in 1..=program.max_iters {
+            let before = ranks.clone();
             let mut delta = 0u64;
             for v in 0..n {
+                let block_start = *starts.iter().rev().find(|&&start| start <= v).unwrap();
                 let mut in_neighbors = Vec::new();
                 graph.for_each_in_neighbor(v as Node, &mut |src, _| in_neighbors.push(src));
                 let mut sum = 0.0;
                 for src in in_neighbors {
-                    sum += ranks[src as usize] / graph.out_degree(src) as f64;
+                    let side = if (src as usize) < block_start { &ranks } else { &before };
+                    sum += side[src as usize] / graph.out_degree(src) as f64;
                 }
                 let new = base + program.damping * sum;
                 if new != ranks[v] {
@@ -401,7 +463,7 @@ mod tests {
                 }
             }
             if (delta as f64 / 1e12) < program.fs_tolerance {
-                return (ranks, iter);
+                return (ranks, sweep);
             }
         }
         (ranks, program.max_iters)
@@ -517,16 +579,33 @@ mod tests {
     }
 
     #[test]
-    fn two_thread_fs_stays_within_the_value_tolerance_of_one_thread() {
+    fn fs_ranks_do_not_depend_on_threads_or_interleaving() {
+        // Regression: the in-place sweep let a worker read a rank the other
+        // was rewriting, so two 2-thread runs at the default tolerance could
+        // differ by more than 1e-6 at a vertex — and the rig's `lib.fs-sweep`
+        // check (FS on each structure against FS on a CSR of the same edges,
+        // 1e-6 apart) failed about once in 80 runs.
         let n = 2_000;
-        let program = PrProgram::new(n).with_fs_tolerance(1e-9);
+        let program = PrProgram::new(n);
+        let edges = test_edges(n as u32, 12_000);
+        let triples: Vec<(Node, Node, f32)> =
+            edges.iter().map(|e| (e.src, e.dst, e.weight)).collect();
+        let csr = Csr::from_edges(n, true, &triples);
+        let (oracle, _) = fs_ranks(&program, &csr, &ThreadPool::new(2));
         for ds in DataStructureKind::ALL_WITH_DELTA {
             let g = build_graph(ds, n, true, 2);
-            g.update_batch(&test_edges(n as u32, 12_000), &ThreadPool::new(1));
-            let (one, _) = fs_ranks(&program, g.as_ref(), &ThreadPool::new(1));
-            let (two, _) = fs_ranks(&program, g.as_ref(), &ThreadPool::new(2));
-            for (v, (a, b)) in one.iter().zip(&two).enumerate() {
-                assert!((a - b).abs() < 1e-6, "{ds:?} vertex {v}: {a} vs {b}");
+            g.update_batch(&edges, &ThreadPool::new(1));
+            let (one, one_sweeps) = fs_ranks(&program, g.as_ref(), &ThreadPool::new(1));
+            let two = ThreadPool::new(2);
+            for run in 0..8 {
+                let (got, sweeps) = fs_ranks(&program, g.as_ref(), &two);
+                assert_eq!(sweeps, one_sweeps, "{ds:?} run {run}");
+                let differs = got.iter().zip(&one).position(|(a, b)| a.to_bits() != b.to_bits());
+                assert_eq!(differs, None, "{ds:?} run {run}: first vertex off the 1-thread bits");
+            }
+            // Only the in-edge order differs from the CSR: float rounding.
+            for (v, (a, b)) in oracle.iter().zip(&one).enumerate() {
+                assert!((a - b).abs() < 1e-12, "{ds:?} vertex {v}: CSR {a} vs {b}");
             }
         }
     }

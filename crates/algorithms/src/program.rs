@@ -90,24 +90,59 @@ property_type!(u32, AtomicU32Array, U32);
 property_type!(f32, AtomicF32Array, F32);
 property_type!(f64, AtomicF64Array, F64);
 
+/// How a BSP destination absorbs the per-edge terms addressed to it (the
+/// sharded engine in `saga-bsp` sends each [`VertexProgram::term`] as a
+/// message from the source's shard).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GatherMode {
+    /// Fold each term into the stored value with
+    /// [`combine`](VertexProgram::combine); a vertex whose value passes
+    /// [`significant_change`](VertexProgram::significant_change) scatters
+    /// again next superstep. The monotone reductions (BFS, CC, MC, SSSP,
+    /// SSWP) gather this way.
+    Fold,
+    /// Re-evaluate every value each superstep as
+    /// [`finish`](VertexProgram::finish) of the plain sum of its terms, every
+    /// vertex active, until [`sum_converged`](VertexProgram::sum_converged).
+    /// That is a Jacobi sweep; PageRank gathers this way.
+    Sum,
+}
+
 /// A vertex-centric algorithm: one row of Table I.
 ///
-/// The contract, shared by both compute models:
+/// The contract, shared by every compute model:
 ///
 /// - [`initial`](Self::initial) is the property of a vertex that has not
 ///   been reached/computed yet (FS resets every vertex to it; INC applies
 ///   it to vertices appearing for the first time — Algorithm 1, lines 2–4).
-/// - [`pull`](Self::pull) evaluates the reduction over the vertex's
-///   incoming edges (both directions for [`EdgeScope::Symmetric`]).
-/// - [`combine`](Self::combine) merges the pulled value with the vertex's
-///   previous property. For the monotone algorithms this is `min`/`max` —
-///   the *processing amortization* of the incremental model (previous
-///   results remain valid lower/upper bounds when edges are only added).
+/// - [`term`](Self::term) is Table I's per-edge term: what one source
+///   contributes to a destination across one edge. It is the only place a
+///   program states its vertex function; the pull reduction
+///   ([`pull`](Self::pull)), the deletion-repair inversion
+///   ([`derives_from`](Self::derives_from)) and the BSP engine's messages
+///   are all derived from it.
+/// - [`combine`](Self::combine) reduces terms and merges the result with
+///   the vertex's previous property. For the monotone algorithms this is
+///   `min`/`max` — the *processing amortization* of the incremental model
+///   (previous results remain valid lower/upper bounds when edges are only
+///   added).
 /// - [`significant_change`](Self::significant_change) is the triggering
 ///   condition (Algorithm 1, line 11).
+/// - [`gather_mode`](Self::gather_mode) says how the BSP engine reduces
+///   terms; a [`GatherMode::Sum`] program (PageRank) also overrides
+///   [`finish`](Self::finish), [`l1_units`](Self::l1_units) and
+///   [`sum_converged`](Self::sum_converged), and its `pull`, because its
+///   reduction is a sum rather than a `combine` fold.
 pub trait VertexProgram: Send + Sync {
-    /// Property type.
-    type Value: Copy + PartialEq + Send + Sync + std::fmt::Debug;
+    /// Property type. `Default` and `Add` are the zero and the addition of
+    /// the [`GatherMode::Sum`] gather.
+    type Value: Copy
+        + PartialEq
+        + Default
+        + std::ops::Add<Output = Self::Value>
+        + Send
+        + Sync
+        + std::fmt::Debug;
     /// Storage for the property array.
     type Store: ValueStore<Self::Value>;
 
@@ -122,8 +157,32 @@ pub trait VertexProgram: Send + Sync {
     /// Property of an untouched vertex.
     fn initial(&self, v: Node, num_nodes: usize) -> Self::Value;
 
-    /// Evaluates the vertex function: the reduction over incoming edges.
-    fn pull(&self, graph: &dyn GraphTopology, v: Node, values: &Self::Store) -> Self::Value;
+    /// Table I's per-edge term: what a source holding `src_value`
+    /// contributes across an edge of `weight`. `None` means the source
+    /// contributes nothing (an unreached BFS or SSSP source, a zero-width
+    /// SSWP source). `src_out_degree` is the source's current out-degree
+    /// for [`GatherMode::Sum`] programs (PageRank divides by it); callers
+    /// of a [`GatherMode::Fold`] program pass 0, and its term ignores it.
+    fn term(&self, src_value: Self::Value, weight: f32, src_out_degree: usize)
+        -> Option<Self::Value>;
+
+    /// Evaluates the vertex function: the [`combine`](Self::combine) fold of
+    /// the in-edge terms (both directions for [`EdgeScope::Symmetric`]),
+    /// starting from `v`'s own value — the fold is idempotent, so that start
+    /// changes nothing once the caller combines the result with it.
+    fn pull(&self, graph: &dyn GraphTopology, v: Node, values: &Self::Store) -> Self::Value {
+        let mut acc = values.load(v as usize);
+        let mut fold = |src: Node, weight: f32| {
+            if let Some(term) = self.term(values.load(src as usize), weight, 0) {
+                acc = self.combine(acc, term);
+            }
+        };
+        graph.for_each_in_neighbor(v, &mut fold);
+        if self.scope() == EdgeScope::Symmetric && graph.is_directed() {
+            graph.for_each_out_neighbor(v, &mut fold);
+        }
+        acc
+    }
 
     /// Merges the previous property with a freshly pulled one.
     fn combine(&self, old: Self::Value, pulled: Self::Value) -> Self::Value;
@@ -142,15 +201,15 @@ pub trait VertexProgram: Send + Sync {
     }
 
     /// Whether `value` could have been derived from an in-neighbor holding
-    /// `src_value` across an edge of weight `weight`. The deletion-repair
-    /// pass (KickStarter-style) uses this to close the set of vertices
-    /// whose stored property may transitively depend on a deleted edge:
-    /// only derivable values can be stale, everything else is untouched.
-    ///
-    /// For the monotone reductions this is the exact inversion of
-    /// [`pull`](Self::pull)'s per-edge term, e.g. BFS:
-    /// `value == src_value + 1`.
-    fn derives_from(&self, value: Self::Value, src_value: Self::Value, weight: f32) -> bool;
+    /// `src_value` across an edge of weight `weight`: that edge's
+    /// [`term`](Self::term) is exactly `value`. The deletion-repair pass
+    /// (KickStarter-style) uses this to close the set of vertices whose
+    /// stored property may transitively depend on a deleted edge: only
+    /// derivable values can be stale, everything else is untouched. A
+    /// source that contributes nothing derives nothing.
+    fn derives_from(&self, value: Self::Value, src_value: Self::Value, weight: f32) -> bool {
+        self.term(src_value, weight, 0) == Some(value)
+    }
 
     /// Whether deleting edges can strand a stale property that the normal
     /// trigger rounds would never overwrite. True for the monotone
@@ -159,6 +218,30 @@ pub trait VertexProgram: Send + Sync {
     /// false for PageRank, whose `combine` replaces the old value — a
     /// re-pull of the affected vertices is already a full repair.
     fn needs_deletion_repair(&self) -> bool {
+        true
+    }
+
+    /// How the BSP engine reduces the terms sent to a vertex.
+    fn gather_mode(&self) -> GatherMode {
+        GatherMode::Fold
+    }
+
+    /// [`GatherMode::Sum`]: a vertex's value from the sum of its in-edge
+    /// terms. Defaults to the sum itself.
+    fn finish(&self, sum: Self::Value) -> Self::Value {
+        sum
+    }
+
+    /// [`GatherMode::Sum`]: one vertex's share of a sweep's L1 change,
+    /// `|new − old|` in truncated fixed-point units of 1e-12 so that
+    /// workers can sum their shares exactly. Defaults to 0.
+    fn l1_units(&self, _old: Self::Value, _new: Self::Value) -> u64 {
+        0
+    }
+
+    /// [`GatherMode::Sum`]: whether the run stops after `sweeps` sweeps,
+    /// the last of which summed to `l1_units`. Defaults to one sweep.
+    fn sum_converged(&self, _sweeps: usize, _l1_units: u64) -> bool {
         true
     }
 
@@ -184,6 +267,60 @@ pub trait VertexProgram: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bfs::{BfsProgram, UNREACHED};
+    use crate::cc::CcProgram;
+    use crate::mc::McProgram;
+    use crate::pr::{PrProgram, DEFAULT_FS_TOLERANCE, DEFAULT_MAX_ITERS};
+    use crate::sssp::SsspProgram;
+    use crate::sswp::SswpProgram;
+
+    #[test]
+    fn each_program_states_its_table_i_term_and_gather_mode() {
+        let (bfs, sssp, sswp, pr) =
+            (BfsProgram::new(0), SsspProgram::new(0), SswpProgram::new(0), PrProgram::new(10));
+        let wide = |term: Option<u32>| term.map(f64::from);
+        let narrow = |term: Option<f32>| term.map(f64::from);
+        let rows = [
+            ("BFS: depth + 1", wide(bfs.term(0, 1.0, 3)), Some(1.0)),
+            ("BFS: depth + 1", wide(bfs.term(7, 1.0, 3)), Some(8.0)),
+            ("BFS: unreached sends nothing", wide(bfs.term(UNREACHED, 1.0, 3)), None),
+            ("BFS: saturates", wide(bfs.term(UNREACHED - 1, 1.0, 3)), Some(f64::from(UNREACHED))),
+            ("CC: label unchanged", wide(CcProgram::new().term(5, 0.3, 9)), Some(5.0)),
+            ("MC: label unchanged", wide(McProgram::new().term(5, 0.3, 9)), Some(5.0)),
+            ("SSSP: path + w", narrow(sssp.term(2.0, 1.5, 4)), Some(3.5)),
+            ("SSSP: infinity sends nothing", narrow(sssp.term(f32::INFINITY, 1.5, 4)), None),
+            ("SSWP: edge is the bottleneck", narrow(sswp.term(0.8, 0.25, 4)), Some(0.25)),
+            ("SSWP: path is the bottleneck", narrow(sswp.term(0.5, 0.9, 4)), Some(0.5)),
+            ("SSWP: root passes the weight", narrow(sswp.term(f32::INFINITY, 0.75, 4)), Some(0.75)),
+            ("SSWP: zero width sends nothing", narrow(sswp.term(0.0, 0.9, 4)), None),
+            ("PR: rank / out-degree", pr.term(0.5, 1.0, 2), Some(0.25)),
+        ];
+        for (case, got, want) in rows {
+            assert_eq!(got, want, "{case}");
+        }
+        let modes = [
+            bfs.gather_mode(),
+            CcProgram::new().gather_mode(),
+            McProgram::new().gather_mode(),
+            sssp.gather_mode(),
+            sswp.gather_mode(),
+            pr.gather_mode(),
+        ];
+        use GatherMode::{Fold, Sum};
+        assert_eq!(modes, [Fold, Fold, Fold, Fold, Fold, Sum]);
+
+        // PageRank's sum rule: the Jacobi finish, the L1 stop in truncated
+        // 1e-12 units, and the sweep cap.
+        let finished = pr.finish(0.25 + 0.15);
+        assert!((finished - (0.15 / 10.0 + 0.85 * 0.4)).abs() < 1e-15);
+        assert_eq!(pr.l1_units(0.1, 0.1 + 4.4e-13), 0, "below one unit truncates away");
+        assert_eq!(pr.l1_units(0.5, 0.25), 250_000_000_000);
+        let tolerance_units = (DEFAULT_FS_TOLERANCE * 1e12) as u64;
+        assert!(pr.sum_converged(1, tolerance_units - 1));
+        assert!(!pr.sum_converged(1, tolerance_units));
+        assert!(!pr.sum_converged(DEFAULT_MAX_ITERS - 1, u64::MAX));
+        assert!(pr.sum_converged(DEFAULT_MAX_ITERS, u64::MAX));
+    }
 
     #[test]
     fn u32_store_roundtrip() {

@@ -6,7 +6,7 @@
 //! and, per the paper's §V-C footnote, "highly optimized", which is why FS
 //! stays competitive with INC on SSSP except on the largest dataset).
 
-use crate::program::{ValueStore, VertexProgram};
+use crate::program::VertexProgram;
 use saga_graph::properties::AtomicF32Array;
 use saga_graph::{GraphTopology, Node};
 use saga_utils::bitvec::AtomicBitVec;
@@ -79,12 +79,8 @@ impl VertexProgram for SsspProgram {
         }
     }
 
-    fn pull(&self, graph: &dyn GraphTopology, v: Node, values: &Self::Store) -> f32 {
-        let mut best = f32::INFINITY;
-        graph.for_each_in_neighbor(v, &mut |src, w| {
-            best = best.min(values.load(src as usize) + w);
-        });
-        best
+    fn term(&self, src_value: f32, weight: f32, _src_out_degree: usize) -> Option<f32> {
+        src_value.is_finite().then_some(src_value + weight)
     }
 
     fn combine(&self, old: f32, pulled: f32) -> f32 {
@@ -93,10 +89,6 @@ impl VertexProgram for SsspProgram {
 
     fn significant_change(&self, old: f32, new: f32) -> bool {
         new < old
-    }
-
-    fn derives_from(&self, value: f32, src_value: f32, weight: f32) -> bool {
-        value == src_value + weight
     }
 
     fn from_scratch(

@@ -8,7 +8,7 @@
 //! analogue of frontier BFS): widths only grow, so CAS `fetch_max`
 //! relaxation over out-edges converges to the exact fixpoint.
 
-use crate::program::{ValueStore, VertexProgram};
+use crate::program::VertexProgram;
 use saga_graph::properties::AtomicF32Array;
 use saga_graph::{GraphTopology, Node};
 use saga_utils::bitvec::AtomicBitVec;
@@ -60,12 +60,8 @@ impl VertexProgram for SswpProgram {
         }
     }
 
-    fn pull(&self, graph: &dyn GraphTopology, v: Node, values: &Self::Store) -> f32 {
-        let mut best = 0.0f32;
-        graph.for_each_in_neighbor(v, &mut |src, w| {
-            best = best.max(values.load(src as usize).min(w));
-        });
-        best
+    fn term(&self, src_value: f32, weight: f32, _src_out_degree: usize) -> Option<f32> {
+        (src_value > 0.0).then(|| src_value.min(weight))
     }
 
     fn combine(&self, old: f32, pulled: f32) -> f32 {
@@ -74,10 +70,6 @@ impl VertexProgram for SswpProgram {
 
     fn significant_change(&self, old: f32, new: f32) -> bool {
         new > old
-    }
-
-    fn derives_from(&self, value: f32, src_value: f32, weight: f32) -> bool {
-        value == src_value.min(weight)
     }
 
     fn from_scratch(

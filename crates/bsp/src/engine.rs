@@ -4,12 +4,14 @@
 //! convergence (sum programs). Each superstep is three barrier crossings:
 //!
 //! 1. **Scatter** — every worker walks its shards' active vertices and
-//!    posts push-form messages ([`MessageProgram::message`]) into the
+//!    posts one message per edge — the program's per-edge
+//!    [`term`](VertexProgram::term), computed source-side — into the
 //!    per-(src, dst) mailbox cells.
 //! 2. *barrier* — flips the phase; every cell now has its writer done.
 //! 3. **Gather** — every worker drains its shards' inbound cells in
 //!    ascending source-shard order and folds (or sums) the messages into
-//!    the shard-local property array, building the next active frontier.
+//!    the shard-local property array, building the next active frontier
+//!    ([`VertexProgram::gather_mode`]).
 //! 4. *barrier* — the leader (last arriver) runs the sequential epilogue:
 //!    termination check, superstep advance, and checkpoint publication.
 //! 5. *barrier* — publishes the leader's decision to everyone.
@@ -26,8 +28,7 @@
 use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointStore, ValueCodec};
 use crate::layout::ShardLayout;
 use crate::mailbox::Mailboxes;
-use saga_algorithms::message::{GatherMode, MessageProgram};
-use saga_algorithms::program::EdgeScope;
+use saga_algorithms::program::{EdgeScope, GatherMode, VertexProgram};
 use saga_graph::properties::ShardValues;
 use saga_graph::{GraphTopology, Node, Weight};
 use saga_trace::metrics;
@@ -97,15 +98,15 @@ struct Control {
     step_messages: AtomicU64,
     /// Fold mode: total next-frontier size this superstep.
     active_total: AtomicUsize,
-    /// Sum mode: Σ delta_magnitude in 1e-12 fixed point this superstep.
+    /// Sum mode: Σ `l1_units` this superstep.
     delta_fixed: AtomicU64,
     done: AtomicBool,
     killed: AtomicBool,
     killed_step: AtomicUsize,
 }
 
-/// The sharded BSP executor for one [`MessageProgram`].
-pub struct BspEngine<P: MessageProgram>
+/// The sharded BSP executor for one [`VertexProgram`].
+pub struct BspEngine<P: VertexProgram>
 where
     P::Value: ValueCodec,
 {
@@ -121,12 +122,12 @@ where
     kill: Mutex<Option<KillSpec>>,
 }
 
-impl<P: MessageProgram> BspEngine<P>
+impl<P: VertexProgram> BspEngine<P>
 where
     P::Value: ValueCodec,
 {
     /// A new engine over `capacity` vertices in `shards` shards. Initial
-    /// values come from [`saga_algorithms::program::VertexProgram::initial`];
+    /// values come from [`VertexProgram::initial`];
     /// no vertex starts active — call [`reset_all_active`](Self::reset_all_active)
     /// or [`set_active`](Self::set_active) before [`begin`](Self::begin).
     pub fn new(program: P, capacity: usize, shards: usize, config: CheckpointConfig) -> Self {
@@ -415,7 +416,7 @@ where
             }
             let out_degree = if need_degree { graph.out_degree(v) } else { 0 };
             for &(nb, w) in neighbors.iter() {
-                if let Some(msg) = self.program.message(value, w, out_degree) {
+                if let Some(msg) = self.program.term(value, w, out_degree) {
                     bufs[self.layout.shard_of(nb as usize)].push((nb, msg));
                     sent += 1;
                 }
@@ -463,8 +464,8 @@ where
     /// the per-vertex accumulator (fixed source-shard order — float sums
     /// stay deterministic), then apply `finish` to every local vertex.
     /// Every vertex stays active. Returns `(messages processed, Σ
-    /// delta_magnitude in 1e-12 fixed point)`. A `limit` kill abandons the
-    /// shard before the finish sweep, leaving values untouched.
+    /// l1_units)`. A `limit` kill abandons the shard before the finish
+    /// sweep, leaving values untouched.
     fn gather_shard_sum(&self, s: usize, limit: Option<usize>) -> (u64, u64) {
         let nshards = self.layout.shards();
         let range = self.layout.range(s);
@@ -472,13 +473,13 @@ where
         let mut st = self.shards[s].lock();
         let st = &mut *st;
         st.acc.clear();
-        st.acc.resize(range.len(), self.program.zero());
+        st.acc.resize(range.len(), P::Value::default());
         let mut processed = 0u64;
         let drain = limit.unwrap_or(nshards).min(nshards);
         for src in 0..drain {
             for (v, msg) in self.mail.take(src, s) {
                 let i = v as usize - base;
-                st.acc[i] = self.program.add(st.acc[i], msg);
+                st.acc[i] = st.acc[i] + msg;
                 processed += 1;
             }
         }
@@ -492,7 +493,7 @@ where
             let new = self.program.finish(st.acc[i]);
             if new != old {
                 st.values.set(v, new);
-                delta += (self.program.delta_magnitude(old, new) * 1e12).round() as u64;
+                delta += self.program.l1_units(old, new);
             }
         }
         st.active.clear();
@@ -520,10 +521,7 @@ where
         self.superstep.store(next, Ordering::Relaxed);
         let done = match mode {
             GatherMode::Fold => active == 0,
-            GatherMode::Sum => {
-                (delta as f64 / 1e12) < self.program.sum_tolerance()
-                    || next >= self.program.max_supersteps()
-            }
+            GatherMode::Sum => self.program.sum_converged(next, delta),
         };
         if done {
             ctl.done.store(true, Ordering::SeqCst);

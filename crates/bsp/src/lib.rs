@@ -6,7 +6,9 @@
 //! contiguous shards ([`layout::ShardLayout`]), each shard keeps its
 //! property values in a private dense array
 //! ([`saga_graph::properties::ShardValues`]), and supersteps alternate a
-//! scatter phase (push-form messages into per-shard-pair mailboxes,
+//! scatter phase (each active vertex's per-edge
+//! [`term`](saga_algorithms::program::VertexProgram::term)s, sent as
+//! messages into per-shard-pair mailboxes,
 //! [`mailbox::Mailboxes`]) with a gather phase (fold or sum the inbox into
 //! shard state) separated by a leader-electing barrier
 //! ([`saga_utils::barrier::Barrier`]).
@@ -37,8 +39,7 @@ pub use engine::{BspOutcome, KillPhase, KillSpec, Killed};
 use crate::checkpoint::ValueCodec;
 use crate::engine::BspEngine;
 use crate::layout::ShardLayout;
-use saga_algorithms::message::{GatherMode, MessageProgram};
-use saga_algorithms::program::{EdgeScope, VertexProgram};
+use saga_algorithms::program::{EdgeScope, GatherMode, VertexProgram};
 use saga_algorithms::{
     with_program, AlgorithmKind, AlgorithmParams, BatchImpact, ComputeEngine, ComputeModelKind,
     ComputeOutcome, VertexValues,
@@ -68,7 +69,7 @@ trait Engine: Send + Sync {
     fn values(&self) -> VertexValues;
 }
 
-impl<P: MessageProgram> Engine for BspEngine<P>
+impl<P: VertexProgram> Engine for BspEngine<P>
 where
     P::Value: ValueCodec,
     VertexValues: From<Vec<P::Value>>,

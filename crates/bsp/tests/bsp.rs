@@ -32,7 +32,7 @@ fn build_loaded(n: usize, edges: &[Edge], pool: &ThreadPool) -> Box<dyn DynamicG
 }
 
 fn params() -> AlgorithmParams {
-    // Tight PR tolerances: the serial in-place sweep and the BSP Jacobi
+    // Tight PR tolerances: the serial block sweep and the BSP Jacobi
     // iteration only agree at convergence, not per-iteration. Root and
     // delta are off their defaults too, so an engine whose program
     // construction dropped a tunable diverges from the other.
