@@ -3,15 +3,20 @@
 //! §VI of the paper groups results into *STail* (short-tailed LJ, Orkut,
 //! RMAT on their best structure, AS) and *HTail* (heavy-tailed Wiki, Talk
 //! on DAH), always under the incremental compute model, averaged across
-//! the algorithms. This module runs those configurations once with the
-//! `saga-perf` simulator attached and aggregates the per-phase, per-stage
-//! statistics `arch_suite` reports as Fig. 9(b–c) and Fig. 10.
+//! the algorithms. This module runs those configurations with the
+//! `saga-perf` simulator attached, once per thread count of Fig. 9(a)'s
+//! axis, and aggregates what the runner's `arch` producer reports: the
+//! modeled scaling curves (Fig. 9a) and the per-phase, per-stage
+//! statistics at the configured thread count (Fig. 9b–c, Fig. 10).
 
 use saga_algorithms::{AlgorithmKind, ComputeModelKind};
 use saga_core::driver::{ArchSimConfig, StreamDriver};
 use saga_core::experiment::ExperimentConfig;
 use saga_core::stages::stage_of;
 use saga_graph::DataStructureKind;
+use saga_perf::bandwidth::BandwidthEstimate;
+use saga_perf::cache::CacheReport;
+use saga_perf::scaling::ScalingCurve;
 use saga_stream::profiles::DatasetProfile;
 use saga_utils::stats::Summary;
 
@@ -77,6 +82,16 @@ pub struct PhaseStageStats {
 }
 
 impl PhaseSamples {
+    fn push(&mut self, report: &CacheReport, bw: &BandwidthEstimate) {
+        self.dram_gbps.push(bw.dram_gbps / 1e9);
+        self.qpi_util.push(bw.qpi_utilization);
+        self.l2_hit.push(report.l2_hit_ratio());
+        self.llc_hit.push(report.llc_hit_ratio());
+        self.l2_mpki.push(report.l2_mpki());
+        self.llc_mpki.push(report.llc_mpki());
+        self.imbalance.push(bw.imbalance);
+    }
+
     fn summarize(&self) -> PhaseStageStats {
         PhaseStageStats {
             dram_gbps: Summary::from_samples(&self.dram_gbps),
@@ -95,87 +110,86 @@ impl PhaseSamples {
 pub struct GroupArchResult {
     /// Group name.
     pub name: &'static str,
-    /// `update[stage]` / `compute[stage]`.
+    /// `update[stage]` / `compute[stage]`, at the configured thread count.
     pub update: [PhaseStageStats; 3],
-    /// Compute-phase statistics per stage.
+    /// Compute-phase statistics per stage, at the configured thread count.
     pub compute: [PhaseStageStats; 3],
+    /// Fig. 9(a): modeled update-phase seconds over every batch, per
+    /// thread count of the axis.
+    pub update_scaling: ScalingCurve,
+    /// Fig. 9(a): the compute phase's curve.
+    pub compute_scaling: ScalingCurve,
 }
 
 /// Runs the §VI configuration (INC on the group's best structure) for
-/// every group/dataset/algorithm and aggregates per-phase statistics.
+/// every group × dataset × algorithm × thread count and aggregates
+/// per-phase statistics. The thread axis is `scaling_threads` plus
+/// `cfg.threads`, whose run alone feeds the per-stage statistics.
+///
+/// Every point is *modeled* (DESIGN.md, Substitutions): the structures
+/// really run with that many threads and are traced, and each phase's time
+/// is `max(slowest thread, most-contended lock, traffic / peak bandwidth)`
+/// on the paper's machine model.
 pub fn run_arch_characterization(
     cfg: &ExperimentConfig,
     algorithms: &[AlgorithmKind],
-    cache_scale: usize,
+    scaling_threads: &[usize],
 ) -> Vec<GroupArchResult> {
+    let mut threads = scaling_threads.to_vec();
+    if !threads.contains(&cfg.threads) {
+        threads.push(cfg.threads);
+        threads.sort_unstable();
+    }
     let mut out = Vec::new();
     for group in groups() {
         let mut update: [PhaseSamples; 3] = Default::default();
         let mut compute: [PhaseSamples; 3] = Default::default();
+        let mut update_secs = vec![0.0f64; threads.len()];
+        let mut compute_secs = vec![0.0f64; threads.len()];
         for (profile, ds) in &group.members {
             let profile = profile.clone().scaled_by(cfg.scale);
             let stream = profile.generate(cfg.seed);
             for &alg in algorithms {
-                saga_trace::progress!(
-                    "[arch] {} / {} / {} (tracing + replay)...",
-                    group.name,
-                    profile.name(),
-                    alg
-                );
-                let mut driver = StreamDriver::builder(*ds, stream.num_nodes)
-                    .algorithm(alg)
-                    .compute_model(ComputeModelKind::Incremental)
-                    .threads(cfg.threads)
-                    .arch_sim(ArchSimConfig {
-                        cache_scale,
-                        ..ArchSimConfig::default()
-                    })
-                    .build();
-                let outcome = driver.run(&stream);
-                let total = outcome.batches.len();
-                for batch in &outcome.batches {
-                    let s = stage_of(batch.index, total).index();
-                    let arch = batch.arch.as_ref().expect("arch sim enabled");
-                    let push = |bucket: &mut PhaseSamples,
-                                report: &saga_perf::cache::CacheReport,
-                                bw: &saga_perf::bandwidth::BandwidthEstimate| {
-                        bucket.dram_gbps.push(bw.dram_gbps / 1e9);
-                        bucket.qpi_util.push(bw.qpi_utilization);
-                        bucket.l2_hit.push(report.l2_hit_ratio());
-                        bucket.llc_hit.push(report.llc_hit_ratio());
-                        bucket.l2_mpki.push(report.l2_mpki());
-                        bucket.llc_mpki.push(report.llc_mpki());
-                        bucket.imbalance.push(bw.imbalance);
-                    };
-                    push(&mut update[s], &arch.update, &arch.update_bw);
-                    push(&mut compute[s], &arch.compute, &arch.compute_bw);
+                for (i, &t) in threads.iter().enumerate() {
+                    saga_trace::progress!(
+                        "[arch] {} / {} / {alg} @ {t} threads (tracing + replay)...",
+                        group.name,
+                        profile.name(),
+                    );
+                    let mut driver = StreamDriver::builder(*ds, stream.num_nodes)
+                        .algorithm(alg)
+                        .compute_model(ComputeModelKind::Incremental)
+                        .threads(t)
+                        .arch_sim(ArchSimConfig::default())
+                        .build();
+                    let outcome = driver.run(&stream);
+                    let total = outcome.batches.len();
+                    for batch in &outcome.batches {
+                        let arch = batch.arch.as_ref().expect("arch sim enabled");
+                        update_secs[i] += arch.update_bw.seconds;
+                        compute_secs[i] += arch.compute_bw.seconds;
+                        if t == cfg.threads {
+                            let s = stage_of(batch.index, total).index();
+                            update[s].push(&arch.update, &arch.update_bw);
+                            compute[s].push(&arch.compute, &arch.compute_bw);
+                        }
+                    }
                 }
             }
         }
+        let curve = |seconds| ScalingCurve {
+            threads: threads.clone(),
+            seconds,
+        };
         out.push(GroupArchResult {
             name: group.name,
-            update: [
-                update[0].summarize(),
-                update[1].summarize(),
-                update[2].summarize(),
-            ],
-            compute: [
-                compute[0].summarize(),
-                compute[1].summarize(),
-                compute[2].summarize(),
-            ],
+            update: update.each_ref().map(PhaseSamples::summarize),
+            compute: compute.each_ref().map(PhaseSamples::summarize),
+            update_scaling: curve(update_secs),
+            compute_scaling: curve(compute_secs),
         });
     }
     out
-}
-
-/// Stage label helper for the report rows.
-pub fn stage_label(i: usize) -> &'static str {
-    match i {
-        0 => "P1",
-        1 => "P2",
-        _ => "P3",
-    }
 }
 
 #[cfg(test)]
@@ -195,11 +209,5 @@ mod tests {
         assert_eq!(gs[1].name, "HTail");
         assert_eq!(gs[1].members.len(), 2);
         assert!(gs[1].members.iter().all(|(_, ds)| *ds == DataStructureKind::Dah));
-    }
-
-    #[test]
-    fn stage_labels() {
-        assert_eq!(stage_label(0), "P1");
-        assert_eq!(stage_label(2), "P3");
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! The Fig. 6/7/8 quantities are derived here, once, from a finished
 //! [`sweep_combinations`](saga_core::experiment::sweep_combinations) run:
-//! `software_suite` writes `results/` from these derivations and the
-//! `saga-check` shape-regression suite asserts the EXPERIMENTS.md scorecard
-//! through the same functions on scaled-down sweeps. The tail sweep behind
+//! the runner's `software` producer writes `results/` from these
+//! derivations and the `saga-check` shape-regression suite asserts the
+//! EXPERIMENTS.md scorecard through the same functions on scaled-down
+//! sweeps. The tail sweep behind
 //! Fig. 6(b)'s flip lives here for the same two callers.
 
 use saga_algorithms::ComputeModelKind;

@@ -67,7 +67,7 @@ fn arch_results() -> &'static [GroupArchResult] {
     static RESULTS: OnceLock<Vec<GroupArchResult>> = OnceLock::new();
     RESULTS.get_or_init(|| {
         let _probe = probe_lock();
-        run_arch_characterization(&shape_cfg(), &[AlgorithmKind::Bfs], 16)
+        run_arch_characterization(&shape_cfg(), &[AlgorithmKind::Bfs], &[])
     })
 }
 

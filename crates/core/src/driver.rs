@@ -328,14 +328,25 @@ impl StreamDriver {
         root: Node,
     ) -> DriverSession<'d> {
         let cfg = &self.builder;
-        let capacity = cfg.capacity.max(num_nodes);
         let graph = build_deletable_graph_with(
             cfg.data_structure,
-            capacity,
+            cfg.capacity.max(num_nodes),
             directed,
             ingest_pool.threads(),
             cfg.partitioned_ingest,
         );
+        let mut session = self.session_over(graph, root);
+        session.apply.pool = ingest_pool;
+        session
+    }
+
+    /// [`session`](Self::session) over a graph the caller built — a
+    /// structure with a non-default constructor knob, as the ablations
+    /// sweep. The builder's data structure and capacity are ignored; the
+    /// session covers `graph.capacity()` vertices.
+    pub fn session_over(&self, graph: Box<dyn DeletableGraph>, root: Node) -> DriverSession<'_> {
+        let cfg = &self.builder;
+        let capacity = graph.capacity();
         let params = AlgorithmParams { root, ..cfg.params };
         let (algorithm, model) = (cfg.algorithm, cfg.compute_model);
         let engine: Box<dyn ComputeEngine> = match cfg.sharded {
@@ -360,7 +371,7 @@ impl StreamDriver {
         DriverSession {
             apply: ApplyHalf {
                 graph,
-                pool: ingest_pool,
+                pool: &self.pool,
                 probed: arch.is_some(),
             },
             compute: ComputeHalf {

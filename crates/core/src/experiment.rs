@@ -4,8 +4,9 @@
 //! 4 data structures × 2 compute models = 8 combinations, with three
 //! repeated runs and 95% confidence intervals, reporting per stage the
 //! best combination (and combinations whose intervals overlap it as
-//! *competitive*). These helpers run exactly that sweep; `saga-bench`'s
-//! `software_suite` and the shape-regression suite consume the results.
+//! *competitive*). These helpers run exactly that sweep; the `saga-bench`
+//! runner's `software` producer and the shape-regression suite consume the
+//! results.
 
 use crate::driver::{BatchRecord, StreamDriver};
 use crate::stages::{Stage, StageSummary};

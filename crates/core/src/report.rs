@@ -124,8 +124,8 @@ impl TextTable {
     }
 }
 
-/// Writes `content` to `results/<name>` (creating the directory), echoing
-/// the path. Returns the path written.
+/// Writes `content` to `results/<name>` (creating the directory, and any
+/// subdirectory `name` names), echoing the path. Returns the path written.
 ///
 /// # Errors
 ///
@@ -142,8 +142,8 @@ pub fn write_results_file(name: &str, content: &str) -> std::io::Result<PathBuf>
 ///
 /// Returns any I/O error from creating the directory or writing the file.
 pub fn write_results_file_in(dir: &Path, name: &str, content: &str) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
     let path = dir.join(name);
+    std::fs::create_dir_all(path.parent().unwrap_or(dir))?;
     let mut f = std::fs::File::create(&path)?;
     f.write_all(content.as_bytes())?;
     Ok(path)

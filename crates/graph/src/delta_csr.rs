@@ -51,6 +51,11 @@ const DEFAULT_THRESHOLD_FLOOR: usize = 256;
 /// snapshot's stored entries (¼), bounding scan overhead on large graphs.
 const THRESHOLD_SNAPSHOT_DIVISOR: usize = 4;
 
+/// Registry counter bumped once per merge, across every instance — what
+/// `/metrics` and the compaction ablation read, since neither holds the
+/// concrete type that [`DeltaCsr::compactions`] needs.
+pub const COMPACTIONS_METRIC: &str = "graph.delta_csr.compactions";
+
 /// One direction of the immutable CSR image. Neighbor lists are id-sorted,
 /// so snapshot membership tests are binary searches and merged scans stay
 /// sorted.
@@ -327,6 +332,7 @@ impl DeltaCsr {
         self.snap_entries.store(entries, Ordering::Release);
         self.delta_ops.store(0, Ordering::Release);
         self.compactions.fetch_add(1, Ordering::AcqRel);
+        saga_trace::metrics::counter(COMPACTIONS_METRIC).incr();
     }
 
     /// Rebuilds one direction. Holds every chunk's write guard of the
@@ -487,6 +493,20 @@ mod tests {
         assert_eq!(g.num_edges(), 40);
         assert_eq!(g.out_neighbors(0), vec![(1, 1.0)]);
         assert_eq!(g.in_neighbors(40), vec![(39, 1.0)]);
+    }
+
+    #[test]
+    fn compaction_bumps_the_registry_counter() {
+        let p = pool();
+        let g = DeltaCsr::new(10, true, 2);
+        g.update_batch(&[Edge::new(0, 1, 1.0)], &p);
+        let counter = saga_trace::metrics::counter(COMPACTIONS_METRIC);
+        let (before, own_before) = (counter.get(), g.compactions());
+        g.compact();
+        // Other tests compact concurrently, so the shared counter may move
+        // further than this instance did — never less.
+        assert!(counter.get() - before >= (g.compactions() - own_before) as u64);
+        assert_eq!(g.compactions() - own_before, 1);
     }
 
     #[test]

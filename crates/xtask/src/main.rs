@@ -836,7 +836,7 @@ mod tests {
     fn print_ban_spares_binaries_tests_and_facades() {
         let src = "fn main() {\n    println!(\"ok\");\n}\n";
         for rel in [
-            "crates/bench/src/bin/fig9.rs", // binary target
+            "crates/demo/src/bin/tool.rs",  // binary target
             "crates/demo/src/main.rs",      // crate root binary
             "crates/xtask/src/main.rs",     // terminal tool
             "crates/trace/src/lib.rs",      // defines the progress! facade
