@@ -15,19 +15,27 @@
 //! Deletion batches additionally get a KickStarter-style **repair pass**
 //! ([`incremental_compute_with_deletions`]): monotone `combine` only ever
 //! improves values, so a stored property that depended on a removed edge
-//! would survive forever. The repair tags the transitive derivation
-//! closure of the deleted edges, resets it to the program's initial
-//! values, and reseeds it from surviving in-neighbors through the normal
-//! trigger rounds — falling back to from-scratch recomputation when the
-//! cascade exceeds a size threshold.
+//! would survive forever. Every vertex of a [`GatherMode::Fold`] program
+//! keeps one *witness parent* — the neighbor whose term last strictly
+//! improved it, KickStarter's dependence tree. The repair resets the
+//! subtrees of that forest that hung off the deleted edges to the
+//! program's initial values and reseeds them from surviving in-neighbors
+//! through the normal trigger rounds — falling back to from-scratch
+//! recomputation when they exceed a size threshold.
+//!
+//! [`GatherMode::Fold`]: crate::program::GatherMode::Fold
 
-use crate::program::{EdgeScope, ValueStore, VertexProgram};
+use crate::program::{fold_pull, EdgeScope, ValueStore, VertexProgram};
+use saga_graph::properties::AtomicU32Array;
 use saga_graph::{Edge, GraphTopology, Node};
 use saga_utils::bitvec::AtomicBitVec;
 use saga_utils::frontier::FlatFrontier;
-use saga_utils::parallel::{Schedule, ThreadPool};
+use saga_utils::parallel::{adaptive_grain, Schedule, ThreadPool};
 use saga_utils::prefetch::PREFETCH_DISTANCE;
 use saga_utils::sync::atomic::{AtomicUsize, Ordering};
+
+/// The witness parent of a vertex that has none: it holds its initial value.
+pub const NO_PARENT: Node = u32::MAX;
 
 /// What an incremental compute phase did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -49,8 +57,9 @@ pub enum DeletionOutcome {
     /// incremental rounds ran to quiescence.
     Done(IncOutcome),
     /// The repair cascade exceeded the caller's limit before closing; the
-    /// value store was **not** modified. The caller should recompute from
-    /// scratch (cheaper than resetting and reseeding most of the graph).
+    /// value store and the witness forest were **not** modified. The caller
+    /// should recompute from scratch (cheaper than resetting and reseeding
+    /// most of the graph) and then [`rebuild_witness_forest`].
     CascadeOverflow {
         /// Vertices tagged before the limit tripped.
         tagged: usize,
@@ -70,11 +79,28 @@ pub fn incremental_compute<P: VertexProgram>(
     new_vertices: &[Node],
     pool: &ThreadPool,
 ) -> IncOutcome {
+    rounds(program, graph, values, None, affected, new_vertices, pool)
+}
+
+/// [`incremental_compute`]; with `parents`, every value a round improves
+/// also records its witness ([`fold_pull`]).
+fn rounds<P: VertexProgram>(
+    program: &P,
+    graph: &dyn GraphTopology,
+    values: &P::Store,
+    parents: Option<&AtomicU32Array>,
+    affected: &[Node],
+    new_vertices: &[Node],
+    pool: &ThreadPool,
+) -> IncOutcome {
     let n = graph.capacity();
     // Lines 2–4: initialize vertices entering the graph this batch.
     pool.parallel_for(0..new_vertices.len(), Schedule::Static, |i| {
         let v = new_vertices[i];
         values.store(v as usize, program.initial(v, n));
+        if let Some(parents) = parents {
+            parents.set(v as usize, NO_PARENT);
+        }
     });
 
     let mut visited = AtomicBitVec::new(n);
@@ -83,33 +109,56 @@ pub fn incremental_compute<P: VertexProgram>(
     let triggered = AtomicUsize::new(0);
 
     let process = |frontier: &[Node], visited: &AtomicBitVec, next: &FlatFrontier| {
-        let grain = saga_utils::parallel::adaptive_grain(frontier.len(), pool.threads());
-        pool.parallel_for(0..frontier.len(), Schedule::Dynamic(grain), |i| {
-            if let Some(&ahead) = frontier.get(i + PREFETCH_DISTANCE) {
-                values.prefetch_hint(ahead as usize);
-            }
-            let v = frontier[i];
-            recomputed.fetch_add(1, Ordering::Relaxed);
-            // Lines 9–10: re-calculate the vertex function.
-            let old = values.load(v as usize);
-            let pulled = program.pull(graph, v, values);
-            let new = program.combine(old, pulled);
-            if new != old {
-                values.store(v as usize, new);
-            }
-            // Lines 11–15: trigger out-neighbors on significant change.
-            if program.significant_change(old, new) {
-                triggered.fetch_add(1, Ordering::Relaxed);
-                let push = |nb: Node| {
-                    if visited.try_set(nb as usize) {
-                        next.push(nb);
+        if frontier.is_empty() {
+            return;
+        }
+        let grain = adaptive_grain(frontier.len(), pool.threads());
+        let cursor = AtomicUsize::new(0);
+        pool.run_on_all(|_| {
+            // Each worker tallies its own evaluations and adds them to the
+            // shared counters once per round: a counter bumped per vertex
+            // is one contended cache line per evaluation.
+            let (mut evaluated, mut fired) = (0, 0);
+            loop {
+                let start = cursor.fetch_add(grain, Ordering::Relaxed);
+                if start >= frontier.len() {
+                    break;
+                }
+                for i in start..(start + grain).min(frontier.len()) {
+                    if let Some(&ahead) = frontier.get(i + PREFETCH_DISTANCE) {
+                        values.prefetch_hint(ahead as usize);
                     }
-                };
-                graph.for_each_out_neighbor(v, &mut |nb, _| push(nb));
-                if program.scope() == EdgeScope::Symmetric && graph.is_directed() {
-                    graph.for_each_in_neighbor(v, &mut |nb, _| push(nb));
+                    let v = frontier[i];
+                    evaluated += 1;
+                    // Lines 9–10: re-calculate the vertex function.
+                    let old = values.load(v as usize);
+                    let (new, witness) = match parents {
+                        Some(_) => fold_pull(program, graph, v, values),
+                        None => (program.combine(old, program.pull(graph, v, values)), NO_PARENT),
+                    };
+                    if new != old {
+                        values.store(v as usize, new);
+                        if let Some(parents) = parents {
+                            parents.set(v as usize, witness);
+                        }
+                    }
+                    // Lines 11–15: trigger out-neighbors on significant change.
+                    if program.significant_change(old, new) {
+                        fired += 1;
+                        let push = |nb: Node| {
+                            if visited.try_set(nb as usize) {
+                                next.push(nb);
+                            }
+                        };
+                        graph.for_each_out_neighbor(v, &mut |nb, _| push(nb));
+                        if program.scope() == EdgeScope::Symmetric && graph.is_directed() {
+                            graph.for_each_in_neighbor(v, &mut |nb, _| push(nb));
+                        }
+                    }
                 }
             }
+            recomputed.fetch_add(evaluated, Ordering::Relaxed);
+            triggered.fetch_add(fired, Ordering::Relaxed);
         });
     };
 
@@ -160,72 +209,59 @@ pub fn incremental_compute<P: VertexProgram>(
     }
 }
 
-/// Computes the set of vertices whose stored property may (transitively)
-/// depend on one of the `deleted` edges — the KickStarter-style tag
-/// closure. Must run **after** the deletions are applied to `graph` but
-/// **before** any value is modified: the closure walks surviving edges
-/// but judges derivability against the pre-repair values.
+/// Computes the set of vertices whose stored property may depend on one
+/// of the `deleted` edges: the subtrees of the witness forest `parents`
+/// that hung off them. Must run **after** the deletions are applied to
+/// `graph`; it reads only the forest and the surviving edges.
 ///
-/// Seeds are the deleted edges' destinations (and sources too, for
-/// symmetric-scope programs and undirected graphs, where values flow both
-/// ways). A vertex already holding its initial value cannot be stale and
-/// is never tagged — this keeps cascades out of unreached regions and
-/// anchors CC/MC label components at their label owner. From a tagged
-/// vertex `u`, a neighbor `nb` joins the closure when
-/// [`VertexProgram::derives_from`] says `nb`'s value could have come from
-/// `u`'s across the connecting edge's stored weight.
+/// A deleted edge's destination is tagged when the edge was its witness
+/// (`parents[dst] == src`; for symmetric-scope programs and undirected
+/// graphs, where values flow both ways, the source too when
+/// `parents[src] == dst`). The walk then descends the forest: from a
+/// tagged `x`, every neighbor `y` with `parents[y] == x` joins. Every
+/// vertex off its initial value has a witness whose own chain ends at an
+/// initial-valued vertex, so the untagged values keep a derivation that
+/// avoids every deleted edge — and an edge that was not a witness resets
+/// nothing.
 ///
-/// Returns the tagged vertices, or `Err(tagged_so_far)` once the closure
-/// exceeds `limit` — the signal that from-scratch recomputation is the
-/// cheaper path. The value store is never modified here.
+/// Returns the tagged vertices, or `Err(tagged_so_far)` once they exceed
+/// `limit` — the signal that from-scratch recomputation is the cheaper
+/// path. Neither the values nor the forest is modified here.
 pub fn plan_deletion_repair<P: VertexProgram>(
     program: &P,
     graph: &dyn GraphTopology,
-    values: &P::Store,
+    parents: &AtomicU32Array,
     deleted: &[Edge],
     limit: usize,
 ) -> Result<Vec<Node>, usize> {
     let n = graph.capacity();
     let symmetric = program.scope() == EdgeScope::Symmetric || !graph.is_directed();
     let mut tagged = vec![false; n];
-    let mut queue: Vec<Node> = Vec::new();
     let mut order: Vec<Node> = Vec::new();
-    let tag = |v: Node, tagged: &mut Vec<bool>, queue: &mut Vec<Node>, order: &mut Vec<Node>| {
-        let i = v as usize;
-        if i < n && !tagged[i] && values.load(i) != program.initial(v, n) {
+    let tag_child = |child: Node, parent: Node, tagged: &mut [bool], order: &mut Vec<Node>| {
+        let i = child as usize;
+        if i < n && !tagged[i] && parents.get(i) == parent {
             tagged[i] = true;
-            queue.push(v);
-            order.push(v);
+            order.push(child);
         }
     };
     for e in deleted {
-        // Endpoints are tagged unconditionally (beyond the initial-value
-        // check): the batch edge's weight may differ from the weight that
-        // was stored, so a derives_from test against it would be unsound.
-        tag(e.dst, &mut tagged, &mut queue, &mut order);
+        tag_child(e.dst, e.src, &mut tagged, &mut order);
         if symmetric {
-            tag(e.src, &mut tagged, &mut queue, &mut order);
+            tag_child(e.src, e.dst, &mut tagged, &mut order);
         }
     }
-    while let Some(u) = queue.pop() {
+    // `order` doubles as the walk's queue.
+    let mut next = 0;
+    while let Some(&x) = order.get(next) {
         if order.len() > limit {
             return Err(order.len());
         }
-        let u_val = values.load(u as usize);
-        let mut visit = |nb: Node, w: f32| {
-            let i = nb as usize;
-            if !tagged[i]
-                && values.load(i) != program.initial(nb, n)
-                && program.derives_from(values.load(i), u_val, w)
-            {
-                tagged[i] = true;
-                queue.push(nb);
-                order.push(nb);
-            }
-        };
-        graph.for_each_out_neighbor(u, &mut |nb, w| visit(nb, w));
+        next += 1;
+        let mut child = |y: Node, _| tag_child(y, x, &mut tagged, &mut order);
+        graph.for_each_out_neighbor(x, &mut child);
         if symmetric && graph.is_directed() {
-            graph.for_each_in_neighbor(u, &mut |nb, w| visit(nb, w));
+            graph.for_each_in_neighbor(x, &mut child);
         }
     }
     if order.len() > limit {
@@ -234,41 +270,159 @@ pub fn plan_deletion_repair<P: VertexProgram>(
     Ok(order)
 }
 
-/// [`incremental_compute`] for a batch that may carry deletions.
+/// Derives the witness forest of converged `values` afresh — after a
+/// from-scratch run, which leaves no witnesses behind. Every vertex pulls
+/// its parent over derivation edges ([`VertexProgram::derives_from`]),
+/// stopping at the first that qualifies, on the pool:
 ///
-/// For programs where deletions cannot strand stale state
-/// ([`VertexProgram::needs_deletion_repair`] is false, i.e. PageRank) or
-/// when `deleted` is empty, this is exactly the plain incremental phase.
-/// Otherwise the repair closure is planned first
-/// ([`plan_deletion_repair`]); if it stays within `repair_limit`, the
-/// tagged vertices are reset to their initial values and appended to the
-/// affected set, so the normal trigger/propagate rounds reseed them from
-/// surviving in-neighbors. On overflow the store is left untouched and
-/// [`DeletionOutcome::CascadeOverflow`] tells the caller to fall back to
-/// from-scratch recomputation.
+/// 1. A vertex holding its initial value is a root. Any other vertex takes
+///    a neighbor that derives it from a strictly different (so better)
+///    value, or a root that derives it. BFS and SSSP settle here: their
+///    terms always worsen the source.
+/// 2. What is left derives only from equal values (CC and MC labels, an
+///    SSWP path whose bottleneck lies upstream). Level by level, each
+///    takes a deriving neighbor anchored (given a parent, or a root) in an
+///    earlier level: the first level pulls, the later ones push from the
+///    vertices the previous level anchored — a BFS over derivation edges.
+///
+/// No cycle can form: a parent's value is never worse than its child's, a
+/// strictly better one cannot lead back, and an equal one was anchored
+/// earlier. At a fixpoint every value off its initial one has a
+/// derivation chain back to an initial value, so the levels anchor every
+/// vertex, one chain link per level.
+pub fn rebuild_witness_forest<P: VertexProgram>(
+    program: &P,
+    graph: &dyn GraphTopology,
+    values: &P::Store,
+    parents: &AtomicU32Array,
+    pool: &ThreadPool,
+) {
+    let n = graph.capacity();
+    let both_directions = program.scope() == EdgeScope::Symmetric && graph.is_directed();
+    // The first neighbor deriving `v` that `accept`s (its id, its value).
+    let witness = |v: Node, accept: &dyn Fn(Node, P::Value) -> bool| {
+        let value = values.load(v as usize);
+        let mut found = NO_PARENT;
+        let mut check = |p: Node, weight: f32| {
+            if found == NO_PARENT {
+                let p_value = values.load(p as usize);
+                if program.derives_from(value, p_value, weight) && accept(p, p_value) {
+                    found = p;
+                }
+            }
+        };
+        graph.for_each_in_neighbor(v, &mut check);
+        if both_directions {
+            graph.for_each_out_neighbor(v, &mut check);
+        }
+        found
+    };
+    let anchored = AtomicBitVec::new(n);
+    let mut pending = FlatFrontier::new(n);
+    let grain = adaptive_grain(n, pool.threads()).max(16);
+    pool.parallel_for(0..n, Schedule::Dynamic(grain), |v| {
+        let value = values.load(v);
+        let root = value == program.initial(v as Node, n);
+        let parent = if root {
+            NO_PARENT
+        } else {
+            witness(v as Node, &|p, p_value| p_value != value || p_value == program.initial(p, n))
+        };
+        parents.set(v, parent);
+        if root || parent != NO_PARENT {
+            anchored.set(v);
+        } else {
+            pending.push(v as Node);
+        }
+    });
+    let mut unanchored = Vec::new();
+    pending.take_into(&mut unanchored);
+    if unanchored.is_empty() {
+        return;
+    }
+    // The first equal-value level pulls: each unanchored vertex takes an
+    // anchored neighbor that derives it. Later levels push from the
+    // vertices the previous level anchored, so each edge is scanned a
+    // bounded number of times however deep the chains run.
+    let mut next = pending;
+    let grain = adaptive_grain(unanchored.len(), pool.threads());
+    pool.parallel_for(0..unanchored.len(), Schedule::Dynamic(grain), |i| {
+        let y = unanchored[i];
+        let p = witness(y, &|p, _| anchored.get(p as usize));
+        if p != NO_PARENT {
+            parents.set(y as usize, p);
+            next.push(y);
+        }
+    });
+    let (mut level, mut placed) = (Vec::new(), 0);
+    loop {
+        next.take_into(&mut level);
+        if level.is_empty() {
+            break;
+        }
+        placed += level.len();
+        for &y in &level {
+            anchored.set(y as usize);
+        }
+        let grain = adaptive_grain(level.len(), pool.threads());
+        pool.parallel_for(0..level.len(), Schedule::Dynamic(grain), |i| {
+            let u = level[i];
+            let u_value = values.load(u as usize);
+            let mut claim = |y: Node, weight: f32| {
+                if !anchored.get(y as usize)
+                    && program.derives_from(values.load(y as usize), u_value, weight)
+                    && anchored.try_set(y as usize)
+                {
+                    parents.set(y as usize, u);
+                    next.push(y);
+                }
+            };
+            graph.for_each_out_neighbor(u, &mut claim);
+            if both_directions {
+                graph.for_each_in_neighbor(u, &mut claim);
+            }
+        });
+    }
+    assert_eq!(
+        placed,
+        unanchored.len(),
+        "vertices hold values no initial value derives (e.g. {:?})",
+        &unanchored[..unanchored.len().min(5)]
+    );
+}
+
+/// [`incremental_compute`] for a [`GatherMode::Fold`] program over a batch
+/// that may carry deletions, maintaining its witness forest `parents`.
+///
+/// Without deletions this is the plain incremental phase. Otherwise the
+/// repair is planned first ([`plan_deletion_repair`]); if it stays within
+/// `repair_limit`, the tagged vertices are reset to their initial values
+/// (and lose their witnesses) and are appended to the affected set, so the
+/// normal trigger/propagate rounds reseed them from surviving in-neighbors.
+/// On overflow nothing is touched and [`DeletionOutcome::CascadeOverflow`]
+/// tells the caller to fall back to from-scratch recomputation.
+///
+/// [`GatherMode::Fold`]: crate::program::GatherMode::Fold
 #[allow(clippy::too_many_arguments)] // mirrors incremental_compute + deletion inputs
 pub fn incremental_compute_with_deletions<P: VertexProgram>(
     program: &P,
     graph: &dyn GraphTopology,
     values: &P::Store,
+    parents: &AtomicU32Array,
     affected: &[Node],
     new_vertices: &[Node],
     deleted: &[Edge],
     repair_limit: usize,
     pool: &ThreadPool,
 ) -> DeletionOutcome {
-    if deleted.is_empty() || !program.needs_deletion_repair() {
-        return DeletionOutcome::Done(incremental_compute(
-            program,
-            graph,
-            values,
-            affected,
-            new_vertices,
-            pool,
-        ));
+    let inc = |seeds: &[Node]| {
+        rounds(program, graph, values, Some(parents), seeds, new_vertices, pool)
+    };
+    if deleted.is_empty() {
+        return DeletionOutcome::Done(inc(affected));
     }
     let repair_span = saga_trace::span!("repair", deleted = deleted.len() as u64);
-    let tagged = match plan_deletion_repair(program, graph, values, deleted, repair_limit) {
+    let tagged = match plan_deletion_repair(program, graph, parents, deleted, repair_limit) {
         Ok(tagged) => tagged,
         Err(count) => {
             drop(repair_span);
@@ -279,12 +433,13 @@ pub fn incremental_compute_with_deletions<P: VertexProgram>(
     let n = graph.capacity();
     for &v in &tagged {
         values.store(v as usize, program.initial(v, n));
+        parents.set(v as usize, NO_PARENT);
     }
     drop(repair_span);
     let mut seeds = Vec::with_capacity(affected.len() + tagged.len());
     seeds.extend_from_slice(affected);
     seeds.extend_from_slice(&tagged);
-    let mut outcome = incremental_compute(program, graph, values, &seeds, new_vertices, pool);
+    let mut outcome = inc(&seeds);
     outcome.repaired = tagged.len();
     DeletionOutcome::Done(outcome)
 }
@@ -293,6 +448,8 @@ pub fn incremental_compute_with_deletions<P: VertexProgram>(
 mod tests {
     use super::*;
     use crate::bfs::BfsProgram;
+    use crate::cc::CcProgram;
+    use crate::mc::McProgram;
     use crate::sssp::SsspProgram;
     use crate::sswp::SswpProgram;
     use saga_graph::{build_graph, DataStructureKind, Edge};
@@ -349,6 +506,75 @@ mod tests {
         assert_eq!(out.iterations, 1, "no change, so no propagation rounds");
     }
 
+    /// A fresh INC state of `program` over `n` vertices: initial values, no
+    /// witnesses.
+    fn fresh<P: VertexProgram>(program: &P, n: usize) -> (P::Store, AtomicU32Array) {
+        let store = P::Store::create(n, program.initial(0, n));
+        for v in 1..n {
+            store.store(v, program.initial(v as Node, n));
+        }
+        (store, AtomicU32Array::filled(n, NO_PARENT))
+    }
+
+    /// An empty deletable AS graph built for 2 workers.
+    fn build(n: usize, directed: bool) -> Box<dyn saga_graph::DeletableGraph> {
+        saga_graph::build_deletable_graph(DataStructureKind::AdjacencyShared, n, directed, 2)
+    }
+
+    /// Converges a fresh INC state on `g` through the rounds, which grow
+    /// the witness forest as they go.
+    fn converged_by_rounds<P: VertexProgram>(
+        program: &P,
+        g: &dyn GraphTopology,
+        pool: &ThreadPool,
+    ) -> (P::Store, AtomicU32Array) {
+        let n = g.capacity();
+        let (store, parents) = fresh(program, n);
+        let all: Vec<Node> = (0..n as Node).collect();
+        let out = incremental_compute_with_deletions(
+            program, g, &store, &parents, &all, &[], &[], n, pool,
+        );
+        assert!(matches!(out, DeletionOutcome::Done(_)));
+        (store, parents)
+    }
+
+    /// The forest's invariant: an initial-valued vertex has no parent; any
+    /// other vertex has a neighbor parent that derives its value across a
+    /// live edge, and its parent chain ends at an initial-valued vertex.
+    fn assert_forest_sound<P: VertexProgram>(
+        program: &P,
+        g: &dyn GraphTopology,
+        store: &P::Store,
+        parents: &AtomicU32Array,
+    ) {
+        let n = g.capacity();
+        let both = program.scope() == EdgeScope::Symmetric && g.is_directed();
+        for v in 0..n {
+            let (value, parent) = (store.load(v), parents.get(v));
+            if value == program.initial(v as Node, n) {
+                assert_eq!(parent, NO_PARENT, "{}: root {v} has a parent", program.name());
+                continue;
+            }
+            let mut derived = false;
+            let mut check = |src: Node, w: f32| {
+                let src_value = store.load(src as usize);
+                derived |= src == parent && program.derives_from(value, src_value, w);
+            };
+            g.for_each_in_neighbor(v as Node, &mut check);
+            if both {
+                g.for_each_out_neighbor(v as Node, &mut check);
+            }
+            let name = program.name();
+            assert!(derived, "{name}: vertex {v} ({value:?}) has no live witness {parent}");
+            let (mut at, mut steps) = (v, 0);
+            while parents.get(at) != NO_PARENT {
+                at = parents.get(at) as usize;
+                steps += 1;
+                assert!(steps <= n, "{}: parent chain from {v} cycles", program.name());
+            }
+        }
+    }
+
     fn path_graph(
         pool: &ThreadPool,
         n: usize,
@@ -370,15 +596,14 @@ mod tests {
         let n = 8;
         let g = path_graph(&pool, n);
         let program = BfsProgram::new(0);
-        let store = <BfsProgram as VertexProgram>::Store::create(n, 0);
+        let (store, parents) = converged_by_rounds(&program, g.as_ref(), &pool);
         for v in 0..n {
-            store.store(v, v as u32); // converged depths on the path
+            assert_eq!(store.load(v), v as u32, "converged depths on the path");
         }
         // Cut 3 -> 4: vertices 4..8 must lose their depths.
         let cut = [Edge::new(3, 4, 1.0)];
         g.delete_batch(&cut, &pool);
-        let plan =
-            plan_deletion_repair(&program, g.as_ref(), &store, &cut, 1_000).unwrap();
+        let plan = plan_deletion_repair(&program, g.as_ref(), &parents, &cut, 1_000).unwrap();
         let mut sorted = plan.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![4, 5, 6, 7], "exactly the stranded suffix");
@@ -386,6 +611,7 @@ mod tests {
             &program,
             g.as_ref(),
             &store,
+            &parents,
             &[3, 4],
             &[],
             &cut,
@@ -398,10 +624,12 @@ mod tests {
         }
         for v in 4..n {
             assert_eq!(store.load(v), crate::bfs::UNREACHED, "vertex {v}");
+            assert_eq!(parents.get(v), NO_PARENT, "vertex {v} lost its witness");
         }
         for v in 0..4 {
             assert_eq!(store.load(v), v as u32, "vertex {v} untouched");
         }
+        assert_forest_sound(&program, g.as_ref(), &store, &parents);
     }
 
     #[test]
@@ -410,10 +638,7 @@ mod tests {
         let n = 8;
         let g = path_graph(&pool, n);
         let program = BfsProgram::new(0);
-        let store = <BfsProgram as VertexProgram>::Store::create(n, 0);
-        for v in 0..n {
-            store.store(v, v as u32);
-        }
+        let (store, parents) = converged_by_rounds(&program, g.as_ref(), &pool);
         let cut = [Edge::new(1, 2, 1.0)];
         g.delete_batch(&cut, &pool);
         // The stranded suffix has 6 vertices; a limit of 2 must trip.
@@ -421,6 +646,7 @@ mod tests {
             &program,
             g.as_ref(),
             &store,
+            &parents,
             &[1, 2],
             &[],
             &cut,
@@ -433,6 +659,46 @@ mod tests {
         }
         for v in 0..n {
             assert_eq!(store.load(v), v as u32, "store must be unmodified");
+            assert_eq!(parents.get(v), v.checked_sub(1).map_or(NO_PARENT, |p| p as Node));
+        }
+    }
+
+    #[test]
+    fn deleting_a_non_witness_edge_resets_nothing_and_a_witness_edge_its_subtree() {
+        // 0 -> {1, 2} -> 3 -> 4 and 1 -> 5: vertex 3 has two in-neighbors
+        // at depth 1, and exactly one of them is its witness.
+        let pool = ThreadPool::new(2);
+        let program = BfsProgram::new(0);
+        let e = Edge::new;
+        let edges =
+            [e(0, 1, 1.0), e(0, 2, 1.0), e(1, 3, 1.0), e(2, 3, 1.0), e(3, 4, 1.0), e(1, 5, 1.0)];
+        let depths = [0, 1, 1, 2, 3, 2];
+        for cut_the_witness in [false, true] {
+            let g = build(6, true);
+            g.update_batch(&edges, &pool);
+            let (store, parents) = converged_by_rounds(&program, g.as_ref(), &pool);
+            let witness = parents.get(3);
+            assert!(witness == 1 || witness == 2, "3's witness is an in-neighbor: {witness}");
+            let other = 3 - witness;
+            let cut = e(if cut_the_witness { witness } else { other }, 3, 1.0);
+            g.delete_batch(&[cut], &pool);
+            let mut plan = plan_deletion_repair(&program, g.as_ref(), &parents, &[cut], 6).unwrap();
+            plan.sort_unstable();
+            let out = incremental_compute_with_deletions(
+                &program, g.as_ref(), &store, &parents, &[cut.src, 3], &[], &[cut], 6, &pool,
+            );
+            assert!(matches!(out, DeletionOutcome::Done(o) if o.repaired == plan.len()));
+            let values: Vec<u32> = (0..6).map(|v| store.load(v)).collect();
+            assert_eq!(values, depths, "3 keeps or re-derives depth 2");
+            if cut_the_witness {
+                assert_eq!(plan, vec![3, 4], "exactly 3's subtree; 5 hangs off 1 and stays");
+                assert_eq!(parents.get(3), other, "3 re-derives from the other in-neighbor");
+                assert_eq!((parents.get(4), parents.get(5)), (3, 1));
+            } else {
+                assert!(plan.is_empty(), "a non-witness edge resets nothing: {plan:?}");
+                assert_eq!(parents.get(3), witness);
+            }
+            assert_forest_sound(&program, g.as_ref(), &store, &parents);
         }
     }
 
@@ -444,46 +710,50 @@ mod tests {
         let pool = ThreadPool::new(2);
         let n = 7;
         let e = Edge::new;
-        let g = saga_graph::build_deletable_graph(DataStructureKind::AdjacencyShared, n, true, 2);
+        let g = build(n, true);
         let reached = [e(0, 1, 1.5), e(1, 2, 2.0), e(2, 3, 1.0), e(0, 3, 9.0)];
         g.update_batch(&reached, &pool);
         g.update_batch(&[e(4, 5, 1.0), e(5, 6, 1.0), e(6, 1, 1.0)], &pool);
+        let (store, parents) = fresh(&program, n);
         let converged = |store: &P::Store| {
             crate::fs::reset_values(&program, store, n, &pool);
             program.from_scratch(g.as_ref(), store, &pool);
         };
-        let store = P::Store::create(n, program.initial(0, n));
         converged(&store);
+        rebuild_witness_forest(&program, g.as_ref(), &store, &parents, &pool);
+        assert_forest_sound(&program, g.as_ref(), &store, &parents);
         let cut = [e(1, 2, 2.0), e(6, 1, 1.0), e(5, 6, 1.0)];
         g.delete_batch(&cut, &pool);
-        let mut tagged = plan_deletion_repair(&program, g.as_ref(), &store, &cut, n).unwrap();
+        let mut tagged = plan_deletion_repair(&program, g.as_ref(), &parents, &cut, n).unwrap();
         tagged.sort_unstable();
         assert_eq!(tagged, want, "{}", program.name());
         let out = incremental_compute_with_deletions(
-            &program, g.as_ref(), &store, &[1, 2, 6], &[], &cut, n, &pool,
+            &program, g.as_ref(), &store, &parents, &[1, 2, 6], &[], &cut, n, &pool,
         );
         assert!(matches!(out, DeletionOutcome::Done(o) if o.repaired == want.len()));
-        let fs = P::Store::create(n, program.initial(0, n));
+        let (fs, _) = fresh(&program, n);
         converged(&fs);
         let values = |s: &P::Store| (0..n).map(|v| s.load(v)).collect::<Vec<_>>();
         assert_eq!(values(&store), values(&fs), "{}: INC vs FS", program.name());
+        assert_forest_sound(&program, g.as_ref(), &store, &parents);
     }
 
     #[test]
     fn repair_beside_an_unreached_region_tags_only_what_derives() {
         // A source that contributes nothing derives nothing, although
         // `UNREACHED == UNREACHED + 1` (saturating), `∞ == ∞ + w` and
-        // `0 == min(0, w)` hold. The plan skips initial-valued vertices
-        // before it asks, so that edge never changes which vertices it tags.
+        // `0 == min(0, w)` hold, so the rebuilt forest hangs nothing off
+        // the unreached region.
         let unreached = crate::bfs::UNREACHED;
         assert!(!BfsProgram::new(0).derives_from(unreached, unreached, 1.0));
         assert!(!SsspProgram::new(0).derives_from(f32::INFINITY, f32::INFINITY, 1.0));
         assert!(!SswpProgram::new(0).derives_from(0.0, 0.0, 1.0));
-        // Vertex 1 is the bordering edge's endpoint (tagged unconditionally);
-        // only SSSP's distance of 3 derives from 2 (1.5 + 2 + 1 < 9).
-        repair_beside_an_unreached_region(BfsProgram::new(0), &[1, 2]);
-        repair_beside_an_unreached_region(SsspProgram::new(0), &[1, 2, 3]);
-        repair_beside_an_unreached_region(SswpProgram::new(0), &[1, 2]);
+        // The bordering 6 → 1 was never 1's witness, so only 1 → 2 tags:
+        // vertex 2, plus 3 where its value came through 2 (SSSP's distance
+        // of 4.5 beats the shortcut's 9; BFS and SSWP take the shortcut).
+        repair_beside_an_unreached_region(BfsProgram::new(0), &[2]);
+        repair_beside_an_unreached_region(SsspProgram::new(0), &[2, 3]);
+        repair_beside_an_unreached_region(SswpProgram::new(0), &[2]);
     }
 
     #[test]
@@ -494,12 +764,59 @@ mod tests {
         let program = BfsProgram::new(0);
         // Nothing reached yet except the root: deleting an edge inside the
         // unreached region must not cascade at all.
-        let store = <BfsProgram as VertexProgram>::Store::create(n, u32::MAX);
-        store.store(0, 0);
+        let (_, parents) = fresh(&program, n);
         let cut = [Edge::new(1, 2, 1.0)];
         g.delete_batch(&cut, &pool);
-        let plan =
-            plan_deletion_repair(&program, g.as_ref(), &store, &cut, 1_000).unwrap();
+        let plan = plan_deletion_repair(&program, g.as_ref(), &parents, &cut, 1_000).unwrap();
         assert!(plan.is_empty(), "unreached vertices are never stale");
+    }
+
+    /// Seeded churn over every Fold program, directed and undirected: after
+    /// each batch INC equals FS and the forest the rounds maintain is sound;
+    /// the forest rebuilt from FS's values is sound too.
+    fn forest_stays_sound_under_churn<P: VertexProgram>(program: P) {
+        let pool = ThreadPool::new(2);
+        let n = 64;
+        for directed in [true, false] {
+            let g = build(n, directed);
+            let (store, parents) = fresh(&program, n);
+            let mut live: Vec<Edge> = Vec::new();
+            for batch in 0..12u64 {
+                let edge = |i: u64| {
+                    let r = saga_utils::hash::mix64(batch * 1_000 + i);
+                    let (s, d) = ((r >> 8) % n as u64, (r >> 32) % n as u64);
+                    // A function of the endpoints, so a re-insert agrees.
+                    Edge::new(s as Node, d as Node, 1.0 + ((s + d) % 8) as f32)
+                };
+                let inserts: Vec<Edge> = (0..24).map(edge).collect();
+                let deletes: Vec<Edge> = live.iter().copied().step_by(3).take(6).collect();
+                g.update_batch(&inserts, &pool);
+                g.delete_batch(&deletes, &pool);
+                live.extend(&inserts);
+                live.retain(|e| !deletes.iter().any(|d| (d.src, d.dst) == (e.src, e.dst)));
+                let affected: Vec<Node> =
+                    inserts.iter().chain(&deletes).flat_map(|e| [e.src, e.dst]).collect();
+                let out = incremental_compute_with_deletions(
+                    &program, g.as_ref(), &store, &parents, &affected, &[], &deletes, n, &pool,
+                );
+                assert!(matches!(out, DeletionOutcome::Done(_)));
+                assert_forest_sound(&program, g.as_ref(), &store, &parents);
+                let (fs, rebuilt) = fresh(&program, n);
+                program.from_scratch(g.as_ref(), &fs, &pool);
+                let values = |s: &P::Store| (0..n).map(|v| s.load(v)).collect::<Vec<_>>();
+                assert_eq!(values(&store), values(&fs), "{} batch {batch}", program.name());
+                rebuild_witness_forest(&program, g.as_ref(), &fs, &rebuilt, &pool);
+                assert_forest_sound(&program, g.as_ref(), &fs, &rebuilt);
+            }
+        }
+    }
+
+    #[test]
+    fn witness_forest_stays_sound_under_churn_and_rebuild() {
+        forest_stays_sound_under_churn(BfsProgram::new(0));
+        forest_stays_sound_under_churn(CcProgram::new());
+        forest_stays_sound_under_churn(McProgram::new());
+        forest_stays_sound_under_churn(SsspProgram::new(0));
+        forest_stays_sound_under_churn(SswpProgram::new(0));
     }
 }

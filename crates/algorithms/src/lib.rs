@@ -35,6 +35,7 @@ pub mod sswp;
 
 use inc::DeletionOutcome;
 use program::{EdgeScope, ValueStore, VertexProgram};
+use saga_graph::properties::AtomicU32Array;
 use saga_graph::{Edge, GraphTopology, Node};
 use saga_utils::sync::Mutex;
 use saga_utils::bitvec::{AtomicBitVec, GenerationMarks};
@@ -177,9 +178,10 @@ pub struct AlgorithmParams {
     /// Delta-stepping bucket width for SSSP.
     pub sssp_delta: f32,
     /// Deletion-repair cascade threshold as a fraction of the vertex
-    /// universe: when a deletion batch's repair closure would reset more
-    /// than `capacity * repair_cascade_fraction` vertices, the incremental
-    /// model falls back to from-scratch recomputation for that batch.
+    /// universe: when the witness-forest subtrees a deletion batch would
+    /// reset hold more than `capacity * repair_cascade_fraction` vertices,
+    /// the incremental model falls back to from-scratch recomputation for
+    /// that batch.
     pub repair_cascade_fraction: f64,
 }
 
@@ -190,7 +192,7 @@ impl Default for AlgorithmParams {
             pr_epsilon: pr::DEFAULT_EPSILON,
             pr_fs_tolerance: pr::DEFAULT_FS_TOLERANCE,
             sssp_delta: sssp::DEFAULT_DELTA,
-            repair_cascade_fraction: 0.25,
+            repair_cascade_fraction: 0.05,
         }
     }
 }
@@ -385,18 +387,24 @@ trait BoundProgram: Send + Sync {
 struct Bound<P: VertexProgram> {
     program: P,
     values: P::Store,
+    /// The INC state's witness forest (one parent per vertex,
+    /// [`inc::NO_PARENT`] for none) when the program needs deletion repair;
+    /// `None` under FS and for PageRank.
+    parents: Option<AtomicU32Array>,
     /// Deletion-repair cascade threshold, in vertices.
     repair_limit: usize,
 }
 
 impl<P: VertexProgram> Bound<P> {
-    fn new(program: P, capacity: usize, params: &AlgorithmParams) -> Self {
+    fn new(program: P, model: ComputeModelKind, capacity: usize, params: &AlgorithmParams) -> Self {
         let values = P::Store::create(capacity, program.initial(0, capacity));
         for v in 1..capacity {
             values.store(v, program.initial(v as Node, capacity));
         }
+        let parents = (model == ComputeModelKind::Incremental && program.needs_deletion_repair())
+            .then(|| AtomicU32Array::filled(capacity, inc::NO_PARENT));
         let repair_limit = ((capacity as f64 * params.repair_cascade_fraction) as usize).max(1);
-        Self { program, values, repair_limit }
+        Self { program, values, parents, repair_limit }
     }
 }
 
@@ -413,18 +421,25 @@ where
         deleted: &[Edge],
         pool: &ThreadPool,
     ) -> ComputeOutcome {
-        let (program, values) = (&self.program, &self.values);
+        let (program, values, parents) = (&self.program, &self.values, self.parents.as_ref());
         values.begin_phase();
         let incremental = model == ComputeModelKind::Incremental;
         // One read phase: the kernels below never pay a structure's
         // per-visit locks (`GraphTopology::frozen`).
         saga_graph::read_phase(graph, |graph| {
             if incremental {
-                let repaired = inc::incremental_compute_with_deletions(
-                    program, graph, values, affected, new_vertices, deleted, self.repair_limit,
-                    pool,
-                );
-                if let DeletionOutcome::Done(o) = repaired {
+                // PageRank keeps no forest: re-pulling the affected set is
+                // already its full repair (`needs_deletion_repair`).
+                let outcome = match parents {
+                    Some(parents) => inc::incremental_compute_with_deletions(
+                        program, graph, values, parents, affected, new_vertices, deleted,
+                        self.repair_limit, pool,
+                    ),
+                    None => DeletionOutcome::Done(inc::incremental_compute(
+                        program, graph, values, affected, new_vertices, pool,
+                    )),
+                };
+                if let DeletionOutcome::Done(o) = outcome {
                     return ComputeOutcome {
                         iterations: o.iterations,
                         recomputed: o.recomputed,
@@ -435,13 +450,14 @@ where
                 }
             }
             // The FS model, and INC's fallback when the repair cascade
-            // overflowed.
+            // overflowed — which leaves no witnesses, so the forest is
+            // derived again from the new values.
             fs::reset_values(program, values, values.len(), pool);
-            ComputeOutcome {
-                iterations: program.from_scratch(graph, values, pool),
-                fs_fallback: incremental,
-                ..ComputeOutcome::default()
+            let iterations = program.from_scratch(graph, values, pool);
+            if let Some(parents) = parents {
+                inc::rebuild_witness_forest(program, graph, values, parents, pool);
             }
+            ComputeOutcome { iterations, fs_fallback: incremental, ..ComputeOutcome::default() }
         })
     }
 
@@ -513,7 +529,7 @@ impl AlgorithmState {
             capacity,
             affects_source_neighborhood: program.affects_source_neighborhood(),
             symmetric_scope: program.scope() == EdgeScope::Symmetric,
-            bound: Box::new(Bound::new(program, capacity, &params)),
+            bound: Box::new(Bound::new(program, model, capacity, &params)),
         })
     }
 

@@ -8,6 +8,7 @@
 //! line 11); both compute engines are generic over it, which is what lets a
 //! new algorithm join the benchmark by implementing one trait (§III-D).
 
+use crate::inc::NO_PARENT;
 use crate::VertexValues;
 use saga_graph::properties::{AtomicF32Array, AtomicF64Array, AtomicU32Array};
 use saga_graph::{GraphTopology, Node};
@@ -118,9 +119,9 @@ pub enum GatherMode {
 /// - [`term`](Self::term) is Table I's per-edge term: what one source
 ///   contributes to a destination across one edge. It is the only place a
 ///   program states its vertex function; the pull reduction
-///   ([`pull`](Self::pull)), the deletion-repair inversion
-///   ([`derives_from`](Self::derives_from)) and the BSP engine's messages
-///   are all derived from it.
+///   ([`pull`](Self::pull)) and the witness it records for deletion repair,
+///   the derivation test ([`derives_from`](Self::derives_from)) and the BSP
+///   engine's messages are all derived from it.
 /// - [`combine`](Self::combine) reduces terms and merges the result with
 ///   the vertex's previous property. For the monotone algorithms this is
 ///   `min`/`max` — the *processing amortization* of the incremental model
@@ -171,17 +172,7 @@ pub trait VertexProgram: Send + Sync {
     /// starting from `v`'s own value — the fold is idempotent, so that start
     /// changes nothing once the caller combines the result with it.
     fn pull(&self, graph: &dyn GraphTopology, v: Node, values: &Self::Store) -> Self::Value {
-        let mut acc = values.load(v as usize);
-        let mut fold = |src: Node, weight: f32| {
-            if let Some(term) = self.term(values.load(src as usize), weight, 0) {
-                acc = self.combine(acc, term);
-            }
-        };
-        graph.for_each_in_neighbor(v, &mut fold);
-        if self.scope() == EdgeScope::Symmetric && graph.is_directed() {
-            graph.for_each_out_neighbor(v, &mut fold);
-        }
-        acc
+        fold_pull(self, graph, v, values).0
     }
 
     /// Merges the previous property with a freshly pulled one.
@@ -202,11 +193,10 @@ pub trait VertexProgram: Send + Sync {
 
     /// Whether `value` could have been derived from an in-neighbor holding
     /// `src_value` across an edge of weight `weight`: that edge's
-    /// [`term`](Self::term) is exactly `value`. The deletion-repair pass
-    /// (KickStarter-style) uses this to close the set of vertices whose
-    /// stored property may transitively depend on a deleted edge: only
-    /// derivable values can be stale, everything else is untouched. A
-    /// source that contributes nothing derives nothing.
+    /// [`term`](Self::term) is exactly `value`. The INC model's witness
+    /// forest is rebuilt over these derivation edges after a from-scratch
+    /// fallback ([`rebuild_witness_forest`](crate::inc::rebuild_witness_forest)).
+    /// A source that contributes nothing derives nothing.
     fn derives_from(&self, value: Self::Value, src_value: Self::Value, weight: f32) -> bool {
         self.term(src_value, weight, 0) == Some(value)
     }
@@ -262,6 +252,34 @@ pub trait VertexProgram: Send + Sync {
     {
         crate::fs::fixpoint_compute(self, graph, values, pool)
     }
+}
+
+/// The [`GatherMode::Fold`] pull behind [`VertexProgram::pull`]: `v`'s value
+/// folded with every in-edge term, plus the fold's witness — the neighbor
+/// whose term last strictly improved it, [`NO_PARENT`] when none improved on
+/// `v`'s own value. The INC rounds record the witness as `v`'s parent.
+pub(crate) fn fold_pull<P: VertexProgram + ?Sized>(
+    program: &P,
+    graph: &dyn GraphTopology,
+    v: Node,
+    values: &P::Store,
+) -> (P::Value, Node) {
+    let mut acc = values.load(v as usize);
+    let mut witness = NO_PARENT;
+    let mut fold = |src: Node, weight: f32| {
+        if let Some(term) = program.term(values.load(src as usize), weight, 0) {
+            let next = program.combine(acc, term);
+            if next != acc {
+                acc = next;
+                witness = src;
+            }
+        }
+    };
+    graph.for_each_in_neighbor(v, &mut fold);
+    if program.scope() == EdgeScope::Symmetric && graph.is_directed() {
+        graph.for_each_out_neighbor(v, &mut fold);
+    }
+    (acc, witness)
 }
 
 #[cfg(test)]

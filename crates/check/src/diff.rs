@@ -10,7 +10,7 @@
 
 use crate::program::OpProgram;
 use saga_algorithms::{
-    AlgorithmKind, AlgorithmState, ComputeModelKind, VertexValues,
+    AlgorithmKind, AlgorithmState, ComputeModelKind, ComputeOutcome, VertexValues,
 };
 use saga_core::driver::StreamDriver;
 use saga_core::pipelined::run_pipelined_full;
@@ -156,6 +156,29 @@ impl std::fmt::Display for Divergence {
     }
 }
 
+/// What the serial INC replay of a check did with its deletion batches —
+/// the evidence that INC == FS was reached by repairing, not by always
+/// recomputing from scratch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RepairTally {
+    /// Batches that removed at least one edge.
+    pub deletion_batches: usize,
+    /// Of those, batches INC repaired (reset ≥ 1 vertex, no fallback).
+    pub repaired: usize,
+    /// Of those, batches INC recomputed from scratch.
+    pub fell_back: usize,
+}
+
+impl RepairTally {
+    fn record(&mut self, removed: usize, compute: &ComputeOutcome) {
+        if removed > 0 {
+            self.deletion_batches += 1;
+            self.repaired += usize::from(!compute.fs_fallback && compute.repaired > 0);
+            self.fell_back += usize::from(compute.fs_fallback);
+        }
+    }
+}
+
 /// Per-batch ground truth derived from the oracle replay.
 struct BatchModel {
     ins: UpdateStats,
@@ -269,6 +292,16 @@ fn counts_diff(
 /// INC/FS disagreement introduced by a snapshot merge shows up as a
 /// divergence against the oracle model.
 pub fn check_program(program: &OpProgram, config: &CheckConfig) -> Option<Divergence> {
+    check_program_tallied(program, config, &mut RepairTally::default())
+}
+
+/// [`check_program`], adding each structure's serial INC deletion batches
+/// to `tally`.
+pub(crate) fn check_program_tallied(
+    program: &OpProgram,
+    config: &CheckConfig,
+    tally: &mut RepairTally,
+) -> Option<Divergence> {
     if program.batches.is_empty() {
         return None;
     }
@@ -307,7 +340,7 @@ pub fn check_program(program: &OpProgram, config: &CheckConfig) -> Option<Diverg
         ] {
             for model_kind in ComputeModelKind::ALL {
                 if let Some(d) = check_interleaved(
-                    program, stream, &model, &oracle, ds, driver, model_kind, root, config,
+                    program, stream, &model, &oracle, ds, driver, model_kind, root, config, tally,
                 ) {
                     return Some(d);
                 }
@@ -331,7 +364,9 @@ fn check_interleaved(
     model_kind: ComputeModelKind,
     root: saga_graph::Node,
     config: &CheckConfig,
+    tally: &mut RepairTally,
 ) -> Option<Divergence> {
+    let tallied = driver == DriverKind::Serial && model_kind == ComputeModelKind::Incremental;
     let mut builder = StreamDriver::builder(ds, program.capacity)
         .algorithm(config.algorithm)
         .compute_model(model_kind)
@@ -354,6 +389,9 @@ fn check_interleaved(
     d.run_observed(stream, |record, graph, state| {
         if first.borrow().is_some() {
             return;
+        }
+        if tallied {
+            tally.record(record.removed, &record.compute);
         }
         let i = record.index;
         let Some(expect) = model.get(i) else {

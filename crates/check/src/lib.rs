@@ -39,43 +39,43 @@ pub mod shape;
 pub mod shrink;
 pub mod tracecheck;
 
-pub use diff::{check_program, CheckConfig, Divergence, DriverKind, Fault, FaultPlan};
+pub use diff::{check_program, CheckConfig, Divergence, DriverKind, Fault, FaultPlan, RepairTally};
 pub use loadgen::{create_tenant, drive_tenant, verify_tenant, DriveReport, TenantSpec, VerifyReport};
 pub use recovery::{check_recovery, RecoveryConfig};
 pub use program::{OpProgram, ProgramProfile};
 pub use shrink::{shrink, ShrinkResult};
 
+use diff::check_program_tallied;
 use saga_algorithms::AlgorithmKind;
+use std::collections::BTreeMap;
 
-/// One fuzzing step: generate the seeded program, pick the algorithm by
-/// seed rotation, check it, and return the divergence (if any) along with
-/// the program and config actually used — callers feed these straight into
-/// [`shrink`] and [`OpProgram::to_test_snippet`].
-pub fn fuzz_one(seed: u64) -> (OpProgram, CheckConfig, Option<Divergence>) {
-    let profile = ProgramProfile::ALL[(seed % ProgramProfile::ALL.len() as u64) as usize];
-    let algorithm = AlgorithmKind::ALL[(seed / 7 % AlgorithmKind::ALL.len() as u64) as usize];
-    let program = OpProgram::generate(seed, profile);
-    let config = CheckConfig {
-        algorithm,
-        ..CheckConfig::quick()
-    };
-    let divergence = check_program(&program, &config);
-    (program, config, divergence)
+/// What a [`fuzz_campaign`] checked.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CampaignReport {
+    /// Programs checked (all of them clean: a divergence panics).
+    pub checked: u64,
+    /// The serial INC replays' deletion batches, per algorithm.
+    pub repairs: BTreeMap<AlgorithmKind, RepairTally>,
 }
 
-/// Runs `count` fuzzing steps starting at `base_seed`, panicking with a
-/// shrunk reproducer on the first divergence. Returns the number of
-/// programs checked.
+/// Runs `count` fuzzing steps starting at `base_seed`. Each step generates
+/// the seeded program, picks the algorithm by seed rotation and checks it;
+/// the first divergence is shrunk to a minimal reproducer.
 ///
 /// # Panics
 ///
 /// Panics with the shrunk minimal program's `#[test]` snippet when any
 /// seed diverges.
-pub fn fuzz_campaign(base_seed: u64, count: u64) -> u64 {
+pub fn fuzz_campaign(base_seed: u64, count: u64) -> CampaignReport {
+    let mut report = CampaignReport::default();
     for i in 0..count {
         let seed = base_seed.wrapping_add(i);
-        let (program, config, divergence) = fuzz_one(seed);
-        if let Some(d) = divergence {
+        let profile = ProgramProfile::ALL[(seed % ProgramProfile::ALL.len() as u64) as usize];
+        let algorithm = AlgorithmKind::ALL[(seed / 7 % AlgorithmKind::ALL.len() as u64) as usize];
+        let program = OpProgram::generate(seed, profile);
+        let config = CheckConfig { algorithm, ..CheckConfig::quick() };
+        let tally = report.repairs.entry(algorithm).or_default();
+        if let Some(d) = check_program_tallied(&program, &config, tally) {
             let result = shrink(
                 &program,
                 |p| check_program(p, &config).is_some(),
@@ -91,6 +91,7 @@ pub fn fuzz_campaign(base_seed: u64, count: u64) -> u64 {
                 result.converged
             );
         }
+        report.checked += 1;
     }
-    count
+    report
 }

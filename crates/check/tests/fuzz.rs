@@ -10,7 +10,8 @@
 //!   deliberately injected bug (a structure that silently drops delete
 //!   ops) and shrinks the trigger to a handful of ops.
 
-use saga_algorithms::AlgorithmKind;
+use saga_algorithms::program::VertexProgram;
+use saga_algorithms::{with_program, AlgorithmKind, AlgorithmParams};
 use saga_check::program::ProgramOp;
 use saga_check::{
     check_program, fuzz_campaign, shrink, CheckConfig, Fault, FaultPlan, OpProgram,
@@ -32,19 +33,32 @@ fn env_u64(name: &str, default: u64) -> u64 {
 /// Fast campaign that runs on every `cargo test`.
 #[test]
 fn fuzz_quick() {
-    let checked = fuzz_campaign(0, 60);
-    assert_eq!(checked, 60);
+    assert_eq!(fuzz_campaign(0, 60).checked, 60);
 }
 
 /// CI smoke campaign: ≥500 seeded programs, zero divergences expected.
 /// Ignored by default; the `fuzz-smoke` CI job runs it explicitly.
+///
+/// INC == FS would also hold if INC recomputed every deletion batch from
+/// scratch, so the campaign must also have *repaired* at least one
+/// deletion batch of every algorithm that keeps a witness forest (every
+/// one but PageRank, whose re-pull is its repair).
 #[test]
 #[ignore = "CI smoke budget; run with -- --ignored fuzz_smoke"]
 fn fuzz_smoke() {
     let base = env_u64("SAGA_FUZZ_SEED", 1);
     let count = env_u64("SAGA_FUZZ_COUNT", 500);
-    let checked = fuzz_campaign(base, count);
-    assert_eq!(checked, count);
+    let report = fuzz_campaign(base, count);
+    assert_eq!(report.checked, count);
+    for (&kind, tally) in &report.repairs {
+        eprintln!("{kind}: {tally:?}");
+        let params = AlgorithmParams::default();
+        let repairs = with_program!(kind, params, 1, p => p.needs_deletion_repair());
+        assert!(
+            !repairs || tally.deletion_batches == 0 || tally.repaired > 0,
+            "{kind} never repaired a deletion batch: {tally:?}"
+        );
+    }
 }
 
 /// A deliberately seeded bug — DAH silently dropping every third delete —

@@ -75,6 +75,12 @@ fn batch_requests_export_single_stitched_trace_trees() {
     let resp = client.post("/tenants/sharded/batches", &body).expect("sharded batch");
     assert_eq!(resp.status, 202, "{}", resp.text());
     let sharded_trace = resp.header("x-saga-trace-id").unwrap().to_string();
+    // Churn on the serial tenant: 31 takes its label from 30, then loses
+    // that witness edge, so INC's deletion repair resets exactly vertex 31.
+    for churn in ["30 31\n", "- 30 31\n"] {
+        let resp = client.post("/tenants/serial/batches", churn).expect("churn batch");
+        assert_eq!(resp.status, 202, "{}", resp.text());
+    }
 
     // Snapshot barriers: both batches fully applied before we drain.
     assert_eq!(client.get("/tenants/serial/values").unwrap().status, 200);
@@ -121,12 +127,18 @@ fn batch_requests_export_single_stitched_trace_trees() {
     // this test just incremented.
     let metrics = client.get("/metrics").expect("metrics body").text();
     let families = saga_trace::expose::parse_prometheus(&metrics).expect("valid exposition");
+    let family = |name: &str| families.iter().find(|f| f.name == name);
     for required in ["saga_build_info", "saga_uptime_seconds", "server_requests"] {
-        assert!(
-            families.iter().any(|f| f.name == required),
-            "missing family {required}\n{metrics}"
-        );
+        assert!(family(required).is_some(), "missing family {required}\n{metrics}");
     }
+    // The repair the churn batch ran reaches the scrape, beside the
+    // fallback counter (which no batch here trips).
+    let total = |name: &str| {
+        let f = family(name).unwrap_or_else(|| panic!("missing family {name}\n{metrics}"));
+        f.samples.iter().map(|s| s.value).sum::<f64>()
+    };
+    assert_eq!(total("driver_repaired"), 1.0, "{metrics}");
+    assert_eq!(total("driver_fs_fallbacks"), 0.0, "{metrics}");
 
     server.shutdown();
 }

@@ -405,6 +405,10 @@ struct DriverMetrics {
     removed: std::sync::Arc<saga_trace::metrics::Counter>,
     missing: std::sync::Arc<saga_trace::metrics::Counter>,
     affected: std::sync::Arc<saga_trace::metrics::Counter>,
+    /// Vertices INC's deletion repair reset ([`ComputeOutcome::repaired`]).
+    repaired: std::sync::Arc<saga_trace::metrics::Counter>,
+    /// Batches INC recomputed from scratch ([`ComputeOutcome::fs_fallback`]).
+    fs_fallbacks: std::sync::Arc<saga_trace::metrics::Counter>,
     /// Process allocation high-water mark (bytes); stays 0 unless the
     /// counting allocator is installed (`alloc-track` in saga-server).
     mem_high: std::sync::Arc<saga_trace::metrics::Gauge>,
@@ -421,6 +425,8 @@ impl DriverMetrics {
             removed: saga_trace::metrics::counter("driver.removed"),
             missing: saga_trace::metrics::counter("driver.missing"),
             affected: saga_trace::metrics::counter("driver.affected"),
+            repaired: saga_trace::metrics::counter("driver.repaired"),
+            fs_fallbacks: saga_trace::metrics::counter("driver.fs_fallbacks"),
             mem_high: saga_trace::metrics::gauge("mem.high_water"),
         }
     }
@@ -558,6 +564,8 @@ impl ComputeHalf<'_> {
         self.metrics.removed.add(del_stats.removed as u64);
         self.metrics.missing.add(del_stats.missing as u64);
         self.metrics.affected.add(impact.affected.len() as u64);
+        self.metrics.repaired.add(compute.repaired as u64);
+        self.metrics.fs_fallbacks.add(u64::from(compute.fs_fallback));
         if saga_trace::alloc::tracking_active() {
             self.metrics.mem_high.set(saga_trace::alloc::high_water_bytes() as f64);
         }

@@ -86,16 +86,26 @@ fn assert_close(
 
 /// The core check: stream churn batches into `ds`, run INC after each, and
 /// compare against a fresh FS oracle on a CSR snapshot of the live graph.
-fn run_churn_differential(kind: AlgorithmKind, ds: DataStructureKind, directed: bool) {
+/// Returns how many deletion batches INC repaired without falling back.
+fn run_churn_differential(kind: AlgorithmKind, ds: DataStructureKind, directed: bool) -> usize {
+    run_churn_stream(kind, ds, directed, &churn_stream(0xC0FFEE ^ kind as u64), BATCH)
+}
+
+fn run_churn_stream(
+    kind: AlgorithmKind,
+    ds: DataStructureKind,
+    directed: bool,
+    stream: &EdgeStream,
+    batch_size: usize,
+) -> usize {
     let pool = ThreadPool::new(4);
-    let stream = churn_stream(0xC0FFEE ^ kind as u64);
     assert!(stream.has_deletions(), "churn stream must carry deletions");
     let n = NODES.max(stream.num_nodes);
     let graph = build_deletable_graph(ds, n, directed, pool.threads());
     let mut inc = AlgorithmState::new(kind, ComputeModelKind::Incremental, n, params());
     let mut tracker = AffectedTracker::new(n);
-    let mut saw_repair = false;
-    for (i, batch) in stream.op_batches(BATCH).enumerate() {
+    let mut repaired_batches = 0;
+    for (i, batch) in stream.op_batches(batch_size).enumerate() {
         let (inserts, deletes) = batch.split();
         graph.update_batch(&inserts, &pool);
         if !deletes.is_empty() {
@@ -116,7 +126,8 @@ fn run_churn_differential(kind: AlgorithmKind, ds: DataStructureKind, directed: 
             &deletes,
             &pool,
         );
-        saw_repair |= out.repaired > 0;
+        let repaired = !deletes.is_empty() && !out.fs_fallback && out.repaired > 0;
+        repaired_batches += usize::from(repaired);
 
         // Independent oracle: from-scratch on a CSR snapshot of whatever
         // the structure materialized, with fresh algorithm state.
@@ -125,10 +136,7 @@ fn run_churn_differential(kind: AlgorithmKind, ds: DataStructureKind, directed: 
         fs.perform_alg(&snapshot, &[], &[], &pool);
         assert_close(kind, ds, i, &fs.values(), &inc.values());
     }
-    // The repair counter only moves for algorithms that repair; PR opts
-    // out (re-pull is already sound) and MC's max-label rarely travels
-    // over a deleted edge on this dense stream, so don't require it there.
-    let _ = saw_repair;
+    repaired_batches
 }
 
 macro_rules! churn_tests {
@@ -140,6 +148,20 @@ macro_rules! churn_tests {
             }
         )*
     };
+}
+
+/// CC under churn repairs deletions instead of recomputing, INC == FS
+/// after every batch. Every same-label neighbor derives a CC label, so
+/// only the witness forest keeps a deletion's tagged set below the whole
+/// component. At the default budget (5 % of 200 vertices), 100-op batches
+/// repair 8 of their 20 on every structure.
+#[test]
+fn cc_repairs_deletion_batches_without_falling_back() {
+    let stream = churn_stream(0xC0FFEE ^ AlgorithmKind::Cc as u64);
+    for ds in DataStructureKind::ALL {
+        let repaired = run_churn_stream(AlgorithmKind::Cc, ds, true, &stream, BATCH / 4);
+        assert!(repaired > 0, "{ds:?}: CC fell back on every deletion batch");
+    }
 }
 
 churn_tests! {
@@ -264,6 +286,47 @@ fn cascade_overflow_trips_the_fs_fallback() {
     };
     assert_eq!(depths[1], 1);
     assert!(depths[2..=K].iter().all(|&d| d == u32::MAX));
+}
+
+/// A fallback leaves no witnesses behind, so the forest is rebuilt from
+/// the FS values and the next deletion batch repairs through it. Batch 1
+/// cuts the path 0→1→…→K near the root (the subtree overflows a 1-vertex
+/// budget) and adds the shortcut 0→K; batch 2 deletes the shortcut, which
+/// only the rebuilt forest knows is K's witness.
+#[test]
+fn deletion_after_a_fallback_repairs_through_the_rebuilt_forest() {
+    const K: u32 = 40;
+    let mut stream = path_cut_stream(K as usize);
+    // path_cut_stream's batch 1 is [delete 1→2, delete 0→K (missing)];
+    // turn the second op into the shortcut's insert and delete it again in
+    // a third batch.
+    stream.ops[K as usize + 1] = EdgeOp::Insert;
+    stream.edges.push(Edge::new(0, K, 1.0));
+    stream.ops.push(EdgeOp::Delete);
+    stream.boundaries.push(stream.edges.len());
+    let mut driver = StreamDriver::builder(DataStructureKind::AdjacencyShared, K as usize + 1)
+        .algorithm(AlgorithmKind::Bfs)
+        .compute_model(ComputeModelKind::Incremental)
+        .root(0)
+        .params(AlgorithmParams {
+            root: 0,
+            repair_cascade_fraction: 1e-9, // limit clamps to 1 vertex
+            ..AlgorithmParams::default()
+        })
+        .threads(2)
+        .build();
+    let outcome = driver.run(&stream);
+    let [_, cut, shortcut] = &outcome.batches[..] else {
+        panic!("three batches, got {}", outcome.batches.len())
+    };
+    assert!(cut.compute.fs_fallback, "cutting 1→2 strands ~{K} vertices");
+    assert!(!shortcut.compute.fs_fallback, "the rebuilt forest carries the repair");
+    assert_eq!(shortcut.compute.repaired, 1, "only K hung off the shortcut");
+    let VertexValues::U32(depths) = outcome.final_values else {
+        panic!("BFS depths are u32")
+    };
+    assert_eq!(&depths[..2], &[0, 1]);
+    assert!(depths[2..].iter().all(|&d| d == u32::MAX), "{depths:?}");
 }
 
 /// End-to-end accounting: the driver's removed/missing tallies must agree
