@@ -10,7 +10,7 @@
 //! statistics at the configured thread count (Fig. 9b–c, Fig. 10).
 
 use saga_algorithms::{AlgorithmKind, ComputeModelKind};
-use saga_core::driver::{ArchSimConfig, StreamDriver};
+use saga_core::driver::StreamDriver;
 use saga_core::experiment::ExperimentConfig;
 use saga_core::stages::stage_of;
 use saga_graph::DataStructureKind;
@@ -160,7 +160,7 @@ pub fn run_arch_characterization(
                         .algorithm(alg)
                         .compute_model(ComputeModelKind::Incremental)
                         .threads(t)
-                        .arch_sim(ArchSimConfig::default())
+                        .arch_sim()
                         .build();
                     let outcome = driver.run(&stream);
                     let total = outcome.batches.len();

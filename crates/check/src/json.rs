@@ -1,13 +1,17 @@
-//! A minimal JSON reader for exported traces.
+//! A minimal JSON reader for exported traces and the benchmark's result
+//! lines.
 //!
 //! `saga-trace` exports Chrome trace-event JSON, and [`crate::tracecheck`]
 //! (`cargo xtask check-trace`, `tests/trace_export.rs`) validates it from
-//! outside; the build has no `serde_json`, so this module hand-rolls the
-//! small recursive-descent parser those checks need. It supports the
-//! full JSON value grammar (objects, arrays, strings with escapes, numbers
-//! with sign/fraction/exponent, booleans, null) and nothing more — no
-//! serialization, no zero-copy, no streaming.
+//! outside; the build has no `serde_json`, so this module is the small
+//! recursive-descent parser those checks need, written on the workspace's
+//! one text cursor ([`Cursor`]): numbers are sliced and converted with std
+//! `FromStr`, strings are the cursor's quoted reader with JSON's escape
+//! set. It supports the full JSON value grammar (objects, arrays, strings
+//! with escapes, numbers with sign/fraction/exponent, booleans, null) and
+//! nothing more — no serialization, no zero-copy, no streaming.
 
+use saga_utils::scan::Cursor;
 use std::collections::BTreeMap;
 
 /// A parsed JSON value.
@@ -71,188 +75,83 @@ impl Json {
 
 /// Parses a complete JSON document (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Json, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
+    let mut c = Cursor::new(input);
+    let value = value(&mut c)?;
+    c.end()?;
     Ok(value)
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!(
-            "expected '{}' at byte {pos} (found {:?})",
-            c as char,
-            b.get(*pos).map(|&x| x as char)
-        ))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_literal(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(b, pos, "null", Json::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        other => Err(format!("unexpected {other:?} at byte {pos}")),
-    }
-}
-
-fn parse_literal(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}"))
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'{')?;
-    let mut map = BTreeMap::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(map));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
-        skip_ws(b, pos);
-        expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
-        map.insert(key, value);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(map));
-            }
-            other => return Err(format!("expected ',' or '}}' at byte {pos}, found {other:?}")),
+fn value(c: &mut Cursor<'_>) -> Result<Json, String> {
+    c.skip_ws();
+    Ok(match c.peek() {
+        Some(b'{') => Json::Obj(
+            list(c, "{", "}", |c| {
+                c.skip_ws();
+                let key = c.quoted(unescape)?;
+                c.skip_ws();
+                c.expect(":")?;
+                Ok((key, value(c)?))
+            })?
+            .into_iter()
+            .collect(),
+        ),
+        Some(b'[') => Json::Arr(list(c, "[", "]", value)?),
+        Some(b'"') => Json::Str(c.quoted(unescape)?),
+        Some(b'-' | b'0'..=b'9') => {
+            Json::Num(c.parse_while(|ch| ch.is_ascii_digit() || "+-.eE".contains(ch))?)
         }
-    }
+        _ if c.eat("true") => Json::Bool(true),
+        _ if c.eat("false") => Json::Bool(false),
+        _ if c.eat("null") => Json::Null,
+        _ => return Err(c.error("expected a JSON value")),
+    })
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'[')?;
+/// `open item (, item)* close`, or `open close`: an object's or array's
+/// members.
+fn list<'a, T>(
+    c: &mut Cursor<'a>,
+    open: &str,
+    close: &str,
+    mut item: impl FnMut(&mut Cursor<'a>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
     let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
+    c.expect(open)?;
+    c.skip_ws();
+    if c.eat(close) {
+        return Ok(items);
     }
     loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            other => return Err(format!("expected ',' or ']' at byte {pos}, found {other:?}")),
+        items.push(item(c)?);
+        c.skip_ws();
+        if c.eat(close) {
+            return Ok(items);
         }
+        c.expect(",")?;
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = *b.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        *pos += 4;
-                        // Surrogate pairs are not needed for the suite's
-                        // ASCII result files; reject rather than mangle.
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("unsupported \\u{code:04x}"))?,
-                        );
-                    }
-                    other => return Err(format!("bad escape '\\{}'", other as char)),
-                }
-            }
-            _ => {
-                // Multi-byte UTF-8: copy the full scalar.
-                let start = *pos - 1;
-                let width = utf8_width(c);
-                *pos = start + width;
-                let s = b
-                    .get(start..start + width)
-                    .and_then(|s| std::str::from_utf8(s).ok())
-                    .ok_or("invalid utf-8 in string")?;
-                out.push_str(s);
-            }
+/// JSON's escape set, `\uXXXX` included (no surrogate pairs: the suite's
+/// documents are ASCII, so reject rather than mangle).
+fn unescape(e: char, c: &mut Cursor<'_>) -> Result<char, String> {
+    Ok(match e {
+        '"' | '\\' | '/' => e,
+        'b' => '\u{8}',
+        'f' => '\u{c}',
+        'n' => '\n',
+        'r' => '\r',
+        't' => '\t',
+        'u' => {
+            let mut n = 0;
+            let hex = c.take_while(|h| {
+                n += 1;
+                n <= 4 && h.is_ascii_hexdigit()
+            });
+            let code = u32::from_str_radix(hex, 16).ok().filter(|_| hex.len() == 4);
+            code.and_then(char::from_u32).ok_or_else(|| c.error(format!("bad \\u{hex}")))?
         }
-    }
-    Err("unterminated string".into())
-}
-
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while let Some(&c) = b.get(*pos) {
-        if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-') {
-            *pos += 1;
-        } else {
-            break;
-        }
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .map_err(|e| e.to_string())?
-        .parse::<f64>()
-        .map(Json::Num)
-        .map_err(|e| format!("bad number at byte {start}: {e}"))
+        _ => return Err(c.error(format!("bad escape '\\{e}'"))),
+    })
 }
 
 #[cfg(test)]
@@ -282,6 +181,14 @@ mod tests {
     fn strings_decode_escapes() {
         let v = parse(r#""a\n\t\"\\A""#).unwrap();
         assert_eq!(v.as_str(), Some("a\n\t\"\\A"));
+    }
+
+    #[test]
+    fn unicode_escapes_decode_and_bad_ones_fail() {
+        assert_eq!(parse(r#""\u0041\u00e9/""#).unwrap().as_str(), Some("Aé/"));
+        assert!(parse(r#""\u00""#).is_err());
+        assert!(parse(r#""\ud800""#).is_err(), "lone surrogate");
+        assert!(parse(r#""\q""#).is_err());
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //!    scorecard into failing tests, backed by scaled-down re-runs of the
 //!    experiment suite measured on the current build.
 //!
-//! A fourth, smaller layer ([`tracecheck`]) validates `saga-trace`'s
-//! exported Chrome trace-event JSON (shape + strict per-track span
-//! nesting, parsed with the in-tree reader in [`json`]) for `cargo xtask
-//! check-trace` and CI's trace-smoke step.
+//! A fourth, smaller layer holds the validators for what `saga-trace`
+//! renders: [`tracecheck`] checks exported Chrome trace-event JSON (its
+//! shape and strict per-track span nesting, parsed with the in-tree
+//! reader in [`json`]) for `cargo xtask check-trace` and CI's trace-smoke
+//! step, and [`prom`] checks Prometheus exposition for `cargo xtask
+//! check-metrics`.
 //!
 //! A fifth layer ([`recovery`]) targets the sharded BSP engine
 //! (`saga-bsp`): it arms a mid-superstep worker kill, lets the engine
@@ -34,6 +36,7 @@ pub mod diff;
 pub mod json;
 pub mod loadgen;
 pub mod program;
+pub mod prom;
 pub mod recovery;
 pub mod shape;
 pub mod shrink;

@@ -126,7 +126,7 @@ fn batch_requests_export_single_stitched_trace_trees() {
     // validator accepts, carrying build info and the request counters
     // this test just incremented.
     let metrics = client.get("/metrics").expect("metrics body").text();
-    let families = saga_trace::expose::parse_prometheus(&metrics).expect("valid exposition");
+    let families = saga_check::prom::parse_prometheus(&metrics).expect("valid exposition");
     let family = |name: &str| families.iter().find(|f| f.name == name);
     for required in ["saga_build_info", "saga_uptime_seconds", "server_requests"] {
         assert!(family(required).is_some(), "missing family {required}\n{metrics}");

@@ -7,7 +7,7 @@
 //! both latencies — their sum is the batch processing latency of Eq. 1,
 //! the performance metric used throughout.
 //!
-//! With [`ArchSimConfig`] attached, both phases additionally run under the
+//! With [`StreamDriverBuilder::arch_sim`] set, both phases additionally run under the
 //! memory probe and are replayed — in stream order, on one persistent
 //! hierarchy, so the compute phase really can reuse lines the update phase
 //! brought in (§VI-C) — producing the per-phase cache and bandwidth
@@ -30,24 +30,10 @@ use saga_utils::parallel::ThreadPool;
 use saga_utils::probe::Trace;
 use saga_utils::timer::Stopwatch;
 
-/// Architecture-simulation settings for a driver run.
-#[derive(Debug, Clone, Copy)]
-pub struct ArchSimConfig {
-    /// Cache-capacity scale factor (power of two; 1 = the paper machine).
-    /// Scaled datasets pair naturally with scaled caches — see DESIGN.md.
-    pub cache_scale: usize,
-    /// Time model for bandwidth estimation.
-    pub time_model: TimeModel,
-}
-
-impl Default for ArchSimConfig {
-    fn default() -> Self {
-        Self {
-            cache_scale: 16,
-            time_model: TimeModel::default(),
-        }
-    }
-}
+/// Cache-capacity scale factor of the arch-sim hierarchy: the paper
+/// machine's caches divided by 16, paired with the scaled datasets (see
+/// DESIGN.md).
+const ARCH_CACHE_SCALE: usize = 16;
 
 /// Per-phase architecture reports for one batch.
 #[derive(Debug, Clone)]
@@ -133,7 +119,7 @@ pub struct StreamDriverBuilder {
     threads: usize,
     root: Option<Node>,
     params: AlgorithmParams,
-    arch_sim: Option<ArchSimConfig>,
+    arch_sim: bool,
     partitioned_ingest: bool,
     sharded: Option<usize>,
 }
@@ -176,9 +162,11 @@ impl StreamDriverBuilder {
         self
     }
 
-    /// Enables the architecture simulator for both phases.
-    pub fn arch_sim(mut self, config: ArchSimConfig) -> Self {
-        self.arch_sim = Some(config);
+    /// Enables the architecture simulator for both phases: a hierarchy
+    /// at 1/16 of the paper machine's cache capacity, bandwidth priced by
+    /// the default [`TimeModel`] on the paper machine's topology.
+    pub fn arch_sim(mut self) -> Self {
+        self.arch_sim = true;
         self
     }
 
@@ -253,7 +241,7 @@ impl StreamDriver {
             threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             root: None,
             params: AlgorithmParams::default(),
-            arch_sim: None,
+            arch_sim: false,
             partitioned_ingest: false,
             sharded: None,
         }
@@ -360,13 +348,9 @@ impl StreamDriver {
             )),
             None => Box::new(AlgorithmState::new(algorithm, model, capacity, params)),
         };
-        let arch = cfg.arch_sim.map(|a| {
-            let config = if a.cache_scale <= 1 {
-                HierarchyConfig::paper()
-            } else {
-                HierarchyConfig::paper_scaled(a.cache_scale)
-            };
-            (a, MemoryHierarchy::new(config, self.pool.threads()))
+        let arch = cfg.arch_sim.then(|| {
+            let config = HierarchyConfig::paper_scaled(ARCH_CACHE_SCALE);
+            MemoryHierarchy::new(config, self.pool.threads())
         });
         DriverSession {
             apply: ApplyHalf {
@@ -380,9 +364,8 @@ impl StreamDriver {
                 tracker: AffectedTracker::new(capacity),
                 incremental: model == ComputeModelKind::Incremental,
                 arch,
-                // The bandwidth model always prices against the paper's
-                // machine, regardless of any cache_scale override of the
-                // hierarchy itself.
+                // The bandwidth model prices against the paper's machine,
+                // not the scaled hierarchy.
                 topo: HierarchyConfig::paper().topology,
                 metrics: DriverMetrics::resolve(),
                 next_index: 0,
@@ -497,9 +480,9 @@ pub(crate) struct ComputeHalf<'d> {
     engine: Box<dyn ComputeEngine>,
     tracker: AffectedTracker,
     incremental: bool,
-    /// Arch-sim settings and the one persistent hierarchy both phases of
-    /// every batch replay on.
-    arch: Option<(ArchSimConfig, MemoryHierarchy)>,
+    /// The one persistent arch-sim hierarchy both phases of every batch
+    /// replay on.
+    arch: Option<MemoryHierarchy>,
     topo: saga_perf::numa::Topology,
     metrics: DriverMetrics,
     next_index: usize,
@@ -570,13 +553,13 @@ impl ComputeHalf<'_> {
             self.metrics.mem_high.set(saga_trace::alloc::high_water_bytes() as f64);
         }
 
-        let arch = self.arch.as_mut().map(|(a, h)| {
+        let arch = self.arch.as_mut().map(|h| {
             let traces = update_trace.as_ref().zip(compute_trace.as_ref());
             let (update_trace, compute_trace) = traces.expect("arch-sim probes both phases");
             let update = h.replay(update_trace);
             let compute = h.replay(compute_trace);
-            let update_bw = estimate(&update, &a.time_model, &self.topo);
-            let compute_bw = estimate(&compute, &a.time_model, &self.topo);
+            let update_bw = estimate(&update, &TimeModel::default(), &self.topo);
+            let compute_bw = estimate(&compute, &TimeModel::default(), &self.topo);
             saga_trace::metrics::gauge("perf.update.dram_gbps").set(update_bw.dram_gbps);
             saga_trace::metrics::gauge("perf.compute.dram_gbps").set(compute_bw.dram_gbps);
             saga_trace::metrics::gauge("perf.compute.qpi_utilization")
@@ -801,7 +784,7 @@ mod tests {
             .algorithm(AlgorithmKind::PageRank)
             .batch_size(500)
             .threads(2)
-            .arch_sim(ArchSimConfig::default())
+            .arch_sim()
             .build();
         let outcome = driver.run(&stream);
         assert_eq!(outcome.batches.len(), 2);

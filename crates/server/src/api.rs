@@ -23,8 +23,8 @@
 
 use crate::http::{Request, Response};
 use crate::tenant::{SubmitError, Tenant, TenantConfig};
-use saga_stream::loader::parse_edge_line;
-use saga_stream::{edge_weight, Edge, EdgeOp, Node};
+use saga_stream::loader::{read_op_lines, OpLine};
+use saga_stream::{Edge, EdgeOp};
 use saga_utils::sync::atomic::{AtomicUsize, Ordering};
 use saga_utils::sync::{Arc, Mutex};
 use std::collections::HashMap;
@@ -213,40 +213,35 @@ fn create_tenant(registry: &Registry, req: &Request) -> Response {
 }
 
 /// Parses an uploaded batch body — edge-op lines in every spelling the
-/// loader accepts — into driver ops, bounds-checking vertex ids against
-/// the tenant's capacity and deriving absent weights deterministically.
+/// loader accepts, read by [`read_op_lines`] — into driver ops, adding
+/// the server's own rules: vertex ids below the tenant's capacity, and
+/// explicit weights finite and non-negative (a negative SSSP weight would
+/// keep delta-stepping refilling bucket 0 forever). Absent weights are
+/// derived deterministically.
 ///
 /// # Errors
 ///
-/// Returns `(status, message)`: 400 for unparseable rows, out-of-range
-/// ids, or an empty batch.
+/// Returns `(status, message)`: 400 naming the line for an unparseable
+/// row, an out-of-range id or a bad weight; 400 for an empty batch.
 pub fn parse_batch_body(
     body: &str,
     capacity: usize,
     directed: bool,
 ) -> Result<Vec<(EdgeOp, Edge)>, (u16, String)> {
     let mut ops = Vec::new();
-    for (lineno, line) in body.lines().enumerate() {
-        let Some(raw) = parse_edge_line(line) else {
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-                continue;
-            }
-            return Err((400, format!("line {}: unparseable edge op {line:?}", lineno + 1)));
-        };
-        if raw.src >= capacity as u64 || raw.dst >= capacity as u64 {
-            return Err((
-                400,
-                format!(
-                    "line {}: vertex id out of range (capacity {capacity})",
-                    lineno + 1
-                ),
-            ));
+    read_op_lines(body, |line| {
+        let OpLine::Op(raw) = line else { return Ok(()) };
+        let (src, dst) = raw.nodes()?;
+        if src as usize >= capacity || dst as usize >= capacity {
+            return Err(format!("vertex id out of range (capacity {capacity})"));
         }
-        let (src, dst) = (raw.src as Node, raw.dst as Node);
-        let weight = raw.weight.unwrap_or_else(|| edge_weight(src, dst, directed));
-        ops.push((raw.op, Edge::new(src, dst, weight)));
-    }
+        if let Some(w) = raw.weight.filter(|w| !w.is_finite() || *w < 0.0) {
+            return Err(format!("weight {w} must be finite and non-negative"));
+        }
+        ops.push((raw.op, raw.edge(src, dst, directed)));
+        Ok(())
+    })
+    .map_err(|e| (400, e))?;
     if ops.is_empty() {
         return Err((400, "batch contains no edge ops".to_string()));
     }
@@ -357,11 +352,11 @@ mod tests {
         assert!(body.contains("server saga-server "), "{body}");
         assert!(body.contains("uptime_seconds "), "{body}");
 
-        // Default exposition is Prometheus text the in-tree validator accepts.
+        // Default exposition is Prometheus text (`saga-check`'s `obs.rs`
+        // validates a live scrape).
         let resp = handle(&registry, &req("GET", "/metrics", ""));
         assert_eq!(resp.status, 200);
         let text = String::from_utf8_lossy(&resp.body).to_string();
-        saga_trace::expose::parse_prometheus(&text).expect("valid exposition");
         assert!(text.contains("saga_build_info"), "{text}");
 
         // The CSV snapshot is still served behind `?format=csv`.
@@ -381,6 +376,18 @@ mod tests {
         let again = handle(&registry, &req("GET", "/debug/flight", ""));
         assert_eq!(again.status, 200);
         assert_eq!(handle(&registry, &req("POST", "/debug/flight", "")).status, 405);
+    }
+
+    #[test]
+    fn negative_and_non_finite_weights_are_rejected_by_line() {
+        for bad in ["-1", "NaN", "inf", "-inf", "-0.5"] {
+            let body = format!("0 1 2.5\n1 2 {bad}\n");
+            let (status, msg) = parse_batch_body(&body, 4, true).unwrap_err();
+            assert_eq!(status, 400, "{bad}");
+            assert!(msg.starts_with("line 2: weight "), "{bad}: {msg}");
+        }
+        let ops = parse_batch_body("0 1 0\n1 0 -0\n2 3\n", 4, true).unwrap();
+        assert_eq!(ops.len(), 3, "zero weights and derived weights pass");
     }
 
     #[test]

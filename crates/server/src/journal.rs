@@ -1,19 +1,20 @@
 //! The per-tenant batch journal: every byte the server accepts, in
 //! acceptance order, replayable offline.
 //!
-//! A journal is plain text built from the loader's canonical edge-line
-//! form ([`render_edge_line`]) — one row per op, explicit weights — with
-//! `#batch <seq>` comment markers terminating each accepted batch. Because
-//! batch markers are `#` comments, [`parse_edge_line`] skips them, so a
-//! journal also loads as an ordinary edge-op stream; the dedicated
-//! [`parse_journal`] additionally recovers the batch boundaries, which is
-//! what `saga-check`'s loadgen replays through the [`GraphOracle`] to
-//! prove the server processed exactly what it admitted (DESIGN.md §13).
+//! A journal is the loader's edge-op grammar plus markers: canonical
+//! [`render_edge_line`] rows — one per op, explicit weights — with a
+//! `#batch <seq>` comment terminating each accepted batch. Because the
+//! markers are `#` comments, a journal also loads as an ordinary edge-op
+//! stream; [`parse_journal`] reads it with the loader's one line reader
+//! ([`read_op_lines`]) and adds only the markers, recovering the batch
+//! boundaries that `saga-check`'s loadgen replays through the
+//! [`GraphOracle`] to prove the server processed exactly what it admitted
+//! (DESIGN.md §13).
 //!
 //! [`GraphOracle`]: saga_graph::oracle::GraphOracle
 
-use saga_stream::loader::{parse_edge_line, render_edge_line};
-use saga_stream::{edge_weight, Edge, EdgeOp};
+use saga_stream::loader::{read_op_lines, render_edge_line, OpLine};
+use saga_stream::{Edge, EdgeOp};
 use std::fmt::Write as _;
 
 /// One journaled batch: the ops exactly as accepted, in order.
@@ -80,10 +81,10 @@ pub fn serialize_journal(batches: &[JournalBatch]) -> String {
 }
 
 /// Parses journal text back into batches. Accepts every op spelling
-/// [`parse_edge_line`] does (`+`/`-`/`a`/`d`/fused signs, optional
-/// weights — absent weights are re-derived from the endpoints with
-/// `directed` sensitivity, exactly what the server does at admission).
-/// Trailing rows after the last marker become a final implicit batch.
+/// the loader does (`+`/`-`/`a`/`d`/fused signs, optional weights —
+/// absent weights are re-derived from the endpoints with `directed`
+/// sensitivity, exactly what the server does at admission). Trailing rows
+/// after the last marker become a final implicit batch.
 ///
 /// # Errors
 ///
@@ -92,31 +93,23 @@ pub fn serialize_journal(batches: &[JournalBatch]) -> String {
 pub fn parse_journal(text: &str, directed: bool) -> Result<Vec<JournalBatch>, String> {
     let mut batches = Vec::new();
     let mut ops: Vec<(EdgeOp, Edge)> = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let trimmed = line.trim();
-        if let Some(rest) = trimmed.strip_prefix("#batch") {
-            let seq: usize = rest
-                .trim()
-                .parse()
-                .map_err(|_| format!("line {}: malformed #batch marker", lineno + 1))?;
-            if ops.is_empty() {
-                return Err(format!("line {}: empty batch {seq}", lineno + 1));
+    read_op_lines(text, |line| {
+        match line {
+            OpLine::Op(raw) => {
+                let (src, dst) = raw.nodes()?;
+                ops.push((raw.op, raw.edge(src, dst, directed)));
             }
-            batches.push(JournalBatch {
-                seq,
-                ops: std::mem::take(&mut ops),
-            });
-            continue;
+            OpLine::Comment(comment) => {
+                let Some(seq) = comment.strip_prefix("#batch") else { return Ok(()) };
+                let seq: usize = seq.trim().parse().map_err(|_| "malformed #batch marker")?;
+                if ops.is_empty() {
+                    return Err(format!("empty batch {seq}"));
+                }
+                batches.push(JournalBatch { seq, ops: std::mem::take(&mut ops) });
+            }
         }
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-            continue;
-        }
-        let raw = parse_edge_line(line)
-            .ok_or_else(|| format!("line {}: unparseable journal row {line:?}", lineno + 1))?;
-        let (src, dst) = (raw.src as saga_stream::Node, raw.dst as saga_stream::Node);
-        let weight = raw.weight.unwrap_or_else(|| edge_weight(src, dst, directed));
-        ops.push((raw.op, Edge::new(src, dst, weight)));
-    }
+        Ok(())
+    })?;
     if !ops.is_empty() {
         let seq = batches.last().map(|b: &JournalBatch| b.seq + 1).unwrap_or(0);
         batches.push(JournalBatch { seq, ops });
@@ -158,7 +151,8 @@ mod tests {
     fn journal_is_also_a_plain_edge_op_stream() {
         // Batch markers are comments, so the loader sees just the rows.
         let text = serialize_journal(&sample());
-        let parsed: Vec<_> = text.lines().filter_map(parse_edge_line).collect();
+        let parsed: Vec<_> =
+            text.lines().filter_map(saga_stream::loader::parse_edge_line).collect();
         assert_eq!(parsed.len(), 4);
         assert_eq!(parsed[2].op, EdgeOp::Delete);
     }
@@ -172,7 +166,7 @@ mod tests {
         assert_eq!(batches[0].ops[0].0, EdgeOp::Insert);
         assert_eq!(batches[0].ops[1].0, EdgeOp::Delete);
         let e = batches[0].ops[0].1;
-        assert_eq!(e.weight, edge_weight(1, 2, false), "derived like admission");
+        assert_eq!(e.weight, saga_stream::edge_weight(1, 2, false), "derived like admission");
         assert_eq!(batches[1].ops[0].1.src, 5);
     }
 

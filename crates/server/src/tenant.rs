@@ -15,9 +15,11 @@ use crate::journal::append_batch;
 use saga_algorithms::{AlgorithmKind, AlgorithmParams, ComputeModelKind};
 use saga_core::driver::{DriverSession, StreamDriver};
 use saga_graph::{DataStructureKind, DynamicGraph};
+use saga_stream::loader::{read_op_lines, OpLine, RawEdge};
 use saga_stream::{Edge, EdgeOp, Node, Weight};
 use saga_trace::metrics::{counter, gauge, histogram, indexed_gauge, Counter, Gauge, Histogram};
 use saga_utils::queue::BoundedQueue;
+use saga_utils::scan::Cursor;
 use saga_utils::sync::atomic::{AtomicUsize, Ordering};
 use saga_utils::sync::{thread, Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -34,8 +36,9 @@ pub struct TenantConfig {
     pub algorithm: AlgorithmKind,
     /// From-scratch or incremental compute.
     pub model: ComputeModelKind,
-    /// Vertex-id universe, fixed at creation: `api::parse_batch_body`
-    /// rejects a batch naming an id at or beyond it with 400.
+    /// Vertex-id universe, fixed at creation, at most [`MAX_CAPACITY`]:
+    /// `api::parse_batch_body` rejects a batch naming an id at or beyond
+    /// it with 400.
     pub capacity: usize,
     /// Graph directedness.
     pub directed: bool,
@@ -51,6 +54,13 @@ pub struct TenantConfig {
     /// per-shard BSP workers); `None` keeps the serial driver.
     pub shards: Option<usize>,
 }
+
+/// The largest tenant `capacity`. A tenant's first batch allocates its
+/// per-vertex arrays (structure, values, tracker, INC state) for the whole
+/// capacity: about 100 B per vertex, ~105 MB at 2^20 on AS, so ~1.7 GB at
+/// this bound (2^32 would be ~430 GB, and ids past it would not fit a
+/// `Node`). The benchmark's tenants use 2^16–2^18.
+pub const MAX_CAPACITY: usize = 1 << 24;
 
 impl TenantConfig {
     /// Parses a config from `key=value` lines (one per line; `#` comments
@@ -112,8 +122,8 @@ impl TenantConfig {
                 cfg.name
             ));
         }
-        if cfg.capacity == 0 {
-            return Err("capacity must be at least 1".to_string());
+        if !(1..=MAX_CAPACITY).contains(&cfg.capacity) {
+            return Err(format!("capacity must be in 1..={MAX_CAPACITY}"));
         }
         Ok(cfg)
     }
@@ -531,17 +541,18 @@ pub fn render_values(values: &saga_algorithms::VertexValues) -> String {
 pub fn parse_values(text: &str) -> Result<saga_algorithms::VertexValues, String> {
     use saga_algorithms::VertexValues;
     let mut lines = text.lines();
-    let header = lines.next().ok_or("empty values document")?;
-    let (ty, len) = header.split_once(' ').ok_or("malformed values header")?;
-    let len: usize = len.parse().map_err(|_| "malformed values length".to_string())?;
-    fn rows<T: std::str::FromStr>(
-        lines: std::str::Lines<'_>,
-        len: usize,
-    ) -> Result<Vec<T>, String> {
+    let mut header = Cursor::new(lines.next().ok_or("empty values document")?);
+    let ty = header.token().ok_or("empty values document")?;
+    let len: usize = header.parse()?;
+    header.end()?;
+    fn rows<T: std::str::FromStr>(lines: std::str::Lines<'_>, len: usize) -> Result<Vec<T>, String> {
         let mut out = Vec::with_capacity(len);
+        // One `vertex value` row per line: skip the vertex, convert the value.
         for line in lines {
-            let (_, v) = line.split_once(' ').ok_or("malformed values row")?;
-            out.push(v.parse().map_err(|_| format!("bad value {v:?}"))?);
+            let mut c = Cursor::new(line);
+            c.token().ok_or("empty values row")?;
+            out.push(c.parse()?);
+            c.end()?;
         }
         if out.len() != len {
             return Err(format!("expected {len} rows, got {}", out.len()));
@@ -584,7 +595,9 @@ pub fn render_edge_list(graph: &dyn DynamicGraph) -> String {
 }
 
 /// Parses a [`render_edge_list`] document into sorted triples, for direct
-/// comparison against [`GraphOracle::edge_list`].
+/// comparison against [`GraphOracle::edge_list`]. Read by the loader's
+/// one line reader; an edge dump has only insert rows with explicit
+/// weights.
 ///
 /// # Errors
 ///
@@ -593,19 +606,15 @@ pub fn render_edge_list(graph: &dyn DynamicGraph) -> String {
 /// [`GraphOracle::edge_list`]: saga_graph::oracle::GraphOracle::edge_list
 pub fn parse_edge_list(text: &str) -> Result<Vec<(Node, Node, Weight)>, String> {
     let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let mut it = line.split_ascii_whitespace();
-        let (Some(s), Some(d), Some(w)) = (it.next(), it.next(), it.next()) else {
-            return Err(format!("line {}: malformed edge row {line:?}", lineno + 1));
-        };
-        let parse = |v: &str| -> Result<Node, String> {
-            v.parse().map_err(|_| format!("line {}: bad vertex {v:?}", lineno + 1))
-        };
-        let w: Weight = w
-            .parse()
-            .map_err(|_| format!("line {}: bad weight {w:?}", lineno + 1))?;
-        out.push((parse(s)?, parse(d)?, w));
-    }
+    read_op_lines(text, |line| match line {
+        OpLine::Op(raw @ RawEdge { op: EdgeOp::Insert, weight: Some(w), .. }) => {
+            let (src, dst) = raw.nodes()?;
+            out.push((src, dst, w));
+            Ok(())
+        }
+        OpLine::Op(_) => Err("expected an insert row with an explicit weight".to_string()),
+        OpLine::Comment(_) => Ok(()),
+    })?;
     Ok(out)
 }
 
@@ -648,6 +657,16 @@ mod tests {
         assert!(TenantConfig::parse("name=x\ncapacity=0\n")
             .unwrap_err()
             .contains("capacity"));
+    }
+
+    #[test]
+    fn capacity_is_bounded() {
+        let at = TenantConfig::parse(&format!("name=x\ncapacity={MAX_CAPACITY}\n")).unwrap();
+        assert_eq!(at.capacity, MAX_CAPACITY);
+        let past = TenantConfig::parse(&format!("name=x\ncapacity={}\n", MAX_CAPACITY + 1));
+        assert!(past.unwrap_err().contains("capacity"));
+        let wraps = TenantConfig::parse("name=x\ncapacity=4294967297\n");
+        assert!(wraps.is_err(), "2^32 + 1 must not truncate onto vertex 1");
     }
 
     #[test]
@@ -728,6 +747,8 @@ mod tests {
         assert!(parse_values("").is_err());
         assert!(parse_values("u8 1\n0 1\n").is_err());
         assert!(parse_values("u32 2\n0 1\n").is_err());
+        // Rows are lines: a token count that still adds up is no excuse.
+        assert!(parse_values("u32 2\n0 5 1\n7\n").is_err());
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! batches, and `parse` accepts every op spelling the loader does —
 //! normalizing all of them to the same canonical text.
 
-use saga_server::journal::{journal_root, parse_journal, serialize_journal, JournalBatch};
+use saga_server::api::parse_batch_body;
+use saga_server::journal::{
+    append_batch, journal_root, parse_journal, serialize_journal, JournalBatch,
+};
 use saga_stream::{edge_weight, Edge, EdgeOp};
 use saga_utils::rng::{for_each_seed, Xoshiro256PlusPlus};
 
@@ -105,5 +108,48 @@ fn root_survives_the_round_trip() {
         let text = serialize_journal(&batches);
         let back = parse_journal(&text, true).unwrap();
         assert_eq!(journal_root(&back), journal_root(&batches));
+    });
+}
+
+/// Whatever body the server admits journals to exactly the ops it
+/// admitted: `parse_batch_body` → `append_batch` → `parse_journal` is the
+/// identity, weight bits included, over foreign spellings, comments,
+/// blank lines, derived and explicit weights (`-0`, subnormals, `MAX`).
+#[test]
+fn accepted_bodies_journal_to_the_same_ops() {
+    let bits = |ops: &[(EdgeOp, Edge)]| -> Vec<_> {
+        ops.iter().map(|&(op, e)| (op, e.src, e.dst, e.weight.to_bits())).collect()
+    };
+    for_each_seed(SEEDS, |rng| {
+        let directed = rng.chance(0.5);
+        let mut body = String::new();
+        for _ in 0..rng.range(1, 12) {
+            match rng.range(0, 9) {
+                0 => body.push_str("# a comment\n"),
+                1 => body.push_str("  \n"),
+                _ => {
+                    let op = if rng.chance(0.5) { EdgeOp::Insert } else { EdgeOp::Delete };
+                    let (s, d) = (rng.range(0, CAPACITY - 1) as u32, rng.range(0, CAPACITY - 1) as u32);
+                    let weight = match rng.range(0, 5) {
+                        0 => -0.0,
+                        1 => f32::from_bits(rng.range(1, 0x7f_ffff) as u32),
+                        2 => f32::MAX,
+                        // Sign bit cleared: non-negative, now and then inf/NaN.
+                        _ => f32::from_bits(rng.next_u64() as u32 & 0x7fff_ffff),
+                    };
+                    let spelling = if op == EdgeOp::Delete && s == 0 { 0 } else { rng.range(0, 3) };
+                    let line = foreign_line(op, &Edge::new(s, d, weight), spelling, rng.chance(0.7));
+                    body.push_str(&line);
+                    body.push('\n');
+                }
+            }
+        }
+        let Ok(ops) = parse_batch_body(&body, CAPACITY, directed) else { return };
+        let mut journal = String::new();
+        append_batch(&mut journal, 3, &ops);
+        let back = parse_journal(&journal, directed).unwrap();
+        assert_eq!(back.len(), 1);
+        assert_eq!(back[0].seq, 3);
+        assert_eq!(bits(&back[0].ops), bits(&ops), "{body}");
     });
 }

@@ -1,4 +1,4 @@
-//! Loader for SNAP-style edge-list text files.
+//! The one edge-op grammar, and the loader for SNAP-style edge-list files.
 //!
 //! The paper's real datasets come from the SNAP collection (§IV-C), which
 //! cannot be redistributed here — but the loader can: point it at any SNAP
@@ -6,6 +6,14 @@
 //! `src dst [weight]` rows) and it produces the same [`EdgeStream`] the
 //! synthetic profiles do, with vertex ids densely remapped, deterministic
 //! weights derived for unweighted edges, and the §IV-B shuffle applied.
+//!
+//! Every edge-op document in the workspace is this grammar, as GAP's one
+//! `.el`/`.wel` reader feeds every kernel: a SNAP file, and the server's
+//! uploaded batch bodies, tenant journals (the grammar plus `#batch`
+//! markers) and edge dumps. [`parse_edge_line`] reads one row on the
+//! [`Cursor`], [`read_op_lines`] is the one line-numbered reader the
+//! server's three documents share (each caller adds only its own rules),
+//! and [`RawEdge::edge`] is the one place an absent weight is derived.
 //!
 //! ```no_run
 //! use saga_stream::loader::load_snap_text;
@@ -17,6 +25,7 @@
 
 use crate::batching::shuffle_edges;
 use crate::{edge_weight, Edge, EdgeOp, EdgeStream, Node};
+use saga_utils::scan::Cursor;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
@@ -33,6 +42,75 @@ pub struct RawEdge {
     /// Operation: `Insert` for plain rows, `Delete` for rows with a
     /// `-`/`d` op column or a fused `-src` first token.
     pub op: EdgeOp,
+}
+
+impl RawEdge {
+    /// The row as an edge between `src` and `dst` — its own ids, or the
+    /// dense ids a loader remaps them to — carrying its explicit weight,
+    /// or else the deterministic [`edge_weight`] of the pair.
+    pub fn edge(&self, src: Node, dst: Node, directed: bool) -> Edge {
+        Edge::new(src, dst, self.weight.unwrap_or_else(|| edge_weight(src, dst, directed)))
+    }
+
+    /// The row's own ids as vertex ids.
+    ///
+    /// # Errors
+    ///
+    /// Names an id beyond [`Node`]'s range.
+    pub fn nodes(&self) -> Result<(Node, Node), String> {
+        match (Node::try_from(self.src), Node::try_from(self.dst)) {
+            (Ok(src), Ok(dst)) => Ok((src, dst)),
+            _ => Err(format!("vertex id {} out of range", self.src.max(self.dst))),
+        }
+    }
+}
+
+/// One non-blank line of an edge-op document.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum OpLine<'a> {
+    /// An edge row.
+    Op(RawEdge),
+    /// A `#` or `%` comment line, surrounding whitespace trimmed.
+    Comment(&'a str),
+}
+
+/// Reads one line: `None` when blank, `Some(Err(()))` for a malformed row.
+fn op_line(line: &str) -> Option<Result<OpLine<'_>, ()>> {
+    let mut c = Cursor::new(line);
+    c.skip_ws();
+    match c.peek()? {
+        b'#' | b'%' => Some(Ok(OpLine::Comment(c.rest().trim_end()))),
+        _ => Some(row(&mut c).map(OpLine::Op).ok_or(())),
+    }
+}
+
+/// `[op] src dst [weight]`, tokens converted with `FromStr`.
+fn row(c: &mut Cursor<'_>) -> Option<RawEdge> {
+    let mut first = c.token()?;
+    let op = match first {
+        "+" | "a" | "A" | "i" | "I" => {
+            first = c.token()?;
+            EdgeOp::Insert
+        }
+        "-" | "d" | "D" => {
+            first = c.token()?;
+            EdgeOp::Delete
+        }
+        _ => match first.strip_prefix('-') {
+            Some(rest) => {
+                first = rest;
+                EdgeOp::Delete
+            }
+            None => {
+                first = first.strip_prefix('+').unwrap_or(first);
+                EdgeOp::Insert
+            }
+        },
+    };
+    let src = first.parse().ok()?;
+    let dst = c.token()?.parse().ok()?;
+    let weight = c.token().map(str::parse).transpose().ok()?;
+    Some(RawEdge { src, dst, weight, op })
 }
 
 /// Parses one line of a SNAP edge list. Returns `None` for comments and
@@ -64,37 +142,44 @@ pub struct RawEdge {
 /// assert_eq!(parse_edge_line("1 2 abc"), None);
 /// ```
 pub fn parse_edge_line(line: &str) -> Option<RawEdge> {
-    let line = line.trim();
-    if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
-        return None;
+    match op_line(line)? {
+        Ok(OpLine::Op(raw)) => Some(raw),
+        _ => None,
     }
-    let mut parts = line.split_whitespace();
-    let mut first = parts.next()?;
-    let op = match first {
-        "+" | "a" | "A" | "i" | "I" => {
-            first = parts.next()?;
-            EdgeOp::Insert
+}
+
+/// The one line-numbered reader of edge-op documents. Blank lines are
+/// skipped; comment lines go to `visit` as [`OpLine::Comment`] (most
+/// callers ignore them, the journal's `#batch` markers live there); every
+/// other line must be a [`parse_edge_line`] row. The first unparseable
+/// row, or the first error `visit` returns, ends the read with that
+/// message prefixed by `line N: `.
+///
+/// # Examples
+///
+/// ```
+/// use saga_stream::loader::{read_op_lines, OpLine};
+///
+/// let mut rows = 0;
+/// let text = "# header\n1 2\n\n- 2 3 0.5\n";
+/// read_op_lines(text, |line| Ok(rows += matches!(line, OpLine::Op(_)) as usize)).unwrap();
+/// assert_eq!(rows, 2);
+/// let err = read_op_lines("1 2\nnot an edge\n", |_| Ok(())).unwrap_err();
+/// assert!(err.starts_with("line 2: "), "{err}");
+/// ```
+pub fn read_op_lines<'a>(
+    text: &'a str,
+    mut visit: impl FnMut(OpLine<'a>) -> Result<(), String>,
+) -> Result<(), String> {
+    for (i, line) in text.lines().enumerate() {
+        let at = |e: String| format!("line {}: {e}", i + 1);
+        match op_line(line) {
+            None => {}
+            Some(Ok(op)) => visit(op).map_err(at)?,
+            Some(Err(())) => return Err(at(format!("unparseable edge op {line:?}"))),
         }
-        "-" | "d" | "D" => {
-            first = parts.next()?;
-            EdgeOp::Delete
-        }
-        _ => match first.strip_prefix(['+', '-']) {
-            Some(rest) => {
-                let op = if first.starts_with('-') { EdgeOp::Delete } else { EdgeOp::Insert };
-                first = rest;
-                op
-            }
-            None => EdgeOp::Insert,
-        },
-    };
-    let src: u64 = first.parse().ok()?;
-    let dst: u64 = parts.next()?.parse().ok()?;
-    let weight: Option<f32> = match parts.next() {
-        Some(tok) => Some(tok.parse().ok()?),
-        None => None,
-    };
-    Some(RawEdge { src, dst, weight, op })
+    }
+    Ok(())
 }
 
 /// Renders one edge as a canonical edge-list line: deletes carry a
@@ -171,10 +256,7 @@ pub fn read_edge_list_with<R: Read>(
         let src = *remap.entry(raw.src).or_insert(next_src);
         let next_dst = remap.len() as Node;
         let dst = *remap.entry(raw.dst).or_insert(next_dst);
-        let weight = raw
-            .weight
-            .unwrap_or_else(|| edge_weight(src, dst, directed));
-        edges.push(Edge::new(src, dst, weight));
+        edges.push(raw.edge(src, dst, directed));
         ops.push(raw.op);
         any_delete |= raw.op == EdgeOp::Delete;
     }

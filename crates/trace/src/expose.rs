@@ -1,5 +1,4 @@
-//! Prometheus text exposition (format version 0.0.4) and its in-tree
-//! validating parser.
+//! Prometheus text exposition (format version 0.0.4): the renderer.
 //!
 //! The live server's `GET /metrics` renders the registry through
 //! [`prometheus_text`]: counters and gauges become single samples,
@@ -15,15 +14,14 @@
 //! renderer keeps the output well-formed by attaching a `raw="<original>"`
 //! label to the later sample (duplicate series are invalid exposition),
 //! and a family whose sanitized name is already taken by a different
-//! *kind* gets a kind suffix. Both rules are deterministic, so
-//! [`parse_prometheus`] round-trips the rendered model exactly — the
-//! property the `seeded_expose` suite drives with hostile names.
+//! *kind* gets a kind suffix. Both rules are deterministic, so the
+//! rendered text reads back to exactly the [`PromFamily`] model.
 //!
-//! The parser doubles as the validator used by the server smoke tests
-//! and `cargo xtask check-metrics`: it enforces the name/label grammar,
-//! label-value escaping, histogram bucket monotonicity (cumulative
-//! counts non-decreasing, `le` ascending, `+Inf` last and equal to
-//! `_count`), and `_sum`/`_count` presence.
+//! Renderers live here and validators in `saga-check`, the way the Chrome
+//! trace exporter and `saga_check::tracecheck` split: the validating
+//! parser is `saga_check::prom::parse_prometheus` (behind `cargo xtask
+//! check-metrics`), and its `seeded_expose` suite drives render → parse
+//! with hostile names.
 
 use crate::metrics::{histogram_details, HistogramDetail, MetricsSnapshot};
 use std::fmt::Write as _;
@@ -42,7 +40,8 @@ pub enum PromKind {
 }
 
 impl PromKind {
-    fn as_str(self) -> &'static str {
+    /// The kind's `# TYPE` spelling.
+    pub fn as_str(self) -> &'static str {
         match self {
             PromKind::Counter => "counter",
             PromKind::Gauge => "gauge",
@@ -310,408 +309,4 @@ pub fn prometheus_text() -> String {
         &histogram_details(),
     ));
     render_families(&families)
-}
-
-fn valid_name(s: &str) -> bool {
-    !s.is_empty()
-        && s.chars().enumerate().all(|(i, c)| {
-            c == '_' || c == ':' || c.is_ascii_alphabetic() || (i > 0 && c.is_ascii_digit())
-        })
-}
-
-fn valid_label_name(s: &str) -> bool {
-    !s.is_empty()
-        && s.chars()
-            .enumerate()
-            .all(|(i, c)| c == '_' || c.is_ascii_alphabetic() || (i > 0 && c.is_ascii_digit()))
-}
-
-fn parse_value(s: &str) -> Result<f64, String> {
-    match s {
-        "NaN" => Ok(f64::NAN),
-        "+Inf" => Ok(f64::INFINITY),
-        "-Inf" => Ok(f64::NEG_INFINITY),
-        s => s.parse().map_err(|_| format!("bad value `{s}`")),
-    }
-}
-
-/// A parsed series prefix: metric name, `(label, value)` pairs, and the
-/// unparsed remainder of the line (the sample value text).
-type ParsedSeries<'a> = (String, Vec<(String, String)>, &'a str);
-
-/// Parses one `name{label="v",...}` prefix, returning the name, labels,
-/// and the rest of the line (the value).
-fn parse_series(line: &str) -> Result<ParsedSeries<'_>, String> {
-    let name_end = line
-        .find(['{', ' '])
-        .ok_or_else(|| format!("no value separator in `{line}`"))?;
-    let name = &line[..name_end];
-    let mut labels = Vec::new();
-    let rest = if line.as_bytes()[name_end] == b'{' {
-        let mut chars = line[name_end + 1..].char_indices();
-        let close;
-        'outer: loop {
-            // Label name: chars up to `=`, or `}` closing the set.
-            let mut lname = String::new();
-            loop {
-                match chars.next() {
-                    Some((_, '=')) => break,
-                    Some((i, '}')) if lname.is_empty() => {
-                        close = i;
-                        break 'outer;
-                    }
-                    Some((_, c)) if c != '"' && c != ',' && c != '}' => lname.push(c),
-                    other => return Err(format!("bad label name char {other:?}")),
-                }
-            }
-            match chars.next() {
-                Some((_, '"')) => {}
-                _ => return Err(format!("label `{lname}` value not quoted")),
-            }
-            let mut value = String::new();
-            loop {
-                match chars.next() {
-                    Some((_, '\\')) => match chars.next() {
-                        Some((_, '\\')) => value.push('\\'),
-                        Some((_, '"')) => value.push('"'),
-                        Some((_, 'n')) => value.push('\n'),
-                        other => return Err(format!("bad escape {other:?}")),
-                    },
-                    Some((_, '"')) => break,
-                    Some((_, c)) => value.push(c),
-                    None => return Err("unterminated label value".to_string()),
-                }
-            }
-            if !valid_label_name(&lname) {
-                return Err(format!("bad label name `{lname}`"));
-            }
-            labels.push((lname, value));
-            match chars.next() {
-                Some((_, ',')) => {}
-                Some((i, '}')) => {
-                    close = i;
-                    break;
-                }
-                other => return Err(format!("expected `,` or `}}`, got {other:?}")),
-            }
-        }
-        &line[name_end + 1 + close + 1..]
-    } else {
-        &line[name_end..]
-    };
-    Ok((name.to_string(), labels, rest))
-}
-
-/// Parses and validates an exposition document, returning the family
-/// model (see the module docs for the enforced invariants).
-///
-/// # Errors
-///
-/// Returns a description of the first violation.
-pub fn parse_prometheus(text: &str) -> Result<Vec<PromFamily>, String> {
-    let mut families: Vec<PromFamily> = Vec::new();
-    for (ln, line) in text.lines().enumerate() {
-        let ln = ln + 1;
-        let line = line.trim_end();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let (name, kind) = rest
-                .split_once(' ')
-                .ok_or(format!("line {ln}: malformed TYPE"))?;
-            if !valid_name(name) {
-                return Err(format!("line {ln}: bad family name `{name}`"));
-            }
-            if families.iter().any(|f| f.name == name) {
-                return Err(format!("line {ln}: duplicate TYPE for `{name}`"));
-            }
-            let kind = match kind {
-                "counter" => PromKind::Counter,
-                "gauge" => PromKind::Gauge,
-                "histogram" => PromKind::Histogram,
-                k => return Err(format!("line {ln}: unknown kind `{k}`")),
-            };
-            families.push(PromFamily {
-                name: name.to_string(),
-                kind,
-                samples: Vec::new(),
-            });
-            continue;
-        }
-        if line.starts_with('#') {
-            continue; // HELP or comment
-        }
-        let (name, labels, rest) = parse_series(line).map_err(|e| format!("line {ln}: {e}"))?;
-        let value =
-            parse_value(rest.trim()).map_err(|e| format!("line {ln}: {e}"))?;
-        let family = families
-            .last_mut()
-            .ok_or(format!("line {ln}: sample before any TYPE"))?;
-        let suffix = name
-            .strip_prefix(&family.name)
-            .ok_or_else(|| format!("line {ln}: `{name}` outside family `{}`", family.name))?;
-        let suffix_ok = match family.kind {
-            PromKind::Histogram => matches!(suffix, "_bucket" | "_sum" | "_count"),
-            _ => suffix.is_empty(),
-        };
-        if !suffix_ok {
-            return Err(format!(
-                "line {ln}: suffix `{suffix}` invalid for {} family",
-                family.kind.as_str()
-            ));
-        }
-        if !valid_name(&name) {
-            return Err(format!("line {ln}: bad sample name `{name}`"));
-        }
-        // Duplicate series check within the family.
-        if family
-            .samples
-            .iter()
-            .any(|s| s.suffix == suffix && s.labels == labels)
-        {
-            return Err(format!("line {ln}: duplicate series `{name}`"));
-        }
-        family.samples.push(PromSample {
-            suffix: suffix.to_string(),
-            labels,
-            value,
-        });
-    }
-    for f in &families {
-        if f.kind == PromKind::Histogram {
-            validate_histogram(f)?;
-        }
-    }
-    Ok(families)
-}
-
-/// Histogram family invariants: per series group (labels minus `le`),
-/// cumulative bucket counts non-decreasing in ascending `le` order with
-/// `+Inf` last, `+Inf` count equal to the `_count` sample, and a `_sum`
-/// sample present.
-fn validate_histogram(f: &PromFamily) -> Result<(), String> {
-    // Group key: labels without `le`.
-    let group_key = |labels: &[(String, String)]| {
-        labels
-            .iter()
-            .filter(|(n, _)| n != "le")
-            .map(|(n, v)| format!("{n}={v}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let mut groups: Vec<String> = Vec::new();
-    for s in &f.samples {
-        let k = group_key(&s.labels);
-        if !groups.contains(&k) {
-            groups.push(k);
-        }
-    }
-    for g in groups {
-        let buckets: Vec<&PromSample> = f
-            .samples
-            .iter()
-            .filter(|s| s.suffix == "_bucket" && group_key(&s.labels) == g)
-            .collect();
-        if buckets.is_empty() {
-            return Err(format!("{}: histogram group `{g}` has no buckets", f.name));
-        }
-        let mut prev_le = f64::NEG_INFINITY;
-        let mut prev_count = 0.0;
-        for (i, b) in buckets.iter().enumerate() {
-            let le = b
-                .labels
-                .iter()
-                .find(|(n, _)| n == "le")
-                .map(|(_, v)| v.as_str())
-                .ok_or(format!("{}: bucket without le", f.name))?;
-            let le = parse_value(le).map_err(|e| format!("{}: {e}", f.name))?;
-            let last = i == buckets.len() - 1;
-            if last != (le == f64::INFINITY) {
-                return Err(format!("{}: +Inf bucket must come last, once", f.name));
-            }
-            if !last && le <= prev_le {
-                return Err(format!("{}: le not ascending in group `{g}`", f.name));
-            }
-            if b.value < prev_count {
-                return Err(format!(
-                    "{}: cumulative counts decrease in group `{g}`",
-                    f.name
-                ));
-            }
-            prev_le = le;
-            prev_count = b.value;
-        }
-        let count = f
-            .samples
-            .iter()
-            .find(|s| s.suffix == "_count" && group_key(&s.labels) == g)
-            .ok_or(format!("{}: group `{g}` missing _count", f.name))?;
-        if (count.value - prev_count).abs() > f64::EPSILON * prev_count.abs() {
-            return Err(format!(
-                "{}: +Inf bucket ({prev_count}) != _count ({}) in group `{g}`",
-                f.name, count.value
-            ));
-        }
-        f.samples
-            .iter()
-            .find(|s| s.suffix == "_sum" && group_key(&s.labels) == g)
-            .ok_or(format!("{}: group `{g}` missing _sum", f.name))?;
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn snap_with(
-        counters: Vec<(&str, u64)>,
-        gauges: Vec<(&str, f64)>,
-    ) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: counters
-                .into_iter()
-                .map(|(n, v)| (n.to_string(), v))
-                .collect(),
-            gauges: gauges.into_iter().map(|(n, v)| (n.to_string(), v)).collect(),
-            histograms: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn renders_and_parses_basic_families() {
-        let snap = snap_with(
-            vec![
-                ("server.requests", 42),
-                ("bsp.shard_messages.0", 10),
-                ("bsp.shard_messages.1", 12),
-            ],
-            vec![("server.queue_depth.3", 5.0)],
-        );
-        let details = vec![(
-            "server.request_ns".to_string(),
-            HistogramDetail {
-                buckets: vec![(1023, 4), (2047, 9)],
-                count: 9,
-                sum: 12_345,
-            },
-        )];
-        let families = build_families(&snap, &details);
-        let text = render_families(&families);
-        assert!(text.contains("# TYPE server_requests counter"));
-        assert!(text.contains("bsp_shard_messages{idx=\"0\"} 10"));
-        assert!(text.contains("server_queue_depth{idx=\"3\"} 5"));
-        assert!(text.contains("server_request_ns_bucket{le=\"1023\"} 4"));
-        assert!(text.contains("server_request_ns_bucket{le=\"+Inf\"} 9"));
-        assert!(text.contains("server_request_ns_sum 12345"));
-        assert!(text.contains("server_request_ns_count 9"));
-        let parsed = parse_prometheus(&text).unwrap();
-        assert_eq!(parsed, families);
-    }
-
-    #[test]
-    fn colliding_sanitized_names_stay_unique() {
-        let snap = snap_with(vec![("a.b", 1), ("a_b", 2), ("a b", 3)], vec![]);
-        let families = build_families(&snap, &[]);
-        let text = render_families(&families);
-        let parsed = parse_prometheus(&text).unwrap();
-        assert_eq!(parsed, families);
-        // Three samples survive, distinguished by raw labels.
-        let fam = parsed.iter().find(|f| f.name == "a_b").unwrap();
-        assert_eq!(fam.samples.len(), 3);
-        let raws: Vec<_> = fam
-            .samples
-            .iter()
-            .flat_map(|s| s.labels.iter().filter(|(n, _)| n == "raw"))
-            .collect();
-        assert_eq!(raws.len(), 2);
-    }
-
-    #[test]
-    fn kind_conflict_gets_suffixed_family() {
-        let snap = snap_with(vec![("shared.name", 1)], vec![("shared/name", 2.0)]);
-        let families = build_families(&snap, &[]);
-        let text = render_families(&families);
-        let parsed = parse_prometheus(&text).unwrap();
-        assert_eq!(parsed, families);
-        assert!(parsed.iter().any(|f| f.name == "shared_name"));
-        assert!(parsed.iter().any(|f| f.name == "shared_name_gauge"));
-    }
-
-    #[test]
-    fn parser_rejects_malformed_documents() {
-        for (bad, why) in [
-            ("server_requests 1\n", "sample before TYPE"),
-            ("# TYPE a counter\n1bad 2\n", "bad name"),
-            ("# TYPE a counter\na 1\na 2\n", "duplicate series"),
-            ("# TYPE a counter\nb 1\n", "outside family"),
-            (
-                "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 3\n",
-                "+Inf != count",
-            ),
-            (
-                "# TYPE h histogram\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"1\"} 4\nh_bucket{le=\"+Inf\"} 4\nh_sum 1\nh_count 4\n",
-                "le not ascending",
-            ),
-            (
-                "# TYPE h histogram\nh_bucket{le=\"1\"} 3\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 2\n",
-                "counts decrease",
-            ),
-            (
-                "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_count 2\n",
-                "missing _sum",
-            ),
-        ] {
-            assert!(parse_prometheus(bad).is_err(), "should reject: {why}");
-        }
-    }
-
-    #[test]
-    fn label_values_escape_and_roundtrip() {
-        let families = vec![PromFamily {
-            name: "weird".to_string(),
-            kind: PromKind::Gauge,
-            samples: vec![PromSample {
-                suffix: String::new(),
-                labels: vec![("raw".to_string(), "a\"b\\c\nd".to_string())],
-                value: -0.5,
-            }],
-        }];
-        let text = render_families(&families);
-        assert!(text.contains("raw=\"a\\\"b\\\\c\\nd\""));
-        assert_eq!(parse_prometheus(&text).unwrap(), families);
-    }
-
-    #[test]
-    fn special_values_roundtrip() {
-        let families = vec![PromFamily {
-            name: "g".to_string(),
-            kind: PromKind::Gauge,
-            samples: vec![
-                PromSample {
-                    suffix: String::new(),
-                    labels: vec![("idx".to_string(), "0".to_string())],
-                    value: f64::INFINITY,
-                },
-                PromSample {
-                    suffix: String::new(),
-                    labels: vec![("idx".to_string(), "1".to_string())],
-                    value: f64::NEG_INFINITY,
-                },
-            ],
-        }];
-        let text = render_families(&families);
-        let parsed = parse_prometheus(&text).unwrap();
-        assert_eq!(parsed, families);
-    }
-
-    #[test]
-    fn prometheus_text_includes_build_info_and_uptime() {
-        let text = prometheus_text();
-        assert!(text.contains("# TYPE saga_build_info gauge"));
-        assert!(text.contains("saga_build_info{version=\""));
-        assert!(text.contains("saga_uptime_seconds "));
-        parse_prometheus(&text).unwrap();
-    }
 }

@@ -462,6 +462,9 @@ impl MetricsSnapshot {
     /// 4180 when they contain `,`, `"`, or line breaks — metric names
     /// are arbitrary strings (derived from user-supplied labels in some
     /// callers), and an unescaped comma would shift every later column.
+    /// Metrics CSV is write-only: the soak, the flight dumps and
+    /// `GET /metrics?format=csv` write it for people and spreadsheets, and
+    /// nothing in the workspace reads it back.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("kind,name,count,value,min,p50,p90,p99,p999,max\n");
         for (name, v) in &self.counters {
@@ -485,53 +488,6 @@ impl MetricsSnapshot {
             ));
         }
         out
-    }
-
-    /// Parses a [`MetricsSnapshot::to_csv`] document back into a
-    /// snapshot (RFC 4180 quoting honored). Histogram means survive only
-    /// to the serialized `{:.1}` precision.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed line.
-    pub fn parse_csv(text: &str) -> Result<MetricsSnapshot, String> {
-        let mut snap = MetricsSnapshot::default();
-        let mut rows = split_csv_rows(text)?.into_iter();
-        let header = rows.next().ok_or("empty document")?;
-        if header.first().map(String::as_str) != Some("kind") {
-            return Err(format!("bad header: {header:?}"));
-        }
-        for row in rows {
-            if row.len() != 10 {
-                return Err(format!("expected 10 fields, got {}: {row:?}", row.len()));
-            }
-            let name = row[1].clone();
-            let num = |i: usize| -> Result<u64, String> {
-                row[i].parse().map_err(|_| format!("bad u64 `{}`", row[i]))
-            };
-            match row[0].as_str() {
-                "counter" => snap.counters.push((name, num(3)?)),
-                "gauge" => snap.gauges.push((
-                    name,
-                    row[3].parse().map_err(|_| format!("bad f64 `{}`", row[3]))?,
-                )),
-                "histogram" => snap.histograms.push((
-                    name,
-                    HistogramSummary {
-                        count: num(2)?,
-                        mean: row[3].parse().map_err(|_| format!("bad f64 `{}`", row[3]))?,
-                        min: num(4)?,
-                        p50: num(5)?,
-                        p90: num(6)?,
-                        p99: num(7)?,
-                        p999: num(8)?,
-                        max: num(9)?,
-                    },
-                )),
-                other => return Err(format!("unknown kind `{other}`")),
-            }
-        }
-        Ok(snap)
     }
 
     /// Aligned plain-text rendering for terminals and `results/` files.
@@ -568,55 +524,6 @@ fn csv_field(s: &str) -> String {
     } else {
         s.to_string()
     }
-}
-
-/// Splits an RFC 4180 document into rows of unquoted fields. Quoted
-/// fields may contain commas, doubled quotes, and line breaks.
-fn split_csv_rows(text: &str) -> Result<Vec<Vec<String>>, String> {
-    let mut rows = Vec::new();
-    let mut row = Vec::new();
-    let mut field = String::new();
-    let mut chars = text.chars().peekable();
-    let mut in_quotes = false;
-    let mut any = false;
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            match c {
-                '"' if chars.peek() == Some(&'"') => {
-                    chars.next();
-                    field.push('"');
-                }
-                '"' => in_quotes = false,
-                c => field.push(c),
-            }
-            continue;
-        }
-        match c {
-            '"' if field.is_empty() => in_quotes = true,
-            '"' => return Err("quote inside unquoted field".to_string()),
-            ',' => {
-                row.push(std::mem::take(&mut field));
-                any = true;
-            }
-            '\r' => {}
-            '\n' => {
-                if any || !field.is_empty() {
-                    row.push(std::mem::take(&mut field));
-                    rows.push(std::mem::take(&mut row));
-                }
-                any = false;
-            }
-            c => field.push(c),
-        }
-    }
-    if in_quotes {
-        return Err("unterminated quoted field".to_string());
-    }
-    if any || !field.is_empty() {
-        row.push(field);
-        rows.push(row);
-    }
-    Ok(rows)
 }
 
 /// Bucket-level view of one live histogram, for exposition formats that
@@ -800,26 +707,21 @@ mod tests {
     }
 
     #[test]
-    fn csv_escapes_and_roundtrips_hostile_names() {
+    fn csv_quotes_hostile_names() {
         let _guard = registry_test();
         counter("plain.name").add(7);
         counter("comma,in,name").add(1);
         gauge("quote\"in\"name").set(2.5);
         gauge("newline\nin name").set(-0.25);
         histogram("crlf\r\nname").record(100);
-        let snap = snapshot();
-        let csv = snap.to_csv();
-        // Every data row must still have exactly 10 columns once quoting
-        // is honored (the old rendering shifted columns on commas).
-        let parsed = MetricsSnapshot::parse_csv(&csv).unwrap();
-        assert_eq!(parsed.counters, snap.counters);
-        assert_eq!(parsed.gauges, snap.gauges);
-        assert_eq!(parsed.histograms.len(), 1);
-        assert_eq!(parsed.histograms[0].0, "crlf\r\nname");
-        assert_eq!(parsed.histograms[0].1.count, 1);
-        assert_eq!(parsed.histograms[0].1.max, snap.histograms[0].1.max);
-        assert!(csv.contains("\"comma,in,name\""));
-        assert!(csv.contains("\"quote\"\"in\"\"name\""));
+        let csv = snapshot().to_csv();
+        // Quoting keeps every data row at exactly 10 columns (the old
+        // rendering shifted columns on commas).
+        assert!(csv.contains("\ncounter,\"comma,in,name\",,1,,,,,,\n"), "{csv}");
+        assert!(csv.contains("\ncounter,plain.name,,7,,,,,,\n"), "{csv}");
+        assert!(csv.contains("\ngauge,\"quote\"\"in\"\"name\",,2.5,,,,,,\n"), "{csv}");
+        assert!(csv.contains("\ngauge,\"newline\nin name\",,-0.25,,,,,,\n"), "{csv}");
+        assert!(csv.contains("\nhistogram,\"crlf\r\nname\",1,100.0,"), "{csv}");
         reset();
     }
 

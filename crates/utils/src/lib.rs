@@ -36,6 +36,8 @@
 //!   crates) take their atomics, locks, and thread spawns from here.
 //! - [`rng`] — the one seeded generator (xoshiro256++) under every input
 //!   stream, fuzz program and seeded property test.
+//! - [`scan`] — the one text cursor under the edge-op, JSON and
+//!   Prometheus readers.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -50,6 +52,7 @@ pub mod prefetch;
 pub mod probe;
 pub mod queue;
 pub mod rng;
+pub mod scan;
 pub mod stats;
 pub mod sync;
 pub mod timer;

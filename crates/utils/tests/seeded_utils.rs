@@ -3,6 +3,7 @@
 use saga_utils::bitvec::AtomicBitVec;
 use saga_utils::parallel::{Schedule, ThreadPool};
 use saga_utils::rng::{for_each_seed, Xoshiro256PlusPlus};
+use saga_utils::scan::Cursor;
 use saga_utils::stats::Summary;
 use saga_utils::sync::atomic::{AtomicUsize, Ordering};
 
@@ -107,4 +108,84 @@ fn parallel_for_touches_each_index_once() {
         });
         assert!(counters.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     });
+}
+
+/// Bytes the text grammars care about, plus arbitrary ones (decoded
+/// lossily, so invalid UTF-8 becomes U+FFFD).
+fn scan_soup(rng: &mut Xoshiro256PlusPlus) -> String {
+    const GRAMMAR: &[u8] = b" \t\n\r\"\\#%{}[]=,:+-.eE019aZ_u";
+    let bytes = rng.vec(0, 48, |rng| match rng.range(0, 3) {
+        0 => rng.next_u64() as u8,
+        _ => GRAMMAR[rng.range(0, GRAMMAR.len() - 1)],
+    });
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Every cursor method returns on any text, never panics and never moves
+/// the position backwards or past the end.
+#[test]
+#[cfg_attr(miri, ignore)] // case counts are not Miri-sized
+fn cursor_is_total_and_monotone_on_arbitrary_text() {
+    for_each_seed(0..512, |rng| {
+        let text = scan_soup(rng);
+        let mut c = Cursor::new(&text);
+        // `rest()` slices at the read position, so it panics unless the
+        // position is a char boundary within the text.
+        let pos = |c: &Cursor<'_>| text.len() - c.rest().len();
+        for _ in 0..rng.range(1, 24) {
+            let before = pos(&c);
+            match rng.range(0, 11) {
+                0 => c.skip_ws(),
+                1 => drop(c.token()),
+                2 => drop(c.parse::<u64>()),
+                3 => drop(c.parse::<f64>()),
+                4 => drop(c.parse_while::<f32>(|ch| ch.is_ascii_digit() || ch == '.')),
+                5 => drop(c.ident()),
+                6 => drop(c.eat("\"")),
+                7 => drop(c.expect("{")),
+                8 => drop(c.end()),
+                9 => drop(c.error("probe")),
+                10 => drop(c.take_while(|ch| ch != '\n')),
+                _ => drop(c.quoted(|e, c| if e == 'u' { c.parse::<u64>().map(|_| e) } else { Ok(e) })),
+            }
+            assert!(before <= pos(&c), "{text:?}: {before} -> {}", pos(&c));
+            assert!(text.ends_with(c.rest()));
+        }
+    });
+}
+
+/// A float token reads back bit for bit: `Display` writes the shortest
+/// round-tripping form and the cursor converts with std `FromStr`.
+#[test]
+#[cfg_attr(miri, ignore)] // case counts are not Miri-sized
+fn cursor_float_tokens_round_trip_exactly() {
+    let specials32 = [-0.0, f32::MIN_POSITIVE, f32::from_bits(1), f32::MAX, f32::MIN, f32::EPSILON];
+    let specials64 = [-0.0, f64::MIN_POSITIVE, f64::from_bits(1), f64::MAX, f64::MIN, f64::EPSILON];
+    let mut f32s = specials32.to_vec();
+    let mut f64s = specials64.to_vec();
+    let mut u64s = vec![0, u64::MAX];
+    for_each_seed(SEEDS, |rng| {
+        f32s.push(f32::from_bits(rng.next_u64() as u32));
+        f64s.push(f64::from_bits(rng.next_u64()));
+        u64s.push(rng.next_u64());
+    });
+    let same32 = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+    let same64 = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+    let text: String = (f32s.iter().map(|x| format!("{x} ")))
+        .chain(f64s.iter().map(|x| format!("{x}\t")))
+        .chain(u64s.iter().map(|x| format!("{x}\n")))
+        .collect();
+    let mut c = Cursor::new(&text);
+    for &x in &f32s {
+        let back: f32 = c.parse().unwrap();
+        assert!(same32(x, back), "{x:e} read back as {back:e}");
+    }
+    for &x in &f64s {
+        let back: f64 = c.parse().unwrap();
+        assert!(same64(x, back), "{x:e} read back as {back:e}");
+    }
+    for &x in &u64s {
+        assert_eq!(c.parse::<u64>(), Ok(x));
+    }
+    c.end().unwrap();
 }

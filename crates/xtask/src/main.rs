@@ -132,7 +132,7 @@ fn check_metrics(path: Option<String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match saga_trace::expose::parse_prometheus(&doc) {
+    match saga_check::prom::parse_prometheus(&doc) {
         Ok(families) => {
             let samples: usize = families.iter().map(|f| f.samples.len()).sum();
             println!(

@@ -2,7 +2,7 @@
 //! probe + cache replay + bandwidth model working together.
 
 use saga_bench_suite::algorithms::{AlgorithmKind, ComputeModelKind};
-use saga_bench_suite::core::driver::{ArchSimConfig, StreamDriver};
+use saga_bench_suite::core::driver::StreamDriver;
 use saga_bench_suite::graph::DataStructureKind;
 use saga_bench_suite::stream::profiles::DatasetProfile;
 use std::sync::{Mutex, MutexGuard};
@@ -24,7 +24,7 @@ fn arch_records_are_internally_consistent() {
         .compute_model(ComputeModelKind::Incremental)
         .batch_size(2_000)
         .threads(2)
-        .arch_sim(ArchSimConfig::default())
+        .arch_sim()
         .build();
     let outcome = driver.run(&stream);
     assert_eq!(outcome.batches.len(), 3);
@@ -72,7 +72,7 @@ fn compute_phase_reuses_update_phase_lines() {
         .compute_model(ComputeModelKind::Incremental)
         .batch_size(4_000)
         .threads(2)
-        .arch_sim(ArchSimConfig::default())
+        .arch_sim()
         .build();
     let outcome = driver.run(&stream);
     let later = &outcome.batches[1]; // warmed hierarchy
@@ -109,7 +109,7 @@ fn hub_only_update_is_more_imbalanced_than_uniform() {
             .compute_model(ComputeModelKind::Incremental)
             .batch_size(8_000)
             .threads(4)
-            .arch_sim(ArchSimConfig::default())
+            .arch_sim()
             .build();
         let outcome = driver.run(&stream);
         outcome.batches[0].arch.as_ref().unwrap().update_bw.imbalance
