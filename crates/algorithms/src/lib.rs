@@ -33,9 +33,11 @@ pub mod program;
 pub mod sssp;
 pub mod sswp;
 
+pub use saga_graph::properties::VertexValues;
+
 use inc::DeletionOutcome;
 use program::{EdgeScope, ValueStore, VertexProgram};
-use saga_graph::properties::AtomicU32Array;
+use saga_graph::properties::{AtomicU32Array, Property};
 use saga_graph::{Edge, GraphTopology, Node};
 use saga_utils::sync::Mutex;
 use saga_utils::bitvec::{AtomicBitVec, GenerationMarks};
@@ -213,84 +215,6 @@ pub struct ComputeOutcome {
     pub fs_fallback: bool,
 }
 
-/// A snapshot of the vertex property array.
-#[derive(Debug, Clone, PartialEq)]
-pub enum VertexValues {
-    /// Depths, labels, or max values.
-    U32(Vec<u32>),
-    /// Distances or widths.
-    F32(Vec<f32>),
-    /// PageRank scores.
-    F64(Vec<f64>),
-}
-
-impl VertexValues {
-    /// Number of vertices covered.
-    pub fn len(&self) -> usize {
-        match self {
-            VertexValues::U32(v) => v.len(),
-            VertexValues::F32(v) => v.len(),
-            VertexValues::F64(v) => v.len(),
-        }
-    }
-
-    /// Whether the snapshot is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The integer values, if this is a U32 snapshot.
-    pub fn as_u32(&self) -> Option<&[u32]> {
-        match self {
-            VertexValues::U32(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The f32 values, if this is an F32 snapshot.
-    pub fn as_f32(&self) -> Option<&[f32]> {
-        match self {
-            VertexValues::F32(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The f64 values, if this is an F64 snapshot.
-    pub fn as_f64(&self) -> Option<&[f64]> {
-        match self {
-            VertexValues::F64(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The `k` vertices with the largest values, descending (useful for
-    /// "top influencers" style queries; ties broken by vertex id).
-    pub fn top_k(&self, k: usize) -> Vec<(Node, f64)> {
-        let mut indexed: Vec<(Node, f64)> = match self {
-            VertexValues::U32(v) => v
-                .iter()
-                .enumerate()
-                .filter(|&(_, &x)| x != u32::MAX)
-                .map(|(i, &x)| (i as Node, x as f64))
-                .collect(),
-            VertexValues::F32(v) => v
-                .iter()
-                .enumerate()
-                .filter(|&(_, &x)| x.is_finite())
-                .map(|(i, &x)| (i as Node, x as f64))
-                .collect(),
-            VertexValues::F64(v) => v
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| (i as Node, x))
-                .collect(),
-        };
-        indexed.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        indexed.truncate(k);
-        indexed
-    }
-}
-
 /// The one [`AlgorithmKind`] → concrete program table. Evaluates `$body`
 /// with `$program` bound to the kind's [`VertexProgram`], built from the
 /// [`AlgorithmParams`] tunables over a `$capacity`-vertex universe. Every
@@ -408,10 +332,7 @@ impl<P: VertexProgram> Bound<P> {
     }
 }
 
-impl<P: VertexProgram> BoundProgram for Bound<P>
-where
-    VertexValues: From<Vec<P::Value>>,
-{
+impl<P: VertexProgram> BoundProgram for Bound<P> {
     fn perform(
         &self,
         model: ComputeModelKind,
@@ -462,8 +383,7 @@ where
     }
 
     fn values(&self) -> VertexValues {
-        let values: Vec<P::Value> = (0..self.values.len()).map(|v| self.values.load(v)).collect();
-        values.into()
+        P::Value::into_values((0..self.values.len()).map(|v| self.values.load(v)).collect())
     }
 }
 

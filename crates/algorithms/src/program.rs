@@ -9,8 +9,7 @@
 //! new algorithm join the benchmark by implementing one trait (§III-D).
 
 use crate::inc::NO_PARENT;
-use crate::VertexValues;
-use saga_graph::properties::{AtomicF32Array, AtomicF64Array, AtomicU32Array};
+use saga_graph::properties::{AtomicArray, Property};
 use saga_graph::{GraphTopology, Node};
 use saga_utils::parallel::ThreadPool;
 
@@ -56,40 +55,24 @@ pub trait ValueStore<V: Copy>: Send + Sync {
     fn begin_phase(&self) {}
 }
 
-/// Wires one property type to its atomic-array store and to its
-/// [`VertexValues`] variant — the one `Vec<P::Value>` → `VertexValues`
-/// conversion both engines snapshot through.
-macro_rules! property_type {
-    ($value:ty, $store:ident, $variant:ident) => {
-        impl ValueStore<$value> for $store {
-            fn create(len: usize, init: $value) -> Self {
-                $store::filled(len, init)
-            }
-            fn load(&self, i: usize) -> $value {
-                self.get(i)
-            }
-            fn store(&self, i: usize, value: $value) {
-                self.set(i, value)
-            }
-            fn len(&self) -> usize {
-                $store::len(self)
-            }
-            fn prefetch_hint(&self, i: usize) {
-                self.prefetch(i);
-            }
-        }
-
-        impl From<Vec<$value>> for VertexValues {
-            fn from(values: Vec<$value>) -> Self {
-                VertexValues::$variant(values)
-            }
-        }
-    };
+/// Every program's store but PageRank's: the shared atomic array.
+impl<T: Property> ValueStore<T> for AtomicArray<T> {
+    fn create(len: usize, init: T) -> Self {
+        AtomicArray::filled(len, init)
+    }
+    fn load(&self, i: usize) -> T {
+        self.get(i)
+    }
+    fn store(&self, i: usize, value: T) {
+        self.set(i, value)
+    }
+    fn len(&self) -> usize {
+        AtomicArray::len(self)
+    }
+    fn prefetch_hint(&self, i: usize) {
+        self.prefetch(i);
+    }
 }
-
-property_type!(u32, AtomicU32Array, U32);
-property_type!(f32, AtomicF32Array, F32);
-property_type!(f64, AtomicF64Array, F64);
 
 /// How a BSP destination absorbs the per-edge terms addressed to it (the
 /// sharded engine in `saga-bsp` sends each [`VertexProgram::term`] as a
@@ -137,13 +120,7 @@ pub enum GatherMode {
 pub trait VertexProgram: Send + Sync {
     /// Property type. `Default` and `Add` are the zero and the addition of
     /// the [`GatherMode::Sum`] gather.
-    type Value: Copy
-        + PartialEq
-        + Default
-        + std::ops::Add<Output = Self::Value>
-        + Send
-        + Sync
-        + std::fmt::Debug;
+    type Value: Property + Default + std::ops::Add<Output = Self::Value>;
     /// Storage for the property array.
     type Store: ValueStore<Self::Value>;
 
@@ -291,6 +268,7 @@ mod tests {
     use crate::pr::{PrProgram, DEFAULT_FS_TOLERANCE, DEFAULT_MAX_ITERS};
     use crate::sssp::SsspProgram;
     use crate::sswp::SswpProgram;
+    use saga_graph::properties::{AtomicF32Array, AtomicF64Array, AtomicU32Array};
 
     #[test]
     fn each_program_states_its_table_i_term_and_gather_mode() {

@@ -11,47 +11,13 @@
 //! kill-and-recover recipe).
 //!
 //! The on-disk format is deliberately dumb: little-endian `u64` words
-//! (counts, vertex ids, and values via [`ValueCodec`] bit-casts). It is a
-//! crash artifact, not an interchange format.
+//! (counts, vertex ids, and values via [`Property::to_word`] bit-casts). It
+//! is a crash artifact, not an interchange format.
 
+use saga_graph::properties::Property;
 use saga_graph::Node;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-
-/// Bit-level serialization of a property value into a `u64` word.
-pub trait ValueCodec: Copy {
-    /// The value's bits, widened to 64.
-    fn to_word(self) -> u64;
-    /// Inverse of [`to_word`](Self::to_word).
-    fn from_word(word: u64) -> Self;
-}
-
-impl ValueCodec for u32 {
-    fn to_word(self) -> u64 {
-        self as u64
-    }
-    fn from_word(word: u64) -> Self {
-        word as u32
-    }
-}
-
-impl ValueCodec for f32 {
-    fn to_word(self) -> u64 {
-        self.to_bits() as u64
-    }
-    fn from_word(word: u64) -> Self {
-        f32::from_bits(word as u32)
-    }
-}
-
-impl ValueCodec for f64 {
-    fn to_word(self) -> u64 {
-        self.to_bits()
-    }
-    fn from_word(word: u64) -> Self {
-        f64::from_bits(word)
-    }
-}
 
 /// Checkpointing policy.
 #[derive(Debug, Clone, Default)]
@@ -91,7 +57,7 @@ pub struct CheckpointStore<V> {
     published: usize,
 }
 
-impl<V: ValueCodec> CheckpointStore<V> {
+impl<V: Property> CheckpointStore<V> {
     /// An empty store with the given policy.
     pub fn new(config: CheckpointConfig) -> Self {
         Self {
@@ -176,7 +142,7 @@ fn parse_checkpoint_name(path: &Path) -> Option<usize> {
     step.parse().ok()
 }
 
-fn write_checkpoint<V: ValueCodec>(dir: &Path, cp: &Checkpoint<V>) -> io::Result<()> {
+fn write_checkpoint<V: Property>(dir: &Path, cp: &Checkpoint<V>) -> io::Result<()> {
     std::fs::create_dir_all(dir)?;
     let mut words: Vec<u64> = Vec::new();
     words.push(cp.superstep as u64);
@@ -239,7 +205,7 @@ impl WordReader<'_> {
     }
 }
 
-fn read_checkpoint<V: ValueCodec>(path: &Path) -> io::Result<Checkpoint<V>> {
+fn read_checkpoint<V: Property>(path: &Path) -> io::Result<Checkpoint<V>> {
     let mut bytes = Vec::new();
     std::fs::File::open(path)?.read_to_end(&mut bytes)?;
     let mut r = WordReader { bytes: &bytes, cursor: 0 };
@@ -296,15 +262,20 @@ mod tests {
         for v in [0u32, 7, u32::MAX] {
             assert_eq!(u32::from_word(v.to_word()), v);
         }
-        for v in [0.0f32, -0.0, 1.5, f32::INFINITY, f32::NEG_INFINITY] {
+        // NaN payloads, signed zeros and infinities survive too — "bitwise
+        // identical" means bitwise.
+        let f32_nan = f32::from_bits(0x7fc0_beef);
+        let f32_snan = f32::from_bits(0xff80_0001);
+        for v in [0.0f32, -0.0, 1.5, f32::INFINITY, f32::NEG_INFINITY, f32_nan, f32_snan] {
+            assert_eq!(v.to_word(), u64::from(v.to_bits()), "an f32 word is its bits, zero-extended");
             assert_eq!(f32::from_word(v.to_word()).to_bits(), v.to_bits());
         }
-        for v in [0.0f64, 1e-300, -5.5, f64::INFINITY] {
+        let f64_nan = f64::from_bits(0x7ff8_0000_dead_beef);
+        let f64_snan = f64::from_bits(0xfff0_0000_0000_0001);
+        for v in [0.0f64, -0.0, 1e-300, -5.5, f64::INFINITY, f64::NEG_INFINITY, f64_nan, f64_snan] {
+            assert_eq!(v.to_word(), v.to_bits());
             assert_eq!(f64::from_word(v.to_word()).to_bits(), v.to_bits());
         }
-        // NaN payloads survive too — "bitwise identical" means bitwise.
-        let nan = f64::from_bits(0x7ff8_0000_dead_beef);
-        assert_eq!(f64::from_word(nan.to_word()).to_bits(), nan.to_bits());
     }
 
     #[test]

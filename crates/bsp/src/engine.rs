@@ -25,18 +25,18 @@
 //! uninterrupted run — the property `saga-check`'s kill-and-recover
 //! harness asserts.
 
-use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointStore, ValueCodec};
+use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointStore};
 use crate::layout::ShardLayout;
 use crate::mailbox::Mailboxes;
 use saga_algorithms::program::{EdgeScope, GatherMode, VertexProgram};
 use saga_graph::properties::ShardValues;
 use saga_graph::{GraphTopology, Node, Weight};
-use saga_trace::metrics;
+use saga_trace::metrics::{self, Counter, Histogram};
 use saga_utils::barrier::Barrier;
 use saga_utils::bitvec::GenerationMarks;
 use saga_utils::parallel::ThreadPool;
 use saga_utils::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use saga_utils::sync::Mutex;
+use saga_utils::sync::{Arc, Mutex};
 use std::io;
 
 /// Which half of a superstep a simulated kill lands in.
@@ -106,10 +106,7 @@ struct Control {
 }
 
 /// The sharded BSP executor for one [`VertexProgram`].
-pub struct BspEngine<P: VertexProgram>
-where
-    P::Value: ValueCodec,
-{
+pub struct BspEngine<P: VertexProgram> {
     program: P,
     layout: ShardLayout,
     shards: Vec<Mutex<ShardState<P::Value>>>,
@@ -120,12 +117,14 @@ where
     period: usize,
     superstep: AtomicUsize,
     kill: Mutex<Option<KillSpec>>,
+    /// Metric handles, resolved once here: a registry lookup takes a
+    /// global mutex, which the superstep path must not.
+    shard_messages: Vec<Arc<Counter>>,
+    superstep_messages: Arc<Histogram>,
+    supersteps: Arc<Counter>,
 }
 
-impl<P: VertexProgram> BspEngine<P>
-where
-    P::Value: ValueCodec,
-{
+impl<P: VertexProgram> BspEngine<P> {
     /// A new engine over `capacity` vertices in `shards` shards. Initial
     /// values come from [`VertexProgram::initial`];
     /// no vertex starts active — call [`reset_all_active`](Self::reset_all_active)
@@ -158,6 +157,11 @@ where
             period,
             superstep: AtomicUsize::new(0),
             kill: Mutex::new(None),
+            shard_messages: (0..shards)
+                .map(|s| metrics::indexed_counter("bsp.shard_messages", s))
+                .collect(),
+            superstep_messages: metrics::histogram("bsp.superstep_messages"),
+            supersteps: metrics::counter("bsp.supersteps"),
         }
     }
 
@@ -279,12 +283,12 @@ where
                         match mode {
                             GatherMode::Fold => {
                                 let (processed, activated) = self.gather_shard_fold(s, limit);
-                                metrics::indexed_counter("bsp.shard_messages", s).add(processed);
+                                self.shard_messages[s].add(processed);
                                 ctl.active_total.fetch_add(activated, Ordering::Relaxed);
                             }
                             GatherMode::Sum => {
                                 let (processed, delta) = self.gather_shard_sum(s, limit);
-                                metrics::indexed_counter("bsp.shard_messages", s).add(processed);
+                                self.shard_messages[s].add(processed);
                                 ctl.delta_fixed.fetch_add(delta, Ordering::Relaxed);
                             }
                         }
@@ -506,8 +510,8 @@ where
     fn superstep_epilogue(&self, step: usize, ctl: &Control, mode: GatherMode) {
         let sent = ctl.step_messages.swap(0, Ordering::Relaxed);
         ctl.messages.fetch_add(sent, Ordering::Relaxed);
-        metrics::histogram("bsp.superstep_messages").record(sent);
-        metrics::counter("bsp.supersteps").incr();
+        self.superstep_messages.record(sent);
+        self.supersteps.incr();
         let active = ctl.active_total.swap(0, Ordering::Relaxed);
         let delta = ctl.delta_fixed.swap(0, Ordering::Relaxed);
         if ctl.killed.load(Ordering::SeqCst) {

@@ -36,7 +36,6 @@ pub mod mailbox;
 pub use checkpoint::CheckpointConfig;
 pub use engine::{BspOutcome, KillPhase, KillSpec, Killed};
 
-use crate::checkpoint::ValueCodec;
 use crate::engine::BspEngine;
 use crate::layout::ShardLayout;
 use saga_algorithms::program::{EdgeScope, GatherMode, VertexProgram};
@@ -44,6 +43,7 @@ use saga_algorithms::{
     with_program, AlgorithmKind, AlgorithmParams, BatchImpact, ComputeEngine, ComputeModelKind,
     ComputeOutcome, VertexValues,
 };
+use saga_graph::properties::Property;
 use saga_graph::{Edge, GraphTopology, Node};
 use saga_utils::parallel::ThreadPool;
 use saga_utils::partition::Partitioner;
@@ -69,11 +69,7 @@ trait Engine: Send + Sync {
     fn values(&self) -> VertexValues;
 }
 
-impl<P: VertexProgram> Engine for BspEngine<P>
-where
-    P::Value: ValueCodec,
-    VertexValues: From<Vec<P::Value>>,
-{
+impl<P: VertexProgram> Engine for BspEngine<P> {
     fn checkpoints_published(&self) -> usize {
         BspEngine::checkpoints_published(self)
     }
@@ -110,7 +106,7 @@ where
     }
 
     fn values(&self) -> VertexValues {
-        self.values_vec().into()
+        P::Value::into_values(self.values_vec())
     }
 }
 

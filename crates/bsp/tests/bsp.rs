@@ -208,6 +208,42 @@ fn disk_checkpoints_roundtrip_and_pick_the_newest() {
     assert_eq!(loaded, newer);
 }
 
+/// The on-disk format, pinned: little-endian `u64` words — superstep,
+/// shard count, then per shard the value count, each value's bits
+/// zero-extended, the active count and the active ids.
+#[test]
+fn checkpoint_file_bytes_are_golden() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("bsp-ckpt-golden");
+    let _ = std::fs::remove_dir_all(&dir);
+    let nan = f32::from_bits(0x7fc0_beef);
+    let mut store: CheckpointStore<f32> = CheckpointStore::new(CheckpointConfig {
+        interval: 1,
+        dir: Some(dir.clone()),
+    });
+    store
+        .publish(Checkpoint {
+            superstep: 5,
+            values: vec![vec![1.5, -0.0, f32::INFINITY], vec![nan]],
+            active: vec![vec![0, 2], vec![3]],
+        })
+        .unwrap();
+    let words: [u64; 13] = [
+        5, 2, //
+        3, 0x3fc0_0000, 0x8000_0000, 0x7f80_0000, 2, 0, 2, //
+        1, 0x7fc0_beef, 1, 3,
+    ];
+    let golden: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    assert_eq!(&golden[..24], &[5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0]);
+    assert_eq!(&golden[24..32], &[0, 0, 0xc0, 0x3f, 0, 0, 0, 0]);
+    assert_eq!(std::fs::read(dir.join("ckpt-5.bin")).unwrap(), golden);
+    let loaded = CheckpointStore::<f32>::load_latest_from_disk(&dir).unwrap().unwrap();
+    let bits = |values: &[Vec<f32>]| -> Vec<Vec<u32>> {
+        values.iter().map(|s| s.iter().map(|v| v.to_bits()).collect()).collect()
+    };
+    assert_eq!(bits(&loaded.values), bits(&store.latest().unwrap().values));
+    assert_eq!((loaded.superstep, loaded.active), (5, vec![vec![0, 2], vec![3]]));
+}
+
 #[test]
 fn recovery_skips_and_deletes_corrupt_checkpoints() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("bsp-ckpt-corrupt");

@@ -6,11 +6,74 @@
 //! useful as (1) the reference substrate the test suite validates the
 //! dynamic structures and algorithms against, and (2) the static-baseline
 //! layout for comparing traversal costs.
+//!
+//! One direction of the layout is a `CsrDir` — offsets plus one id-sorted
+//! edge array — filled by one builder that appends each vertex's
+//! neighbours and sorts that slice in place. [`Csr`] is an `out` direction
+//! plus, for a directed graph, an in-copy; the compacted base of
+//! [`DeltaCsr`](crate::delta_csr::DeltaCsr) is the same pair.
 
+use crate::shell::Sides;
 use crate::{GraphTopology, Node, Weight};
 use saga_utils::probe;
 
-/// An immutable CSR image of a graph's out- and in-adjacency.
+/// One direction of a CSR image: per-vertex offsets into one edge array,
+/// each vertex's neighbours sorted by id. The layout of [`Csr`] and of
+/// [`DeltaCsr`](crate::delta_csr::DeltaCsr)'s compacted base.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct CsrDir {
+    offsets: Vec<usize>,
+    edges: Vec<(Node, Weight)>,
+}
+
+impl CsrDir {
+    /// `num_nodes` vertices, no edges. The offsets come zeroed from the
+    /// allocator, so a base that is never filled costs no resident pages.
+    pub(crate) fn empty(num_nodes: usize) -> Self {
+        Self { offsets: vec![0; num_nodes + 1], edges: Vec::new() }
+    }
+
+    /// The one builder: `append(v, edges)` pushes `v`'s neighbours onto the
+    /// shared edge array, in any order, and the builder sorts that slice in
+    /// place — no allocation per vertex. `entries` presizes the array.
+    pub(crate) fn build(
+        num_nodes: usize,
+        entries: usize,
+        mut append: impl FnMut(Node, &mut Vec<(Node, Weight)>),
+    ) -> Self {
+        let mut offsets = Vec::with_capacity(num_nodes + 1);
+        let mut edges = Vec::with_capacity(entries);
+        offsets.push(0);
+        for v in 0..num_nodes as Node {
+            let start = edges.len();
+            append(v, &mut edges);
+            edges[start..].sort_unstable_by_key(|&(n, _)| n);
+            offsets.push(edges.len());
+        }
+        Self { offsets, edges }
+    }
+
+    /// Stored entries.
+    pub(crate) fn len(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// `v`'s neighbours, sorted by id.
+    #[inline]
+    pub(crate) fn neighbors(&self, v: Node) -> &[(Node, Weight)] {
+        &self.edges[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+    }
+
+    /// Whether `dst` is a neighbour of `v` (a binary search).
+    #[inline]
+    pub(crate) fn contains(&self, v: Node, dst: Node) -> bool {
+        self.neighbors(v).binary_search_by_key(&dst, |&(n, _)| n).is_ok()
+    }
+}
+
+/// An immutable CSR image of a graph's out- and in-adjacency. An undirected
+/// image stores each adjacency entry once and serves `in_*` from the out
+/// side, like the dynamic structures.
 ///
 /// # Examples
 ///
@@ -27,13 +90,8 @@ use saga_utils::probe;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
-    num_nodes: usize,
     num_edges: usize,
-    directed: bool,
-    out_offsets: Vec<usize>,
-    out_edges: Vec<(Node, Weight)>,
-    in_offsets: Vec<usize>,
-    in_edges: Vec<(Node, Weight)>,
+    sides: Sides<CsrDir>,
 }
 
 impl Csr {
@@ -42,81 +100,62 @@ impl Csr {
     pub fn from_graph(graph: &dyn GraphTopology) -> Self {
         // One read phase: no per-visit lock on the chunked structures.
         crate::read_phase(graph, |graph| {
-            let n = graph.capacity();
-            let mut out_offsets = Vec::with_capacity(n + 1);
-            let mut out_edges = Vec::with_capacity(graph.num_edges());
-            let mut in_offsets = Vec::with_capacity(n + 1);
-            let mut in_edges = Vec::with_capacity(graph.num_edges());
-            out_offsets.push(0);
-            in_offsets.push(0);
-            for v in 0..n as Node {
-                let mut outs = graph.out_neighbors(v);
-                outs.sort_by_key(|&(u, _)| u);
-                out_edges.extend_from_slice(&outs);
-                out_offsets.push(out_edges.len());
-                let mut ins = graph.in_neighbors(v);
-                ins.sort_by_key(|&(u, _)| u);
-                in_edges.extend_from_slice(&ins);
-                in_offsets.push(in_edges.len());
-            }
-            Self {
-                num_nodes: n,
-                num_edges: graph.num_edges(),
-                directed: graph.is_directed(),
-                out_offsets,
-                out_edges,
-                in_offsets,
-                in_edges,
-            }
+            let (n, m) = (graph.capacity(), graph.num_edges());
+            let sides = Sides::new(graph.is_directed(), |is_in| {
+                CsrDir::build(n, m, |v, edges| {
+                    let mut push = |u, w| edges.push((u, w));
+                    if is_in {
+                        graph.for_each_in_neighbor(v, &mut push);
+                    } else {
+                        graph.for_each_out_neighbor(v, &mut push);
+                    }
+                })
+            });
+            Self { num_edges: m, sides }
         })
     }
 
-    /// Builds a CSR directly from an edge list (unique, directed edges).
+    /// Builds a CSR directly from an edge list. A repeated edge keeps its
+    /// first weight; an undirected edge and its reverse are one edge.
     pub fn from_edges(num_nodes: usize, directed: bool, edges: &[(Node, Node, Weight)]) -> Self {
-        let mut out: Vec<Vec<(Node, Weight)>> = vec![Vec::new(); num_nodes];
-        let mut inn: Vec<Vec<(Node, Weight)>> = vec![Vec::new(); num_nodes];
-        let mut logical = 0usize;
-        for &(s, d, w) in edges {
-            if !out[s as usize].iter().any(|&(n, _)| n == d) {
-                out[s as usize].push((d, w));
-                inn[d as usize].push((s, w));
-                logical += 1;
-                if !directed && s != d {
-                    out[d as usize].push((s, w));
-                    inn[s as usize].push((d, w));
+        // Stored entries as (key, neighbour, index of the edge they came
+        // from); sorting by all three puts each pair's first edge first.
+        let mut entries: Vec<(Node, Node, u32)> = Vec::with_capacity(edges.len());
+        for (i, &(s, d, _)) in edges.iter().enumerate() {
+            let i = u32::try_from(i).expect("edge list indices fit in u32");
+            entries.push((s, d, i));
+            if !directed && s != d {
+                entries.push((d, s, i));
+            }
+        }
+        let side = |entries: &mut Vec<(Node, Node, u32)>| {
+            entries.sort_unstable();
+            entries.dedup_by_key(|e| (e.0, e.1));
+            let mut next = entries.iter().peekable();
+            let dir = CsrDir::build(num_nodes, entries.len(), |v, adj| {
+                while let Some(&(_, d, i)) = next.next_if(|e| e.0 == v) {
+                    adj.push((d, edges[i as usize].2));
                 }
-            }
-        }
-        let mut out_offsets = vec![0usize];
-        let mut out_edges = Vec::new();
-        let mut in_offsets = vec![0usize];
-        let mut in_edges = Vec::new();
-        for v in 0..num_nodes {
-            out[v].sort_by_key(|&(u, _)| u);
-            out_edges.extend_from_slice(&out[v]);
-            out_offsets.push(out_edges.len());
-            if directed {
-                inn[v].sort_by_key(|&(u, _)| u);
-                in_edges.extend_from_slice(&inn[v]);
-            } else {
-                in_edges.extend_from_slice(&out[v]);
-            }
-            in_offsets.push(in_edges.len());
-        }
-        Self {
-            num_nodes,
-            num_edges: logical,
-            directed,
-            out_offsets,
-            out_edges,
-            in_offsets,
-            in_edges,
-        }
+            });
+            assert!(next.next().is_none(), "edge endpoint out of range");
+            dir
+        };
+        let out = side(&mut entries);
+        let num_edges = if directed {
+            entries.len()
+        } else {
+            entries.iter().filter(|e| e.0 <= e.1).count()
+        };
+        let inn = directed.then(|| {
+            entries.iter_mut().for_each(|e| *e = (e.1, e.0, e.2));
+            side(&mut entries)
+        });
+        Self { num_edges, sides: Sides { out, inn } }
     }
 
     /// Number of vertices.
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.sides.out.offsets.len() - 1
     }
 
     /// Number of logical edges.
@@ -126,42 +165,37 @@ impl Csr {
 
     /// Whether the snapshot came from a directed graph.
     pub fn is_directed(&self) -> bool {
-        self.directed
+        self.sides.inn.is_some()
     }
 
     /// Out-neighbors of `v`, sorted by id.
     pub fn out_neighbors(&self, v: Node) -> &[(Node, Weight)] {
-        let s = self.out_offsets[v as usize];
-        let e = self.out_offsets[v as usize + 1];
-        let slice = &self.out_edges[s..e];
+        let slice = self.sides.out.neighbors(v);
         probe::slice_read(slice);
         slice
     }
 
     /// In-neighbors of `v`, sorted by id.
     pub fn in_neighbors(&self, v: Node) -> &[(Node, Weight)] {
-        let s = self.in_offsets[v as usize];
-        let e = self.in_offsets[v as usize + 1];
-        let slice = &self.in_edges[s..e];
+        let slice = self.sides.side(true).neighbors(v);
         probe::slice_read(slice);
         slice
     }
 
     /// Out-degree of `v`.
     pub fn out_degree(&self, v: Node) -> usize {
-        self.out_offsets[v as usize + 1] - self.out_offsets[v as usize]
+        self.sides.out.neighbors(v).len()
     }
 
     /// In-degree of `v`.
     pub fn in_degree(&self, v: Node) -> usize {
-        self.in_offsets[v as usize + 1] - self.in_offsets[v as usize]
+        self.sides.side(true).neighbors(v).len()
     }
 }
 
-
 impl GraphTopology for Csr {
     fn capacity(&self) -> usize {
-        self.num_nodes
+        self.num_nodes()
     }
 
     fn num_edges(&self) -> usize {
@@ -169,7 +203,7 @@ impl GraphTopology for Csr {
     }
 
     fn is_directed(&self) -> bool {
-        self.directed
+        Csr::is_directed(self)
     }
 
     fn out_degree(&self, v: Node) -> usize {
@@ -231,12 +265,16 @@ mod tests {
         assert_eq!(csr.out_neighbors(1), &[(0, 1.0)]);
         assert_eq!(csr.in_neighbors(1), &[(0, 1.0)]);
         assert_eq!(csr.out_neighbors(2), &[(2, 5.0)]);
+        assert!(csr.sides.inn.is_none(), "an undirected image stores one side");
+        assert_eq!(csr.in_neighbors(2), &[(2, 5.0)]);
     }
 
     #[test]
     fn from_edges_directed() {
         let csr = Csr::from_edges(3, true, &[(0, 1, 1.0), (0, 2, 1.0), (0, 1, 2.0)]);
         assert_eq!(csr.num_edges(), 2);
+        assert_eq!(csr.out_neighbors(0), &[(1, 1.0), (2, 1.0)], "the first weight wins");
+        assert_eq!(csr.in_neighbors(1), &[(0, 1.0)]);
         assert_eq!(csr.out_degree(0), 2);
         assert_eq!(csr.in_degree(1), 1);
         assert_eq!(csr.out_degree(1), 0);

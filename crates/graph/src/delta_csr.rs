@@ -1,5 +1,6 @@
 //! Delta-CSR hybrid structure (**DeltaCSR**): an immutable CSR snapshot
-//! plus a small chunked delta overlay, merged on threshold.
+//! plus a small chunked delta overlay, merged on threshold. The snapshot
+//! is the [`csr`](crate::csr) layout, rebuilt by its builder.
 //!
 //! The four §III-A structures pick one point each on the update-cost /
 //! traversal-locality trade-off. Delta-CSR refuses the choice: reads run
@@ -32,6 +33,7 @@
 //! compaction takes them exclusively in the same order), so the two-level
 //! scheme cannot deadlock.
 
+use crate::csr::CsrDir;
 use crate::shell::{Chunks, FrozenChunks, Op, ReadSide, Sides, TwoSided};
 use crate::{
     DataStructureKind, DeletableGraph, DeleteStats, DynamicGraph, Edge, GraphTopology, Node,
@@ -56,35 +58,6 @@ const THRESHOLD_SNAPSHOT_DIVISOR: usize = 4;
 /// concrete type that [`DeltaCsr::compactions`] needs.
 pub const COMPACTIONS_METRIC: &str = "graph.delta_csr.compactions";
 
-/// One direction of the immutable CSR image. Neighbor lists are id-sorted,
-/// so snapshot membership tests are binary searches and merged scans stay
-/// sorted.
-struct SnapshotDir {
-    offsets: Vec<usize>,
-    edges: Vec<(Node, Weight)>,
-}
-
-impl SnapshotDir {
-    fn empty(capacity: usize) -> Self {
-        Self {
-            offsets: vec![0; capacity + 1],
-            edges: Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn neighbors(&self, v: Node) -> &[(Node, Weight)] {
-        &self.edges[self.offsets[v as usize]..self.offsets[v as usize + 1]]
-    }
-
-    #[inline]
-    fn contains(&self, v: Node, dst: Node) -> bool {
-        self.neighbors(v)
-            .binary_search_by_key(&dst, |&(n, _)| n)
-            .is_ok()
-    }
-}
-
 /// Overlay state for the vertices owned by one chunk, indexed by their
 /// local index. `adds` are edges not live in the snapshot; `dels` are
 /// tombstones over snapshot entries. The two are disjoint views: an edge
@@ -100,7 +73,7 @@ impl DeltaChunk {
     /// the overlay changed (every change is one delta op).
     fn apply(
         &mut self,
-        dir: &SnapshotDir,
+        dir: &CsrDir,
         op: Op,
         local: usize,
         key: Node,
@@ -136,12 +109,12 @@ impl DeltaChunk {
     }
 
     /// Live neighbors of `v`, this chunk's vertex number `local`, over `dir`.
-    fn degree(&self, dir: &SnapshotDir, local: usize, v: Node) -> usize {
+    fn degree(&self, dir: &CsrDir, local: usize, v: Node) -> usize {
         dir.neighbors(v).len() + self.adds[local].len() - self.dels[local].len()
     }
 
     /// Visits them: the snapshot slice minus tombstones, then the adds.
-    fn for_each(&self, dir: &SnapshotDir, local: usize, v: Node, f: &mut dyn FnMut(Node, Weight)) {
+    fn for_each(&self, dir: &CsrDir, local: usize, v: Node, f: &mut dyn FnMut(Node, Weight)) {
         let dels = &self.dels[local];
         let slice = dir.neighbors(v);
         probe::slice_read(slice);
@@ -172,7 +145,7 @@ impl DeltaChunk {
 
 /// One direction of a [`DeltaCsr`] for the length of a read phase: the
 /// snapshot image and the overlay chunks out of guards the caller holds.
-struct FrozenDelta<'a>(&'a SnapshotDir, FrozenChunks<'a, DeltaChunk>);
+struct FrozenDelta<'a>(&'a CsrDir, FrozenChunks<'a, DeltaChunk>);
 
 impl ReadSide for FrozenDelta<'_> {
     fn degree(&self, v: Node) -> usize {
@@ -207,7 +180,7 @@ pub struct DeltaCsr {
     /// Both directions of the CSR image, paired exactly like the overlay's
     /// sides: undirected graphs store each logical edge twice in `out`
     /// (mirror entries) and serve `in_*` from it.
-    snapshot: RwLock<Sides<SnapshotDir>>,
+    snapshot: RwLock<Sides<CsrDir>>,
     /// The chunked overlay, and with it the shell's routing, pass protocol
     /// and edge counter.
     overlay: TwoSided<Chunks<DeltaChunk>>,
@@ -239,7 +212,7 @@ impl DeltaCsr {
     /// single-threaded overlay chunks (typically the update thread count).
     pub fn new(capacity: usize, directed: bool, chunks: usize) -> Self {
         Self {
-            snapshot: RwLock::new(Sides::new(directed, |_| SnapshotDir::empty(capacity))),
+            snapshot: RwLock::new(Sides::new(directed, |_| CsrDir::empty(capacity))),
             overlay: TwoSided::with_sides(capacity, directed, |_| {
                 Chunks::new(capacity, chunks, |local_count| DeltaChunk {
                     adds: vec![Vec::new(); local_count],
@@ -299,7 +272,7 @@ impl DeltaCsr {
         &self,
         v: Node,
         is_in: bool,
-        read: impl FnOnce(&DeltaChunk, &SnapshotDir, usize) -> R,
+        read: impl FnOnce(&DeltaChunk, &CsrDir, usize) -> R,
     ) -> R {
         let snap = self.snapshot.read();
         let delta = self.overlay.sides.side(is_in);
@@ -323,60 +296,40 @@ impl DeltaCsr {
     pub fn compact(&self) {
         let _span = saga_trace::span!("compaction", ops = self.delta_ops.load(Ordering::Relaxed) as u64);
         let mut snap = self.snapshot.write();
-        let mut entries = 0usize;
         let merged = Sides::new(self.is_directed(), |is_in| {
             let (dir, delta) = (snap.side(is_in), self.overlay.sides.side(is_in));
-            Self::merge_dir(self.capacity(), dir, delta, &mut entries)
+            Self::merge_dir(self.capacity(), dir, delta)
         });
         *snap = merged;
+        let entries = snap.out.len() + snap.inn.as_ref().map_or(0, CsrDir::len);
         self.snap_entries.store(entries, Ordering::Release);
         self.delta_ops.store(0, Ordering::Release);
         self.compactions.fetch_add(1, Ordering::AcqRel);
         saga_trace::metrics::counter(COMPACTIONS_METRIC).incr();
     }
 
-    /// Rebuilds one direction. Holds every chunk's write guard of the
-    /// direction for the duration (the snapshot write lock already excludes
-    /// readers and ingest batches; chunk guards are taken in index order).
-    fn merge_dir(
-        capacity: usize,
-        dir: &SnapshotDir,
-        delta: &Chunks<DeltaChunk>,
-        entries: &mut usize,
-    ) -> SnapshotDir {
+    /// Rebuilds one direction through the CSR builder, which keeps every
+    /// list id-sorted: membership stays a binary search and snapshots of
+    /// different structures stay directly comparable. Holds every chunk's
+    /// write guard of the direction for the duration (the snapshot write
+    /// lock already excludes readers and ingest batches; chunk guards are
+    /// taken in index order).
+    fn merge_dir(capacity: usize, dir: &CsrDir, delta: &Chunks<DeltaChunk>) -> CsrDir {
         let mut guards: Vec<_> = (0..delta.count()).map(|c| delta.write_chunk(c)).collect();
-        let mut offsets = Vec::with_capacity(capacity + 1);
-        let mut edges = Vec::with_capacity(dir.edges.len());
-        offsets.push(0);
-        let mut merged: Vec<(Node, Weight)> = Vec::new();
-        for v in 0..capacity as Node {
+        CsrDir::build(capacity, dir.len(), |v, edges| {
             let local = delta.local(v);
             let DeltaChunk { adds, dels } = &mut *guards[delta.chunk_of(v)];
             let (adds, dels) = (&mut adds[local], &mut dels[local]);
             let live = dir.neighbors(v);
-            if adds.is_empty() && dels.is_empty() {
+            if dels.is_empty() {
                 edges.extend_from_slice(live);
             } else {
                 dels.sort_unstable();
-                merged.clear();
-                merged.extend(
-                    live.iter()
-                        .filter(|&&(n, _)| dels.binary_search(&n).is_err())
-                        .copied(),
-                );
-                merged.extend_from_slice(adds);
-                // Snapshot lists stay id-sorted across compactions so
-                // membership stays a binary search and snapshots of
-                // different structures stay directly comparable.
-                merged.sort_unstable_by_key(|&(n, _)| n);
-                edges.extend_from_slice(&merged);
-                adds.clear();
+                edges.extend(live.iter().filter(|&&(n, _)| dels.binary_search(&n).is_err()));
                 dels.clear();
             }
-            offsets.push(edges.len());
-        }
-        *entries += edges.len();
-        SnapshotDir { offsets, edges }
+            edges.append(adds);
+        })
     }
 }
 

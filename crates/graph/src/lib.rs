@@ -27,11 +27,14 @@
 //! multithreading styles (shared: [`shell::SharedSide`]; chunked:
 //! [`shell::Chunk`] in [`shell::Chunks`]). The five public types are
 //! [`shell::TwoSided`] over their store (DeltaCSR wraps one around its
-//! snapshot).
+//! snapshot, which has the layout of a [`csr::Csr`] and is built by the
+//! same builder).
 //!
 //! Every insert is preceded by a search so that edges are ingested uniquely
 //! (§III-A). Vertex property values live outside the topology in
-//! [`properties`] arrays (footnote 4).
+//! [`properties`] arrays (footnote 4); [`properties::Property`] states each
+//! value type's bit layout once, for the shared atomic array, the BSP
+//! checkpoint word and the [`properties::VertexValues`] snapshot.
 //!
 //! [`AdjacencyShared`]: adjacency_shared::AdjacencyShared
 //! [`AdjacencyChunked`]: adjacency_chunked::AdjacencyChunked

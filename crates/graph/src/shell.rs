@@ -48,6 +48,7 @@ pub enum Op {
 
 /// The `out` half of a two-sided value and, for directed graphs, its `in`
 /// copy (footnote 3 of the paper).
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Sides<T> {
     pub(crate) out: T,
     pub(crate) inn: Option<T>,

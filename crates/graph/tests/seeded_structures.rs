@@ -2,8 +2,13 @@
 //! sequential oracle on arbitrary batched edge streams, directed and
 //! undirected, under concurrent updates.
 
+use saga_graph::csr::Csr;
+use saga_graph::delta_csr::DeltaCsr;
 use saga_graph::oracle::GraphOracle;
-use saga_graph::{build_graph, DataStructureKind, Edge, Node};
+use saga_graph::{
+    build_deletable_graph, build_graph, DataStructureKind, DeletableGraph, Edge, GraphTopology,
+    Node, Weight,
+};
 use saga_utils::parallel::ThreadPool;
 use saga_utils::rng::{for_each_seed, Xoshiro256PlusPlus};
 
@@ -196,4 +201,64 @@ fn csr_snapshot_is_faithful() {
         check(&batches, false);
     }
     for_each_seed(SEEDS, |rng| check(&arb_batches(rng), rng.chance(0.5)));
+}
+
+/// Degrees, neighbours in scan order with their weights, and the edge
+/// count — everything a CSR image states.
+type CsrView = (usize, Vec<(usize, usize, Vec<(Node, Weight)>, Vec<(Node, Weight)>)>);
+
+fn csr_view(g: &dyn GraphTopology) -> CsrView {
+    let vertices = (0..g.capacity() as Node)
+        .map(|v| (g.out_degree(v), g.in_degree(v), g.out_neighbors(v), g.in_neighbors(v)))
+        .collect();
+    (g.num_edges(), vertices)
+}
+
+#[test]
+#[cfg_attr(miri, ignore)] // case counts are not Miri-sized
+fn csr_views_agree_after_churn() {
+    // Each batch inserts its edges plus the previous batch's deletions,
+    // then deletes every third of its own; DeltaCSR compacts every other
+    // batch, so deletes hit both overlay adds and snapshot tombstones.
+    let check = |batches: &[Vec<Edge>], directed: bool| {
+        let pool = ThreadPool::new(2);
+        let delta = DeltaCsr::new(MAX_NODES, directed, pool.threads());
+        let shared =
+            build_deletable_graph(DataStructureKind::AdjacencyShared, MAX_NODES, directed, 2);
+        let mut oracle = GraphOracle::new(MAX_NODES, directed);
+        let mut deleted: Vec<Edge> = Vec::new();
+        for (i, batch) in batches.iter().enumerate() {
+            let inserts: Vec<Edge> = batch.iter().chain(&deleted).copied().collect();
+            deleted = batch.iter().step_by(3).copied().collect();
+            for g in [&delta as &dyn DeletableGraph, shared.as_ref()] {
+                g.update_batch(&inserts, &pool);
+                g.delete_batch(&deleted, &pool);
+            }
+            oracle.apply_batch(&inserts, &deleted);
+            if i % 2 == 0 {
+                delta.compact();
+            }
+        }
+        delta.compact();
+        let want = csr_view(&delta);
+        let sorted = |ns: &[(Node, Weight)]| ns.windows(2).all(|w| w[0].0 < w[1].0);
+        assert!(want.1.iter().all(|(_, _, outs, ins)| sorted(outs) && sorted(ins)));
+        let views = [
+            ("Csr::from_graph(DeltaCSR)", Csr::from_graph(&delta)),
+            ("Csr::from_graph(AS)", Csr::from_graph(shared.as_topology())),
+            ("Csr::from_edges(oracle)", Csr::from_edges(MAX_NODES, directed, &oracle.edge_list())),
+        ];
+        for (name, csr) in views {
+            assert_eq!(csr.is_directed(), directed, "{name}");
+            assert_eq!(csr_view(&csr), want, "{name} (directed: {directed})");
+        }
+    };
+    for batches in regressions() {
+        check(&batches, false);
+    }
+    for_each_seed(SEEDS, |rng| {
+        let batches = arb_batches(rng);
+        check(&batches, false);
+        check(&batches, true);
+    });
 }

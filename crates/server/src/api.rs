@@ -22,7 +22,7 @@
 //! admission-control backpressure contract the soak harness exercises.
 
 use crate::http::{Request, Response};
-use crate::tenant::{SubmitError, Tenant, TenantConfig};
+use crate::tenant::{Dumps, SubmitError, Tenant, TenantConfig};
 use saga_stream::loader::{read_op_lines, OpLine};
 use saga_stream::{Edge, EdgeOp};
 use saga_utils::sync::atomic::{AtomicUsize, Ordering};
@@ -152,16 +152,21 @@ pub fn handle(registry: &Registry, req: &Request) -> Response {
         ("GET", ["tenants", name, "status"]) => with_tenant(registry, name, |t| {
             Response::text(200, t.status_text())
         }),
-        ("GET", ["tenants", name, "values"]) => with_snapshot(registry, name, |_, s| {
-            Response::text(200, s.values_text)
-        }),
-        ("GET", ["tenants", name, "edges"]) => with_snapshot(registry, name, |_, s| {
-            Response::text(200, s.edges_text)
-        }),
+        ("GET", ["tenants", name, "values"]) => {
+            with_snapshot(registry, name, Dumps { values: true, edges: false }, |_, s| {
+                Response::text(200, s.values_text)
+            })
+        }
+        ("GET", ["tenants", name, "edges"]) => {
+            with_snapshot(registry, name, Dumps { values: false, edges: true }, |_, s| {
+                Response::text(200, s.edges_text)
+            })
+        }
         ("GET", ["tenants", name, "journal"]) => {
-            // The snapshot barrier first: the journal then covers every
-            // batch admitted before this request arrived.
-            with_snapshot(registry, name, |t, _| Response::text(200, t.journal_text()))
+            // The read barrier first (rendering nothing): the journal then
+            // covers every batch admitted before this request arrived.
+            let nothing = Dumps { values: false, edges: false };
+            with_snapshot(registry, name, nothing, |t, _| Response::text(200, t.journal_text()))
         }
         (_, ["healthz" | "metrics" | "tenants"]) | (_, ["tenants", ..]) | (_, ["debug", ..]) => {
             Response::text(405, "method not allowed\n")
@@ -187,11 +192,11 @@ where
     }
 }
 
-fn with_snapshot<F>(registry: &Registry, name: &str, f: F) -> Response
+fn with_snapshot<F>(registry: &Registry, name: &str, dumps: Dumps, f: F) -> Response
 where
     F: FnOnce(&Tenant, crate::tenant::TenantSnapshot) -> Response,
 {
-    with_tenant(registry, name, |tenant| match tenant.snapshot() {
+    with_tenant(registry, name, |tenant| match tenant.read(dumps) {
         Some(snap) => f(tenant, snap),
         None => Response::text(409, "tenant is shutting down\n"),
     })
@@ -318,6 +323,29 @@ mod tests {
 
         assert_eq!(handle(&registry, &req("DELETE", "/tenants/t0", "")).status, 204);
         assert_eq!(handle(&registry, &req("GET", "/tenants/t0/status", "")).status, 404);
+    }
+
+    #[test]
+    fn reads_render_only_what_they_return() {
+        let registry = Registry::new();
+        let body = "name=r\nalgorithm=sssp\ncapacity=8\n";
+        assert_eq!(handle(&registry, &req("POST", "/tenants", body)).status, 201);
+        for batch in ["0 1 0.5\n1 2 2.5\n", "+ 2 3 1\n- 0 1\n"] {
+            assert_eq!(handle(&registry, &req("POST", "/tenants/r/batches", batch)).status, 202);
+        }
+        let get = |path: &str| handle(&registry, &req("GET", path, "")).body;
+        let (values, edges) = (get("/tenants/r/values"), get("/tenants/r/edges"));
+        let tenant = registry.get("r").unwrap();
+        let snap = tenant.snapshot().unwrap();
+        assert_eq!(values, snap.values_text.as_bytes(), "/values is the snapshot's dump");
+        assert_eq!(edges, snap.edges_text.as_bytes(), "/edges is the snapshot's dump");
+        assert_eq!(snap.edges_text, "1 2 2.5\n2 3 1\n");
+        let only_values = tenant.read(Dumps { values: true, edges: false }).unwrap();
+        assert_eq!((only_values.values_text, only_values.edges_text), (snap.values_text, String::new()));
+        let nothing = tenant.read(Dumps { values: false, edges: false }).unwrap();
+        assert_eq!((nothing.batches_processed, nothing.num_edges), (2, 2));
+        assert!(nothing.values_text.is_empty() && nothing.edges_text.is_empty());
+        registry.shutdown_all();
     }
 
     #[test]

@@ -158,9 +158,10 @@ pub enum WorkItem {
         /// the request's trace tree across the queue hop.
         ctx: Option<saga_trace::TraceCtx>,
     },
-    /// A read barrier: the worker fulfils the cell with a consistent dump
-    /// once everything queued ahead of it has been applied.
-    Snapshot(Arc<SnapshotCell>),
+    /// A read barrier: the worker fulfils the cell with a consistent dump,
+    /// rendering the named [`Dumps`], once everything queued ahead of it
+    /// has been applied.
+    Snapshot(Arc<SnapshotCell>, Dumps),
 }
 
 impl std::fmt::Debug for WorkItem {
@@ -171,9 +172,19 @@ impl std::fmt::Debug for WorkItem {
                 .field("ops", &ops.len())
                 .field("traced", &ctx.is_some())
                 .finish(),
-            WorkItem::Snapshot(_) => f.write_str("Snapshot"),
+            WorkItem::Snapshot(_, dumps) => f.debug_tuple("Snapshot").field(dumps).finish(),
         }
     }
+}
+
+/// Which renderings a [`WorkItem::Snapshot`] barrier asks for; a dump not
+/// asked for stays empty in the [`TenantSnapshot`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Dumps {
+    /// Render [`TenantSnapshot::values_text`].
+    pub values: bool,
+    /// Render [`TenantSnapshot::edges_text`].
+    pub edges: bool,
 }
 
 /// A consistent point-in-time dump of a tenant, produced by its worker at
@@ -319,14 +330,20 @@ impl Tenant {
         }
     }
 
-    /// Requests a consistent dump: pushes a [`WorkItem::Snapshot`] barrier
-    /// past the admission bound (reads must not be starved by a full
-    /// queue) and blocks until the worker drains to it. `None` when the
-    /// tenant is shutting down.
+    /// Requests a consistent dump with both renderings; see
+    /// [`read`](Self::read).
     pub fn snapshot(&self) -> Option<TenantSnapshot> {
+        self.read(Dumps { values: true, edges: true })
+    }
+
+    /// Requests a consistent dump rendering only `dumps`: pushes a
+    /// [`WorkItem::Snapshot`] barrier past the admission bound (reads must
+    /// not be starved by a full queue) and blocks until the worker drains
+    /// to it. `None` when the tenant is shutting down.
+    pub fn read(&self, dumps: Dumps) -> Option<TenantSnapshot> {
         let cell = Arc::new(SnapshotCell::default());
         self.queue
-            .push_force(WorkItem::Snapshot(Arc::clone(&cell)))
+            .push_force(WorkItem::Snapshot(Arc::clone(&cell), dumps))
             .ok()?;
         Some(cell.block_until_filled())
     }
@@ -465,13 +482,21 @@ impl WorkerState {
                         self.mem_high.set(saga_trace::alloc::high_water_bytes() as f64);
                     }
                 }
-                WorkItem::Snapshot(cell) => {
+                WorkItem::Snapshot(cell, dumps) => {
                     let snap = match &session {
                         Some(sess) => TenantSnapshot {
                             batches_processed: self.processed.load(Ordering::Relaxed),
                             num_edges: sess.graph().num_edges(),
-                            values_text: render_values(&sess.values()),
-                            edges_text: render_edge_list(sess.graph()),
+                            values_text: if dumps.values {
+                                render_values(&sess.values())
+                            } else {
+                                String::new()
+                            },
+                            edges_text: if dumps.edges {
+                                render_edge_list(sess.graph())
+                            } else {
+                                String::new()
+                            },
                         },
                         None => TenantSnapshot::default(),
                     };
@@ -505,29 +530,19 @@ pub fn split_ops(ops: &[(EdgeOp, Edge)]) -> (Vec<Edge>, Vec<Edge>) {
 /// formatting makes `parse_values` ∘ `render_values` exact.
 pub fn render_values(values: &saga_algorithms::VertexValues) -> String {
     use saga_algorithms::VertexValues;
-    let mut out = String::new();
-    use std::fmt::Write as _;
-    match values {
-        VertexValues::U32(v) => {
-            let _ = writeln!(out, "u32 {}", v.len());
-            for (i, x) in v.iter().enumerate() {
-                let _ = writeln!(out, "{i} {x}");
-            }
+    fn render<T: std::fmt::Display>(ty: &str, values: &[T]) -> String {
+        use std::fmt::Write as _;
+        let mut out = format!("{ty} {}\n", values.len());
+        for (i, x) in values.iter().enumerate() {
+            let _ = writeln!(out, "{i} {x}");
         }
-        VertexValues::F32(v) => {
-            let _ = writeln!(out, "f32 {}", v.len());
-            for (i, x) in v.iter().enumerate() {
-                let _ = writeln!(out, "{i} {x}");
-            }
-        }
-        VertexValues::F64(v) => {
-            let _ = writeln!(out, "f64 {}", v.len());
-            for (i, x) in v.iter().enumerate() {
-                let _ = writeln!(out, "{i} {x}");
-            }
-        }
+        out
     }
-    out
+    match values {
+        VertexValues::U32(v) => render("u32", v),
+        VertexValues::F32(v) => render("f32", v),
+        VertexValues::F64(v) => render("f64", v),
+    }
 }
 
 /// Parses a [`render_values`] document back into [`VertexValues`].

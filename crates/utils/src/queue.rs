@@ -135,11 +135,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Removes and returns the oldest item without blocking.
-    pub fn try_pop(&self) -> Option<T> {
-        self.inner.lock().items.pop_front()
-    }
-
     /// Closes the queue: producers fail from now on, consumers drain the
     /// backlog and then observe shutdown. Idempotent.
     pub fn close(&self) {

@@ -6,6 +6,8 @@
 #
 #   scripts/loc.sh                 every crate plus the root package
 #   scripts/loc.sh crates/graph    just the named package directories
+#
+# The last row is the sum over the rows printed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,8 +22,12 @@ count() {
 if [ "$#" -eq 0 ]; then
     set -- crates/* .
 fi
+total=0
 for dir in "$@"; do
     dir="${dir%/}"
     [ -d "$dir/src" ] || continue
-    printf '%-20s %6d\n' "$dir" "$(count "$dir")"
+    n="$(count "$dir")"
+    total=$((total + n))
+    printf '%-20s %6d\n' "$dir" "$n"
 done
+printf '%-20s %6d\n' total "$total"
