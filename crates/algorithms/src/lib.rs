@@ -277,11 +277,14 @@ pub trait ComputeEngine: Send + Sync {
 
     /// Runs the compute phase for one batch already applied to `graph`:
     /// `impact` is what [`AffectedTracker`] derived from it (empty under
-    /// the FS model), `deleted` the edges it removed.
+    /// the FS model), `inserted` the edges it ingested (repeats and
+    /// already-present edges included, with the batch's weights) and
+    /// `deleted` the edges it removed.
     fn compute(
         &mut self,
         graph: &dyn GraphTopology,
         impact: &BatchImpact,
+        inserted: &[Edge],
         deleted: &[Edge],
         pool: &ThreadPool,
     ) -> ComputeOutcome;
@@ -530,10 +533,12 @@ impl ComputeEngine for AlgorithmState {
         self.symmetric_scope
     }
 
+    /// The serial engines work from `impact`; `inserted` goes unused.
     fn compute(
         &mut self,
         graph: &dyn GraphTopology,
         impact: &BatchImpact,
+        _inserted: &[Edge],
         deleted: &[Edge],
         pool: &ThreadPool,
     ) -> ComputeOutcome {

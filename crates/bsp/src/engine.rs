@@ -24,20 +24,25 @@
 //! with the same thread count is **bitwise identical** to an
 //! uninterrupted run — the property `saga-check`'s kill-and-recover
 //! harness asserts.
+//!
+//! A full run starts from [`BspEngine::reset_all_active`]; an incremental
+//! one from [`BspEngine::seed`], which folds the batch's seed terms before
+//! the superstep-0 checkpoint, so that checkpoint already holds them.
 
 use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointStore};
 use crate::layout::ShardLayout;
 use crate::mailbox::Mailboxes;
 use saga_algorithms::program::{EdgeScope, GatherMode, VertexProgram};
 use saga_graph::properties::ShardValues;
-use saga_graph::{GraphTopology, Node, Weight};
+use saga_graph::{Edge, GraphTopology, Node, Weight};
 use saga_trace::metrics::{self, Counter, Histogram};
 use saga_utils::barrier::Barrier;
 use saga_utils::bitvec::GenerationMarks;
 use saga_utils::parallel::ThreadPool;
 use saga_utils::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use saga_utils::sync::{Arc, Mutex};
+use saga_utils::sync::{Arc, Mutex, RwLock};
 use std::io;
+use std::ops::Range;
 
 /// Which half of a superstep a simulated kill lands in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,6 +72,66 @@ pub struct Killed {
     pub superstep: usize,
 }
 
+/// One seed of an incremental run: a term sent along `edge`, from its
+/// source to its destination or, when `reverse`, the other way (a
+/// symmetric-scope program or an undirected graph).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SeedArc {
+    /// The edge the term crosses, with the weight the term uses.
+    pub edge: Edge,
+    /// Whether the term runs from `edge.dst` to `edge.src`.
+    pub reverse: bool,
+}
+
+impl SeedArc {
+    /// The vertex whose value the term reads.
+    pub fn source(&self) -> Node {
+        if self.reverse { self.edge.dst } else { self.edge.src }
+    }
+
+    /// The vertex the term is folded into.
+    pub fn head(&self) -> Node {
+        if self.reverse { self.edge.src } else { self.edge.dst }
+    }
+}
+
+/// [`BspEngine::seed`]'s source of seed arcs: called with one shard's
+/// vertex range and a read phase of the graph, it visits the arcs whose
+/// [`source`](SeedArc::source) lies in that range.
+pub type SeedArcs<'a> = dyn Fn(Range<usize>, &dyn GraphTopology, &mut dyn FnMut(SeedArc)) + Sync + 'a;
+
+/// One source shard's seed messages bound for one head shard, with their
+/// arcs while the arcs' weights still need restoring.
+struct Seeds<V> {
+    messages: Vec<(Node, V)>,
+    arcs: Vec<SeedArc>,
+}
+
+impl<V> Default for Seeds<V> {
+    fn default() -> Self {
+        Self { messages: Vec::new(), arcs: Vec::new() }
+    }
+}
+
+impl<V: Copy> Seeds<V> {
+    /// Keeps the messages (and their arcs) for which `keep(head, term)`.
+    fn retain(&mut self, mut keep: impl FnMut(Node, V) -> bool) {
+        let mut kept = 0;
+        for i in 0..self.messages.len() {
+            let (head, t) = self.messages[i];
+            if keep(head, t) {
+                self.messages[kept] = (head, t);
+                if let Some(&a) = self.arcs.get(i) {
+                    self.arcs[kept] = a;
+                }
+                kept += 1;
+            }
+        }
+        self.messages.truncate(kept);
+        self.arcs.truncate(kept);
+    }
+}
+
 /// Summary of a completed (un-killed) run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BspOutcome {
@@ -76,9 +141,10 @@ pub struct BspOutcome {
     pub messages: u64,
 }
 
-/// One shard's owner-private state. Guarded by a `Mutex` for safe
-/// hand-off across runs, but never contended: the owning worker is the
-/// only locker during a phase.
+/// One shard's owner-private state. Behind an `RwLock` for safe hand-off
+/// across runs, but never contended for writing: the owning worker is the
+/// only writer during a phase. Seeding reads other shards' values
+/// (`seed_terms`), which readers share.
 struct ShardState<V> {
     values: ShardValues<V>,
     active: Vec<Node>,
@@ -109,7 +175,7 @@ struct Control {
 pub struct BspEngine<P: VertexProgram> {
     program: P,
     layout: ShardLayout,
-    shards: Vec<Mutex<ShardState<P::Value>>>,
+    shards: Vec<RwLock<ShardState<P::Value>>>,
     mail: Mailboxes<P::Value>,
     store: Mutex<CheckpointStore<P::Value>>,
     /// Snapshot period, copied out of the config to keep the store lock
@@ -128,7 +194,7 @@ impl<P: VertexProgram> BspEngine<P> {
     /// A new engine over `capacity` vertices in `shards` shards. Initial
     /// values come from [`VertexProgram::initial`];
     /// no vertex starts active — call [`reset_all_active`](Self::reset_all_active)
-    /// or [`set_active`](Self::set_active) before [`begin`](Self::begin).
+    /// or [`seed`](Self::seed) before [`begin`](Self::begin).
     pub fn new(program: P, capacity: usize, shards: usize, config: CheckpointConfig) -> Self {
         let layout = ShardLayout::new(capacity, shards);
         let shard_states = (0..shards)
@@ -138,7 +204,7 @@ impl<P: VertexProgram> BspEngine<P> {
                     .clone()
                     .map(|v| program.initial(v as Node, capacity))
                     .collect();
-                Mutex::new(ShardState {
+                RwLock::new(ShardState {
                     values: ShardValues::from_vec(range.start, data),
                     active: Vec::new(),
                     next_active: Vec::new(),
@@ -191,7 +257,7 @@ impl<P: VertexProgram> BspEngine<P> {
         let capacity = self.layout.capacity();
         for (s, shard) in self.shards.iter().enumerate() {
             let range = self.layout.range(s);
-            let mut st = shard.lock();
+            let mut st = shard.write();
             for v in range.clone() {
                 st.values.set(v, self.program.initial(v as Node, capacity));
             }
@@ -201,19 +267,109 @@ impl<P: VertexProgram> BspEngine<P> {
         }
     }
 
-    /// Replaces shard `s`'s active list with `seeds` (global ids, each
-    /// owned by `s`). Values are left as-is — incremental runs resume
-    /// from the previous batch's converged state.
-    pub fn set_active(&mut self, s: usize, seeds: impl IntoIterator<Item = Node>) {
-        let range = self.layout.range(s);
-        let mut st = self.shards[s].lock();
-        st.active.clear();
-        st.active.extend(seeds);
-        debug_assert!(st
-            .active
-            .iter()
-            .all(|&v| range.contains(&(v as usize))));
-        st.next_active.clear();
+    /// Seeds an incremental run: one [`term`](VertexProgram::term) per
+    /// [`SeedArc`] — the arc source's current value across its weight —
+    /// folded into the arc head's shard. `arcs_of` lists the arcs by
+    /// source: called with one shard's vertex range, it visits the arcs
+    /// whose source lies in it.
+    ///
+    /// Each worker computes the terms of its shards' arcs and drops every
+    /// term that would not change its head; only after every term is sent
+    /// does any shard fold its inbox (the gather phase's fold, in ascending
+    /// source-shard order), so every term reads the values the previous
+    /// batch left. With `batch_weights` the arcs carry the batch's weights:
+    /// a term that survives is recomputed with the weight the structure
+    /// stored for its edge, found in the edge source's out-list. That is sound
+    /// because a pre-existing edge's stored term cannot improve a fixpoint
+    /// and a new edge's stored weight is its first batch weight, whose term
+    /// is checked as it stands. The heads whose value changed
+    /// ([`significant_change`](VertexProgram::significant_change)) become
+    /// the superstep-0 frontier; values are otherwise left as-is, so the
+    /// run resumes from the previous batch's converged state. Call before
+    /// [`begin`](Self::begin), so its checkpoint holds the folded values
+    /// and a recovery never folds them again.
+    pub fn seed(
+        &mut self,
+        graph: &dyn GraphTopology,
+        pool: &ThreadPool,
+        arcs_of: &SeedArcs<'_>,
+        batch_weights: bool,
+    ) {
+        let (threads, nshards) = (pool.threads(), self.layout.shards());
+        let barrier = Barrier::new(threads);
+        let this = &*self;
+        saga_graph::read_phase(graph, |graph| pool.run_on_all(|w| {
+            let mut seeds: Vec<Seeds<P::Value>> = (0..nshards).map(|_| Seeds::default()).collect();
+            for s in (w..nshards).step_by(threads) {
+                this.seed_terms(s, graph, arcs_of, batch_weights, &mut seeds);
+                for (d, seeds) in seeds.iter_mut().enumerate() {
+                    if batch_weights {
+                        this.restore_stored_weights(s, graph, seeds);
+                    }
+                    seeds.arcs.clear();
+                    this.mail.post(s, d, &mut seeds.messages);
+                }
+            }
+            barrier.wait();
+            for s in (w..nshards).step_by(threads) {
+                this.gather_shard_fold(s, None);
+            }
+        }));
+    }
+
+    /// Fills `seeds[d]` with a `(head, term)` message for each of shard
+    /// `s`'s seed arcs whose head lies in shard `d` and whose term would
+    /// change the head's current value, in arc order — and with the arc
+    /// itself when `keep_arcs`. Reads only: shard `s`, then each head
+    /// shard, under read locks.
+    fn seed_terms(
+        &self,
+        s: usize,
+        graph: &dyn GraphTopology,
+        arcs_of: &SeedArcs<'_>,
+        keep_arcs: bool,
+        seeds: &mut [Seeds<P::Value>],
+    ) {
+        {
+            let st = self.shards[s].read();
+            arcs_of(self.layout.range(s), graph, &mut |a| {
+                if let Some(t) = self.program.term(st.values.get(a.source() as usize), a.edge.weight, 0) {
+                    let d = &mut seeds[self.layout.shard_of(a.head() as usize)];
+                    d.messages.push((a.head(), t));
+                    if keep_arcs {
+                        d.arcs.push(a);
+                    }
+                }
+            });
+        }
+        for (d, seeds) in seeds.iter_mut().enumerate() {
+            let st = self.shards[d].read();
+            seeds.retain(|head, t| {
+                let old = st.values.get(head as usize);
+                self.program.significant_change(old, self.program.combine(old, t))
+            });
+        }
+    }
+
+    /// Recomputes each of `seeds` — shard `s`'s arcs, carrying a batch's
+    /// weights — with the weight `graph` stored for its edge, dropping the
+    /// terms that come to nothing.
+    fn restore_stored_weights(&self, s: usize, graph: &dyn GraphTopology, seeds: &mut Seeds<P::Value>) {
+        let edges: Vec<Edge> = seeds.arcs.iter().map(|a| a.edge).collect();
+        let mut stored = stored_weights(graph, &edges).into_iter();
+        let st = self.shards[s].read();
+        let mut arcs = seeds.arcs.iter();
+        seeds.messages.retain_mut(|(_, t)| {
+            let a = arcs.next().expect("one arc per message");
+            let value = st.values.get(a.source() as usize);
+            match stored.next().flatten().and_then(|w| self.program.term(value, w, 0)) {
+                Some(term) => {
+                    *t = term;
+                    true
+                }
+                None => false,
+            }
+        });
     }
 
     /// Rewinds the superstep counter, discards stale messages, and
@@ -266,7 +422,7 @@ impl<P: VertexProgram> BspEngine<P> {
                             ctl.killed.store(true, Ordering::SeqCst);
                             // Half the frontier's messages escape before
                             // the worker "dies".
-                            self.shards[s].lock().active.len() / 2
+                            self.shards[s].read().active.len() / 2
                         });
                         sent += self.scatter_shard(graph, s, limit, &mut bufs, &mut neighbors);
                     }
@@ -354,7 +510,7 @@ impl<P: VertexProgram> BspEngine<P> {
     pub fn values_vec(&self) -> Vec<P::Value> {
         let mut out = Vec::with_capacity(self.layout.capacity());
         for shard in &self.shards {
-            out.extend_from_slice(shard.lock().values.as_slice());
+            out.extend_from_slice(shard.read().values.as_slice());
         }
         out
     }
@@ -366,7 +522,7 @@ impl<P: VertexProgram> BspEngine<P> {
             "checkpoint shard count mismatch"
         );
         for (s, shard) in self.shards.iter().enumerate() {
-            let mut st = shard.lock();
+            let mut st = shard.write();
             st.values.restore(&cp.values[s]);
             st.active.clear();
             st.active.extend_from_slice(&cp.active[s]);
@@ -400,7 +556,7 @@ impl<P: VertexProgram> BspEngine<P> {
     ) -> u64 {
         let scope_both = self.program.scope() == EdgeScope::Symmetric && graph.is_directed();
         let need_degree = self.program.gather_mode() == GatherMode::Sum;
-        let mut st = self.shards[s].lock();
+        let mut st = self.shards[s].write();
         let st = &mut *st;
         let take = limit.unwrap_or(st.active.len()).min(st.active.len());
         let mut sent = 0u64;
@@ -442,7 +598,7 @@ impl<P: VertexProgram> BspEngine<P> {
         let nshards = self.layout.shards();
         let base = self.layout.range(s).start;
         let drain = limit.unwrap_or(nshards).min(nshards);
-        let mut st = self.shards[s].lock();
+        let mut st = self.shards[s].write();
         let st = &mut *st;
         st.marks.next_generation();
         st.next_active.clear();
@@ -474,7 +630,7 @@ impl<P: VertexProgram> BspEngine<P> {
         let nshards = self.layout.shards();
         let range = self.layout.range(s);
         let base = range.start;
-        let mut st = self.shards[s].lock();
+        let mut st = self.shards[s].write();
         let st = &mut *st;
         st.acc.clear();
         st.acc.resize(range.len(), P::Value::default());
@@ -540,7 +696,7 @@ impl<P: VertexProgram> BspEngine<P> {
         let mut values = Vec::with_capacity(self.shards.len());
         let mut active = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
-            let st = shard.lock();
+            let st = shard.read();
             values.push(st.values.as_slice().to_vec());
             active.push(st.active.clone());
         }
@@ -553,4 +709,28 @@ impl<P: VertexProgram> BspEngine<P> {
             saga_trace::progress!("bsp: checkpoint {step} not mirrored to disk: {e}");
         }
     }
+}
+
+/// The weight `graph` stores for each of `edges`, `None` for an edge it
+/// does not hold. A structure keeps one entry per (source, destination),
+/// with the first weight ingested. Each distinct source's out-list is
+/// read once, so a hub that gains many edges in one batch costs its
+/// degree, not its degree times its new edges.
+fn stored_weights(graph: &dyn GraphTopology, edges: &[Edge]) -> Vec<Option<Weight>> {
+    let key = |src: Node, dst: Node| u64::from(src) << 32 | u64::from(dst);
+    let mut order: Vec<(u64, u32)> =
+        edges.iter().enumerate().map(|(i, e)| (key(e.src, e.dst), i as u32)).collect();
+    order.sort_unstable();
+    let mut stored = vec![None; edges.len()];
+    for run in order.chunk_by(|a, b| a.0 >> 32 == b.0 >> 32) {
+        let src = (run[0].0 >> 32) as Node;
+        graph.for_each_out_neighbor(src, &mut |nb, w| {
+            let k = key(src, nb);
+            let from = run.partition_point(|&(rk, _)| rk < k);
+            for &(_, i) in run[from..].iter().take_while(|&&(rk, _)| rk == k) {
+                stored[i as usize].get_or_insert(w);
+            }
+        });
+    }
+    stored
 }

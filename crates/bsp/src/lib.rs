@@ -24,9 +24,18 @@
 //!
 //! [`ShardedState`] is the driver-facing wrapper mirroring
 //! [`saga_algorithms::AlgorithmState`]: it picks the engine for an
-//! [`AlgorithmKind`], routes per-batch seed sets to their shards with the
-//! radix [`Partitioner`], and maps BSP outcomes back onto
-//! [`ComputeOutcome`].
+//! [`AlgorithmKind`], seeds each batch's run, and maps BSP outcomes back
+//! onto [`ComputeOutcome`]. An incremental batch of a fold program that
+//! only inserts starts from the batch's own edges: one term per inserted
+//! edge (both directions for a symmetric scope or an undirected graph),
+//! computed from the pre-batch values, kept only if it would change its
+//! head, carrying the weight the structure stored, and folded into its
+//! head's shard before the superstep-0 checkpoint; the heads that changed
+//! are the first frontier ([`engine::BspEngine::seed`]). The work a batch
+//! costs is then proportional to what it changed, not to its endpoints'
+//! degrees. [`ShardedState::perform_batch`] hands the same seeding step
+//! an affected set's incident edges. PageRank, from-scratch batches and
+//! batches with deletions recompute from initial values.
 
 pub mod checkpoint;
 pub mod engine;
@@ -36,8 +45,7 @@ pub mod mailbox;
 pub use checkpoint::CheckpointConfig;
 pub use engine::{BspOutcome, KillPhase, KillSpec, Killed};
 
-use crate::engine::BspEngine;
-use crate::layout::ShardLayout;
+use crate::engine::{BspEngine, SeedArc, SeedArcs};
 use saga_algorithms::program::{EdgeScope, GatherMode, VertexProgram};
 use saga_algorithms::{
     with_program, AlgorithmKind, AlgorithmParams, BatchImpact, ComputeEngine, ComputeModelKind,
@@ -46,7 +54,7 @@ use saga_algorithms::{
 use saga_graph::properties::Property;
 use saga_graph::{Edge, GraphTopology, Node};
 use saga_utils::parallel::ThreadPool;
-use saga_utils::partition::Partitioner;
+use std::ops::Range;
 
 /// A [`BspEngine`] with the program type erased: one dynamic call per
 /// batch, the superstep loop behind it monomorphised per program.
@@ -55,14 +63,16 @@ trait Engine: Send + Sync {
 
     fn arm_kill(&mut self, spec: KillSpec);
 
-    /// Seeds (all vertices when `seeds` is `None`, else each shard's
-    /// `partitioner` bucket of the seed list), runs, and — if a kill fires
-    /// — recovers the engine to completion, counting the recovery.
+    /// Resets every vertex and activates all of them when `arcs` is
+    /// `None`, else [`seed`](BspEngine::seed)s the run from the arcs (the
+    /// flag: they carry the batch's weights); then
+    /// runs and — if a kill fires — recovers the engine to completion,
+    /// counting the recovery.
     fn run_batch(
         &mut self,
         graph: &dyn GraphTopology,
         pool: &ThreadPool,
-        seeds: Option<(&[Node], &Partitioner)>,
+        arcs: Option<(&SeedArcs<'_>, bool)>,
         recoveries: &mut usize,
     ) -> BspOutcome;
 
@@ -82,16 +92,12 @@ impl<P: VertexProgram> Engine for BspEngine<P> {
         &mut self,
         graph: &dyn GraphTopology,
         pool: &ThreadPool,
-        seeds: Option<(&[Node], &Partitioner)>,
+        arcs: Option<(&SeedArcs<'_>, bool)>,
         recoveries: &mut usize,
     ) -> BspOutcome {
-        match seeds {
+        match arcs {
             None => self.reset_all_active(),
-            Some((seeds, partitioner)) => {
-                for s in 0..self.layout().shards() {
-                    self.set_active(s, partitioner.bucket(s).iter().map(|&i| seeds[i as usize]));
-                }
-            }
+            Some((arcs, batch_weights)) => self.seed(graph, pool, arcs, batch_weights),
         }
         self.begin();
         match self.run(graph, pool) {
@@ -115,11 +121,6 @@ impl<P: VertexProgram> Engine for BspEngine<P> {
 pub struct ShardedState {
     kind: AlgorithmKind,
     model: ComputeModelKind,
-    capacity: usize,
-    shards: usize,
-    /// Radix router for per-batch seed sets (reused across batches, so
-    /// its internal index buffers amortize like the ingest partitioner's).
-    partitioner: Partitioner,
     recoveries: usize,
     /// Sum-mode programs (PageRank) re-evaluate every vertex each batch.
     sum_mode: bool,
@@ -133,9 +134,7 @@ impl std::fmt::Debug for ShardedState {
         f.debug_struct("ShardedState")
             .field("kind", &self.kind)
             .field("model", &self.model)
-            .field("capacity", &self.capacity)
-            .field("shards", &self.shards)
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -154,9 +153,6 @@ impl ShardedState {
         with_program!(kind, params, capacity, program => Self {
             kind,
             model,
-            capacity,
-            shards,
-            partitioner: Partitioner::new(),
             recoveries: 0,
             sum_mode: program.gather_mode() == GatherMode::Sum,
             affects_source_neighborhood: program.affects_source_neighborhood(),
@@ -193,20 +189,16 @@ impl ShardedState {
         self.engine.arm_kill(spec);
     }
 
-    /// Runs the compute phase for one update batch — the sharded
-    /// counterpart of [`saga_algorithms::AlgorithmState::perform_alg`].
-    ///
-    /// Incremental fold-mode batches without deletions seed the frontier
-    /// from `affected` (the tracker marks both endpoints of every insert,
-    /// so push-form propagation from the seeds covers every new edge).
-    /// From-scratch batches, PageRank (whole-graph power iteration), and
-    /// any batch with deletions (monotone fold state cannot be repaired
-    /// by pushing) recompute from initial values with all vertices
-    /// active; the latter case reports `fs_fallback`.
-    ///
-    /// A run interrupted by an armed [`KillSpec`] is recovered from the
-    /// latest superstep checkpoint and re-run to completion — the outcome
-    /// then counts the replayed supersteps too.
+    /// Runs the compute phase for one update batch from its affected set —
+    /// the sharded counterpart of
+    /// [`saga_algorithms::AlgorithmState::perform_alg`], for callers that
+    /// hold the tracker's output rather than the batch. An incremental
+    /// fold-mode batch without deletions seeds the run with every arc an
+    /// affected vertex scatters along (its out-edges, plus its in-edges for
+    /// a symmetric-scope program on a directed graph): the tracker marks
+    /// both endpoints of every insert, so those terms cover every new edge.
+    /// Everything else is a full run (see [`ComputeEngine::compute`] on
+    /// this type).
     pub fn perform_batch(
         &mut self,
         graph: &dyn GraphTopology,
@@ -214,16 +206,45 @@ impl ShardedState {
         had_deletes: bool,
         pool: &ThreadPool,
     ) -> ComputeOutcome {
-        let full = self.model == ComputeModelKind::FromScratch || self.sum_mode || had_deletes;
-        if !full {
-            let layout = ShardLayout::new(self.capacity, self.shards);
-            self.partitioner
-                .partition(pool, affected.len(), self.shards, |i| {
-                    layout.shard_of(affected[i] as usize)
+        let both = self.symmetric_scope && graph.is_directed();
+        let arcs = |shard: Range<usize>, graph: &dyn GraphTopology, visit: &mut dyn FnMut(SeedArc)| {
+            for &v in affected.iter().filter(|&&v| shard.contains(&(v as usize))) {
+                graph.for_each_out_neighbor(v, &mut |nb, w| {
+                    visit(SeedArc { edge: Edge::new(v, nb, w), reverse: false });
                 });
-        }
-        let seeds = (!full).then_some((affected, &self.partitioner));
-        let outcome = self.engine.run_batch(graph, pool, seeds, &mut self.recoveries);
+                if both {
+                    graph.for_each_in_neighbor(v, &mut |nb, w| {
+                        visit(SeedArc { edge: Edge::new(nb, v, w), reverse: true });
+                    });
+                }
+            }
+        };
+        self.execute(graph, had_deletes, pool, (&arcs, false))
+    }
+
+    /// Whether a batch recomputes from initial values with every vertex
+    /// active: from-scratch batches, PageRank (whole-graph power
+    /// iteration) and any batch with deletions (monotone fold state cannot
+    /// be repaired by pushing).
+    fn full_run(&self, had_deletes: bool) -> bool {
+        self.model == ComputeModelKind::FromScratch || self.sum_mode || had_deletes
+    }
+
+    /// One batch on the engine, [seeded](BspEngine::seed) from `arcs`
+    /// unless it is a [`full_run`](Self::full_run). A run interrupted by an
+    /// armed [`KillSpec`] is recovered from the latest superstep checkpoint
+    /// and re-run to completion — the outcome then counts the replayed
+    /// supersteps too. `recomputed` counts superstep messages; seed terms
+    /// are not messages.
+    fn execute(
+        &mut self,
+        graph: &dyn GraphTopology,
+        had_deletes: bool,
+        pool: &ThreadPool,
+        arcs: (&SeedArcs<'_>, bool),
+    ) -> ComputeOutcome {
+        let arcs = (!self.full_run(had_deletes)).then_some(arcs);
+        let outcome = self.engine.run_batch(graph, pool, arcs, &mut self.recoveries);
         ComputeOutcome {
             iterations: outcome.supersteps,
             recomputed: outcome.messages as usize,
@@ -250,14 +271,37 @@ impl ComputeEngine for ShardedState {
         self.symmetric_scope
     }
 
+    /// Runs the compute phase for one batch already applied to `graph`.
+    ///
+    /// An incremental fold-mode batch without deletions is seeded from the
+    /// batch itself: one [`SeedArc`] per inserted edge, plus its reverse
+    /// when the program's scope is [`EdgeScope::Symmetric`] or the graph
+    /// is undirected. The arcs carry the batch's weights, which
+    /// [`BspEngine::seed`] replaces with the weight the structure stored
+    /// (the first one ingested wins) before any term is folded. `impact`
+    /// goes unused: the inserted edges are exactly what changed. Every
+    /// other batch is a full run, the deletions reporting `fs_fallback`.
     fn compute(
         &mut self,
         graph: &dyn GraphTopology,
-        impact: &BatchImpact,
+        _impact: &BatchImpact,
+        inserted: &[Edge],
         deleted: &[Edge],
         pool: &ThreadPool,
     ) -> ComputeOutcome {
-        self.perform_batch(graph, &impact.affected, !deleted.is_empty(), pool)
+        let both = self.symmetric_scope || !graph.is_directed();
+        let arcs = |shard: Range<usize>, _: &dyn GraphTopology, visit: &mut dyn FnMut(SeedArc)| {
+            let from = |v: Node| shard.contains(&(v as usize));
+            for &edge in inserted.iter().filter(|e| from(e.src)) {
+                visit(SeedArc { edge, reverse: false });
+            }
+            if both {
+                for &edge in inserted.iter().filter(|e| from(e.dst)) {
+                    visit(SeedArc { edge, reverse: true });
+                }
+            }
+        };
+        self.execute(graph, !deleted.is_empty(), pool, (&arcs, true))
     }
 
     fn values(&self) -> VertexValues {

@@ -1,12 +1,14 @@
 //! End-to-end checks for the sharded BSP layer: serial-oracle agreement,
-//! kill-and-recover determinism, and the on-disk checkpoint path.
+//! edge-seeded incremental batches, kill-and-recover determinism, and the
+//! on-disk checkpoint path.
 
 use saga_algorithms::bfs::BfsProgram;
 use saga_bsp::checkpoint::{Checkpoint, CheckpointConfig, CheckpointStore};
 use saga_bsp::engine::BspEngine;
 use saga_bsp::{KillPhase, KillSpec, ShardedState};
 use saga_algorithms::{
-    AlgorithmKind, AlgorithmParams, AlgorithmState, ComputeModelKind, VertexValues,
+    AffectedTracker, AlgorithmKind, AlgorithmParams, AlgorithmState, ComputeEngine,
+    ComputeModelKind, ComputeOutcome, VertexValues,
 };
 use saga_graph::{build_graph, DataStructureKind, DynamicGraph, Edge};
 use saga_utils::parallel::ThreadPool;
@@ -132,6 +134,125 @@ fn sharded_incremental_tracks_serial_across_batches() {
             sharded.perform_batch(graph.as_ref(), &impact.affected, false, &pool);
             assert_values_close(kind, &sharded.values(), &serial.values());
         }
+    }
+}
+
+/// The fold programs: every kind but PageRank, which always runs in full.
+const FOLDS: [AlgorithmKind; 5] = [
+    AlgorithmKind::Bfs,
+    AlgorithmKind::Cc,
+    AlgorithmKind::Mc,
+    AlgorithmKind::Sssp,
+    AlgorithmKind::Sswp,
+];
+
+/// A serial and a sharded INC engine over one live graph, stepped through
+/// the driver-facing entry ([`ComputeEngine::compute`] with the batch).
+struct Twins {
+    graph: Box<dyn DynamicGraph>,
+    tracker: AffectedTracker,
+    serial: AlgorithmState,
+    sharded: ShardedState,
+}
+
+impl Twins {
+    fn new(kind: AlgorithmKind, n: usize, directed: bool, shards: usize, params: AlgorithmParams) -> Self {
+        let inc = ComputeModelKind::Incremental;
+        Self {
+            graph: build_graph(DataStructureKind::AdjacencyShared, n, directed, 1),
+            tracker: AffectedTracker::new(n),
+            serial: AlgorithmState::new(kind, inc, n, params),
+            sharded: ShardedState::new(kind, inc, n, shards, params, CheckpointConfig::default()),
+        }
+    }
+
+    /// Applies an insert-only batch and computes it on both engines;
+    /// returns the sharded outcome.
+    fn step(&mut self, batch: &[Edge], pool: &ThreadPool) -> ComputeOutcome {
+        let graph = self.graph.as_ref();
+        graph.update_batch(batch, pool);
+        let impact = self.tracker.process_mixed_batch(
+            graph,
+            batch,
+            &[],
+            self.serial.affects_source_neighborhood(),
+            self.serial.symmetric_scope(),
+            pool,
+        );
+        self.serial.compute(graph, &impact, batch, &[], pool);
+        self.sharded.compute(graph, &impact, batch, &[], pool)
+    }
+}
+
+#[test]
+fn edge_seeded_batches_equal_serial_inc_exactly() {
+    let n = 64;
+    let all = sample_edges(n, 420, 0x5EED);
+    for threads in [1, 2] {
+        let pool = ThreadPool::new(threads);
+        for kind in FOLDS {
+            for directed in [true, false] {
+                for shards in [1, 2, 3] {
+                    let mut twins = Twins::new(kind, n, directed, shards, params());
+                    for (i, batch) in all.chunks(35).enumerate() {
+                        twins.step(batch, &pool);
+                        assert_eq!(
+                            twins.sharded.values(),
+                            twins.serial.values(),
+                            "{kind:?} directed={directed} shards={shards} threads={threads} batch {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A re-inserted edge and an edge repeated within one batch keep the weight
+/// the structure stored first; seeding with the batch's weight instead would
+/// improve SSSP through the cheaper copy and SSWP through the wider one.
+#[test]
+fn edge_seeds_use_the_stored_weight() {
+    let pool = ThreadPool::new(2);
+    let cases = [(AlgorithmKind::Sssp, 0.5, 9.0), (AlgorithmKind::Sswp, 9.0, 0.5)];
+    for (kind, better, worse) in cases {
+        for directed in [true, false] {
+            let mut twins = Twins::new(kind, 8, directed, 2, AlgorithmParams { root: 0, ..params() });
+            twins.step(&[Edge::new(0, 1, 4.0), Edge::new(1, 2, 4.0)], &pool);
+            let stored = twins.sharded.values();
+            // Re-insert 0→1 with a better weight; insert 2→3 twice, the
+            // worse weight first.
+            let batch = [Edge::new(0, 1, better), Edge::new(2, 3, worse), Edge::new(2, 3, better)];
+            twins.step(&batch, &pool);
+            assert_eq!(twins.graph.out_neighbors(0), vec![(1, 4.0)], "first weight stored");
+            let values = twins.sharded.values();
+            assert_eq!(values, twins.serial.values(), "{kind:?} directed={directed}");
+            let VertexValues::F32(v) = &values else { panic!("{kind:?}: f32 values") };
+            let VertexValues::F32(before) = &stored else { panic!("{kind:?}: f32 values") };
+            assert_eq!(v[1], before[1], "{kind:?}: the re-insert changes nothing");
+            let via = |w: f32| if kind == AlgorithmKind::Sssp { 8.0 + w } else { w.min(4.0) };
+            assert_eq!(v[3], via(worse), "{kind:?}: 2→3 carries its first weight");
+        }
+    }
+}
+
+/// A batch that improves nothing costs its seed terms and nothing more.
+#[test]
+fn an_unimproving_batch_sends_no_superstep_messages() {
+    let pool = ThreadPool::new(2);
+    for kind in FOLDS {
+        let mut twins = Twins::new(kind, 6, true, 2, AlgorithmParams { root: 0, ..params() });
+        // A two-way chain 0 ↔ 1 ↔ 2 ↔ 3: every label, depth and width is
+        // settled once it has converged.
+        let chain: Vec<Edge> = (0..3)
+            .flat_map(|v| [Edge::new(v, v + 1, 1.0), Edge::new(v + 1, v, 1.0)])
+            .collect();
+        twins.step(&chain, &pool);
+        // A shortcut from deeper to shallower and a repeated chain edge.
+        let outcome = twins.step(&[Edge::new(3, 1, 1.0), Edge::new(1, 2, 1.0)], &pool);
+        assert!(outcome.iterations <= 1, "{kind:?}: {outcome:?}");
+        assert_eq!(outcome.recomputed, 0, "{kind:?}: {outcome:?}");
+        assert_eq!(twins.sharded.values(), twins.serial.values(), "{kind:?}");
     }
 }
 

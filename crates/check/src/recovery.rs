@@ -20,7 +20,7 @@
 use crate::diff::values_diff;
 use crate::program::OpProgram;
 use saga_algorithms::{
-    AffectedTracker, AlgorithmKind, AlgorithmState, ComputeModelKind,
+    AffectedTracker, AlgorithmKind, AlgorithmState, ComputeEngine, ComputeModelKind,
 };
 use saga_bsp::{CheckpointConfig, KillSpec, ShardedState};
 use saga_graph::{build_deletable_graph, DataStructureKind, Edge};
@@ -33,7 +33,8 @@ use saga_utils::parallel::ThreadPool;
 pub struct RecoveryConfig {
     /// Algorithm under test.
     pub algorithm: AlgorithmKind,
-    /// Compute model (FS always full-runs; INC seeds from affected).
+    /// Compute model (FS always full-runs; INC seeds insert-only batches
+    /// from their edges).
     pub model: ComputeModelKind,
     /// Data structure backing the live graph.
     pub structure: DataStructureKind,
@@ -111,9 +112,10 @@ pub fn check_recovery(program: &OpProgram, config: &RecoveryConfig) -> Option<St
             &deletes,
             &pool,
         );
-        let had_deletes = !deletes.is_empty();
-        baseline.perform_batch(graph.as_ref(), &impact.affected, had_deletes, &pool);
-        victim.perform_batch(graph.as_ref(), &impact.affected, had_deletes, &pool);
+        // The driver's entry: incremental insert-only batches seed from
+        // `inserts`, so kills land in edge-seeded runs too.
+        baseline.compute(graph.as_ref(), &impact, &inserts, &deletes, &pool);
+        victim.compute(graph.as_ref(), &impact, &inserts, &deletes, &pool);
         // The recovery contract is exact: restored state + deterministic
         // replay ⇒ no float tolerance, even for PR/SSSP/SSWP.
         if victim.values() != baseline.values() {

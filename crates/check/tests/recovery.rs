@@ -8,9 +8,10 @@
 
 use saga_algorithms::{AlgorithmKind, ComputeModelKind};
 use saga_bsp::{KillPhase, KillSpec};
-use saga_check::program::{OpProgram, ProgramProfile};
+use saga_check::program::{OpProgram, ProgramOp, ProgramProfile};
 use saga_check::recovery::{check_recovery, RecoveryConfig};
 use saga_graph::DataStructureKind;
+use saga_stream::EdgeOp;
 use std::sync::Mutex;
 
 /// The trace rings are process-global and one test here enables tracing;
@@ -65,6 +66,52 @@ fn kill_and_recover_all_algorithms_inc() {
             let cfg = config(algorithm, ComputeModelKind::Incremental, phase);
             let got = check_recovery(&program, &cfg);
             assert!(got.is_none(), "{algorithm:?}/{phase:?}: {}", got.unwrap());
+        }
+    }
+}
+
+/// Insert-only INC batches are seeded from their edges and checkpointed
+/// after the seed fold: a kill in superstep 0 or 1 of such a run must
+/// recover from that checkpoint to the uninterrupted twin's bits. The
+/// batches are chains — one rising from the root, one falling, then a
+/// link between them — so every fold program's seeds start a wave that
+/// outlives superstep 0 (a rising chain alone never moves MC's max).
+#[test]
+fn kill_and_recover_edge_seeded_batches() {
+    let _g = LOCK.lock().unwrap();
+    let chain = |from: u32, to: u32| -> Vec<ProgramOp> {
+        let step = |v: u32| if from < to { v + 1 } else { v - 1 };
+        let mut v = from;
+        std::iter::from_fn(|| {
+            (v != to).then(|| {
+                let op = (EdgeOp::Insert, v, step(v));
+                v = step(v);
+                op
+            })
+        })
+        .collect()
+    };
+    for directed in [true, false] {
+        let program = OpProgram {
+            capacity: 24,
+            directed,
+            batches: vec![chain(0, 11), chain(23, 12), chain(11, 13)],
+        };
+        for algorithm in AlgorithmKind::ALL {
+            if algorithm == AlgorithmKind::PageRank {
+                continue; // a sum program always runs in full
+            }
+            for superstep in [0, 1] {
+                for phase in [KillPhase::Scatter, KillPhase::Gather] {
+                    let cfg = RecoveryConfig {
+                        kill: KillSpec { superstep, shard: 1, phase },
+                        ..config(algorithm, ComputeModelKind::Incremental, phase)
+                    };
+                    let got = check_recovery(&program, &cfg);
+                    let at = format!("{algorithm:?}/directed={directed}/{superstep}/{phase:?}");
+                    assert!(got.is_none(), "{at}: {}", got.unwrap());
+                }
+            }
         }
     }
 }

@@ -517,6 +517,7 @@ impl ComputeHalf<'_> {
         &mut self,
         topology: &dyn GraphTopology,
         impact: &BatchImpact,
+        inserts: &[Edge],
         deletes: &[Edge],
         applied: Applied,
         update_seconds: f64,
@@ -534,7 +535,7 @@ impl ComputeHalf<'_> {
         let sw = Stopwatch::start();
         let engine = &mut self.engine;
         let (compute, compute_trace) = run_phase(self.arch.is_some(), self.pool, || {
-            engine.compute(topology, impact, deletes, self.pool)
+            engine.compute(topology, impact, inserts, deletes, self.pool)
         });
         let compute_seconds = sw.elapsed_secs();
         drop(compute_span);
@@ -633,7 +634,7 @@ impl DriverSession<'_> {
         let impact = self.compute.track(graph, inserts, deletes);
         let update_seconds = sw.elapsed_secs();
         drop(update_span);
-        self.compute.compute(graph, &impact, deletes, applied, update_seconds)
+        self.compute.compute(graph, &impact, inserts, deletes, applied, update_seconds)
     }
 
     /// The live graph.

@@ -194,7 +194,7 @@ pub fn run_pipelined_full(
             // are reflected).
             let _batch_span = saga_trace::span!("batch", index = i as u64);
             let impact = compute.track(&snapshot, inserts, deletes);
-            let record = compute.compute(&snapshot, &impact, deletes, applied, update_seconds);
+            let record = compute.compute(&snapshot, &impact, inserts, deletes, applied, update_seconds);
             staged = updater.map(|handle| Staged::join(handle, i + 1));
             record
         });

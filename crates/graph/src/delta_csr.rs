@@ -292,15 +292,18 @@ impl DeltaCsr {
     }
 
     /// Unconditional merge: rebuilds both CSR images with tombstones
-    /// applied and adds merged in id order, then resets the overlay.
+    /// applied and adds merged in id order, then resets the overlay. The
+    /// directions are merged and replaced one at a time, so the transient
+    /// is one direction's image beside the base, not both.
     pub fn compact(&self) {
         let _span = saga_trace::span!("compaction", ops = self.delta_ops.load(Ordering::Relaxed) as u64);
         let mut snap = self.snapshot.write();
-        let merged = Sides::new(self.is_directed(), |is_in| {
-            let (dir, delta) = (snap.side(is_in), self.overlay.sides.side(is_in));
-            Self::merge_dir(self.capacity(), dir, delta)
-        });
-        *snap = merged;
+        let snap = &mut *snap;
+        let sides = &self.overlay.sides;
+        snap.out = Self::merge_dir(self.capacity(), &snap.out, &sides.out);
+        if let (Some(inn), Some(delta)) = (snap.inn.as_mut(), sides.inn.as_ref()) {
+            *inn = Self::merge_dir(self.capacity(), inn, delta);
+        }
         let entries = snap.out.len() + snap.inn.as_ref().map_or(0, CsrDir::len);
         self.snap_entries.store(entries, Ordering::Release);
         self.delta_ops.store(0, Ordering::Release);

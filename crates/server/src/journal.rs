@@ -11,11 +11,64 @@
 //! [`GraphOracle`] to prove the server processed exactly what it admitted
 //! (DESIGN.md §13).
 //!
+//! A live tenant keeps its journal as a [`Journal`] of packed records and
+//! renders the text only when it is read.
+//!
 //! [`GraphOracle`]: saga_graph::oracle::GraphOracle
+//! [`render_edge_line`]: saga_stream::loader::render_edge_line
 
-use saga_stream::loader::{read_op_lines, render_edge_line, OpLine};
+use saga_stream::loader::{read_op_lines, write_edge_line, OpLine};
 use saga_stream::{Edge, EdgeOp};
 use std::fmt::Write as _;
+
+/// A journal in packed form: 12 bytes and one bit per op, 16 bytes per
+/// batch. [`render`](Self::render) is byte for byte what
+/// [`append_batch`] would have written for the same batches.
+#[derive(Debug, Clone, Default)]
+pub struct Journal {
+    /// Every op's edge, in acceptance order.
+    edges: Vec<Edge>,
+    /// Bit `i` set: op `i` is a delete.
+    deletes: Vec<u64>,
+    /// Per batch: the end of its ops in `edges`, and its seq.
+    batches: Vec<(usize, usize)>,
+}
+
+impl Journal {
+    /// Records one accepted batch.
+    pub fn append(&mut self, seq: usize, ops: &[(EdgeOp, Edge)]) {
+        for &(op, edge) in ops {
+            let i = self.edges.len();
+            if i.is_multiple_of(64) {
+                self.deletes.push(0);
+            }
+            if op == EdgeOp::Delete {
+                self.deletes[i / 64] |= 1 << (i % 64);
+            }
+            self.edges.push(edge);
+        }
+        self.batches.push((self.edges.len(), seq));
+    }
+
+    /// The canonical journal text.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        let mut start = 0;
+        for &(end, seq) in &self.batches {
+            push_batch(&mut out, seq, (start..end).map(|i| (self.op(i), self.edges[i])));
+            start = end;
+        }
+        out
+    }
+
+    fn op(&self, i: usize) -> EdgeOp {
+        if self.deletes[i / 64] >> (i % 64) & 1 == 1 {
+            EdgeOp::Delete
+        } else {
+            EdgeOp::Insert
+        }
+    }
+}
 
 /// One journaled batch: the ops exactly as accepted, in order.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,10 +112,15 @@ pub fn journal_root(batches: &[JournalBatch]) -> saga_stream::Node {
 }
 
 /// Appends one batch to a journal in canonical form: one
-/// [`render_edge_line`] row per op, then the `#batch` terminator.
+/// [`render_edge_line`](saga_stream::loader::render_edge_line) row per op,
+/// then the `#batch` terminator.
 pub fn append_batch(out: &mut String, seq: usize, ops: &[(EdgeOp, Edge)]) {
-    for &(op, ref edge) in ops {
-        out.push_str(&render_edge_line(edge, op));
+    push_batch(out, seq, ops.iter().copied());
+}
+
+fn push_batch(out: &mut String, seq: usize, ops: impl Iterator<Item = (EdgeOp, Edge)>) {
+    for (op, edge) in ops {
+        write_edge_line(out, &edge, op);
         out.push('\n');
     }
     let _ = writeln!(out, "#batch {seq}");

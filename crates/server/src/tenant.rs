@@ -11,7 +11,7 @@
 //!
 //! [`DriverSession`]: saga_core::driver::DriverSession
 
-use crate::journal::append_batch;
+use crate::journal::Journal;
 use saga_algorithms::{AlgorithmKind, AlgorithmParams, ComputeModelKind};
 use saga_core::driver::{DriverSession, StreamDriver};
 use saga_graph::{DataStructureKind, DynamicGraph};
@@ -245,7 +245,7 @@ pub struct Tenant {
     /// Registry-assigned id, used to index per-tenant metric families.
     pub id: usize,
     queue: Arc<BoundedQueue<WorkItem>>,
-    journal: Arc<Mutex<String>>,
+    journal: Arc<Mutex<Journal>>,
     accepted: AtomicUsize,
     processed: Arc<AtomicUsize>,
     rejected: AtomicUsize,
@@ -268,7 +268,7 @@ impl Tenant {
     /// Creates the tenant and spawns its worker thread.
     pub fn spawn(id: usize, config: TenantConfig) -> Arc<Tenant> {
         let queue = Arc::new(BoundedQueue::new(config.queue_bound));
-        let journal = Arc::new(Mutex::new(String::new()));
+        let journal = Arc::new(Mutex::new(Journal::default()));
         let processed = Arc::new(AtomicUsize::new(0));
         let depth_gauge = indexed_gauge("server.queue_depth", id);
         let tenant = Arc::new(Tenant {
@@ -351,8 +351,12 @@ impl Tenant {
     /// The journal text: every batch applied so far, in application
     /// order. Taken after a [`Tenant::snapshot`] barrier this is the exact
     /// input for an offline differential replay.
+    ///
+    /// The records are copied under the lock and rendered outside it, so
+    /// a journal read never stalls the worker for the rendering.
     pub fn journal_text(&self) -> String {
-        self.journal.lock().clone()
+        let journal = self.journal.lock().clone();
+        journal.render()
     }
 
     /// Current queue depth (admitted batches not yet applied).
@@ -416,7 +420,7 @@ struct WorkerState {
     id: usize,
     config: TenantConfig,
     queue: Arc<BoundedQueue<WorkItem>>,
-    journal: Arc<Mutex<String>>,
+    journal: Arc<Mutex<Journal>>,
     processed: Arc<AtomicUsize>,
     depth_gauge: Arc<Gauge>,
     batch_ns: Arc<Histogram>,
@@ -462,10 +466,7 @@ impl WorkerState {
                     let (inserts, deletes) = split_ops(&ops);
                     let seq = self.processed.load(Ordering::Relaxed);
                     sess.step(&inserts, &deletes);
-                    {
-                        let mut journal = self.journal.lock();
-                        append_batch(&mut journal, seq, &ops);
-                    }
+                    self.journal.lock().append(seq, &ops);
                     self.processed.fetch_add(1, Ordering::Release);
                     let elapsed_ns = started.elapsed().as_nanos() as u64;
                     self.batch_ns.record(elapsed_ns);

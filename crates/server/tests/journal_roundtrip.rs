@@ -6,7 +6,7 @@
 
 use saga_server::api::parse_batch_body;
 use saga_server::journal::{
-    append_batch, journal_root, parse_journal, serialize_journal, JournalBatch,
+    append_batch, journal_root, parse_journal, serialize_journal, Journal, JournalBatch,
 };
 use saga_stream::{edge_weight, Edge, EdgeOp};
 use saga_utils::rng::{for_each_seed, Xoshiro256PlusPlus};
@@ -151,5 +151,38 @@ fn accepted_bodies_journal_to_the_same_ops() {
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].seq, 3);
         assert_eq!(bits(&back[0].ops), bits(&ops), "{body}");
+    });
+}
+
+/// The packed journal a tenant keeps renders exactly the text
+/// `serialize_journal` writes for the same batches: inserts and deletes,
+/// empty batches, arbitrary seqs, and every weight the body parser admits
+/// (`-0`, subnormals, `MAX`, arbitrary non-negative bit patterns).
+#[test]
+fn packed_journal_renders_the_serialized_bytes() {
+    for_each_seed(SEEDS, |rng| {
+        let mut seq = rng.range(0, 1000);
+        let batches: Vec<JournalBatch> = (0..rng.range(0, 9))
+            .map(|_| {
+                seq += rng.range(1, 3);
+                let ops = rng.vec(0, 80, |rng| {
+                    let op = if rng.chance(0.5) { EdgeOp::Insert } else { EdgeOp::Delete };
+                    let weight = match rng.range(0, 4) {
+                        0 => -0.0,
+                        1 => f32::from_bits(rng.range(1, 0x7f_ffff) as u32),
+                        2 => f32::MAX,
+                        _ => f32::from_bits(rng.next_u64() as u32 & 0x7f7f_ffff),
+                    };
+                    let (s, d) = (rng.range(0, 1 << 24) as u32, rng.range(0, 1 << 24) as u32);
+                    (op, Edge::new(s, d, weight))
+                });
+                JournalBatch { seq, ops }
+            })
+            .collect();
+        let mut journal = Journal::default();
+        for b in &batches {
+            journal.append(b.seq, &b.ops);
+        }
+        assert_eq!(journal.render(), serialize_journal(&batches));
     });
 }

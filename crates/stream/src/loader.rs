@@ -199,10 +199,20 @@ pub fn read_op_lines<'a>(
 /// assert_eq!((raw.src, raw.dst, raw.weight, raw.op), (1, 2, Some(2.5), EdgeOp::Delete));
 /// ```
 pub fn render_edge_line(edge: &Edge, op: EdgeOp) -> String {
-    match op {
-        EdgeOp::Insert => format!("{} {} {}", edge.src, edge.dst, edge.weight),
-        EdgeOp::Delete => format!("- {} {} {}", edge.src, edge.dst, edge.weight),
-    }
+    let mut line = String::new();
+    write_edge_line(&mut line, edge, op);
+    line
+}
+
+/// Appends [`render_edge_line`]'s row to `out`, without the newline and
+/// without a `String` of its own.
+pub fn write_edge_line(out: &mut String, edge: &Edge, op: EdgeOp) {
+    use std::fmt::Write as _;
+    let sign = match op {
+        EdgeOp::Insert => "",
+        EdgeOp::Delete => "- ",
+    };
+    let _ = write!(out, "{sign}{} {} {}", edge.src, edge.dst, edge.weight);
 }
 
 /// Serializes an edge list to the canonical text form read back by
@@ -222,7 +232,7 @@ pub fn serialize_edge_list(edges: &[Edge], ops: &[EdgeOp]) -> String {
     let mut out = String::new();
     for (i, edge) in edges.iter().enumerate() {
         let op = ops.get(i).copied().unwrap_or(EdgeOp::Insert);
-        out.push_str(&render_edge_line(edge, op));
+        write_edge_line(&mut out, edge, op);
         out.push('\n');
     }
     out

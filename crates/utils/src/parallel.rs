@@ -28,7 +28,9 @@
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sync::thread::JoinHandle;
 use crate::sync::{thread, Arc, Condvar, Mutex};
+use std::any::Any;
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 
 /// Loop-scheduling policy for [`ThreadPool::parallel_for`].
 ///
@@ -108,6 +110,9 @@ struct PoolState {
     epoch: u64,
     job: Option<Job>,
     remaining: usize,
+    /// The first panic of the running job, resumed on the dispatcher once
+    /// every worker has finished with the job.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 struct Shared {
@@ -150,6 +155,7 @@ impl ThreadPool {
                 epoch: 0,
                 job: None,
                 remaining: 0,
+                panic: None,
             }),
             work_ready: Condvar::new(),
             work_done: Condvar::new(),
@@ -187,6 +193,10 @@ impl ThreadPool {
     /// Runs `f(worker_id)` once on every worker, in parallel, and returns
     /// when all invocations have finished.
     ///
+    /// A panic in any invocation — the caller's included — is caught,
+    /// the join still waits for every worker, and the first panic is then
+    /// resumed on the caller; the pool stays usable.
+    ///
     /// This is the fork-join primitive underneath [`parallel_for`]
     /// (`#pragma omp parallel` without the `for`). Chunk-owned data
     /// structures (AC, DAH) use it directly: worker `w` updates exactly the
@@ -217,17 +227,25 @@ impl ThreadPool {
             state.remaining = self.threads - 1;
             self.shared.work_ready.notify_all();
         }
-        // The caller participates as worker 0.
-        {
+        // The caller participates as worker 0. Its panic must not unwind
+        // past the join below while workers still call through `job`.
+        let caught = {
             #[cfg(not(loom))]
             let _task = saga_trace::span!("task", worker = 0u64);
-            f(0);
-        }
+            panic::catch_unwind(AssertUnwindSafe(|| f(0)))
+        };
         let mut state = self.shared.state.lock();
+        if let Err(payload) = caught {
+            state.panic.get_or_insert(payload);
+        }
         while state.remaining != 0 {
             self.shared.work_done.wait(&mut state);
         }
         state.job = None;
+        if let Some(payload) = state.panic.take() {
+            drop(state);
+            panic::resume_unwind(payload);
+        }
     }
 
     /// Parallel loop over `range`, calling `f(i)` for every index exactly
@@ -356,13 +374,18 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
         };
         #[cfg(not(loom))]
         let task = saga_trace::span!("task", worker = worker_id as u64);
-        // SAFETY: the dispatcher blocks until `remaining == 0`, so the
+        // SAFETY: the dispatcher blocks until `remaining == 0` — its own
+        // share of the job cannot unwind past that wait, and this worker's
+        // panic is caught here so it still decrements `remaining` — so the
         // closure behind the job's pointer is alive for the duration of
         // the call, and `run_on_all` only shares it immutably.
-        unsafe { job.call_on(worker_id) };
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| unsafe { job.call_on(worker_id) }));
         #[cfg(not(loom))]
         drop(task);
         let mut state = shared.state.lock();
+        if let Err(payload) = caught {
+            state.panic.get_or_insert(payload);
+        }
         state.remaining -= 1;
         if state.remaining == 0 {
             shared.work_done.notify_all();
@@ -373,7 +396,7 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::atomic::{AtomicUsize, Ordering};
+    use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     /// Miri interprets every instruction; shrink iteration counts so the
     /// suite stays Miri-sized while native runs keep full coverage.
@@ -514,6 +537,51 @@ mod tests {
         assert_eq!(adaptive_grain(320, 4), 10);
         // Zero threads behaves like one worker.
         assert_eq!(adaptive_grain(320, 0), 40);
+    }
+
+    #[test]
+    fn worker_panic_reaches_the_caller_and_the_pool_survives() {
+        let pool = ThreadPool::new(2);
+        let data = [0usize; 4];
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.parallel_ranges(0..data.len(), |w, r| {
+                // Worker 1 indexes past the end; the caller finishes cleanly.
+                let _ = data[r.start + if w == 1 { data.len() } else { 0 }];
+            });
+        }));
+        assert!(caught.is_err(), "the worker's panic must be resumed on the caller");
+        let hits = AtomicUsize::new(0);
+        pool.run_on_all(|_| {
+            hits.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn caller_panic_waits_for_workers_and_the_pool_survives() {
+        let pool = ThreadPool::new(3);
+        let (panicking, done) = (AtomicBool::new(false), AtomicUsize::new(0));
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run_on_all(|w| {
+                if w == 0 {
+                    panicking.store(true, Ordering::SeqCst);
+                    panic!("caller's share");
+                }
+                // Workers still read the caller's frame after it panicked.
+                while !panicking.load(Ordering::SeqCst) {
+                    std::hint::spin_loop();
+                }
+                done.fetch_add(1, Ordering::SeqCst);
+            });
+        }));
+        let payload = caught.expect_err("the caller's panic must be resumed");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"caller's share"));
+        assert_eq!(done.load(Ordering::Relaxed), 2, "the join waited for both workers");
+        let hits = AtomicUsize::new(0);
+        pool.run_on_all(|_| {
+            hits.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), 3);
     }
 
     #[test]
