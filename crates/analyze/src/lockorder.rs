@@ -74,7 +74,7 @@ fn cycles(lo: &mut LockOrder) {
 
 /// Where a read phase starts: `GraphTopology::frozen` and its
 /// value-returning form `saga_graph::read_phase`. Both hold every chunk
-/// guard (and DeltaCSR's snapshot guard) across the closure by design and
+/// guard across the closure by design and
 /// hand it, as its one parameter, a view whose reads take none of them.
 const VIEW_ENTRIES: &[&str] = &["frozen", "read_phase"];
 

@@ -500,12 +500,12 @@ const KNOBS: [Knob; 3] = [
         model: ComputeModelKind::Incremental,
         counter: None,
     },
-    // A low floor merges the overlay into the CSR eagerly (more O(n + m)
-    // rebuilds, scans stay static); a high one lets every scan pay the
-    // overlay merge.
+    // A low floor merges each chunk's overlay into its CSR base eagerly
+    // (more rebuilds, scans stay static); a high one lets every scan pay
+    // the overlay merge.
     Knob {
         file: "ablation_compaction.txt",
-        title: "Ablation: delta-CSR compaction-threshold floor (default: 256)",
+        title: "Ablation: delta-CSR compaction-threshold floor (default: 256; compactions = chunk merges)",
         knob: "threshold floor",
         values: &[64, 256, 1024, 4096, NEVER],
         build: |s, t, v| {

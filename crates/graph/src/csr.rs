@@ -10,16 +10,18 @@
 //! One direction of the layout is a `CsrDir` — offsets plus one id-sorted
 //! edge array — filled by one builder that appends each vertex's
 //! neighbours and sorts that slice in place. [`Csr`] is an `out` direction
-//! plus, for a directed graph, an in-copy; the compacted base of
-//! [`DeltaCsr`](crate::delta_csr::DeltaCsr) is the same pair.
+//! plus, for a directed graph, an in-copy; each chunk of
+//! [`DeltaCsr`](crate::delta_csr::DeltaCsr) keeps one direction over its
+//! own vertices (row `i` is the chunk's `i`-th vertex) as its compacted
+//! base.
 
 use crate::shell::Sides;
 use crate::{GraphTopology, Node, Weight};
 use saga_utils::probe;
 
 /// One direction of a CSR image: per-vertex offsets into one edge array,
-/// each vertex's neighbours sorted by id. The layout of [`Csr`] and of
-/// [`DeltaCsr`](crate::delta_csr::DeltaCsr)'s compacted base.
+/// each vertex's neighbours sorted by id. The layout of [`Csr`] and of a
+/// [`DeltaCsr`](crate::delta_csr::DeltaCsr) chunk's compacted base.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CsrDir {
     offsets: Vec<usize>,

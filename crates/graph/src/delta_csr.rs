@@ -1,93 +1,100 @@
-//! Delta-CSR hybrid structure (**DeltaCSR**): an immutable CSR snapshot
-//! plus a small chunked delta overlay, merged on threshold. The snapshot
-//! is the [`csr`](crate::csr) layout, rebuilt by its builder.
+//! Delta-CSR hybrid structure (**DeltaCSR**): per chunk, a compacted CSR
+//! base plus a small delta overlay, merged on threshold. The base is the
+//! [`csr`](crate::csr) layout over the chunk's local ids, rebuilt by its
+//! builder.
 //!
 //! The four §III-A structures pick one point each on the update-cost /
 //! traversal-locality trade-off. Delta-CSR refuses the choice: reads run
-//! mostly over a *compacted CSR snapshot* — one contiguous, id-sorted edge
+//! mostly over a *compacted CSR base* — one contiguous, id-sorted edge
 //! array with offset indexing, the layout static frameworks use because it
 //! makes neighbor scans sequential and prefetchable — while writes go to a
-//! small *delta overlay* (per-chunk add/tombstone lists, same chunked
-//! ownership discipline as AC/DAH, so batch ingest stays lock-free within
-//! a chunk). When the overlay grows past a threshold proportional to the
-//! snapshot size, the structure *compacts*: snapshot and overlay are merged
-//! into a fresh CSR image and the overlay resets to empty. Compaction cost
-//! is `O(n + edges)`, amortized over the `Θ(threshold)` updates that funded
-//! it.
+//! small *delta overlay* of per-vertex add/tombstone lists beside it.
+//!
+//! DeltaCSR is a chunked store like AC and DAH ([`crate::shell`]): vertex
+//! `v` belongs to chunk `v % chunks`, and each chunk holds the base and the
+//! overlay of the vertices it owns, both indexed by local index. When a
+//! chunk's overlay grows past a threshold proportional to its size, the
+//! chunk *compacts*: base and overlay are merged into a fresh CSR image and
+//! the overlay resets to empty. The merge is the chunk owner's job, done
+//! inside the pass under the write guard the pass already holds, so merges
+//! of different chunks run in parallel and no lock beyond the chunk's
+//! exists. Its cost is `O(local vertices + entries)` of the one chunk,
+//! amortized over the `Θ(threshold)` updates that funded it.
 //!
 //! Semantics match the other structures exactly (search-before-insert
 //! dedup, logical-edge counting, undirected mirroring), so Delta-CSR drops
 //! into every driver, compute model, and differential harness unmodified:
 //!
 //! - an edge is **present** iff it is in the overlay's adds, or in the
-//!   snapshot and not tombstoned;
+//!   base and not tombstoned;
 //! - inserting a present edge is a duplicate (no weight update, like AC);
-//! - deleting removes a delta add outright, tombstones a live snapshot
-//!   edge, and counts missing otherwise.
-//!
-//! Concurrency: the snapshot sits behind an [`RwLock`] read-locked for the
-//! duration of a batch, a read phase ([`GraphTopology::frozen`]) or one
-//! stray visit; overlay chunks sit behind the shell's per-chunk
-//! reader-writer locks. Lock order is always snapshot, then `out`'s chunks
-//! in index order, then the in-copy's (a frozen view holds them all shared,
-//! compaction takes them exclusively in the same order), so the two-level
-//! scheme cannot deadlock.
+//! - deleting removes a delta add outright, tombstones a live base edge,
+//!   and counts missing otherwise.
 
 use crate::csr::CsrDir;
-use crate::shell::{Chunks, FrozenChunks, Op, ReadSide, Sides, TwoSided};
-use crate::{
-    DataStructureKind, DeletableGraph, DeleteStats, DynamicGraph, Edge, GraphTopology, Node,
-    UpdateStats, Weight,
-};
-use saga_utils::parallel::ThreadPool;
+use crate::shell::{Chunk, Chunks, Op, TwoSided};
+use crate::{DataStructureKind, Node, Weight};
 use saga_utils::prefetch::{prefetch_index, PREFETCH_DISTANCE};
 use saga_utils::probe;
-use saga_utils::sync::atomic::{AtomicUsize, Ordering};
-use saga_utils::sync::RwLock;
 
-/// Compaction fires when the overlay holds at least this many entries,
-/// regardless of snapshot size (keeps tiny graphs compacting at all).
+/// Overlay entries that force a merge regardless of base size, over the
+/// whole structure (keeps tiny graphs compacting at all). Each chunk store
+/// gets an even share of it.
 const DEFAULT_THRESHOLD_FLOOR: usize = 256;
 
-/// Compaction also fires once the overlay reaches this fraction of the
-/// snapshot's stored entries (¼), bounding scan overhead on large graphs.
-const THRESHOLD_SNAPSHOT_DIVISOR: usize = 4;
+/// A chunk also merges once its overlay changes reach this fraction (¼) of
+/// what a merge rewrites — the chunk's rows plus its base's entries — so
+/// every merge is paid for by a proportional run of changes, and the scan
+/// overhead of the overlay stays bounded on large graphs.
+const THRESHOLD_DIVISOR: usize = 4;
 
-/// Registry counter bumped once per merge, across every instance — what
-/// `/metrics` and the compaction ablation read, since neither holds the
-/// concrete type that [`DeltaCsr::compactions`] needs.
+/// Registry counter bumped once per chunk merge, across every instance —
+/// what `/metrics` and the compaction ablation read, since neither holds
+/// the concrete type that [`DeltaCsr::compactions`] needs.
 pub const COMPACTIONS_METRIC: &str = "graph.delta_csr.compactions";
 
-/// Overlay state for the vertices owned by one chunk, indexed by their
-/// local index. `adds` are edges not live in the snapshot; `dels` are
-/// tombstones over snapshot entries. The two are disjoint views: an edge
-/// re-inserted after deletion keeps its tombstone and gains an add.
-struct DeltaChunk {
+/// One DeltaCSR chunk: the compacted base of the vertices it owns and the
+/// overlay over it, both indexed by local index. `adds` are edges not live
+/// in the base; `dels` are tombstones over base entries. The two are
+/// disjoint views: an edge re-inserted after deletion keeps its tombstone
+/// and gains an add.
+pub struct DeltaChunk {
+    base: CsrDir,
     adds: Vec<Vec<(Node, Weight)>>,
     dels: Vec<Vec<Node>>,
+    /// Overlay changes since the last merge (adds pushed, adds retracted,
+    /// tombstones pushed) — the compaction trigger.
+    ops: usize,
+    /// This chunk's share of the structure's compaction floor.
+    floor: usize,
+    /// Merges over the chunk's lifetime.
+    compactions: usize,
 }
 
 impl DeltaChunk {
-    /// Search-then-insert or search-then-remove of `key → nbr` against the
-    /// overlay and the snapshot direction `dir` it sits on; returns whether
-    /// the overlay changed (every change is one delta op).
-    fn apply(
-        &mut self,
-        dir: &CsrDir,
-        op: Op,
-        local: usize,
-        key: Node,
-        nbr: Node,
-        weight: Weight,
-    ) -> bool {
-        let (adds, dels) = (&mut self.adds[local], &mut self.dels[local]);
+    fn new(local_count: usize) -> Self {
+        Self {
+            base: CsrDir::empty(local_count),
+            adds: vec![Vec::new(); local_count],
+            dels: vec![Vec::new(); local_count],
+            ops: 0,
+            floor: 1,
+            compactions: 0,
+        }
+    }
+
+    /// Search-then-insert or search-then-remove of `nbr` in the adjacency
+    /// of the chunk's vertex number `local`, against overlay and base;
+    /// returns whether the overlay changed.
+    fn change(&mut self, op: Op, local: usize, nbr: Node, weight: Weight) -> bool {
+        let (base, adds, dels) = (&self.base, &mut self.adds[local], &mut self.dels[local]);
         probe::slice_read(adds);
         let added = adds.iter().position(|&(n, _)| n == nbr);
-        let live_in_snapshot = || dir.contains(key, nbr) && !dels.contains(&nbr);
+        let live_in_base = || base.contains(local as Node, nbr) && !dels.contains(&nbr);
         match (op, added) {
             (Op::Insert, Some(_)) => false,
-            (Op::Insert, None) if live_in_snapshot() => {
-                probe::slice_read(dir.neighbors(key));
+            (Op::Insert, None) if live_in_base() => {
+                probe::slice_read(base.neighbors(local as Node));
                 false
             }
             (Op::Insert, None) => {
@@ -99,7 +106,7 @@ impl DeltaChunk {
                 adds.swap_remove(pos);
                 true
             }
-            (Op::Remove, None) if live_in_snapshot() => {
+            (Op::Remove, None) if live_in_base() => {
                 dels.push(nbr);
                 probe::write(dels.last().unwrap() as *const Node, 1);
                 true
@@ -108,19 +115,57 @@ impl DeltaChunk {
         }
     }
 
-    /// Live neighbors of `v`, this chunk's vertex number `local`, over `dir`.
-    fn degree(&self, dir: &CsrDir, local: usize, v: Node) -> usize {
-        dir.neighbors(v).len() + self.adds[local].len() - self.dels[local].len()
+    /// Merges base and overlay into a fresh base through the CSR builder,
+    /// which keeps every row id-sorted: membership stays a binary search and
+    /// snapshots of different structures stay directly comparable.
+    fn compact(&mut self) {
+        let _span = saga_trace::span!("compaction", ops = self.ops as u64);
+        let Self { base, adds, dels, .. } = self;
+        *base = CsrDir::build(adds.len(), base.len(), |local, edges| {
+            let live = base.neighbors(local);
+            let (adds, dels) = (&mut adds[local as usize], &mut dels[local as usize]);
+            if dels.is_empty() {
+                edges.extend_from_slice(live);
+            } else {
+                dels.sort_unstable();
+                edges.extend(live.iter().filter(|&&(n, _)| dels.binary_search(&n).is_err()));
+                dels.clear();
+            }
+            edges.append(adds);
+        });
+        self.ops = 0;
+        self.compactions += 1;
+        saga_trace::metrics::counter(COMPACTIONS_METRIC).incr();
+    }
+}
+
+impl Chunk for DeltaChunk {
+    const KIND: DataStructureKind = DataStructureKind::DeltaCsr;
+
+    fn apply(&mut self, op: Op, local: usize, _key: Node, nbr: Node, weight: Weight) -> bool {
+        if !self.change(op, local, nbr, weight) {
+            return false;
+        }
+        self.ops += 1;
+        let rewritten = self.adds.len() + self.base.len();
+        if self.ops >= self.floor.max(rewritten / THRESHOLD_DIVISOR) {
+            self.compact();
+        }
+        true
     }
 
-    /// Visits them: the snapshot slice minus tombstones, then the adds.
-    fn for_each(&self, dir: &CsrDir, local: usize, v: Node, f: &mut dyn FnMut(Node, Weight)) {
+    fn degree_at(&self, local: usize) -> usize {
+        self.base.neighbors(local as Node).len() + self.adds[local].len() - self.dels[local].len()
+    }
+
+    /// The base row minus tombstones, then the adds.
+    fn for_each_at(&self, local: usize, _key: Node, f: &mut dyn FnMut(Node, Weight)) {
         let dels = &self.dels[local];
-        let slice = dir.neighbors(v);
+        let slice = self.base.neighbors(local as Node);
         probe::slice_read(slice);
         if dels.is_empty() {
-            // Hot path: one sequential sweep over the contiguous snapshot
-            // slice, hinting the line PREFETCH_DISTANCE entries ahead.
+            // Hot path: one sequential sweep over the contiguous base row,
+            // hinting the line PREFETCH_DISTANCE entries ahead.
             for i in 0..slice.len() {
                 prefetch_index(slice, i + PREFETCH_DISTANCE);
                 let (n, w) = slice[i];
@@ -143,23 +188,7 @@ impl DeltaChunk {
     }
 }
 
-/// One direction of a [`DeltaCsr`] for the length of a read phase: the
-/// snapshot image and the overlay chunks out of guards the caller holds.
-struct FrozenDelta<'a>(&'a CsrDir, FrozenChunks<'a, DeltaChunk>);
-
-impl ReadSide for FrozenDelta<'_> {
-    fn degree(&self, v: Node) -> usize {
-        let (chunk, local) = self.1.at(v);
-        chunk.degree(self.0, local, v)
-    }
-
-    fn for_each(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
-        let (chunk, local) = self.1.at(v);
-        chunk.for_each(self.0, local, v, f);
-    }
-}
-
-/// Delta-CSR hybrid: CSR snapshot + chunked delta overlay with
+/// Delta-CSR hybrid: per-chunk CSR base + delta overlay with
 /// threshold-triggered compaction.
 ///
 /// # Examples
@@ -176,225 +205,54 @@ impl ReadSide for FrozenDelta<'_> {
 /// g.delete_batch(&[Edge::new(0, 3, 0.0)], &pool);
 /// assert_eq!(g.out_neighbors(0), vec![(5, 2.0)]);
 /// ```
-pub struct DeltaCsr {
-    /// Both directions of the CSR image, paired exactly like the overlay's
-    /// sides: undirected graphs store each logical edge twice in `out`
-    /// (mirror entries) and serve `in_*` from it.
-    snapshot: RwLock<Sides<CsrDir>>,
-    /// The chunked overlay, and with it the shell's routing, pass protocol
-    /// and edge counter.
-    overlay: TwoSided<Chunks<DeltaChunk>>,
-    /// Overlay mutations since the last compaction (adds pushed, adds
-    /// retracted, tombstones pushed) — the compaction trigger.
-    delta_ops: AtomicUsize,
-    /// Stored entries in the current snapshot, mirrored out of the lock so
-    /// the trigger check stays lock-free.
-    snap_entries: AtomicUsize,
-    /// Merges performed over the structure's lifetime (ablation
-    /// observability).
-    compactions: AtomicUsize,
-    threshold_floor: usize,
-}
-
-impl std::fmt::Debug for DeltaCsr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DeltaCsr")
-            .field("capacity", &self.capacity())
-            .field("directed", &self.is_directed())
-            .field("edges", &self.num_edges())
-            .field("delta_ops", &self.delta_ops.load(Ordering::Relaxed))
-            .finish()
-    }
-}
+pub type DeltaCsr = TwoSided<Chunks<DeltaChunk>>;
 
 impl DeltaCsr {
     /// Creates an empty Delta-CSR graph with the given number of
-    /// single-threaded overlay chunks (typically the update thread count).
+    /// single-threaded chunks (typically the update thread count).
     pub fn new(capacity: usize, directed: bool, chunks: usize) -> Self {
-        Self {
-            snapshot: RwLock::new(Sides::new(directed, |_| CsrDir::empty(capacity))),
-            overlay: TwoSided::with_sides(capacity, directed, |_| {
-                Chunks::new(capacity, chunks, |local_count| DeltaChunk {
-                    adds: vec![Vec::new(); local_count],
-                    dels: vec![Vec::new(); local_count],
-                })
-            }),
-            delta_ops: AtomicUsize::new(0),
-            snap_entries: AtomicUsize::new(0),
-            compactions: AtomicUsize::new(0),
-            threshold_floor: DEFAULT_THRESHOLD_FLOOR,
-        }
+        Self::with_sides(capacity, directed, |_| Chunks::new(capacity, chunks, DeltaChunk::new))
+            .with_compaction_threshold(DEFAULT_THRESHOLD_FLOOR)
     }
 
-    /// Overrides the compaction floor (overlay entries that force a merge
-    /// regardless of snapshot size) — the knob the compaction-threshold
-    /// ablation sweeps. The proportional part (overlay ≥ snapshot / 4)
-    /// is unchanged.
-    pub fn with_compaction_threshold(mut self, floor: usize) -> Self {
-        self.threshold_floor = floor.max(1);
+    /// Overrides the compaction floor (overlay entries over the whole
+    /// structure that force a merge regardless of base size, split evenly
+    /// over its chunk stores) — the knob the compaction-threshold ablation
+    /// sweeps. The proportional part (a chunk's changes ≥ a quarter of its
+    /// rows plus base entries) is unchanged.
+    pub fn with_compaction_threshold(self, floor: usize) -> Self {
+        let share = (floor / self.chunk_locks().count()).max(1);
+        self.chunk_locks().for_each(|chunk| chunk.write().floor = share);
         self
     }
 
-    /// Overlay mutations accumulated since the last compaction (test and
-    /// ablation observability).
+    /// Overlay changes accumulated since each chunk's last merge, summed
+    /// (test and ablation observability).
     pub fn pending_delta_ops(&self) -> usize {
-        self.delta_ops.load(Ordering::Acquire)
+        self.chunk_locks().map(|chunk| chunk.read().ops).sum()
     }
 
-    /// Snapshot merges performed so far (threshold-triggered and explicit).
+    /// Chunk merges performed so far (threshold-triggered and explicit).
     pub fn compactions(&self) -> usize {
-        self.compactions.load(Ordering::Acquire)
+        self.chunk_locks().map(|chunk| chunk.read().compactions).sum()
     }
 
-    /// One chunked-style batch with the snapshot read-locked throughout,
-    /// then the compaction check; returns how many logical edges changed.
-    fn run_batch(&self, batch: &[Edge], pool: &ThreadPool, op: Op) -> usize {
-        let changed = {
-            let snap = self.snapshot.read();
-            self.overlay.chunked_batch(batch, pool, |chunk, edge, into_in| {
-                self.overlay.apply_pass(edge, into_in, |delta, key, nbr| {
-                    let dir = snap.side(into_in);
-                    let changed = chunk.apply(dir, op, delta.local(key), key, nbr, edge.weight);
-                    if changed {
-                        self.delta_ops.fetch_add(1, Ordering::Relaxed);
-                    }
-                    changed
-                })
-            })
-        };
-        self.maybe_compact();
-        changed
-    }
-
-    /// One stray visit of the live graph: `read(chunk, dir, local)` on `v`'s
-    /// overlay chunk and snapshot direction, under guards of its own.
-    fn visit<R>(
-        &self,
-        v: Node,
-        is_in: bool,
-        read: impl FnOnce(&DeltaChunk, &CsrDir, usize) -> R,
-    ) -> R {
-        let snap = self.snapshot.read();
-        let delta = self.overlay.sides.side(is_in);
-        read(&delta.read_chunk(delta.chunk_of(v)), snap.side(is_in), delta.local(v))
-    }
-
-    /// Merges snapshot and overlay into a fresh CSR image if the overlay
-    /// has crossed the compaction threshold.
-    fn maybe_compact(&self) {
-        let ops = self.delta_ops.load(Ordering::Acquire);
-        let threshold = self
-            .threshold_floor
-            .max(self.snap_entries.load(Ordering::Acquire) / THRESHOLD_SNAPSHOT_DIVISOR);
-        if ops >= threshold {
-            self.compact();
-        }
-    }
-
-    /// Unconditional merge: rebuilds both CSR images with tombstones
-    /// applied and adds merged in id order, then resets the overlay. The
-    /// directions are merged and replaced one at a time, so the transient
-    /// is one direction's image beside the base, not both.
+    /// Merges every chunk with overlay changes pending, one at a time.
     pub fn compact(&self) {
-        let _span = saga_trace::span!("compaction", ops = self.delta_ops.load(Ordering::Relaxed) as u64);
-        let mut snap = self.snapshot.write();
-        let snap = &mut *snap;
-        let sides = &self.overlay.sides;
-        snap.out = Self::merge_dir(self.capacity(), &snap.out, &sides.out);
-        if let (Some(inn), Some(delta)) = (snap.inn.as_mut(), sides.inn.as_ref()) {
-            *inn = Self::merge_dir(self.capacity(), inn, delta);
-        }
-        let entries = snap.out.len() + snap.inn.as_ref().map_or(0, CsrDir::len);
-        self.snap_entries.store(entries, Ordering::Release);
-        self.delta_ops.store(0, Ordering::Release);
-        self.compactions.fetch_add(1, Ordering::AcqRel);
-        saga_trace::metrics::counter(COMPACTIONS_METRIC).incr();
-    }
-
-    /// Rebuilds one direction through the CSR builder, which keeps every
-    /// list id-sorted: membership stays a binary search and snapshots of
-    /// different structures stay directly comparable. Holds every chunk's
-    /// write guard of the direction for the duration (the snapshot write
-    /// lock already excludes readers and ingest batches; chunk guards are
-    /// taken in index order).
-    fn merge_dir(capacity: usize, dir: &CsrDir, delta: &Chunks<DeltaChunk>) -> CsrDir {
-        let mut guards: Vec<_> = (0..delta.count()).map(|c| delta.write_chunk(c)).collect();
-        CsrDir::build(capacity, dir.len(), |v, edges| {
-            let local = delta.local(v);
-            let DeltaChunk { adds, dels } = &mut *guards[delta.chunk_of(v)];
-            let (adds, dels) = (&mut adds[local], &mut dels[local]);
-            let live = dir.neighbors(v);
-            if dels.is_empty() {
-                edges.extend_from_slice(live);
-            } else {
-                dels.sort_unstable();
-                edges.extend(live.iter().filter(|&&(n, _)| dels.binary_search(&n).is_err()));
-                dels.clear();
+        for chunk in self.chunk_locks() {
+            let mut chunk = chunk.write();
+            if chunk.ops > 0 {
+                chunk.compact();
             }
-            edges.append(adds);
-        })
-    }
-}
-
-impl GraphTopology for DeltaCsr {
-    fn capacity(&self) -> usize {
-        self.overlay.capacity
-    }
-
-    fn num_edges(&self) -> usize {
-        self.overlay.edge_count()
-    }
-
-    fn is_directed(&self) -> bool {
-        self.overlay.directed()
-    }
-
-    fn out_degree(&self, v: Node) -> usize {
-        self.visit(v, false, |chunk, dir, local| chunk.degree(dir, local, v))
-    }
-
-    fn in_degree(&self, v: Node) -> usize {
-        self.visit(v, true, |chunk, dir, local| chunk.degree(dir, local, v))
-    }
-
-    fn for_each_out_neighbor(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
-        self.visit(v, false, |chunk, dir, local| chunk.for_each(dir, local, v, f));
-    }
-
-    fn for_each_in_neighbor(&self, v: Node, f: &mut dyn FnMut(Node, Weight)) {
-        self.visit(v, true, |chunk, dir, local| chunk.for_each(dir, local, v, f));
-    }
-
-    fn frozen(&self, f: &mut dyn FnMut(&dyn GraphTopology)) {
-        let snap = self.snapshot.read();
-        let guards = self.overlay.read_chunks();
-        f(&self.overlay.view_over(|is_in| {
-            FrozenDelta(snap.side(is_in), FrozenChunks::new(guards.side(is_in)))
-        }));
-    }
-}
-
-impl DynamicGraph for DeltaCsr {
-    fn update_batch(&self, batch: &[Edge], pool: &ThreadPool) -> UpdateStats {
-        let inserted = self.run_batch(batch, pool, Op::Insert);
-        self.overlay.tally_inserted(batch.len(), inserted)
-    }
-
-    fn kind(&self) -> DataStructureKind {
-        DataStructureKind::DeltaCsr
-    }
-}
-
-impl DeletableGraph for DeltaCsr {
-    fn delete_batch(&self, batch: &[Edge], pool: &ThreadPool) -> DeleteStats {
-        let removed = self.run_batch(batch, pool, Op::Remove);
-        self.overlay.tally_removed(batch.len(), removed)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DeletableGraph, DynamicGraph, Edge, GraphTopology};
+    use saga_utils::parallel::ThreadPool;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
@@ -405,7 +263,7 @@ mod tests {
         let p = pool();
         let g = DeltaCsr::new(10, true, 4);
         g.update_batch(&[Edge::new(1, 3, 2.0), Edge::new(1, 5, 1.0)], &p);
-        g.compact(); // (1,3) and (1,5) now live in the snapshot
+        g.compact(); // (1,3) and (1,5) now live in the base
         g.update_batch(&[Edge::new(1, 7, 4.0)], &p); // overlay add
         let stats = g.delete_batch(
             &[Edge::new(1, 3, 0.0), Edge::new(1, 7, 0.0), Edge::new(1, 9, 0.0)],
@@ -424,7 +282,7 @@ mod tests {
         let g = DeltaCsr::new(10, true, 2);
         g.update_batch(&[Edge::new(0, 1, 1.0)], &p);
         g.compact();
-        g.delete_batch(&[Edge::new(0, 1, 0.0)], &p); // tombstone snapshot edge
+        g.delete_batch(&[Edge::new(0, 1, 0.0)], &p); // tombstone base edge
         assert!(g.out_neighbors(0).is_empty());
         let stats = g.update_batch(&[Edge::new(0, 1, 5.0)], &p); // re-insert
         assert_eq!(stats.inserted, 1);
@@ -439,16 +297,23 @@ mod tests {
     #[test]
     fn compaction_threshold_fires_automatically() {
         let p = pool();
-        let g = DeltaCsr::new(200, true, 2).with_compaction_threshold(16);
-        let batch: Vec<Edge> = (0..40).map(|i| Edge::new(i, (i + 1) % 200, 1.0)).collect();
+        // Four chunk stores (2 chunks × out / in) split the floor of 16: 4
+        // each, above a quarter of their 8 rows plus base entries.
+        let g = DeltaCsr::new(16, true, 2).with_compaction_threshold(16);
+        // Out keys 0..8 and in keys 1..9 give every store exactly its share
+        // of changes, so every one merges inside the pass.
+        let batch: Vec<Edge> = (0..8).map(|i| Edge::new(i, i + 1, 1.0)).collect();
         g.update_batch(&batch, &p);
-        // 40 logical edges × 2 directions = 80 overlay entries ≥ 16 ⇒ the
-        // batch-end check compacted and the overlay is empty again.
+        assert!(g.chunk_locks().all(|chunk| chunk.read().compactions == 1));
+        assert_eq!(g.compactions(), 4);
         assert_eq!(g.pending_delta_ops(), 0);
-        assert_eq!(g.compactions(), 1);
-        assert_eq!(g.num_edges(), 40);
-        assert_eq!(g.out_neighbors(0), vec![(1, 1.0)]);
-        assert_eq!(g.in_neighbors(40), vec![(39, 1.0)]);
+        // One more edge brings no store to its share: nothing merges.
+        g.update_batch(&[Edge::new(0, 9, 1.0)], &p);
+        assert_eq!(g.compactions(), 4);
+        assert_eq!(g.pending_delta_ops(), 2);
+        assert_eq!(g.num_edges(), 9);
+        assert_eq!(g.out_neighbors(0), vec![(1, 1.0), (9, 1.0)]);
+        assert_eq!(g.in_neighbors(8), vec![(7, 1.0)]);
     }
 
     #[test]
@@ -462,7 +327,9 @@ mod tests {
         // Other tests compact concurrently, so the shared counter may move
         // further than this instance did — never less.
         assert!(counter.get() - before >= (g.compactions() - own_before) as u64);
-        assert_eq!(g.compactions() - own_before, 1);
+        // One merge per store with changes pending: (0, 1)'s out entry in
+        // chunk 0 and its in entry in chunk 1.
+        assert_eq!(g.compactions() - own_before, 2);
     }
 
     #[test]
@@ -501,7 +368,7 @@ mod tests {
         g.compact();
         g.update_batch(&[Edge::new(2, 8, 1.0)], &p);
         g.delete_batch(&[Edge::new(2, 4, 0.0)], &p);
-        assert_eq!(g.out_degree(2), 2); // 2 snapshot − 1 tombstone + 1 add
+        assert_eq!(g.out_degree(2), 2); // 2 base − 1 tombstone + 1 add
         assert_eq!(g.in_degree(8), 1);
         assert_eq!(g.in_degree(4), 0);
     }

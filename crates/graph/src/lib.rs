@@ -13,10 +13,11 @@
 //! | [`Dah`] (degree-aware hashing) | [`dah`] | hash-based, Robin Hood low-degree + open-addressing high-degree tables | chunked, lock-free within a chunk | no |
 //!
 //! A fifth structure extends the matrix beyond the paper:
-//! [`DeltaCsr`] (module [`delta_csr`]) — an immutable CSR snapshot plus a
-//! small chunked delta overlay, merged on threshold, trading a bounded
-//! amortized compaction cost for static-layout neighbor scans. It is not
-//! part of [`DataStructureKind::ALL`] (the paper's four); iterate
+//! [`DeltaCsr`] (module [`delta_csr`]) — chunked like AC and DAH, each
+//! chunk a compacted CSR base plus a small delta overlay that the chunk's
+//! owner merges on threshold, trading a bounded amortized compaction cost
+//! for static-layout neighbor scans. It is not part of
+//! [`DataStructureKind::ALL`] (the paper's four); iterate
 //! [`DataStructureKind::ALL_WITH_DELTA`] to include it.
 //!
 //! The table's two independent axes are also the code's: each structure
@@ -26,9 +27,8 @@
 //! edge, the edge counter, the three trait impls, and the two
 //! multithreading styles (shared: [`shell::SharedSide`]; chunked:
 //! [`shell::Chunk`] in [`shell::Chunks`]). The five public types are
-//! [`shell::TwoSided`] over their store (DeltaCSR wraps one around its
-//! snapshot, which has the layout of a [`csr::Csr`] and is built by the
-//! same builder).
+//! [`shell::TwoSided`] over their store (a DeltaCSR chunk's base has the
+//! layout of a [`csr::Csr`] direction and is built by the same builder).
 //!
 //! Every insert is preceded by a search so that edges are ingested uniquely
 //! (§III-A). Vertex property values live outside the topology in
@@ -128,7 +128,7 @@ pub enum DataStructureKind {
     Stinger,
     /// Degree-aware hashing (DAH).
     Dah,
-    /// Delta-CSR hybrid: immutable CSR snapshot + compacting delta overlay
+    /// Delta-CSR hybrid: per-chunk CSR base + compacting delta overlay
     /// (extension beyond the paper's four).
     DeltaCsr,
 }
@@ -212,20 +212,19 @@ impl std::fmt::Display for DataStructureKind {
 /// The per-visit methods of a *live* structure may hold a fine-grained
 /// internal lock while invoking a `for_each_*` callback: AS a vertex's
 /// vector mutex, Stinger a vertex's shared op-lock, AC / DAH / DeltaCSR one
-/// chunk's read guard (DeltaCSR also its snapshot's). A callback must
-/// therefore not call back into the same live graph — with AS that
-/// self-deadlocks, and a second shared guard can park behind a waiting
-/// batch forever. Collect what you need first, then query (`saga_bsp`'s
+/// chunk's read guard. A callback must therefore not call back into the
+/// same live graph — with AS that self-deadlocks, and a second shared guard
+/// can park behind a waiting batch forever. Collect what you need first, then query (`saga_bsp`'s
 /// `scatter_shard` is the pattern); reading separate property arrays from a
 /// callback is always fine.
 ///
 /// Code that reads for a whole phase should not pay those locks per visit
 /// at all: [`frozen`](Self::frozen) hands it a view for the length of a
 /// closure. A view of a chunked structure holds every chunk's read guard
-/// (and DeltaCSR's snapshot guard) once and reads through plain references,
-/// so its visits take no lock, are reentrant, and see one topology — a batch
-/// started once the view exists blocks until the view drops and no part of
-/// it is ever visible. That is all the guarantee covers: the guards are taken
+/// once and reads through plain references, so its visits take no lock,
+/// are reentrant, and see one topology — a batch started once the view
+/// exists blocks until the view drops and no part of it is ever visible.
+/// That is all the guarantee covers: the guards are taken
 /// chunk by chunk and there is no batch-wide lock, so a view opened while a
 /// batch is *already running* may see some chunks before and some after it
 /// (and an edge count from before its tally). No caller overlaps the two
@@ -370,34 +369,15 @@ pub trait DeletableGraph: DynamicGraph {
 /// Builds a graph of the requested kind.
 ///
 /// `chunks` controls the number of single-threaded chunks for the chunked
-/// structures (AC, DAH); the paper pairs one chunk with one update thread,
-/// so pass the pool's thread count. It is ignored by AS and Stinger.
+/// structures (AC, DAH, DeltaCSR); the paper pairs one chunk with one update
+/// thread, so pass the pool's thread count. It is ignored by AS and Stinger.
 pub fn build_graph(
     kind: DataStructureKind,
     capacity: usize,
     directed: bool,
     chunks: usize,
 ) -> Box<dyn DynamicGraph> {
-    build_graph_with(kind, capacity, directed, chunks, false)
-}
-
-/// [`build_graph`] with an explicit partitioned-ingest choice.
-///
-/// `partitioned_ingest` routes AS and Stinger batches through the
-/// counting-sort partitioner so each vertex is updated by exactly one
-/// worker (no lock contention); it departs from the paper's shared-style
-/// multithreading and is off in `build_graph`. AC and DAH always partition
-/// — for them routing is an implementation detail of finding each chunk's
-/// edges, not a change to the paper's chunked ownership — so the flag is a
-/// no-op there.
-pub fn build_graph_with(
-    kind: DataStructureKind,
-    capacity: usize,
-    directed: bool,
-    chunks: usize,
-    partitioned_ingest: bool,
-) -> Box<dyn DynamicGraph> {
-    build_deletable_graph_with(kind, capacity, directed, chunks, partitioned_ingest)
+    build_deletable_graph_with(kind, capacity, directed, chunks, false)
 }
 
 /// Builds a graph of the requested kind behind the deletion-capable
@@ -411,8 +391,15 @@ pub fn build_deletable_graph(
     build_deletable_graph_with(kind, capacity, directed, chunks, false)
 }
 
-/// [`build_deletable_graph`] with an explicit partitioned-ingest choice
-/// (see [`build_graph_with`]).
+/// [`build_deletable_graph`] with an explicit partitioned-ingest choice.
+///
+/// `partitioned_ingest` routes AS and Stinger batches through the
+/// counting-sort partitioner so each vertex is updated by exactly one
+/// worker (no lock contention); it departs from the paper's shared-style
+/// multithreading and is off in [`build_graph`]. The chunked structures
+/// always partition — for them routing is an implementation detail of
+/// finding each chunk's edges, not a change to the paper's chunked
+/// ownership — so the flag is a no-op there.
 pub fn build_deletable_graph_with(
     kind: DataStructureKind,
     capacity: usize,

@@ -6,7 +6,7 @@
 //! *multithreaded* over that store. This module owns the second axis and
 //! everything the axes share; the structure modules own only the first.
 //!
-//! | style \ store | neighbor vectors | 16-edge block chains | degree-aware hash tables | CSR snapshot + overlay |
+//! | style \ store | neighbor vectors | 16-edge block chains | degree-aware hash tables | CSR base + overlay |
 //! |---|---|---|---|---|
 //! | **shared** — per-edge `parallel for`, fine-grained locks ([`SharedSide`]) | AS | Stinger | | |
 //! | **chunked** — one owner worker per chunk, lock-free inside ([`Chunk`] in [`Chunks`]) | AC | | DAH | DeltaCSR |
@@ -21,8 +21,7 @@
 //! copy of footnote 3; implements [`GraphTopology`], [`DynamicGraph`] and
 //! [`DeletableGraph`] once; and keeps the *pass protocol* — how one logical
 //! edge maps to stored entries, and which of them is counted — in
-//! `TwoSided::pass` and `TwoSided::apply_pass`, which both styles (and
-//! DeltaCSR's wrapper) call.
+//! `TwoSided::pass` and `TwoSided::apply_pass`, which both styles call.
 
 use crate::{
     DataStructureKind, DeletableGraph, DeleteStats, DynamicGraph, Edge, GraphTopology, Node,
@@ -113,7 +112,7 @@ pub(crate) struct IngestScratch {
 
 /// A streaming graph structure over store `S`: the `out` / `in` pair, the
 /// edge counter, and the protocol that maps logical edges to stored passes.
-/// The five public structures are this type (or, for DeltaCSR, wrap it).
+/// The five public structures are this type.
 pub struct TwoSided<S> {
     pub(crate) sides: Sides<S>,
     pub(crate) capacity: usize,
@@ -161,7 +160,7 @@ impl<S> TwoSided<S> {
 
     /// A shell of this one's shape and edge count over the stores
     /// `make(is_in)` — how a store presents borrowed guards as a frozen view.
-    pub(crate) fn view_over<R>(&self, make: impl FnMut(/*is_in:*/ bool) -> R) -> TwoSided<R> {
+    fn view_over<R>(&self, make: impl FnMut(/*is_in:*/ bool) -> R) -> TwoSided<R> {
         let mut view = TwoSided::with_sides(self.capacity, self.directed(), make);
         view.edges = AtomicUsize::new(self.edge_count());
         view
@@ -210,22 +209,6 @@ impl<S> TwoSided<S> {
         // canonical (undirected) pass.
         apply(self.sides.side(into_in), key, nbr) && !into_in
     }
-
-    pub(crate) fn tally_inserted(&self, batch_len: usize, inserted: usize) -> UpdateStats {
-        self.edges.fetch_add(inserted, Ordering::AcqRel);
-        UpdateStats {
-            inserted,
-            duplicates: batch_len - inserted,
-        }
-    }
-
-    pub(crate) fn tally_removed(&self, batch_len: usize, removed: usize) -> DeleteStats {
-        self.edges.fetch_sub(removed, Ordering::AcqRel);
-        DeleteStats {
-            removed,
-            missing: batch_len - removed,
-        }
-    }
 }
 
 impl<S: ReadSide> GraphTopology for TwoSided<S> {
@@ -264,7 +247,9 @@ impl<S: ReadSide> GraphTopology for TwoSided<S> {
 
 impl<S: Side> DynamicGraph for TwoSided<S> {
     fn update_batch(&self, batch: &[Edge], pool: &ThreadPool) -> UpdateStats {
-        self.tally_inserted(batch.len(), S::run_batch(self, batch, pool, Op::Insert))
+        let inserted = S::run_batch(self, batch, pool, Op::Insert);
+        self.edges.fetch_add(inserted, Ordering::AcqRel);
+        UpdateStats { inserted, duplicates: batch.len() - inserted }
     }
 
     fn kind(&self) -> DataStructureKind {
@@ -274,7 +259,9 @@ impl<S: Side> DynamicGraph for TwoSided<S> {
 
 impl<S: Side> DeletableGraph for TwoSided<S> {
     fn delete_batch(&self, batch: &[Edge], pool: &ThreadPool) -> DeleteStats {
-        self.tally_removed(batch.len(), S::run_batch(self, batch, pool, Op::Remove))
+        let removed = S::run_batch(self, batch, pool, Op::Remove);
+        self.edges.fetch_sub(removed, Ordering::AcqRel);
+        DeleteStats { removed, missing: batch.len() - removed }
     }
 }
 
@@ -445,7 +432,7 @@ impl<C> Chunks<C> {
         }
     }
 
-    pub(crate) fn count(&self) -> usize {
+    fn count(&self) -> usize {
         self.chunks.len()
     }
 
@@ -462,7 +449,7 @@ impl<C> Chunks<C> {
         self.chunks[chunk].read()
     }
 
-    pub(crate) fn write_chunk(&self, chunk: usize) -> RwLockWriteGuard<'_, C> {
+    fn write_chunk(&self, chunk: usize) -> RwLockWriteGuard<'_, C> {
         self.chunks[chunk].write()
     }
 }
@@ -473,12 +460,12 @@ impl<C> Chunks<C> {
 pub struct FrozenChunks<'a, C>(Vec<&'a C>);
 
 impl<'a, C> FrozenChunks<'a, C> {
-    pub(crate) fn new(guards: &'a [RwLockReadGuard<'_, C>]) -> Self {
+    fn new(guards: &'a [RwLockReadGuard<'_, C>]) -> Self {
         Self(guards.iter().map(|guard| &**guard).collect())
     }
 
     /// `v`'s chunk and its index inside it.
-    pub(crate) fn at(&self, v: Node) -> (&'a C, usize) {
+    fn at(&self, v: Node) -> (&'a C, usize) {
         (self.0[v as usize % self.0.len()], v as usize / self.0.len())
     }
 }
@@ -513,47 +500,45 @@ impl<C: Chunk> ReadSide for Chunks<C> {
 impl<C: Chunk> Side for Chunks<C> {
     const KIND: DataStructureKind = C::KIND;
 
+    /// The chunked-style batch: routes every pass to the chunk owning its
+    /// key vertex; the chunk's owner worker then takes the chunk's write
+    /// guard once per pass and applies the pass's edges under it.
     fn run_batch(shell: &TwoSided<Self>, batch: &[Edge], pool: &ThreadPool, op: Op) -> usize {
-        shell.chunked_batch(batch, pool, |chunk, edge, into_in| {
-            shell.apply_pass(edge, into_in, |side, key, nbr| {
-                chunk.apply(op, side.local(key), key, nbr, edge.weight)
-            })
-        })
+        let out = &shell.sides.out;
+        chunked_update(
+            batch,
+            pool,
+            out.count(),
+            &shell.scratch,
+            |edge, into_in| out.chunk_of(shell.pass(edge, into_in).0),
+            |chunk, into_in, bucket| {
+                let mut guard = shell.sides.side(into_in).write_chunk(chunk);
+                bucket
+                    .iter()
+                    .filter(|&&i| {
+                        let edge = &batch[i as usize];
+                        shell.apply_pass(edge, into_in, |side, key, nbr| {
+                            guard.apply(op, side.local(key), key, nbr, edge.weight)
+                        })
+                    })
+                    .count()
+            },
+        )
     }
 }
 
-impl<C: Send + Sync> TwoSided<Chunks<C>> {
+impl<C> TwoSided<Chunks<C>> {
     /// Every chunk's read guard: `out`'s in index order, then the in-copy's.
-    pub(crate) fn read_chunks(&self) -> Sides<Vec<RwLockReadGuard<'_, C>>> {
+    fn read_chunks(&self) -> Sides<Vec<RwLockReadGuard<'_, C>>> {
         Sides::new(self.directed(), |is_in| {
             let side = self.sides.side(is_in);
             (0..side.count()).map(|chunk| side.read_chunk(chunk)).collect()
         })
     }
 
-    /// The chunked-style batch: routes every pass to the chunk owning its
-    /// key vertex; the chunk's owner worker then takes the chunk's write
-    /// guard once per pass and runs `ingest(chunk, edge, into_in)` over the
-    /// pass's edges. `ingest` reports whether the pass accounts for a
-    /// logical edge (see [`apply_pass`](Self::apply_pass)).
-    pub(crate) fn chunked_batch(
-        &self,
-        batch: &[Edge],
-        pool: &ThreadPool,
-        ingest: impl Fn(&mut C, &Edge, bool) -> bool + Sync,
-    ) -> usize {
-        let out = &self.sides.out;
-        chunked_update(
-            batch,
-            pool,
-            out.count(),
-            &self.scratch,
-            |edge, into_in| out.chunk_of(self.pass(edge, into_in).0),
-            |chunk, into_in, bucket| {
-                let mut guard = self.sides.side(into_in).write_chunk(chunk);
-                bucket.iter().filter(|&&i| ingest(&mut guard, &batch[i as usize], into_in)).count()
-            },
-        )
+    /// Every chunk's lock, in the same order.
+    pub(crate) fn chunk_locks(&self) -> impl Iterator<Item = &RwLock<C>> {
+        std::iter::once(&self.sides.out).chain(&self.sides.inn).flat_map(|side| &side.chunks)
     }
 }
 
@@ -601,6 +586,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta_csr::DeltaCsr;
     use crate::oracle::GraphOracle;
     use crate::{build_deletable_graph_with, DataStructureKind};
 
@@ -619,7 +605,8 @@ mod tests {
     /// of a script that walks the protocol's corner cases, the batch tallies
     /// and the whole topology (both directions, degrees, weights) — read per
     /// visit from the live graph and through its frozen view — equal the
-    /// sequential oracle's.
+    /// sequential oracle's. DeltaCSR runs once more at a compaction floor of
+    /// 1, where chunks merge inside the pass, many times per batch.
     #[test]
     fn every_structure_follows_the_pass_protocol() {
         let e = |s, d, w: f32| Edge::new(s, d, w);
@@ -644,11 +631,10 @@ mod tests {
             (Op::Remove, bulk_deletes),
         ];
         let pool = ThreadPool::new(4);
-        every_config(|kind, directed, partitioned| {
-            let g = build_deletable_graph_with(kind, 32, directed, pool.threads(), partitioned);
-            let mut oracle = GraphOracle::new(32, directed);
+        let follow = |g: &dyn DeletableGraph, directed: bool, label: &str| {
+            let (kind, mut oracle) = (g.kind(), GraphOracle::new(32, directed));
             for (step, (op, batch)) in script.iter().enumerate() {
-                let at = format!("{kind:?}, directed = {directed}, partitioned = {partitioned}, step {step}");
+                let at = format!("{label}, directed = {directed}, step {step}");
                 match op {
                     Op::Insert => {
                         assert_eq!(g.update_batch(batch, &pool), oracle.insert_batch_stats(batch), "{at}");
@@ -657,7 +643,7 @@ mod tests {
                         assert_eq!(g.delete_batch(batch, &pool), oracle.delete_batch(batch), "{at}");
                     }
                 }
-                if let Some(diff) = oracle.diff(g.as_ref(), true) {
+                if let Some(diff) = oracle.diff(g, true) {
                     panic!("{at}: {diff}");
                 }
                 g.frozen(&mut |view| {
@@ -666,7 +652,16 @@ mod tests {
                     }
                 });
             }
+        };
+        every_config(|kind, directed, partitioned| {
+            let g = build_deletable_graph_with(kind, 32, directed, pool.threads(), partitioned);
+            follow(g.as_ref(), directed, &format!("{kind:?}, partitioned = {partitioned}"));
         });
+        for directed in [true, false] {
+            let g = DeltaCsr::new(32, directed, pool.threads()).with_compaction_threshold(1);
+            follow(&g, directed, "DeltaCsr, compaction floor 1");
+            assert!(g.compactions() > 2 * script.len(), "directed = {directed}: chunks merge inside passes");
+        }
     }
 
     /// One batch carries the same edge with different weights, and its two

@@ -46,8 +46,8 @@ fn check(kind: DataStructureKind, directed: bool) {
     let pool = ThreadPool::new(2);
     let g = build_deletable_graph(kind, NODES, directed, pool.threads());
     let mut oracle = GraphOracle::new(NODES, directed);
-    // Enough to compact DeltaCSR once, then a few edges on top, so its view
-    // reads snapshot and overlay; the writer's batch forces the next merge.
+    // Enough to compact DeltaCSR's chunks, then a few edges on top, so its
+    // view reads base and overlay; the writer's batch forces more merges.
     // Self-loops, so a visit can re-enter the vertex it is visiting.
     let loops: Vec<Edge> = SELF_LOOPS.iter().map(|&v| Edge::new(v, v, 0.5)).collect();
     for batch in [edges(400, 5), edges(40, 11), loops] {

@@ -219,7 +219,7 @@ fn csr_view(g: &dyn GraphTopology) -> CsrView {
 fn csr_views_agree_after_churn() {
     // Each batch inserts its edges plus the previous batch's deletions,
     // then deletes every third of its own; DeltaCSR compacts every other
-    // batch, so deletes hit both overlay adds and snapshot tombstones.
+    // batch, so deletes hit both overlay adds and base tombstones.
     let check = |batches: &[Vec<Edge>], directed: bool| {
         let pool = ThreadPool::new(2);
         let delta = DeltaCsr::new(MAX_NODES, directed, pool.threads());

@@ -301,6 +301,9 @@ mod tests {
         let registry = Registry::new();
         let resp = handle(&registry, &req("POST", "/tenants", "name=t0\nalgorithm=cc\ncapacity=8\n"));
         assert_eq!(resp.status, 201, "{resp:?}");
+        let resp = handle(&registry, &req("POST", "/tenants", "name=r\ncapacity=8\nroot=1000\n"));
+        assert_eq!(resp.status, 400, "a root past capacity is refused up front: {resp:?}");
+        assert!(String::from_utf8_lossy(&resp.body).contains("root"), "{resp:?}");
 
         let resp = handle(&registry, &req("POST", "/tenants/t0/batches", "0 1\n+ 1 2\nd 9 9\n"));
         assert_eq!(resp.status, 400, "id 9 out of capacity 8: {resp:?}");

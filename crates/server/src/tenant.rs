@@ -69,8 +69,8 @@ impl TenantConfig {
     /// # Errors
     ///
     /// Returns a message naming the offending line or key: unknown keys,
-    /// unknown enum spellings, unparseable numbers, or a missing/invalid
-    /// name.
+    /// unknown enum spellings, unparseable numbers, a missing/invalid
+    /// name, or a capacity or root out of range.
     pub fn parse(body: &str) -> Result<TenantConfig, String> {
         let mut cfg = TenantConfig {
             name: String::new(),
@@ -124,6 +124,9 @@ impl TenantConfig {
         }
         if !(1..=MAX_CAPACITY).contains(&cfg.capacity) {
             return Err(format!("capacity must be in 1..={MAX_CAPACITY}"));
+        }
+        if let Some(root) = cfg.root.filter(|&root| root as usize >= cfg.capacity) {
+            return Err(format!("root {root} must be below capacity {}", cfg.capacity));
         }
         Ok(cfg)
     }
@@ -673,6 +676,11 @@ mod tests {
         assert!(TenantConfig::parse("name=x\ncapacity=0\n")
             .unwrap_err()
             .contains("capacity"));
+        for root in [8, 1000] {
+            let body = format!("name=r\nalgorithm=bfs\nmodel=fs\ncapacity=8\nroot={root}\n");
+            assert!(TenantConfig::parse(&body).unwrap_err().contains("root"), "root = {root}");
+        }
+        assert_eq!(TenantConfig::parse("name=r\ncapacity=8\nroot=7\n").unwrap().root, Some(7));
     }
 
     #[test]
