@@ -1,19 +1,19 @@
-//! `saga-analyze`: a dependency-free static analyzer for the SAGA-Bench
-//! workspace. See DESIGN.md §11 for the architecture.
+//! `saga-analyze`: a dependency-free static audit of the SAGA-Bench
+//! workspace's atomics protocols. See DESIGN.md §11 for the architecture.
 //!
 //! Pipeline: [`lexer`] (total, span-tiling) → [`parser`] (item-level
-//! event streams) → [`model`] (per-function facts + call-graph
-//! fixpoints) → [`lockorder`] (cycle + held-across-callback checks) and
-//! [`atomics`] (publish/consume pairing audit) → [`report`] (allowlist
-//! filtering, text + DOT artifacts).
+//! event streams) → [`model`] (per-function atomic sites, grouped by
+//! field) → [`atomics`] (publish/consume pairing audit) → [`report`]
+//! (allowlist filtering, text artifact).
 //!
-//! Invoked as `cargo xtask analyze`, which first proves the analyzer
-//! flags every seeded violation in `crates/analyze/fixtures/` and then
-//! gates on the production tree being clean modulo `analyze.allow`.
+//! Invoked as `cargo xtask analyze`, which first proves the audit flags
+//! every seeded violation in `crates/analyze/fixtures/` and then gates on
+//! the production tree being clean modulo `analyze.allow`. Lock order is
+//! checked at run time instead, by the debug build's lock classes in
+//! `saga_utils::sync` (DESIGN.md §7b).
 
 pub mod atomics;
 pub mod lexer;
-pub mod lockorder;
 pub mod model;
 pub mod parser;
 pub mod report;
@@ -23,16 +23,9 @@ use std::path::{Path, PathBuf};
 use model::{Model, SourceFile};
 use report::{parse_allowlist, Finding, Report};
 
-/// The sync facade's lock wrappers: the one production file that is not
-/// a lock *user*. It defines `Mutex::lock` / `RwLock::read` / `write` —
-/// the primitives the model treats as acquisitions — so its bodies
-/// (`self.0.lock()`) would otherwise read as a lock class of their own,
-/// nested under every guard-returning helper of the same name.
-const FACADE_LOCKS: &str = "crates/utils/src/sync/locks.rs";
-
-/// Collects every production source file: `crates/*/src/**/*.rs` but
-/// [`FACADE_LOCKS`]. Fixtures, tests/, benches/, examples/, and `target/`
-/// are outside that glob by construction.
+/// Collects every production source file: `crates/*/src/**/*.rs`.
+/// Fixtures, tests/, benches/, examples/, and `target/` are outside that
+/// glob by construction.
 pub fn collect_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
     let crates = root.join("crates");
@@ -59,7 +52,7 @@ fn walk_rs(dir: &Path, root: &Path, out: &mut Vec<SourceFile>) -> std::io::Resul
     for path in entries {
         if path.is_dir() {
             walk_rs(&path, root, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") && !path.ends_with(FACADE_LOCKS) {
+        } else if path.extension().is_some_and(|e| e == "rs") {
             let rel = path
                 .strip_prefix(root)
                 .unwrap_or(&path)
@@ -71,36 +64,29 @@ fn walk_rs(dir: &Path, root: &Path, out: &mut Vec<SourceFile>) -> std::io::Resul
     Ok(())
 }
 
-/// Runs every check over a set of files, returning the raw findings and
-/// the artifacts (relaxed listing, DOT graph, stats line).
-pub fn analyze_files(files: &[SourceFile]) -> (Vec<Finding>, Vec<String>, String, String) {
+/// Runs the audit over a set of files, returning the raw findings, the
+/// relaxed-ordering listing and a stats line.
+pub fn analyze_files(files: &[SourceFile]) -> (Vec<Finding>, Vec<String>, String) {
     let m = Model::build(files);
-    let lo = lockorder::check(&m);
-    let at = atomics::check(&m);
-    let classes: std::collections::BTreeSet<&String> = lo.adj.keys().collect();
+    let audit = atomics::check(&m);
     let stats = format!(
-        "{} files, {} functions, {} lock classes, {} lock-order edges, {} atomic sites",
+        "{} files, {} functions, {} atomic sites",
         files.len(),
         m.fns.len(),
-        classes.len(),
-        lo.witness.len(),
         m.fns.iter().map(|f| f.atomics.len()).sum::<usize>(),
     );
-    let mut findings = lo.findings.clone();
-    findings.extend(at.findings.clone());
-    (findings, at.relaxed_sites, lo.to_dot(), stats)
+    (audit.findings, audit.relaxed_sites, stats)
 }
 
 /// Analyzes the production tree under `root`, applying the allowlist
 /// text (usually the contents of `analyze.allow`).
 pub fn run_repo(root: &Path, allow_text: &str) -> std::io::Result<Report> {
     let files = collect_sources(root)?;
-    let (findings, relaxed, dot, stats) = analyze_files(&files);
+    let (findings, relaxed, stats) = analyze_files(&files);
     let (entries, errors) = parse_allowlist(allow_text);
     let mut report = Report {
         allow_errors: errors,
         relaxed_sites: relaxed,
-        dot,
         stats,
         ..Report::default()
     };
@@ -139,7 +125,7 @@ pub fn check_fixtures(dir: &Path) -> Result<String, String> {
             .map(|k| k.trim().to_string())
             .collect();
         let file = SourceFile::new(name.clone(), source);
-        let (findings, _, _, _) = analyze_files(std::slice::from_ref(&file));
+        let (findings, _, _) = analyze_files(std::slice::from_ref(&file));
         let actual: std::collections::BTreeSet<String> =
             findings.iter().map(|f| f.key.clone()).collect();
         if actual != expected {

@@ -5,8 +5,7 @@ use std::collections::BTreeSet;
 /// One analyzer finding with a stable allowlist key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable key (`lock-cycle:…`, `callback:…`, `atomic:<rule>:…`) the
-    /// allowlist matches against.
+    /// Stable key (`atomic:<rule>:<group>`) the allowlist matches against.
     pub key: String,
     /// Human-readable description with file:line witnesses.
     pub message: String,
@@ -63,9 +62,7 @@ pub struct Report {
     pub allow_errors: Vec<String>,
     /// Informational `Relaxed` ordering sites.
     pub relaxed_sites: Vec<String>,
-    /// Lock-order graph in DOT form (the CI artifact).
-    pub dot: String,
-    /// One-line stats (files, functions, classes, edges).
+    /// One-line stats (files, functions, atomic sites).
     pub stats: String,
 }
 
@@ -133,10 +130,10 @@ mod tests {
     #[test]
     fn allowlist_parses_and_rejects_missing_justification() {
         let (entries, errors) = parse_allowlist(
-            "# comment\n\nlock-cycle:a.x,b.y # intentional, index-ordered\natomic:write-only:c.z\n",
+            "# comment\n\natomic:write-only:a.x # counted elsewhere\natomic:write-only:c.z\n",
         );
         assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].key, "lock-cycle:a.x,b.y");
+        assert_eq!(entries[0].key, "atomic:write-only:a.x");
         assert_eq!(errors.len(), 1);
     }
 

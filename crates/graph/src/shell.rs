@@ -30,7 +30,7 @@ use crate::{
 use saga_utils::parallel::ThreadPool;
 use saga_utils::partition::Partitioner;
 use saga_utils::sync::atomic::{AtomicUsize, Ordering};
-use saga_utils::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use saga_utils::sync::{read_all, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Buckets per pool worker in partitioned shared-style ingest: more buckets
 /// than workers lets the dynamic bucket cursor balance skewed batches.
@@ -445,10 +445,12 @@ impl<C> Chunks<C> {
         v as usize / self.chunks.len()
     }
 
+    #[cfg_attr(debug_assertions, track_caller)]
     pub(crate) fn read_chunk(&self, chunk: usize) -> RwLockReadGuard<'_, C> {
         self.chunks[chunk].read()
     }
 
+    #[cfg_attr(debug_assertions, track_caller)]
     fn write_chunk(&self, chunk: usize) -> RwLockWriteGuard<'_, C> {
         self.chunks[chunk].write()
     }
@@ -460,10 +462,6 @@ impl<C> Chunks<C> {
 pub struct FrozenChunks<'a, C>(Vec<&'a C>);
 
 impl<'a, C> FrozenChunks<'a, C> {
-    fn new(guards: &'a [RwLockReadGuard<'_, C>]) -> Self {
-        Self(guards.iter().map(|guard| &**guard).collect())
-    }
-
     /// `v`'s chunk and its index inside it.
     fn at(&self, v: Node) -> (&'a C, usize) {
         (self.0[v as usize % self.0.len()], v as usize / self.0.len())
@@ -491,9 +489,15 @@ impl<C: Chunk> ReadSide for Chunks<C> {
         self.read_chunk(self.chunk_of(v)).for_each_at(self.local(v), v, f);
     }
 
+    /// Takes every chunk's read guard in one ordered call, the one way to
+    /// hold several chunk locks at once (DESIGN.md §7b).
     fn frozen(shell: &TwoSided<Self>, f: &mut dyn FnMut(&dyn GraphTopology)) {
-        let guards = shell.read_chunks();
-        f(&shell.view_over(|is_in| FrozenChunks::new(guards.side(is_in))));
+        let guards = read_all(shell.chunk_locks());
+        let (out, inn) = guards.split_at(shell.sides.out.count());
+        f(&shell.view_over(|is_in| {
+            let side = if is_in { inn } else { out };
+            FrozenChunks(side.iter().map(|guard| &**guard).collect())
+        }));
     }
 }
 
@@ -528,15 +532,7 @@ impl<C: Chunk> Side for Chunks<C> {
 }
 
 impl<C> TwoSided<Chunks<C>> {
-    /// Every chunk's read guard: `out`'s in index order, then the in-copy's.
-    fn read_chunks(&self) -> Sides<Vec<RwLockReadGuard<'_, C>>> {
-        Sides::new(self.directed(), |is_in| {
-            let side = self.sides.side(is_in);
-            (0..side.count()).map(|chunk| side.read_chunk(chunk)).collect()
-        })
-    }
-
-    /// Every chunk's lock, in the same order.
+    /// Every chunk's lock: `out`'s in index order, then the in-copy's.
     pub(crate) fn chunk_locks(&self) -> impl Iterator<Item = &RwLock<C>> {
         std::iter::once(&self.sides.out).chain(&self.sides.inn).flat_map(|side| &side.chunks)
     }

@@ -191,7 +191,6 @@ impl BlockArena {
 }
 
 /// Per-vertex header: degree and the block chain's two ends.
-#[derive(Default)]
 struct VertexEntry {
     degree: AtomicU32,
     /// The chain's first block, or [`NONE`].
@@ -206,6 +205,20 @@ struct VertexEntry {
     /// lock-free scans and concurrent duplicate detection sound depends on
     /// this too.
     op_lock: RwLock<()>,
+}
+
+/// Written out, not derived: a derived `Default` builds both locks at the
+/// derive, which would make them one class of the lock-order checker, and
+/// an insert takes `tail` under `op_lock`.
+impl Default for VertexEntry {
+    fn default() -> Self {
+        Self {
+            degree: AtomicU32::new(0),
+            head: AtomicU32::new(NONE),
+            tail: Mutex::new(NONE),
+            op_lock: RwLock::new(()),
+        }
+    }
 }
 
 /// One direction of Stinger adjacency.

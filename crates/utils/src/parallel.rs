@@ -27,6 +27,8 @@
 
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sync::thread::JoinHandle;
+#[cfg(all(debug_assertions, not(loom)))]
+use crate::sync::lockdep;
 use crate::sync::{thread, Arc, Condvar, Mutex};
 use std::any::Any;
 use std::ops::Range;
@@ -63,6 +65,9 @@ struct Job {
     /// Monomorphized trampoline that casts `data` back to `*const F` and
     /// calls it with the worker id.
     call: unsafe fn(*const (), usize),
+    /// The lock-order checker's pseudo-class of the dispatch: its call site.
+    #[cfg(all(debug_assertions, not(loom)))]
+    class: lockdep::Class,
 }
 
 // SAFETY: `data` points to a closure that is `Sync` (bound enforced by
@@ -76,6 +81,7 @@ impl Job {
     /// The cast chain `&F → *const F → *const ()` is safe code; the
     /// soundness obligation (the pointee must still be alive at call time)
     /// is carried by [`Self::call_on`]'s contract.
+    #[cfg_attr(debug_assertions, track_caller)]
     fn new<F: Fn(usize) + Sync>(f: &F) -> Self {
         /// # Safety
         ///
@@ -90,7 +96,17 @@ impl Job {
         Self {
             data: (f as *const F).cast::<()>(),
             call: trampoline::<F>,
+            #[cfg(all(debug_assertions, not(loom)))]
+            class: lockdep::Class::dispatch(std::panic::Location::caller()),
         }
+    }
+
+    /// Holds the dispatch's pseudo-class on this thread: the caller through
+    /// the join, a worker for its task (DESIGN.md §7b).
+    #[cfg(all(debug_assertions, not(loom)))]
+    #[track_caller]
+    fn hold(&self) -> lockdep::Held {
+        lockdep::Held::acquire(self.class)
     }
 
     /// Calls the erased closure with `worker`.
@@ -203,10 +219,14 @@ impl ThreadPool {
     /// chunks it owns.
     ///
     /// [`parallel_for`]: Self::parallel_for
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn run_on_all<F>(&self, f: F)
     where
         F: Fn(usize) + Sync,
     {
+        let job = Job::new(&f);
+        #[cfg(all(debug_assertions, not(loom)))]
+        let _dispatch = job.hold();
         if self.threads == 1 {
             #[cfg(not(loom))]
             let _task = saga_trace::span!("task", worker = 0u64);
@@ -218,7 +238,6 @@ impl ThreadPool {
         // `remaining == 0` wait that follows, during which this frame (and
         // therefore `f`) is pinned — see the SAFETY comment at the
         // `call_on` in `worker_loop`.
-        let job = Job::new(&f);
         {
             let mut state = self.shared.state.lock();
             debug_assert!(state.job.is_none(), "nested parallel regions are not supported");
@@ -250,6 +269,7 @@ impl ThreadPool {
 
     /// Parallel loop over `range`, calling `f(i)` for every index exactly
     /// once, with the given scheduling policy.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn parallel_for<F>(&self, range: Range<usize>, schedule: Schedule, f: F)
     where
         F: Fn(usize) + Sync,
@@ -287,6 +307,7 @@ impl ThreadPool {
     }
 
     /// Parallel loop over the items of a slice (static schedule).
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn parallel_for_each<T, F>(&self, items: &[T], schedule: Schedule, f: F)
     where
         T: Sync,
@@ -300,6 +321,7 @@ impl ThreadPool {
     ///
     /// Unlike [`parallel_for`](Self::parallel_for) this exposes the chunk
     /// boundary, which the chunked data structures use for ownership.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn parallel_ranges<F>(&self, range: Range<usize>, f: F)
     where
         F: Fn(usize, Range<usize>) + Sync,
@@ -372,6 +394,10 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
                 shared.work_ready.wait(&mut state);
             }
         };
+        // The task runs under the dispatch's pseudo-class, taken only now
+        // that the pool's `state` lock is released.
+        #[cfg(all(debug_assertions, not(loom)))]
+        let dispatch = job.hold();
         #[cfg(not(loom))]
         let task = saga_trace::span!("task", worker = worker_id as u64);
         // SAFETY: the dispatcher blocks until `remaining == 0` — its own
@@ -382,6 +408,8 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
         let caught = panic::catch_unwind(AssertUnwindSafe(|| unsafe { job.call_on(worker_id) }));
         #[cfg(not(loom))]
         drop(task);
+        #[cfg(all(debug_assertions, not(loom)))]
+        drop(dispatch);
         let mut state = shared.state.lock();
         if let Err(payload) = caught {
             state.panic.get_or_insert(payload);

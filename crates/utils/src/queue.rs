@@ -73,9 +73,7 @@ impl<T> BoundedQueue<T> {
         self.bound
     }
 
-    /// Current queue depth. (Named `depth` rather than `len` so static
-    /// analysis does not conflate it with the lock-free `VecDeque::len`
-    /// calls made while the inner guard is held.)
+    /// Current queue depth.
     pub fn depth(&self) -> usize {
         self.inner.lock().items.len()
     }

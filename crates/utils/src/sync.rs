@@ -8,7 +8,9 @@
 //! the standard library's and the locks are thin wrappers over its
 //! `Mutex` / `RwLock` / `Condvar` with one API shape on both sides of the
 //! facade: no poisoning (a panicking holder leaves the data as it was)
-//! and `Condvar::wait(&mut guard)`. Under `RUSTFLAGS="--cfg
+//! and `Condvar::wait(&mut guard)`. A debug build's locks also carry
+//! lock classes, and every blocking acquire is checked against the lock
+//! order recorded so far (`lockdep.rs`, DESIGN.md §7b). Under `RUSTFLAGS="--cfg
 //! loom"` they swap to the [`saga_loom`] model checker's instrumented
 //! types, so the concurrency protocols built on top of them — the
 //! [`crate::parallel::ThreadPool`] dispatch/shutdown protocol, the
@@ -28,12 +30,23 @@ pub use std::sync::atomic;
 pub use saga_loom::sync::atomic;
 
 #[cfg(not(loom))]
-pub use locks::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+pub use locks::{
+    read_all, Condvar, Mutex, MutexGuard, ReadGuards, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
 #[cfg(loom)]
 pub use saga_loom::sync::{
     Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
+
+/// Shared access to every lock of `locks`, taken in iteration order (the
+/// model has no lock classes to hold once).
+#[cfg(loom)]
+pub fn read_all<'a, T: 'a>(
+    locks: impl IntoIterator<Item = &'a RwLock<T>>,
+) -> Vec<RwLockReadGuard<'a, T>> {
+    locks.into_iter().map(RwLock::read).collect()
+}
 
 /// A cell initialised at most once (Stinger's arena segments): `std`'s
 /// normally; under `--cfg loom` the same `std` cell behind a modeled
@@ -51,6 +64,10 @@ pub use std::sync::Arc;
 /// The poison-free lock wrappers of a normal build.
 #[cfg(not(loom))]
 mod locks;
+
+/// The debug build's lock-order checker.
+#[cfg(all(debug_assertions, not(loom)))]
+pub(crate) mod lockdep;
 
 /// Thread creation and introspection behind the facade.
 ///

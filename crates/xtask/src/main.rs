@@ -80,7 +80,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: cargo xtask <task>\n\ntasks:\n  lint                 \
                  SAFETY-invariant pass\n  analyze              static \
-                 lock-order & atomics-protocol analysis\n  check-trace <file>   \
+                 atomics-protocol audit\n  check-trace <file>   \
                  validate an exported Chrome trace-event JSON file\n  \
                  analyze-trace <file>  span stats + stitched trace trees of an \
                  exported trace\n  check-metrics <file>  validate a Prometheus \
@@ -174,12 +174,11 @@ fn check_trace(path: Option<String>) -> ExitCode {
     }
 }
 
-/// Runs the static analyzer (`saga-analyze`) as a gate: first the
-/// seeded-violation fixture corpus must be flagged exactly (the analyzer
-/// proving it still catches the PR-6 deadlock shape and friends), then
-/// the production tree must be clean modulo the justified `analyze.allow`
-/// entries. The text report and lock-order DOT graph are written to
-/// `target/analyze/` for the CI artifact.
+/// Runs the atomics audit (`saga-analyze`) as a gate: first the
+/// seeded-violation fixture corpus must be flagged exactly (the audit
+/// proving it still catches every pairing rule), then the production tree
+/// must be clean modulo the justified `analyze.allow` entries. The text
+/// report is written to `target/analyze/` for the CI artifact.
 fn analyze() -> ExitCode {
     let root = workspace_root();
 
@@ -207,14 +206,13 @@ fn analyze() -> ExitCode {
     let rendered = report.render();
     if let Err(e) = std::fs::create_dir_all(&out_dir)
         .and_then(|()| std::fs::write(out_dir.join("report.txt"), &rendered))
-        .and_then(|()| std::fs::write(out_dir.join("lock_order.dot"), &report.dot))
     {
         eprintln!("xtask analyze: cannot write artifacts: {e}");
         return ExitCode::FAILURE;
     }
 
     print!("{rendered}");
-    println!("\nartifacts: target/analyze/report.txt, target/analyze/lock_order.dot");
+    println!("\nartifact: target/analyze/report.txt");
     if report.clean() {
         println!("xtask analyze: OK");
         ExitCode::SUCCESS
@@ -360,8 +358,14 @@ const THREAD_ALLOWLIST: &[&str] = &["crates/utils/src/parallel.rs", "crates/util
 
 /// The files allowed to name `std::sync::atomic` and the `std::sync` locks
 /// directly: the sync facade and its lock wrappers, which hand them (or
-/// the loom-modeled versions) to the rest of the workspace.
-const FACADE: &[&str] = &["crates/utils/src/sync.rs", "crates/utils/src/sync/locks.rs"];
+/// the loom-modeled versions) to the rest of the workspace, and the lock-
+/// order checker under them, whose class graph cannot sit behind a lock it
+/// checks.
+const FACADE: &[&str] = &[
+    "crates/utils/src/sync.rs",
+    "crates/utils/src/sync/locks.rs",
+    "crates/utils/src/sync/lockdep.rs",
+];
 
 /// The one file allowed to name hardware prefetch intrinsics (or any
 /// `core::arch` / `std::arch` path): the per-target facade everything else
