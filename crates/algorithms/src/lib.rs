@@ -262,24 +262,34 @@ macro_rules! with_program {
     }};
 }
 
-/// The compute phase of a step as the driver sees it: what the tracker must
-/// seed, one `compute` per batch, and the property values. Implemented by
-/// the serial [`AlgorithmState`] and the sharded `saga_bsp::ShardedState`,
-/// so a driver session holds either behind one `Box<dyn ComputeEngine>`.
+/// The compute phase of a step as the driver sees it: one `track` and one
+/// `compute` per batch, and the property values. Implemented by the serial
+/// [`AlgorithmState`] and the sharded `saga_bsp::ShardedState`, so a driver
+/// session holds either behind one `Box<dyn ComputeEngine>`. Where an INC
+/// batch starts is the engine's choice: the driver hands `compute` back
+/// whatever `track` returned and never looks inside.
 pub trait ComputeEngine: Send + Sync {
-    /// Whether batch sources' existing out-neighbors must be seeded as
-    /// affected ([`VertexProgram::affects_source_neighborhood`]).
-    fn affects_source_neighborhood(&self) -> bool;
-
-    /// Whether deletion endpoints' neighborhoods must be seeded as affected
-    /// (the program's scope is [`EdgeScope::Symmetric`]).
-    fn symmetric_scope(&self) -> bool;
+    /// The update phase's bookkeeping for one batch already applied to
+    /// `graph` (Algorithm 1's affected array): `inserted` the edges it
+    /// ingested and `deleted` the edges it removed. The serial INC engine
+    /// runs its [`AffectedTracker`] here. The default tracks nothing and
+    /// returns an empty impact: FS needs none, and the sharded engine
+    /// seeds from `inserted` itself.
+    fn track(
+        &mut self,
+        graph: &dyn GraphTopology,
+        inserted: &[Edge],
+        deleted: &[Edge],
+        pool: &ThreadPool,
+    ) -> BatchImpact {
+        let _ = (graph, inserted, deleted, pool);
+        BatchImpact::default()
+    }
 
     /// Runs the compute phase for one batch already applied to `graph`:
-    /// `impact` is what [`AffectedTracker`] derived from it (empty under
-    /// the FS model), `inserted` the edges it ingested (repeats and
-    /// already-present edges included, with the batch's weights) and
-    /// `deleted` the edges it removed.
+    /// `impact` is what [`track`](Self::track) returned for it, `inserted`
+    /// the edges it ingested (repeats and already-present edges included,
+    /// with the batch's weights) and `deleted` the edges it removed.
     fn compute(
         &mut self,
         graph: &dyn GraphTopology,
@@ -424,6 +434,8 @@ pub struct AlgorithmState {
     capacity: usize,
     affects_source_neighborhood: bool,
     symmetric_scope: bool,
+    /// Algorithm 1's affected-array bookkeeping; `None` under FS.
+    tracker: Option<AffectedTracker>,
     bound: Box<dyn BoundProgram>,
 }
 
@@ -452,6 +464,8 @@ impl AlgorithmState {
             capacity,
             affects_source_neighborhood: program.affects_source_neighborhood(),
             symmetric_scope: program.scope() == EdgeScope::Symmetric,
+            tracker: (model == ComputeModelKind::Incremental)
+                .then(|| AffectedTracker::new(capacity)),
             bound: Box::new(Bound::new(program, model, capacity, &params)),
         })
     }
@@ -479,8 +493,7 @@ impl AlgorithmState {
     }
 
     /// Whether the program's vertex function reduces over both edge
-    /// directions ([`EdgeScope::Symmetric`], i.e. CC). Deletion batches
-    /// then seed both endpoints' neighborhoods as affected.
+    /// directions ([`EdgeScope::Symmetric`], i.e. CC).
     pub fn symmetric_scope(&self) -> bool {
         self.symmetric_scope
     }
@@ -525,12 +538,21 @@ impl AlgorithmState {
 }
 
 impl ComputeEngine for AlgorithmState {
-    fn affects_source_neighborhood(&self) -> bool {
-        self.affects_source_neighborhood
-    }
-
-    fn symmetric_scope(&self) -> bool {
-        self.symmetric_scope
+    /// Under INC, the batch's endpoints, plus each source's existing
+    /// out-neighbors when the program
+    /// [`affects_source_neighborhood`](VertexProgram::affects_source_neighborhood).
+    fn track(
+        &mut self,
+        graph: &dyn GraphTopology,
+        inserted: &[Edge],
+        deleted: &[Edge],
+        pool: &ThreadPool,
+    ) -> BatchImpact {
+        let sources = self.affects_source_neighborhood;
+        match &mut self.tracker {
+            Some(t) => t.process_mixed_batch(graph, inserted, deleted, sources, false, pool),
+            None => BatchImpact::default(),
+        }
     }
 
     /// The serial engines work from `impact`; `inserted` goes unused.
@@ -552,7 +574,8 @@ impl ComputeEngine for AlgorithmState {
 }
 
 /// The per-batch affected/new-vertex bookkeeping the update phase hands to
-/// Algorithm 1 (its `affected` array and "new vertex" test).
+/// Algorithm 1 (its `affected` array and "new vertex" test). The serial INC
+/// engine owns one and runs it from [`ComputeEngine::track`].
 ///
 /// Marking is parallel and allocation-free in steady state: `flagged` is a
 /// generation-stamped mark set (`O(1)` reset per batch instead of a
@@ -568,12 +591,8 @@ pub struct AffectedTracker {
     /// neighborhoods); separate from `flagged` so source collection does
     /// not depend on cross-worker marking order.
     src_marks: GenerationMarks,
-    /// Dedup marks for deletion endpoints whose neighborhoods must be
-    /// seeded (symmetric-scope algorithms); same rationale as `src_marks`.
-    del_marks: GenerationMarks,
     worker_out: Vec<Mutex<WorkerOut>>,
     sources: Vec<Node>,
-    delete_seeds: Vec<Node>,
 }
 
 /// One worker's share of a batch's output, reused across batches.
@@ -582,7 +601,6 @@ struct WorkerOut {
     affected: Vec<Node>,
     new_vertices: Vec<Node>,
     sources: Vec<Node>,
-    delete_seeds: Vec<Node>,
 }
 
 impl WorkerOut {
@@ -614,10 +632,8 @@ impl AffectedTracker {
             seen: AtomicBitVec::new(capacity),
             flagged: GenerationMarks::new(capacity),
             src_marks: GenerationMarks::new(capacity),
-            del_marks: GenerationMarks::new(capacity),
             worker_out: Vec::new(),
             sources: Vec::new(),
-            delete_seeds: Vec::new(),
         }
     }
 
@@ -637,35 +653,34 @@ impl AffectedTracker {
     }
 
     /// Like [`process_batch`](Self::process_batch) for a batch that mixes
-    /// insertions and deletions. Endpoints of both edge classes are marked
-    /// affected. When `include_delete_neighborhoods` is set
-    /// (symmetric-scope algorithms on directed graphs, and every algorithm
-    /// on undirected graphs), the surviving out- and in-neighbors of each
-    /// deletion endpoint are seeded as well, so vertices whose best
-    /// in-contribution travelled over the removed edge get re-pulled even
-    /// when the deletion repair pass is disabled. Call after the update
-    /// phase so the neighborhood queries see the post-delete topology.
+    /// insertions and deletions: endpoints of both edge classes are marked
+    /// affected, and delete sources join the seeded sources. Call after the
+    /// update phase so the neighborhood queries see the post-delete
+    /// topology.
+    ///
+    /// `_include_delete_neighborhoods` has no effect: witness repair
+    /// ([`inc::plan_deletion_repair`]) resets and reseeds exactly what a
+    /// deleted edge carried, so no deletion endpoint's neighborhood needs
+    /// seeding.
     pub fn process_mixed_batch(
         &mut self,
         graph: &dyn GraphTopology,
         inserts: &[Edge],
         deletes: &[Edge],
         include_source_neighborhoods: bool,
-        include_delete_neighborhoods: bool,
+        _include_delete_neighborhoods: bool,
         pool: &ThreadPool,
     ) -> BatchImpact {
         let _span =
             saga_trace::span!("affected", edges = (inserts.len() + deletes.len()) as u64);
         self.flagged.next_generation();
         self.src_marks.next_generation();
-        self.del_marks.next_generation();
         let threads = pool.threads();
         while self.worker_out.len() < threads {
             self.worker_out.push(Mutex::new(WorkerOut::default()));
         }
         let flagged = &self.flagged;
         let src_marks = &self.src_marks;
-        let del_marks = &self.del_marks;
         let seen = &self.seen;
         let worker_out = &self.worker_out;
 
@@ -675,9 +690,8 @@ impl AffectedTracker {
         // vertex exactly one winner, which appends it to that worker's
         // buffer. Delete sources join the source set too (their out-degree
         // shrank, which changes PageRank denominators just like an insert
-        // does), and both delete endpoints join the neighborhood-seed set
-        // when requested.
-        let mark_endpoints = |edges: &[Edge], seed_neighborhoods: bool| {
+        // does).
+        for edges in [inserts, deletes] {
             pool.parallel_ranges(0..edges.len(), |w, range| {
                 let mut out = worker_out[w].lock();
                 let out = &mut *out;
@@ -685,32 +699,28 @@ impl AffectedTracker {
                     if include_source_neighborhoods && src_marks.try_mark(e.src as usize) {
                         out.sources.push(e.src);
                     }
-                    for v in [e.src, e.dst] {
-                        if seed_neighborhoods && del_marks.try_mark(v as usize) {
-                            out.delete_seeds.push(v);
-                        }
-                    }
                     out.touch(e.src, flagged, seen);
                     out.touch(e.dst, flagged, seen);
                 }
             });
-        };
-        mark_endpoints(inserts, false);
-        mark_endpoints(deletes, include_delete_neighborhoods);
+        }
 
-        // Phase 2: seed the existing neighborhoods of `seeds`, distributed
-        // by a dynamic cursor so one hub's big neighborhood does not
-        // serialize the rest.
-        let seed_neighborhoods = |seeds: &[Node], both_directions: bool| {
-            if seeds.is_empty() {
-                return;
+        // Phase 2: seed the sources' existing out-neighbors (their
+        // contribution denominators changed). Sources are stitched in
+        // worker order first (phase 1's barrier makes that safe), then
+        // distributed by a dynamic cursor so one hub's big neighborhood
+        // does not serialize the rest.
+        if include_source_neighborhoods {
+            self.sources.clear();
+            for slot in worker_out.iter().take(threads) {
+                self.sources.append(&mut slot.lock().sources);
             }
+            let seeds = &self.sources;
             let grain = adaptive_grain(seeds.len(), threads);
             let cursor = AtomicUsize::new(0);
             saga_graph::read_phase(graph, |graph| pool.run_on_all(|w| {
                 let mut out = worker_out[w].lock();
                 let out = &mut *out;
-                let mut neighbors: Vec<Node> = Vec::new();
                 loop {
                     let start = cursor.fetch_add(grain, Ordering::Relaxed);
                     if start >= seeds.len() {
@@ -718,38 +728,10 @@ impl AffectedTracker {
                     }
                     let end = (start + grain).min(seeds.len());
                     for &v in &seeds[start..end] {
-                        neighbors.clear();
-                        graph.for_each_out_neighbor(v, &mut |nb, _| neighbors.push(nb));
-                        if both_directions {
-                            graph.for_each_in_neighbor(v, &mut |nb, _| neighbors.push(nb));
-                        }
-                        for &nb in &neighbors {
-                            out.touch(nb, flagged, seen);
-                        }
+                        graph.for_each_out_neighbor(v, &mut |nb, _| out.touch(nb, flagged, seen));
                     }
                 }
             }));
-        };
-        // The sources' out-neighbors (their contribution denominators
-        // changed). Sources are stitched in worker order first (phase 1's
-        // barrier makes that safe).
-        if include_source_neighborhoods {
-            self.sources.clear();
-            for slot in worker_out.iter().take(threads) {
-                self.sources.append(&mut slot.lock().sources);
-            }
-            seed_neighborhoods(&self.sources, false);
-        }
-        // The surviving neighborhoods of the deletion endpoints.
-        // Out-neighbors cover the downstream direction; on a directed graph
-        // the upstream in-neighbors are walked too, because a
-        // symmetric-scope program pulls across both orientations.
-        if include_delete_neighborhoods {
-            self.delete_seeds.clear();
-            for slot in worker_out.iter().take(threads) {
-                self.delete_seeds.append(&mut slot.lock().delete_seeds);
-            }
-            seed_neighborhoods(&self.delete_seeds, graph.is_directed());
         }
 
         // Stitch per-worker buffers in worker order: deterministic for any
@@ -761,7 +743,6 @@ impl AffectedTracker {
             impact.affected.append(&mut out.affected);
             impact.new_vertices.append(&mut out.new_vertices);
             out.sources.clear();
-            out.delete_seeds.clear();
         }
         impact
     }
@@ -838,7 +819,7 @@ mod tests {
     }
 
     #[test]
-    fn mixed_batch_marks_delete_endpoints_and_neighborhoods() {
+    fn mixed_batch_marks_delete_endpoints_and_seeds_delete_sources() {
         let pool = ThreadPool::new(1);
         let g = saga_graph::build_deletable_graph(DataStructureKind::AdjacencyShared, 8, true, 1);
         // 0 -> {1, 2}, 3 -> 1, 4 -> 0.
@@ -855,19 +836,22 @@ mod tests {
         let del = [Edge::new(0, 1, 1.0)];
         g.delete_batch(&del, &pool);
 
-        // Without neighborhood seeding only the endpoints are affected.
-        let plain = tracker.process_mixed_batch(g.as_ref(), &[], &del, false, false, &pool);
-        let mut affected = plain.affected.clone();
-        affected.sort_unstable();
-        assert_eq!(affected, vec![0, 1]);
-        assert!(plain.new_vertices.is_empty());
+        // Only the endpoints are affected, whatever the no-op last flag says.
+        for delete_hoods in [false, true] {
+            let plain =
+                tracker.process_mixed_batch(g.as_ref(), &[], &del, false, delete_hoods, &pool);
+            let mut affected = plain.affected.clone();
+            affected.sort_unstable();
+            assert_eq!(affected, vec![0, 1]);
+            assert!(plain.new_vertices.is_empty());
+        }
 
-        // With seeding, the surviving out-neighbors (0 -> 2) and the
-        // in-neighbors of both endpoints (4 -> 0, 3 -> 1) join the set.
-        let seeded = tracker.process_mixed_batch(g.as_ref(), &[], &del, false, true, &pool);
+        // A delete source's surviving out-neighbors (0 -> 2) join when
+        // source neighborhoods are seeded: its out-degree shrank.
+        let seeded = tracker.process_mixed_batch(g.as_ref(), &[], &del, true, false, &pool);
         let mut affected = seeded.affected.clone();
         affected.sort_unstable();
-        assert_eq!(affected, vec![0, 1, 2, 3, 4]);
+        assert_eq!(affected, vec![0, 1, 2]);
     }
 
     #[test]

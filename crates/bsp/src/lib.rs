@@ -124,7 +124,6 @@ pub struct ShardedState {
     recoveries: usize,
     /// Sum-mode programs (PageRank) re-evaluate every vertex each batch.
     sum_mode: bool,
-    affects_source_neighborhood: bool,
     symmetric_scope: bool,
     engine: Box<dyn Engine>,
 }
@@ -155,7 +154,6 @@ impl ShardedState {
             model,
             recoveries: 0,
             sum_mode: program.gather_mode() == GatherMode::Sum,
-            affects_source_neighborhood: program.affects_source_neighborhood(),
             symmetric_scope: program.scope() == EdgeScope::Symmetric,
             engine: Box::new(BspEngine::new(program, capacity, shards, checkpoints)),
         })
@@ -167,10 +165,11 @@ impl ShardedState {
     }
 
     /// Whether batch sources' existing out-neighbors must be seeded as
-    /// affected (mirrors [`saga_algorithms::AlgorithmState`]'s tracker
-    /// wiring; the answer comes from the same program trait).
+    /// affected, as [`saga_algorithms::AlgorithmState`]'s method of the
+    /// same name answers: only a sum-mode program's
+    /// [`term`](VertexProgram::term) reads its source's out-degree.
     pub fn affects_source_neighborhood(&self) -> bool {
-        self.affects_source_neighborhood
+        self.sum_mode
     }
 
     /// Whether the program reduces over both edge directions
@@ -263,14 +262,6 @@ impl ShardedState {
 }
 
 impl ComputeEngine for ShardedState {
-    fn affects_source_neighborhood(&self) -> bool {
-        self.affects_source_neighborhood
-    }
-
-    fn symmetric_scope(&self) -> bool {
-        self.symmetric_scope
-    }
-
     /// Runs the compute phase for one batch already applied to `graph`.
     ///
     /// An incremental fold-mode batch without deletions is seeded from the
@@ -278,8 +269,9 @@ impl ComputeEngine for ShardedState {
     /// when the program's scope is [`EdgeScope::Symmetric`] or the graph
     /// is undirected. The arcs carry the batch's weights, which
     /// [`BspEngine::seed`] replaces with the weight the structure stored
-    /// (the first one ingested wins) before any term is folded. `impact`
-    /// goes unused: the inserted edges are exactly what changed. Every
+    /// (the first one ingested wins) before any term is folded: the
+    /// inserted edges are exactly what changed, so the engine keeps the
+    /// default [`track`](ComputeEngine::track) and `impact` is empty. Every
     /// other batch is a full run, the deletions reporting `fs_fallback`.
     fn compute(
         &mut self,

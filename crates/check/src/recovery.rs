@@ -19,9 +19,7 @@
 
 use crate::diff::values_diff;
 use crate::program::OpProgram;
-use saga_algorithms::{
-    AffectedTracker, AlgorithmKind, AlgorithmState, ComputeEngine, ComputeModelKind,
-};
+use saga_algorithms::{AlgorithmKind, AlgorithmState, ComputeEngine, ComputeModelKind};
 use saga_bsp::{CheckpointConfig, KillSpec, ShardedState};
 use saga_graph::{build_deletable_graph, DataStructureKind, Edge};
 use saga_server::tenant::tenant_params;
@@ -76,8 +74,6 @@ pub fn check_recovery(program: &OpProgram, config: &RecoveryConfig) -> Option<St
     let mut baseline = make_sharded();
     let mut victim = make_sharded();
     victim.inject_kill(config.kill);
-    let mut tracker = AffectedTracker::new(program.capacity);
-    let incremental = config.model == ComputeModelKind::Incremental;
 
     for (index, batch) in program.batches.iter().enumerate() {
         let mut inserts: Vec<Edge> = Vec::new();
@@ -93,29 +89,13 @@ pub fn check_recovery(program: &OpProgram, config: &RecoveryConfig) -> Option<St
         if !deletes.is_empty() {
             graph.delete_batch(&deletes, &pool);
         }
-        let impact = if incremental {
-            tracker.process_mixed_batch(
-                graph.as_ref(),
-                &inserts,
-                &deletes,
-                serial.affects_source_neighborhood(),
-                serial.symmetric_scope(),
-                &pool,
-            )
-        } else {
-            Default::default()
-        };
-        serial.perform_alg_with_deletions(
-            graph.as_ref(),
-            &impact.affected,
-            &impact.new_vertices,
-            &deletes,
-            &pool,
-        );
-        // The driver's entry: incremental insert-only batches seed from
-        // `inserts`, so kills land in edge-seeded runs too.
-        baseline.compute(graph.as_ref(), &impact, &inserts, &deletes, &pool);
-        victim.compute(graph.as_ref(), &impact, &inserts, &deletes, &pool);
+        // The driver's entry for all three engines: the sharded twins track
+        // nothing and seed incremental insert-only batches from `inserts`,
+        // so kills land in edge-seeded runs too.
+        for engine in [&mut serial as &mut dyn ComputeEngine, &mut baseline, &mut victim] {
+            let impact = engine.track(graph.as_ref(), &inserts, &deletes, &pool);
+            engine.compute(graph.as_ref(), &impact, &inserts, &deletes, &pool);
+        }
         // The recovery contract is exact: restored state + deterministic
         // replay ⇒ no float tolerance, even for PR/SSSP/SSWP.
         if victim.values() != baseline.values() {

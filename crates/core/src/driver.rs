@@ -14,8 +14,8 @@
 //! reports behind Figs. 9(b–c) and 10.
 
 use saga_algorithms::{
-    AffectedTracker, AlgorithmKind, AlgorithmParams, AlgorithmState, BatchImpact, ComputeEngine,
-    ComputeModelKind, ComputeOutcome, VertexValues,
+    AlgorithmKind, AlgorithmParams, AlgorithmState, BatchImpact, ComputeEngine, ComputeModelKind,
+    ComputeOutcome, VertexValues,
 };
 use saga_bsp::{CheckpointConfig, ShardedState};
 use saga_graph::{
@@ -291,9 +291,9 @@ impl StreamDriver {
         }
     }
 
-    /// Opens a long-lived per-batch stepping session: the graph, compute
-    /// state, and affected tracker are created up front, then the caller
-    /// feeds batches one at a time through [`DriverSession::step`].
+    /// Opens a long-lived per-batch stepping session: the graph and the
+    /// compute engine are created up front, then the caller feeds batches
+    /// one at a time through [`DriverSession::step`].
     ///
     /// [`StreamDriver::run`] is a thin loop over this API; `saga-server`
     /// drives one session per tenant from its admission queue, where the
@@ -361,8 +361,6 @@ impl StreamDriver {
             compute: ComputeHalf {
                 pool: &self.pool,
                 engine,
-                tracker: AffectedTracker::new(capacity),
-                incremental: model == ComputeModelKind::Incremental,
                 arch,
                 // The bandwidth model prices against the paper's machine,
                 // not the scaled hierarchy.
@@ -471,15 +469,13 @@ impl ApplyHalf<'_> {
     }
 }
 
-/// Second half of a step: everything that only *reads* a topology — the
-/// affected tracker and the compute engine — plus the batch bookkeeping.
+/// Second half of a step: the compute engine, which only *reads* a
+/// topology, plus the batch bookkeeping.
 /// The topology is a parameter, so the same half serves the live graph
 /// ([`DriverSession::step`]) and a snapshot of it (the pipelined run).
 pub(crate) struct ComputeHalf<'d> {
     pool: &'d ThreadPool,
     engine: Box<dyn ComputeEngine>,
-    tracker: AffectedTracker,
-    incremental: bool,
     /// The one persistent arch-sim hierarchy both phases of every batch
     /// replay on.
     arch: Option<MemoryHierarchy>,
@@ -489,25 +485,15 @@ pub(crate) struct ComputeHalf<'d> {
 }
 
 impl ComputeHalf<'_> {
-    /// Derives the affected set of a batch already applied to `topology`
-    /// (Algorithm 1 receives it from the update; FS needs none).
+    /// The engine's update-phase bookkeeping for a batch already applied
+    /// to `topology` ([`ComputeEngine::track`]).
     pub(crate) fn track(
         &mut self,
         topology: &dyn GraphTopology,
         inserts: &[Edge],
         deletes: &[Edge],
     ) -> BatchImpact {
-        if !self.incremental {
-            return BatchImpact::default();
-        }
-        self.tracker.process_mixed_batch(
-            topology,
-            inserts,
-            deletes,
-            self.engine.affects_source_neighborhood(),
-            self.engine.symmetric_scope(),
-            self.pool,
-        )
+        self.engine.track(topology, inserts, deletes, self.pool)
     }
 
     /// Runs the compute phase on `topology` and closes the batch: metrics,
@@ -595,13 +581,13 @@ impl ComputeHalf<'_> {
 /// the workspace.
 ///
 /// Each [`step`](DriverSession::step) is apply → track → compute: the
-/// batch is applied to the live graph, the affected set is derived (both
-/// the update phase), and the compute engine runs — returning the batch's
-/// [`BatchRecord`]. The execution paths are arrangements of those pieces:
-/// partitioned ingest and sharded compute are builder settings of the same
-/// `step`, and [`run_pipelined`](crate::pipelined::run_pipelined) overlaps
-/// the apply half of batch *i+1* with the track + compute half of batch
-/// *i* on a snapshot. A session does not need the whole stream up front,
+/// batch is applied to the live graph, the engine tracks what it will start
+/// from (both the update phase), and the engine computes — returning the
+/// batch's [`BatchRecord`]. The execution paths are arrangements of those
+/// pieces: partitioned ingest and sharded compute are builder settings of
+/// the same `step`, and [`run_pipelined`](crate::pipelined::run_pipelined)
+/// overlaps the apply half of batch *i+1* with the track + compute half of
+/// batch *i* on a snapshot. A session does not need the whole stream up front,
 /// which is what lets `saga-server` host tenants whose streams arrive over
 /// the network and never end.
 pub struct DriverSession<'d> {
@@ -624,8 +610,8 @@ impl DriverSession<'_> {
     /// record. Batch indices count up from 0 in step order.
     pub fn step(&mut self, inserts: &[Edge], deletes: &[Edge]) -> BatchRecord {
         let _batch_span = saga_trace::span!("batch", index = self.compute.next_index as u64);
-        // Deriving the affected array is part of the update phase's
-        // bookkeeping, so the span and the clock cover apply + track.
+        // Tracking (Algorithm 1's affected array) is part of the update
+        // phase's bookkeeping, so the span and the clock cover apply + track.
         let batch_len = inserts.len() + deletes.len();
         let update_span = saga_trace::span!("update", edges = batch_len as u64);
         let sw = Stopwatch::start();
@@ -770,12 +756,81 @@ mod tests {
         let mut observed = 0;
         let outcome = driver.run_observed(&stream, |record, graph, engine| {
             assert_eq!(record.index, observed);
-            assert!(engine.symmetric_scope(), "CC seeds both deletion endpoints");
             assert_eq!(engine.values().len(), graph.capacity());
             observed += 1;
         });
         assert_eq!(observed, 3);
         assert_eq!(outcome.batches.len(), 3);
+    }
+
+    /// CC INC through `step` on a 240-spoke hub: deleting an edge at the
+    /// hub that witnesses nothing re-pulls its two endpoints, not the
+    /// hub's neighborhood, and every batch matches FS on a CSR.
+    #[test]
+    fn cc_inc_deleting_a_non_witness_hub_edge_recomputes_only_its_endpoints() {
+        const SPOKES: Node = 240;
+        let (hub, far) = (0, SPOKES + 1);
+        let e = |s, d| Edge::new(s, d, 1.0);
+        let star: Vec<Edge> = (1..=SPOKES).map(|v| e(hub, v)).collect();
+        // `far` takes its label over 1 first, so the later hub edge to it
+        // is no witness and deleting it strands no value.
+        let batches: [(&[Edge], &[Edge]); 4] =
+            [(&star, &[]), (&[e(1, far)], &[]), (&[e(hub, far)], &[]), (&[], &[e(hub, far)])];
+        let pool = ThreadPool::new(2);
+        for directed in [true, false] {
+            let driver = StreamDriver::builder(DataStructureKind::AdjacencyShared, 256)
+                .algorithm(AlgorithmKind::Cc)
+                .compute_model(ComputeModelKind::Incremental)
+                .threads(2)
+                .build();
+            let mut session = driver.session(256, directed, hub);
+            for (i, (inserts, deletes)) in batches.iter().enumerate() {
+                let record = session.step(inserts, deletes);
+                let csr = saga_graph::csr::Csr::from_graph(session.graph());
+                let mut fs = AlgorithmState::new(
+                    AlgorithmKind::Cc,
+                    ComputeModelKind::FromScratch,
+                    256,
+                    AlgorithmParams::default(),
+                );
+                fs.perform_alg(&csr, &[], &[], &pool);
+                assert_eq!(session.values(), fs.values(), "directed={directed} batch {i}");
+                if !deletes.is_empty() {
+                    assert_eq!(record.removed, 1);
+                    assert!(
+                        record.compute.recomputed <= 4,
+                        "directed={directed}: {} recomputed for one non-witness deletion",
+                        record.compute.recomputed
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fs_and_sharded_engines_track_nothing() {
+        let e = |s, d| Edge::new(s, d, 1.0);
+        let (inserts, deletes) = ([e(0, 1), e(1, 2), e(2, 3)], [e(1, 2)]);
+        for (model, sharded) in [
+            (ComputeModelKind::FromScratch, false),
+            (ComputeModelKind::FromScratch, true),
+            (ComputeModelKind::Incremental, true),
+            (ComputeModelKind::Incremental, false),
+        ] {
+            let mut builder = StreamDriver::builder(DataStructureKind::AdjacencyShared, 8)
+                .algorithm(AlgorithmKind::Cc)
+                .compute_model(model)
+                .threads(2);
+            if sharded {
+                builder = builder.sharded(2);
+            }
+            let driver = builder.build();
+            let mut session = driver.session(8, true, 0);
+            session.apply.apply(&inserts, &deletes);
+            let impact = session.compute.track(session.apply.graph(), &inserts, &deletes);
+            let serial_inc = model == ComputeModelKind::Incremental && !sharded;
+            assert_eq!(impact.affected.is_empty(), !serial_inc, "{model:?} sharded={sharded}");
+        }
     }
 
     #[test]

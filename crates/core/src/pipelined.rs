@@ -272,9 +272,9 @@ mod tests {
 
     #[test]
     fn pipelined_matches_interleaved_results() {
-        // A churn stream exercises every seeding rule the pipelined run
-        // inherits from the session: PR's source-neighbourhood seeding and
-        // CC's symmetric delete seeding.
+        // A churn stream exercises the seeding the pipelined run inherits
+        // from the session's engine: PR's source neighbourhoods, and every
+        // repair pass on a snapshot.
         let stream = DatasetProfile::wiki()
             .scaled(400, 4_000)
             .with_churn(0.1)

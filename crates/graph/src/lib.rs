@@ -68,7 +68,6 @@ pub mod hash_tables;
 pub mod oracle;
 pub mod properties;
 pub mod shell;
-pub mod snapshots;
 pub mod stinger;
 
 use saga_utils::parallel::ThreadPool;
@@ -202,10 +201,9 @@ impl std::fmt::Display for DataStructureKind {
 /// paper's API (`out_neigh()` / `in_neigh()`, §III-D).
 ///
 /// The compute engines only need this trait, so they run equally on a live
-/// [`DynamicGraph`] and on an immutable snapshot (see [`csr::Csr`] and
-/// [`snapshots`]), which is what enables the pipelined
-/// update-parallel-with-compute execution model the paper lists as future
-/// work (footnote 1).
+/// [`DynamicGraph`] and on an immutable snapshot ([`csr::Csr`]), which is
+/// what enables the pipelined update-parallel-with-compute execution model
+/// the paper lists as future work (footnote 1).
 ///
 /// # Reentrancy
 ///
@@ -228,8 +226,8 @@ impl std::fmt::Display for DataStructureKind {
 /// chunk by chunk and there is no batch-wide lock, so a view opened while a
 /// batch is *already running* may see some chunks before and some after it
 /// (and an edge count from before its tally). No caller overlaps the two
-/// phases; one that wants to must order them itself. `Csr`, snapshots, AS
-/// and Stinger are their own view: AS keeps its per-vertex mutex and stays
+/// phases; one that wants to must order them itself. `Csr`, AS and Stinger
+/// are their own view: AS keeps its per-vertex mutex and stays
 /// non-reentrant; Stinger walks its block chains without a lock under the
 /// vertex's shared op-lock (never shared between two vertices' readers).
 pub trait GraphTopology: Send + Sync + AsTopology {

@@ -9,14 +9,15 @@
 //!
 //! - **panic** — a chained `std::panic` hook dumps on any panic;
 //! - **sustained shedding** — [`note_shed`] counts consecutive 429/503
-//!   rejections; a run of `SAGA_FLIGHT_SHED` (default 32) without an
-//!   intervening admission ([`note_admitted`]) dumps;
+//!   rejections; a run of [`SHED_LIMIT`] without an intervening admission
+//!   ([`note_admitted`]) dumps;
 //! - **slow batch** — [`note_batch_latency`] dumps when a tenant batch
-//!   exceeds `SAGA_FLIGHT_LATENCY_MS` (default 250ms).
+//!   exceeds [`LATENCY_NS`].
 //!
-//! Dumps are rate-limited (one per [`MIN_DUMP_INTERVAL_NS`], at most
-//! `SAGA_FLIGHT_MAX_DUMPS` per process, default 8) and written to
-//! `SAGA_FLIGHT_DIR` (default `target/flight`) as
+//! The two automatic triggers stay quiet until [`init`] runs. Dumps are
+//! rate-limited (one per [`MIN_DUMP_INTERVAL_NS`], at most [`MAX_DUMPS`]
+//! per process) and written to `SAGA_FLIGHT_DIR` (default
+//! `target/flight`) as
 //! `flight-<seq>-<reason>.trace.json` (Chrome trace-event format,
 //! validated by `cargo xtask check-trace`) plus
 //! `flight-<seq>-<reason>.metrics.csv`. `GET /debug/flight` serves the
@@ -30,38 +31,31 @@ use std::path::PathBuf;
 /// Minimum spacing between dumps: a stuck tenant must not turn the dump
 /// directory into a disk-filling loop.
 pub const MIN_DUMP_INTERVAL_NS: u64 = 5_000_000_000;
+/// Consecutive sheds that make a `shed` dump.
+pub const SHED_LIMIT: u64 = 32;
+/// Tenant batch latency above which a `slow-batch` dump is made (250 ms).
+pub const LATENCY_NS: u64 = 250_000_000;
+/// Dumps per process, all triggers together.
+pub const MAX_DUMPS: u64 = 8;
 
+/// Set by [`init`]: the panic hook is chained and the triggers are armed.
 static INSTALLED: AtomicBool = AtomicBool::new(false);
-/// Slow-batch threshold in ns; 0 until [`init`] runs (trigger disabled).
-static LATENCY_NS: AtomicU64 = AtomicU64::new(0);
-/// Consecutive-shed threshold; 0 until [`init`] runs.
-static SHED_LIMIT: AtomicU64 = AtomicU64::new(0);
 /// Current run of consecutive sheds.
 static SHED_RUN: AtomicU64 = AtomicU64::new(0);
 /// Dumps written so far (also the artifact sequence number).
 static DUMPS: AtomicU64 = AtomicU64::new(0);
-/// Dump cap; 0 until [`init`] runs.
-static MAX_DUMPS: AtomicU64 = AtomicU64::new(0);
 /// `now_ns` of the last dump, for rate limiting.
 static LAST_DUMP_NS: AtomicU64 = AtomicU64::new(0);
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 /// The dump directory (`SAGA_FLIGHT_DIR`, default `target/flight`).
 pub fn dump_dir() -> PathBuf {
     PathBuf::from(std::env::var("SAGA_FLIGHT_DIR").unwrap_or_else(|_| "target/flight".to_string()))
 }
 
-/// Arms the triggers: reads the `SAGA_FLIGHT_*` thresholds and chains a
-/// panic hook that dumps the rings before the process report. Idempotent
-/// and process-global (the hook survives the `Server` that installed
-/// it; a second server reuses it).
+/// Arms the triggers and chains a panic hook that dumps the rings before
+/// the process report. Idempotent and process-global (the hook survives
+/// the `Server` that installed it; a second server reuses it).
 pub fn init() {
-    LATENCY_NS.store(env_u64("SAGA_FLIGHT_LATENCY_MS", 250).saturating_mul(1_000_000), Ordering::Relaxed);
-    SHED_LIMIT.store(env_u64("SAGA_FLIGHT_SHED", 32), Ordering::Relaxed);
-    MAX_DUMPS.store(env_u64("SAGA_FLIGHT_MAX_DUMPS", 8), Ordering::Relaxed);
     if INSTALLED.swap(true, Ordering::SeqCst) {
         return;
     }
@@ -74,15 +68,14 @@ pub fn init() {
 }
 
 /// Records one shed rejection (accept-backlog 503 or admission 429).
-/// A sustained run — `SAGA_FLIGHT_SHED` sheds with no admission in
-/// between — triggers a dump and restarts the count.
+/// A sustained run — [`SHED_LIMIT`] sheds with no admission in between —
+/// triggers a dump and restarts the count.
 pub fn note_shed() {
-    let limit = SHED_LIMIT.load(Ordering::Relaxed);
-    if limit == 0 {
+    if !INSTALLED.load(Ordering::Relaxed) {
         return;
     }
     let run = SHED_RUN.fetch_add(1, Ordering::Relaxed) + 1;
-    if run >= limit {
+    if run >= SHED_LIMIT {
         SHED_RUN.store(0, Ordering::Relaxed);
         let _ = dump("shed");
     }
@@ -96,8 +89,7 @@ pub fn note_admitted() {
 /// Records one tenant batch's processing latency; exceeding the
 /// threshold triggers a `slow-batch` dump.
 pub fn note_batch_latency(elapsed_ns: u64) {
-    let limit = LATENCY_NS.load(Ordering::Relaxed);
-    if limit > 0 && elapsed_ns > limit {
+    if INSTALLED.load(Ordering::Relaxed) && elapsed_ns > LATENCY_NS {
         let _ = dump("slow-batch");
     }
 }
@@ -120,9 +112,8 @@ pub fn dump(reason: &str) -> Option<PathBuf> {
         return None;
     }
     let seq = DUMPS.fetch_add(1, Ordering::Relaxed);
-    let cap = MAX_DUMPS.load(Ordering::Relaxed);
-    if cap != 0 && seq >= cap {
-        DUMPS.store(cap, Ordering::Relaxed);
+    if seq >= MAX_DUMPS {
+        DUMPS.store(MAX_DUMPS, Ordering::Relaxed);
         return None;
     }
     write_dump(&dump_dir(), seq, reason)
@@ -173,31 +164,30 @@ mod tests {
     #[test]
     fn shed_runs_trigger_once_per_limit_and_reset_on_admission() {
         let _guard = flight_test();
-        SHED_LIMIT.store(4, Ordering::Relaxed);
         SHED_RUN.store(0, Ordering::Relaxed);
         // Rate-limit dump() into a no-op so the trigger logic is isolated.
         LAST_DUMP_NS.store(saga_trace::now_ns(), Ordering::Relaxed);
+        // Armed without `init`, so no panic hook joins the test binary.
+        let armed = INSTALLED.swap(true, Ordering::SeqCst);
         for _ in 0..3 {
             note_shed();
         }
         assert_eq!(SHED_RUN.load(Ordering::Relaxed), 3);
         note_admitted();
         assert_eq!(SHED_RUN.load(Ordering::Relaxed), 0);
-        for _ in 0..4 {
+        for _ in 0..SHED_LIMIT {
             note_shed();
         }
-        // The fourth shed fired the (suppressed) dump and reset the run.
+        // The last shed fired the (suppressed) dump and reset the run.
         assert_eq!(SHED_RUN.load(Ordering::Relaxed), 0);
-        SHED_LIMIT.store(0, Ordering::Relaxed);
+        INSTALLED.store(armed, Ordering::SeqCst);
     }
 
     #[test]
     fn rate_limit_suppresses_back_to_back_dumps() {
         let _guard = flight_test();
-        MAX_DUMPS.store(8, Ordering::Relaxed);
         LAST_DUMP_NS.store(saga_trace::now_ns(), Ordering::Relaxed);
         assert!(dump("unit-rl").is_none(), "within the interval: suppressed");
         LAST_DUMP_NS.store(0, Ordering::Relaxed);
-        MAX_DUMPS.store(0, Ordering::Relaxed);
     }
 }

@@ -2,21 +2,23 @@
 //! model the paper lists as future work (footnote 1, citing Chronos and
 //! LLAMA).
 //!
-//! A stream of citation-like edges is ingested into a
-//! [`SnapshotStore`]; afterwards, *any* historical version can be queried.
-//! Here we ask a temporal question no single-snapshot system can answer:
-//! how did the reachable set and the shortest-path distance from a seed
-//! vertex evolve batch by batch?
+//! A stream of citation-like edges is ingested into a live structure, and
+//! after every batch the live graph is frozen into an immutable [`Csr`];
+//! afterwards, *any* historical version can be queried. Here we ask a
+//! temporal question no single-snapshot system can answer: how did the
+//! reachable set and the shortest-path distance from a seed vertex evolve
+//! batch by batch?
 //!
-//! [`SnapshotStore`]: saga_bench_suite::graph::snapshots::SnapshotStore
+//! [`Csr`]: saga_bench_suite::graph::csr::Csr
 //!
 //! ```text
 //! cargo run --release --example temporal_snapshots
 //! ```
 
-use saga_bench_suite::graph::snapshots::SnapshotStore;
-use saga_bench_suite::graph::GraphTopology;
+use saga_bench_suite::graph::csr::Csr;
+use saga_bench_suite::graph::{build_graph, GraphTopology};
 use saga_bench_suite::prelude::*;
+use saga_bench_suite::utils::parallel::ThreadPool;
 
 fn reachable_and_eccentricity(view: &dyn GraphTopology, root: u32) -> (usize, u32) {
     let n = view.capacity();
@@ -42,20 +44,24 @@ fn main() {
     let stream = profile.generate(17);
     let root = stream.edges[0].src;
 
-    let mut store = SnapshotStore::new(stream.num_nodes, stream.directed);
-    for batch in stream.batches(6_000) {
-        store.ingest_batch(batch);
-    }
+    let pool = ThreadPool::new(2);
+    let live = build_graph(DataStructureKind::AdjacencyShared, stream.num_nodes, stream.directed, 2);
+    let versions: Vec<Csr> = stream
+        .batches(6_000)
+        .map(|batch| {
+            live.update_batch(batch, &pool);
+            Csr::from_graph(live.as_ref())
+        })
+        .collect();
     println!(
-        "ingested {} batches into a versioned store ({} vertices)\n",
-        store.num_snapshots(),
-        store.capacity()
+        "ingested {} batches, one CSR version each ({} vertices)\n",
+        versions.len(),
+        live.capacity()
     );
     println!("version  edges    reachable from {root}  eccentricity");
     println!("----------------------------------------------------");
-    for version in 0..store.num_snapshots() {
-        let view = store.snapshot(version);
-        let (reached, ecc) = reachable_and_eccentricity(&view, root);
+    for (version, view) in versions.iter().enumerate() {
+        let (reached, ecc) = reachable_and_eccentricity(view, root);
         println!(
             "{version:>7}  {:>7}  {reached:>19}  {ecc:>12}",
             view.num_edges()

@@ -1,13 +1,11 @@
 //! Integration tests for the extension features working together: the
-//! SNAP loader feeding the driver, historical snapshots agreeing with live
-//! structures, pipelining agreeing with interleaving, and deletions
-//! composing with analytics.
+//! SNAP loader feeding the driver, pipelining agreeing with interleaving,
+//! and deletions composing with analytics.
 
 use saga_bench_suite::algorithms::{AlgorithmKind, ComputeModelKind, VertexValues};
 use saga_bench_suite::core::driver::StreamDriver;
 use saga_bench_suite::core::pipelined::run_pipelined;
-use saga_bench_suite::graph::snapshots::SnapshotStore;
-use saga_bench_suite::graph::{build_deletable_graph, DataStructureKind, GraphTopology};
+use saga_bench_suite::graph::{build_deletable_graph, DataStructureKind};
 use saga_bench_suite::stream::loader::load_snap_text;
 use saga_bench_suite::stream::profiles::DatasetProfile;
 use saga_bench_suite::utils::parallel::ThreadPool;
@@ -37,34 +35,6 @@ fn loader_to_driver_end_to_end() {
     let outcome = driver.run(&stream);
     assert_eq!(outcome.batches.len(), 4);
     assert!(outcome.total_edges > 0);
-}
-
-#[test]
-fn snapshot_store_latest_matches_live_structure() {
-    let profile = DatasetProfile::livejournal().scaled(300, 2_000);
-    let stream = profile.generate(31);
-    let pool = ThreadPool::new(2);
-
-    let live = build_deletable_graph(
-        DataStructureKind::AdjacencyShared,
-        stream.num_nodes,
-        stream.directed,
-        pool.threads(),
-    );
-    let mut store = SnapshotStore::new(stream.num_nodes, stream.directed);
-    for batch in stream.batches(500) {
-        live.update_batch(batch, &pool);
-        store.ingest_batch(batch);
-    }
-    let latest = store.latest().expect("batches ingested");
-    assert_eq!(latest.num_edges(), live.num_edges());
-    for v in 0..stream.num_nodes as u32 {
-        let mut a = latest.out_neighbors(v);
-        let mut b = live.out_neighbors(v);
-        a.sort_by_key(|&(n, _)| n);
-        b.sort_by_key(|&(n, _)| n);
-        assert_eq!(a, b, "vertex {v}");
-    }
 }
 
 #[test]
