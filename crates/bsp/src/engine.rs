@@ -224,7 +224,7 @@ impl<P: VertexProgram> BspEngine<P> {
             superstep: AtomicUsize::new(0),
             kill: Mutex::new(None),
             shard_messages: (0..shards)
-                .map(|s| metrics::indexed_counter("bsp.shard_messages", s))
+                .map(|s| metrics::labelled("bsp.shard_messages", "shard", s).counter())
                 .collect(),
             superstep_messages: metrics::histogram("bsp.superstep_messages"),
             supersteps: metrics::counter("bsp.supersteps"),

@@ -192,49 +192,45 @@ fn validate_histogram(f: &PromFamily) -> Result<(), String> {
 mod tests {
     use super::*;
     use saga_trace::expose::{build_families, prometheus_text, render_families};
-    use saga_trace::metrics::{HistogramDetail, MetricsSnapshot};
+    use saga_trace::metrics::{HistogramSummary, Label, MetricsSnapshot, SeriesKey};
 
-    fn snap_with(
-        counters: Vec<(&str, u64)>,
-        gauges: Vec<(&str, f64)>,
-    ) -> MetricsSnapshot {
+    fn key(family: &str, label: Label) -> SeriesKey {
+        SeriesKey { family: family.to_string(), label }
+    }
+
+    fn snap_with(counters: Vec<(&str, u64)>, gauges: Vec<(&str, f64)>) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: counters
-                .into_iter()
-                .map(|(n, v)| (n.to_string(), v))
-                .collect(),
-            gauges: gauges.into_iter().map(|(n, v)| (n.to_string(), v)).collect(),
+            counters: counters.into_iter().map(|(n, v)| (key(n, None), v)).collect(),
+            gauges: gauges.into_iter().map(|(n, v)| (key(n, None), v)).collect(),
             histograms: Vec::new(),
         }
     }
 
+    fn summary(count: u64, sum: u64) -> HistogramSummary {
+        HistogramSummary { count, sum, mean: 0.0, min: 0, p50: 0, p90: 0, p99: 0, p999: 0, max: 0 }
+    }
+
     #[test]
     fn renders_and_parses_basic_families() {
-        let snap = snap_with(
-            vec![
-                ("server.requests", 42),
-                ("bsp.shard_messages.0", 10),
-                ("bsp.shard_messages.1", 12),
-            ],
-            vec![("server.queue_depth.3", 5.0)],
-        );
-        let details = vec![(
-            "server.request_ns".to_string(),
-            HistogramDetail {
-                buckets: vec![(1023, 4), (2047, 9)],
-                count: 9,
-                sum: 12_345,
-            },
-        )];
-        let families = build_families(&snap, &details);
+        let shard = |s: &str| Some(("shard", s.to_string()));
+        let mut snap = snap_with(vec![("server.requests", 42)], vec![]);
+        snap.counters.push((key("bsp.shard_messages", shard("0")), 10));
+        snap.counters.push((key("bsp.shard_messages", shard("1")), 12));
+        snap.gauges.push((key("server.queue_depth", Some(("tenant", "a\"b".to_string()))), 5.0));
+        snap.histograms.push((key("server.request_ns", None), summary(9, 12_345), vec![(1023, 4), (2047, 9)]));
+        let tenant = Some(("tenant", "serial".to_string()));
+        snap.histograms.push((key("server.tenant_batch_ns", tenant), summary(1, 7), vec![(7, 1)]));
+        let families = build_families(&snap);
         let text = render_families(&families);
         assert!(text.contains("# TYPE server_requests counter"));
-        assert!(text.contains("bsp_shard_messages{idx=\"0\"} 10"));
-        assert!(text.contains("server_queue_depth{idx=\"3\"} 5"));
+        assert!(text.contains("bsp_shard_messages{shard=\"0\"} 10"));
+        assert!(text.contains("server_queue_depth{tenant=\"a\\\"b\"} 5"));
         assert!(text.contains("server_request_ns_bucket{le=\"1023\"} 4"));
         assert!(text.contains("server_request_ns_bucket{le=\"+Inf\"} 9"));
         assert!(text.contains("server_request_ns_sum 12345"));
         assert!(text.contains("server_request_ns_count 9"));
+        assert!(text.contains("server_tenant_batch_ns_bucket{tenant=\"serial\",le=\"+Inf\"} 1"));
+        assert!(text.contains("server_tenant_batch_ns_sum{tenant=\"serial\"} 7"));
         let parsed = parse_prometheus(&text).unwrap();
         assert_eq!(parsed, families);
     }
@@ -242,7 +238,7 @@ mod tests {
     #[test]
     fn colliding_sanitized_names_stay_unique() {
         let snap = snap_with(vec![("a.b", 1), ("a_b", 2), ("a b", 3)], vec![]);
-        let families = build_families(&snap, &[]);
+        let families = build_families(&snap);
         let text = render_families(&families);
         let parsed = parse_prometheus(&text).unwrap();
         assert_eq!(parsed, families);
@@ -260,7 +256,7 @@ mod tests {
     #[test]
     fn kind_conflict_gets_suffixed_family() {
         let snap = snap_with(vec![("shared.name", 1)], vec![("shared/name", 2.0)]);
-        let families = build_families(&snap, &[]);
+        let families = build_families(&snap);
         let text = render_families(&families);
         let parsed = parse_prometheus(&text).unwrap();
         assert_eq!(parsed, families);

@@ -9,7 +9,7 @@
 
 use saga_check::prom::parse_prometheus;
 use saga_trace::expose::{build_families, render_families, PromFamily, PromKind, PromSample};
-use saga_trace::metrics::{HistogramDetail, MetricsSnapshot};
+use saga_trace::metrics::{Buckets, HistogramSummary, Label, MetricsSnapshot, SeriesKey};
 use saga_utils::rng::{for_each_seed, Xoshiro256PlusPlus};
 use std::collections::BTreeMap;
 
@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 const SEEDS: std::ops::Range<u64> = 0..256;
 
 /// The characters real call sites use in registry names (letters,
-/// digits, `.`-separated segments, indexed `.N` suffixes) plus the ones
+/// digits, `.`-separated segments) plus the ones
 /// the sanitizer and escaper exist for: spaces, quotes, backslashes,
 /// newlines, and punctuation that collides after sanitization.
 const NAME_ALPHABET: &[char] = &[
@@ -40,6 +40,17 @@ fn raw_name(rng: &mut Xoshiro256PlusPlus) -> String {
     word(rng, NAME_ALPHABET, 1, 15)
 }
 
+/// A registry key: a hostile family name, and half the time a label of
+/// one of the keys call sites use with a hostile value.
+fn series_key(rng: &mut Xoshiro256PlusPlus) -> SeriesKey {
+    let label: Label = match rng.range(0, 3) {
+        0 => Some(("tenant", word(rng, VALUE_ALPHABET, 0, 7))),
+        1 => Some(("shard", rng.range(0, 3).to_string())),
+        _ => None,
+    };
+    SeriesKey { family: raw_name(rng), label }
+}
+
 /// Finite values plus both infinities; `NaN` is excluded only because
 /// the model comparison uses `==` (the renderer and parser both handle
 /// `NaN` — covered by a unit test in `prom.rs`).
@@ -55,28 +66,44 @@ fn metric_value(rng: &mut Xoshiro256PlusPlus) -> f64 {
     }
 }
 
-/// Valid-by-construction bucket detail: strictly ascending bounds,
-/// non-decreasing cumulative counts, total count at least the last
-/// bucket. Bounds stay far below 2^53 so their decimal rendering
-/// parses back to distinct `f64`s.
-fn hist_detail(rng: &mut Xoshiro256PlusPlus) -> HistogramDetail {
+/// A valid-by-construction histogram entry: strictly ascending bucket
+/// bounds and non-decreasing cumulative counts. Only `sum` of the summary
+/// row reaches the exposition (the count is the last bucket's). Bounds
+/// stay far below 2^53 so their decimal rendering parses back to distinct
+/// `f64`s.
+fn histogram(rng: &mut Xoshiro256PlusPlus) -> (SeriesKey, HistogramSummary, Buckets) {
     let (mut bound, mut cum) = (0u64, 0u64);
     let buckets = rng.vec(0, 5, |rng| {
         bound += rng.range(1, 999) as u64;
         cum += rng.range(0, 999) as u64;
         (bound, cum)
     });
-    HistogramDetail {
-        buckets,
-        count: cum + rng.range(0, 999) as u64,
+    let summary = HistogramSummary {
+        count: cum,
         sum: rng.next_u64() >> 32,
-    }
+        mean: 0.0,
+        min: 0,
+        p50: 0,
+        p90: 0,
+        p99: 0,
+        p999: 0,
+        max: 0,
+    };
+    (series_key(rng), summary, buckets)
 }
 
-/// Registry name uniqueness (the live registry is a map) via `BTreeMap`
+/// Registry key uniqueness (the live registry is a map) via `BTreeMap`
 /// collapse; generated duplicates just overwrite.
-fn unique<V>(pairs: Vec<(String, V)>) -> Vec<(String, V)> {
+fn unique<V>(pairs: Vec<(SeriesKey, V)>) -> Vec<(SeriesKey, V)> {
     pairs.into_iter().collect::<BTreeMap<_, _>>().into_iter().collect()
+}
+
+/// [`unique`] for histogram entries.
+fn unique_histograms(
+    entries: Vec<(SeriesKey, HistogramSummary, Buckets)>,
+) -> Vec<(SeriesKey, HistogramSummary, Buckets)> {
+    let by_key: BTreeMap<_, _> = entries.into_iter().map(|(k, s, b)| (k, (s, b))).collect();
+    by_key.into_iter().map(|(k, (s, b))| (k, s, b)).collect()
 }
 
 /// Renders, parses back (the validator must accept what the renderer
@@ -89,18 +116,17 @@ fn roundtrip(families: &[PromFamily]) -> Vec<PromFamily> {
 }
 
 /// The headline property: any registry contents — colliding sanitized
-/// names, kind conflicts, indexed families, hostile characters — survive
+/// names, kind conflicts, labelled families, hostile characters — survive
 /// render → parse unchanged.
 #[test]
 fn registry_snapshot_roundtrips_through_exposition() {
     for_each_seed(SEEDS, |rng| {
         let snap = MetricsSnapshot {
-            counters: unique(rng.vec(0, 7, |rng| (raw_name(rng), rng.next_u64()))),
-            gauges: unique(rng.vec(0, 7, |rng| (raw_name(rng), metric_value(rng)))),
-            histograms: Vec::new(),
+            counters: unique(rng.vec(0, 7, |rng| (series_key(rng), rng.next_u64()))),
+            gauges: unique(rng.vec(0, 7, |rng| (series_key(rng), metric_value(rng)))),
+            histograms: unique_histograms(rng.vec(0, 3, histogram)),
         };
-        let details = unique(rng.vec(0, 3, |rng| (raw_name(rng), hist_detail(rng))));
-        let families = build_families(&snap, &details);
+        let families = build_families(&snap);
         assert_eq!(roundtrip(&families), families);
     });
 }
@@ -114,9 +140,9 @@ fn hostile_label_values_roundtrip() {
         let samples = (0..rng.range(1, 4))
             .map(|i| PromSample {
                 suffix: String::new(),
-                // Distinct `idx` keeps series unique even when values repeat.
+                // Distinct `shard` keeps series unique even when values repeat.
                 labels: vec![
-                    ("idx".to_string(), i.to_string()),
+                    ("shard".to_string(), i.to_string()),
                     ("raw".to_string(), word(rng, VALUE_ALPHABET, 0, 11)),
                 ],
                 value: i as f64,
@@ -140,12 +166,11 @@ fn rendered_histograms_satisfy_bucket_invariants() {
         let snap = MetricsSnapshot {
             counters: Vec::new(),
             gauges: Vec::new(),
-            histograms: Vec::new(),
+            histograms: unique_histograms(rng.vec(1, 3, histogram)),
         };
-        let details = unique(rng.vec(1, 3, |rng| (raw_name(rng), hist_detail(rng))));
         // `parse_prometheus` runs `validate_histogram` over every
         // histogram family; acceptance *is* the invariant check.
-        for f in &roundtrip(&build_families(&snap, &details)) {
+        for f in &roundtrip(&build_families(&snap)) {
             assert_eq!(f.kind, PromKind::Histogram);
             assert!(f.samples.iter().any(|s| s.suffix == "_count"));
             assert!(f.samples.iter().any(|s| s.suffix == "_sum"));

@@ -208,8 +208,8 @@ fn soak_multi_tenant_steady_state_with_zero_diff_replay() {
     assert_eq!(resp.status, 200);
     let csv = resp.text();
     assert!(csv.contains("server.request_ns"), "missing request latency metric:\n{csv}");
-    assert!(csv.contains("server.queue_depth."), "missing queue depth gauges:\n{csv}");
-    assert!(csv.contains("server.tenant_batch_ns"), "missing tenant batch histogram:\n{csv}");
+    assert!(csv.contains("server.queue_depth{tenant="), "missing queue depth gauges:\n{csv}");
+    assert!(csv.contains("server.tenant_batch_ns{tenant="), "missing tenant batch histograms:\n{csv}");
     if let Err(e) = std::fs::write(&metrics_path, &csv) {
         // The artifact is best-effort outside CI (path may not exist).
         saga_trace::progress!("soak: could not write metrics artifact {metrics_path}: {e}");

@@ -48,7 +48,9 @@ impl Registry {
         // Spawn before taking the map lock: the worker startup path reaches
         // graph and driver locks, and holding the registry lock across it
         // would pin a lock order the request handlers don't need. A name
-        // race just costs one short-lived worker (shut down below).
+        // race just costs one short-lived worker (shut down below); its
+        // series are the live tenant's (labelled by name), so the clash
+        // path evicts nothing.
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let name = config.name.clone();
         let tenant = Tenant::spawn(id, config);
@@ -139,11 +141,10 @@ pub fn handle(registry: &Registry, req: &Request) -> Response {
         ("DELETE", ["tenants", name]) => match registry.remove(name) {
             Some(tenant) => {
                 tenant.shutdown();
-                // Evict the tenant's indexed series so a churn of
-                // create/delete cycles cannot exhaust the per-family
-                // cardinality cap (tenant ids are never reused).
-                saga_trace::metrics::remove_indexed("server.queue_depth", tenant.id);
-                saga_trace::metrics::remove_indexed("mem.tenant_bytes", tenant.id);
+                // Evict the tenant's series so a churn of create/delete
+                // cycles over fresh names cannot exhaust the per-family
+                // cardinality cap.
+                saga_trace::metrics::evict_label("tenant", name);
                 Response::text(204, "")
             }
             None => Response::text(404, format!("no tenant {name:?}\n")),
@@ -421,20 +422,45 @@ mod tests {
         assert_eq!(ops.len(), 3, "zero weights and derived weights pass");
     }
 
+    /// `name`'s series of `family` in a fresh registry snapshot.
+    fn tenant_series(family: &str, name: &str) -> usize {
+        let snap = saga_trace::metrics::snapshot();
+        let counters = snap.counters.into_iter().map(|(k, _)| k);
+        let gauges = snap.gauges.into_iter().map(|(k, _)| k);
+        let histograms = snap.histograms.into_iter().map(|(k, ..)| k);
+        counters
+            .chain(gauges)
+            .chain(histograms)
+            .filter(|k| k.family == family && k.label == Some(("tenant", name.to_string())))
+            .count()
+    }
+
     #[test]
-    fn tenant_delete_evicts_indexed_series() {
+    fn tenant_delete_evicts_labelled_series() {
         let registry = Registry::new();
         let resp = handle(&registry, &req("POST", "/tenants", "name=evict\ncapacity=4\n"));
         assert_eq!(resp.status, 201, "{resp:?}");
-        let id = registry.get("evict").unwrap().id;
-        let depth_name = format!("server.queue_depth.{id}");
-        let snap = saga_trace::metrics::snapshot();
-        assert!(snap.gauges.iter().any(|(n, _)| n == &depth_name), "{depth_name} registered");
+        assert_eq!(tenant_series("server.queue_depth", "evict"), 1);
+        assert_eq!(tenant_series("server.tenant_batch_ns", "evict"), 1);
         assert_eq!(handle(&registry, &req("DELETE", "/tenants/evict", "")).status, 204);
+        assert_eq!(tenant_series("server.queue_depth", "evict"), 0, "evicted on delete");
+        assert_eq!(tenant_series("server.tenant_batch_ns", "evict"), 0, "evicted on delete");
+    }
+
+    #[test]
+    fn refused_creates_register_no_series() {
+        let registry = Registry::new();
+        let body = "name=clash\ncapacity=4\n";
+        assert_eq!(handle(&registry, &req("POST", "/tenants", body)).status, 201);
+        // More refusals than a family holds series: each refused worker
+        // must reuse the live tenant's series, not mint its own.
+        for _ in 0..300 {
+            assert_eq!(handle(&registry, &req("POST", "/tenants", body)).status, 409);
+        }
+        assert_eq!(tenant_series("server.queue_depth", "clash"), 1);
         let snap = saga_trace::metrics::snapshot();
-        assert!(
-            !snap.gauges.iter().any(|(n, _)| n == &depth_name),
-            "{depth_name} evicted on delete"
-        );
+        let dropped = snap.counters.iter().find(|(k, _)| k.family == "metrics.series_dropped");
+        assert_eq!(dropped, None, "no series overflowed the family cap");
+        registry.shutdown_all();
     }
 }

@@ -17,7 +17,7 @@ use saga_core::driver::{DriverSession, StreamDriver};
 use saga_graph::{DataStructureKind, DynamicGraph};
 use saga_stream::loader::{read_op_lines, OpLine, RawEdge};
 use saga_stream::{Edge, EdgeOp, Node, Weight};
-use saga_trace::metrics::{counter, gauge, histogram, indexed_gauge, Counter, Gauge, Histogram};
+use saga_trace::metrics::{counter, gauge, labelled, Counter, Gauge, Histogram};
 use saga_utils::queue::BoundedQueue;
 use saga_utils::scan::Cursor;
 use saga_utils::sync::atomic::{AtomicUsize, Ordering};
@@ -245,7 +245,9 @@ pub enum SubmitError {
 pub struct Tenant {
     /// The configuration the tenant was created with.
     pub config: TenantConfig,
-    /// Registry-assigned id, used to index per-tenant metric families.
+    /// Registry-assigned id. It names the worker thread, and so its trace
+    /// track, apart from any earlier tenant of the same name; metric
+    /// series are labelled by name instead.
     pub id: usize,
     queue: Arc<BoundedQueue<WorkItem>>,
     journal: Arc<Mutex<Journal>>,
@@ -268,12 +270,14 @@ impl std::fmt::Debug for Tenant {
 }
 
 impl Tenant {
-    /// Creates the tenant and spawns its worker thread.
+    /// Creates the tenant and spawns its worker thread. Its series are
+    /// labelled `tenant="<name>"`, so a second tenant spawned under a live
+    /// name shares the live one's series and registers none.
     pub fn spawn(id: usize, config: TenantConfig) -> Arc<Tenant> {
         let queue = Arc::new(BoundedQueue::new(config.queue_bound));
         let journal = Arc::new(Mutex::new(Journal::default()));
         let processed = Arc::new(AtomicUsize::new(0));
-        let depth_gauge = indexed_gauge("server.queue_depth", id);
+        let depth_gauge = labelled("server.queue_depth", "tenant", &config.name).gauge();
         let tenant = Arc::new(Tenant {
             config: config.clone(),
             id,
@@ -286,13 +290,12 @@ impl Tenant {
             handle: Mutex::new(None),
         });
         let worker = WorkerState {
-            id,
+            batch_ns: labelled("server.tenant_batch_ns", "tenant", &config.name).histogram(),
             config,
             queue,
             journal,
             processed,
             depth_gauge,
-            batch_ns: histogram("server.tenant_batch_ns"),
             batches_total: counter("server.batches_processed"),
             ops_total: counter("server.ops_processed"),
             mem_high: gauge("mem.high_water"),
@@ -420,7 +423,6 @@ impl Drop for Tenant {
 
 /// Everything the worker thread owns.
 struct WorkerState {
-    id: usize,
     config: TenantConfig,
     queue: Arc<BoundedQueue<WorkItem>>,
     journal: Arc<Mutex<Journal>>,
@@ -447,7 +449,7 @@ impl WorkerState {
         }
         let driver = builder.build();
         let mut session: Option<DriverSession<'_>> = None;
-        let tenant_bytes = saga_trace::metrics::indexed_gauge("mem.tenant_bytes", self.id);
+        let tenant_bytes = labelled("mem.tenant_bytes", "tenant", &self.config.name).gauge();
         while let Some(item) = self.queue.pop() {
             self.depth_gauge.set(self.queue.depth() as f64);
             match item {

@@ -4,8 +4,9 @@
 //! refills it forever, so a `0 1 -1` / `1 0 -1` cycle admitted to an SSSP
 //! tenant would never finish its batch, and every later read would park
 //! an HTTP worker behind it. The body must get 400 instead, and the tenant
-//! must keep answering. Its own binary: tenant ids and their metric series
-//! are process-global, so it shares no process with the unit tests.
+//! must keep answering. Its own binary: tenant metric series are
+//! process-global and labelled by name, so it shares no process with the
+//! unit tests.
 
 use saga_server::{Client, Server, ServerConfig};
 

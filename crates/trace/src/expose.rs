@@ -1,21 +1,22 @@
 //! Prometheus text exposition (format version 0.0.4): the renderer.
 //!
-//! The live server's `GET /metrics` renders the registry through
-//! [`prometheus_text`]: counters and gauges become single samples,
-//! indexed families (`name.3`) become one family with an `idx="3"`
+//! The live server's `GET /metrics` renders one registry snapshot through
+//! [`prometheus_text`]: counters and gauges become single samples, a
+//! series' label (`tenant="serial"`, `shard="3"`) becomes its sample's
 //! label, and histograms expand to `_bucket{le=...}`/`_sum`/`_count`
 //! sample groups (cumulative counts over the registry's log buckets,
 //! empty buckets elided). A `saga_build_info{version=...} 1` gauge and
 //! `saga_uptime_seconds` ride along.
 //!
-//! Registry names are arbitrary strings, Prometheus names are
+//! Registry family names are arbitrary strings, Prometheus names are
 //! `[a-zA-Z_:][a-zA-Z0-9_:]*` — sanitization maps every other byte to
-//! `_`. Two raw names may therefore collide after sanitization; the
+//! `_`. Two raw families may therefore collide after sanitization; the
 //! renderer keeps the output well-formed by attaching a `raw="<original>"`
-//! label to the later sample (duplicate series are invalid exposition),
-//! and a family whose sanitized name is already taken by a different
-//! *kind* gets a kind suffix. Both rules are deterministic, so the
-//! rendered text reads back to exactly the [`PromFamily`] model.
+//! label to every sample of the raw family that did not open the
+//! sanitized one (duplicate series are invalid exposition), and a family
+//! whose sanitized name is already taken by a different *kind* gets a
+//! kind suffix. Both rules are deterministic, so the rendered text reads
+//! back to exactly the [`PromFamily`] model.
 //!
 //! Renderers live here and validators in `saga-check`, the way the Chrome
 //! trace exporter and `saga_check::tracecheck` split: the validating
@@ -23,7 +24,7 @@
 //! check-metrics`), and its `seeded_expose` suite drives render → parse
 //! with hostile names.
 
-use crate::metrics::{histogram_details, HistogramDetail, MetricsSnapshot};
+use crate::metrics::{MetricsSnapshot, SeriesKey};
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -89,19 +90,6 @@ pub fn sanitize_name(raw: &str) -> String {
     out
 }
 
-/// Splits `name.3`-style indexed-family members into `(family, index)`;
-/// everything else keeps its full name and no index.
-fn split_indexed(raw: &str) -> (&str, Option<&str>) {
-    match raw.rsplit_once('.') {
-        Some((family, idx))
-            if !family.is_empty() && !idx.is_empty() && idx.bytes().all(|b| b.is_ascii_digit()) =>
-        {
-            (family, Some(idx))
-        }
-        _ => (raw, None),
-    }
-}
-
 /// Escapes a label value (`\` → `\\`, `"` → `\"`, newline → `\n`).
 fn escape_label(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
@@ -129,111 +117,64 @@ fn fmt_value(v: f64) -> String {
 }
 
 /// Builds the family model for a registry snapshot: sanitized names,
-/// indexed families folded into `idx` labels, histograms expanded to
-/// bucket groups, collisions disambiguated (see the module docs).
-pub fn build_families(
-    snap: &MetricsSnapshot,
-    details: &[(String, HistogramDetail)],
-) -> Vec<PromFamily> {
+/// series labels carried over, histograms expanded to bucket groups,
+/// collisions disambiguated (see the module docs).
+pub fn build_families(snap: &MetricsSnapshot) -> Vec<PromFamily> {
     let mut families: Vec<PromFamily> = Vec::new();
-    // (family index in `families`) keyed by sanitized name.
-    let mut by_name: Vec<(String, usize)> = Vec::new();
-    // Sample uniqueness within a family: (family idx, suffix, label string).
-    let mut seen: Vec<(usize, String)> = Vec::new();
-
-    let family_for = |families: &mut Vec<PromFamily>,
-                          by_name: &mut Vec<(String, usize)>,
-                          raw_family: &str,
-                          kind: PromKind|
-     -> usize {
-        let mut name = sanitize_name(raw_family);
-        loop {
-            match by_name.iter().find(|(n, _)| *n == name) {
-                Some(&(_, fi)) if families[fi].kind == kind => return fi,
+    // Per family: the raw registry family that opened it. Its samples are
+    // unique by the registry's key; every other raw family's carry `raw`.
+    let mut owners: Vec<String> = Vec::new();
+    let mut push = |key: &SeriesKey, kind: PromKind, samples: Vec<(&str, Option<String>, f64)>| {
+        let mut name = sanitize_name(&key.family);
+        let fi = loop {
+            match families.iter().position(|f| f.name == name) {
+                Some(fi) if families[fi].kind == kind => break fi,
+                // Same sanitized name, different kind: a family may have
+                // only one TYPE, so suffix the later kind.
                 Some(_) => {
-                    // Same sanitized name, different kind: a family may
-                    // have only one TYPE, so suffix the later kind.
                     name.push('_');
                     name.push_str(kind.as_str());
                 }
                 None => {
-                    families.push(PromFamily {
-                        name: name.clone(),
-                        kind,
-                        samples: Vec::new(),
-                    });
-                    by_name.push((name, families.len() - 1));
-                    return families.len() - 1;
+                    families.push(PromFamily { name, kind, samples: Vec::new() });
+                    owners.push(key.family.clone());
+                    break families.len() - 1;
                 }
             }
+        };
+        let mut labels: Vec<(String, String)> = Vec::new();
+        if let Some((k, v)) = &key.label {
+            labels.push((k.to_string(), v.clone()));
         }
-    };
-
-    let push_sample = |families: &mut Vec<PromFamily>,
-                           seen: &mut Vec<(usize, String)>,
-                           fi: usize,
-                           suffix: &str,
-                           mut labels: Vec<(String, String)>,
-                           value: f64,
-                           raw: &str| {
-        let key = |labels: &[(String, String)]| {
-            let mut k = suffix.to_string();
-            for (n, v) in labels {
-                k.push('|');
-                k.push_str(n);
-                k.push('=');
-                k.push_str(v);
+        if owners[fi] != key.family {
+            labels.push(("raw".to_string(), key.family.clone()));
+        }
+        for (suffix, le, value) in samples {
+            let mut labels = labels.clone();
+            if let Some(le) = le {
+                labels.push(("le".to_string(), le));
             }
-            k
-        };
-        if seen.iter().any(|(i, k)| *i == fi && *k == key(&labels)) {
-            // Raw names that sanitize onto an existing series stay
-            // distinguishable (and the exposition stays duplicate-free).
-            labels.push(("raw".to_string(), raw.to_string()));
+            families[fi].samples.push(PromSample { suffix: suffix.to_string(), labels, value });
         }
-        seen.push((fi, key(&labels)));
-        families[fi].samples.push(PromSample {
-            suffix: suffix.to_string(),
-            labels,
-            value,
-        });
     };
-
-    for (raw, v) in &snap.counters {
-        let (family, idx) = split_indexed(raw);
-        let fi = family_for(&mut families, &mut by_name, family, PromKind::Counter);
-        let labels = idx
-            .map(|i| vec![("idx".to_string(), i.to_string())])
-            .unwrap_or_default();
-        push_sample(&mut families, &mut seen, fi, "", labels, *v as f64, raw);
+    for (key, v) in &snap.counters {
+        push(key, PromKind::Counter, vec![("", None, *v as f64)]);
     }
-    for (raw, v) in &snap.gauges {
-        let (family, idx) = split_indexed(raw);
-        let fi = family_for(&mut families, &mut by_name, family, PromKind::Gauge);
-        let labels = idx
-            .map(|i| vec![("idx".to_string(), i.to_string())])
-            .unwrap_or_default();
-        push_sample(&mut families, &mut seen, fi, "", labels, *v, raw);
+    for (key, v) in &snap.gauges {
+        push(key, PromKind::Gauge, vec![("", None, *v)]);
     }
-    for (raw, d) in details {
-        let fi = family_for(&mut families, &mut by_name, raw, PromKind::Histogram);
-        // A sanitized-name collision between two histograms would
-        // interleave their bucket series; label the later one instead.
-        let extra = if families[fi].samples.is_empty() {
-            Vec::new()
-        } else {
-            vec![("raw".to_string(), raw.clone())]
-        };
-        for &(le, cum) in &d.buckets {
-            let mut labels = extra.clone();
-            labels.push(("le".to_string(), le.to_string()));
-            push_sample(&mut families, &mut seen, fi, "_bucket", labels, cum as f64, raw);
-        }
-        let mut inf = extra.clone();
-        inf.push(("le".to_string(), "+Inf".to_string()));
-        push_sample(&mut families, &mut seen, fi, "_bucket", inf, d.count as f64, raw);
-        push_sample(&mut families, &mut seen, fi, "_sum", extra.clone(), d.sum as f64, raw);
-        push_sample(&mut families, &mut seen, fi, "_count", extra, d.count as f64, raw);
+    for (key, summary, buckets) in &snap.histograms {
+        // The total is the final cumulative bucket count, so `+Inf` and
+        // `_count` agree by construction even when the snapshot raced
+        // recorders; `_sum` may lag by the in-flight recordings, which
+        // Prometheus semantics tolerate.
+        let count = buckets.last().map_or(0, |&(_, c)| c) as f64;
+        let mut samples: Vec<_> =
+            buckets.iter().map(|&(le, cum)| ("_bucket", Some(le.to_string()), cum as f64)).collect();
+        samples.push(("_bucket", Some("+Inf".to_string()), count));
+        samples.push(("_sum", None, summary.sum as f64));
+        samples.push(("_count", None, count));
+        push(key, PromKind::Histogram, samples);
     }
     families
 }
@@ -304,9 +245,6 @@ pub fn prometheus_text() -> String {
             }],
         },
     ];
-    families.extend(build_families(
-        &crate::metrics::snapshot(),
-        &histogram_details(),
-    ));
+    families.extend(build_families(&crate::metrics::snapshot()));
     render_families(&families)
 }

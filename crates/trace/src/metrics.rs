@@ -222,7 +222,7 @@ impl Histogram {
     /// `_bucket{le=...}` samples need. Empty buckets are elided (the
     /// cumulative counts already carry them); the final pair's count
     /// equals [`Histogram::count`], rendered as `le="+Inf"` upstream.
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
+    pub fn cumulative_buckets(&self) -> Buckets {
         let mut out = Vec::new();
         let mut cum = 0u64;
         for (i, b) in self.buckets.iter().enumerate() {
@@ -239,6 +239,7 @@ impl Histogram {
     pub fn summary(&self) -> HistogramSummary {
         HistogramSummary {
             count: self.count(),
+            sum: self.sum(),
             mean: self.mean(),
             min: self.min(),
             p50: self.p50(),
@@ -255,6 +256,8 @@ impl Histogram {
 pub struct HistogramSummary {
     /// Sample count.
     pub count: u64,
+    /// Sum of the samples (wrapping at `u64::MAX`).
+    pub sum: u64,
     /// Arithmetic mean.
     pub mean: f64,
     /// Smallest sample.
@@ -279,160 +282,187 @@ enum Metric {
     Hist(Arc<Histogram>),
 }
 
-static METRICS: Mutex<BTreeMap<String, Metric>> = Mutex::new(BTreeMap::new());
+/// A series' one optional label, `(key, value)`: `("tenant", "serial")`,
+/// `("shard", "3")`. Keys are code constants (never `le` or `raw`, which
+/// the exposition renderer adds itself); values may be any string.
+pub type Label = Option<(&'static str, String)>;
 
-fn registry() -> std::sync::MutexGuard<'static, BTreeMap<String, Metric>> {
+/// What identifies a series in the registry: its family name (an
+/// arbitrary string) and its label. Ordered by family first, so a family's
+/// series sit side by side in a [`snapshot`], the unlabelled one first.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct SeriesKey {
+    /// Family name, e.g. `server.queue_depth`.
+    pub family: String,
+    /// The label that tells the family's series apart.
+    pub label: Label,
+}
+
+/// `family` or `family{key="value"}`, the spelling of the CSV and the
+/// plain-text rendering.
+impl std::fmt::Display for SeriesKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.label {
+            None => f.pad(&self.family),
+            Some((k, v)) => f.pad(&format!("{}{{{k}=\"{v}\"}}", self.family)),
+        }
+    }
+}
+
+impl SeriesKey {
+    /// The counter registered under this key (created on first use).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key is already registered as a different metric kind.
+    pub fn counter(self) -> Arc<Counter> {
+        register(self)
+    }
+
+    /// The gauge registered under this key (created on first use).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key is already registered as a different metric kind.
+    pub fn gauge(self) -> Arc<Gauge> {
+        register(self)
+    }
+
+    /// The histogram registered under this key (created on first use).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key is already registered as a different metric kind.
+    pub fn histogram(self) -> Arc<Histogram> {
+        register(self)
+    }
+}
+
+/// The key of series `key="value"` of `family` — the one labelled entry
+/// point: `labelled("server.queue_depth", "tenant", name).gauge()`,
+/// `labelled("bsp.shard_messages", "shard", s).counter()`. A [`snapshot`]
+/// lists every series of the family side by side, which is how per-tenant
+/// attribution and the BSP engine's per-shard imbalance show up.
+///
+/// Families are capped at [`MAX_LABELLED_SERIES`] labelled series; past
+/// the cap a new series gets an unregistered sink (its handle still
+/// records, invisibly) and `metrics.series_dropped` counts it.
+pub fn labelled(family: &str, key: &'static str, value: impl ToString) -> SeriesKey {
+    SeriesKey {
+        family: family.to_string(),
+        label: Some((key, value.to_string())),
+    }
+}
+
+static METRICS: Mutex<BTreeMap<SeriesKey, Metric>> = Mutex::new(BTreeMap::new());
+
+fn registry() -> std::sync::MutexGuard<'static, BTreeMap<SeriesKey, Metric>> {
     METRICS
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The counter registered under `name` (created on first use).
+/// Cap on live labelled series per family. Tenant names are user input, so
+/// an unbounded family would grow one series per distinct name *ever
+/// created* — a classic cardinality leak. Deleting a tenant must evict its
+/// series with [`evict_label`] to make room.
+pub const MAX_LABELLED_SERIES: usize = 256;
+
+/// A metric kind the registry stores, for the one generic [`register`].
+trait Kind: Default {
+    fn wrap(this: Arc<Self>) -> Metric;
+    fn of(metric: &Metric) -> Option<&Arc<Self>>;
+}
+
+/// `impl Kind for $kind`, stored as `Metric::$variant`.
+macro_rules! kind {
+    ($kind:ty, $variant:ident) => {
+        impl Kind for $kind {
+            fn wrap(this: Arc<Self>) -> Metric {
+                Metric::$variant(this)
+            }
+            fn of(metric: &Metric) -> Option<&Arc<Self>> {
+                match metric {
+                    Metric::$variant(m) => Some(m),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+kind!(Counter, Counter);
+kind!(Gauge, Gauge);
+kind!(Histogram, Hist);
+
+/// The one registration path: the metric under `key`, created on first
+/// use, or an overflow sink when `key` is labelled and its family is full.
+fn register<T: Kind>(key: SeriesKey) -> Arc<T> {
+    get_or_insert(&mut registry(), key)
+}
+
+/// [`register`] with the registry lock already held (`std::sync::Mutex`
+/// is not reentrant, and the overflow path bumps a counter of its own).
+fn get_or_insert<T: Kind>(reg: &mut BTreeMap<SeriesKey, Metric>, key: SeriesKey) -> Arc<T> {
+    if let Some(metric) = reg.get(&key) {
+        return match T::of(metric) {
+            Some(m) => Arc::clone(m),
+            None => panic!("metric `{key}` already registered as {metric:?}"),
+        };
+    }
+    if key.label.is_some() {
+        let family = SeriesKey { family: key.family.clone(), label: None };
+        let live = reg
+            .range(family..)
+            .take_while(|(k, _)| k.family == key.family)
+            .filter(|(k, _)| k.label.is_some())
+            .count();
+        if live >= MAX_LABELLED_SERIES {
+            let dropped = SeriesKey { family: "metrics.series_dropped".to_string(), label: None };
+            get_or_insert::<Counter>(reg, dropped).incr();
+            return Arc::default();
+        }
+    }
+    let metric = Arc::<T>::default();
+    reg.insert(key, T::wrap(Arc::clone(&metric)));
+    metric
+}
+
+/// The unlabelled counter `name` (created on first use).
 ///
 /// # Panics
 ///
 /// Panics if `name` is already registered as a different metric kind.
 pub fn counter(name: &str) -> Arc<Counter> {
-    match registry()
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Counter(Arc::new(Counter::default())))
-    {
-        Metric::Counter(c) => Arc::clone(c),
-        other => panic!("metric `{name}` already registered as {other:?}"),
-    }
+    register(SeriesKey { family: name.to_string(), label: None })
 }
 
-/// Cap on live series per indexed family. Tenant/shard ids are minted
-/// monotonically for the life of a server process, so an unbounded
-/// family would grow one series per tenant *ever created* — a classic
-/// cardinality leak. At the cap, new members get an unregistered
-/// overflow sink (their handle still records, invisibly) and the
-/// `metrics.series_dropped` counter is bumped; deleting a tenant must
-/// evict its series with [`remove_indexed`] to make room.
-pub const MAX_INDEXED_SERIES: usize = 256;
-
-/// Counts the live members of family `name` (entries `name.<digits>`).
-/// Caller holds the registry lock.
-fn family_len(reg: &BTreeMap<String, Metric>, name: &str) -> usize {
-    let prefix = format!("{name}.");
-    reg.range(prefix.clone()..)
-        .take_while(|(k, _)| k.starts_with(&prefix))
-        .filter(|(k, _)| {
-            let suffix = &k[prefix.len()..];
-            !suffix.is_empty() && suffix.bytes().all(|b| b.is_ascii_digit())
-        })
-        .count()
-}
-
-/// Bumps `metrics.series_dropped` while the registry lock is held (the
-/// public [`counter`] helper would deadlock — `std::sync::Mutex` is not
-/// reentrant).
-fn bump_series_dropped(reg: &mut BTreeMap<String, Metric>) {
-    let metric = reg
-        .entry("metrics.series_dropped".to_string())
-        .or_insert_with(|| Metric::Counter(Arc::new(Counter::default())));
-    if let Metric::Counter(c) = metric {
-        c.incr();
-    }
-}
-
-/// The counter registered under `name.index` (created on first use) —
-/// the convention for per-shard / per-worker counter families, e.g.
-/// `indexed_counter("bsp.shard_messages", 3)` →
-/// `bsp.shard_messages.3`. Keeping the index in the name means a
-/// [`snapshot`] lists every member of the family side by side, which is
-/// how the BSP engine's per-shard imbalance shows up in reports.
-///
-/// Families are capped at [`MAX_INDEXED_SERIES`] live members; overflow
-/// members record into an unregistered sink and are tallied in
-/// `metrics.series_dropped`.
-///
-/// # Panics
-///
-/// Panics if the derived name is already registered as a different
-/// metric kind.
-pub fn indexed_counter(name: &str, index: usize) -> Arc<Counter> {
-    let key = format!("{name}.{index}");
-    let mut reg = registry();
-    if let Some(metric) = reg.get(&key) {
-        return match metric {
-            Metric::Counter(c) => Arc::clone(c),
-            other => panic!("metric `{key}` already registered as {other:?}"),
-        };
-    }
-    if family_len(&reg, name) >= MAX_INDEXED_SERIES {
-        bump_series_dropped(&mut reg);
-        return Arc::new(Counter::default());
-    }
-    let c = Arc::new(Counter::default());
-    reg.insert(key, Metric::Counter(Arc::clone(&c)));
-    c
-}
-
-/// The gauge registered under `name` (created on first use).
+/// The unlabelled gauge `name` (created on first use).
 ///
 /// # Panics
 ///
 /// Panics if `name` is already registered as a different metric kind.
 pub fn gauge(name: &str) -> Arc<Gauge> {
-    match registry()
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())))
-    {
-        Metric::Gauge(g) => Arc::clone(g),
-        other => panic!("metric `{name}` already registered as {other:?}"),
-    }
+    register(SeriesKey { family: name.to_string(), label: None })
 }
 
-/// The gauge registered under `name.index` (created on first use) — the
-/// gauge twin of [`indexed_counter`], used for per-instance families such
-/// as `saga-server`'s per-tenant queue-depth gauges
-/// (`server.queue_depth.3`). Keeping the index in the name means a
-/// [`snapshot`] lists every member of the family side by side. Capped at
-/// [`MAX_INDEXED_SERIES`] live members like [`indexed_counter`].
-///
-/// # Panics
-///
-/// Panics if the derived name is already registered as a different
-/// metric kind.
-pub fn indexed_gauge(name: &str, index: usize) -> Arc<Gauge> {
-    let key = format!("{name}.{index}");
-    let mut reg = registry();
-    if let Some(metric) = reg.get(&key) {
-        return match metric {
-            Metric::Gauge(g) => Arc::clone(g),
-            other => panic!("metric `{key}` already registered as {other:?}"),
-        };
-    }
-    if family_len(&reg, name) >= MAX_INDEXED_SERIES {
-        bump_series_dropped(&mut reg);
-        return Arc::new(Gauge::default());
-    }
-    let g = Arc::new(Gauge::default());
-    reg.insert(key, Metric::Gauge(Arc::clone(&g)));
-    g
-}
-
-/// Evicts the `name.index` member of an indexed family (all kinds),
-/// freeing its cardinality-budget slot. Tenant deletion calls this for
-/// each per-tenant series. Returns whether the series existed.
-pub fn remove_indexed(name: &str, index: usize) -> bool {
-    registry().remove(&format!("{name}.{index}")).is_some()
-}
-
-/// The histogram registered under `name` (created on first use).
+/// The unlabelled histogram `name` (created on first use).
 ///
 /// # Panics
 ///
 /// Panics if `name` is already registered as a different metric kind.
 pub fn histogram(name: &str) -> Arc<Histogram> {
-    match registry()
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Hist(Arc::new(Histogram::new())))
-    {
-        Metric::Hist(h) => Arc::clone(h),
-        other => panic!("metric `{name}` already registered as {other:?}"),
-    }
+    register(SeriesKey { family: name.to_string(), label: None })
+}
+
+/// Evicts every series labelled `key="value"`, of every family and kind,
+/// freeing their cardinality-budget slots; held handles keep recording
+/// into orphans. Tenant deletion calls `evict_label("tenant", name)`.
+/// Returns how many series went.
+pub fn evict_label(key: &str, value: &str) -> usize {
+    let mut reg = registry();
+    let before = reg.len();
+    reg.retain(|k, _| !matches!(&k.label, Some((lk, lv)) if *lk == key && lv == value));
+    before - reg.len()
 }
 
 /// Unregisters every metric (held handles keep recording into orphans).
@@ -440,16 +470,21 @@ pub fn reset() {
     registry().clear();
 }
 
-/// A point-in-time copy of every registered metric, ordered by name.
+/// A point-in-time copy of every registered metric, ordered by key.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Counter values.
-    pub counters: Vec<(String, u64)>,
+    pub counters: Vec<(SeriesKey, u64)>,
     /// Gauge values.
-    pub gauges: Vec<(String, f64)>,
-    /// Histogram summaries.
-    pub histograms: Vec<(String, HistogramSummary)>,
+    pub gauges: Vec<(SeriesKey, f64)>,
+    /// Histogram summaries, each with its occupied buckets for exposition
+    /// formats that need more than the quantile row.
+    pub histograms: Vec<(SeriesKey, HistogramSummary, Buckets)>,
 }
+
+/// Occupied histogram buckets as `(inclusive_upper_bound,
+/// cumulative_count)` pairs, ascending (see [`Histogram::cumulative_buckets`]).
+pub type Buckets = Vec<(u64, u64)>;
 
 impl MetricsSnapshot {
     /// True when no metric holds any data.
@@ -458,25 +493,26 @@ impl MetricsSnapshot {
     }
 
     /// CSV rendering: `kind,name,count,value,min,p50,p90,p99,p999,max`
-    /// (counters/gauges fill `value` only). Names are quoted per RFC
-    /// 4180 when they contain `,`, `"`, or line breaks — metric names
-    /// are arbitrary strings (derived from user-supplied labels in some
-    /// callers), and an unescaped comma would shift every later column.
+    /// (counters/gauges fill `value` only), `name` spelled
+    /// `family{key="value"}` for a labelled series. Names are quoted per
+    /// RFC 4180 when they contain `,`, `"`, or line breaks — family names
+    /// and label values are arbitrary strings, and an unescaped comma
+    /// would shift every later column.
     /// Metrics CSV is write-only: the soak, the flight dumps and
     /// `GET /metrics?format=csv` write it for people and spreadsheets, and
     /// nothing in the workspace reads it back.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("kind,name,count,value,min,p50,p90,p99,p999,max\n");
-        for (name, v) in &self.counters {
-            out.push_str(&format!("counter,{},,{v},,,,,,\n", csv_field(name)));
+        for (key, v) in &self.counters {
+            out.push_str(&format!("counter,{},,{v},,,,,,\n", csv_field(&key.to_string())));
         }
-        for (name, v) in &self.gauges {
-            out.push_str(&format!("gauge,{},,{v},,,,,,\n", csv_field(name)));
+        for (key, v) in &self.gauges {
+            out.push_str(&format!("gauge,{},,{v},,,,,,\n", csv_field(&key.to_string())));
         }
-        for (name, h) in &self.histograms {
+        for (key, h, _) in &self.histograms {
             out.push_str(&format!(
                 "histogram,{},{},{:.1},{},{},{},{},{},{}\n",
-                csv_field(name),
+                csv_field(&key.to_string()),
                 h.count,
                 h.mean,
                 h.min,
@@ -495,18 +531,18 @@ impl MetricsSnapshot {
         let mut out = String::new();
         if !self.counters.is_empty() || !self.gauges.is_empty() {
             out.push_str("counters/gauges:\n");
-            for (name, v) in &self.counters {
-                out.push_str(&format!("  {name:<40} {v}\n"));
+            for (key, v) in &self.counters {
+                out.push_str(&format!("  {key:<40} {v}\n"));
             }
-            for (name, v) in &self.gauges {
-                out.push_str(&format!("  {name:<40} {v}\n"));
+            for (key, v) in &self.gauges {
+                out.push_str(&format!("  {key:<40} {v}\n"));
             }
         }
         if !self.histograms.is_empty() {
             out.push_str("histograms (count mean p50 p90 p99 p999 max):\n");
-            for (name, h) in &self.histograms {
+            for (key, h, _) in &self.histograms {
                 out.push_str(&format!(
-                    "  {name:<40} {} {:.1} {} {} {} {} {}\n",
+                    "  {key:<40} {} {:.1} {} {} {} {} {}\n",
                     h.count, h.mean, h.p50, h.p90, h.p99, h.p999, h.max
                 ));
             }
@@ -526,50 +562,16 @@ fn csv_field(s: &str) -> String {
     }
 }
 
-/// Bucket-level view of one live histogram, for exposition formats that
-/// need more than the quantile summary.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HistogramDetail {
-    /// Occupied buckets as `(inclusive_upper_bound, cumulative_count)`,
-    /// ascending (see [`Histogram::cumulative_buckets`]).
-    pub buckets: Vec<(u64, u64)>,
-    /// Total samples, taken as the final cumulative bucket count so the
-    /// `+Inf` invariant (`bucket[+Inf] == count`) holds by construction
-    /// even when sampled concurrently with recorders.
-    pub count: u64,
-    /// Sum of samples (racy with respect to `count` by at most the
-    /// in-flight recordings; Prometheus semantics tolerate this).
-    pub sum: u64,
-}
-
-/// Snapshots every live histogram with bucket detail, ordered by name.
-pub fn histogram_details() -> Vec<(String, HistogramDetail)> {
-    let mut out = Vec::new();
-    for (name, metric) in registry().iter() {
-        if let Metric::Hist(h) = metric {
-            let buckets = h.cumulative_buckets();
-            let count = buckets.last().map_or(0, |&(_, c)| c);
-            out.push((
-                name.clone(),
-                HistogramDetail {
-                    buckets,
-                    count,
-                    sum: h.sum(),
-                },
-            ));
-        }
-    }
-    out
-}
-
 /// Snapshots every registered metric.
 pub fn snapshot() -> MetricsSnapshot {
     let mut snap = MetricsSnapshot::default();
-    for (name, metric) in registry().iter() {
+    for (key, metric) in registry().iter() {
         match metric {
-            Metric::Counter(c) => snap.counters.push((name.clone(), c.get())),
-            Metric::Gauge(g) => snap.gauges.push((name.clone(), g.get())),
-            Metric::Hist(h) => snap.histograms.push((name.clone(), h.summary())),
+            Metric::Counter(c) => snap.counters.push((key.clone(), c.get())),
+            Metric::Gauge(g) => snap.gauges.push((key.clone(), g.get())),
+            Metric::Hist(h) => {
+                snap.histograms.push((key.clone(), h.summary(), h.cumulative_buckets()))
+            }
         }
     }
     snap
@@ -657,52 +659,64 @@ mod tests {
         assert_eq!(h.min(), 0);
     }
 
+    /// The live labelled series of `family` in a fresh snapshot.
+    fn series_of(family: &str) -> Vec<SeriesKey> {
+        let snap = snapshot();
+        let counters = snap.counters.into_iter().map(|(k, _)| k);
+        let gauges = snap.gauges.into_iter().map(|(k, _)| k);
+        counters.chain(gauges).filter(|k| k.family == family).collect()
+    }
+
+    fn series_dropped() -> Option<u64> {
+        let dropped = SeriesKey { family: "metrics.series_dropped".to_string(), label: None };
+        snapshot().counters.into_iter().find(|(k, _)| *k == dropped).map(|(_, v)| v)
+    }
+
     #[test]
-    fn indexed_family_cardinality_is_bounded_under_churn() {
+    fn labelled_family_cardinality_is_bounded_under_churn() {
         let _guard = registry_test();
-        // Churn 10k tenant ids through a gauge family without evicting:
+        // Churn 10k tenant names through a gauge family without evicting:
         // the registry must stay at the cap, the rest counted as dropped.
+        // The family's unlabelled series does not count against the cap.
+        gauge("test.churn.depth").set(1.0);
         for id in 0..10_000usize {
-            indexed_gauge("test.churn.depth", id).set(id as f64);
+            labelled("test.churn.depth", "tenant", id).gauge().set(id as f64);
         }
-        let live = {
-            let snap = snapshot();
-            snap.gauges
-                .iter()
-                .filter(|(n, _)| n.starts_with("test.churn.depth."))
-                .count()
-        };
-        assert_eq!(live, MAX_INDEXED_SERIES);
-        let dropped = {
-            let snap = snapshot();
-            snap.counters
-                .iter()
-                .find(|(n, _)| n == "metrics.series_dropped")
-                .map(|(_, v)| *v)
-                .unwrap()
-        };
-        assert_eq!(dropped, (10_000 - MAX_INDEXED_SERIES) as u64);
+        assert_eq!(series_of("test.churn.depth").len(), MAX_LABELLED_SERIES + 1);
+        assert_eq!(series_dropped(), Some((10_000 - MAX_LABELLED_SERIES) as u64));
         // Overflow handles still work, they just record invisibly.
-        indexed_gauge("test.churn.depth", 99_999).set(1.0);
+        labelled("test.churn.depth", "tenant", 99_999).gauge().set(1.0);
 
         reset();
         // With delete-time eviction the same churn never overflows.
         for id in 0..10_000usize {
-            indexed_counter("test.churn.msgs", id).incr();
-            assert!(remove_indexed("test.churn.msgs", id));
+            labelled("test.churn.msgs", "tenant", id).counter().incr();
+            assert_eq!(evict_label("tenant", &id.to_string()), 1);
         }
-        let snap = snapshot();
-        assert!(snap
-            .counters
-            .iter()
-            .all(|(n, _)| !n.starts_with("test.churn.msgs.")));
-        assert!(!snap
-            .counters
-            .iter()
-            .any(|(n, _)| n == "metrics.series_dropped"));
-        assert!(!remove_indexed("test.churn.msgs", 0));
+        assert!(series_of("test.churn.msgs").is_empty());
+        assert_eq!(series_dropped(), None);
+        assert_eq!(evict_label("tenant", "0"), 0);
         // Re-registration after eviction starts a fresh series.
-        assert_eq!(indexed_counter("test.churn.msgs", 0).get(), 0);
+        assert_eq!(labelled("test.churn.msgs", "tenant", 0).counter().get(), 0);
+        reset();
+    }
+
+    #[test]
+    fn eviction_drops_one_label_value_from_every_family() {
+        let _guard = registry_test();
+        labelled("test.ev.depth", "tenant", "a").gauge().set(1.0);
+        labelled("test.ev.depth", "tenant", "b").gauge().set(2.0);
+        labelled("test.ev.bytes", "tenant", "a").gauge().set(3.0);
+        labelled("test.ev.lat", "tenant", "a").histogram().record(7);
+        labelled("test.ev.msgs", "shard", "a").counter().incr();
+        gauge("test.ev.depth").set(4.0);
+        assert_eq!(evict_label("tenant", "a"), 3);
+        let snap = snapshot();
+        let keys: Vec<String> = snap.gauges.iter().map(|(k, _)| k.to_string()).collect();
+        assert_eq!(keys, ["test.ev.depth", "test.ev.depth{tenant=\"b\"}"]);
+        assert!(snap.histograms.is_empty());
+        // Another key with the same value is a different label.
+        assert_eq!(snap.counters.len(), 1);
         reset();
     }
 
@@ -730,38 +744,43 @@ mod tests {
         let _guard = registry_test();
         counter("test.reg.hits").add(3);
         counter("test.reg.hits").add(2);
-        // Indexed counters are plain counters under a `name.index` family.
-        indexed_counter("test.idx.shard", 0).add(4);
-        indexed_counter("test.idx.shard", 1).add(9);
-        indexed_counter("test.idx.shard", 0).incr();
+        // Labelled counters are plain counters keyed by family and label.
+        labelled("test.idx.shard", "shard", 0).counter().add(4);
+        labelled("test.idx.shard", "shard", 1).counter().add(9);
+        labelled("test.idx.shard", "shard", 0).counter().incr();
         {
-            let snap = snapshot();
-            let family: Vec<_> = snap
+            let family: Vec<_> = snapshot()
                 .counters
-                .iter()
-                .filter(|(n, _)| n.starts_with("test.idx.shard"))
-                .cloned()
+                .into_iter()
+                .filter(|(k, _)| k.family == "test.idx.shard")
+                .map(|(k, v)| (k.to_string(), v))
                 .collect();
             assert_eq!(
                 family,
                 vec![
-                    ("test.idx.shard.0".to_string(), 5),
-                    ("test.idx.shard.1".to_string(), 9),
+                    ("test.idx.shard{shard=\"0\"}".to_string(), 5),
+                    ("test.idx.shard{shard=\"1\"}".to_string(), 9),
                 ]
             );
+            let csv = snapshot().to_csv();
+            assert!(csv.contains("\ncounter,\"test.idx.shard{shard=\"\"1\"\"}\",,9,"), "{csv}");
+            let text = snapshot().render();
+            assert!(text.contains("  test.idx.shard{shard=\"1\"}      "), "{text}");
         }
         reset();
         counter("test.reg.hits").add(5);
         gauge("test.reg.ratio").set(0.5);
         histogram("test.reg.lat").record(100);
+        histogram("test.reg.lat").record(300);
         let snap = snapshot();
-        assert_eq!(
-            snap.counters,
-            vec![("test.reg.hits".to_string(), 5)]
-        );
+        assert_eq!(snap.counters.len(), 1);
+        assert_eq!(snap.counters[0].0.to_string(), "test.reg.hits");
+        assert_eq!(snap.counters[0].1, 5);
         assert_eq!(snap.gauges.len(), 1);
         assert_eq!(snap.histograms.len(), 1);
-        assert_eq!(snap.histograms[0].1.count, 1);
+        let (_, summary, buckets) = &snap.histograms[0];
+        assert_eq!((summary.count, summary.sum), (2, 400));
+        assert_eq!(buckets.last().map(|b| b.1), Some(2));
         let csv = snap.to_csv();
         assert!(csv.starts_with("kind,name,"));
         assert!(csv.contains("counter,test.reg.hits,,5,"));

@@ -306,16 +306,6 @@ impl ThreadPool {
         }
     }
 
-    /// Parallel loop over the items of a slice (static schedule).
-    #[cfg_attr(debug_assertions, track_caller)]
-    pub fn parallel_for_each<T, F>(&self, items: &[T], schedule: Schedule, f: F)
-    where
-        T: Sync,
-        F: Fn(&T) + Sync,
-    {
-        self.parallel_for(0..items.len(), schedule, |i| f(&items[i]));
-    }
-
     /// Splits `range` into one contiguous sub-range per worker and calls
     /// `f(worker_id, sub_range)` on each worker in parallel.
     ///
@@ -610,16 +600,5 @@ mod tests {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn borrows_local_data() {
-        let pool = ThreadPool::new(3);
-        let data: Vec<usize> = (0..100).collect();
-        let sum = AtomicUsize::new(0);
-        pool.parallel_for_each(&data, Schedule::Static, |x| {
-            sum.fetch_add(*x, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), data.iter().sum::<usize>());
     }
 }
