@@ -4,49 +4,60 @@
 //! The real loom crate is not available in this repository's offline build
 //! environment, so this crate provides the subset of its surface that the
 //! `saga_utils::sync` facade needs: [`model`], [`sync::atomic`] integer
-//! atomics, a poison-free [`sync::Mutex`]/[`sync::Condvar`] pair,
-//! [`sync::RwLock`], [`sync::OnceLock`], and
+//! atomics, a poison-free [`sync::Mutex`]/[`sync::Condvar`] pair, a
+//! shared-mode [`sync::RwLock`], [`sync::OnceLock`], and
 //! [`thread::spawn`]/[`thread::JoinHandle`]. Code written against the
 //! facade compiles against `std::sync` normally and against this
-//! crate under `--cfg loom`.
+//! crate under `--cfg loom`, so the models drive production types.
 //!
 //! # What it checks
 //!
 //! [`model`] runs a closure repeatedly, each time under a cooperative
 //! scheduler that serializes the program onto one runnable thread at a time
 //! and explores a different interleaving of the *scheduling points* (every
-//! atomic access, mutex acquisition, condvar wait/notify, spawn, and join).
+//! atomic access, lock acquisition, condvar wait/notify, spawn, and join).
 //! Exploration is a depth-first search over the scheduling decisions with
 //! **preemption bounding** (the CHESS strategy): schedules that preempt a
 //! runnable thread more than [`Builder::preemption_bound`] times are pruned.
 //! Small bounds find the overwhelming majority of interleaving bugs while
 //! keeping the schedule count polynomial.
 //!
-//! Within an explored schedule the checker detects, and reports with a full
-//! schedule trace:
+//! [`sync::RwLock`] is shared: two read guards are out at once, and a write
+//! guard waits until none is. Within an explored schedule the checker
+//! detects, and reports with a full schedule trace:
 //!
 //! - assertion failures / panics on any modeled thread,
 //! - deadlocks (no thread can make progress, including lost condvar
-//!   wakeups),
+//!   wakeups and a writer waiting on a reader that waits on it),
 //! - non-deterministic models (the replayed prefix diverges),
-//! - an access of a [`cell::CausalCell`] that its last write does not
-//!   happen-before — the way a missing Release / Acquire pairing shows up
-//!   (see below).
+//! - an **unordered read**: a `Relaxed` load that returns another
+//!   thread's plain store when that store does not happen-before the load.
+//!   Every thread carries a vector clock; spawn, join, a mutex hand-over,
+//!   a write unlock → the next read or write lock, every read unlock → the
+//!   next write lock, and a Release → Acquire atomic pair carry it across
+//!   threads. Read → read carries nothing. So a payload stored `Relaxed`
+//!   and published by a `Release` length, link or flag fails the model when
+//!   the publishing store is `Relaxed`, or when the reader's load of it is.
+//!   A location last written by a read-modify-write (a counter, a cursor)
+//!   is exempt until its next plain store: an RMW reads the latest value.
 //!
 //! # What it does not check
 //!
 //! Unlike the real loom, this checker explores interleavings under
 //! **sequential consistency**: a load always returns the latest store, so
-//! it never *shows* the stale value a weaker memory model could. Orderings
-//! are not ignored, though: every thread carries a vector clock that spawn,
-//! join, mutex hand-over and Release → Acquire atomic pairs propagate, and a
-//! model that keeps its published payload in [`cell::CausalCell`]s fails
-//! when a reader gets to the payload without being ordered after its write
-//! (a Relaxed store where a Release was needed). Ordering bugs on plain
-//! atomics with no such cell behind them are out of scope — those are
-//! covered by the ThreadSanitizer CI job instead.
+//! it never *shows* a stale value; the unordered-read rule stands in for
+//! that, for `Relaxed` loads only. A stale value an *Acquire* load could
+//! read is out of reach: Stinger's `append` with its `link` store made
+//! `Relaxed` passes, because the new block's `len`, loaded Acquire behind
+//! the link, always returns the latest (Release) store. So is a write-only
+//! atomic, which has no ordering to check. The rule is also stricter than
+//! C11: a deliberate `Relaxed` race on a plain store (INC's racing property
+//! stores in `saga_graph::properties`) fails it, so such code is not
+//! modeled. A `static` modeled atomic outlives one schedule, and so does
+//! the record of its last plain store; no model stores into one plainly.
 //! Spurious condvar wakeups and the spurious failure mode of
-//! `compare_exchange_weak` are not modeled either.
+//! `compare_exchange_weak` are not modeled either; ThreadSanitizer covers
+//! data races on real threads.
 //!
 //! # Examples
 //!
@@ -76,7 +87,6 @@
 //! });
 //! ```
 
-pub mod cell;
 mod rt;
 pub mod sync;
 pub mod thread;

@@ -14,11 +14,12 @@
 //!
 //! Beside the schedule, the runtime tracks *happens-before* with one vector
 //! clock per thread ([`VClock`]): a thread ticks its own entry at every
-//! scheduling point, and spawn, join, a mutex release → acquire, and a
-//! Release-side atomic store → Acquire-side load carry the clock across
-//! threads. Values are still sequentially consistent; the clocks only
-//! answer "is that write ordered before this read?" for
-//! [`crate::cell::CausalCell`].
+//! scheduling point, and spawn, join, a mutex or write-lock release → the
+//! next acquire, a write unlock → a read lock, every read unlock → the
+//! next write lock, and a Release-side atomic store → Acquire-side load
+//! carry the clock across threads. Values are still sequentially
+//! consistent; the clocks only answer "is that store ordered before this
+//! Relaxed load?" for the modeled atomics.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -62,14 +63,26 @@ pub(crate) struct Now<'a> {
     pub(crate) clock: &'a mut VClock,
 }
 
+impl Now<'_> {
+    /// `(thread, step)` of this thread's current scheduling step, as a
+    /// plain store records it.
+    pub(crate) fn step(&self) -> (usize, u64) {
+        (self.tid, self.clock.get(self.tid))
+    }
+}
+
 /// The operation a parked thread is about to perform; determines whether
 /// the scheduler may grant it the baton.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Pending {
     /// Unconditional shared-memory step (atomic access, notify, spawn).
     Op,
-    /// Acquire the mutex keyed by this address; enabled iff unlocked.
+    /// Acquire the mutex (or write lock) keyed by this address; enabled
+    /// iff it has no owner and no reader.
     Lock(usize),
+    /// Acquire the read lock keyed by this address; enabled iff it has no
+    /// owner (readers share it).
+    Read(usize),
     /// Join the given thread; enabled iff it has finished.
     Join(usize),
 }
@@ -91,7 +104,8 @@ enum Status {
 /// and derive the next schedule to explore.
 #[derive(Debug, Clone)]
 struct Decision {
-    /// Thread ids that were grantable at this point, ascending.
+    /// Thread ids that were grantable at this point: the previously
+    /// running one first, if it was, then the rest ascending.
     enabled: Vec<usize>,
     /// Index into `enabled` of the granted thread.
     index: usize,
@@ -108,6 +122,11 @@ struct ModelState {
     clocks: Vec<VClock>,
     /// Per mutex address: the clock its last holder released it with.
     lock_clocks: HashMap<usize, VClock>,
+    /// Per read-write lock address: every read unlock's clock, joined.
+    reader_clocks: HashMap<usize, VClock>,
+    /// Per read-write lock address: the threads holding it shared (one
+    /// entry per guard).
+    readers: HashMap<usize, Vec<usize>>,
     /// Baton holder; `None` while the scheduler is deciding.
     active: Option<usize>,
     prev_active: Option<usize>,
@@ -216,6 +235,15 @@ fn yield_point(pending: Pending) {
                     *owner = Some(me);
                     acquire_lock_clock(st, me, m);
                 }
+                Pending::Read(m) => {
+                    st.readers.entry(m).or_default().push(me);
+                    // The last writer's release; read → read publishes
+                    // nothing.
+                    if let Some(released) = st.lock_clocks.get(&m) {
+                        let released = released.clone();
+                        st.clocks[me].join(&released);
+                    }
+                }
                 Pending::Join(t) => {
                     let finished = st.clocks[t].clone();
                     st.clocks[me].join(&finished);
@@ -227,9 +255,10 @@ fn yield_point(pending: Pending) {
     }
 }
 
-/// Joins the clock mutex `m` was last released with into thread `me`'s.
+/// Joins the clock lock `m` was last released with, and every read
+/// unlock's, into thread `me`'s: what an exclusive acquire is ordered after.
 fn acquire_lock_clock(st: &mut ModelState, me: usize, m: usize) {
-    if let Some(released) = st.lock_clocks.get(&m) {
+    for released in [st.lock_clocks.get(&m), st.reader_clocks.get(&m)].into_iter().flatten() {
         let released = released.clone();
         st.clocks[me].join(&released);
     }
@@ -281,6 +310,29 @@ pub(crate) fn mutex_unlock(addr: usize) {
             *owner = None;
             st.lock_clocks.insert(addr, st.clocks[me].clone());
         }
+    }
+}
+
+/// Acquires the modeled read lock keyed by `addr` (blocking schedule-wise
+/// while a writer holds it).
+pub(crate) fn read_lock(addr: usize) {
+    if abort_bypass() {
+        return;
+    }
+    yield_point(Pending::Read(addr));
+}
+
+/// Releases one read guard of the lock keyed by `addr`; like
+/// [`mutex_unlock`], not a scheduling point and never panics.
+pub(crate) fn read_unlock(addr: usize) {
+    let Some(me) = current_tid() else { return };
+    let mut guard = RT.state.lock().unwrap_or_else(|e| e.into_inner());
+    let Some(st) = guard.as_mut() else { return };
+    let Some(readers) = st.readers.get_mut(&addr) else { return };
+    if let Some(i) = readers.iter().position(|&t| t == me) {
+        readers.swap_remove(i);
+        let released = st.clocks[me].clone();
+        st.reader_clocks.entry(addr).or_default().join(&released);
     }
 }
 
@@ -459,7 +511,9 @@ fn is_enabled(st: &ModelState, tid: usize) -> bool {
         Status::Parked(Pending::Op) => true,
         Status::Parked(Pending::Lock(m)) => {
             st.mutexes.get(&m).copied().flatten().is_none()
+                && st.readers.get(&m).is_none_or(Vec::is_empty)
         }
+        Status::Parked(Pending::Read(m)) => st.mutexes.get(&m).copied().flatten().is_none(),
         Status::Parked(Pending::Join(t)) => matches!(st.threads[t], Status::Finished),
         Status::Running | Status::CondWait | Status::Finished => false,
     }
@@ -518,6 +572,8 @@ fn run_iteration(
             threads: vec![Status::Parked(Pending::Op)],
             clocks: vec![VClock::new()],
             lock_clocks: HashMap::new(),
+            reader_clocks: HashMap::new(),
+            readers: HashMap::new(),
             active: None,
             prev_active: None,
             mutexes: HashMap::new(),
@@ -553,9 +609,14 @@ fn run_iteration(
                 {
                     break;
                 }
-                let enabled: Vec<usize> = (0..st.threads.len())
+                let mut enabled: Vec<usize> = (0..st.threads.len())
                     .filter(|&t| is_enabled(st, t))
                     .collect();
+                // The thread that ran last goes first: index 0 continues
+                // it, and backtracking tries every other index.
+                if let Some(i) = st.prev_active.and_then(|p| enabled.iter().position(|&t| t == p)) {
+                    enabled[..=i].rotate_right(1);
+                }
                 let any_parked_or_waiting = st.threads.iter().any(|t| {
                     matches!(t, Status::Parked(_) | Status::CondWait)
                 });
@@ -586,19 +647,15 @@ fn run_iteration(
                         }
                         st.path[cursor].index
                     } else {
-                        // Fresh extension: prefer continuing the previous
-                        // thread (no preemption), else the lowest tid.
-                        let idx = st
-                            .prev_active
-                            .and_then(|p| enabled.iter().position(|&t| t == p))
-                            .unwrap_or(0);
+                        // Fresh extension: continue the previous thread (no
+                        // preemption), else the lowest tid.
                         st.path.push(Decision {
                             enabled: enabled.clone(),
-                            index: idx,
+                            index: 0,
                             prev_active: st.prev_active,
                             preempts_before: st.preempts,
                         });
-                        idx
+                        0
                     };
                     let chosen = enabled[index];
                     if let Some(p) = st.prev_active {

@@ -19,8 +19,9 @@ pub use std::sync::Arc;
 /// an intentional trade-off). Orderings still decide *happens-before*: a
 /// Release-side store (or RMW) publishes the storing thread's clock with the
 /// value, an Acquire-side load (or RMW) that reads it joins that clock, and
-/// a Relaxed store publishes nothing — which is what a
-/// [`CausalCell`](crate::cell::CausalCell) read behind the atomic checks.
+/// a Relaxed store publishes nothing. A Relaxed load of another thread's
+/// plain store that does not happen-before it fails the model: on a weakly
+/// ordered machine it could have read an older value.
 pub mod atomic {
     use super::rt::{self, Now, VClock};
     use std::cell::UnsafeCell;
@@ -35,12 +36,22 @@ pub mod atomic {
         matches!(order, Ordering::Release | Ordering::AcqRel | Ordering::SeqCst)
     }
 
-    /// One modeled atomic location: its value and the clock its last
-    /// Release-side store (extended by the RMWs after it) published.
+    /// One modeled atomic location: its value and what its last writes
+    /// tell a later access.
     #[derive(Debug, Default)]
     struct Location<T> {
         value: UnsafeCell<T>,
-        published: UnsafeCell<VClock>,
+        writes: UnsafeCell<Writes>,
+    }
+
+    /// The clock a location's last Release-side store (extended by the
+    /// RMWs after it) published, and the `(thread, step)` of its last
+    /// plain store — `None` for the initial value or once an RMW has
+    /// written it (a counter).
+    #[derive(Debug, Default)]
+    struct Writes {
+        published: VClock,
+        stored: Option<(usize, u64)>,
     }
 
     // SAFETY: the model scheduler guarantees at most one managed thread
@@ -53,32 +64,42 @@ pub mod atomic {
         const fn new(value: T) -> Self {
             Self {
                 value: UnsafeCell::new(value),
-                published: UnsafeCell::new(VClock::new()),
+                writes: UnsafeCell::new(Writes { published: VClock::new(), stored: None }),
             }
         }
 
-        fn with<R>(&self, f: impl FnOnce(&mut T, &mut VClock, Option<Now<'_>>) -> R) -> R {
+        fn with<R>(&self, f: impl FnOnce(&mut T, &mut Writes, Option<Now<'_>>) -> R) -> R {
             rt::shared_op(|now| {
                 // SAFETY: executed under the scheduler baton (`shared_op`),
                 // so these are the only live accesses to either cell.
-                let (value, published) = unsafe { (&mut *self.value.get(), &mut *self.published.get()) };
-                f(value, published, now)
+                let (value, writes) = unsafe { (&mut *self.value.get(), &mut *self.writes.get()) };
+                f(value, writes, now)
             })
         }
 
         fn load(&self, order: Ordering) -> T {
-            self.with(|value, published, now| {
-                if let Some(now) = now.filter(|_| acquires(order)) {
-                    now.clock.join(published);
+            self.with(|value, writes, now| {
+                if let Some(now) = now {
+                    if acquires(order) {
+                        now.clock.join(&writes.published);
+                    } else if let Some((writer, step)) = writes.stored {
+                        assert!(
+                            now.clock.get(writer) >= step,
+                            "unordered read: thread {} loaded (Relaxed) a value that thread \
+                             {writer} stored, and that store does not happen-before the load",
+                            now.tid
+                        );
+                    }
                 }
                 *value
             })
         }
 
         fn store(&self, new: T, order: Ordering) {
-            self.with(|value, published, now| {
+            self.with(|value, writes, now| {
                 *value = new;
-                *published = match now {
+                writes.stored = now.as_ref().map(Now::step);
+                writes.published = match now {
                     Some(now) if releases(order) => now.clock.clone(),
                     _ => VClock::new(),
                 };
@@ -94,22 +115,23 @@ pub mod atomic {
             failure: Ordering,
             f: impl FnOnce(T) -> Option<T>,
         ) -> Result<T, T> {
-            self.with(|value, published, now| {
+            self.with(|value, writes, now| {
                 let old = *value;
                 let new = f(old);
                 let order = if new.is_some() { order } else { failure };
                 if let Some(now) = now {
                     if acquires(order) {
-                        now.clock.join(published);
+                        now.clock.join(&writes.published);
                     }
                     // An RMW continues the release sequence it read from.
                     if new.is_some() && releases(order) {
-                        published.join(now.clock);
+                        writes.published.join(now.clock);
                     }
                 }
                 match new {
                     Some(new) => {
                         *value = new;
+                        writes.stored = None;
                         Ok(old)
                     }
                     None => Err(old),
@@ -452,12 +474,12 @@ impl Condvar {
 
 /// A modeled reader-writer lock with the facade's API shape.
 ///
-/// The model is deliberately conservative: readers serialize with each
-/// other exactly like writers (both map onto the model's exclusive lock).
-/// That forfeits exploration of reader-reader concurrency — which is
-/// data-race-free by construction — but preserves every lock-ordering and
-/// hold-across-callback interleaving, which is what the model checker is
-/// for. See DESIGN.md §7.
+/// Readers share it: a read guard is granted while no writer holds the
+/// lock, a write guard only when no guard of either kind is out. A read is
+/// ordered after the last write unlock, the next write after every read
+/// unlock; two readers are not ordered by the lock. A reader arriving while
+/// a writer waits is admitted (no writer preference), which the schedules
+/// explore as well.
 #[derive(Debug, Default)]
 pub struct RwLock<T> {
     data: UnsafeCell<T>,
@@ -466,9 +488,10 @@ pub struct RwLock<T> {
     _addr: u8,
 }
 
-// SAFETY: both guard flavors go through the model scheduler's exclusive
-// lock, so `data` is only ever reached by the single thread holding it.
-unsafe impl<T: Send> Sync for RwLock<T> {}
+// SAFETY: the model scheduler grants a write guard only while no other
+// guard is out, and read guards only while no write guard is; read guards
+// hand out `&T` only, so `&T` may be shared across threads iff `T: Sync`.
+unsafe impl<T: Send + Sync> Sync for RwLock<T> {}
 // SAFETY: ownership transfer of the cell is sound whenever `T: Send`.
 unsafe impl<T: Send> Send for RwLock<T> {}
 
@@ -485,9 +508,9 @@ impl<T> RwLock<T> {
         self as *const Self as *const () as usize
     }
 
-    /// Acquires a read guard (exclusive under the model).
+    /// Acquires a read guard, shared with other readers.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        rt::mutex_lock(self.key());
+        rt::read_lock(self.key());
         RwLockReadGuard { lock: self }
     }
 
@@ -518,15 +541,15 @@ impl<T> Deref for RwLockReadGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        // SAFETY: the scheduler granted this thread the lock and will not
-        // grant it again until the guard drops.
+        // SAFETY: the scheduler granted this thread a read guard and will
+        // grant no write guard until it drops, so only `&T`s are live.
         unsafe { &*self.lock.data.get() }
     }
 }
 
 impl<T> Drop for RwLockReadGuard<'_, T> {
     fn drop(&mut self) {
-        rt::mutex_unlock(self.lock.key());
+        rt::read_unlock(self.lock.key());
     }
 }
 
@@ -540,16 +563,15 @@ impl<T> Deref for RwLockWriteGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        // SAFETY: as in the read guard — the model lock is held for the
-        // guard's lifetime.
+        // SAFETY: a write guard is granted only while no other guard is
+        // out, and none is granted until it drops.
         unsafe { &*self.lock.data.get() }
     }
 }
 
 impl<T> DerefMut for RwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: write guards hold the model's exclusive lock, so the
-        // access cannot race.
+        // SAFETY: as in `deref`: the write guard is the only guard out.
         unsafe { &mut *self.lock.data.get() }
     }
 }

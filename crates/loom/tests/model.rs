@@ -1,9 +1,8 @@
 //! Self-tests for the saga-loom model checker: known-correct protocols must
 //! pass every explored schedule, and seeded concurrency bugs must be found.
 
-use saga_loom::cell::CausalCell;
-use saga_loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use saga_loom::sync::{Arc, Condvar, Mutex, OnceLock};
+use saga_loom::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use saga_loom::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use saga_loom::thread;
 
 #[test]
@@ -253,73 +252,94 @@ fn shutdown_flag_protocol_terminates() {
 }
 
 /// A payload published behind a flag: the reader that sees the flag set
-/// reads the payload, which must be ordered after its write.
+/// loads the payload `Relaxed`, so the payload's store must happen-before
+/// that load.
 fn publish_behind_flag(store: Ordering, load: Ordering) {
     saga_loom::model(move || {
-        let payload = Arc::new(CausalCell::new(0u32));
+        let payload = Arc::new(AtomicU32::new(0));
         let flag = Arc::new(AtomicBool::new(false));
         let reader = {
             let (payload, flag) = (Arc::clone(&payload), Arc::clone(&flag));
             thread::spawn(move || {
                 if flag.load(load) {
-                    assert_eq!(payload.get(), 7);
+                    assert_eq!(payload.load(Ordering::Relaxed), 7);
                 }
             })
         };
-        payload.set(7);
+        payload.store(7, Ordering::Relaxed);
         flag.store(true, store);
         reader.join().unwrap();
     });
 }
 
 #[test]
-fn release_acquire_flag_publishes_a_cell_write() {
+fn release_acquire_flag_publishes_a_relaxed_payload() {
     publish_behind_flag(Ordering::Release, Ordering::Acquire);
 }
 
 #[test]
-#[should_panic(expected = "unpublished value")]
-fn relaxed_flag_store_does_not_publish_a_cell_write() {
+#[should_panic(expected = "unordered read")]
+fn relaxed_flag_store_does_not_publish_a_relaxed_payload() {
     publish_behind_flag(Ordering::Relaxed, Ordering::Acquire);
 }
 
+/// Fails at the flag itself: its Relaxed load reads a store that nothing
+/// orders before it.
 #[test]
-#[should_panic(expected = "unpublished value")]
-fn relaxed_flag_load_does_not_acquire_a_cell_write() {
+#[should_panic(expected = "unordered read")]
+fn relaxed_flag_load_does_not_acquire_a_relaxed_payload() {
     publish_behind_flag(Ordering::Release, Ordering::Relaxed);
 }
 
 #[test]
-fn mutex_hand_over_and_join_publish_cell_writes() {
+fn mutex_hand_over_and_join_publish_relaxed_stores() {
     saga_loom::model(|| {
-        let slot = Arc::new((Mutex::new(false), CausalCell::new(0u32)));
+        let slot = Arc::new((Mutex::new(false), AtomicU32::new(0)));
         let writer = {
             let slot = Arc::clone(&slot);
             thread::spawn(move || {
                 let mut written = slot.0.lock();
-                slot.1.set(1);
+                slot.1.store(1, Ordering::Relaxed);
                 *written = true;
             })
         };
         if *slot.0.lock() {
-            assert_eq!(slot.1.get(), 1);
+            assert_eq!(slot.1.load(Ordering::Relaxed), 1);
         }
         writer.join().unwrap();
-        slot.1.set(2);
-        assert_eq!(slot.1.get(), 2);
+        slot.1.store(2, Ordering::Relaxed);
+        assert_eq!(slot.1.load(Ordering::Relaxed), 2);
+    });
+}
+
+/// A location last written by a read-modify-write is a counter: a Relaxed
+/// read of it is exempt, until the next plain store re-arms the check.
+#[test]
+fn rmw_written_counters_are_exempt_until_a_plain_store() {
+    saga_loom::model(|| {
+        let counter = Arc::new(AtomicUsize::new(0));
+        let bumper = {
+            let counter = Arc::clone(&counter);
+            thread::spawn(move || counter.fetch_add(1, Ordering::Relaxed))
+        };
+        assert!(counter.load(Ordering::Relaxed) <= 1);
+        bumper.join().unwrap();
     });
 }
 
 #[test]
-#[should_panic(expected = "wrote over an unpublished value")]
-fn unordered_writes_to_one_cell_are_caught() {
+#[should_panic(expected = "unordered read")]
+fn a_plain_store_after_an_rmw_is_checked_again() {
     saga_loom::model(|| {
-        let slot = Arc::new(CausalCell::new(0u32));
+        let counter = Arc::new(AtomicUsize::new(0));
         let writer = {
-            let slot = Arc::clone(&slot);
-            thread::spawn(move || slot.set(1))
+            let counter = Arc::clone(&counter);
+            thread::spawn(move || {
+                counter.fetch_add(1, Ordering::Relaxed);
+                counter.store(5, Ordering::Relaxed);
+            })
         };
-        slot.set(2);
+        let _ = counter.load(Ordering::Relaxed);
         writer.join().unwrap();
     });
 }
@@ -329,14 +349,14 @@ fn once_lock_initialises_once_and_publishes_the_value() {
     saga_loom::model(|| {
         let cell = Arc::new(OnceLock::new());
         let inits = Arc::new(AtomicUsize::new(0));
-        let init = |cell: &OnceLock<CausalCell<u32>>, inits: &AtomicUsize| {
+        let init = |cell: &OnceLock<AtomicU32>, inits: &AtomicUsize| {
             let value = cell.get_or_init(|| {
                 inits.fetch_add(1, Ordering::SeqCst);
-                let value = CausalCell::new(0);
-                value.set(5);
+                let value = AtomicU32::new(0);
+                value.store(5, Ordering::Relaxed);
                 value
             });
-            assert_eq!(value.get(), 5);
+            assert_eq!(value.load(Ordering::Relaxed), 5);
         };
         let racer = {
             let (cell, inits) = (Arc::clone(&cell), Arc::clone(&inits));
@@ -345,6 +365,114 @@ fn once_lock_initialises_once_and_publishes_the_value() {
         init(&cell, &inits);
         racer.join().unwrap();
         assert_eq!(inits.load(Ordering::SeqCst), 1);
+    });
+}
+
+/// Two readers meet inside the lock: each holds its read guard until the
+/// other has arrived. An exclusive read lock deadlocks here.
+#[test]
+fn two_readers_hold_the_lock_at_once() {
+    saga_loom::model(|| {
+        let lock = Arc::new(RwLock::new(()));
+        let met = Arc::new((Mutex::new(0usize), Condvar::new()));
+        let meet = |lock: &RwLock<()>, met: &(Mutex<usize>, Condvar)| {
+            let _shared = lock.read();
+            let mut arrived = met.0.lock();
+            *arrived += 1;
+            met.1.notify_all();
+            while *arrived < 2 {
+                met.1.wait(&mut arrived);
+            }
+        };
+        let other = {
+            let (lock, met) = (Arc::clone(&lock), Arc::clone(&met));
+            thread::spawn(move || meet(&lock, &met))
+        };
+        meet(&lock, &met);
+        other.join().unwrap();
+    });
+}
+
+/// A writer is never inside the lock together with a reader: it waits for
+/// the reader count to drop to zero, and readers wait for it.
+#[test]
+fn a_writer_waits_for_zero_readers() {
+    saga_loom::model(|| {
+        let lock = Arc::new(RwLock::new(0u32));
+        let (reading, writing) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
+        let reader = {
+            let (lock, reading, writing) = (Arc::clone(&lock), Arc::clone(&reading), Arc::clone(&writing));
+            thread::spawn(move || {
+                let seen = lock.read();
+                reading.store(true, Ordering::SeqCst);
+                assert!(!writing.load(Ordering::SeqCst), "a writer is inside with a reader");
+                assert!(*seen == 0 || *seen == 1);
+                reading.store(false, Ordering::SeqCst);
+            })
+        };
+        {
+            let mut value = lock.write();
+            writing.store(true, Ordering::SeqCst);
+            assert!(!reading.load(Ordering::SeqCst), "a reader is inside with a writer");
+            *value = 1;
+            writing.store(false, Ordering::SeqCst);
+        }
+        reader.join().unwrap();
+        assert_eq!(*lock.read(), 1);
+    });
+}
+
+/// Read → read carries no happens-before: a Relaxed payload stored under
+/// one read guard and loaded under another is an unordered read.
+#[test]
+#[should_panic(expected = "unordered read")]
+fn read_to_read_publishes_nothing() {
+    saga_loom::model(|| {
+        let lock = Arc::new(RwLock::new(()));
+        let payload = Arc::new(AtomicU32::new(0));
+        let writer = {
+            let (lock, payload) = (Arc::clone(&lock), Arc::clone(&payload));
+            thread::spawn(move || {
+                let _shared = lock.read();
+                payload.store(7, Ordering::Relaxed);
+            })
+        };
+        {
+            let _shared = lock.read();
+            let _ = payload.load(Ordering::Relaxed);
+        }
+        writer.join().unwrap();
+    });
+}
+
+/// Read → write and write → read do publish: a Relaxed payload stored
+/// under one guard is ordered before a load under the next guard of the
+/// other kind.
+#[test]
+fn read_to_write_and_write_to_read_publish() {
+    saga_loom::model(|| {
+        let lock = Arc::new(RwLock::new(()));
+        let payloads = Arc::new([AtomicU32::new(0), AtomicU32::new(0)]);
+        let other = {
+            let (lock, payloads) = (Arc::clone(&lock), Arc::clone(&payloads));
+            thread::spawn(move || {
+                {
+                    let _shared = lock.read();
+                    payloads[0].store(7, Ordering::Relaxed);
+                }
+                let _exclusive = lock.write();
+                payloads[1].store(9, Ordering::Relaxed);
+            })
+        };
+        {
+            let _exclusive = lock.write();
+            assert!(matches!(payloads[0].load(Ordering::Relaxed), 0 | 7));
+        }
+        {
+            let _shared = lock.read();
+            assert!(matches!(payloads[1].load(Ordering::Relaxed), 0 | 9));
+        }
+        other.join().unwrap();
     });
 }
 
@@ -367,4 +495,27 @@ fn preemption_bound_zero_still_runs_every_thread() {
     });
     // With bound 0 at least the blocking-forced schedules run.
     assert!(schedules.load(std::sync::atomic::Ordering::SeqCst) >= 1);
+}
+
+/// Every interleaving within the bound is explored, including a switch
+/// back to a lower-numbered thread: two threads that each append twice to
+/// a log produce all six orders.
+#[test]
+fn every_interleaving_of_two_threads_is_explored() {
+    let orders = std::sync::Arc::new(std::sync::Mutex::new(std::collections::BTreeSet::new()));
+    let seen = std::sync::Arc::clone(&orders);
+    let mut b = saga_loom::Builder::new();
+    b.preemption_bound = Some(3);
+    b.check(move || {
+        let log = Arc::new(Mutex::new(String::new()));
+        let other = {
+            let log = Arc::clone(&log);
+            thread::spawn(move || (0..2).for_each(|_| log.lock().push('b')))
+        };
+        (0..2).for_each(|_| log.lock().push('a'));
+        other.join().unwrap();
+        seen.lock().unwrap().insert(log.lock().clone());
+    });
+    let orders = orders.lock().unwrap();
+    assert_eq!(orders.len(), 6, "explored only {orders:?}");
 }

@@ -13,7 +13,7 @@
 //! - [`bandwidth`] — an analytic time model that converts replayed traffic
 //!   into memory/QPI bandwidth utilization; phase time is the slowest
 //!   thread's time, so workload imbalance shows up exactly as in Fig. 9.
-//! - [`scaling`] — real wall-clock thread-count sweeps (Fig. 9a).
+//! - [`scaling`] — Fig. 9a scaling curves over modeled phase seconds.
 //!
 //! [`trace_phase`] is the entry point: run a phase under the probe and get
 //! its trace back.

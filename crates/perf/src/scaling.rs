@@ -1,16 +1,16 @@
-//! Core-count scaling harness (Fig. 9a).
+//! Core-count scaling curves (Fig. 9a).
 //!
 //! The paper sweeps physical core counts from 4 to 28 (threads pinned, SMT
 //! 2) and reports the performance of update and compute phases normalized
 //! to the smallest configuration, observing that the update phase's curve
-//! flattens much earlier. This harness runs the same sweep with real wall
-//! clocks on the host machine: lock contention (AS) and chunk imbalance
-//! (DAH) are properties of the implementations, so the *shape* of the
-//! curves survives a machine with fewer cores.
+//! flattens much earlier. A [`ScalingCurve`] holds one phase's seconds per
+//! thread count and derives what the paper quotes from it: speedups,
+//! step-to-step improvements and the flattening point. `saga-bench arch`
+//! fills it with *modeled* seconds — each point is a traced run at that
+//! thread count replayed on the paper's machine model — not with this
+//! host's wall clock.
 
-use saga_utils::parallel::ThreadPool;
-
-/// One scaling curve: thread counts and the measured seconds at each.
+/// One scaling curve: thread counts and a phase's seconds at each.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScalingCurve {
     /// Thread counts swept.
@@ -46,44 +46,6 @@ impl ScalingCurve {
         }
         *self.threads.last().unwrap_or(&0)
     }
-}
-
-/// Runs `workload` once per thread count and records its reported seconds.
-///
-/// The workload receives a fresh pool each time and returns the measured
-/// duration of the phase of interest (so setup cost is excluded). It is
-/// invoked `repeats` times per count and the minimum is kept (standard
-/// practice for scaling studies: the minimum is the least noisy estimator
-/// of achievable performance).
-pub fn scaling_sweep<F>(thread_counts: &[usize], repeats: usize, mut workload: F) -> ScalingCurve
-where
-    F: FnMut(&ThreadPool) -> f64,
-{
-    assert!(repeats > 0, "need at least one repeat");
-    let mut seconds = Vec::with_capacity(thread_counts.len());
-    for &threads in thread_counts {
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats {
-            let pool = ThreadPool::new(threads);
-            best = best.min(workload(&pool));
-        }
-        seconds.push(best);
-    }
-    ScalingCurve {
-        threads: thread_counts.to_vec(),
-        seconds,
-    }
-}
-
-/// Default thread sweep for the host machine: powers of two up to the
-/// available parallelism.
-pub fn default_thread_counts() -> Vec<usize> {
-    let max = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let mut counts = vec![1usize];
-    while counts.last().unwrap() * 2 <= max {
-        counts.push(counts.last().unwrap() * 2);
-    }
-    counts
 }
 
 #[cfg(test)]
@@ -123,26 +85,5 @@ mod tests {
             seconds: vec![8.0, 4.0, 2.0],
         };
         assert_eq!(steep.flattening_point(10.0), 4);
-    }
-
-    #[test]
-    fn sweep_runs_workload_per_count() {
-        let counts = vec![1, 2];
-        let mut invocations = 0;
-        let curve = scaling_sweep(&counts, 2, |pool| {
-            invocations += 1;
-            pool.threads() as f64
-        });
-        assert_eq!(invocations, 4);
-        assert_eq!(curve.seconds, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn default_counts_start_at_one_and_double() {
-        let counts = default_thread_counts();
-        assert_eq!(counts[0], 1);
-        for w in counts.windows(2) {
-            assert_eq!(w[1], w[0] * 2);
-        }
     }
 }

@@ -9,8 +9,7 @@
 //! the buffer itself is capped by [`Limits`]). `saga-server`'s connection
 //! loop leans on that contract to turn arbitrary network garbage into a
 //! `400 Bad Request` instead of a wedged worker; the totality property is
-//! pinned by seeded byte-soup cases in `tests/seeded_http.rs`, the same
-//! pattern the `saga-analyze` lexer uses.
+//! pinned by seeded byte-soup cases in `tests/seeded_http.rs`.
 
 use std::io::{Read, Write};
 

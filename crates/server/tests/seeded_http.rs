@@ -1,5 +1,4 @@
-//! Totality property tests for the HTTP/1.1 request parser (the same
-//! contract the analyzer's lexer pins in `seeded_lexer.rs`): arbitrary
+//! Totality property tests for the HTTP/1.1 request parser: arbitrary
 //! byte soup must never panic, and over a real socket a malformed request
 //! must get a 4xx/5xx status line and a closed connection — never a hung
 //! one.

@@ -15,9 +15,10 @@
 //! types, so the concurrency protocols built on top of them — the
 //! [`crate::parallel::ThreadPool`] dispatch/shutdown protocol, the
 //! [`crate::bitvec::AtomicBitVec`] publication CAS, the
-//! [`crate::partition::Partitioner`] scatter cursors — can be exhaustively
-//! model-checked over thread interleavings (see `crates/utils/tests/loom.rs`
-//! and DESIGN.md §7).
+//! [`crate::partition::Partitioner`] scatter cursors, Stinger's block
+//! chains — can be exhaustively model-checked over thread interleavings
+//! (see `crates/utils/tests/loom.rs`, `crates/graph/tests/loom.rs` and
+//! DESIGN.md §7b).
 
 /// Atomic integer and bool types plus [`atomic::Ordering`].
 ///

@@ -37,9 +37,8 @@
 //!    named somewhere under that package's `src/`: a dependency nobody
 //!    imports still costs a build, and once dropped it must not creep back.
 //!
-//! The old informational `Ordering::Relaxed` listing moved to
-//! `cargo xtask analyze`, whose atomics-protocol audit groups sites by
-//! field and checks publish/consume pairing instead of just listing them.
+//! Rule 4 is what makes the loom models (DESIGN.md §7b) check every
+//! atomic's ordering: each one is the facade's, so `--cfg loom` swaps it.
 //!
 //! `check-trace <file>` validates an exported Chrome trace-event JSON file
 //! (shape + strict per-track span nesting) via `saga_check::tracecheck` —
@@ -65,13 +64,12 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("lint") => lint(),
-        Some("analyze") => analyze(),
         Some("check-trace") => check_trace(args.next()),
         Some("analyze-trace") => analyze_trace(args.next()),
         Some("check-metrics") => check_metrics(args.next()),
         Some(other) => {
             eprintln!(
-                "unknown task `{other}`; available tasks: lint, analyze, check-trace, \
+                "unknown task `{other}`; available tasks: lint, check-trace, \
                  analyze-trace, check-metrics"
             );
             ExitCode::FAILURE
@@ -79,8 +77,7 @@ fn main() -> ExitCode {
         None => {
             eprintln!(
                 "usage: cargo xtask <task>\n\ntasks:\n  lint                 \
-                 SAFETY-invariant pass\n  analyze              static \
-                 atomics-protocol audit\n  check-trace <file>   \
+                 SAFETY-invariant pass\n  check-trace <file>   \
                  validate an exported Chrome trace-event JSON file\n  \
                  analyze-trace <file>  span stats + stitched trace trees of an \
                  exported trace\n  check-metrics <file>  validate a Prometheus \
@@ -171,54 +168,6 @@ fn check_trace(path: Option<String>) -> ExitCode {
             eprintln!("xtask check-trace: {path}: {e}");
             ExitCode::FAILURE
         }
-    }
-}
-
-/// Runs the atomics audit (`saga-analyze`) as a gate: first the
-/// seeded-violation fixture corpus must be flagged exactly (the audit
-/// proving it still catches every pairing rule), then the production tree
-/// must be clean modulo the justified `analyze.allow` entries. The text
-/// report is written to `target/analyze/` for the CI artifact.
-fn analyze() -> ExitCode {
-    let root = workspace_root();
-
-    // 1. Fixture self-check: every seeded violation must be flagged.
-    match saga_analyze::check_fixtures(&root.join("crates/analyze/fixtures")) {
-        Ok(summary) => println!("xtask analyze: {summary}"),
-        Err(e) => {
-            eprintln!("xtask analyze: fixture self-check FAILED:\n{e}");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    // 2. Whole-repo analysis, filtered by the allowlist.
-    let allow = std::fs::read_to_string(root.join("analyze.allow")).unwrap_or_default();
-    let report = match saga_analyze::run_repo(&root, &allow) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("xtask analyze: cannot read sources: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // 3. Artifacts.
-    let out_dir = root.join("target/analyze");
-    let rendered = report.render();
-    if let Err(e) = std::fs::create_dir_all(&out_dir)
-        .and_then(|()| std::fs::write(out_dir.join("report.txt"), &rendered))
-    {
-        eprintln!("xtask analyze: cannot write artifacts: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    print!("{rendered}");
-    println!("\nartifact: target/analyze/report.txt");
-    if report.clean() {
-        println!("xtask analyze: OK");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("xtask analyze: FAILED (see violations above)");
-        ExitCode::FAILURE
     }
 }
 
@@ -375,11 +324,8 @@ const PREFETCH_ALLOWLIST: &[&str] = &["crates/utils/src/prefetch.rs"];
 /// Directory prefixes exempt from the facade bans: the model checker IS
 /// the other side of the facade, and the trace layer sits *below*
 /// `saga-utils` (the pool emits spans), so neither can route through
-/// `saga_utils::sync` — both use the real primitives. The analyzer's
-/// seeded-violation fixtures are never compiled and deliberately keep the
-/// raw idiom so their shapes match real pre-facade code.
-const FACADE_EXEMPT_DIRS: &[&str] =
-    &["crates/loom/", "crates/trace/", "crates/analyze/fixtures/"];
+/// `saga_utils::sync` — both use the real primitives.
+const FACADE_EXEMPT_DIRS: &[&str] = &["crates/loom/", "crates/trace/"];
 
 /// Library files allowed to call `println!` / `eprintln!` directly: the
 /// bench reporting facade (`emit*` / `finish_trace` own stdout for the
@@ -788,7 +734,7 @@ mod tests {
 
     #[test]
     fn relaxed_ordering_is_not_a_lint_violation() {
-        // The Relaxed audit lives in `cargo xtask analyze` now.
+        // Orderings are checked by the loom models (DESIGN.md §7b).
         let src = "fn f(c: &saga_utils::sync::atomic::AtomicUsize) {\n    c.load(Ordering::Relaxed);\n}\n";
         assert!(scan_file("crates/demo/src/lib.rs", src).violations.is_empty());
     }
