@@ -11,7 +11,7 @@
 //! generously and can be skipped on noisy machines with
 //! `SAGA_SKIP_SHAPE_TIMING=1`.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::OnceLock;
 
 use saga_algorithms::bfs::{
     bfs_direction_optimizing, bfs_direction_optimizing_stats, bfs_from_scratch, BfsProgram,
@@ -54,21 +54,10 @@ fn timing_skipped() -> bool {
     }
 }
 
-/// The memory probe is process-global: traced passes take turns.
-fn probe_lock() -> MutexGuard<'static, ()> {
-    static PROBE: Mutex<()> = Mutex::new(());
-    PROBE
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 /// The §VI trace-model characterization, computed once per test binary.
 fn arch_results() -> &'static [GroupArchResult] {
     static RESULTS: OnceLock<Vec<GroupArchResult>> = OnceLock::new();
-    RESULTS.get_or_init(|| {
-        let _probe = probe_lock();
-        run_arch_characterization(&shape_cfg(), &[AlgorithmKind::Bfs], &[])
-    })
+    RESULTS.get_or_init(|| run_arch_characterization(&shape_cfg(), &[AlgorithmKind::Bfs], &[]))
 }
 
 // ---------------------------------------------------------------------------
@@ -432,9 +421,6 @@ fn dirop_bfs_beats_top_down_on_a_dense_graph() {
     let pool = ThreadPool::new(1);
     let program = BfsProgram::new(edges[0].0);
     let values = AtomicU32Array::filled(DENSE_NODES, 0);
-    // Not traced, but kept out of the traced passes' way: a probe switched
-    // on elsewhere would slow both kernels and record their scans.
-    let _probe = probe_lock();
     reset_values(&program, &values, DENSE_NODES, &pool);
     let stats = bfs_direction_optimizing_stats(&program, &graph, &values, &pool);
     assert!(
@@ -490,7 +476,6 @@ fn delta_csr_compacted_scan_misses_less_than_as() {
         let report = replay_on_paper_machine(&trace, 16);
         report.dram_lines as f64 / report.accesses.max(1) as f64
     };
-    let _probe = probe_lock();
     let as_graph = build_graph(DataStructureKind::AdjacencyShared, NODES, true, 1);
     as_graph.update_batch(&stream.edges, &pool);
     let delta = DeltaCsr::new(NODES, true, 1).with_compaction_threshold(usize::MAX);

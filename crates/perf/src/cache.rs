@@ -241,9 +241,14 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Replays a trace. Blocks are processed in flush order (`seq`), which
+    /// Replays a trace. Blocks are processed in flush order, which
     /// approximates the real cross-thread interleaving at 16K-access
     /// granularity; within a block the thread's program order is exact.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block's thread is not below the `threads` the hierarchy
+    /// was built for.
     pub fn replay(&mut self, trace: &Trace) -> CacheReport {
         let mut report = CacheReport {
             instructions: trace.instructions,
@@ -251,19 +256,12 @@ impl MemoryHierarchy {
             max_lock_cycles: trace.lock_cycles.values().copied().max().unwrap_or(0),
             ..CacheReport::default()
         };
-        let mut blocks: Vec<&saga_utils::probe::TraceBlock> = trace.blocks.iter().collect();
-        blocks.sort_by_key(|b| b.seq);
-        // Probe thread ids are process-global (they keep growing as pools
-        // come and go); remap them to dense hardware-thread slots by first
-        // appearance so each OS thread gets its own private L1/L2.
-        let mut remap: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-        for block in &blocks {
-            let next = remap.len() % self.l1.len();
-            remap.entry(block.thread).or_insert(next);
-        }
         let line = self.config.l1.line_bytes as u64;
-        for block in blocks {
-            let thread = remap[&block.thread];
+        for block in &trace.blocks {
+            // A block's thread is its pool worker index, the same in every
+            // phase of a pool, so a worker finds its own private L1/L2 (and
+            // socket) warm from its previous phase.
+            let thread = block.thread;
             let socket = self.config.topology.socket_of_thread(thread);
             for access in &block.accesses {
                 let first = access.addr / line;
@@ -318,26 +316,32 @@ mod tests {
     use super::*;
     use saga_utils::probe::{MemAccess, TraceBlock};
 
-    fn trace_of(accesses: Vec<(u64, u32)>) -> Trace {
-        let n = accesses.len() as u64;
+    /// One read of `len` bytes at `addr` per `(addr, len)`, as one block.
+    fn block(thread: usize, accesses: Vec<(u64, u32)>) -> TraceBlock {
+        let accesses = accesses
+            .into_iter()
+            .map(|(addr, len)| MemAccess {
+                addr,
+                len,
+                write: false,
+            })
+            .collect();
+        TraceBlock { thread, accesses }
+    }
+
+    fn trace_from(blocks: Vec<TraceBlock>) -> Trace {
+        let n = blocks.iter().map(|b| b.accesses.len() as u64).sum();
         Trace {
-            blocks: vec![TraceBlock {
-                thread: 0,
-                seq: 0,
-                accesses: accesses
-                    .into_iter()
-                    .map(|(addr, len)| MemAccess {
-                        addr,
-                        len,
-                        write: false,
-                    })
-                    .collect(),
-            }],
+            blocks,
             instructions: n,
             total_accesses: n,
             dropped: 0,
             lock_cycles: Default::default(),
         }
+    }
+
+    fn trace_of(accesses: Vec<(u64, u32)>) -> Trace {
+        trace_from(vec![block(0, accesses)])
     }
 
     fn tiny_config() -> HierarchyConfig {
@@ -440,38 +444,24 @@ mod tests {
     fn threads_have_private_l1_l2() {
         let cfg = tiny_config();
         let mut h = MemoryHierarchy::new(cfg, 2);
-        let trace = Trace {
-            blocks: vec![
-                TraceBlock {
-                    thread: 0,
-                    seq: 0,
-                    accesses: vec![MemAccess {
-                        addr: 0,
-                        len: 8,
-                        write: false,
-                    }],
-                },
-                TraceBlock {
-                    thread: 1,
-                    seq: 1,
-                    accesses: vec![MemAccess {
-                        addr: 0,
-                        len: 8,
-                        write: false,
-                    }],
-                },
-            ],
-            instructions: 2,
-            total_accesses: 2,
-            dropped: 0,
-            lock_cycles: Default::default(),
-        };
+        let trace = trace_from(vec![block(0, vec![(0, 8)]), block(1, vec![(0, 8)])]);
         let report = h.replay(&trace);
         // Thread 1 misses its own private levels. Threads 0 and 1 sit on
         // different sockets (round-robin pinning), so the LLC misses too.
         assert_eq!(report.l1_hits, 0);
         assert_eq!(report.l2_hits, 0);
         assert_eq!(report.dram_lines, 2);
+    }
+
+    #[test]
+    fn a_worker_keeps_its_slot_across_replays() {
+        // Phase 1: worker 1 alone touches line 0. Phase 2: worker 0 flushes
+        // first, then worker 1 reads line 0 again — from its own warm L1.
+        let mut h = MemoryHierarchy::new(tiny_config(), 2);
+        h.replay(&trace_from(vec![block(1, vec![(0, 8)])]));
+        let report = h.replay(&trace_from(vec![block(0, vec![(4096, 8)]), block(1, vec![(0, 8)])]));
+        assert_eq!(report.threads[1].accesses, 1);
+        assert_eq!(report.threads[1].l1_misses, 0, "worker 1 must hit its own L1");
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   thread's time, so workload imbalance shows up exactly as in Fig. 9.
 //! - [`scaling`] — Fig. 9a scaling curves over modeled phase seconds.
 //!
-//! [`trace_phase`] is the entry point: run a phase under the probe and get
-//! its trace back.
+//! [`trace_phase`] is the entry point: run a phase on a pool under one
+//! probe recorder and get its trace back.
 
 #![warn(missing_docs)]
 
@@ -26,12 +26,13 @@ pub mod numa;
 pub mod scaling;
 
 use saga_utils::parallel::ThreadPool;
-use saga_utils::probe::{self, Trace};
+use saga_utils::probe::{self, Recorder, Trace};
 
-/// Runs `phase` with memory tracing enabled and returns the recorded
-/// trace. Worker buffers of `pool` are flushed before collection.
-///
-/// Tracing state is global: run one traced phase at a time.
+/// Runs `phase` with the caller and every worker of `pool` attached to one
+/// fresh [`Recorder`] and returns its trace. Each block's `thread` is the
+/// pool worker index (0 for the caller). Phases on different pools do not
+/// see each other's accesses; every thread is detached even if `phase`
+/// panics.
 ///
 /// # Examples
 ///
@@ -46,15 +47,18 @@ use saga_utils::probe::{self, Trace};
 /// assert_eq!(trace.total_accesses, 1);
 /// ```
 pub fn trace_phase<F: FnOnce()>(pool: &ThreadPool, phase: F) -> Trace {
-    // Drop anything a previous phase left behind.
-    pool.run_on_all(|_| probe::flush_thread());
-    let _ = probe::take_trace();
-    probe::reset();
-    probe::set_enabled(true);
+    struct DetachAll<'p>(&'p ThreadPool);
+    impl Drop for DetachAll<'_> {
+        fn drop(&mut self) {
+            self.0.run_on_all(|_| probe::detach());
+        }
+    }
+    let recorder = Recorder::default();
+    let detach = DetachAll(pool);
+    pool.run_on_all(|worker| probe::attach(&recorder, worker));
     phase();
-    probe::set_enabled(false);
-    pool.run_on_all(|_| probe::flush_thread());
-    probe::take_trace()
+    drop(detach);
+    recorder.finish()
 }
 
 /// Convenience: replay a trace on the paper hierarchy (optionally scaled)
@@ -85,6 +89,53 @@ mod tests {
         assert_eq!(trace.total_accesses, 2);
         probe::slice_read(&data); // after: disabled again
         assert!(!probe::is_enabled());
+    }
+
+    #[test]
+    fn overlapping_phases_on_two_pools_keep_their_own_accesses() {
+        // Each pool's phase reads only its own vector, on every worker, both
+        // before and after a barrier that holds both phases open at once.
+        let both_open = std::sync::Barrier::new(2);
+        let data = [vec![1u64; 8], vec![2u64; 16]];
+        let traces: Vec<Trace> = std::thread::scope(|s| {
+            let phases: Vec<_> = data
+                .iter()
+                .map(|d| {
+                    let both_open = &both_open;
+                    s.spawn(move || {
+                        let pool = ThreadPool::new(2);
+                        trace_phase(&pool, || {
+                            pool.run_on_all(|_| probe::slice_read(d));
+                            both_open.wait();
+                            pool.run_on_all(|_| probe::slice_read(d));
+                        })
+                    })
+                })
+                .collect();
+            phases.into_iter().map(|p| p.join().unwrap()).collect()
+        });
+        for (d, trace) in data.iter().zip(&traces) {
+            assert_eq!(trace.total_accesses, 4);
+            assert_eq!(trace.thread_count(), 2);
+            for access in trace.blocks.iter().flat_map(|b| &b.accesses) {
+                assert_eq!(access.addr, d.as_ptr() as u64, "an access of the other phase");
+                assert_eq!(access.len as usize, std::mem::size_of_val(d.as_slice()));
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_phase_detaches_every_worker() {
+        let pool = ThreadPool::new(2);
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            trace_phase(&pool, || pool.run_on_all(|_| panic!("phase failed")))
+        }));
+        assert!(failed.is_err());
+        assert!(!probe::is_enabled());
+        // Attaching a thread that is still attached panics, so this would too.
+        let data = [0u8; 4];
+        let trace = trace_phase(&pool, || pool.run_on_all(|_| probe::slice_read(&data)));
+        assert_eq!(trace.total_accesses, 2);
     }
 
     #[test]

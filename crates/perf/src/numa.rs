@@ -62,12 +62,6 @@ impl Topology {
         thread % self.sockets
     }
 
-    /// Physical core a thread maps to (SMT siblings share a core).
-    pub fn core_of_thread(&self, thread: usize) -> usize {
-        (thread / self.sockets) % (self.cores_per_socket * self.sockets / self.sockets)
-            + self.socket_of_thread(thread) * self.cores_per_socket
-    }
-
     /// Home socket of a cache line (page-interleaved first-touch-free
     /// placement).
     pub fn home_socket(&self, line_addr: u64) -> usize {
@@ -105,13 +99,5 @@ mod tests {
         assert_eq!(t.home_socket(2 * lines_per_page), 0);
         // Lines within one page share a home.
         assert_eq!(t.home_socket(3), t.home_socket(5));
-    }
-
-    #[test]
-    fn smt_siblings_share_a_core() {
-        let t = Topology::paper();
-        let cores: std::collections::HashSet<usize> =
-            (0..t.hardware_threads()).map(|th| t.core_of_thread(th)).collect();
-        assert!(cores.len() <= t.sockets * t.cores_per_socket);
     }
 }

@@ -32,9 +32,8 @@ fn tiny_hierarchy() -> HierarchyConfig {
 /// 1..6 blocks of 1..200 accesses each, spread over `max_threads` threads.
 fn arb_trace(rng: &mut Xoshiro256PlusPlus, max_threads: usize) -> Trace {
     let blocks: Vec<TraceBlock> = (0..rng.range(1, 5))
-        .map(|seq| TraceBlock {
+        .map(|_| TraceBlock {
             thread: rng.range(0, max_threads - 1),
-            seq: seq as u64,
             accesses: rng.vec(1, 199, |rng| MemAccess {
                 addr: rng.range(0, (1 << 16) - 1) as u64,
                 len: rng.range(1, 255) as u32,
@@ -123,7 +122,6 @@ fn single_line_working_set_always_hits_after_first() {
         let trace = Trace {
             blocks: vec![TraceBlock {
                 thread: 0,
-                seq: 0,
                 accesses: (0..50).map(|_| MemAccess { addr, len: 4, write: false }).collect(),
             }],
             instructions: 50,

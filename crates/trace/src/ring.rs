@@ -28,8 +28,7 @@
 //! the producer writes the four payload words with relaxed stores, then
 //! publishes them with a release store of `head`; the collector acquires
 //! `head` and reads only slots below it. [`clear`] may only be called when
-//! no thread is emitting (e.g. after the pool's fork-join barrier), the
-//! same contract as `saga_utils::probe::reset`.
+//! no thread is emitting (e.g. after the pool's fork-join barrier).
 
 use crate::{resolve_site, EventKind, Site};
 use std::cell::OnceCell;

@@ -5,19 +5,9 @@ use saga_bench_suite::algorithms::{AlgorithmKind, ComputeModelKind};
 use saga_bench_suite::core::driver::StreamDriver;
 use saga_bench_suite::graph::DataStructureKind;
 use saga_bench_suite::stream::profiles::DatasetProfile;
-use std::sync::{Mutex, MutexGuard};
-
-/// The probe behind `arch_sim` is one process-global trace: two drivers
-/// recording at once see each other's accesses (the hub-imbalance test
-/// failed 11 runs in 30 that way). Every test here holds this while it runs.
-fn probe_lock() -> MutexGuard<'static, ()> {
-    static PROBE: Mutex<()> = Mutex::new(());
-    PROBE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 #[test]
 fn arch_records_are_internally_consistent() {
-    let _probe = probe_lock();
     let stream = DatasetProfile::livejournal().scaled(800, 6_000).generate(7);
     let mut driver = StreamDriver::builder(DataStructureKind::AdjacencyShared, stream.num_nodes)
         .algorithm(AlgorithmKind::PageRank)
@@ -60,7 +50,6 @@ fn arch_records_are_internally_consistent() {
 
 #[test]
 fn compute_phase_reuses_update_phase_lines() {
-    let _probe = probe_lock();
     // §VI-C: "the compute phase can reuse the edge data freshly brought
     // into LLC by the update phase". With the shared persistent hierarchy,
     // the compute phase's overall hit fraction should comfortably beat a
@@ -88,7 +77,6 @@ fn compute_phase_reuses_update_phase_lines() {
 
 #[test]
 fn hub_only_update_is_more_imbalanced_than_uniform() {
-    let _probe = probe_lock();
     // §VI-B: the update of heavy-tailed graphs on DAH suffers workload
     // imbalance — the chunk owning the hub does most of the work. Use
     // synthetic extremes so the property is deterministic: a batch whose
