@@ -8,6 +8,7 @@
 //! ([`bfs_from_scratch`]) stays exported as the comparison baseline.
 
 use crate::program::{ValueStore, VertexProgram};
+use crate::ComputeOutcome;
 use saga_graph::properties::AtomicU32Array;
 use saga_graph::{GraphTopology, Node};
 use saga_utils::bitvec::AtomicBitVec;
@@ -81,7 +82,7 @@ impl VertexProgram for BfsProgram {
         graph: &dyn GraphTopology,
         values: &AtomicU32Array,
         pool: &ThreadPool,
-    ) -> usize {
+    ) -> ComputeOutcome {
         // The direction-optimizing kernel produces identical depths and
         // dominates on dense-frontier batches (saga-check's shape suite
         // holds it ≥ 1.5× over the classic push kernel, which stays
@@ -91,13 +92,13 @@ impl VertexProgram for BfsProgram {
 }
 
 /// Conventional frontier BFS from scratch. `values` must already be reset.
-/// Returns the number of levels expanded.
+/// Counts the levels it expanded.
 pub fn bfs_from_scratch(
     program: &BfsProgram,
     graph: &dyn GraphTopology,
     values: &AtomicU32Array,
     pool: &ThreadPool,
-) -> usize {
+) -> ComputeOutcome {
     let n = graph.capacity();
     let mut visited = AtomicBitVec::new(n);
     let mut next = FlatFrontier::new(n);
@@ -123,16 +124,7 @@ pub fn bfs_from_scratch(
         next.take_into(&mut frontier);
         visited.clear_all();
     }
-    levels
-}
-
-/// What the direction-optimizing kernel did, level by level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DirOptStats {
-    /// Levels expanded (same meaning as the [`bfs_from_scratch`] return).
-    pub levels: usize,
-    /// How many of those levels ran in the dense bottom-up direction.
-    pub bottom_up_levels: usize,
+    ComputeOutcome { iterations: levels, ..ComputeOutcome::default() }
 }
 
 /// Switch top-down → bottom-up when the frontier's scouted out-edges
@@ -158,24 +150,14 @@ const BETA: usize = 18;
 /// Produces exactly the same depths as [`bfs_from_scratch`]; exposed
 /// separately so the classic and direction-optimizing kernels can be
 /// compared (`dirop_bfs_beats_top_down_on_a_dense_graph` in saga-check's
-/// shape suite). Returns levels expanded.
+/// shape suite). Counts the levels it expanded, and in
+/// [`dense_rounds`](ComputeOutcome::dense_rounds) those it ran bottom-up.
 pub fn bfs_direction_optimizing(
     program: &BfsProgram,
     graph: &dyn GraphTopology,
     values: &AtomicU32Array,
     pool: &ThreadPool,
-) -> usize {
-    bfs_direction_optimizing_stats(program, graph, values, pool).levels
-}
-
-/// [`bfs_direction_optimizing`], returning the per-direction level counts
-/// (used by the heuristic shape tests).
-pub fn bfs_direction_optimizing_stats(
-    program: &BfsProgram,
-    graph: &dyn GraphTopology,
-    values: &AtomicU32Array,
-    pool: &ThreadPool,
-) -> DirOptStats {
+) -> ComputeOutcome {
     let n = graph.capacity();
     let mut visited = AtomicBitVec::new(n);
     let mut next = FlatFrontier::new(n);
@@ -187,9 +169,9 @@ pub fn bfs_direction_optimizing_stats(
     let mut edges_to_check = graph.num_edges() as u64;
     let mut depth = 0u32;
     let mut bottom_up = false;
-    let mut stats = DirOptStats::default();
+    let mut outcome = ComputeOutcome::default();
     while !frontier.is_empty() {
-        stats.levels += 1;
+        outcome.iterations += 1;
         if bottom_up {
             // Stay dense until the frontier thins out.
             bottom_up = frontier.len() >= (n / BETA).max(1);
@@ -197,7 +179,7 @@ pub fn bfs_direction_optimizing_stats(
             bottom_up = scout_count > edges_to_check / ALPHA;
         }
         if bottom_up {
-            stats.bottom_up_levels += 1;
+            outcome.dense_rounds += 1;
             // Bottom-up step: every unvisited vertex scans its in-neighbors
             // for a frontier member; no CAS contention on the frontier side.
             let grain = saga_utils::parallel::adaptive_grain(n, pool.threads()).max(16);
@@ -249,7 +231,7 @@ pub fn bfs_direction_optimizing_stats(
         visited.clear_all();
         depth += 1;
     }
-    stats
+    outcome
 }
 
 #[cfg(test)]
@@ -331,14 +313,14 @@ mod tests {
         let program = BfsProgram::new(0);
         let values = AtomicU32Array::filled(30, 0);
         reset_values(&program, &values, 30, &pool);
-        let stats = bfs_direction_optimizing_stats(&program, g.as_ref(), &values, &pool);
+        let stats = bfs_direction_optimizing(&program, g.as_ref(), &values, &pool);
         // 29 productive rounds plus the final empty-frontier check round.
-        assert_eq!(stats.levels, 30);
+        assert_eq!(stats.iterations, 30);
         assert_eq!(values.get(29), 29);
         // A unit-width frontier never trips the scout heuristic while a
         // meaningful share of the edges is unexplored.
         assert!(
-            stats.levels - stats.bottom_up_levels >= 15,
+            stats.iterations - stats.dense_rounds >= 15,
             "path should run mostly sparse, got {stats:?}"
         );
     }
@@ -355,9 +337,9 @@ mod tests {
         let program = BfsProgram::new(0);
         let values = AtomicU32Array::filled(n, 0);
         reset_values(&program, &values, n, &pool);
-        let stats = bfs_direction_optimizing_stats(&program, g.as_ref(), &values, &pool);
+        let stats = bfs_direction_optimizing(&program, g.as_ref(), &values, &pool);
         assert!(
-            stats.bottom_up_levels >= 1,
+            stats.dense_rounds >= 1,
             "hub frontier must go dense, got {stats:?}"
         );
         for v in 1..n {

@@ -9,6 +9,7 @@
 //! label-propagation algorithms (CC, MC).
 
 use crate::program::{ValueStore, VertexProgram};
+use crate::ComputeOutcome;
 use saga_graph::GraphTopology;
 use saga_utils::parallel::{Schedule, ThreadPool};
 use saga_utils::sync::atomic::{AtomicBool, Ordering};
@@ -27,8 +28,7 @@ pub fn reset_values<P: VertexProgram>(
 }
 
 /// Conventional whole-graph Jacobi iteration: applies the vertex function
-/// to every vertex each round until no vertex changes. Returns the number
-/// of rounds.
+/// to every vertex each round until no vertex changes. Counts its rounds.
 ///
 /// This is the textbook static-graph formulation of label-propagation
 /// algorithms (CC, MC): correct for any monotone vertex function, and
@@ -38,7 +38,7 @@ pub fn fixpoint_compute<P: VertexProgram>(
     graph: &dyn GraphTopology,
     values: &P::Store,
     pool: &ThreadPool,
-) -> usize {
+) -> ComputeOutcome {
     let n = graph.capacity();
     let mut rounds = 0;
     loop {
@@ -55,7 +55,7 @@ pub fn fixpoint_compute<P: VertexProgram>(
             }
         });
         if !changed.load(Ordering::Relaxed) {
-            return rounds;
+            return ComputeOutcome { iterations: rounds, ..ComputeOutcome::default() };
         }
     }
 }
@@ -89,7 +89,7 @@ mod tests {
         let program = CcProgram::new();
         let store = <CcProgram as VertexProgram>::Store::create(6, 0);
         reset_values(&program, &store, 6, &pool);
-        let rounds = fixpoint_compute(&program, g.as_ref(), &store, &pool);
+        let rounds = fixpoint_compute(&program, g.as_ref(), &store, &pool).iterations;
         assert!(rounds >= 2);
         assert_eq!(store.load(0), 0);
         assert_eq!(store.load(1), 0);

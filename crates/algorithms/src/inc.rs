@@ -13,7 +13,7 @@
 //!    CAS `visited` bitvector, until no vertex is triggered.
 //!
 //! Deletion batches additionally get a KickStarter-style **repair pass**
-//! ([`incremental_compute_with_deletions`]): monotone `combine` only ever
+//! (in [`incremental_compute`]): monotone `combine` only ever
 //! improves values, so a stored property that depended on a removed edge
 //! would survive forever. Every vertex of a [`GatherMode::Fold`] program
 //! keeps one *witness parent* — the neighbor whose term last strictly
@@ -25,7 +25,8 @@
 //!
 //! [`GatherMode::Fold`]: crate::program::GatherMode::Fold
 
-use crate::program::{fold_pull, EdgeScope, ValueStore, VertexProgram};
+use crate::program::{fold_pull, EdgeScope, GatherMode, ValueStore, VertexProgram};
+use crate::ComputeOutcome;
 use saga_graph::properties::AtomicU32Array;
 use saga_graph::{Edge, GraphTopology, Node};
 use saga_utils::bitvec::AtomicBitVec;
@@ -37,53 +38,12 @@ use saga_utils::sync::atomic::{AtomicUsize, Ordering};
 /// The witness parent of a vertex that has none: it holds its initial value.
 pub const NO_PARENT: Node = u32::MAX;
 
-/// What an incremental compute phase did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IncOutcome {
-    /// Frontier rounds executed, including the initial affected pass.
-    pub iterations: usize,
-    /// Total vertex-function evaluations.
-    pub recomputed: usize,
-    /// Vertices whose change was significant enough to trigger neighbors.
-    pub triggered: usize,
-    /// Vertices reset and reseeded by the deletion-repair pass.
-    pub repaired: usize,
-}
-
-/// Result of an incremental phase over a batch that contained deletions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeletionOutcome {
-    /// Repair (if any was needed) stayed under the threshold and the
-    /// incremental rounds ran to quiescence.
-    Done(IncOutcome),
-    /// The repair cascade exceeded the caller's limit before closing; the
-    /// value store and the witness forest were **not** modified. The caller
-    /// should recompute from scratch (cheaper than resetting and reseeding
-    /// most of the graph) and then [`rebuild_witness_forest`].
-    CascadeOverflow {
-        /// Vertices tagged before the limit tripped.
-        tagged: usize,
-    },
-}
-
-/// Runs Algorithm 1: recompute `affected`, then propagate significant
+/// Algorithm 1's rounds: recompute `affected`, then propagate significant
 /// changes through `visited`-guarded frontier queues until quiescence.
-///
 /// `new_vertices` are vertices appearing in the stream for the first time;
-/// they are reset to the program's initial value (lines 2–4).
-pub fn incremental_compute<P: VertexProgram>(
-    program: &P,
-    graph: &dyn GraphTopology,
-    values: &P::Store,
-    affected: &[Node],
-    new_vertices: &[Node],
-    pool: &ThreadPool,
-) -> IncOutcome {
-    rounds(program, graph, values, None, affected, new_vertices, pool)
-}
-
-/// [`incremental_compute`]; with `parents`, every value a round improves
-/// also records its witness ([`fold_pull`]).
+/// they are reset to the program's initial value (lines 2–4). With
+/// `parents`, every value a round improves also records its witness
+/// ([`fold_pull`]).
 fn rounds<P: VertexProgram>(
     program: &P,
     graph: &dyn GraphTopology,
@@ -92,7 +52,7 @@ fn rounds<P: VertexProgram>(
     affected: &[Node],
     new_vertices: &[Node],
     pool: &ThreadPool,
-) -> IncOutcome {
+) -> ComputeOutcome {
     let n = graph.capacity();
     // Lines 2–4: initialize vertices entering the graph this batch.
     pool.parallel_for(0..new_vertices.len(), Schedule::Static, |i| {
@@ -201,11 +161,11 @@ fn rounds<P: VertexProgram>(
         process(&frontier, &visited, &next);
     }
 
-    IncOutcome {
+    ComputeOutcome {
         iterations,
         recomputed: recomputed.load(Ordering::Relaxed),
         triggered: triggered.load(Ordering::Relaxed),
-        repaired: 0,
+        ..ComputeOutcome::default()
     }
 }
 
@@ -391,57 +351,65 @@ pub fn rebuild_witness_forest<P: VertexProgram>(
     );
 }
 
-/// [`incremental_compute`] for a [`GatherMode::Fold`] program over a batch
-/// that may carry deletions, maintaining its witness forest `parents`.
+/// Runs Algorithm 1 over one batch already applied to `graph`: the
+/// serial INC model's one entry.
 ///
-/// Without deletions this is the plain incremental phase. Otherwise the
-/// repair is planned first ([`plan_deletion_repair`]); if it stays within
-/// `repair_limit`, the tagged vertices are reset to their initial values
-/// (and lose their witnesses) and are appended to the affected set, so the
-/// normal trigger/propagate rounds reseed them from surviving in-neighbors.
-/// On overflow nothing is touched and [`DeletionOutcome::CascadeOverflow`]
-/// tells the caller to fall back to from-scratch recomputation.
+/// `affected` are the vertices the update touched
+/// ([`AffectedTracker`](crate::AffectedTracker)) and `new_vertices` those
+/// appearing for the first time. `parents` is the witness forest of a
+/// [`GatherMode::Fold`] program, which the rounds keep current; a
+/// [`GatherMode::Sum`] program (PageRank) passes `None`, because its
+/// `combine` replaces the old value, so re-pulling the affected set after a
+/// deletion already is its full repair.
 ///
-/// [`GatherMode::Fold`]: crate::program::GatherMode::Fold
-#[allow(clippy::too_many_arguments)] // mirrors incremental_compute + deletion inputs
-pub fn incremental_compute_with_deletions<P: VertexProgram>(
+/// With a forest and `deleted` edges, the repair is planned first
+/// ([`plan_deletion_repair`]). If it stays within `repair_limit`, the
+/// tagged vertices are reset to their initial values (and lose their
+/// witnesses) and join the affected set, so the normal trigger/propagate
+/// rounds reseed them from surviving in-neighbors. On overflow nothing is
+/// touched and the result is `None`: the caller recomputes from scratch
+/// (cheaper than resetting and reseeding most of the graph) and then
+/// [`rebuild_witness_forest`]s.
+#[allow(clippy::too_many_arguments)] // the batch, its graph and the INC state
+pub fn incremental_compute<P: VertexProgram>(
     program: &P,
     graph: &dyn GraphTopology,
     values: &P::Store,
-    parents: &AtomicU32Array,
+    parents: Option<&AtomicU32Array>,
     affected: &[Node],
     new_vertices: &[Node],
     deleted: &[Edge],
     repair_limit: usize,
     pool: &ThreadPool,
-) -> DeletionOutcome {
-    let inc = |seeds: &[Node]| {
-        rounds(program, graph, values, Some(parents), seeds, new_vertices, pool)
+) -> Option<ComputeOutcome> {
+    debug_assert!(
+        parents.is_some() || deleted.is_empty() || program.gather_mode() == GatherMode::Sum,
+        "{}: a fold program repairs deletions through its witness forest",
+        program.name()
+    );
+    let Some(forest) = parents.filter(|_| !deleted.is_empty()) else {
+        return Some(rounds(program, graph, values, parents, affected, new_vertices, pool));
     };
-    if deleted.is_empty() {
-        return DeletionOutcome::Done(inc(affected));
-    }
     let repair_span = saga_trace::span!("repair", deleted = deleted.len() as u64);
-    let tagged = match plan_deletion_repair(program, graph, parents, deleted, repair_limit) {
+    let tagged = match plan_deletion_repair(program, graph, forest, deleted, repair_limit) {
         Ok(tagged) => tagged,
         Err(count) => {
             drop(repair_span);
             saga_trace::instant!("repair-overflow", tagged = count as u64);
-            return DeletionOutcome::CascadeOverflow { tagged: count };
+            return None;
         }
     };
     let n = graph.capacity();
     for &v in &tagged {
         values.store(v as usize, program.initial(v, n));
-        parents.set(v as usize, NO_PARENT);
+        forest.set(v as usize, NO_PARENT);
     }
     drop(repair_span);
     let mut seeds = Vec::with_capacity(affected.len() + tagged.len());
     seeds.extend_from_slice(affected);
     seeds.extend_from_slice(&tagged);
-    let mut outcome = inc(&seeds);
-    outcome.repaired = tagged.len();
-    DeletionOutcome::Done(outcome)
+    let outcome = rounds(program, graph, values, parents, &seeds, new_vertices, pool);
+    Some(ComputeOutcome { repaired: tagged.len(), ..outcome })
 }
 
 #[cfg(test)]
@@ -454,14 +422,25 @@ mod tests {
     use crate::sswp::SswpProgram;
     use saga_graph::{build_graph, DataStructureKind, Edge};
 
+    /// An insert-only batch of BFS without a witness forest.
+    fn bfs_rounds(
+        g: &dyn GraphTopology,
+        store: &AtomicU32Array,
+        affected: &[Node],
+        pool: &ThreadPool,
+    ) -> ComputeOutcome {
+        let program = BfsProgram::new(0);
+        incremental_compute(&program, g, store, None, affected, &[], &[], 0, pool)
+            .expect("no deletions, so no overflow")
+    }
+
     #[test]
     fn empty_affected_set_is_a_noop() {
         let pool = ThreadPool::new(2);
         let g = build_graph(DataStructureKind::AdjacencyShared, 4, true, 1);
-        let program = BfsProgram::new(0);
         let store = <BfsProgram as VertexProgram>::Store::create(4, u32::MAX);
         store.store(0, 0);
-        let out = incremental_compute(&program, g.as_ref(), &store, &[], &[], &pool);
+        let out = bfs_rounds(g.as_ref(), &store, &[], &pool);
         assert_eq!(out.iterations, 1);
         assert_eq!(out.recomputed, 0);
         assert_eq!(out.triggered, 0);
@@ -480,11 +459,10 @@ mod tests {
             ],
             &pool,
         );
-        let program = BfsProgram::new(0);
         let store = <BfsProgram as VertexProgram>::Store::create(5, u32::MAX);
         store.store(0, 0);
         let affected: Vec<Node> = vec![0, 1, 2, 3, 4];
-        let out = incremental_compute(&program, g.as_ref(), &store, &affected, &[], &pool);
+        let out = bfs_rounds(g.as_ref(), &store, &affected, &pool);
         assert_eq!(store.load(4), 4);
         assert!(out.iterations >= 2, "chain must propagate over rounds");
         assert!(out.recomputed >= 5);
@@ -495,13 +473,12 @@ mod tests {
         let pool = ThreadPool::new(2);
         let g = build_graph(DataStructureKind::AdjacencyShared, 4, true, 1);
         g.update_batch(&[Edge::new(0, 1, 1.0)], &pool);
-        let program = BfsProgram::new(0);
         let store = <BfsProgram as VertexProgram>::Store::create(4, u32::MAX);
         store.store(0, 0);
         store.store(1, 1);
         // Vertex 1 appears four times (e.g. four batch edges shared the
         // endpoint); it must be evaluated once, not four times.
-        let out = incremental_compute(&program, g.as_ref(), &store, &[1, 1, 1, 1], &[], &pool);
+        let out = bfs_rounds(g.as_ref(), &store, &[1, 1, 1, 1], &pool);
         assert_eq!(out.recomputed, 1);
         assert_eq!(out.iterations, 1, "no change, so no propagation rounds");
     }
@@ -531,10 +508,8 @@ mod tests {
         let n = g.capacity();
         let (store, parents) = fresh(program, n);
         let all: Vec<Node> = (0..n as Node).collect();
-        let out = incremental_compute_with_deletions(
-            program, g, &store, &parents, &all, &[], &[], n, pool,
-        );
-        assert!(matches!(out, DeletionOutcome::Done(_)));
+        let out = incremental_compute(program, g, &store, Some(&parents), &all, &[], &[], n, pool);
+        assert!(out.is_some());
         (store, parents)
     }
 
@@ -607,21 +582,18 @@ mod tests {
         let mut sorted = plan.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![4, 5, 6, 7], "exactly the stranded suffix");
-        let out = incremental_compute_with_deletions(
+        let out = incremental_compute(
             &program,
             g.as_ref(),
             &store,
-            &parents,
+            Some(&parents),
             &[3, 4],
             &[],
             &cut,
             1_000,
             &pool,
         );
-        match out {
-            DeletionOutcome::Done(o) => assert_eq!(o.repaired, 4),
-            other => panic!("expected Done, got {other:?}"),
-        }
+        assert_eq!(out.map(|o| o.repaired), Some(4));
         for v in 4..n {
             assert_eq!(store.load(v), crate::bfs::UNREACHED, "vertex {v}");
             assert_eq!(parents.get(v), NO_PARENT, "vertex {v} lost its witness");
@@ -642,21 +614,20 @@ mod tests {
         let cut = [Edge::new(1, 2, 1.0)];
         g.delete_batch(&cut, &pool);
         // The stranded suffix has 6 vertices; a limit of 2 must trip.
-        let out = incremental_compute_with_deletions(
+        let planned = plan_deletion_repair(&program, g.as_ref(), &parents, &cut, 2);
+        assert!(matches!(planned, Err(tagged) if tagged > 2), "{planned:?}");
+        let out = incremental_compute(
             &program,
             g.as_ref(),
             &store,
-            &parents,
+            Some(&parents),
             &[1, 2],
             &[],
             &cut,
             2,
             &pool,
         );
-        match out {
-            DeletionOutcome::CascadeOverflow { tagged } => assert!(tagged > 2),
-            other => panic!("expected overflow, got {other:?}"),
-        }
+        assert_eq!(out, None, "an overflow leaves the batch to FS");
         for v in 0..n {
             assert_eq!(store.load(v), v as u32, "store must be unmodified");
             assert_eq!(parents.get(v), v.checked_sub(1).map_or(NO_PARENT, |p| p as Node));
@@ -684,10 +655,10 @@ mod tests {
             g.delete_batch(&[cut], &pool);
             let mut plan = plan_deletion_repair(&program, g.as_ref(), &parents, &[cut], 6).unwrap();
             plan.sort_unstable();
-            let out = incremental_compute_with_deletions(
-                &program, g.as_ref(), &store, &parents, &[cut.src, 3], &[], &[cut], 6, &pool,
+            let out = incremental_compute(
+                &program, g.as_ref(), &store, Some(&parents), &[cut.src, 3], &[], &[cut], 6, &pool,
             );
-            assert!(matches!(out, DeletionOutcome::Done(o) if o.repaired == plan.len()));
+            assert_eq!(out.map(|o| o.repaired), Some(plan.len()));
             let values: Vec<u32> = (0..6).map(|v| store.load(v)).collect();
             assert_eq!(values, depths, "3 keeps or re-derives depth 2");
             if cut_the_witness {
@@ -727,10 +698,10 @@ mod tests {
         let mut tagged = plan_deletion_repair(&program, g.as_ref(), &parents, &cut, n).unwrap();
         tagged.sort_unstable();
         assert_eq!(tagged, want, "{}", program.name());
-        let out = incremental_compute_with_deletions(
-            &program, g.as_ref(), &store, &parents, &[1, 2, 6], &[], &cut, n, &pool,
+        let out = incremental_compute(
+            &program, g.as_ref(), &store, Some(&parents), &[1, 2, 6], &[], &cut, n, &pool,
         );
-        assert!(matches!(out, DeletionOutcome::Done(o) if o.repaired == want.len()));
+        assert_eq!(out.map(|o| o.repaired), Some(want.len()));
         let (fs, _) = fresh(&program, n);
         converged(&fs);
         let values = |s: &P::Store| (0..n).map(|v| s.load(v)).collect::<Vec<_>>();
@@ -796,10 +767,11 @@ mod tests {
                 live.retain(|e| !deletes.iter().any(|d| (d.src, d.dst) == (e.src, e.dst)));
                 let affected: Vec<Node> =
                     inserts.iter().chain(&deletes).flat_map(|e| [e.src, e.dst]).collect();
-                let out = incremental_compute_with_deletions(
-                    &program, g.as_ref(), &store, &parents, &affected, &[], &deletes, n, &pool,
+                let forest = Some(&parents);
+                let out = incremental_compute(
+                    &program, g.as_ref(), &store, forest, &affected, &[], &deletes, n, &pool,
                 );
-                assert!(matches!(out, DeletionOutcome::Done(_)));
+                assert!(out.is_some());
                 assert_forest_sound(&program, g.as_ref(), &store, &parents);
                 let (fs, rebuilt) = fresh(&program, n);
                 program.from_scratch(g.as_ref(), &fs, &pool);

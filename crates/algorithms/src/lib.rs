@@ -35,8 +35,7 @@ pub mod sswp;
 
 pub use saga_graph::properties::VertexValues;
 
-use inc::DeletionOutcome;
-use program::{EdgeScope, ValueStore, VertexProgram};
+use program::{EdgeScope, GatherMode, ValueStore, VertexProgram};
 use saga_graph::properties::{AtomicU32Array, Property};
 use saga_graph::{Edge, GraphTopology, Node};
 use saga_utils::sync::Mutex;
@@ -199,19 +198,30 @@ impl Default for AlgorithmParams {
     }
 }
 
-/// What a compute phase did.
+/// What a compute phase did: the one work record of every engine — the
+/// FS kernels, serial INC ([`inc::incremental_compute`]) and the sharded
+/// BSP engine — each filled where the work happens. A field an engine does
+/// not count reads 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ComputeOutcome {
-    /// Rounds / levels / iterations executed.
+    /// Rounds / levels / sweeps / supersteps executed.
     pub iterations: usize,
-    /// Vertex-function evaluations (0 for FS kernels that do not count).
+    /// Vertex-function evaluations (serial INC only).
     pub recomputed: usize,
-    /// Vertices that triggered neighbor propagation (INC only).
+    /// Vertices that triggered neighbor propagation (serial INC only).
     pub triggered: usize,
-    /// Vertices reset and reseeded by the deletion-repair pass (INC only).
+    /// Vertices reset and reseeded by the deletion-repair pass (serial INC
+    /// only).
     pub repaired: usize,
-    /// Whether the repair cascade overflowed its threshold and this batch
-    /// was recomputed from scratch instead (INC only).
+    /// Of `iterations`, the levels direction-optimizing BFS ran bottom-up
+    /// ([`bfs::bfs_direction_optimizing`]).
+    pub dense_rounds: usize,
+    /// Messages sent across all supersteps (sharded BSP only; seed terms
+    /// are not messages).
+    pub messages: usize,
+    /// Whether this INC batch was recomputed from scratch: the repair
+    /// cascade overflowed its threshold (serial), or it deleted edges
+    /// (sharded).
     pub fs_fallback: bool,
 }
 
@@ -325,8 +335,9 @@ struct Bound<P: VertexProgram> {
     program: P,
     values: P::Store,
     /// The INC state's witness forest (one parent per vertex,
-    /// [`inc::NO_PARENT`] for none) when the program needs deletion repair;
-    /// `None` under FS and for PageRank.
+    /// [`inc::NO_PARENT`] for none) for a [`GatherMode::Fold`] program;
+    /// `None` under FS and for [`GatherMode::Sum`] (PageRank), whose
+    /// re-pull of the affected set is already its deletion repair.
     parents: Option<AtomicU32Array>,
     /// Deletion-repair cascade threshold, in vertices.
     repair_limit: usize,
@@ -338,7 +349,8 @@ impl<P: VertexProgram> Bound<P> {
         for v in 1..capacity {
             values.store(v, program.initial(v as Node, capacity));
         }
-        let parents = (model == ComputeModelKind::Incremental && program.needs_deletion_repair())
+        let fold = program.gather_mode() == GatherMode::Fold;
+        let parents = (model == ComputeModelKind::Incremental && fold)
             .then(|| AtomicU32Array::filled(capacity, inc::NO_PARENT));
         let repair_limit = ((capacity as f64 * params.repair_cascade_fraction) as usize).max(1);
         Self { program, values, parents, repair_limit }
@@ -362,36 +374,23 @@ impl<P: VertexProgram> BoundProgram for Bound<P> {
         // per-visit locks (`GraphTopology::frozen`).
         saga_graph::read_phase(graph, |graph| {
             if incremental {
-                // PageRank keeps no forest: re-pulling the affected set is
-                // already its full repair (`needs_deletion_repair`).
-                let outcome = match parents {
-                    Some(parents) => inc::incremental_compute_with_deletions(
-                        program, graph, values, parents, affected, new_vertices, deleted,
-                        self.repair_limit, pool,
-                    ),
-                    None => DeletionOutcome::Done(inc::incremental_compute(
-                        program, graph, values, affected, new_vertices, pool,
-                    )),
-                };
-                if let DeletionOutcome::Done(o) = outcome {
-                    return ComputeOutcome {
-                        iterations: o.iterations,
-                        recomputed: o.recomputed,
-                        triggered: o.triggered,
-                        repaired: o.repaired,
-                        fs_fallback: false,
-                    };
+                let repaired = inc::incremental_compute(
+                    program, graph, values, parents, affected, new_vertices, deleted,
+                    self.repair_limit, pool,
+                );
+                if let Some(outcome) = repaired {
+                    return outcome;
                 }
             }
             // The FS model, and INC's fallback when the repair cascade
             // overflowed — which leaves no witnesses, so the forest is
             // derived again from the new values.
             fs::reset_values(program, values, values.len(), pool);
-            let iterations = program.from_scratch(graph, values, pool);
+            let outcome = program.from_scratch(graph, values, pool);
             if let Some(parents) = parents {
                 inc::rebuild_witness_forest(program, graph, values, parents, pool);
             }
-            ComputeOutcome { iterations, fs_fallback: incremental, ..ComputeOutcome::default() }
+            ComputeOutcome { fs_fallback: incremental, ..outcome }
         })
     }
 
@@ -432,7 +431,7 @@ pub struct AlgorithmState {
     kind: AlgorithmKind,
     model: ComputeModelKind,
     capacity: usize,
-    affects_source_neighborhood: bool,
+    sum_mode: bool,
     symmetric_scope: bool,
     /// Algorithm 1's affected-array bookkeeping; `None` under FS.
     tracker: Option<AffectedTracker>,
@@ -462,7 +461,7 @@ impl AlgorithmState {
             kind,
             model,
             capacity,
-            affects_source_neighborhood: program.affects_source_neighborhood(),
+            sum_mode: program.gather_mode() == GatherMode::Sum,
             symmetric_scope: program.scope() == EdgeScope::Symmetric,
             tracker: (model == ComputeModelKind::Incremental)
                 .then(|| AffectedTracker::new(capacity)),
@@ -486,10 +485,12 @@ impl AlgorithmState {
     }
 
     /// Whether batch sources' existing out-neighbors must be seeded as
-    /// affected (PageRank's out-degree effect; see
-    /// [`VertexProgram::affects_source_neighborhood`]).
+    /// affected: only a [`GatherMode::Sum`] program's
+    /// [`term`](VertexProgram::term) reads its source's out-degree
+    /// (PageRank's `rank / out_degree`), so a new or deleted out-edge
+    /// changes what every existing out-neighbor pulls.
     pub fn affects_source_neighborhood(&self) -> bool {
-        self.affects_source_neighborhood
+        self.sum_mode
     }
 
     /// Whether the program's vertex function reduces over both edge
@@ -539,8 +540,8 @@ impl AlgorithmState {
 
 impl ComputeEngine for AlgorithmState {
     /// Under INC, the batch's endpoints, plus each source's existing
-    /// out-neighbors when the program
-    /// [`affects_source_neighborhood`](VertexProgram::affects_source_neighborhood).
+    /// out-neighbors for a [`GatherMode::Sum`] program
+    /// ([`affects_source_neighborhood`](AlgorithmState::affects_source_neighborhood)).
     fn track(
         &mut self,
         graph: &dyn GraphTopology,
@@ -548,7 +549,7 @@ impl ComputeEngine for AlgorithmState {
         deleted: &[Edge],
         pool: &ThreadPool,
     ) -> BatchImpact {
-        let sources = self.affects_source_neighborhood;
+        let sources = self.sum_mode;
         match &mut self.tracker {
             Some(t) => t.process_mixed_batch(graph, inserted, deleted, sources, false, pool),
             None => BatchImpact::default(),

@@ -39,6 +39,7 @@
 //! against Stinger 0.24 s, AC 0.20 s and AS 0.08 s).
 
 use crate::program::{GatherMode, ValueStore, VertexProgram};
+use crate::ComputeOutcome;
 use saga_graph::properties::AtomicF64Array;
 use saga_graph::{GraphTopology, Node};
 use saga_utils::parallel::{adaptive_grain, Schedule, ThreadPool};
@@ -146,11 +147,11 @@ impl ValueStore<f64> for PrValues {
 ///
 /// ```
 /// use saga_algorithms::pr::PrProgram;
-/// use saga_algorithms::program::VertexProgram;
+/// use saga_algorithms::program::{GatherMode, VertexProgram};
 ///
 /// let p = PrProgram::new(100);
 /// assert_eq!(p.initial(0, 100), (1.0 - 0.85) / 100.0); // the no-in-edge fixpoint
-/// assert!(p.affects_source_neighborhood());
+/// assert_eq!(p.gather_mode(), GatherMode::Sum);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct PrProgram {
@@ -284,17 +285,6 @@ impl VertexProgram for PrProgram {
         (old - new).abs() > self.epsilon
     }
 
-    fn affects_source_neighborhood(&self) -> bool {
-        true
-    }
-
-    fn needs_deletion_repair(&self) -> bool {
-        // `combine` replaces the old rank with the freshly pulled one, so
-        // re-pulling the affected vertices after a deletion already yields
-        // the correct values — no stale-dependency cascade exists.
-        false
-    }
-
     fn gather_mode(&self) -> GatherMode {
         GatherMode::Sum
     }
@@ -317,7 +307,7 @@ impl VertexProgram for PrProgram {
         graph: &dyn GraphTopology,
         values: &PrValues,
         pool: &ThreadPool,
-    ) -> usize {
+    ) -> ComputeOutcome {
         pagerank_from_scratch(self, graph, values, pool)
     }
 }
@@ -331,7 +321,7 @@ const SWEEP_BLOCKS: usize = 8;
 
 /// Conventional PageRank from scratch: a block Gauss–Seidel iteration until
 /// [`sum_converged`](VertexProgram::sum_converged). `values` must already be
-/// reset. Returns sweeps executed.
+/// reset. Counts its sweeps.
 ///
 /// Every vertex keeps its out-edges' [`term`](VertexProgram::term)
 /// (`rank / out_degree`) in one of two contribution arrays. A sweep
@@ -348,7 +338,7 @@ pub fn pagerank_from_scratch(
     graph: &dyn GraphTopology,
     values: &PrValues,
     pool: &ThreadPool,
-) -> usize {
+) -> ComputeOutcome {
     let n = graph.capacity();
     pool.parallel_for(0..n, Schedule::Static, |v| {
         values.cache_degree(v as Node, graph.out_degree(v as Node));
@@ -404,7 +394,7 @@ pub fn pagerank_from_scratch(
         }
         std::mem::swap(&mut previous, &mut current);
         if program.sum_converged(sweeps, delta_units.load(Ordering::Relaxed)) {
-            return sweeps;
+            return ComputeOutcome { iterations: sweeps, ..ComputeOutcome::default() };
         }
     }
 }
@@ -431,7 +421,7 @@ mod tests {
         let n = graph.capacity();
         let values = PrValues::create(n, 0.0);
         reset_values(program, &values, n, pool);
-        let iters = pagerank_from_scratch(program, graph, &values, pool);
+        let iters = pagerank_from_scratch(program, graph, &values, pool).iterations;
         (values.ranks.to_vec(), iters)
     }
 
@@ -526,12 +516,14 @@ mod tests {
                 let program = PrProgram::new(4);
                 let values = PrValues::create(4, 0.0);
                 reset_values(&program, &values, 4, &pool);
-                let iters = pagerank_from_scratch(&program, g.as_ref(), &values, &pool);
+                let iters = pagerank_from_scratch(&program, g.as_ref(), &values, &pool).iterations;
                 assert!(iters > 0, "{ds:?} directed={directed}");
                 values.begin_phase();
-                let out =
-                    incremental_compute(&program, g.as_ref(), &values, &[0, 1, 2, 3], &[], &pool);
-                assert!(out.recomputed >= 4, "{ds:?} directed={directed}");
+                let affected = [0, 1, 2, 3];
+                let out = incremental_compute(
+                    &program, g.as_ref(), &values, None, &affected, &[], &[], 0, &pool,
+                );
+                assert!(out.is_some_and(|o| o.recomputed >= 4), "{ds:?} directed={directed}");
                 assert!(values.ranks.to_vec().iter().all(|r| r.is_finite()));
             }
         }
@@ -634,9 +626,8 @@ mod tests {
             let impact =
                 tracker.process_mixed_batch(graph, inserts, deletes, true, seed_deletes, &pool);
             values.begin_phase();
-            incremental_compute(
-                &program, graph, &values, &impact.affected, &impact.new_vertices, &pool,
-            );
+            let (affected, new) = (&impact.affected, &impact.new_vertices);
+            incremental_compute(&program, graph, &values, None, affected, new, deletes, 0, &pool);
             if graph.is_directed() {
                 assert_eq!(graph.out_degree(0), degree_of_0, "{label} phase {i}: the script");
             }

@@ -9,6 +9,7 @@
 //! new algorithm join the benchmark by implementing one trait (§III-D).
 
 use crate::inc::NO_PARENT;
+use crate::ComputeOutcome;
 use saga_graph::properties::{AtomicArray, Property};
 use saga_graph::{GraphTopology, Node};
 use saga_utils::parallel::ThreadPool;
@@ -159,15 +160,6 @@ pub trait VertexProgram: Send + Sync {
     /// to neighbors (Algorithm 1, line 11).
     fn significant_change(&self, old: Self::Value, new: Self::Value) -> bool;
 
-    /// When `true`, an inserted edge `(u, v)` additionally seeds the
-    /// out-neighbors of `u` as affected. Only PageRank needs this: a new
-    /// out-edge changes `u`'s out-degree and therefore the contribution
-    /// `u.rank / u.out_degree` that *every existing* out-neighbor of `u`
-    /// pulls, even when `u.rank` itself does not change.
-    fn affects_source_neighborhood(&self) -> bool {
-        false
-    }
-
     /// Whether `value` could have been derived from an in-neighbor holding
     /// `src_value` across an edge of weight `weight`: that edge's
     /// [`term`](Self::term) is exactly `value`. The INC model's witness
@@ -178,17 +170,13 @@ pub trait VertexProgram: Send + Sync {
         self.term(src_value, weight, 0) == Some(value)
     }
 
-    /// Whether deleting edges can strand a stale property that the normal
-    /// trigger rounds would never overwrite. True for the monotone
-    /// min/max reductions (their [`combine`](Self::combine) only improves
-    /// values, so a value depending on a removed edge survives forever);
-    /// false for PageRank, whose `combine` replaces the old value — a
-    /// re-pull of the affected vertices is already a full repair.
-    fn needs_deletion_repair(&self) -> bool {
-        true
-    }
-
-    /// How the BSP engine reduces the terms sent to a vertex.
+    /// How the engines reduce the terms sent to a vertex — the one flag
+    /// that sets a [`GatherMode::Sum`] program (PageRank) apart. Because a
+    /// Sum term reads its source's out-degree, a batch source's existing
+    /// out-neighbors are affected too; because a Sum `combine` replaces the
+    /// old value, re-pulling the affected set is its whole deletion repair,
+    /// while a [`GatherMode::Fold`] program keeps a witness forest
+    /// ([`crate::inc`]).
     fn gather_mode(&self) -> GatherMode {
         GatherMode::Fold
     }
@@ -213,7 +201,7 @@ pub trait VertexProgram: Send + Sync {
     }
 
     /// The FS model's kernel: recomputes every property on `graph` from
-    /// `values` already reset to [`initial`](Self::initial), returning the
+    /// `values` already reset to [`initial`](Self::initial), counting the
     /// rounds it took. Defaults to the generic Jacobi fixpoint (CC, MC);
     /// programs with a conventional static-graph kernel (frontier BFS,
     /// delta-stepping SSSP, tolerance-stopped PR) override it.
@@ -223,7 +211,7 @@ pub trait VertexProgram: Send + Sync {
         graph: &dyn GraphTopology,
         values: &Self::Store,
         pool: &ThreadPool,
-    ) -> usize
+    ) -> ComputeOutcome
     where
         Self: Sized,
     {

@@ -7,6 +7,7 @@
 //! stays competitive with INC on SSSP except on the largest dataset).
 
 use crate::program::VertexProgram;
+use crate::ComputeOutcome;
 use saga_graph::properties::AtomicF32Array;
 use saga_graph::{GraphTopology, Node};
 use saga_utils::bitvec::AtomicBitVec;
@@ -96,19 +97,19 @@ impl VertexProgram for SsspProgram {
         graph: &dyn GraphTopology,
         values: &AtomicF32Array,
         pool: &ThreadPool,
-    ) -> usize {
+    ) -> ComputeOutcome {
         sssp_delta_stepping(self, graph, values, pool)
     }
 }
 
 /// Delta-stepping SSSP from scratch. `values` must already be reset.
-/// Returns the number of bucket phases processed.
+/// Counts the bucket phases it processed.
 pub fn sssp_delta_stepping(
     program: &SsspProgram,
     graph: &dyn GraphTopology,
     values: &AtomicF32Array,
     pool: &ThreadPool,
-) -> usize {
+) -> ComputeOutcome {
     let n = graph.capacity();
     let delta = program.delta;
     let bucket_of = |dist: f32| (dist / delta) as usize;
@@ -130,7 +131,7 @@ pub fn sssp_delta_stepping(
             current += 1;
         }
         if current >= buckets.len() {
-            return phases;
+            return ComputeOutcome { iterations: phases, ..ComputeOutcome::default() };
         }
         // Settle the bucket: light-edge relaxations may refill it.
         while !buckets[current].is_empty() {

@@ -9,6 +9,7 @@
 //! relaxation over out-edges converges to the exact fixpoint.
 
 use crate::program::VertexProgram;
+use crate::ComputeOutcome;
 use saga_graph::properties::AtomicF32Array;
 use saga_graph::{GraphTopology, Node};
 use saga_utils::bitvec::AtomicBitVec;
@@ -77,19 +78,19 @@ impl VertexProgram for SswpProgram {
         graph: &dyn GraphTopology,
         values: &AtomicF32Array,
         pool: &ThreadPool,
-    ) -> usize {
+    ) -> ComputeOutcome {
         sswp_from_scratch(self, graph, values, pool)
     }
 }
 
 /// Frontier-based widest-path relaxation from scratch. `values` must
-/// already be reset. Returns the number of relaxation rounds.
+/// already be reset. Counts its relaxation rounds.
 pub fn sswp_from_scratch(
     program: &SswpProgram,
     graph: &dyn GraphTopology,
     values: &AtomicF32Array,
     pool: &ThreadPool,
-) -> usize {
+) -> ComputeOutcome {
     let n = graph.capacity();
     let mut visited = AtomicBitVec::new(n);
     let mut next = FlatFrontier::new(n);
@@ -111,7 +112,7 @@ pub fn sswp_from_scratch(
         next.take_into(&mut frontier);
         visited.clear_all();
     }
-    rounds
+    ComputeOutcome { iterations: rounds, ..ComputeOutcome::default() }
 }
 
 #[cfg(test)]

@@ -164,14 +164,29 @@ pub fn run_arch_characterization(
                         .build();
                     let outcome = driver.run(&stream);
                     let total = outcome.batches.len();
+                    let mut dropped = [0u64; 2];
                     for batch in &outcome.batches {
                         let arch = batch.arch.as_ref().expect("arch sim enabled");
+                        dropped[0] += arch.update.dropped;
+                        dropped[1] += arch.compute.dropped;
                         update_secs[i] += arch.update_bw.seconds;
                         compute_secs[i] += arch.compute_bw.seconds;
                         if t == cfg.threads {
                             let s = stage_of(batch.index, total).index();
                             update[s].push(&arch.update, &arch.update_bw);
                             compute[s].push(&arch.compute, &arch.compute_bw);
+                        }
+                    }
+                    // A phase past the trace budget was replayed on its
+                    // recorded prefix only.
+                    for (phase, dropped) in ["update", "compute"].into_iter().zip(dropped) {
+                        if dropped > 0 {
+                            saga_trace::progress!(
+                                "[arch] {} / {} / {alg} @ {t} threads: {phase} traces cut, \
+                                 {dropped} accesses dropped",
+                                group.name,
+                                profile.name(),
+                            );
                         }
                     }
                 }

@@ -1,7 +1,7 @@
 //! The sharded BSP superstep engine.
 //!
 //! A run executes supersteps until quiescence (fold programs) or
-//! convergence (sum programs). Each superstep is three barrier crossings:
+//! convergence (sum programs). Each superstep is two barrier crossings:
 //!
 //! 1. **Scatter** — every worker walks its shards' active vertices and
 //!    posts one message per edge — the program's per-edge
@@ -12,9 +12,10 @@
 //!    ascending source-shard order and folds (or sums) the messages into
 //!    the shard-local property array, building the next active frontier
 //!    ([`VertexProgram::gather_mode`]).
-//! 4. *barrier* — the leader (last arriver) runs the sequential epilogue:
-//!    termination check, superstep advance, and checkpoint publication.
-//! 5. *barrier* — publishes the leader's decision to everyone.
+//! 4. *barrier* — the last arriver runs the sequential epilogue
+//!    (termination check, superstep advance, checkpoint publication)
+//!    before the crossing releases, so every worker leaves it seeing the
+//!    decision.
 //!
 //! Checkpoints are taken only at the gather-end boundary, where all
 //! mailboxes are empty by construction, so a snapshot is just per-shard
@@ -33,6 +34,7 @@ use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointStore};
 use crate::layout::ShardLayout;
 use crate::mailbox::Mailboxes;
 use saga_algorithms::program::{EdgeScope, GatherMode, VertexProgram};
+use saga_algorithms::ComputeOutcome;
 use saga_graph::properties::ShardValues;
 use saga_graph::{Edge, GraphTopology, Node, Weight};
 use saga_trace::metrics::{self, Counter, Histogram};
@@ -130,15 +132,6 @@ impl<V: Copy> Seeds<V> {
         self.messages.truncate(kept);
         self.arcs.truncate(kept);
     }
-}
-
-/// Summary of a completed (un-killed) run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BspOutcome {
-    /// Supersteps executed, counting any replayed after a recovery.
-    pub supersteps: usize,
-    /// Messages sent across all supersteps of this `run` call.
-    pub messages: u64,
 }
 
 /// One shard's owner-private state. Behind an `RwLock` for safe hand-off
@@ -310,7 +303,7 @@ impl<P: VertexProgram> BspEngine<P> {
                     this.mail.post(s, d, &mut seeds.messages);
                 }
             }
-            barrier.wait();
+            barrier.wait(|| {});
             for s in (w..nshards).step_by(threads) {
                 this.gather_shard_fold(s, None);
             }
@@ -381,11 +374,17 @@ impl<P: VertexProgram> BspEngine<P> {
         self.publish_checkpoint(0);
     }
 
-    /// Runs supersteps to completion on `pool`. Returns `Err(Killed)` if
-    /// an armed [`KillSpec`] fired; the caller then restores the last
-    /// barrier snapshot with [`recover`](Self::recover) (or
-    /// [`recover_from_disk`](Self::recover_from_disk)) and re-runs.
-    pub fn run(&self, graph: &dyn GraphTopology, pool: &ThreadPool) -> Result<BspOutcome, Killed> {
+    /// Runs supersteps to completion on `pool`. The outcome counts the
+    /// supersteps executed in `iterations` — replayed ones included after a
+    /// recovery — and this call's messages in `messages`. Returns
+    /// `Err(Killed)` if an armed [`KillSpec`] fired; the caller then
+    /// restores the last barrier snapshot with [`recover`](Self::recover)
+    /// (or [`recover_from_disk`](Self::recover_from_disk)) and re-runs.
+    pub fn run(
+        &self,
+        graph: &dyn GraphTopology,
+        pool: &ThreadPool,
+    ) -> Result<ComputeOutcome, Killed> {
         let threads = pool.threads();
         let nshards = self.layout.shards();
         let mode = self.program.gather_mode();
@@ -428,7 +427,7 @@ impl<P: VertexProgram> BspEngine<P> {
                     }
                     ctl.step_messages.fetch_add(sent, Ordering::Relaxed);
                 }
-                ctl.barrier.wait();
+                ctl.barrier.wait(|| {});
                 {
                     let _span = saga_trace::span!("bsp-gather", worker = w);
                     for s in (w..nshards).step_by(threads) {
@@ -450,10 +449,7 @@ impl<P: VertexProgram> BspEngine<P> {
                         }
                     }
                 }
-                if ctl.barrier.wait() {
-                    self.superstep_epilogue(step, &ctl, mode);
-                }
-                ctl.barrier.wait();
+                ctl.barrier.wait(|| self.superstep_epilogue(step, &ctl, mode));
                 if ctl.done.load(Ordering::SeqCst) {
                     break;
                 }
@@ -464,9 +460,10 @@ impl<P: VertexProgram> BspEngine<P> {
                 superstep: ctl.killed_step.load(Ordering::SeqCst),
             });
         }
-        Ok(BspOutcome {
-            supersteps: self.superstep.load(Ordering::Relaxed),
-            messages: ctl.messages.load(Ordering::Relaxed),
+        Ok(ComputeOutcome {
+            iterations: self.superstep.load(Ordering::Relaxed),
+            messages: ctl.messages.load(Ordering::Relaxed) as usize,
+            ..ComputeOutcome::default()
         })
     }
 
@@ -661,8 +658,8 @@ impl<P: VertexProgram> BspEngine<P> {
         (processed, delta)
     }
 
-    /// Leader-only work between the gather barrier and the release
-    /// barrier: metrics, termination, superstep advance, checkpointing.
+    /// The last arriver's work inside the gather-end crossing, before it
+    /// releases: metrics, termination, superstep advance, checkpointing.
     fn superstep_epilogue(&self, step: usize, ctl: &Control, mode: GatherMode) {
         let sent = ctl.step_messages.swap(0, Ordering::Relaxed);
         ctl.messages.fetch_add(sent, Ordering::Relaxed);

@@ -10,7 +10,7 @@
 //! [`term`](saga_algorithms::program::VertexProgram::term)s, sent as
 //! messages into per-shard-pair mailboxes,
 //! [`mailbox::Mailboxes`]) with a gather phase (fold or sum the inbox into
-//! shard state) separated by a leader-electing barrier
+//! shard state) separated by a barrier whose last arriver runs the epilogue
 //! ([`saga_utils::barrier::Barrier`]).
 //!
 //! At every gather-end barrier the mailboxes are empty by construction,
@@ -24,8 +24,9 @@
 //!
 //! [`ShardedState`] is the driver-facing wrapper mirroring
 //! [`saga_algorithms::AlgorithmState`]: it picks the engine for an
-//! [`AlgorithmKind`], seeds each batch's run, and maps BSP outcomes back
-//! onto [`ComputeOutcome`]. An incremental batch of a fold program that
+//! [`AlgorithmKind`] and seeds each batch's run, which reports in the same
+//! [`ComputeOutcome`] as the serial engines (superstep messages in
+//! `messages`). An incremental batch of a fold program that
 //! only inserts starts from the batch's own edges: one term per inserted
 //! edge (both directions for a symmetric scope or an undirected graph),
 //! computed from the pre-batch values, kept only if it would change its
@@ -43,7 +44,7 @@ pub mod layout;
 pub mod mailbox;
 
 pub use checkpoint::CheckpointConfig;
-pub use engine::{BspOutcome, KillPhase, KillSpec, Killed};
+pub use engine::{KillPhase, KillSpec, Killed};
 
 use crate::engine::{BspEngine, SeedArc, SeedArcs};
 use saga_algorithms::program::{EdgeScope, GatherMode, VertexProgram};
@@ -74,7 +75,7 @@ trait Engine: Send + Sync {
         pool: &ThreadPool,
         arcs: Option<(&SeedArcs<'_>, bool)>,
         recoveries: &mut usize,
-    ) -> BspOutcome;
+    ) -> ComputeOutcome;
 
     fn values(&self) -> VertexValues;
 }
@@ -94,7 +95,7 @@ impl<P: VertexProgram> Engine for BspEngine<P> {
         pool: &ThreadPool,
         arcs: Option<(&SeedArcs<'_>, bool)>,
         recoveries: &mut usize,
-    ) -> BspOutcome {
+    ) -> ComputeOutcome {
         match arcs {
             None => self.reset_all_active(),
             Some((arcs, batch_weights)) => self.seed(graph, pool, arcs, batch_weights),
@@ -233,8 +234,7 @@ impl ShardedState {
     /// unless it is a [`full_run`](Self::full_run). A run interrupted by an
     /// armed [`KillSpec`] is recovered from the latest superstep checkpoint
     /// and re-run to completion — the outcome then counts the replayed
-    /// supersteps too. `recomputed` counts superstep messages; seed terms
-    /// are not messages.
+    /// supersteps too.
     fn execute(
         &mut self,
         graph: &dyn GraphTopology,
@@ -244,15 +244,9 @@ impl ShardedState {
     ) -> ComputeOutcome {
         let arcs = (!self.full_run(had_deletes)).then_some(arcs);
         let outcome = self.engine.run_batch(graph, pool, arcs, &mut self.recoveries);
-        ComputeOutcome {
-            iterations: outcome.supersteps,
-            recomputed: outcome.messages as usize,
-            triggered: 0,
-            repaired: 0,
-            fs_fallback: had_deletes
-                && self.model == ComputeModelKind::Incremental
-                && !self.sum_mode,
-        }
+        let fs_fallback =
+            had_deletes && self.model == ComputeModelKind::Incremental && !self.sum_mode;
+        ComputeOutcome { fs_fallback, ..outcome }
     }
 
     /// Current vertex values in global-id order.

@@ -251,7 +251,7 @@ fn an_unimproving_batch_sends_no_superstep_messages() {
         // A shortcut from deeper to shallower and a repeated chain edge.
         let outcome = twins.step(&[Edge::new(3, 1, 1.0), Edge::new(1, 2, 1.0)], &pool);
         assert!(outcome.iterations <= 1, "{kind:?}: {outcome:?}");
-        assert_eq!(outcome.recomputed, 0, "{kind:?}: {outcome:?}");
+        assert_eq!(outcome.messages, 0, "{kind:?}: {outcome:?}");
         assert_eq!(twins.sharded.values(), twins.serial.values(), "{kind:?}");
     }
 }

@@ -10,7 +10,7 @@
 //!   deliberately injected bug (a structure that silently drops delete
 //!   ops) and shrinks the trigger to a handful of ops.
 
-use saga_algorithms::program::VertexProgram;
+use saga_algorithms::program::{GatherMode, VertexProgram};
 use saga_algorithms::{with_program, AlgorithmKind, AlgorithmParams};
 use saga_check::program::ProgramOp;
 use saga_check::{
@@ -53,7 +53,7 @@ fn fuzz_smoke() {
     for (&kind, tally) in &report.repairs {
         eprintln!("{kind}: {tally:?}");
         let params = AlgorithmParams::default();
-        let repairs = with_program!(kind, params, 1, p => p.needs_deletion_repair());
+        let repairs = with_program!(kind, params, 1, p => p.gather_mode() == GatherMode::Fold);
         assert!(
             !repairs || tally.deletion_batches == 0 || tally.repaired > 0,
             "{kind} never repaired a deletion batch: {tally:?}"

@@ -13,11 +13,9 @@
 
 use std::sync::OnceLock;
 
-use saga_algorithms::bfs::{
-    bfs_direction_optimizing, bfs_direction_optimizing_stats, bfs_from_scratch, BfsProgram,
-};
+use saga_algorithms::bfs::{bfs_direction_optimizing, bfs_from_scratch, BfsProgram};
 use saga_algorithms::fs::reset_values;
-use saga_algorithms::AlgorithmKind;
+use saga_algorithms::{AlgorithmKind, ComputeOutcome};
 use saga_bench::arch::{run_arch_characterization, GroupArchResult};
 use saga_bench::experiments::{fs_over_inc, tail_sweep, update_share};
 use saga_check::{assert_crossover, assert_ordering, assert_ratio_within};
@@ -422,16 +420,17 @@ fn dirop_bfs_beats_top_down_on_a_dense_graph() {
     let program = BfsProgram::new(edges[0].0);
     let values = AtomicU32Array::filled(DENSE_NODES, 0);
     reset_values(&program, &values, DENSE_NODES, &pool);
-    let stats = bfs_direction_optimizing_stats(&program, &graph, &values, &pool);
+    let outcome = bfs_direction_optimizing(&program, &graph, &values, &pool);
     assert!(
-        stats.bottom_up_levels >= 1,
+        outcome.dense_rounds >= 1,
         "dense graph must switch bottom-up ({} levels, none bottom-up)",
-        stats.levels
+        outcome.iterations
     );
     if timing_skipped() {
         return;
     }
-    type Kernel = fn(&BfsProgram, &dyn GraphTopology, &AtomicU32Array, &ThreadPool) -> usize;
+    type Kernel =
+        fn(&BfsProgram, &dyn GraphTopology, &AtomicU32Array, &ThreadPool) -> ComputeOutcome;
     let best_of_five = |kernel: Kernel| {
         (0..5)
             .map(|_| {

@@ -744,6 +744,36 @@ mod tests {
         }
     }
 
+    /// The work record's fields mean one thing in every engine: vertex
+    /// evaluations are serial INC's, superstep messages the sharded
+    /// engine's, and every engine counts its rounds.
+    #[test]
+    fn one_record_means_the_same_in_every_engine() {
+        let stream = tiny_stream();
+        let run = |model, shards: Option<usize>| {
+            let mut b = StreamDriver::builder(DataStructureKind::AdjacencyShared, 300)
+                .algorithm(AlgorithmKind::Bfs)
+                .compute_model(model)
+                .batch_size(800)
+                .threads(2);
+            if let Some(s) = shards {
+                b = b.sharded(s);
+            }
+            let batches = b.build().run(&stream).batches;
+            assert!(batches.iter().all(|b| b.compute.iterations >= 1), "{model:?} {shards:?}");
+            let sum = |field: fn(&ComputeOutcome) -> usize| {
+                batches.iter().map(|b| field(&b.compute)).sum::<usize>()
+            };
+            (sum(|c| c.recomputed), sum(|c| c.messages))
+        };
+        let (fs_evaluated, fs_messages) = run(ComputeModelKind::FromScratch, None);
+        let (inc_evaluated, inc_messages) = run(ComputeModelKind::Incremental, None);
+        let (bsp_evaluated, bsp_messages) = run(ComputeModelKind::Incremental, Some(2));
+        assert_eq!((fs_evaluated, fs_messages), (0, 0), "FS counts neither");
+        assert!(inc_evaluated > 0 && inc_messages == 0, "serial: {inc_evaluated}, {inc_messages}");
+        assert!(bsp_evaluated == 0 && bsp_messages > 0, "sharded: {bsp_evaluated}, {bsp_messages}");
+    }
+
     #[test]
     fn sharded_driver_observer_sees_the_live_engine() {
         let stream = tiny_stream();

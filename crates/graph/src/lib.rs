@@ -354,7 +354,7 @@ impl DeleteStats {
 /// whose value may derive from a deleted edge are found by a tag-closure
 /// over derivation edges, reset to the program's initial value, and
 /// reseeded from surviving in-neighbors before the normal trigger rounds
-/// (`saga_algorithms::inc::incremental_compute_with_deletions`). When the
+/// (`saga_algorithms::inc::incremental_compute`). When the
 /// cascade would exceed a size threshold, the driver falls back to a
 /// from-scratch recomputation of that batch instead.
 pub trait DeletableGraph: DynamicGraph {

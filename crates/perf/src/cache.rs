@@ -149,6 +149,9 @@ pub struct CacheReport {
     pub instructions: u64,
     /// Line-granular accesses replayed.
     pub accesses: u64,
+    /// Accesses the trace dropped past its budget, carried over from it:
+    /// non-zero means only the phase's recorded prefix was replayed.
+    pub dropped: u64,
     /// L1 hits.
     pub l1_hits: u64,
     /// L2 lookups (= L1 misses).
@@ -252,6 +255,7 @@ impl MemoryHierarchy {
     pub fn replay(&mut self, trace: &Trace) -> CacheReport {
         let mut report = CacheReport {
             instructions: trace.instructions,
+            dropped: trace.dropped,
             threads: vec![ThreadCounters::default(); self.l1.len()],
             max_lock_cycles: trace.lock_cycles.values().copied().max().unwrap_or(0),
             ..CacheReport::default()
@@ -375,6 +379,13 @@ mod tests {
     }
 
     #[test]
+    fn a_cut_trace_reports_what_it_dropped() {
+        let mut h = MemoryHierarchy::new(tiny_config(), 1);
+        let report = h.replay(&Trace { dropped: 7, ..Default::default() });
+        assert_eq!((report.dropped, report.accesses), (7, 0));
+    }
+
+    #[test]
     fn long_access_touches_every_line() {
         let mut h = MemoryHierarchy::new(tiny_config(), 1);
         // 256 bytes starting at 0 = lines 0..=3.
@@ -422,6 +433,7 @@ mod tests {
         let r = CacheReport {
             instructions: 2000,
             accesses: 100,
+            dropped: 0,
             l1_hits: 50,
             l2_lookups: 50,
             l2_hits: 30,

@@ -1,4 +1,5 @@
-//! A reusable superstep barrier with leader election.
+//! A reusable superstep barrier that runs the leader's work inside the
+//! crossing.
 //!
 //! The BSP engine (`saga-bsp`) separates each superstep into a scatter
 //! phase, a message exchange, and a gather phase. Phase transitions need
@@ -8,17 +9,17 @@
 //!    times per run (twice per superstep), so it must reset itself after
 //!    every crossing (a *sense-reversing* barrier, implemented here with a
 //!    generation counter instead of a boolean sense flag).
-//! 2. **Leader election** — exactly one thread per crossing (the last
-//!    arriver) returns `true` so it can run sequential between-phase work
-//!    (termination check, checkpoint publish, metric flush) while the
-//!    others immediately block on the *next* crossing. This is the
-//!    double-crossing idiom:
+//! 2. **Leader work** — sequential between-phase work (termination check,
+//!    checkpoint publish, metric flush) runs once per crossing, in the
+//!    last arriver, *before* the crossing releases, so every participant
+//!    leaves the crossing seeing its result:
 //!
 //!    ```text
-//!    barrier.wait();                  // end of phase
-//!    if leader { sequential work }    // followers already parked below
-//!    barrier.wait();                  // release into next phase
+//!    barrier.wait(|| sequential work);  // end of phase; released after it
 //!    ```
+//!
+//!    One crossing does what leader election needs two for (elect, then
+//!    publish the leader's decision).
 //!
 //! Built on the [`crate::sync`] facade (Mutex + Condvar), so the whole
 //! protocol model-checks under `--cfg loom` (see
@@ -40,21 +41,27 @@ struct State {
 
 /// A reusable sense-reversing barrier for a fixed set of participants.
 ///
-/// [`wait`](Barrier::wait) returns `true` for exactly one participant per
-/// crossing (the last arriver — the "leader"), `false` for the rest.
+/// [`wait`](Barrier::wait) runs the closure of exactly one participant per
+/// crossing (the last arriver — the "leader") before releasing the rest.
 ///
 /// # Examples
 ///
 /// ```
 /// use saga_utils::barrier::Barrier;
+/// use saga_utils::sync::atomic::{AtomicUsize, Ordering};
 /// use saga_utils::sync::Arc;
 ///
 /// let barrier = Arc::new(Barrier::new(2));
-/// let b = Arc::clone(&barrier);
-/// let t = std::thread::spawn(move || b.wait());
-/// let leader_here = barrier.wait();
-/// let leader_there = t.join().unwrap();
-/// assert!(leader_here ^ leader_there); // exactly one leader
+/// let decided = Arc::new(AtomicUsize::new(0));
+/// let (b, d) = (Arc::clone(&barrier), Arc::clone(&decided));
+/// let t = std::thread::spawn(move || {
+///     b.wait(|| { d.fetch_add(1, Ordering::Relaxed); });
+///     d.load(Ordering::Relaxed)
+/// });
+/// barrier.wait(|| { decided.fetch_add(1, Ordering::Relaxed); });
+/// // Exactly one leader ran, and both sides see it after the crossing.
+/// assert_eq!(decided.load(Ordering::Relaxed), 1);
+/// assert_eq!(t.join().unwrap(), 1);
 /// ```
 #[derive(Debug)]
 pub struct Barrier {
@@ -86,26 +93,28 @@ impl Barrier {
         self.participants
     }
 
-    /// Blocks until all participants arrive. Returns `true` for exactly one
-    /// caller per crossing — the last arriver — and `false` for the rest.
+    /// Blocks until all participants arrive. The last arriver runs
+    /// `leader` — only its closure runs; the others' are dropped — and then
+    /// releases the crossing, so every participant returns after `leader`
+    /// did and sees what it wrote. `leader` runs under the barrier's lock:
+    /// it must not cross this barrier.
     ///
     /// The barrier resets itself: the same object can be crossed any number
     /// of times, including immediately by a thread released from the
     /// previous crossing.
-    pub fn wait(&self) -> bool {
+    pub fn wait(&self, leader: impl FnOnce()) {
         let mut state = self.state.lock();
         state.arrived += 1;
         if state.arrived == self.participants {
+            leader();
             state.arrived = 0;
             state.generation = state.generation.wrapping_add(1);
             self.cvar.notify_all();
-            true
         } else {
             let generation = state.generation;
             while state.generation == generation {
                 self.cvar.wait(&mut state);
             }
-            false
         }
     }
 }
@@ -120,9 +129,11 @@ mod tests {
     #[test]
     fn single_participant_is_always_leader() {
         let b = Barrier::new(1);
+        let mut led = 0;
         for _ in 0..5 {
-            assert!(b.wait());
+            b.wait(|| led += 1);
         }
+        assert_eq!(led, 5);
     }
 
     #[test]
@@ -137,9 +148,9 @@ mod tests {
                 let leaders = Arc::clone(&leaders);
                 spawn_named(format!("barrier-test-{i}"), move || {
                     for _ in 0..CROSSINGS {
-                        if barrier.wait() {
+                        barrier.wait(|| {
                             leaders.fetch_add(1, Ordering::Relaxed);
-                        }
+                        });
                     }
                 })
             })
@@ -151,9 +162,9 @@ mod tests {
     }
 
     #[test]
-    fn double_crossing_publishes_leader_work_to_all() {
-        // The BSP idiom: phase work → wait → leader-only sequential step →
-        // wait → everyone observes the leader's write.
+    fn one_crossing_publishes_leader_work_to_all() {
+        // The BSP idiom: phase work → wait with the leader-only sequential
+        // step → everyone observes the leader's write.
         const THREADS: usize = 4;
         const ROUNDS: usize = 20;
         let barrier = Arc::new(Barrier::new(THREADS));
@@ -164,10 +175,7 @@ mod tests {
                 let published = Arc::clone(&published);
                 spawn_named(format!("barrier-test-{i}"), move || {
                     for round in 0..ROUNDS {
-                        if barrier.wait() {
-                            published.store(round + 1, Ordering::Relaxed);
-                        }
-                        barrier.wait();
+                        barrier.wait(|| published.store(round + 1, Ordering::Relaxed));
                         assert_eq!(published.load(Ordering::Relaxed), round + 1);
                     }
                 })

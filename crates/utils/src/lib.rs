@@ -27,9 +27,10 @@
 //! - [`timer`] — monotonic phase timers for the batch-latency metric (Eq. 1).
 //! - [`hash`] — small deterministic hash functions for the degree-aware
 //!   hashing data structure.
-//! - [`barrier`] — a reusable leader-electing superstep barrier for the
-//!   BSP execution layer's phase transitions (scatter → exchange → gather),
-//!   model-checked under `--cfg loom`.
+//! - [`barrier`] — a reusable superstep barrier whose last arriver runs the
+//!   between-phase work before releasing, for the BSP execution layer's
+//!   phase transitions (scatter → exchange → gather), model-checked under
+//!   `--cfg loom`.
 //! - [`sync`] — the synchronization facade: `std::sync` primitives behind
 //!   poison-free wrappers normally, the `saga-loom` model checker's
 //!   instrumented versions under `--cfg loom`. All other modules (and

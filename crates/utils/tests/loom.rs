@@ -170,10 +170,11 @@ fn partitioner_parallel_windows_disjoint() {
 
 /// The BSP superstep barrier's phase-isolation guarantee: two workers
 /// exchange values through plain Relaxed slots across a crossing. In every
-/// interleaving the crossing must (a) elect exactly one leader, and (b)
-/// order each worker's pre-barrier write before the other's post-barrier
-/// read — the property the scatter→gather handoff in `saga-bsp` relies on
-/// to read another shard's outbox without extra synchronization.
+/// interleaving the crossing must (a) run exactly one leader closure, and
+/// (b) order each worker's pre-barrier write before the other's
+/// post-barrier read — the property the scatter→gather handoff in
+/// `saga-bsp` relies on to read another shard's outbox without extra
+/// synchronization.
 #[test]
 fn barrier_crossing_publishes_peer_writes() {
     saga_loom::model(|| {
@@ -186,30 +187,30 @@ fn barrier_crossing_publishes_peer_writes() {
             let leaders = Arc::clone(&leaders);
             saga_utils::sync::thread::spawn_named("peer".into(), move || {
                 slots[1].store(20, Ordering::Relaxed);
-                if barrier.wait() {
+                barrier.wait(|| {
                     leaders.fetch_add(1, Ordering::SeqCst);
-                }
+                });
                 assert_eq!(slots[0].load(Ordering::Relaxed), 10);
             })
         };
         slots[0].store(10, Ordering::Relaxed);
-        if barrier.wait() {
+        barrier.wait(|| {
             leaders.fetch_add(1, Ordering::SeqCst);
-        }
+        });
         assert_eq!(slots[1].load(Ordering::Relaxed), 20);
         let _ = t.join();
         assert_eq!(leaders.load(Ordering::SeqCst), 1, "crossings must elect one leader");
     });
 }
 
-/// The checkpoint-publish double-crossing: workers write their shard slots,
-/// cross once, the elected leader snapshots both slots into the checkpoint
-/// cell while followers park on the second crossing, and after the second
-/// crossing every worker must observe the completed checkpoint. A schedule
-/// where a follower races past the leader's sequential section — or where
-/// the leader's snapshot misses a shard write — fails the asserts.
+/// The superstep's gather-end crossing: workers write their shard slots and
+/// cross once; the last arriver's action snapshots both slots into the
+/// checkpoint cell before the crossing releases, and after it every worker
+/// must observe the completed checkpoint. A schedule where a follower is
+/// released before the action ran — or where the snapshot misses a shard
+/// write — fails the asserts.
 #[test]
-fn barrier_double_crossing_checkpoint_publish() {
+fn barrier_crossing_checkpoint_publish() {
     saga_loom::model(|| {
         let barrier = Arc::new(Barrier::new(2));
         let shards = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
@@ -219,11 +220,10 @@ fn barrier_double_crossing_checkpoint_publish() {
                    shards: Arc<[AtomicUsize; 2]>,
                    checkpoint: Arc<AtomicUsize>| {
             shards[me].store(me + 1, Ordering::Relaxed);
-            if barrier.wait() {
+            barrier.wait(|| {
                 let sum = shards[0].load(Ordering::Relaxed) + shards[1].load(Ordering::Relaxed);
                 checkpoint.store(sum, Ordering::Relaxed);
-            }
-            barrier.wait();
+            });
             assert_eq!(
                 checkpoint.load(Ordering::Relaxed),
                 3,
