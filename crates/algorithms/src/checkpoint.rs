@@ -2,13 +2,14 @@
 //!
 //! A checkpoint is taken only at the gather-end barrier, where the
 //! invariant "all mailboxes empty, all shard states consistent" holds by
-//! construction — so a checkpoint is just the per-shard property arrays
-//! plus the per-shard active lists, and recovery is a restore + replay
+//! construction — so a checkpoint is just the per-shard property values,
+//! witness parents and active lists, and recovery is a restore + replay
 //! with no message-replay machinery. The store always keeps the latest
-//! checkpoint in memory; configuring a directory additionally persists
-//! each checkpoint to its own file so a restarted *process* can recover
-//! too (see `recover_from_disk` on the engine and the EXPERIMENTS.md
-//! kill-and-recover recipe).
+//! checkpoint in memory, where the engine leaves out the values and
+//! parents and undoes its writes since instead; configuring a directory
+//! additionally persists each full checkpoint to its own file so a
+//! restarted *process* can recover too (see `recover_from_disk` on the
+//! engine and the EXPERIMENTS.md kill-and-recover recipe).
 //!
 //! The on-disk format is deliberately dumb: little-endian `u64` words
 //! (counts, vertex ids, and values via [`Property::to_word`] bit-casts). It
@@ -42,8 +43,13 @@ impl CheckpointConfig {
 pub struct Checkpoint<V> {
     /// The superstep about to execute when this snapshot was taken.
     pub superstep: usize,
-    /// Per-shard property values, shard-local order.
+    /// Per-shard property values, shard-local order. Empty (no shard) in a
+    /// checkpoint that is not mirrored to disk: the engine undoes its own
+    /// writes back to it instead of copying the array.
     pub values: Vec<Vec<V>>,
+    /// Per-shard witness parents, shard-local order; empty for an engine
+    /// that keeps no witness forest, and wherever `values` is.
+    pub parents: Vec<Vec<Node>>,
     /// Per-shard active vertex lists (global ids).
     pub active: Vec<Vec<Node>>,
 }
@@ -147,11 +153,13 @@ fn write_checkpoint<V: Property>(dir: &Path, cp: &Checkpoint<V>) -> io::Result<(
     let mut words: Vec<u64> = Vec::new();
     words.push(cp.superstep as u64);
     words.push(cp.values.len() as u64);
-    for (values, active) in cp.values.iter().zip(&cp.active) {
+    for ((values, parents), active) in cp.values.iter().zip(&cp.parents).zip(&cp.active) {
         words.push(values.len() as u64);
         words.extend(values.iter().map(|v| v.to_word()));
-        words.push(active.len() as u64);
-        words.extend(active.iter().map(|&v| v as u64));
+        for ids in [parents, active] {
+            words.push(ids.len() as u64);
+            words.extend(ids.iter().map(|&v| u64::from(v)));
+        }
     }
     let mut bytes = Vec::with_capacity(words.len() * 8);
     for w in words {
@@ -203,6 +211,13 @@ impl WordReader<'_> {
         }
         Ok(n)
     }
+
+    /// A length-prefixed list of vertex ids.
+    fn ids(&mut self, what: &str) -> io::Result<Vec<Node>> {
+        let raw = self.next()?;
+        let n = self.claimed_len(raw, what)?;
+        (0..n).map(|_| self.next().map(|w| w as Node)).collect()
+    }
 }
 
 fn read_checkpoint<V: Property>(path: &Path) -> io::Result<Checkpoint<V>> {
@@ -213,6 +228,7 @@ fn read_checkpoint<V: Property>(path: &Path) -> io::Result<Checkpoint<V>> {
     let raw_shards = r.next()?;
     let shards = r.claimed_len(raw_shards, "shard")?;
     let mut values = Vec::with_capacity(shards);
+    let mut parents = Vec::with_capacity(shards);
     let mut active = Vec::with_capacity(shards);
     for _ in 0..shards {
         let raw_n = r.next()?;
@@ -222,13 +238,8 @@ fn read_checkpoint<V: Property>(path: &Path) -> io::Result<Checkpoint<V>> {
             vals.push(V::from_word(r.next()?));
         }
         values.push(vals);
-        let raw_a = r.next()?;
-        let a = r.claimed_len(raw_a, "active-list")?;
-        let mut act = Vec::with_capacity(a);
-        for _ in 0..a {
-            act.push(r.next()? as Node);
-        }
-        active.push(act);
+        parents.push(r.ids("parent")?);
+        active.push(r.ids("active-list")?);
     }
     if r.cursor != bytes.len() {
         // Trailing bytes mean the length prefixes and the payload
@@ -241,6 +252,7 @@ fn read_checkpoint<V: Property>(path: &Path) -> io::Result<Checkpoint<V>> {
     Ok(Checkpoint {
         superstep,
         values,
+        parents,
         active,
     })
 }
@@ -253,6 +265,7 @@ mod tests {
         Checkpoint {
             superstep: 3,
             values: vec![vec![0.5, f32::INFINITY], vec![-1.25]],
+            parents: vec![vec![7, 0], vec![]],
             active: vec![vec![1], vec![2]],
         }
     }

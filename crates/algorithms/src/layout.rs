@@ -4,8 +4,7 @@
 //! ranges using the same floor-division split the thread pool's static
 //! schedule uses, so shard boundaries line up with the chunk boundaries
 //! the rest of the suite already reasons about. Contiguity is what makes a
-//! shard's property storage a plain dense slice
-//! ([`saga_graph::properties::ShardValues`]) instead of a hash map.
+//! shard's slice of the property array, and of its checkpoint, one range.
 
 use std::ops::Range;
 
@@ -14,7 +13,7 @@ use std::ops::Range;
 /// # Examples
 ///
 /// ```
-/// use saga_bsp::layout::ShardLayout;
+/// use saga_algorithms::layout::ShardLayout;
 ///
 /// let l = ShardLayout::new(10, 3);
 /// assert_eq!(l.range(0), 0..3);

@@ -15,28 +15,41 @@
 //! - **FS** ([`fs`]): recomputation from scratch with conventional
 //!   static-graph kernels (frontier BFS, delta-stepping SSSP,
 //!   tolerance-stopped PR, fixpoint label propagation).
-//! - **INC** ([`inc`]): the incremental model of Algorithm 1 — processing
-//!   amortization plus selective triggering.
+//! - **INC**: the incremental model of Algorithm 1 — processing
+//!   amortization plus selective triggering. The Fold programs (BFS, CC,
+//!   MC, SSSP, SSWP) run it on the superstep engine ([`engine`]), seeded
+//!   from each batch's arcs and repairing deletions through a witness
+//!   forest; PageRank runs Algorithm 1's rounds ([`inc`]).
 //!
 //! [`AlgorithmState`] packages a program with its property array and runs
-//! either model — the paper's `performAlg()` API.
+//! either model — the paper's `performAlg()` API. [`ShardedState`] runs the
+//! same programs on the superstep engine with a fixed shard count and
+//! superstep checkpoints ([`checkpoint`]) a killed run recovers from.
 
 #![warn(missing_docs)]
 
 pub mod bfs;
 pub mod cc;
+pub mod checkpoint;
+pub mod engine;
 pub mod fs;
 pub mod inc;
+pub mod layout;
+pub mod mailbox;
 pub mod mc;
 pub mod pr;
 pub mod program;
+mod sharded;
 pub mod sssp;
 pub mod sswp;
 
+pub use checkpoint::CheckpointConfig;
+pub use engine::{KillPhase, KillSpec, Killed};
 pub use saga_graph::properties::VertexValues;
+pub use sharded::ShardedState;
 
-use program::{EdgeScope, GatherMode, ValueStore, VertexProgram};
-use saga_graph::properties::{AtomicU32Array, Property};
+use engine::{BoundProgram, BspEngine, Seed};
+use program::{EdgeScope, GatherMode, VertexProgram};
 use saga_graph::{Edge, GraphTopology, Node};
 use saga_utils::sync::Mutex;
 use saga_utils::bitvec::{AtomicBitVec, GenerationMarks};
@@ -199,29 +212,28 @@ impl Default for AlgorithmParams {
 }
 
 /// What a compute phase did: the one work record of every engine — the
-/// FS kernels, serial INC ([`inc::incremental_compute`]) and the sharded
-/// BSP engine — each filled where the work happens. A field an engine does
-/// not count reads 0.
+/// FS kernels, PageRank's INC rounds ([`inc::incremental_compute`]) and the
+/// superstep engine ([`engine`]) — each filled where the work happens. A
+/// field an engine does not count reads 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ComputeOutcome {
     /// Rounds / levels / sweeps / supersteps executed.
     pub iterations: usize,
-    /// Vertex-function evaluations (serial INC only).
+    /// Vertex-function evaluations of Algorithm 1's rounds (PageRank INC).
     pub recomputed: usize,
-    /// Vertices that triggered neighbor propagation (serial INC only).
+    /// Vertices that triggered neighbor propagation in Algorithm 1's rounds
+    /// (PageRank INC).
     pub triggered: usize,
-    /// Vertices reset and reseeded by the deletion-repair pass (serial INC
-    /// only).
+    /// Vertices a Fold INC batch's deletion repair reset and reseeded.
     pub repaired: usize,
     /// Of `iterations`, the levels direction-optimizing BFS ran bottom-up
     /// ([`bfs::bfs_direction_optimizing`]).
     pub dense_rounds: usize,
-    /// Messages sent across all supersteps (sharded BSP only; seed terms
-    /// are not messages).
+    /// Messages sent across all supersteps (seed terms are not messages).
     pub messages: usize,
-    /// Whether this INC batch was recomputed from scratch: the repair
-    /// cascade overflowed its threshold (serial), or it deleted edges
-    /// (sharded).
+    /// Whether this Fold INC batch was recomputed from scratch: its
+    /// deletion repair overflowed the threshold, or its deleted edges were
+    /// not given ([`ShardedState::perform_batch`]).
     pub fs_fallback: bool,
 }
 
@@ -231,7 +243,7 @@ pub struct ComputeOutcome {
 /// arm must produce the same type, so callers erase the program type inside
 /// `$body` (a `Box<dyn …>` around the engine they instantiate with it).
 ///
-/// Both engines — [`AlgorithmState`] here and `saga_bsp::ShardedState` —
+/// Both states — [`AlgorithmState`] and [`ShardedState`] —
 /// construct their programs through this macro and nowhere else, so a
 /// tunable cannot reach one engine and miss the other, and a new algorithm
 /// is one new arm.
@@ -273,17 +285,17 @@ macro_rules! with_program {
 }
 
 /// The compute phase of a step as the driver sees it: one `track` and one
-/// `compute` per batch, and the property values. Implemented by the serial
-/// [`AlgorithmState`] and the sharded `saga_bsp::ShardedState`, so a driver
-/// session holds either behind one `Box<dyn ComputeEngine>`. Where an INC
-/// batch starts is the engine's choice: the driver hands `compute` back
-/// whatever `track` returned and never looks inside.
+/// `compute` per batch, and the property values. Implemented by
+/// [`AlgorithmState`] and [`ShardedState`], so a driver session holds
+/// either behind one `Box<dyn ComputeEngine>`. Where an INC batch starts is
+/// the engine's choice: the driver hands `compute` back whatever `track`
+/// returned and never looks inside.
 pub trait ComputeEngine: Send + Sync {
     /// The update phase's bookkeeping for one batch already applied to
     /// `graph` (Algorithm 1's affected array): `inserted` the edges it
-    /// ingested and `deleted` the edges it removed. The serial INC engine
-    /// runs its [`AffectedTracker`] here. The default tracks nothing and
-    /// returns an empty impact: FS needs none, and the sharded engine
+    /// ingested and `deleted` the edges it removed. PageRank's INC rounds
+    /// run their [`AffectedTracker`] here. The default tracks nothing and
+    /// returns an empty impact: FS needs none, and the superstep engine
     /// seeds from `inserted` itself.
     fn track(
         &mut self,
@@ -313,94 +325,57 @@ pub trait ComputeEngine: Send + Sync {
     fn values(&self) -> VertexValues;
 }
 
-/// A program bound to its property array with the program type erased:
-/// one dynamic call per batch, the kernels behind it monomorphised.
-trait BoundProgram: Send + Sync {
-    /// One compute phase under `model`; see
-    /// [`AlgorithmState::perform_alg_with_deletions`].
-    fn perform(
-        &self,
+/// What both states hold: a program's [`BspEngine`] behind a trait object,
+/// and how the program reduces.
+#[derive(Debug)]
+struct Bound {
+    kind: AlgorithmKind,
+    model: ComputeModelKind,
+    sum_mode: bool,
+    symmetric_scope: bool,
+    engine: Box<dyn BoundProgram>,
+}
+
+impl Bound {
+    /// `kind`'s program over `capacity` vertices in `shards` shards. A
+    /// [`GatherMode::Fold`] program's INC keeps the witness forest, whose
+    /// deletion repair falls back to FS beyond
+    /// [`AlgorithmParams::repair_cascade_fraction`] of `capacity`.
+    fn new(
+        kind: AlgorithmKind,
         model: ComputeModelKind,
-        graph: &dyn GraphTopology,
-        affected: &[Node],
-        new_vertices: &[Node],
-        deleted: &[Edge],
-        pool: &ThreadPool,
-    ) -> ComputeOutcome;
-
-    fn values(&self) -> VertexValues;
-}
-
-struct Bound<P: VertexProgram> {
-    program: P,
-    values: P::Store,
-    /// The INC state's witness forest (one parent per vertex,
-    /// [`inc::NO_PARENT`] for none) for a [`GatherMode::Fold`] program;
-    /// `None` under FS and for [`GatherMode::Sum`] (PageRank), whose
-    /// re-pull of the affected set is already its deletion repair.
-    parents: Option<AtomicU32Array>,
-    /// Deletion-repair cascade threshold, in vertices.
-    repair_limit: usize,
-}
-
-impl<P: VertexProgram> Bound<P> {
-    fn new(program: P, model: ComputeModelKind, capacity: usize, params: &AlgorithmParams) -> Self {
-        let values = P::Store::create(capacity, program.initial(0, capacity));
-        for v in 1..capacity {
-            values.store(v, program.initial(v as Node, capacity));
-        }
-        let fold = program.gather_mode() == GatherMode::Fold;
-        let parents = (model == ComputeModelKind::Incremental && fold)
-            .then(|| AtomicU32Array::filled(capacity, inc::NO_PARENT));
-        let repair_limit = ((capacity as f64 * params.repair_cascade_fraction) as usize).max(1);
-        Self { program, values, parents, repair_limit }
-    }
-}
-
-impl<P: VertexProgram> BoundProgram for Bound<P> {
-    fn perform(
-        &self,
-        model: ComputeModelKind,
-        graph: &dyn GraphTopology,
-        affected: &[Node],
-        new_vertices: &[Node],
-        deleted: &[Edge],
-        pool: &ThreadPool,
-    ) -> ComputeOutcome {
-        let (program, values, parents) = (&self.program, &self.values, self.parents.as_ref());
-        values.begin_phase();
-        let incremental = model == ComputeModelKind::Incremental;
-        // One read phase: the kernels below never pay a structure's
-        // per-visit locks (`GraphTopology::frozen`).
-        saga_graph::read_phase(graph, |graph| {
-            if incremental {
-                let repaired = inc::incremental_compute(
-                    program, graph, values, parents, affected, new_vertices, deleted,
-                    self.repair_limit, pool,
-                );
-                if let Some(outcome) = repaired {
-                    return outcome;
-                }
+        capacity: usize,
+        shards: usize,
+        params: &AlgorithmParams,
+        checkpoints: Option<checkpoint::CheckpointConfig>,
+    ) -> Self {
+        with_program!(kind, *params, capacity, program => {
+            let sum_mode = program.gather_mode() == GatherMode::Sum;
+            let symmetric_scope = program.scope() == EdgeScope::Symmetric;
+            let mut engine = BspEngine::new(program, capacity, shards);
+            if model == ComputeModelKind::Incremental && !sum_mode {
+                let limit = ((capacity as f64 * params.repair_cascade_fraction) as usize).max(1);
+                engine = engine.with_witnesses(limit);
             }
-            // The FS model, and INC's fallback when the repair cascade
-            // overflowed — which leaves no witnesses, so the forest is
-            // derived again from the new values.
-            fs::reset_values(program, values, values.len(), pool);
-            let outcome = program.from_scratch(graph, values, pool);
-            if let Some(parents) = parents {
-                inc::rebuild_witness_forest(program, graph, values, parents, pool);
+            if let Some(config) = checkpoints {
+                engine = engine.with_checkpoints(config);
             }
-            ComputeOutcome { fs_fallback: incremental, ..outcome }
+            Self { kind, model, sum_mode, symmetric_scope, engine: Box::new(engine) }
         })
     }
 
-    fn values(&self) -> VertexValues {
-        P::Value::into_values((0..self.values.len()).map(|v| self.values.load(v)).collect())
+    /// Whether batches run as a Fold program's INC on the engine.
+    fn fold_inc(&self) -> bool {
+        self.model == ComputeModelKind::Incremental && !self.sum_mode
     }
 }
 
 /// An algorithm instance bound to a compute model and a property array —
 /// the receiver of the paper's `performAlg()` API function.
+///
+/// Under INC, a Fold program (BFS, CC, MC, SSSP, SSWP) runs on the
+/// superstep engine with one shard per pool worker; PageRank runs
+/// Algorithm 1's rounds from its [`AffectedTracker`].
 ///
 /// # Examples
 ///
@@ -427,25 +402,12 @@ impl<P: VertexProgram> BoundProgram for Bound<P> {
 ///     _ => unreachable!(),
 /// }
 /// ```
+#[derive(Debug)]
 pub struct AlgorithmState {
-    kind: AlgorithmKind,
-    model: ComputeModelKind,
     capacity: usize,
-    sum_mode: bool,
-    symmetric_scope: bool,
-    /// Algorithm 1's affected-array bookkeeping; `None` under FS.
+    /// Algorithm 1's affected-array bookkeeping; PageRank INC only.
     tracker: Option<AffectedTracker>,
-    bound: Box<dyn BoundProgram>,
-}
-
-impl std::fmt::Debug for AlgorithmState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AlgorithmState")
-            .field("kind", &self.kind)
-            .field("model", &self.model)
-            .field("capacity", &self.capacity)
-            .finish()
-    }
+    bound: Bound,
 }
 
 impl AlgorithmState {
@@ -457,26 +419,19 @@ impl AlgorithmState {
         capacity: usize,
         params: AlgorithmParams,
     ) -> Self {
-        with_program!(kind, params, capacity, program => Self {
-            kind,
-            model,
-            capacity,
-            sum_mode: program.gather_mode() == GatherMode::Sum,
-            symmetric_scope: program.scope() == EdgeScope::Symmetric,
-            tracker: (model == ComputeModelKind::Incremental)
-                .then(|| AffectedTracker::new(capacity)),
-            bound: Box::new(Bound::new(program, model, capacity, &params)),
-        })
+        let bound = Bound::new(kind, model, capacity, 1, &params, None);
+        let tracks = model == ComputeModelKind::Incremental && bound.sum_mode;
+        Self { capacity, tracker: tracks.then(|| AffectedTracker::new(capacity)), bound }
     }
 
     /// Which algorithm this state runs.
     pub fn kind(&self) -> AlgorithmKind {
-        self.kind
+        self.bound.kind
     }
 
     /// Which compute model this state uses.
     pub fn model(&self) -> ComputeModelKind {
-        self.model
+        self.bound.model
     }
 
     /// Number of vertices in the universe.
@@ -490,20 +445,22 @@ impl AlgorithmState {
     /// (PageRank's `rank / out_degree`), so a new or deleted out-edge
     /// changes what every existing out-neighbor pulls.
     pub fn affects_source_neighborhood(&self) -> bool {
-        self.sum_mode
+        self.bound.sum_mode
     }
 
     /// Whether the program's vertex function reduces over both edge
     /// directions ([`EdgeScope::Symmetric`], i.e. CC).
     pub fn symmetric_scope(&self) -> bool {
-        self.symmetric_scope
+        self.bound.symmetric_scope
     }
 
     /// Runs the compute phase — the paper's `performAlg()`.
     ///
     /// For the incremental model, `affected` is the set of vertices touched
     /// by the latest update (see [`AffectedTracker`]) and `new_vertices`
-    /// those appearing for the first time. The FS model ignores both.
+    /// those appearing for the first time. The FS model ignores both; a
+    /// Fold program seeds its supersteps from the arcs `affected` scatters
+    /// along.
     pub fn perform_alg(
         &mut self,
         graph: &dyn GraphTopology,
@@ -516,11 +473,12 @@ impl AlgorithmState {
 
     /// [`AlgorithmState::perform_alg`] for a batch that (also) deleted
     /// edges. `deleted` must already be applied to `graph`. The FS model
-    /// ignores it (recomputation is deletion-proof by construction); the
-    /// INC model runs the KickStarter-style repair pass first and falls
-    /// back to from-scratch recomputation when the repair cascade exceeds
-    /// [`AlgorithmParams::repair_cascade_fraction`] of the vertex universe
-    /// (reported via [`ComputeOutcome::fs_fallback`]).
+    /// ignores it (recomputation is deletion-proof by construction); a Fold
+    /// program's INC repairs the witness-forest subtrees that hung off the
+    /// deleted edges and falls back to from-scratch recomputation when they
+    /// exceed [`AlgorithmParams::repair_cascade_fraction`] of the vertex
+    /// universe (reported via [`ComputeOutcome::fs_fallback`]); PageRank's
+    /// re-pull of the affected set is its whole repair.
     pub fn perform_alg_with_deletions(
         &mut self,
         graph: &dyn GraphTopology,
@@ -529,19 +487,27 @@ impl AlgorithmState {
         deleted: &[Edge],
         pool: &ThreadPool,
     ) -> ComputeOutcome {
-        self.bound.perform(self.model, graph, affected, new_vertices, deleted, pool)
+        let engine = &mut self.bound.engine;
+        match self.bound.model {
+            ComputeModelKind::FromScratch => engine.from_scratch(graph, pool),
+            ComputeModelKind::Incremental => {
+                let seed = Seed::Affected { affected, new_vertices };
+                engine.incremental(graph, pool, pool.threads(), seed, deleted)
+            }
+        }
     }
 
     /// Snapshots the property array.
     pub fn values(&self) -> VertexValues {
-        self.bound.values()
+        self.bound.engine.values()
     }
 }
 
 impl ComputeEngine for AlgorithmState {
-    /// Under INC, the batch's endpoints, plus each source's existing
-    /// out-neighbors for a [`GatherMode::Sum`] program
-    /// ([`affects_source_neighborhood`](AlgorithmState::affects_source_neighborhood)).
+    /// PageRank's INC rounds track the batch's endpoints plus each source's
+    /// existing out-neighbors
+    /// ([`affects_source_neighborhood`](AlgorithmState::affects_source_neighborhood));
+    /// every other state tracks nothing.
     fn track(
         &mut self,
         graph: &dyn GraphTopology,
@@ -549,34 +515,40 @@ impl ComputeEngine for AlgorithmState {
         deleted: &[Edge],
         pool: &ThreadPool,
     ) -> BatchImpact {
-        let sources = self.sum_mode;
         match &mut self.tracker {
-            Some(t) => t.process_mixed_batch(graph, inserted, deleted, sources, false, pool),
+            Some(t) => t.process_mixed_batch(graph, inserted, deleted, true, false, pool),
             None => BatchImpact::default(),
         }
     }
 
-    /// The serial engines work from `impact`; `inserted` goes unused.
+    /// A Fold program's INC seeds from `inserted` (see [`ShardedState`]'s
+    /// `compute`); the other states work from `impact`.
     fn compute(
         &mut self,
         graph: &dyn GraphTopology,
         impact: &BatchImpact,
-        _inserted: &[Edge],
+        inserted: &[Edge],
         deleted: &[Edge],
         pool: &ThreadPool,
     ) -> ComputeOutcome {
-        let BatchImpact { affected, new_vertices } = impact;
-        self.perform_alg_with_deletions(graph, affected, new_vertices, deleted, pool)
+        if !self.bound.fold_inc() {
+            let BatchImpact { affected, new_vertices } = impact;
+            return self.perform_alg_with_deletions(graph, affected, new_vertices, deleted, pool);
+        }
+        self.bound.engine.incremental(graph, pool, pool.threads(), Seed::Batch(inserted), deleted)
     }
 
     fn values(&self) -> VertexValues {
-        self.bound.values()
+        AlgorithmState::values(self)
     }
 }
 
 /// The per-batch affected/new-vertex bookkeeping the update phase hands to
-/// Algorithm 1 (its `affected` array and "new vertex" test). The serial INC
-/// engine owns one and runs it from [`ComputeEngine::track`].
+/// Algorithm 1 (its `affected` array and "new vertex" test). PageRank's INC
+/// rounds own one and run it from [`ComputeEngine::track`]; a caller that
+/// holds a tracker's output drives a state through
+/// [`AlgorithmState::perform_alg_with_deletions`] or
+/// [`ShardedState::perform_batch`].
 ///
 /// Marking is parallel and allocation-free in steady state: `flagged` is a
 /// generation-stamped mark set (`O(1)` reset per batch instead of a
@@ -661,8 +633,8 @@ impl AffectedTracker {
     ///
     /// `_include_delete_neighborhoods` has no effect: witness repair
     /// ([`inc::plan_deletion_repair`]) resets and reseeds exactly what a
-    /// deleted edge carried, so no deletion endpoint's neighborhood needs
-    /// seeding.
+    /// deleted edge carried, and PageRank re-pulls the endpoints, so no
+    /// deletion endpoint's neighborhood needs seeding.
     pub fn process_mixed_batch(
         &mut self,
         graph: &dyn GraphTopology,

@@ -13,17 +13,16 @@
 //! uncontended in the phase discipline above) so the type stays safe
 //! without `unsafe` aliasing arguments.
 
-use saga_graph::Node;
 use saga_utils::sync::Mutex;
 
 /// The `shards × shards` grid of message batches.
 #[derive(Debug)]
-pub struct Mailboxes<V> {
+pub struct Mailboxes<M> {
     shards: usize,
-    cells: Vec<Mutex<Vec<(Node, V)>>>,
+    cells: Vec<Mutex<Vec<M>>>,
 }
 
-impl<V: Copy + Send> Mailboxes<V> {
+impl<M: Copy + Send> Mailboxes<M> {
     /// An empty grid for `shards` shards.
     pub fn new(shards: usize) -> Self {
         Self {
@@ -38,20 +37,25 @@ impl<V: Copy + Send> Mailboxes<V> {
         src_shard * self.shards + dst_shard
     }
 
-    /// Appends `batch` to cell `(src_shard, dst_shard)` and clears the
-    /// buffer for reuse. Caller must own `src_shard` (scatter phase).
-    pub fn post(&self, src_shard: usize, dst_shard: usize, batch: &mut Vec<(Node, V)>) {
+    /// Appends `batch` to cell `(src_shard, dst_shard)` and leaves the
+    /// buffer empty. Caller must own `src_shard` (scatter phase). An empty
+    /// cell — the one post per superstep — takes the buffer itself, so no
+    /// message is copied and no second buffer of that size is held.
+    pub fn post(&self, src_shard: usize, dst_shard: usize, batch: &mut Vec<M>) {
         if batch.is_empty() {
             return;
         }
-        self.cells[self.index(src_shard, dst_shard)]
-            .lock()
-            .append(batch);
+        let mut cell = self.cells[self.index(src_shard, dst_shard)].lock();
+        if cell.is_empty() {
+            std::mem::swap(&mut *cell, batch);
+        } else {
+            cell.append(batch);
+        }
     }
 
     /// Takes the whole content of cell `(src_shard, dst_shard)`, leaving it
     /// empty. Caller must own `dst_shard` (gather phase).
-    pub fn take(&self, src_shard: usize, dst_shard: usize) -> Vec<(Node, V)> {
+    pub fn take(&self, src_shard: usize, dst_shard: usize) -> Vec<M> {
         std::mem::take(&mut *self.cells[self.index(src_shard, dst_shard)].lock())
     }
 
@@ -75,10 +79,10 @@ mod tests {
 
     #[test]
     fn post_take_roundtrip_preserves_order() {
-        let m: Mailboxes<u32> = Mailboxes::new(2);
+        let m: Mailboxes<(u32, u32)> = Mailboxes::new(2);
         let mut buf = vec![(4u32, 1u32), (5, 2)];
         m.post(0, 1, &mut buf);
-        assert!(buf.is_empty(), "post recycles the buffer");
+        assert!(buf.is_empty(), "post empties the buffer");
         buf.push((6, 3));
         m.post(0, 1, &mut buf);
         assert_eq!(m.queued(), 3);
@@ -89,7 +93,7 @@ mod tests {
 
     #[test]
     fn cells_are_independent_and_clear_empties_all() {
-        let m: Mailboxes<f32> = Mailboxes::new(3);
+        let m: Mailboxes<(u32, f32)> = Mailboxes::new(3);
         m.post(0, 2, &mut vec![(1, 0.5)]);
         m.post(2, 0, &mut vec![(2, 1.5)]);
         assert_eq!(m.take(0, 0), vec![]);

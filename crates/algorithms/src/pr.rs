@@ -219,6 +219,7 @@ impl PrProgram {
 impl VertexProgram for PrProgram {
     type Value = f64;
     type Store = PrValues;
+    const TERM_READS_WEIGHT: bool = false;
 
     fn name(&self) -> &'static str {
         "PR"
@@ -520,10 +521,8 @@ mod tests {
                 assert!(iters > 0, "{ds:?} directed={directed}");
                 values.begin_phase();
                 let affected = [0, 1, 2, 3];
-                let out = incremental_compute(
-                    &program, g.as_ref(), &values, None, &affected, &[], &[], 0, &pool,
-                );
-                assert!(out.is_some_and(|o| o.recomputed >= 4), "{ds:?} directed={directed}");
+                let out = incremental_compute(&program, g.as_ref(), &values, &affected, &[], &pool);
+                assert!(out.recomputed >= 4, "{ds:?} directed={directed}");
                 assert!(values.ranks.to_vec().iter().all(|r| r.is_finite()));
             }
         }
@@ -627,7 +626,7 @@ mod tests {
                 tracker.process_mixed_batch(graph, inserts, deletes, true, seed_deletes, &pool);
             values.begin_phase();
             let (affected, new) = (&impact.affected, &impact.new_vertices);
-            incremental_compute(&program, graph, &values, None, affected, new, deletes, 0, &pool);
+            incremental_compute(&program, graph, &values, affected, new, &pool);
             if graph.is_directed() {
                 assert_eq!(graph.out_degree(0), degree_of_0, "{label} phase {i}: the script");
             }

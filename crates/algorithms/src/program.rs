@@ -8,7 +8,6 @@
 //! line 11); both compute engines are generic over it, which is what lets a
 //! new algorithm join the benchmark by implementing one trait (§III-D).
 
-use crate::inc::NO_PARENT;
 use crate::ComputeOutcome;
 use saga_graph::properties::{AtomicArray, Property};
 use saga_graph::{GraphTopology, Node};
@@ -75,9 +74,9 @@ impl<T: Property> ValueStore<T> for AtomicArray<T> {
     }
 }
 
-/// How a BSP destination absorbs the per-edge terms addressed to it (the
-/// sharded engine in `saga-bsp` sends each [`VertexProgram::term`] as a
-/// message from the source's shard).
+/// How a superstep destination absorbs the per-edge terms addressed to it
+/// (the superstep engine, [`crate::engine`], sends each
+/// [`VertexProgram::term`] as a message from the source's shard).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GatherMode {
     /// Fold each term into the stored value with
@@ -103,9 +102,10 @@ pub enum GatherMode {
 /// - [`term`](Self::term) is Table I's per-edge term: what one source
 ///   contributes to a destination across one edge. It is the only place a
 ///   program states its vertex function; the pull reduction
-///   ([`pull`](Self::pull)) and the witness it records for deletion repair,
-///   the derivation test ([`derives_from`](Self::derives_from)) and the BSP
-///   engine's messages are all derived from it.
+///   ([`pull`](Self::pull)), the derivation test
+///   ([`derives_from`](Self::derives_from)) and the superstep engine's
+///   messages, whose senders are the witnesses of deletion repair, are all
+///   derived from it.
 /// - [`combine`](Self::combine) reduces terms and merges the result with
 ///   the vertex's previous property. For the monotone algorithms this is
 ///   `min`/`max` — the *processing amortization* of the incremental model
@@ -113,8 +113,8 @@ pub enum GatherMode {
 ///   added).
 /// - [`significant_change`](Self::significant_change) is the triggering
 ///   condition (Algorithm 1, line 11).
-/// - [`gather_mode`](Self::gather_mode) says how the BSP engine reduces
-///   terms; a [`GatherMode::Sum`] program (PageRank) also overrides
+/// - [`gather_mode`](Self::gather_mode) says how the superstep engine
+///   reduces terms; a [`GatherMode::Sum`] program (PageRank) also overrides
 ///   [`finish`](Self::finish), [`l1_units`](Self::l1_units) and
 ///   [`sum_converged`](Self::sum_converged), and its `pull`, because its
 ///   reduction is a sum rather than a `combine` fold.
@@ -124,6 +124,11 @@ pub trait VertexProgram: Send + Sync {
     type Value: Property + Default + std::ops::Add<Output = Self::Value>;
     /// Storage for the property array.
     type Store: ValueStore<Self::Value>;
+
+    /// Whether [`term`](Self::term) reads its `weight` argument. A program
+    /// whose term ignores it (BFS, CC, MC, PageRank) lets the superstep
+    /// engine seed a batch without looking its edges' stored weights up.
+    const TERM_READS_WEIGHT: bool = true;
 
     /// Human-readable name (paper abbreviation).
     fn name(&self) -> &'static str;
@@ -150,7 +155,17 @@ pub trait VertexProgram: Send + Sync {
     /// starting from `v`'s own value — the fold is idempotent, so that start
     /// changes nothing once the caller combines the result with it.
     fn pull(&self, graph: &dyn GraphTopology, v: Node, values: &Self::Store) -> Self::Value {
-        fold_pull(self, graph, v, values).0
+        let mut acc = values.load(v as usize);
+        let mut fold = |src: Node, weight: f32| {
+            if let Some(term) = self.term(values.load(src as usize), weight, 0) {
+                acc = self.combine(acc, term);
+            }
+        };
+        graph.for_each_in_neighbor(v, &mut fold);
+        if self.scope() == EdgeScope::Symmetric && graph.is_directed() {
+            graph.for_each_out_neighbor(v, &mut fold);
+        }
+        acc
     }
 
     /// Merges the previous property with a freshly pulled one.
@@ -175,8 +190,8 @@ pub trait VertexProgram: Send + Sync {
     /// Sum term reads its source's out-degree, a batch source's existing
     /// out-neighbors are affected too; because a Sum `combine` replaces the
     /// old value, re-pulling the affected set is its whole deletion repair,
-    /// while a [`GatherMode::Fold`] program keeps a witness forest
-    /// ([`crate::inc`]).
+    /// while a [`GatherMode::Fold`] program's INC keeps a witness forest
+    /// ([`crate::engine`]).
     fn gather_mode(&self) -> GatherMode {
         GatherMode::Fold
     }
@@ -217,34 +232,6 @@ pub trait VertexProgram: Send + Sync {
     {
         crate::fs::fixpoint_compute(self, graph, values, pool)
     }
-}
-
-/// The [`GatherMode::Fold`] pull behind [`VertexProgram::pull`]: `v`'s value
-/// folded with every in-edge term, plus the fold's witness — the neighbor
-/// whose term last strictly improved it, [`NO_PARENT`] when none improved on
-/// `v`'s own value. The INC rounds record the witness as `v`'s parent.
-pub(crate) fn fold_pull<P: VertexProgram + ?Sized>(
-    program: &P,
-    graph: &dyn GraphTopology,
-    v: Node,
-    values: &P::Store,
-) -> (P::Value, Node) {
-    let mut acc = values.load(v as usize);
-    let mut witness = NO_PARENT;
-    let mut fold = |src: Node, weight: f32| {
-        if let Some(term) = program.term(values.load(src as usize), weight, 0) {
-            let next = program.combine(acc, term);
-            if next != acc {
-                acc = next;
-                witness = src;
-            }
-        }
-    };
-    graph.for_each_in_neighbor(v, &mut fold);
-    if program.scope() == EdgeScope::Symmetric && graph.is_directed() {
-        graph.for_each_out_neighbor(v, &mut fold);
-    }
-    (acc, witness)
 }
 
 #[cfg(test)]
@@ -292,6 +279,16 @@ mod tests {
         ];
         use GatherMode::{Fold, Sum};
         assert_eq!(modes, [Fold, Fold, Fold, Fold, Fold, Sum]);
+        // Only the path programs' terms read the edge weight.
+        let reads_weight = [
+            BfsProgram::TERM_READS_WEIGHT,
+            CcProgram::TERM_READS_WEIGHT,
+            McProgram::TERM_READS_WEIGHT,
+            SsspProgram::TERM_READS_WEIGHT,
+            SswpProgram::TERM_READS_WEIGHT,
+            PrProgram::TERM_READS_WEIGHT,
+        ];
+        assert_eq!(reads_weight, [false, false, false, true, true, false]);
 
         // PageRank's sum rule: the Jacobi finish, the L1 stop in truncated
         // 1e-12 units, and the sweep cap.

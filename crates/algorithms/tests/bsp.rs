@@ -1,14 +1,13 @@
-//! End-to-end checks for the sharded BSP layer: serial-oracle agreement,
-//! edge-seeded incremental batches, kill-and-recover determinism, and the
-//! on-disk checkpoint path.
+//! End-to-end checks for the superstep engine behind `ShardedState`:
+//! agreement with the FS kernels, edge-seeded incremental batches,
+//! kill-and-recover determinism, and the on-disk checkpoint path.
 
 use saga_algorithms::bfs::BfsProgram;
-use saga_bsp::checkpoint::{Checkpoint, CheckpointConfig, CheckpointStore};
-use saga_bsp::engine::BspEngine;
-use saga_bsp::{KillPhase, KillSpec, ShardedState};
+use saga_algorithms::checkpoint::{Checkpoint, CheckpointConfig, CheckpointStore};
+use saga_algorithms::engine::BspEngine;
 use saga_algorithms::{
-    AffectedTracker, AlgorithmKind, AlgorithmParams, AlgorithmState, ComputeEngine,
-    ComputeModelKind, ComputeOutcome, VertexValues,
+    AlgorithmKind, AlgorithmParams, AlgorithmState, BatchImpact, ComputeEngine, ComputeModelKind,
+    ComputeOutcome, KillPhase, KillSpec, ShardedState, VertexValues,
 };
 use saga_graph::{build_graph, DataStructureKind, DynamicGraph, Edge};
 use saga_utils::parallel::ThreadPool;
@@ -102,6 +101,8 @@ fn sharded_fs_matches_serial_oracle_on_all_algorithms() {
     }
 }
 
+/// The tracker-fed entry ([`ShardedState::perform_batch`]) tracks FS on
+/// the same graph after every batch.
 #[test]
 fn sharded_incremental_tracks_serial_across_batches() {
     let pool = ThreadPool::new(3);
@@ -110,8 +111,7 @@ fn sharded_incremental_tracks_serial_across_batches() {
     for kind in AlgorithmKind::ALL {
         let graph = build_graph(DataStructureKind::AdjacencyShared, n, true, 1);
         let mut tracker = saga_algorithms::AffectedTracker::new(n);
-        let mut serial =
-            AlgorithmState::new(kind, ComputeModelKind::Incremental, n, params());
+        let mut oracle = AlgorithmState::new(kind, ComputeModelKind::FromScratch, n, params());
         let mut sharded = ShardedState::new(
             kind,
             ComputeModelKind::Incremental,
@@ -126,13 +126,13 @@ fn sharded_incremental_tracks_serial_across_batches() {
                 graph.as_ref(),
                 batch,
                 &[],
-                serial.affects_source_neighborhood(),
+                sharded.affects_source_neighborhood(),
                 false,
                 &pool,
             );
-            serial.perform_alg(graph.as_ref(), &impact.affected, &impact.new_vertices, &pool);
+            oracle.perform_alg(graph.as_ref(), &[], &[], &pool);
             sharded.perform_batch(graph.as_ref(), &impact.affected, false, &pool);
-            assert_values_close(kind, &sharded.values(), &serial.values());
+            assert_values_close(kind, &sharded.values(), &oracle.values());
         }
     }
 }
@@ -146,41 +146,32 @@ const FOLDS: [AlgorithmKind; 5] = [
     AlgorithmKind::Sswp,
 ];
 
-/// A serial and a sharded INC engine over one live graph, stepped through
-/// the driver-facing entry ([`ComputeEngine::compute`] with the batch).
+/// A sharded INC engine and an FS oracle over one live graph, stepped
+/// through the driver-facing entry ([`ComputeEngine::compute`] with the
+/// batch).
 struct Twins {
     graph: Box<dyn DynamicGraph>,
-    tracker: AffectedTracker,
-    serial: AlgorithmState,
+    oracle: AlgorithmState,
     sharded: ShardedState,
 }
 
 impl Twins {
     fn new(kind: AlgorithmKind, n: usize, directed: bool, shards: usize, params: AlgorithmParams) -> Self {
-        let inc = ComputeModelKind::Incremental;
+        let (fs, inc) = (ComputeModelKind::FromScratch, ComputeModelKind::Incremental);
         Self {
             graph: build_graph(DataStructureKind::AdjacencyShared, n, directed, 1),
-            tracker: AffectedTracker::new(n),
-            serial: AlgorithmState::new(kind, inc, n, params),
+            oracle: AlgorithmState::new(kind, fs, n, params),
             sharded: ShardedState::new(kind, inc, n, shards, params, CheckpointConfig::default()),
         }
     }
 
-    /// Applies an insert-only batch and computes it on both engines;
+    /// Applies an insert-only batch and computes it on both states;
     /// returns the sharded outcome.
     fn step(&mut self, batch: &[Edge], pool: &ThreadPool) -> ComputeOutcome {
         let graph = self.graph.as_ref();
         graph.update_batch(batch, pool);
-        let impact = self.tracker.process_mixed_batch(
-            graph,
-            batch,
-            &[],
-            self.serial.affects_source_neighborhood(),
-            self.serial.symmetric_scope(),
-            pool,
-        );
-        self.serial.compute(graph, &impact, batch, &[], pool);
-        self.sharded.compute(graph, &impact, batch, &[], pool)
+        self.oracle.perform_alg(graph, &[], &[], pool);
+        self.sharded.compute(graph, &BatchImpact::default(), batch, &[], pool)
     }
 }
 
@@ -198,7 +189,7 @@ fn edge_seeded_batches_equal_serial_inc_exactly() {
                         twins.step(batch, &pool);
                         assert_eq!(
                             twins.sharded.values(),
-                            twins.serial.values(),
+                            twins.oracle.values(),
                             "{kind:?} directed={directed} shards={shards} threads={threads} batch {i}"
                         );
                     }
@@ -226,7 +217,7 @@ fn edge_seeds_use_the_stored_weight() {
             twins.step(&batch, &pool);
             assert_eq!(twins.graph.out_neighbors(0), vec![(1, 4.0)], "first weight stored");
             let values = twins.sharded.values();
-            assert_eq!(values, twins.serial.values(), "{kind:?} directed={directed}");
+            assert_eq!(values, twins.oracle.values(), "{kind:?} directed={directed}");
             let VertexValues::F32(v) = &values else { panic!("{kind:?}: f32 values") };
             let VertexValues::F32(before) = &stored else { panic!("{kind:?}: f32 values") };
             assert_eq!(v[1], before[1], "{kind:?}: the re-insert changes nothing");
@@ -252,10 +243,13 @@ fn an_unimproving_batch_sends_no_superstep_messages() {
         let outcome = twins.step(&[Edge::new(3, 1, 1.0), Edge::new(1, 2, 1.0)], &pool);
         assert!(outcome.iterations <= 1, "{kind:?}: {outcome:?}");
         assert_eq!(outcome.messages, 0, "{kind:?}: {outcome:?}");
-        assert_eq!(twins.sharded.values(), twins.serial.values(), "{kind:?}");
+        assert_eq!(twins.sharded.values(), twins.oracle.values(), "{kind:?}");
     }
 }
 
+/// A kill recovers to the uninterrupted run's bits, from the superstep
+/// right before it (every superstep checkpointed) and from two supersteps
+/// back (every third).
 #[test]
 fn kill_and_recover_is_bitwise_identical() {
     let pool = ThreadPool::new(4);
@@ -263,34 +257,29 @@ fn kill_and_recover_is_bitwise_identical() {
     let edges = sample_edges(n, 900, 0xC0FFEE);
     let graph = build_loaded(n, &edges, &pool);
     for kind in AlgorithmKind::ALL {
-        for phase in [KillPhase::Scatter, KillPhase::Gather] {
-            let make = || {
-                ShardedState::new(
-                    kind,
-                    ComputeModelKind::FromScratch,
-                    n,
-                    5,
-                    params(),
-                    CheckpointConfig::default(),
-                )
-            };
-            let mut baseline = make();
-            baseline.perform_batch(graph.as_ref(), &[], false, &pool);
-            let mut victim = make();
-            victim.inject_kill(KillSpec {
-                superstep: 1,
-                shard: 2,
-                phase,
-            });
-            victim.perform_batch(graph.as_ref(), &[], false, &pool);
-            assert_eq!(victim.recoveries(), 1, "{kind:?}/{phase:?}: kill must fire");
-            // Bitwise: recovery restores the last barrier snapshot and
-            // replays, so even float values must match exactly.
-            assert_eq!(
-                victim.values(),
-                baseline.values(),
-                "{kind:?}/{phase:?}: recovered run diverged"
-            );
+        for (interval, superstep) in [(0, 1), (3, 2)] {
+            for phase in [KillPhase::Scatter, KillPhase::Gather] {
+                let make = || {
+                    ShardedState::new(
+                        kind,
+                        ComputeModelKind::FromScratch,
+                        n,
+                        5,
+                        params(),
+                        CheckpointConfig { interval, dir: None },
+                    )
+                };
+                let mut baseline = make();
+                baseline.perform_batch(graph.as_ref(), &[], false, &pool);
+                let mut victim = make();
+                victim.inject_kill(KillSpec { superstep, shard: 2, phase });
+                victim.perform_batch(graph.as_ref(), &[], false, &pool);
+                let at = format!("{kind:?}/{phase:?}/interval {interval}");
+                assert_eq!(victim.recoveries(), 1, "{at}: kill must fire");
+                // Bitwise: recovery restores the last barrier snapshot and
+                // replays, so even float values must match exactly.
+                assert_eq!(victim.values(), baseline.values(), "{at}: recovered run diverged");
+            }
         }
     }
 }
@@ -313,11 +302,13 @@ fn disk_checkpoints_roundtrip_and_pick_the_newest() {
     let older = Checkpoint {
         superstep: 3,
         values: vec![vec![0.25, f64::NEG_INFINITY], vec![1e-300]],
+        parents: vec![vec![u32::MAX, 0], vec![1]],
         active: vec![vec![0, 1], vec![]],
     };
     let newer = Checkpoint {
         superstep: 12,
         values: vec![vec![-0.5, 2.0], vec![f64::INFINITY]],
+        parents: vec![vec![], vec![]],
         active: vec![vec![], vec![2]],
     };
     // Publish out of order: newest-by-superstep must win, not last-written.
@@ -331,7 +322,8 @@ fn disk_checkpoints_roundtrip_and_pick_the_newest() {
 
 /// The on-disk format, pinned: little-endian `u64` words — superstep,
 /// shard count, then per shard the value count, each value's bits
-/// zero-extended, the active count and the active ids.
+/// zero-extended, the parent count and the parent ids (the witness forest,
+/// none for an engine without one), the active count and the active ids.
 #[test]
 fn checkpoint_file_bytes_are_golden() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("bsp-ckpt-golden");
@@ -345,13 +337,14 @@ fn checkpoint_file_bytes_are_golden() {
         .publish(Checkpoint {
             superstep: 5,
             values: vec![vec![1.5, -0.0, f32::INFINITY], vec![nan]],
+            parents: vec![vec![u32::MAX, 0, 1], vec![]],
             active: vec![vec![0, 2], vec![3]],
         })
         .unwrap();
-    let words: [u64; 13] = [
+    let words: [u64; 18] = [
         5, 2, //
-        3, 0x3fc0_0000, 0x8000_0000, 0x7f80_0000, 2, 0, 2, //
-        1, 0x7fc0_beef, 1, 3,
+        3, 0x3fc0_0000, 0x8000_0000, 0x7f80_0000, 3, 0xffff_ffff, 0, 1, 2, 0, 2, //
+        1, 0x7fc0_beef, 0, 1, 3,
     ];
     let golden: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
     assert_eq!(&golden[..24], &[5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0]);
@@ -362,6 +355,7 @@ fn checkpoint_file_bytes_are_golden() {
         values.iter().map(|s| s.iter().map(|v| v.to_bits()).collect()).collect()
     };
     assert_eq!(bits(&loaded.values), bits(&store.latest().unwrap().values));
+    assert_eq!(loaded.parents, vec![vec![u32::MAX, 0, 1], vec![]]);
     assert_eq!((loaded.superstep, loaded.active), (5, vec![vec![0, 2], vec![3]]));
 }
 
@@ -376,11 +370,13 @@ fn recovery_skips_and_deletes_corrupt_checkpoints() {
     let valid = Checkpoint {
         superstep: 3,
         values: vec![vec![0.25, -7.5], vec![1e-300]],
+        parents: vec![vec![], vec![]],
         active: vec![vec![0, 1], vec![]],
     };
     let newest = Checkpoint {
         superstep: 12,
         values: vec![vec![-0.5, 2.0], vec![f64::INFINITY]],
+        parents: vec![vec![], vec![]],
         active: vec![vec![], vec![2]],
     };
     store.publish(valid.clone()).unwrap();
@@ -437,12 +433,12 @@ fn recover_from_disk_survives_a_process_restart() {
         interval: 1,
         dir: Some(dir.clone()),
     };
-    let mut baseline = BspEngine::new(BfsProgram::new(0), n, 4, CheckpointConfig::default());
+    let mut baseline = BspEngine::new(BfsProgram::new(0), n, 4).with_checkpoints(CheckpointConfig::default());
     baseline.reset_all_active();
     baseline.begin();
     baseline.run(graph.as_ref(), &pool).unwrap();
 
-    let mut victim = BspEngine::new(BfsProgram::new(0), n, 4, config());
+    let mut victim = BspEngine::new(BfsProgram::new(0), n, 4).with_checkpoints(config());
     victim.arm_kill(KillSpec {
         superstep: 1,
         shard: 1,
@@ -455,7 +451,7 @@ fn recover_from_disk_survives_a_process_restart() {
 
     // "Restart the process": a brand-new engine with no in-memory state,
     // pointed at the same checkpoint directory.
-    let mut restarted = BspEngine::new(BfsProgram::new(0), n, 4, config());
+    let mut restarted = BspEngine::new(BfsProgram::new(0), n, 4).with_checkpoints(config());
     let resumed_at = restarted.recover_from_disk().unwrap();
     assert!(resumed_at <= 1, "kill at superstep 1 leaves a checkpoint at or before it");
     restarted.run(graph.as_ref(), &pool).unwrap();

@@ -3,24 +3,26 @@
 //! For one op program the harness replays the stream once, driving three
 //! compute states over the same live graph:
 //!
-//! * the **serial oracle** ([`AlgorithmState`]) — the trusted pull-based
-//!   path the rest of `saga-check` differentials against;
+//! * the **oracle**, a from-scratch [`AlgorithmState`] — the FS kernels,
+//!   independent of the superstep engine under test;
 //! * an **uninterrupted** sharded BSP state;
 //! * a **victim** sharded BSP state with a one-shot [`KillSpec`] armed,
 //!   which dies mid-superstep, recovers from the last superstep-boundary
 //!   checkpoint, and replays.
 //!
 //! After every batch the victim must match the uninterrupted twin
-//! **bitwise** (recovery restores total state and the mailbox drain order
-//! is deterministic — DESIGN.md §12), and the twin must match the serial
-//! oracle within the usual per-type tolerances. At end of stream the kill
-//! must actually have fired; a harness whose fault never triggers proves
-//! nothing.
+//! **bitwise**, witness forest included (recovery restores total state and
+//! the mailbox drain order is deterministic — DESIGN.md §12), and the twin
+//! must match the oracle within the usual per-type tolerances. At end of
+//! stream the kill must actually have fired; a harness whose fault never
+//! triggers proves nothing.
 
 use crate::diff::values_diff;
 use crate::program::OpProgram;
-use saga_algorithms::{AlgorithmKind, AlgorithmState, ComputeEngine, ComputeModelKind};
-use saga_bsp::{CheckpointConfig, KillSpec, ShardedState};
+use saga_algorithms::{
+    AlgorithmKind, AlgorithmState, CheckpointConfig, ComputeEngine, ComputeModelKind, KillSpec,
+    ShardedState,
+};
 use saga_graph::{build_deletable_graph, DataStructureKind, Edge};
 use saga_server::tenant::tenant_params;
 use saga_stream::EdgeOp;
@@ -31,8 +33,8 @@ use saga_utils::parallel::ThreadPool;
 pub struct RecoveryConfig {
     /// Algorithm under test.
     pub algorithm: AlgorithmKind,
-    /// Compute model (FS always full-runs; INC seeds insert-only batches
-    /// from their edges).
+    /// Compute model (FS always full-runs; INC seeds batches from their
+    /// edges and repairs deletions through the witness forest).
     pub model: ComputeModelKind,
     /// Data structure backing the live graph.
     pub structure: DataStructureKind,
@@ -47,7 +49,7 @@ pub struct RecoveryConfig {
 
 /// Replays `program` per the harness contract above. Returns the first
 /// disagreement found, or `None` when the killed-and-recovered state is
-/// bitwise identical to the uninterrupted one (and both track the serial
+/// bitwise identical to the uninterrupted one (and both track the FS
 /// oracle) on every batch.
 pub fn check_recovery(program: &OpProgram, config: &RecoveryConfig) -> Option<String> {
     let stream = program.to_stream();
@@ -60,7 +62,12 @@ pub fn check_recovery(program: &OpProgram, config: &RecoveryConfig) -> Option<St
         pool.threads(),
     );
     let params = tenant_params(root);
-    let mut serial = AlgorithmState::new(config.algorithm, config.model, program.capacity, params);
+    let mut oracle = AlgorithmState::new(
+        config.algorithm,
+        ComputeModelKind::FromScratch,
+        program.capacity,
+        params,
+    );
     let make_sharded = || {
         ShardedState::new(
             config.algorithm,
@@ -90,9 +97,9 @@ pub fn check_recovery(program: &OpProgram, config: &RecoveryConfig) -> Option<St
             graph.delete_batch(&deletes, &pool);
         }
         // The driver's entry for all three engines: the sharded twins track
-        // nothing and seed incremental insert-only batches from `inserts`,
-        // so kills land in edge-seeded runs too.
-        for engine in [&mut serial as &mut dyn ComputeEngine, &mut baseline, &mut victim] {
+        // nothing and seed incremental batches from `inserts`, repairing
+        // `deletes`, so kills land in edge-seeded and repair runs too.
+        for engine in [&mut oracle as &mut dyn ComputeEngine, &mut baseline, &mut victim] {
             let impact = engine.track(graph.as_ref(), &inserts, &deletes, &pool);
             engine.compute(graph.as_ref(), &impact, &inserts, &deletes, &pool);
         }
@@ -105,10 +112,13 @@ pub fn check_recovery(program: &OpProgram, config: &RecoveryConfig) -> Option<St
                 "batch {index}: recovered run diverged from uninterrupted run: {detail}"
             ));
         }
-        if let Some(detail) = values_diff(&serial.values(), &baseline.values()) {
+        if victim.witnesses() != baseline.witnesses() {
             return Some(format!(
-                "batch {index}: sharded BSP diverged from serial oracle: {detail}"
+                "batch {index}: recovered run's witness forest diverged from the uninterrupted run's"
             ));
+        }
+        if let Some(detail) = values_diff(&oracle.values(), &baseline.values()) {
+            return Some(format!("batch {index}: sharded BSP diverged from the FS oracle: {detail}"));
         }
     }
     if victim.recoveries() == 0 {

@@ -6,12 +6,15 @@
 //! more seeds and profiles for CI's dedicated job
 //! (`cargo test -p saga-check --release -- --ignored recovery_smoke`).
 
-use saga_algorithms::{AlgorithmKind, ComputeModelKind};
-use saga_bsp::{KillPhase, KillSpec};
+use saga_algorithms::{
+    AlgorithmKind, BatchImpact, CheckpointConfig, ComputeEngine, ComputeModelKind, ComputeOutcome,
+    KillPhase, KillSpec, ShardedState,
+};
 use saga_check::program::{OpProgram, ProgramOp, ProgramProfile};
 use saga_check::recovery::{check_recovery, RecoveryConfig};
-use saga_graph::DataStructureKind;
+use saga_graph::{build_deletable_graph, DataStructureKind, Edge};
 use saga_stream::EdgeOp;
+use saga_utils::parallel::ThreadPool;
 use std::sync::Mutex;
 
 /// The trace rings are process-global and one test here enables tracing;
@@ -58,12 +61,15 @@ fn kill_and_recover_all_algorithms_fs() {
 #[test]
 fn kill_and_recover_all_algorithms_inc() {
     let _g = LOCK.lock().unwrap();
-    // Delete-heavy: INC batches with deletions take the full-recompute
-    // path, so both seeding modes get killed and recovered.
+    // Delete-heavy: INC batches with deletions repair through the witness
+    // forest or fall back to the FS kernel, beside edge-seeded inserts. A
+    // seeded or repaired run may end in superstep 0, which every run has,
+    // so the kill lands there.
     let program = OpProgram::generate(0x5EED_0002, ProgramProfile::DeleteHeavy);
     for algorithm in AlgorithmKind::ALL {
         for phase in [KillPhase::Scatter, KillPhase::Gather] {
-            let cfg = config(algorithm, ComputeModelKind::Incremental, phase);
+            let mut cfg = config(algorithm, ComputeModelKind::Incremental, phase);
+            cfg.kill.superstep = 0;
             let got = check_recovery(&program, &cfg);
             assert!(got.is_none(), "{algorithm:?}/{phase:?}: {}", got.unwrap());
         }
@@ -112,6 +118,75 @@ fn kill_and_recover_edge_seeded_batches() {
                     assert!(got.is_none(), "{at}: {}", got.unwrap());
                 }
             }
+        }
+    }
+}
+
+/// `program` on an uninterrupted sharded INC state shaped like `config`'s
+/// twins: the work record of every batch.
+fn sharded_outcomes(program: &OpProgram, config: &RecoveryConfig) -> Vec<ComputeOutcome> {
+    let pool = ThreadPool::new(config.threads);
+    let graph =
+        build_deletable_graph(config.structure, program.capacity, program.directed, pool.threads());
+    let root = program.to_stream().edges.first().map_or(0, |e| e.src);
+    let mut state = ShardedState::new(
+        config.algorithm,
+        config.model,
+        program.capacity,
+        config.shards,
+        saga_server::tenant::tenant_params(root),
+        CheckpointConfig::default(),
+    );
+    let edge = |s, d| Edge::new(s, d, saga_stream::edge_weight(s, d, program.directed));
+    program
+        .batches
+        .iter()
+        .map(|batch| {
+            let ops = |kind| batch.iter().filter(move |op| op.0 == kind).map(|&(_, s, d)| edge(s, d));
+            let (inserts, deletes): (Vec<Edge>, Vec<Edge>) =
+                (ops(EdgeOp::Insert).collect(), ops(EdgeOp::Delete).collect());
+            graph.update_batch(&inserts, &pool);
+            graph.delete_batch(&deletes, &pool);
+            state.compute(graph.as_ref(), &BatchImpact::default(), &inserts, &deletes, &pool)
+        })
+        .collect()
+}
+
+/// A kill inside the supersteps of an INC deletion batch that repairs: the
+/// victim matches the uninterrupted twin bitwise, witness forest included.
+/// One edge per batch builds the path 0 → 1 → … → 8 and a 30-hop detour
+/// 0 → 100 → … → 129 → 3 that improves nothing, so no run before the last
+/// outlives superstep 0. The last batch deletes 0 → 1: its subtree 1..=8
+/// is reset (8 vertices, within a 200-vertex universe's 10-vertex repair
+/// limit), 3 re-derives over the detour, and the wave 3 → 4 → … → 8 runs
+/// past the kill's superstep 2 on shard 0, which owns it. (SSWP is left
+/// out: these weights make the detour the wider path from the start.)
+#[test]
+fn kill_and_recover_inside_a_deletion_repair() {
+    let _g = LOCK.lock().unwrap();
+    let detour: Vec<u32> = std::iter::once(0).chain(100..130).chain([3]).collect();
+    let mut batches: Vec<Vec<ProgramOp>> = (0..8)
+        .map(|v| (v, v + 1))
+        .chain(detour.windows(2).map(|w| (w[0], w[1])))
+        .map(|(s, d)| vec![(EdgeOp::Insert, s, d)])
+        .collect();
+    batches.push(vec![(EdgeOp::Delete, 0, 1)]);
+    let program = OpProgram { capacity: 200, directed: true, batches };
+    for algorithm in [AlgorithmKind::Bfs, AlgorithmKind::Sssp] {
+        for phase in [KillPhase::Scatter, KillPhase::Gather] {
+            let cfg = RecoveryConfig {
+                kill: KillSpec { superstep: 2, shard: 0, phase },
+                ..config(algorithm, ComputeModelKind::Incremental, phase)
+            };
+            let outcomes = sharded_outcomes(&program, &cfg);
+            let (last, earlier) = outcomes.split_last().expect("batches");
+            assert!(earlier.iter().all(|o| o.iterations <= 2), "{algorithm:?}: {earlier:?}");
+            assert!(
+                last.repaired == 8 && !last.fs_fallback && last.iterations > 3,
+                "{algorithm:?}: the deletion batch must repair in supersteps: {last:?}"
+            );
+            let got = check_recovery(&program, &cfg);
+            assert!(got.is_none(), "{algorithm:?}/{phase:?}: {}", got.unwrap());
         }
     }
 }

@@ -14,10 +14,9 @@
 //! reports behind Figs. 9(b–c) and 10.
 
 use saga_algorithms::{
-    AlgorithmKind, AlgorithmParams, AlgorithmState, BatchImpact, ComputeEngine, ComputeModelKind,
-    ComputeOutcome, VertexValues,
+    AlgorithmKind, AlgorithmParams, AlgorithmState, BatchImpact, CheckpointConfig, ComputeEngine,
+    ComputeModelKind, ComputeOutcome, ShardedState, VertexValues,
 };
-use saga_bsp::{CheckpointConfig, ShardedState};
 use saga_graph::{
     build_deletable_graph_with, DataStructureKind, DeletableGraph, DeleteStats, DynamicGraph, Edge,
     GraphTopology, Node, UpdateStats,
@@ -178,12 +177,12 @@ impl StreamDriverBuilder {
         self
     }
 
-    /// Runs the compute phase on the sharded BSP engine (`saga-bsp`) with
-    /// `shards` shards instead of the serial pull-based path (default:
-    /// serial). The BSP path checkpoints shard state at every superstep
-    /// barrier, so a simulated worker kill
-    /// ([`saga_bsp::ShardedState::inject_kill`]) recovers to bitwise-
-    /// identical results — `saga-check`'s recovery harness exercises this.
+    /// Runs the compute phase on a [`ShardedState`] with `shards` shards
+    /// instead of an [`AlgorithmState`] (default: unsharded). The sharded
+    /// state checkpoints at every superstep barrier, so a simulated worker
+    /// kill ([`ShardedState::inject_kill`]) recovers to bitwise-identical
+    /// results — `saga-check`'s recovery harness exercises this — and runs
+    /// FS and PageRank in supersteps too.
     pub fn sharded(mut self, shards: usize) -> Self {
         self.sharded = Some(shards.max(1));
         self
@@ -719,12 +718,16 @@ mod tests {
         assert_eq!(inc.final_values, fs.final_values);
     }
 
+    /// FS on the same topology after every batch, with the sharded state
+    /// and without it, under both models.
     #[test]
     fn sharded_driver_matches_serial_final_values() {
         let stream = tiny_stream();
+        let root = stream.edges[0].src;
+        let pool = ThreadPool::new(2);
         for algorithm in [AlgorithmKind::Bfs, AlgorithmKind::Sswp] {
             for model in ComputeModelKind::ALL {
-                let run = |shards: Option<usize>| {
+                for shards in [Some(3), None] {
                     let mut b = StreamDriver::builder(DataStructureKind::AdjacencyShared, 300)
                         .algorithm(algorithm)
                         .compute_model(model)
@@ -733,26 +736,33 @@ mod tests {
                     if let Some(s) = shards {
                         b = b.sharded(s);
                     }
-                    b.build().run(&stream).final_values
-                };
-                assert_eq!(
-                    run(Some(3)),
-                    run(None),
-                    "{algorithm:?}/{model:?}: sharded BSP diverged from serial"
-                );
+                    b.build().run_observed(&stream, |record, graph, engine| {
+                        let params = AlgorithmParams { root, ..AlgorithmParams::default() };
+                        let mut fs =
+                            AlgorithmState::new(algorithm, ComputeModelKind::FromScratch, 300, params);
+                        fs.perform_alg(graph, &[], &[], &pool);
+                        assert_eq!(
+                            engine.values(),
+                            fs.values(),
+                            "{algorithm:?}/{model:?}/{shards:?} batch {}: diverged from FS",
+                            record.index
+                        );
+                    });
+                }
             }
         }
     }
 
     /// The work record's fields mean one thing in every engine: vertex
-    /// evaluations are serial INC's, superstep messages the sharded
-    /// engine's, and every engine counts its rounds.
+    /// evaluations are Algorithm 1's rounds' (PageRank INC), superstep
+    /// messages the superstep engine's (every Fold INC batch, and every
+    /// sharded batch), and every engine counts its rounds.
     #[test]
     fn one_record_means_the_same_in_every_engine() {
         let stream = tiny_stream();
-        let run = |model, shards: Option<usize>| {
+        let run = |algorithm, model, shards: Option<usize>| {
             let mut b = StreamDriver::builder(DataStructureKind::AdjacencyShared, 300)
-                .algorithm(AlgorithmKind::Bfs)
+                .algorithm(algorithm)
                 .compute_model(model)
                 .batch_size(800)
                 .threads(2);
@@ -760,18 +770,81 @@ mod tests {
                 b = b.sharded(s);
             }
             let batches = b.build().run(&stream).batches;
-            assert!(batches.iter().all(|b| b.compute.iterations >= 1), "{model:?} {shards:?}");
+            let at = format!("{algorithm:?} {model:?} {shards:?}");
+            assert!(batches.iter().all(|b| b.compute.iterations >= 1), "{at}");
             let sum = |field: fn(&ComputeOutcome) -> usize| {
                 batches.iter().map(|b| field(&b.compute)).sum::<usize>()
             };
             (sum(|c| c.recomputed), sum(|c| c.messages))
         };
-        let (fs_evaluated, fs_messages) = run(ComputeModelKind::FromScratch, None);
-        let (inc_evaluated, inc_messages) = run(ComputeModelKind::Incremental, None);
-        let (bsp_evaluated, bsp_messages) = run(ComputeModelKind::Incremental, Some(2));
+        let (fs, inc) = (ComputeModelKind::FromScratch, ComputeModelKind::Incremental);
+        let (bfs, pr) = (AlgorithmKind::Bfs, AlgorithmKind::PageRank);
+        let (fs_evaluated, fs_messages) = run(bfs, fs, None);
+        let (inc_evaluated, inc_messages) = run(bfs, inc, None);
+        let (bsp_evaluated, bsp_messages) = run(bfs, inc, Some(2));
+        let (pr_evaluated, pr_messages) = run(pr, inc, None);
         assert_eq!((fs_evaluated, fs_messages), (0, 0), "FS counts neither");
-        assert!(inc_evaluated > 0 && inc_messages == 0, "serial: {inc_evaluated}, {inc_messages}");
+        assert!(inc_evaluated == 0 && inc_messages > 0, "fold INC: {inc_evaluated}, {inc_messages}");
         assert!(bsp_evaluated == 0 && bsp_messages > 0, "sharded: {bsp_evaluated}, {bsp_messages}");
+        assert!(pr_evaluated > 0 && pr_messages == 0, "PageRank INC: {pr_evaluated}, {pr_messages}");
+    }
+
+    /// Fold INC on a churn stream computes the same bits, and the same work
+    /// record per batch, at 1, 2 and 4 pool threads — unsharded (one shard
+    /// per worker) and at a fixed shard count. A batch that falls back to
+    /// FS is the exception for `iterations`: the FS kernels' rounds (Jacobi
+    /// sweeps, delta-stepping phases) depend on the interleaving.
+    #[test]
+    fn fold_inc_does_not_depend_on_threads() {
+        let stream =
+            DatasetProfile::livejournal().scaled(300, 3_000).with_churn(0.25).generate(17);
+        assert!(stream.has_deletions());
+        let folds = [
+            AlgorithmKind::Bfs,
+            AlgorithmKind::Cc,
+            AlgorithmKind::Mc,
+            AlgorithmKind::Sssp,
+            AlgorithmKind::Sswp,
+        ];
+        let mut repaired = 0;
+        for algorithm in folds {
+            for shards in [None, Some(3)] {
+                let run = |threads: usize| {
+                    let mut b = StreamDriver::builder(DataStructureKind::AdjacencyShared, 300)
+                        .algorithm(algorithm)
+                        .compute_model(ComputeModelKind::Incremental)
+                        .batch_size(250)
+                        .threads(threads);
+                    if let Some(s) = shards {
+                        b = b.sharded(s);
+                    }
+                    let mut values = Vec::new();
+                    let outcome = b.build().run_observed(&stream, |_, _, engine| {
+                        values.push(engine.values());
+                    });
+                    let work: Vec<ComputeOutcome> = outcome
+                        .batches
+                        .iter()
+                        .map(|b| match b.compute.fs_fallback {
+                            true => ComputeOutcome { iterations: 0, ..b.compute },
+                            false => b.compute,
+                        })
+                        .collect();
+                    (values, work)
+                };
+                let (values, work) = run(1);
+                let deleting = work.iter().filter(|w| w.repaired > 0 || w.fs_fallback).count();
+                assert!(deleting > 0, "{algorithm:?}: no batch repaired or fell back");
+                repaired += work.iter().filter(|w| w.repaired > 0).count();
+                for threads in [2, 4] {
+                    let (other_values, other_work) = run(threads);
+                    let at = format!("{algorithm:?} shards={shards:?} threads={threads}");
+                    assert!(values == other_values, "{at}: values differ");
+                    assert_eq!(work, other_work, "{at}: work records differ");
+                }
+            }
+        }
+        assert!(repaired > 0, "no batch of any program repaired");
     }
 
     #[test]
@@ -794,8 +867,8 @@ mod tests {
     }
 
     /// CC INC through `step` on a 240-spoke hub: deleting an edge at the
-    /// hub that witnesses nothing re-pulls its two endpoints, not the
-    /// hub's neighborhood, and every batch matches FS on a CSR.
+    /// hub that witnesses nothing resets nothing and sends no wave through
+    /// the hub's neighborhood, and every batch matches FS on a CSR.
     #[test]
     fn cc_inc_deleting_a_non_witness_hub_edge_recomputes_only_its_endpoints() {
         const SPOKES: Node = 240;
@@ -827,39 +900,42 @@ mod tests {
                 assert_eq!(session.values(), fs.values(), "directed={directed} batch {i}");
                 if !deletes.is_empty() {
                     assert_eq!(record.removed, 1);
-                    assert!(
-                        record.compute.recomputed <= 4,
-                        "directed={directed}: {} recomputed for one non-witness deletion",
-                        record.compute.recomputed
-                    );
+                    let work = record.compute;
+                    assert_eq!(work.repaired, 0, "directed={directed}: a non-witness deletion reset {work:?}");
+                    assert!(work.messages <= 4, "directed={directed}: {work:?} for one non-witness deletion");
                 }
             }
         }
     }
 
+    /// Only PageRank's INC rounds track the batch: FS needs nothing, and
+    /// the superstep engine (every sharded state, and a Fold program's INC)
+    /// seeds from the batch's edges itself.
     #[test]
     fn fs_and_sharded_engines_track_nothing() {
         let e = |s, d| Edge::new(s, d, 1.0);
         let (inserts, deletes) = ([e(0, 1), e(1, 2), e(2, 3)], [e(1, 2)]);
-        for (model, sharded) in [
-            (ComputeModelKind::FromScratch, false),
-            (ComputeModelKind::FromScratch, true),
-            (ComputeModelKind::Incremental, true),
-            (ComputeModelKind::Incremental, false),
-        ] {
-            let mut builder = StreamDriver::builder(DataStructureKind::AdjacencyShared, 8)
-                .algorithm(AlgorithmKind::Cc)
-                .compute_model(model)
-                .threads(2);
-            if sharded {
-                builder = builder.sharded(2);
+        for algorithm in [AlgorithmKind::Cc, AlgorithmKind::PageRank] {
+            for model in ComputeModelKind::ALL {
+                for sharded in [false, true] {
+                    let mut builder = StreamDriver::builder(DataStructureKind::AdjacencyShared, 8)
+                        .algorithm(algorithm)
+                        .compute_model(model)
+                        .threads(2);
+                    if sharded {
+                        builder = builder.sharded(2);
+                    }
+                    let driver = builder.build();
+                    let mut session = driver.session(8, true, 0);
+                    session.apply.apply(&inserts, &deletes);
+                    let impact = session.compute.track(session.apply.graph(), &inserts, &deletes);
+                    let tracks = algorithm == AlgorithmKind::PageRank
+                        && model == ComputeModelKind::Incremental
+                        && !sharded;
+                    let at = format!("{algorithm:?} {model:?} sharded={sharded}");
+                    assert_eq!(impact.affected.is_empty(), !tracks, "{at}");
+                }
             }
-            let driver = builder.build();
-            let mut session = driver.session(8, true, 0);
-            session.apply.apply(&inserts, &deletes);
-            let impact = session.compute.track(session.apply.graph(), &inserts, &deletes);
-            let serial_inc = model == ComputeModelKind::Incremental && !sharded;
-            assert_eq!(impact.affected.is_empty(), !serial_inc, "{model:?} sharded={sharded}");
         }
     }
 

@@ -212,9 +212,9 @@ impl std::fmt::Display for DataStructureKind {
 /// vector mutex, Stinger a vertex's shared op-lock, AC / DAH / DeltaCSR one
 /// chunk's read guard. A callback must therefore not call back into the
 /// same live graph — with AS that self-deadlocks, and a second shared guard
-/// can park behind a waiting batch forever. Collect what you need first, then query (`saga_bsp`'s
-/// `scatter_shard` is the pattern); reading separate property arrays from a
-/// callback is always fine.
+/// can park behind a waiting batch forever. Collect what you need first,
+/// then query (the superstep engine's `scatter_shard` is the pattern);
+/// reading separate property arrays from a callback is always fine.
 ///
 /// Code that reads for a whole phase should not pay those locks per visit
 /// at all: [`frozen`](Self::frozen) hands it a view for the length of a

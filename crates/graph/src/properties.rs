@@ -295,126 +295,10 @@ impl VertexValues {
     }
 }
 
-/// A shard's slice of a partitioned vertex property array, used by the
-/// BSP execution layer (`saga-bsp`).
-///
-/// The atomic array above exists because the serial engines let every
-/// worker write any vertex. The sharded engine's whole point is that it
-/// does not: shard `s` owns the contiguous global range `[base, base+len)`
-/// and is the only writer of those properties, so the storage is plain
-/// (non-atomic) values — no cross-socket false sharing, and checkpoint
-/// snapshot/restore is a `memcpy`. Accessors take **global** vertex ids
-/// and translate internally, so algorithm code reads the same either way.
-///
-/// Accesses report through [`saga_utils::probe`] like the atomic arrays,
-/// so the `saga-perf` memory model sees sharded property traffic too.
-///
-/// # Examples
-///
-/// ```
-/// use saga_graph::properties::ShardValues;
-///
-/// let mut s = ShardValues::filled(10, 5, 0u32); // global vertices 10..15
-/// s.set(12, 7);
-/// assert_eq!(s.get(12), 7);
-/// assert_eq!(s.as_slice(), &[0, 0, 7, 0, 0]);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardValues<V> {
-    base: usize,
-    data: Vec<V>,
-}
-
-impl<V: Copy> ShardValues<V> {
-    /// A shard covering global vertices `[base, base + len)`, all `init`.
-    pub fn filled(base: usize, len: usize, init: V) -> Self {
-        Self {
-            base,
-            data: vec![init; len],
-        }
-    }
-
-    /// A shard covering `[base, base + data.len())` with explicit initial
-    /// values (global id `base + i` gets `data[i]`).
-    pub fn from_vec(base: usize, data: Vec<V>) -> Self {
-        Self { base, data }
-    }
-
-    /// First global vertex id owned by this shard.
-    pub fn base(&self) -> usize {
-        self.base
-    }
-
-    /// Number of vertices owned.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the shard owns no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Reads the property of global vertex `v` (must be owned here).
-    #[inline]
-    pub fn get(&self, v: usize) -> V {
-        let slot = &self.data[v - self.base];
-        probe::value_read(slot);
-        *slot
-    }
-
-    /// Writes the property of global vertex `v` (must be owned here).
-    #[inline]
-    pub fn set(&mut self, v: usize, value: V) {
-        let slot = &mut self.data[v - self.base];
-        probe::value_write(slot);
-        *slot = value;
-    }
-
-    /// The owned values, shard-local order (global id `base + i` at `i`) —
-    /// what the checkpoint store snapshots.
-    pub fn as_slice(&self) -> &[V] {
-        &self.data
-    }
-
-    /// Restores the shard from a checkpoint snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snapshot.len() != self.len()`.
-    pub fn restore(&mut self, snapshot: &[V]) {
-        assert_eq!(snapshot.len(), self.data.len(), "checkpoint shape mismatch");
-        self.data.copy_from_slice(snapshot);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use saga_utils::parallel::{Schedule, ThreadPool};
-
-    #[test]
-    fn shard_values_translate_global_ids_and_restore() {
-        let mut s = ShardValues::filled(4, 3, f32::INFINITY);
-        assert_eq!(s.base(), 4);
-        assert_eq!(s.len(), 3);
-        assert!(!s.is_empty());
-        s.set(5, 2.5);
-        assert_eq!(s.get(5), 2.5);
-        assert_eq!(s.as_slice(), &[f32::INFINITY, 2.5, f32::INFINITY]);
-        let snapshot = s.as_slice().to_vec();
-        s.set(4, 0.0);
-        s.set(6, 1.0);
-        s.restore(&snapshot);
-        assert_eq!(s.as_slice(), &[f32::INFINITY, 2.5, f32::INFINITY]);
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn shard_restore_rejects_wrong_length() {
-        let mut s = ShardValues::filled(0, 2, 0u32);
-        s.restore(&[1, 2, 3]);
-    }
 
     #[test]
     fn f64_roundtrip() {
