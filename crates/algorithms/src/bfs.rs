@@ -52,7 +52,6 @@ impl BfsProgram {
 impl VertexProgram for BfsProgram {
     type Value = u32;
     type Store = AtomicU32Array;
-    const TERM_READS_WEIGHT: bool = false;
 
     fn name(&self) -> &'static str {
         "BFS"

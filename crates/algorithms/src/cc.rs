@@ -39,7 +39,6 @@ impl CcProgram {
 impl VertexProgram for CcProgram {
     type Value = u32;
     type Store = AtomicU32Array;
-    const TERM_READS_WEIGHT: bool = false;
 
     fn name(&self) -> &'static str {
         "CC"

@@ -4,21 +4,28 @@
 //! invariant "all mailboxes empty, all shard states consistent" holds by
 //! construction — so a checkpoint is just the per-shard property values,
 //! witness parents and active lists, and recovery is a restore + replay
-//! with no message-replay machinery. The store always keeps the latest
-//! checkpoint in memory, where the engine leaves out the values and
-//! parents and undoes its writes since instead; configuring a directory
-//! additionally persists each full checkpoint to its own file so a
-//! restarted *process* can recover too (see `recover_from_disk` on the
+//! with no message-replay machinery. In memory the [`CheckpointStore`]
+//! keeps only the latest boundary's superstep and active lists: the engine
+//! undoes its writes since instead of copying the arrays. Configuring a
+//! directory additionally writes each whole [`Checkpoint`] to its own file
+//! so a restarted *process* can recover too (see `recover_from_disk` on the
 //! engine and the EXPERIMENTS.md kill-and-recover recipe).
 //!
 //! The on-disk format is deliberately dumb: little-endian `u64` words
-//! (counts, vertex ids, and values via [`Property::to_word`] bit-casts). It
-//! is a crash artifact, not an interchange format.
+//! (a format word, counts, vertex ids, and values via
+//! [`Property::to_word`] bit-casts). It is a crash artifact, not an
+//! interchange format.
 
 use saga_graph::properties::Property;
 use saga_graph::Node;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+
+/// The first word of every checkpoint file: `SAGACP` and the format
+/// version, 2 since files carry the witness parents. Files of earlier
+/// builds have no such word; they are skipped and deleted on load like
+/// corrupt ones, with a message saying so.
+pub const FORMAT_WORD: u64 = 0x5341_4741_4350_0002;
 
 /// Checkpointing policy.
 #[derive(Debug, Clone, Default)]
@@ -38,32 +45,101 @@ impl CheckpointConfig {
     }
 }
 
-/// One superstep-boundary snapshot: the state a run can restart from.
+/// One superstep-boundary snapshot as its file holds it: the whole state
+/// a restarted process resumes from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint<V> {
     /// The superstep about to execute when this snapshot was taken.
     pub superstep: usize,
-    /// Per-shard property values, shard-local order. Empty (no shard) in a
-    /// checkpoint that is not mirrored to disk: the engine undoes its own
-    /// writes back to it instead of copying the array.
+    /// Per-shard property values, shard-local order.
     pub values: Vec<Vec<V>>,
     /// Per-shard witness parents, shard-local order; empty for an engine
-    /// that keeps no witness forest, and wherever `values` is.
+    /// that keeps no witness forest.
     pub parents: Vec<Vec<Node>>,
     /// Per-shard active vertex lists (global ids).
     pub active: Vec<Vec<Node>>,
 }
 
-/// Holder of the latest checkpoint, with optional on-disk mirroring.
+impl<V: Property> Checkpoint<V> {
+    /// Writes the checkpoint to `dir/ckpt-<superstep>.bin`, through a
+    /// temporary file renamed into place, so a crash mid-write never
+    /// leaves a truncated file under a checkpoint's name.
+    pub fn write_to(&self, dir: &Path) -> io::Result<()> {
+        std::fs::create_dir_all(dir)?;
+        let mut words: Vec<u64> = vec![FORMAT_WORD, self.superstep as u64, self.values.len() as u64];
+        for ((values, parents), active) in self.values.iter().zip(&self.parents).zip(&self.active) {
+            words.push(values.len() as u64);
+            words.extend(values.iter().map(|v| v.to_word()));
+            for ids in [parents, active] {
+                words.push(ids.len() as u64);
+                words.extend(ids.iter().map(|&v| u64::from(v)));
+            }
+        }
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let final_path = dir.join(format!("ckpt-{}.bin", self.superstep));
+        let tmp_path = dir.join(format!(".ckpt-{}.tmp", self.superstep));
+        let mut f = std::fs::File::create(&tmp_path)?;
+        f.write_all(&bytes)?;
+        f.sync_all()?;
+        drop(f);
+        std::fs::rename(&tmp_path, &final_path)
+    }
+
+    /// Loads the newest *valid* checkpoint file from `dir` (a process
+    /// that died and restarted has no in-memory copy). Returns `None`
+    /// when the directory holds no usable checkpoint files.
+    ///
+    /// Candidates are tried newest-first. A corrupt or truncated file —
+    /// e.g. the newest checkpoint caught mid-write by the crash the
+    /// recovery is for — or one an earlier build wrote in another format
+    /// is **deleted**, with a message naming why, and recovery falls back
+    /// to the next-newest, instead of failing the whole restart on a file
+    /// that can never become readable. Deleting matters: a later restart
+    /// must not rediscover the same husk, and a subsequent checkpoint at
+    /// the same superstep must not rename onto a poisoned path's stale
+    /// content expectations. Genuine I/O errors (permissions, device)
+    /// still propagate — those are environmental, not artifacts of the
+    /// crash.
+    pub fn load_latest(dir: &Path) -> io::Result<Option<Self>> {
+        let mut candidates: Vec<(usize, PathBuf)> = Vec::new();
+        for entry in std::fs::read_dir(dir)? {
+            let path = entry?.path();
+            if let Some(step) = parse_checkpoint_name(&path) {
+                candidates.push((step, path));
+            }
+        }
+        candidates.sort_by_key(|&(step, _)| std::cmp::Reverse(step));
+        for (_, path) in candidates {
+            match read_checkpoint(&path) {
+                Ok(cp) => return Ok(Some(cp)),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::UnexpectedEof | io::ErrorKind::InvalidData
+                    ) =>
+                {
+                    saga_trace::progress!("checkpoint {}: {e}; deleted", path.display());
+                    let _ = std::fs::remove_file(&path);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(None)
+    }
+}
+
+/// The engine's in-memory checkpoint: the latest boundary's superstep and
+/// per-shard active lists, which a recovery resumes from after undoing the
+/// engine's writes since.
 #[derive(Debug)]
-pub struct CheckpointStore<V> {
+pub struct CheckpointStore {
     config: CheckpointConfig,
-    latest: Option<Checkpoint<V>>,
+    latest: Option<(usize, Vec<Vec<Node>>)>,
     /// Checkpoints published over the store's lifetime (diagnostics).
     published: usize,
 }
 
-impl<V: Property> CheckpointStore<V> {
+impl CheckpointStore {
     /// An empty store with the given policy.
     pub fn new(config: CheckpointConfig) -> Self {
         Self {
@@ -83,62 +159,16 @@ impl<V: Property> CheckpointStore<V> {
         self.published
     }
 
-    /// The most recent checkpoint, if any.
-    pub fn latest(&self) -> Option<&Checkpoint<V>> {
-        self.latest.as_ref()
+    /// The most recent checkpoint's superstep and active lists, if any.
+    pub fn latest(&self) -> Option<(usize, &[Vec<Node>])> {
+        self.latest.as_ref().map(|(step, active)| (*step, active.as_slice()))
     }
 
-    /// Installs `checkpoint` as the latest and mirrors it to disk when a
-    /// directory is configured. Disk failure is reported but does not
-    /// invalidate the in-memory copy.
-    pub fn publish(&mut self, checkpoint: Checkpoint<V>) -> io::Result<()> {
-        let result = match &self.config.dir {
-            Some(dir) => write_checkpoint(dir, &checkpoint),
-            None => Ok(()),
-        };
-        self.latest = Some(checkpoint);
+    /// Installs the boundary before `superstep`, with its per-shard
+    /// `active` lists, as the latest.
+    pub fn publish(&mut self, superstep: usize, active: Vec<Vec<Node>>) {
+        self.latest = Some((superstep, active));
         self.published += 1;
-        result
-    }
-
-    /// Loads the newest *valid* checkpoint file from `dir` (a process
-    /// that died and restarted has no in-memory copy). Returns `None`
-    /// when the directory holds no usable checkpoint files.
-    ///
-    /// Candidates are tried newest-first. A corrupt or truncated file —
-    /// e.g. the newest checkpoint caught mid-write by the crash the
-    /// recovery is for — is **deleted** and recovery falls back to the
-    /// next-newest, instead of failing the whole restart on a file that
-    /// can never become readable. Deleting matters: a later restart must
-    /// not rediscover the same husk, and a subsequent checkpoint at the
-    /// same superstep must not rename onto a poisoned path's stale
-    /// content expectations. Genuine I/O errors (permissions, device)
-    /// still propagate — those are environmental, not artifacts of the
-    /// crash.
-    pub fn load_latest_from_disk(dir: &Path) -> io::Result<Option<Checkpoint<V>>> {
-        let mut candidates: Vec<(usize, PathBuf)> = Vec::new();
-        for entry in std::fs::read_dir(dir)? {
-            let path = entry?.path();
-            if let Some(step) = parse_checkpoint_name(&path) {
-                candidates.push((step, path));
-            }
-        }
-        candidates.sort_by_key(|&(step, _)| std::cmp::Reverse(step));
-        for (_, path) in candidates {
-            match read_checkpoint(&path) {
-                Ok(cp) => return Ok(Some(cp)),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::UnexpectedEof | io::ErrorKind::InvalidData
-                    ) =>
-                {
-                    let _ = std::fs::remove_file(&path);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(None)
     }
 }
 
@@ -146,34 +176,6 @@ fn parse_checkpoint_name(path: &Path) -> Option<usize> {
     let name = path.file_name()?.to_str()?;
     let step = name.strip_prefix("ckpt-")?.strip_suffix(".bin")?;
     step.parse().ok()
-}
-
-fn write_checkpoint<V: Property>(dir: &Path, cp: &Checkpoint<V>) -> io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let mut words: Vec<u64> = Vec::new();
-    words.push(cp.superstep as u64);
-    words.push(cp.values.len() as u64);
-    for ((values, parents), active) in cp.values.iter().zip(&cp.parents).zip(&cp.active) {
-        words.push(values.len() as u64);
-        words.extend(values.iter().map(|v| v.to_word()));
-        for ids in [parents, active] {
-            words.push(ids.len() as u64);
-            words.extend(ids.iter().map(|&v| u64::from(v)));
-        }
-    }
-    let mut bytes = Vec::with_capacity(words.len() * 8);
-    for w in words {
-        bytes.extend_from_slice(&w.to_le_bytes());
-    }
-    // Write to a temp name then rename, so a crash mid-write never leaves
-    // a truncated file that parses as the newest checkpoint.
-    let final_path = dir.join(format!("ckpt-{}.bin", cp.superstep));
-    let tmp_path = dir.join(format!(".ckpt-{}.tmp", cp.superstep));
-    let mut f = std::fs::File::create(&tmp_path)?;
-    f.write_all(&bytes)?;
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(&tmp_path, &final_path)
 }
 
 /// Little-endian `u64` cursor over a checkpoint file's bytes, with the
@@ -224,6 +226,13 @@ fn read_checkpoint<V: Property>(path: &Path) -> io::Result<Checkpoint<V>> {
     let mut bytes = Vec::new();
     std::fs::File::open(path)?.read_to_end(&mut bytes)?;
     let mut r = WordReader { bytes: &bytes, cursor: 0 };
+    let format = r.next()?;
+    if format != FORMAT_WORD {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("first word {format:#x} is not format word {FORMAT_WORD:#x}: an earlier build's file, or corrupt"),
+        ));
+    }
     let superstep = r.next()? as usize;
     let raw_shards = r.next()?;
     let shards = r.claimed_len(raw_shards, "shard")?;
@@ -261,15 +270,6 @@ fn read_checkpoint<V: Property>(path: &Path) -> io::Result<Checkpoint<V>> {
 mod tests {
     use super::*;
 
-    fn sample() -> Checkpoint<f32> {
-        Checkpoint {
-            superstep: 3,
-            values: vec![vec![0.5, f32::INFINITY], vec![-1.25]],
-            parents: vec![vec![7, 0], vec![]],
-            active: vec![vec![1], vec![2]],
-        }
-    }
-
     #[test]
     fn value_codec_roundtrips_bitwise() {
         for v in [0u32, 7, u32::MAX] {
@@ -293,14 +293,12 @@ mod tests {
 
     #[test]
     fn in_memory_store_keeps_the_latest() {
-        let mut store: CheckpointStore<f32> = CheckpointStore::new(CheckpointConfig::default());
+        let mut store = CheckpointStore::new(CheckpointConfig::default());
         assert!(store.latest().is_none());
         assert_eq!(store.config().period(), 1, "interval 0 means every superstep");
-        store.publish(sample()).unwrap();
-        let mut second = sample();
-        second.superstep = 5;
-        store.publish(second.clone()).unwrap();
-        assert_eq!(store.latest(), Some(&second));
+        store.publish(3, vec![vec![1], vec![2]]);
+        store.publish(5, vec![vec![], vec![4]]);
+        assert_eq!(store.latest(), Some((5, &[vec![], vec![4]][..])));
         assert_eq!(store.published(), 2);
     }
 

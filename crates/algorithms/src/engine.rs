@@ -12,13 +12,20 @@
 //! 3. **Gather** — every worker drains its shards' inbound cells in
 //!    ascending source-shard order and folds (or sums) the messages into
 //!    the property array, building the next active frontier
-//!    ([`VertexProgram::gather_mode`]). A fold records each improved
-//!    vertex's witness: the smallest sender among the superstep's terms
-//!    equal to its new value, whatever order the terms arrive in.
+//!    ([`VertexProgram::gather_mode`]).
 //! 4. *barrier* — the last arriver runs the sequential epilogue
 //!    (termination check, superstep advance, checkpoint publication)
 //!    before the crossing releases, so every worker leaves it seeing the
 //!    decision.
+//!
+//! An incremental Fold run — an engine with a witness forest — runs
+//! Algorithm 1's rounds as **pull** supersteps instead: in the scatter
+//! phase each active vertex pulls its in-edges' terms into a pending value
+//! (reading only values the previous superstep left) and, if its value
+//! changes, sends one trigger message to each out-neighbour; the gather
+//! phase writes the pending values and makes the triggered vertices the
+//! next frontier. A pull records the vertex's witness: the smallest source
+//! whose term equals its new value, whatever order the in-edges come in.
 //!
 //! The property array and the witness forest are global; shard `s` owns
 //! the contiguous range [`ShardLayout::range`]`(s)` and is the only writer
@@ -32,12 +39,12 @@
 //! kill-and-recover harness asserts.
 //!
 //! A full run starts from [`BspEngine::reset_all_active`]; an incremental
-//! one from [`BspEngine::seed`], which folds the batch's seed terms before
-//! the superstep-0 checkpoint, so that checkpoint already holds them. An
-//! incremental batch that deleted edges first resets the witness-forest
-//! subtrees that hung off them ([`inc::plan_deletion_repair`]) and seeds
-//! them from their surviving in-arcs; a repair over its limit runs the
-//! program's from-scratch kernel and rebuilds the forest instead.
+//! one from [`BspEngine::seed`], whose vertices — those the batch affected
+//! — pull in superstep 0, Algorithm 1's affected pass. An incremental
+//! batch that deleted edges first resets the witness-forest subtrees that
+//! hung off them ([`inc::plan_deletion_repair`]), and those vertices pull
+//! in superstep 0 too; a repair over its limit runs the program's
+//! from-scratch kernel and rebuilds the forest instead.
 
 use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointStore};
 use crate::inc::{self, NO_PARENT};
@@ -54,7 +61,6 @@ use saga_utils::parallel::ThreadPool;
 use saga_utils::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use saga_utils::sync::{Arc, Mutex};
 use std::io;
-use std::ops::Range;
 
 /// Which half of a superstep a simulated kill lands in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,98 +90,24 @@ pub struct Killed {
     pub superstep: usize,
 }
 
-/// One seed of an incremental run: a term sent along `edge`, from its
-/// source to its destination or, when `reverse`, the other way (a
-/// symmetric-scope program or an undirected graph).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeedArc {
-    /// The edge the term crosses, with the weight the term uses.
-    pub edge: Edge,
-    /// Whether the term runs from `edge.dst` to `edge.src`.
-    pub reverse: bool,
-    /// Whether `edge` comes from a batch rather than from the graph: its
-    /// weight may not be the one the structure stored, and a batch that
-    /// also deleted edges may have removed it again.
-    pub from_batch: bool,
-}
-
-impl SeedArc {
-    /// The vertex whose value the term reads.
-    pub fn source(&self) -> Node {
-        if self.reverse { self.edge.dst } else { self.edge.src }
-    }
-
-    /// The vertex the term is folded into.
-    pub fn head(&self) -> Node {
-        if self.reverse { self.edge.src } else { self.edge.dst }
-    }
-}
-
-/// [`BspEngine::seed`]'s source of seed arcs: called with one shard's
-/// vertex range and a read phase of the graph, it visits that shard's share
-/// of the arcs. Every arc is visited under exactly one shard; which one only
-/// fixes the order terms are folded in, never the outcome.
-pub type SeedArcs<'a> = dyn Fn(Range<usize>, &dyn GraphTopology, &mut dyn FnMut(SeedArc)) + Sync + 'a;
-
-/// Where an incremental Fold batch's seed arcs come from.
+/// Where an incremental Fold batch's affected vertices come from.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Seed<'a> {
-    /// The batch's inserted edges, with the batch's weights.
+    /// The batch's inserted edges: both endpoints of each are affected, as
+    /// in Algorithm 1.
     Batch(&'a [Edge]),
-    /// The arcs an affected set scatters along, read from the graph: the
-    /// tracker marks both endpoints of every inserted edge, so they cover
-    /// every new edge. A Sum program's INC re-pulls the set instead,
-    /// resetting the new vertices first (Algorithm 1's rounds).
+    /// The batch's inserted edges, of whose endpoints only those the edge's
+    /// own term would change are affected (see
+    /// [`BspEngine::improvable_heads`]): the sharded state's affected pass.
+    Improving(&'a [Edge]),
+    /// A tracker's affected set: it marks both endpoints of every inserted
+    /// edge, so it covers every new edge. A Sum program's INC re-pulls the
+    /// set instead, resetting the new vertices first (Algorithm 1's rounds).
     Affected { affected: &'a [Node], new_vertices: &'a [Node] },
-}
-
-/// The seed arcs of a batch's `inserted` edges, each visited under its
-/// source's shard, plus its reverse when `both` directions carry terms (a
-/// symmetric-scope program or an undirected graph).
-fn batch_arcs<'a>(inserted: &'a [Edge], both: bool) -> impl Fn(Range<usize>, &dyn GraphTopology, &mut dyn FnMut(SeedArc)) + Sync + 'a {
-    move |shard, _, visit| {
-        let from = |v: Node| shard.contains(&(v as usize));
-        for &edge in inserted.iter().filter(|e| from(e.src)) {
-            visit(SeedArc { edge, reverse: false, from_batch: true });
-        }
-        if both {
-            for &edge in inserted.iter().filter(|e| from(e.dst)) {
-                visit(SeedArc { edge, reverse: true, from_batch: true });
-            }
-        }
-    }
-}
-
-/// The seed arcs at each of `vertices`, read from the graph and visited
-/// under the vertex's shard: its out-arcs, or its in-arcs when `inward`,
-/// plus the other direction's arcs reversed when `both` (a symmetric-scope
-/// program on a directed graph). Outward they are the arcs an affected set
-/// scatters along; inward, the arcs a reset vertex re-derives from.
-fn graph_arcs<'a>(vertices: &'a [Node], both: bool, inward: bool) -> impl Fn(Range<usize>, &dyn GraphTopology, &mut dyn FnMut(SeedArc)) + Sync + 'a {
-    move |shard, graph, visit| {
-        for &v in vertices.iter().filter(|&&v| shard.contains(&(v as usize))) {
-            let mut from = |nb, w| visit(SeedArc { edge: Edge::new(v, nb, w), reverse: inward, from_batch: false });
-            if !inward || both {
-                graph.for_each_out_neighbor(v, &mut from);
-            }
-            let mut into = |nb, w| visit(SeedArc { edge: Edge::new(nb, v, w), reverse: !inward, from_batch: false });
-            if inward || both {
-                graph.for_each_in_neighbor(v, &mut into);
-            }
-        }
-    }
 }
 
 /// A message: the term `.2` that sender `.1` sends to head `.0`.
 type Message<V> = (Node, Node, V);
-
-/// One shard's seed messages bound for one head shard, with the indices
-/// and arcs of those whose batch arc still needs looking up in the graph.
-#[derive(Default)]
-struct Seeds<V> {
-    messages: Vec<Message<V>>,
-    lookups: Vec<(usize, SeedArc)>,
-}
 
 /// One shard's owner-private scratch. Behind a `Mutex` for safe hand-off
 /// across runs, but never contended: the owning worker is the only user
@@ -183,9 +115,13 @@ struct Seeds<V> {
 struct ShardState<V> {
     active: Vec<Node>,
     next_active: Vec<Node>,
-    /// Vertices improved this gather, one slot per local vertex (sized on
-    /// the first gather): dedup for `next_active` and the witness rule.
+    /// Vertices improved (fold) or triggered (pull) this gather, one slot
+    /// per local vertex (sized on the first gather): dedup for
+    /// `next_active`.
     marks: GenerationMarks,
+    /// Pull mode: the new values the pull phase computed, applied after
+    /// the next barrier: (vertex, witness, value).
+    pending: Vec<Message<V>>,
     /// Sum-mode accumulator scratch, one slot per local vertex.
     acc: Vec<V>,
     /// With checkpoints, each vertex a gather changed since the last one,
@@ -217,7 +153,7 @@ pub struct BspEngine<P: VertexProgram> {
     pub(crate) program: P,
     pub(crate) values: P::Store,
     /// The witness forest of an incremental Fold engine: each vertex's
-    /// parent, the sender of the term that set its value ([`NO_PARENT`]
+    /// parent, the source of the term that set its value ([`NO_PARENT`]
     /// for none). `None` for every other engine.
     pub(crate) parents: Option<AtomicU32Array>,
     /// Deletion-repair limit in vertices, beyond which a batch falls back
@@ -227,7 +163,7 @@ pub struct BspEngine<P: VertexProgram> {
     shards: Vec<Mutex<ShardState<P::Value>>>,
     mail: Mailboxes<Message<P::Value>>,
     /// `None`: the engine takes no checkpoints and cannot be killed.
-    store: Option<Mutex<CheckpointStore<P::Value>>>,
+    store: Option<Mutex<CheckpointStore>>,
     /// Snapshot period, copied out of the config to keep the store lock
     /// out of the leader's hot path.
     period: usize,
@@ -290,7 +226,8 @@ impl<P: VertexProgram> BspEngine<P> {
 
     /// Keeps the witness forest incremental Fold batches repair deletions
     /// through, falling back to the from-scratch kernel when a repair would
-    /// reset more than `repair_limit` vertices.
+    /// reset more than `repair_limit` vertices. The engine's runs become
+    /// pull supersteps, Algorithm 1's rounds, whose pulls record the forest.
     #[must_use]
     pub fn with_witnesses(mut self, repair_limit: usize) -> Self {
         debug_assert_eq!(self.program.gather_mode(), GatherMode::Fold, "a sum program keeps no forest");
@@ -314,6 +251,7 @@ impl<P: VertexProgram> BspEngine<P> {
                     active: Vec::new(),
                     next_active: Vec::new(),
                     marks: GenerationMarks::new(0),
+                    pending: Vec::new(),
                     acc: Vec::new(),
                     undo: Vec::new(),
                 })
@@ -346,94 +284,72 @@ impl<P: VertexProgram> BspEngine<P> {
         }
     }
 
-    /// Seeds an incremental run: one [`term`](VertexProgram::term) per
-    /// [`SeedArc`] — the arc source's current value across its weight —
-    /// folded into the arc head's shard. `arcs_of` lists the arcs per
-    /// shard.
-    ///
-    /// Each worker computes the terms of its shards' arcs and drops every
-    /// term that would not change its head; only after every term is sent
-    /// does any shard fold its inbox (the gather phase's fold, in ascending
-    /// source-shard order), so every term reads the values the previous
-    /// batch left. A surviving term of a [batch arc](SeedArc::from_batch)
-    /// is looked up in the edge source's out-list when `check_batch_arcs`
-    /// or the program's term reads the weight
-    /// ([`VertexProgram::TERM_READS_WEIGHT`]): it is recomputed with the
-    /// weight the structure stored, or dropped if the structure holds no
-    /// such edge (the batch deleted it again). That is sound because a
-    /// pre-existing edge's stored term cannot improve a fixpoint and a new
-    /// edge's stored weight is its first batch weight, whose term is
-    /// checked as it stands. The heads whose value changed
-    /// ([`significant_change`](VertexProgram::significant_change)) become
-    /// the superstep-0 frontier; values are otherwise left as-is, so the
-    /// run resumes from the previous batch's converged state. Call before
-    /// [`begin`](Self::begin), so its checkpoint holds the folded values
-    /// and a recovery never folds them again.
-    pub fn seed(&mut self, graph: &dyn GraphTopology, pool: &ThreadPool, arcs_of: &SeedArcs<'_>, check_batch_arcs: bool) {
-        let (threads, nshards) = (pool.threads(), self.layout.shards());
-        let lookup = check_batch_arcs || P::TERM_READS_WEIGHT;
-        let barrier = Barrier::new(threads);
-        let this = &*self;
-        saga_graph::read_phase(graph, |graph| pool.run_on_all(|w| {
-            let mut seeds: Vec<Seeds<P::Value>> = (0..nshards).map(|_| Seeds::default()).collect();
-            for s in (w..nshards).step_by(threads) {
-                this.seed_terms(s, graph, arcs_of, lookup, &mut seeds);
-                for (d, seeds) in seeds.iter_mut().enumerate() {
-                    this.look_up_batch_arcs(graph, seeds);
-                    this.mail.post(s, d, &mut seeds.messages);
-                }
-            }
-            barrier.wait(|| {});
-            for s in (w..nshards).step_by(threads) {
-                this.gather_shard_fold(s, None);
-            }
-        }));
+    /// Seeds an incremental run: `heads` (ascending, without repeats), the
+    /// vertices the batch affected, become the superstep-0 frontier, so
+    /// that superstep is Algorithm 1's affected pass. Values are left as-is,
+    /// so the run resumes from the previous batch's converged state.
+    pub fn seed(&mut self, heads: &[Node]) {
+        for (s, shard) in self.shards.iter().enumerate() {
+            let range = self.layout.range(s);
+            let from = heads.partition_point(|&v| (v as usize) < range.start);
+            let to = heads.partition_point(|&v| (v as usize) < range.end);
+            let mut st = shard.lock();
+            st.active.clear();
+            st.active.extend_from_slice(&heads[from..to]);
+        }
     }
 
-    /// Fills `seeds[d]` with a message for each of shard `s`'s seed arcs
-    /// whose head lies in shard `d` and whose term would change the head's
-    /// current value, in arc order — noting the batch arcs to look up when
-    /// `lookup`.
-    fn seed_terms(
-        &self,
-        s: usize,
-        graph: &dyn GraphTopology,
-        arcs_of: &SeedArcs<'_>,
-        lookup: bool,
-        seeds: &mut [Seeds<P::Value>],
-    ) {
-        arcs_of(self.layout.range(s), graph, &mut |a| {
-            let (source, head) = (a.source(), a.head());
-            let Some(t) = self.program.term(self.values.load(source as usize), a.edge.weight, 0) else {
+    /// The endpoints of `inserted` whose current value the edge's own term
+    /// would change: each edge's head, and its source too when `both`
+    /// directions carry terms (a symmetric-scope program or an undirected
+    /// graph). The term uses the batch's weight; the pull that follows
+    /// reads the weight the structure stored. That is sound because a
+    /// pre-existing edge's stored term cannot improve a fixpoint, and a
+    /// new edge's stored weight is one of its batch copies' weights, each
+    /// of which is checked.
+    fn improvable_heads(&self, inserted: &[Edge], both: bool) -> Vec<Node> {
+        let improves = |source: Node, head: Node, weight: Weight| {
+            let old = self.values.load(head as usize);
+            self.program
+                .term(self.values.load(source as usize), weight, 0)
+                .is_some_and(|t| self.program.significant_change(old, self.program.combine(old, t)))
+        };
+        let mut heads = Vec::new();
+        for e in inserted {
+            if improves(e.src, e.dst, e.weight) {
+                heads.push(e.dst);
+            }
+            if both && improves(e.dst, e.src, e.weight) {
+                heads.push(e.src);
+            }
+        }
+        heads
+    }
+
+    /// Algorithm 1's vertex function with its witness: folds the term of
+    /// every in-arc of `head` (and of every out-arc, reversed, when `both`)
+    /// into its current value. Returns `(head, witness, value)` when the
+    /// value changes, the witness being the smallest source whose term
+    /// equals the new value, so it does not depend on the arcs' order.
+    fn pull_head(&self, graph: &dyn GraphTopology, head: Node, both: bool) -> Option<Message<P::Value>> {
+        let old = self.values.load(head as usize);
+        let (mut value, mut witness) = (old, NO_PARENT);
+        let mut pull = |source: Node, weight: Weight| {
+            let Some(t) = self.program.term(self.values.load(source as usize), weight, 0) else {
                 return;
             };
-            let old = self.values.load(head as usize);
-            if self.program.significant_change(old, self.program.combine(old, t)) {
-                let d = &mut seeds[self.layout.shard_of(head as usize)];
-                if lookup && a.from_batch {
-                    d.lookups.push((d.messages.len(), a));
-                }
-                d.messages.push((head, source, t));
+            let new = self.program.combine(value, t);
+            if self.program.significant_change(value, new) {
+                (value, witness) = (new, source);
+            } else if witness != NO_PARENT && t == value && source < witness {
+                witness = source;
             }
-        });
-    }
-
-    /// Recomputes each looked-up seed of `seeds` with the weight `graph`
-    /// stored for its edge, dropping the terms that come to nothing and
-    /// those whose edge the graph does not hold.
-    fn look_up_batch_arcs(&self, graph: &dyn GraphTopology, seeds: &mut Seeds<P::Value>) {
-        if seeds.lookups.is_empty() {
-            return;
+        };
+        graph.for_each_in_neighbor(head, &mut pull);
+        if both {
+            graph.for_each_out_neighbor(head, &mut pull);
         }
-        let edges: Vec<Edge> = seeds.lookups.iter().map(|(_, a)| a.edge).collect();
-        for ((i, a), w) in seeds.lookups.drain(..).zip(stored_weights(graph, &edges)) {
-            let value = self.values.load(a.source() as usize);
-            match w.and_then(|w| self.program.term(value, w, 0)) {
-                Some(t) => seeds.messages[i].2 = t,
-                None => seeds.messages[i].0 = NO_PARENT, // no head: dropped below
-            }
-        }
-        seeds.messages.retain(|m| m.0 != NO_PARENT);
+        (witness != NO_PARENT).then_some((head, witness, value))
     }
 
     /// Rewinds the superstep counter, discards stale messages, and
@@ -476,6 +392,7 @@ impl<P: VertexProgram> BspEngine<P> {
         let threads = pool.threads();
         let nshards = self.layout.shards();
         let mode = self.program.gather_mode();
+        let pull = self.parents.is_some();
         let ctl = Control {
             barrier: Barrier::new(threads),
             messages: AtomicU64::new(0),
@@ -511,7 +428,11 @@ impl<P: VertexProgram> BspEngine<P> {
                             // the worker "dies".
                             self.shards[s].lock().active.len() / 2
                         });
-                        sent += self.scatter_shard(graph, s, limit, &mut bufs, &mut neighbors);
+                        sent += if pull {
+                            self.pull_shard(graph, s, limit, &mut bufs)
+                        } else {
+                            self.scatter_shard(graph, s, limit, &mut bufs, &mut neighbors)
+                        };
                     }
                     ctl.step_messages.fetch_add(sent, Ordering::Relaxed);
                 }
@@ -525,7 +446,11 @@ impl<P: VertexProgram> BspEngine<P> {
                         });
                         match mode {
                             GatherMode::Fold => {
-                                let (processed, activated) = self.gather_shard_fold(s, limit);
+                                let (processed, activated) = if pull {
+                                    self.apply_shard(s, limit)
+                                } else {
+                                    self.gather_shard_fold(s, limit)
+                                };
                                 self.shard_messages[s].add(processed);
                                 ctl.active_total.fetch_add(activated, Ordering::Relaxed);
                             }
@@ -565,10 +490,10 @@ impl<P: VertexProgram> BspEngine<P> {
     /// Panics if the engine takes no checkpoints or none was published yet
     /// ([`begin`](Self::begin) always publishes the superstep-0 baseline).
     pub fn recover(&mut self) -> usize {
-        let cp = self
+        let (superstep, active) = self
             .store
             .as_ref()
-            .and_then(|s| s.lock().latest().cloned())
+            .and_then(|s| s.lock().latest().map(|(step, active)| (step, active.to_vec())))
             .expect("no checkpoint to recover from");
         for shard in &self.shards {
             let mut st = shard.lock();
@@ -579,22 +504,36 @@ impl<P: VertexProgram> BspEngine<P> {
                 }
             }
         }
-        self.restore(&cp)
+        self.restore(superstep, &active)
     }
 
     /// Like [`recover`](Self::recover), but reads the newest checkpoint
-    /// file from the configured directory — the path a fully restarted
-    /// process takes.
+    /// file from the configured directory and copies its values and
+    /// parents in — the path a fully restarted process takes.
     pub fn recover_from_disk(&mut self) -> io::Result<usize> {
         let dir = self
             .store
             .as_ref()
             .and_then(|s| s.lock().config().dir.clone())
             .expect("disk checkpointing not configured");
-        let cp = CheckpointStore::<P::Value>::load_latest_from_disk(&dir)?.ok_or_else(|| {
+        let cp = Checkpoint::<P::Value>::load_latest(&dir)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotFound, "no checkpoint files on disk")
         })?;
-        Ok(self.restore(&cp))
+        assert_eq!(cp.values.len(), self.shards.len(), "checkpoint shard count mismatch");
+        for (s, values) in cp.values.iter().enumerate() {
+            let range = self.layout.range(s);
+            assert_eq!(values.len(), range.len(), "checkpoint shape mismatch");
+            for (v, &value) in range.clone().zip(values) {
+                self.values.store(v, value);
+            }
+            if let Some(parents) = &self.parents {
+                assert_eq!(cp.parents[s].len(), range.len(), "checkpoint holds no forest");
+                for (v, &p) in range.zip(&cp.parents[s]) {
+                    parents.set(v, p);
+                }
+            }
+        }
+        Ok(self.restore(cp.superstep, &cp.active))
     }
 
     /// All vertex values in global-id order.
@@ -602,32 +541,20 @@ impl<P: VertexProgram> BspEngine<P> {
         (0..self.values.len()).map(|v| self.values.load(v)).collect()
     }
 
-    /// Restores `cp`'s active lists and superstep, and its values and
-    /// parents when it holds them (a checkpoint read from disk).
-    fn restore(&mut self, cp: &Checkpoint<P::Value>) -> usize {
-        assert_eq!(cp.active.len(), self.shards.len(), "checkpoint shard count mismatch");
-        for (s, shard) in self.shards.iter().enumerate() {
-            let range = self.layout.range(s);
-            if let Some(values) = cp.values.get(s) {
-                assert_eq!(values.len(), range.len(), "checkpoint shape mismatch");
-                for (v, &value) in range.clone().zip(values) {
-                    self.values.store(v, value);
-                }
-                if let Some(parents) = &self.parents {
-                    assert_eq!(cp.parents[s].len(), range.len(), "checkpoint holds no forest");
-                    for (v, &p) in range.zip(&cp.parents[s]) {
-                        parents.set(v, p);
-                    }
-                }
-            }
+    /// Restores a checkpoint's per-shard `active` lists and `superstep`,
+    /// with every undo log and mailbox empty.
+    fn restore(&mut self, superstep: usize, active: &[Vec<Node>]) -> usize {
+        assert_eq!(active.len(), self.shards.len(), "checkpoint shard count mismatch");
+        for (shard, active) in self.shards.iter().zip(active) {
             let mut st = shard.lock();
             st.active.clear();
-            st.active.extend_from_slice(&cp.active[s]);
+            st.active.extend_from_slice(active);
             st.next_active.clear();
+            st.undo.clear();
         }
         self.mail.clear();
-        self.superstep.store(cp.superstep, Ordering::Relaxed);
-        cp.superstep
+        self.superstep.store(superstep, Ordering::Relaxed);
+        superstep
     }
 
     /// Consumes the armed kill spec iff it names this (step, shard, phase).
@@ -686,17 +613,13 @@ impl<P: VertexProgram> BspEngine<P> {
 
     /// Fold-mode gather for shard `s`: drain inbound cells in ascending
     /// source-shard order, fold each message with `combine`, and build the
-    /// next frontier from significant changes. A vertex's witness is the
-    /// smallest sender among this gather's terms equal to its new value, so
-    /// the forest does not depend on the order terms arrive in. `limit`
-    /// caps how many source cells are drained (kill simulation). Returns
-    /// `(messages processed, next frontier size)`.
+    /// next frontier from significant changes. `limit` caps how many source
+    /// cells are drained (kill simulation). Returns `(messages processed,
+    /// next frontier size)`.
     fn gather_shard_fold(&self, s: usize, limit: Option<usize>) -> (u64, usize) {
         let nshards = self.layout.shards();
         let range = self.layout.range(s);
         let drain = limit.unwrap_or(nshards).min(nshards);
-        let log = self.store.is_some();
-        let parent = |i: usize| self.parents.as_ref().map_or(NO_PARENT, |p| p.get(i));
         let mut st = self.shards[s].lock();
         let st = &mut *st;
         st.marks.resize(range.len());
@@ -704,34 +627,96 @@ impl<P: VertexProgram> BspEngine<P> {
         st.next_active.clear();
         let mut processed = 0u64;
         for src in 0..drain {
-            for (v, sender, msg) in self.mail.take(src, s) {
+            for (v, _, msg) in self.mail.take(src, s) {
                 processed += 1;
                 let i = v as usize;
                 let old = self.values.load(i);
                 let new = self.program.combine(old, msg);
-                let improves = self.program.significant_change(old, new);
-                let ties = !improves
-                    && self.parents.is_some()
-                    && msg == old
-                    && sender < parent(i)
-                    && st.marks.is_marked(i - range.start);
-                if improves {
-                    // The first improvement this gather logs the vertex's
-                    // old state; a tie only follows an improvement.
+                if self.program.significant_change(old, new) {
                     if st.marks.try_mark(i - range.start) {
-                        if log {
-                            st.undo.push((v, old, parent(i)));
+                        if self.store.is_some() {
+                            st.undo.push((v, old, NO_PARENT));
                         }
                         st.next_active.push(v);
                     }
                     self.values.store(i, new);
                 }
-                if let Some(parents) = self.parents.as_ref().filter(|_| improves || ties) {
-                    parents.set(i, sender);
-                }
             }
         }
         std::mem::swap(&mut st.active, &mut st.next_active);
+        (processed, st.active.len())
+    }
+
+    /// Pull-mode scatter for shard `s`, Algorithm 1's round: each active
+    /// vertex pulls its in-arcs ([`pull_head`](Self::pull_head)) into the
+    /// pending values [`apply_shard`](Self::apply_shard) writes after the
+    /// barrier, so every pull reads the values the previous superstep
+    /// left; each vertex whose value changes triggers its out-neighbours
+    /// (and in-neighbours, for a symmetric-scope program on a directed
+    /// graph) with one message each. `limit` caps the number of active
+    /// vertices processed (kill simulation). Returns the messages sent.
+    fn pull_shard(
+        &self,
+        graph: &dyn GraphTopology,
+        s: usize,
+        limit: Option<usize>,
+        bufs: &mut [Vec<Message<P::Value>>],
+    ) -> u64 {
+        let both = self.program.scope() == EdgeScope::Symmetric && graph.is_directed();
+        let mut st = self.shards[s].lock();
+        let st = &mut *st;
+        let take = limit.unwrap_or(st.active.len()).min(st.active.len());
+        let mut sent = 0u64;
+        for &v in &st.active[..take] {
+            let Some(pulled) = self.pull_head(graph, v, both) else { continue };
+            st.pending.push(pulled);
+            let mut trigger = |nb: Node, _| {
+                bufs[self.layout.shard_of(nb as usize)].push((nb, v, pulled.2));
+                sent += 1;
+            };
+            graph.for_each_out_neighbor(v, &mut trigger);
+            if both {
+                graph.for_each_in_neighbor(v, &mut trigger);
+            }
+        }
+        st.active.clear();
+        for (dst, buf) in bufs.iter_mut().enumerate() {
+            self.mail.post(s, dst, buf);
+        }
+        sent
+    }
+
+    /// Pull-mode gather for shard `s`: writes the shard's pending pulled
+    /// values and witnesses, then drains its inbound cells in ascending
+    /// source-shard order into the next frontier, each triggered vertex
+    /// once. `limit` caps how many source cells are drained (kill
+    /// simulation). Returns `(messages processed, next frontier size)`.
+    fn apply_shard(&self, s: usize, limit: Option<usize>) -> (u64, usize) {
+        let parents = self.parents.as_ref().expect("a pull run keeps a forest");
+        let nshards = self.layout.shards();
+        let range = self.layout.range(s);
+        let drain = limit.unwrap_or(nshards).min(nshards);
+        let mut st = self.shards[s].lock();
+        let st = &mut *st;
+        for (v, witness, value) in st.pending.drain(..) {
+            let i = v as usize;
+            if self.store.is_some() {
+                st.undo.push((v, self.values.load(i), parents.get(i)));
+            }
+            self.values.store(i, value);
+            parents.set(i, witness);
+        }
+        st.marks.resize(range.len());
+        st.marks.next_generation();
+        let mut processed = 0u64;
+        for src in 0..drain {
+            for (v, _, _) in self.mail.take(src, s) {
+                processed += 1;
+                if st.marks.try_mark(v as usize - range.start) {
+                    st.active.push(v);
+                }
+            }
+        }
         (processed, st.active.len())
     }
 
@@ -810,56 +795,36 @@ impl<P: VertexProgram> BspEngine<P> {
 
     /// Publishes a checkpoint to the store, if the engine keeps one
     /// (sequential walk — callers hold no shard locks here): every shard's
-    /// active list, with its undo log emptied; the values and parents too
-    /// only when the store mirrors to disk.
+    /// active list, with its undo log emptied, and — only when a directory
+    /// is configured — a file of the whole [`Checkpoint`].
     fn publish_checkpoint(&self, step: usize) {
         let Some(store) = &self.store else { return };
-        let full = store.lock().config().dir.is_some();
-        let nshards = self.shards.len();
-        let mut cp = Checkpoint {
-            superstep: step,
-            values: Vec::with_capacity(nshards),
-            parents: Vec::with_capacity(nshards),
-            active: Vec::with_capacity(nshards),
-        };
-        for (s, shard) in self.shards.iter().enumerate() {
-            let range = self.layout.range(s);
-            if full {
-                cp.values.push(range.clone().map(|v| self.values.load(v)).collect());
-                cp.parents.push(self.parents.as_ref().map_or_else(Vec::new, |p| range.map(|v| p.get(v)).collect()));
+        let active: Vec<Vec<Node>> = self
+            .shards
+            .iter()
+            .map(|shard| {
+                let mut st = shard.lock();
+                st.undo.clear();
+                st.active.clone()
+            })
+            .collect();
+        let mut store = store.lock();
+        if let Some(dir) = &store.config().dir {
+            let shards = 0..self.shards.len();
+            let file = Checkpoint {
+                superstep: step,
+                values: shards.clone().map(|s| self.layout.range(s).map(|v| self.values.load(v)).collect()).collect(),
+                parents: shards
+                    .map(|s| self.parents.as_ref().map_or_else(Vec::new, |p| self.layout.range(s).map(|v| p.get(v)).collect()))
+                    .collect(),
+                active: active.clone(),
+            };
+            if let Err(e) = file.write_to(dir) {
+                saga_trace::progress!("bsp: checkpoint {step} not written to disk: {e}");
             }
-            let mut st = shard.lock();
-            st.undo.clear();
-            cp.active.push(st.active.clone());
         }
-        if let Err(e) = store.lock().publish(cp) {
-            saga_trace::progress!("bsp: checkpoint {step} not mirrored to disk: {e}");
-        }
+        store.publish(step, active);
     }
-}
-
-/// The weight `graph` stores for each of `edges`, `None` for an edge it
-/// does not hold. A structure keeps one entry per (source, destination),
-/// with the first weight ingested. Each distinct source's out-list is
-/// read once, so a hub that gains many edges in one batch costs its
-/// degree, not its degree times its new edges.
-fn stored_weights(graph: &dyn GraphTopology, edges: &[Edge]) -> Vec<Option<Weight>> {
-    let key = |src: Node, dst: Node| u64::from(src) << 32 | u64::from(dst);
-    let mut order: Vec<(u64, u32)> =
-        edges.iter().enumerate().map(|(i, e)| (key(e.src, e.dst), i as u32)).collect();
-    order.sort_unstable();
-    let mut stored = vec![None; edges.len()];
-    for run in order.chunk_by(|a, b| a.0 >> 32 == b.0 >> 32) {
-        let src = (run[0].0 >> 32) as Node;
-        graph.for_each_out_neighbor(src, &mut |nb, w| {
-            let k = key(src, nb);
-            let from = run.partition_point(|&(rk, _)| rk < k);
-            for &(_, i) in run[from..].iter().take_while(|&&(rk, _)| rk == k) {
-                stored[i as usize].get_or_insert(w);
-            }
-        });
-    }
-    stored
 }
 
 /// A [`BspEngine`] with the program type erased — what
@@ -878,12 +843,12 @@ pub(crate) trait BoundProgram: Send + Sync + std::fmt::Debug {
     fn supersteps(&mut self, graph: &dyn GraphTopology, pool: &ThreadPool) -> ComputeOutcome;
 
     /// An incremental batch already applied to `graph`. A Fold program's
-    /// runs on `shards` shards, seeded from `seed`'s arcs (see
-    /// [`BspEngine::seed`]). With `deleted` edges the witness-forest
-    /// subtrees that hung off them are planned first
-    /// ([`inc::plan_deletion_repair`]); within the repair limit they are
-    /// reset to their initial values and seeded from their surviving
-    /// in-arcs beside `seed`'s, and `repaired` counts them. Over the limit,
+    /// runs on `shards` shards, seeded by `seed`'s affected vertices
+    /// pulling their in-arcs (see [`BspEngine::seed`]). With `deleted`
+    /// edges the witness-forest subtrees that hung off them are planned
+    /// first ([`inc::plan_deletion_repair`]); within the repair limit they
+    /// are reset to their initial values and pull their surviving in-arcs
+    /// beside the affected vertices, and `repaired` counts them. Over the limit,
     /// the batch runs [`from_scratch`](Self::from_scratch) instead. A
     /// [`GatherMode::Sum`] program's runs Algorithm 1's rounds over an
     /// affected set ([`inc::incremental_compute`]).
@@ -938,25 +903,16 @@ impl<P: VertexProgram> BoundProgram for BspEngine<P> {
         deleted: &[Edge],
     ) -> ComputeOutcome {
         self.values.begin_phase();
-        let symmetric = self.program.scope() == EdgeScope::Symmetric;
-        let both = symmetric && graph.is_directed();
-        let sum = self.program.gather_mode() == GatherMode::Sum;
-        let (batch, incident);
-        let arcs: &SeedArcs<'_> = match seed {
-            Seed::Affected { affected, new_vertices } if sum => {
+        let mut heads: Vec<Node> = match seed {
+            Seed::Affected { affected, new_vertices } if self.program.gather_mode() == GatherMode::Sum => {
                 let (program, values) = (&self.program, &self.values);
                 return saga_graph::read_phase(graph, |graph| {
                     inc::incremental_compute(program, graph, values, affected, new_vertices, pool)
                 });
             }
-            Seed::Batch(edges) => {
-                batch = batch_arcs(edges, symmetric || !graph.is_directed());
-                &batch
-            }
-            Seed::Affected { affected, .. } => {
-                incident = graph_arcs(affected, both, false);
-                &incident
-            }
+            Seed::Batch(edges) => edges.iter().flat_map(|e| [e.src, e.dst]).collect(),
+            Seed::Affected { affected, .. } => affected.to_vec(),
+            Seed::Improving(_) => Vec::new(), // after the repair's resets, below
         };
         self.reshard(shards);
         let parents = self.parents.as_ref().expect("an incremental Fold engine keeps a forest");
@@ -981,12 +937,14 @@ impl<P: VertexProgram> BoundProgram for BspEngine<P> {
             self.values.store(v as usize, self.program.initial(v, capacity));
             parents.set(v as usize, NO_PARENT);
         }
-        let in_arcs = graph_arcs(&tagged, both, true);
-        let reseed = |shard: Range<usize>, graph: &dyn GraphTopology, visit: &mut dyn FnMut(SeedArc)| {
-            arcs(shard.clone(), graph, visit);
-            in_arcs(shard, graph, visit);
-        };
-        self.seed(graph, pool, &reseed, !deleted.is_empty());
+        heads.extend_from_slice(&tagged);
+        if let Seed::Improving(edges) = seed {
+            let both = self.program.scope() == EdgeScope::Symmetric || !graph.is_directed();
+            heads.extend(self.improvable_heads(edges, both));
+        }
+        heads.sort_unstable();
+        heads.dedup();
+        self.seed(&heads);
         let outcome = self.run_to_completion(graph, pool);
         ComputeOutcome { repaired: tagged.len(), ..outcome }
     }

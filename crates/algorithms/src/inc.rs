@@ -15,17 +15,17 @@
 //! Algorithm 1's rounds ([`incremental_compute`]) serve PageRank, a
 //! [`GatherMode::Sum`] program whose re-pull of the affected set is also its
 //! whole deletion repair. The [`GatherMode::Fold`] programs run INC on the
-//! superstep engine ([`crate::engine`]): only a vertex whose value changes
-//! triggers its neighbours there too, but the affected pass pushes the
-//! batch's arcs' terms instead of pulling every affected vertex's in-edges.
+//! superstep engine ([`crate::engine`]) with the same rounds as
+//! supersteps: each affected or triggered vertex pulls its in-edges, and
+//! only a vertex whose value changes triggers its out-neighbours.
 //!
 //! Their deletion batches get a KickStarter-style **repair**: monotone
 //! `combine` only ever improves values, so a stored property that depended
 //! on a removed edge would survive forever. Every vertex keeps one *witness
-//! parent* — the sender of the term that set its value, KickStarter's
+//! parent* — the source of the term that set its value, KickStarter's
 //! dependence tree. [`plan_deletion_repair`] finds the subtrees of that
 //! forest that hung off the deleted edges; the engine resets them to the
-//! program's initial values and reseeds them from surviving in-neighbors —
+//! program's initial values and lets them pull their surviving in-edges —
 //! falling back to from-scratch recomputation, then
 //! [`rebuild_witness_forest`], when they exceed a size threshold.
 //!

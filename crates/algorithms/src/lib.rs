@@ -17,9 +17,9 @@
 //!   tolerance-stopped PR, fixpoint label propagation).
 //! - **INC**: the incremental model of Algorithm 1 — processing
 //!   amortization plus selective triggering. The Fold programs (BFS, CC,
-//!   MC, SSSP, SSWP) run it on the superstep engine ([`engine`]), seeded
-//!   from each batch's arcs and repairing deletions through a witness
-//!   forest; PageRank runs Algorithm 1's rounds ([`inc`]).
+//!   MC, SSSP, SSWP) run its rounds as the superstep engine's pull
+//!   supersteps ([`engine`]), repairing deletions through a witness forest;
+//!   PageRank runs Algorithm 1's rounds serially ([`inc`]).
 //!
 //! [`AlgorithmState`] packages a program with its property array and runs
 //! either model — the paper's `performAlg()` API. [`ShardedState`] runs the
@@ -458,9 +458,9 @@ impl AlgorithmState {
     ///
     /// For the incremental model, `affected` is the set of vertices touched
     /// by the latest update (see [`AffectedTracker`]) and `new_vertices`
-    /// those appearing for the first time. The FS model ignores both; a
-    /// Fold program seeds its supersteps from the arcs `affected` scatters
-    /// along.
+    /// those appearing for the first time. The FS model ignores both; in a
+    /// Fold program's INC every affected vertex pulls its in-edges in
+    /// superstep 0.
     pub fn perform_alg(
         &mut self,
         graph: &dyn GraphTopology,

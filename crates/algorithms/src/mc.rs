@@ -40,7 +40,6 @@ impl McProgram {
 impl VertexProgram for McProgram {
     type Value = u32;
     type Store = AtomicU32Array;
-    const TERM_READS_WEIGHT: bool = false;
 
     fn name(&self) -> &'static str {
         "MC"

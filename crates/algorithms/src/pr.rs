@@ -219,7 +219,6 @@ impl PrProgram {
 impl VertexProgram for PrProgram {
     type Value = f64;
     type Store = PrValues;
-    const TERM_READS_WEIGHT: bool = false;
 
     fn name(&self) -> &'static str {
         "PR"

@@ -102,10 +102,9 @@ pub enum GatherMode {
 /// - [`term`](Self::term) is Table I's per-edge term: what one source
 ///   contributes to a destination across one edge. It is the only place a
 ///   program states its vertex function; the pull reduction
-///   ([`pull`](Self::pull)), the derivation test
-///   ([`derives_from`](Self::derives_from)) and the superstep engine's
-///   messages, whose senders are the witnesses of deletion repair, are all
-///   derived from it.
+///   ([`pull`](Self::pull)), the superstep engine's pulls and messages and
+///   the witnesses its pulls record for deletion repair, and the derivation
+///   test ([`derives_from`](Self::derives_from)) are all derived from it.
 /// - [`combine`](Self::combine) reduces terms and merges the result with
 ///   the vertex's previous property. For the monotone algorithms this is
 ///   `min`/`max` — the *processing amortization* of the incremental model
@@ -124,11 +123,6 @@ pub trait VertexProgram: Send + Sync {
     type Value: Property + Default + std::ops::Add<Output = Self::Value>;
     /// Storage for the property array.
     type Store: ValueStore<Self::Value>;
-
-    /// Whether [`term`](Self::term) reads its `weight` argument. A program
-    /// whose term ignores it (BFS, CC, MC, PageRank) lets the superstep
-    /// engine seed a batch without looking its edges' stored weights up.
-    const TERM_READS_WEIGHT: bool = true;
 
     /// Human-readable name (paper abbreviation).
     fn name(&self) -> &'static str;
@@ -279,16 +273,6 @@ mod tests {
         ];
         use GatherMode::{Fold, Sum};
         assert_eq!(modes, [Fold, Fold, Fold, Fold, Fold, Sum]);
-        // Only the path programs' terms read the edge weight.
-        let reads_weight = [
-            BfsProgram::TERM_READS_WEIGHT,
-            CcProgram::TERM_READS_WEIGHT,
-            McProgram::TERM_READS_WEIGHT,
-            SsspProgram::TERM_READS_WEIGHT,
-            SswpProgram::TERM_READS_WEIGHT,
-            PrProgram::TERM_READS_WEIGHT,
-        ];
-        assert_eq!(reads_weight, [false, false, false, true, true, false]);
 
         // PageRank's sum rule: the Jacobi finish, the L1 stop in truncated
         // 1e-12 units, and the sweep cap.

@@ -74,10 +74,9 @@ impl ShardedState {
     /// the sharded counterpart of
     /// [`AlgorithmState::perform_alg`](crate::AlgorithmState::perform_alg),
     /// for callers that hold the tracker's output rather than the batch. A
-    /// Fold program's INC batch seeds the run with every arc an affected
-    /// vertex scatters along (its out-edges, plus its in-edges for a
-    /// symmetric-scope program on a directed graph): the tracker marks
-    /// both endpoints of every insert, so those terms cover every new edge.
+    /// Fold program's INC batch lets every affected vertex pull its
+    /// in-edges in superstep 0: the tracker marks both endpoints of every
+    /// insert, so those pulls cover every new edge.
     /// A batch with deletions does not name them, so it recomputes from
     /// scratch and rebuilds the witness forest.
     pub fn perform_batch(
@@ -112,17 +111,14 @@ impl ShardedState {
 impl ComputeEngine for ShardedState {
     /// Runs the compute phase for one batch already applied to `graph`.
     ///
-    /// A Fold program's INC batch is seeded from the batch itself: one
-    /// [`SeedArc`](crate::engine::SeedArc) per inserted edge, plus its
-    /// reverse when the program's scope is symmetric or the
-    /// graph is undirected. The arcs carry the batch's weights, which the
-    /// engine replaces with the weight the structure stored (the first one
-    /// ingested wins) before any term is folded when the program's term
-    /// reads the weight: the inserted edges are exactly what changed, so
-    /// the state keeps the default [`track`](ComputeEngine::track) and
-    /// `impact` is empty. `deleted` edges are repaired through the witness
-    /// forest. Every other batch recomputes from initial values in
-    /// supersteps.
+    /// A Fold program's INC batch is seeded from the batch itself: of the
+    /// inserted edges' endpoints, those the edge's own term would change
+    /// pull their in-edges in superstep 0 (the weights they read are the
+    /// ones the structure stored), where the unsharded state's Algorithm 1
+    /// pulls every endpoint. The inserted edges are exactly what changed, so the state
+    /// keeps the default [`track`](ComputeEngine::track) and `impact` is
+    /// empty. `deleted` edges are repaired through the witness forest.
+    /// Every other batch recomputes from initial values in supersteps.
     fn compute(
         &mut self,
         graph: &dyn GraphTopology,
@@ -134,7 +130,7 @@ impl ComputeEngine for ShardedState {
         if !self.bound.fold_inc() {
             return self.bound.engine.supersteps(graph, pool);
         }
-        self.bound.engine.incremental(graph, pool, self.shards, Seed::Batch(inserted), deleted)
+        self.bound.engine.incremental(graph, pool, self.shards, Seed::Improving(inserted), deleted)
     }
 
     fn values(&self) -> VertexValues {

@@ -3,7 +3,7 @@
 //! kill-and-recover determinism, and the on-disk checkpoint path.
 
 use saga_algorithms::bfs::BfsProgram;
-use saga_algorithms::checkpoint::{Checkpoint, CheckpointConfig, CheckpointStore};
+use saga_algorithms::checkpoint::{Checkpoint, CheckpointConfig, FORMAT_WORD};
 use saga_algorithms::engine::BspEngine;
 use saga_algorithms::{
     AlgorithmKind, AlgorithmParams, AlgorithmState, BatchImpact, ComputeEngine, ComputeModelKind,
@@ -227,7 +227,7 @@ fn edge_seeds_use_the_stored_weight() {
     }
 }
 
-/// A batch that improves nothing costs its seed terms and nothing more.
+/// A batch that improves nothing costs its affected pass and nothing more.
 #[test]
 fn an_unimproving_batch_sends_no_superstep_messages() {
     let pool = ThreadPool::new(2);
@@ -290,15 +290,11 @@ fn disk_checkpoints_roundtrip_and_pick_the_newest() {
     let _ = std::fs::remove_dir_all(&dir);
     assert!(
         std::fs::create_dir_all(&dir).is_ok()
-            && CheckpointStore::<f64>::load_latest_from_disk(&dir)
+            && Checkpoint::<f64>::load_latest(&dir)
                 .unwrap()
                 .is_none(),
         "empty dir loads None"
     );
-    let mut store: CheckpointStore<f64> = CheckpointStore::new(CheckpointConfig {
-        interval: 1,
-        dir: Some(dir.clone()),
-    });
     let older = Checkpoint {
         superstep: 3,
         values: vec![vec![0.25, f64::NEG_INFINITY], vec![1e-300]],
@@ -312,61 +308,71 @@ fn disk_checkpoints_roundtrip_and_pick_the_newest() {
         active: vec![vec![], vec![2]],
     };
     // Publish out of order: newest-by-superstep must win, not last-written.
-    store.publish(newer.clone()).unwrap();
-    store.publish(older).unwrap();
-    let loaded = CheckpointStore::<f64>::load_latest_from_disk(&dir)
+    newer.write_to(&dir).unwrap();
+    older.write_to(&dir).unwrap();
+    let loaded = Checkpoint::<f64>::load_latest(&dir)
         .unwrap()
         .expect("two files on disk");
     assert_eq!(loaded, newer);
 }
 
-/// The on-disk format, pinned: little-endian `u64` words — superstep,
-/// shard count, then per shard the value count, each value's bits
-/// zero-extended, the parent count and the parent ids (the witness forest,
-/// none for an engine without one), the active count and the active ids.
+/// The on-disk format, pinned: little-endian `u64` words — the format
+/// word, superstep, shard count, then per shard the value count, each
+/// value's bits zero-extended, the parent count and the parent ids (the
+/// witness forest, none for an engine without one), the active count and
+/// the active ids.
 #[test]
 fn checkpoint_file_bytes_are_golden() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("bsp-ckpt-golden");
     let _ = std::fs::remove_dir_all(&dir);
     let nan = f32::from_bits(0x7fc0_beef);
-    let mut store: CheckpointStore<f32> = CheckpointStore::new(CheckpointConfig {
-        interval: 1,
-        dir: Some(dir.clone()),
-    });
-    store
-        .publish(Checkpoint {
-            superstep: 5,
-            values: vec![vec![1.5, -0.0, f32::INFINITY], vec![nan]],
-            parents: vec![vec![u32::MAX, 0, 1], vec![]],
-            active: vec![vec![0, 2], vec![3]],
-        })
-        .unwrap();
-    let words: [u64; 18] = [
-        5, 2, //
+    let values = vec![vec![1.5, -0.0, f32::INFINITY], vec![nan]];
+    Checkpoint {
+        superstep: 5,
+        values: values.clone(),
+        parents: vec![vec![u32::MAX, 0, 1], vec![]],
+        active: vec![vec![0, 2], vec![3]],
+    }
+    .write_to(&dir)
+    .unwrap();
+    let words: [u64; 19] = [
+        0x5341_4741_4350_0002, 5, 2, //
         3, 0x3fc0_0000, 0x8000_0000, 0x7f80_0000, 3, 0xffff_ffff, 0, 1, 2, 0, 2, //
         1, 0x7fc0_beef, 0, 1, 3,
     ];
+    assert_eq!(words[0], FORMAT_WORD);
     let golden: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-    assert_eq!(&golden[..24], &[5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0]);
-    assert_eq!(&golden[24..32], &[0, 0, 0xc0, 0x3f, 0, 0, 0, 0]);
+    assert_eq!(&golden[..8], b"\x02\0PCAGAS", "the format word reads SAGACP, version 2");
+    assert_eq!(&golden[8..32], &[5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0]);
+    assert_eq!(&golden[32..40], &[0, 0, 0xc0, 0x3f, 0, 0, 0, 0]);
     assert_eq!(std::fs::read(dir.join("ckpt-5.bin")).unwrap(), golden);
-    let loaded = CheckpointStore::<f32>::load_latest_from_disk(&dir).unwrap().unwrap();
+    let loaded = Checkpoint::<f32>::load_latest(&dir).unwrap().unwrap();
     let bits = |values: &[Vec<f32>]| -> Vec<Vec<u32>> {
         values.iter().map(|s| s.iter().map(|v| v.to_bits()).collect()).collect()
     };
-    assert_eq!(bits(&loaded.values), bits(&store.latest().unwrap().values));
+    assert_eq!(bits(&loaded.values), bits(&values));
     assert_eq!(loaded.parents, vec![vec![u32::MAX, 0, 1], vec![]]);
     assert_eq!((loaded.superstep, loaded.active), (5, vec![vec![0, 2], vec![3]]));
+}
+
+/// A file whose shard count claims more words than it holds is corrupt:
+/// it errors before any allocation of that size, and is skipped and
+/// deleted like every other corrupt file.
+#[test]
+fn implausible_counts_are_rejected_before_allocating() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("bsp-ckpt-implausible");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ckpt-20.bin");
+    std::fs::write(&path, [FORMAT_WORD, 20, 1 << 60].map(u64::to_le_bytes).concat()).unwrap();
+    assert!(Checkpoint::<f64>::load_latest(&dir).unwrap().is_none());
+    assert!(!path.exists(), "implausible-count file must be deleted");
 }
 
 #[test]
 fn recovery_skips_and_deletes_corrupt_checkpoints() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("bsp-ckpt-corrupt");
     let _ = std::fs::remove_dir_all(&dir);
-    let mut store: CheckpointStore<f64> = CheckpointStore::new(CheckpointConfig {
-        interval: 1,
-        dir: Some(dir.clone()),
-    });
     let valid = Checkpoint {
         superstep: 3,
         values: vec![vec![0.25, -7.5], vec![1e-300]],
@@ -379,8 +385,8 @@ fn recovery_skips_and_deletes_corrupt_checkpoints() {
         parents: vec![vec![], vec![]],
         active: vec![vec![], vec![2]],
     };
-    store.publish(valid.clone()).unwrap();
-    store.publish(newest).unwrap();
+    valid.write_to(&dir).unwrap();
+    newest.write_to(&dir).unwrap();
 
     // Truncate the newest file "mid-write" — cut it to an unaligned byte
     // length, like a crash between write and fsync would.
@@ -402,7 +408,7 @@ fn recovery_skips_and_deletes_corrupt_checkpoints() {
     std::fs::write(dir.join("ckpt-15.bin"), &padded).unwrap();
 
     // Recovery falls back to the newest VALID checkpoint...
-    let loaded = CheckpointStore::<f64>::load_latest_from_disk(&dir)
+    let loaded = Checkpoint::<f64>::load_latest(&dir)
         .unwrap()
         .expect("the superstep-3 checkpoint is still valid");
     assert_eq!(loaded, valid);
@@ -415,7 +421,7 @@ fn recovery_skips_and_deletes_corrupt_checkpoints() {
     // With every file corrupt, recovery reports "nothing on disk" rather
     // than an error the caller can do nothing about.
     std::fs::write(dir.join("ckpt-3.bin"), &bytes[..5]).unwrap();
-    assert!(CheckpointStore::<f64>::load_latest_from_disk(&dir)
+    assert!(Checkpoint::<f64>::load_latest(&dir)
         .unwrap()
         .is_none());
     assert!(!dir.join("ckpt-3.bin").exists());

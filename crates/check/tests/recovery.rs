@@ -6,6 +6,7 @@
 //! more seeds and profiles for CI's dedicated job
 //! (`cargo test -p saga-check --release -- --ignored recovery_smoke`).
 
+use saga_algorithms::layout::ShardLayout;
 use saga_algorithms::{
     AlgorithmKind, BatchImpact, CheckpointConfig, ComputeEngine, ComputeModelKind, ComputeOutcome,
     KillPhase, KillSpec, ShardedState,
@@ -63,15 +64,17 @@ fn kill_and_recover_all_algorithms_inc() {
     let _g = LOCK.lock().unwrap();
     // Delete-heavy: INC batches with deletions repair through the witness
     // forest or fall back to the FS kernel, beside edge-seeded inserts. A
-    // seeded or repaired run may end in superstep 0, which every run has,
-    // so the kill lands there.
+    // kill in superstep 0 recovers from the baseline `begin` publishes; one
+    // in superstep 1 from the checkpoint the first epilogue publishes.
     let program = OpProgram::generate(0x5EED_0002, ProgramProfile::DeleteHeavy);
     for algorithm in AlgorithmKind::ALL {
-        for phase in [KillPhase::Scatter, KillPhase::Gather] {
-            let mut cfg = config(algorithm, ComputeModelKind::Incremental, phase);
-            cfg.kill.superstep = 0;
-            let got = check_recovery(&program, &cfg);
-            assert!(got.is_none(), "{algorithm:?}/{phase:?}: {}", got.unwrap());
+        for superstep in [0, 1] {
+            for phase in [KillPhase::Scatter, KillPhase::Gather] {
+                let mut cfg = config(algorithm, ComputeModelKind::Incremental, phase);
+                cfg.kill.superstep = superstep;
+                let got = check_recovery(&program, &cfg);
+                assert!(got.is_none(), "{algorithm:?}/{superstep}/{phase:?}: {}", got.unwrap());
+            }
         }
     }
 }
@@ -152,32 +155,46 @@ fn sharded_outcomes(program: &OpProgram, config: &RecoveryConfig) -> Vec<Compute
         .collect()
 }
 
-/// A kill inside the supersteps of an INC deletion batch that repairs: the
-/// victim matches the uninterrupted twin bitwise, witness forest included.
-/// One edge per batch builds the path 0 → 1 → … → 8 and a 30-hop detour
-/// 0 → 100 → … → 129 → 3 that improves nothing, so no run before the last
-/// outlives superstep 0. The last batch deletes 0 → 1: its subtree 1..=8
-/// is reset (8 vertices, within a 200-vertex universe's 10-vertex repair
-/// limit), 3 re-derives over the detour, and the wave 3 → 4 → … → 8 runs
-/// past the kill's superstep 2 on shard 0, which owns it. (SSWP is left
-/// out: these weights make the detour the wider path from the start.)
-#[test]
-fn kill_and_recover_inside_a_deletion_repair() {
-    let _g = LOCK.lock().unwrap();
-    let detour: Vec<u32> = std::iter::once(0).chain(100..130).chain([3]).collect();
+/// The repair scenario of [`kill_and_recover_inside_a_deletion_repair`]
+/// for `algorithm`, with vertex `v` named `id(v)`: one edge per batch
+/// builds the path 0 → 1 → … → 8 and a 31-hop detour 0 → 120 → … → 149 →
+/// 3 that improves nothing (for SSWP too: these weights leave the detour
+/// the narrower path), then the last batch deletes 0 → 1. CC and MC run it
+/// undirected, MC with the ids mirrored (`199 - v`) so that the largest
+/// label sits where CC's smallest does.
+fn repair_program(algorithm: AlgorithmKind) -> (OpProgram, impl Fn(u32) -> u32) {
+    let label = matches!(algorithm, AlgorithmKind::Cc | AlgorithmKind::Mc);
+    let mirror = algorithm == AlgorithmKind::Mc;
+    let id = move |v: u32| if mirror { 199 - v } else { v };
+    let detour: Vec<u32> = std::iter::once(0).chain(120..150).chain([3]).collect();
     let mut batches: Vec<Vec<ProgramOp>> = (0..8)
         .map(|v| (v, v + 1))
         .chain(detour.windows(2).map(|w| (w[0], w[1])))
-        .map(|(s, d)| vec![(EdgeOp::Insert, s, d)])
+        .map(|(s, d)| vec![(EdgeOp::Insert, id(s), id(d))])
         .collect();
-    batches.push(vec![(EdgeOp::Delete, 0, 1)]);
-    let program = OpProgram { capacity: 200, directed: true, batches };
-    for algorithm in [AlgorithmKind::Bfs, AlgorithmKind::Sssp] {
+    batches.push(vec![(EdgeOp::Delete, id(0), id(1))]);
+    (OpProgram { capacity: 200, directed: !label, batches }, id)
+}
+
+/// A kill inside the supersteps of an INC deletion batch that repairs: the
+/// victim matches the uninterrupted twin bitwise, witness forest included,
+/// for every Fold program ([`repair_program`]). No run before the last
+/// outlives superstep 1. The last batch's subtree 1..=8 is reset (8
+/// vertices, within a 200-vertex universe's 10-vertex repair limit), 3
+/// re-derives over the detour, and the wave 3 → 4 → … → 8 runs past the
+/// kill's superstep 2 on the shard that owns it.
+#[test]
+fn kill_and_recover_inside_a_deletion_repair() {
+    let _g = LOCK.lock().unwrap();
+    for algorithm in AlgorithmKind::ALL {
+        if algorithm == AlgorithmKind::PageRank {
+            continue; // keeps no witness forest
+        }
+        let (program, id) = repair_program(algorithm);
         for phase in [KillPhase::Scatter, KillPhase::Gather] {
-            let cfg = RecoveryConfig {
-                kill: KillSpec { superstep: 2, shard: 0, phase },
-                ..config(algorithm, ComputeModelKind::Incremental, phase)
-            };
+            let mut cfg = config(algorithm, ComputeModelKind::Incremental, phase);
+            let shard = ShardLayout::new(program.capacity, cfg.shards).shard_of(id(3) as usize);
+            cfg.kill = KillSpec { superstep: 2, shard, phase };
             let outcomes = sharded_outcomes(&program, &cfg);
             let (last, earlier) = outcomes.split_last().expect("batches");
             assert!(earlier.iter().all(|o| o.iterations <= 2), "{algorithm:?}: {earlier:?}");
